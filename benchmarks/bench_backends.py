@@ -186,13 +186,20 @@ def validate_document(doc: Dict) -> List[str]:
 def check_speedup(doc: Dict, workers: int = 4) -> Optional[str]:
     """The headline claim: process beats serial at ``workers`` workers.
 
-    Only meaningful with real parallel hardware — on a host with one
-    schedulable core the claim is vacuously skipped (returns ``None``
-    with a reason recorded in the document by the caller).  Returns a
-    problem string when the claim fails on a multi-core host.
+    Only meaningful when every worker can have a core of its own: on a
+    host with fewer schedulable CPUs than ``workers`` the children
+    time-share and pay fork + pipe overhead for no overlap, so the
+    claim is skipped and the reason recorded in ``doc["speedup_note"]``.
+    Returns a problem string when the claim fails on a host that can
+    run the workers in parallel.
     """
     host = doc.get("host") or {}
-    if int(host.get("schedulable_cpus") or 1) <= 1:
+    cpus = int(host.get("schedulable_cpus") or 1)
+    if cpus < workers:
+        doc["speedup_note"] = (
+            f"{cpus} schedulable CPU(s) for {workers} workers: parallel "
+            "backends cannot beat serial wall-clock on this host; rerun "
+            f"with at least {workers} cores for the speedup claim")
         return None
     rows = {(r["backend"], r["workers"]): r for r in doc["results"]}
     process = rows.get(("process", workers))

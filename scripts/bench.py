@@ -68,11 +68,7 @@ def _run_backends(args) -> int:
         speedup_problem = check_speedup(doc)
         if speedup_problem is not None:
             problems.append(speedup_problem)
-        elif doc["host"]["schedulable_cpus"] <= 1:
-            doc["speedup_note"] = (
-                "single schedulable CPU: parallel backends cannot beat "
-                "serial wall-clock on this host; rerun on a multi-core "
-                "machine for the speedup claim")
+        elif "speedup_note" in doc:
             print(f"NOTE: {doc['speedup_note']}", file=sys.stderr)
     print(f"host: {doc['host']['schedulable_cpus']} schedulable cpu(s)")
     for row in doc["results"]:

@@ -8,8 +8,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== backend equivalence =="
-python -m pytest -x -q tests/test_backends.py tests/test_api.py
+echo "== golden digest matrix (512 cells) =="
+python scripts/golden.py --check
 
 echo "== repro.lint =="
 python -m repro.lint src/ --format json
@@ -39,6 +39,10 @@ python scripts/bench.py --smoke --suite sync
 python scripts/bench.py --smoke --suite partition
 python scripts/bench.py --smoke --suite checkpoint
 python scripts/bench.py --smoke --suite stream
+
+echo "== perf traced smoke (backend spans present, residual bounded) =="
+python3 perf/run.py --workload train_splpg_serial --trace 1 --smoke > /dev/null
+python3 perf/run.py --workload train_psgdpa_process --trace 1 --smoke > /dev/null
 
 echo "== docs links =="
 python scripts/check_links.py

@@ -1,28 +1,33 @@
 """Parallel execution backends for the distributed trainer.
 
-The trainer simulates ``p`` workers; *how* their per-round batch work
-is executed is an engine concern, factored out here behind the
-:class:`ExecutionBackend` contract:
+The trainer simulates ``p`` workers.  What one worker does with a
+command is defined once, in :class:`WorkerHost`; how a round is driven
+across the workers — draw, train, average, step — is defined once, in
+the body of :class:`SerialBackend`, over two transport primitives
+``_send(i, msg)`` / ``_recv(i, inflight)``.  The three backends differ
+only in how a command reaches its host:
 
-* :class:`SerialBackend` — the original in-process loop, the default.
-  Workers train one after another in worker order; bit-identical to
-  the pre-backend trainer.
-* :class:`ThreadBackend` — a thread pool dispatches every worker's
-  mini-batch concurrently.  numpy releases the GIL inside the dense
-  and sparse matmul / segment-reduction hot paths, so compute-bound
-  rounds overlap.  All mutable state (model replica, optimizer, RNG,
-  CommMeter) is per-worker, so results are independent of thread
-  interleaving and bit-identical to Serial.
-* :class:`ProcessBackend` — one forked child process per worker, with
-  the full graph's feature matrix re-homed into
-  ``multiprocessing.shared_memory`` before the fork so every child
-  reads features through one shared mapping (no pickling of graphs,
-  views or feature tensors — children inherit them copy-on-write).
-  Each child owns its worker's batch loader, samplers and RNG stream
-  end to end; per-round results (loss, message-flow edge counts,
-  gradient tensors, communication deltas) are merged by the parent in
-  deterministic worker order, so same-seed accuracy and the CommMeter
-  byte ledger match Serial exactly.
+* :class:`SerialBackend` — runs the command inline, in worker order,
+  and queues the reply.  The default; bit-identical to the pre-backend
+  trainer.
+* :class:`ThreadBackend` — the same, except that ``("train", ...)``
+  commands are submitted to a thread pool.  numpy releases the GIL
+  inside the dense and sparse matmul / segment-reduction hot paths, so
+  compute-bound rounds overlap.  All mutable state (model replica,
+  optimizer, RNG, CommMeter) is per-worker, so results are independent
+  of thread interleaving.
+* :class:`ProcessBackend` — each host is forked into its own child
+  process and commands travel over a pipe.  The full graph's feature
+  matrix is re-homed into ``multiprocessing.shared_memory`` before the
+  fork so every child reads features through one shared mapping (no
+  pickling of graphs, views or feature tensors — children inherit them
+  copy-on-write).  This backend also owns everything a real process
+  can do that a function call cannot: die, hang, and be respawned.
+
+Every cross-worker reduction (gradient mean, model mean) happens on
+the coordinator side of the transport, over the named-gradient / state
+dicts the replies carry, in worker order — so same-seed accuracy and
+the CommMeter byte ledger are bit-identical across backends.
 
 Synchronization (gradient or model averaging) is the barrier: every
 backend finishes the round's batch work before the trainer invokes the
@@ -42,7 +47,8 @@ import signal
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -53,6 +59,7 @@ from ..faults.errors import (
     WorkerDiedError,
     WorkerTimeoutError,
 )
+from ..faults.snapshot import WorkerSnapshot, restore_worker, snapshot_worker
 from .comm import CommRecord
 from .sync import average_gradients, average_models, sync_bytes_per_worker
 
@@ -80,17 +87,123 @@ class RoundResult:
     mfg_edges: int
 
 
-class ExecutionBackend:
-    """Contract between :class:`DistributedTrainer` and an engine.
+class WorkerHost:
+    """The one worker executor: a worker's end of the round protocol.
 
-    Lifecycle: the trainer calls :meth:`bind` once at the start of
-    ``train()`` and :meth:`shutdown` when training ends.  Each epoch it
-    calls :meth:`begin_epoch`, then repeatedly :meth:`poll_batches`
-    (draw one batch per live worker), decides participation (failure
-    injection), and calls :meth:`train_round`.  Synchronization runs
-    through :meth:`apply_gradients` / :meth:`sync_models` — the
-    round-level barrier — plus the optimizer-step, correction and
-    evaluation hooks below.
+    Owns what a worker holds *between* commands — its epoch iterator
+    and the batch drawn for the current round — and runs each command
+    against ``trainer.workers[part]`` (resolved when the command runs,
+    so a host can be built before the workers are).  Commands are
+    tuples; the ones that answer return a ``(tag, payload)`` reply:
+
+    ``("epoch",)``                    reset feature cache + iterator
+    ``("draw",)``                     draw next batch  → ``drawn``,
+                                      has-batch flag
+    ``("ffwd", n)``                   skip n batches (warm respawn)
+    ``("train", ok, want_grads)``     train/discard    → ``result``,
+                                      (loss, edges, comm delta,
+                                      optional grad dict) or ``None``
+    ``("grads", avg)``                install the averaged gradients
+    ``("step",)``                     local optimizer step
+    ``("get_model",)``                → ``model``, state dict
+    ``("set_model", state)``          load synchronized weights
+    ``("lr", factor)``                decay learning rate
+    ``("snapshot", epoch, round)``    → ``snapshot``, serialized state
+    ``("load_snapshot", payload)``    rehydrate from a snapshot
+    ``("replay", cmds)``              re-execute silently → ``replayed``
+
+    ``replay`` is what makes crash recovery exact: after
+    ``load_snapshot`` rehydrates the worker, re-running the logged
+    command stream (state advances, replies are discarded) reproduces
+    the lost state bit for bit, because every command is deterministic
+    given the worker's RNG.
+
+    ``spans`` selects per-batch observability spans (the serial
+    engine); pooled and forked hosts train unobserved because the span
+    tracer is a single simulated-clock stack.
+    """
+
+    def __init__(self, trainer, part: int, spans: bool) -> None:
+        self.trainer = trainer
+        self.part = part
+        self.spans = spans
+        self._iterator = None
+        #: The batch drawn for this round, until ``train`` consumes it.
+        self.pending: Optional[np.ndarray] = None
+
+    def execute(self, msg: tuple):
+        """Run one command; return ``(tag, payload)`` or ``None``."""
+        cmd = msg[0]
+        worker = self.trainer.workers[self.part]
+        if cmd == "epoch":
+            if self.trainer.config.cache_remote_features:
+                worker.view.clear_feature_cache()
+            self._iterator = iter(worker.loader)
+            self.pending = None
+        elif cmd == "draw":
+            self.pending = next(self._iterator, None)
+            return ("drawn", self.pending is not None)
+        elif cmd == "ffwd":
+            for _ in range(msg[1]):
+                next(self._iterator, None)
+        elif cmd == "train":
+            _, ok, want_grads = msg
+            batch, self.pending = self.pending, None
+            if batch is None or not ok:
+                return ("result", None)
+            meter = self.trainer.meters[self.part]
+            before = (meter.current.feature_bytes,
+                      meter.current.structure_bytes,
+                      meter.current.sync_bytes)
+            if self.spans:
+                loss, edges = worker.train_batch(batch)
+            else:
+                loss, edges = worker._run_batch(batch, None)
+            delta = (meter.current.feature_bytes - before[0],
+                     meter.current.structure_bytes - before[1],
+                     meter.current.sync_bytes - before[2])
+            grads = None
+            if want_grads:
+                grads = {name: p.grad for name, p
+                         in worker.model.named_parameters()}
+            return ("result", (loss, edges, delta, grads))
+        elif cmd == "grads":
+            averaged = msg[1]
+            for name, p in worker.model.named_parameters():
+                g = averaged.get(name)
+                p.grad = None if g is None else g.copy()
+        elif cmd == "step":
+            worker.optimizer.step()
+        elif cmd == "get_model":
+            return ("model", worker.model.state_dict())
+        elif cmd == "set_model":
+            worker.model.load_state_dict(msg[1])
+        elif cmd == "lr":
+            worker.optimizer.lr *= msg[1]
+        elif cmd == "snapshot":
+            snap = snapshot_worker(worker, int(msg[1]), int(msg[2]))
+            return ("snapshot", snap.payload)
+        elif cmd == "load_snapshot":
+            restore_worker(worker, WorkerSnapshot(
+                payload=msg[1], epoch=0, round=0))
+        elif cmd == "replay":
+            for sub in msg[1]:
+                self.execute(sub)  # silent: replies are discarded
+            return ("replayed", len(msg[1]))
+        else:  # pragma: no cover - protocol error
+            raise RuntimeError(f"unknown backend command {cmd!r}")
+        return None
+
+
+class ExecutionBackend:
+    """What every engine shares: identity flags and an idempotent close.
+
+    The contract between :class:`DistributedTrainer` and an engine —
+    :meth:`~SerialBackend.bind` once per ``train()``, then per epoch
+    ``begin_epoch`` and repeated ``poll_batches`` / ``train_round`` /
+    sync collectives — is the public surface of :class:`SerialBackend`,
+    whose class body is the round protocol; the other backends subclass
+    it and replace the transport.
 
     Implementations must preserve two invariants: every worker's RNG
     stream advances exactly as under :class:`SerialBackend`, and all
@@ -108,10 +221,6 @@ class ExecutionBackend:
     #: wiping the worker object instead).
     child_owned_state = False
 
-    def bind(self, trainer) -> None:
-        """Attach to a trainer (fork pools, allocate executors)."""
-        raise NotImplementedError
-
     def shutdown(self) -> None:
         """Release pools, processes and shared memory."""
         raise NotImplementedError
@@ -123,121 +232,13 @@ class ExecutionBackend:
         overlapping cleanup paths (the trainer's ``finally`` block,
         fault controllers, context managers, tests) can all close
         defensively without double-releasing pools or shared memory.
-        :meth:`bind` re-arms the guard, so a backend reused for a new
-        run closes again.
+        ``bind`` re-arms the guard, so a backend reused for a new run
+        closes again.
         """
         if getattr(self, "_closed", False):
             return
         self._closed = True
         self.shutdown()
-
-    def begin_epoch(self) -> None:
-        """Reset per-epoch state: feature caches and batch iterators."""
-        raise NotImplementedError
-
-    def all_exhausted(self) -> bool:
-        """True once every worker's epoch iterator is spent."""
-        raise NotImplementedError
-
-    def poll_batches(self) -> List[bool]:
-        """Draw the next batch for every live worker (worker order).
-
-        Returns one flag per worker: True if it holds a pending batch
-        for this round, False if it is (or just became) exhausted.
-        """
-        raise NotImplementedError
-
-    def train_round(self, participate: Sequence[bool]
-                    ) -> List[Optional[RoundResult]]:
-        """Run the round's pending batches.
-
-        ``participate[i]`` False discards worker *i*'s pending batch
-        (failure injection: the batch is consumed but never trained).
-        Returns per-worker results, ``None`` where nothing ran.
-        """
-        raise NotImplementedError
-
-    def apply_gradients(self, participating: Sequence[bool],
-                        topology: str, obs=None) -> None:
-        """Average participants' gradients; every replica receives
-        the mean (the gradient-sync barrier)."""
-        raise NotImplementedError
-
-    def step_all(self) -> None:
-        """Optimizer step on every worker (post gradient averaging)."""
-        raise NotImplementedError
-
-    def step_participants(self, participating: Sequence[bool]) -> None:
-        """Optimizer step on round participants only (model-averaging
-        mode trains locally between syncs)."""
-        raise NotImplementedError
-
-    def sync_models(self, topology: str, obs=None) -> None:
-        """FedAvg model averaging across all replicas (the model-sync
-        barrier)."""
-        raise NotImplementedError
-
-    # -- asynchronous sync-mode primitives ------------------------------
-
-    def collect_gradients(self, mask: Sequence[bool]
-                          ) -> List[Optional[Dict[str, np.ndarray]]]:
-        """This round's named-gradient dict per masked worker.
-
-        ``mask[i]`` False (or a worker that trained nothing) yields
-        ``None``.  Used by the parameter-server modes, which apply the
-        pushes parent-side in :class:`~repro.distributed.sync.SyncPlan`
-        order instead of all-reducing them.
-        """
-        raise NotImplementedError
-
-    def load_worker_model(self, worker: int,
-                          state: Dict[str, np.ndarray]) -> None:
-        """Load ``state`` into one worker's replica (a PS pull or any
-        other targeted weight delivery), wherever that replica lives."""
-        raise NotImplementedError
-
-    def refresh_eval_model(self) -> None:
-        """Make ``trainer.workers[0].model`` reflect worker 0's current
-        weights (no-op for in-process backends)."""
-        raise NotImplementedError
-
-    def run_correction(self, hook) -> None:
-        """Run a server-side correction hook over all model replicas."""
-        raise NotImplementedError
-
-    def scale_lr(self, factor: float) -> None:
-        """Multiply every worker optimizer's learning rate."""
-        raise NotImplementedError
-
-    # -- fault-tolerance hooks (repro.faults) ---------------------------
-
-    def pending_batches(self) -> List[Optional[np.ndarray]]:
-        """This round's pending batch per worker (after
-        :meth:`poll_batches`, before :meth:`train_round`).  The fault
-        controller logs them for restore replay; only meaningful for
-        in-process backends, which hold the batches parent-side."""
-        raise NotImplementedError
-
-    def deactivate(self, worker: int) -> None:
-        """Permanently remove a worker from the pool (elastic
-        recovery): it draws no further batches and is skipped by every
-        broadcast."""
-        raise NotImplementedError
-
-    def inject_crash(self, worker: int) -> None:
-        """Make a planned crash real.  In-process backends no-op (the
-        controller wipes/restores the worker object itself); the
-        process backend SIGKILLs the child so detection and respawn
-        run against an actual death."""
-        raise NotImplementedError
-
-    def snapshot_workers(self, epoch: int,
-                         rnd: int) -> List[Optional[bytes]]:
-        """Serialize every worker's state (model + optimizer + RNG)
-        wherever it lives, for the durable session checkpoint
-        (:mod:`repro.checkpoint`).  ``None`` for workers removed by
-        elastic recovery."""
-        raise NotImplementedError
 
 
 def make_backend(name: str, num_workers: int):
@@ -272,174 +273,315 @@ def make_backend(name: str, num_workers: int):
 
 
 # ----------------------------------------------------------------------
-# Serial
+# Serial: the round protocol, with an inline transport
 # ----------------------------------------------------------------------
 
 
 class SerialBackend(ExecutionBackend):
-    """The original sequential in-process engine (default)."""
+    """The round protocol, executed in-process in worker order.
+
+    Every public method below drives the workers only through
+    :meth:`_send` / :meth:`_recv`; subclasses change how a command
+    travels, never what a round does.  A ``None`` from :meth:`_recv`
+    means the worker was lost mid-request (only a real process can be)
+    and its contribution is skipped.
+    """
 
     name = "serial"
     parallel = False
 
     def __init__(self) -> None:
         self.trainer = None
-        self._iters: List = []
-        self._pending: List[Optional[np.ndarray]] = []
+        self._hosts: List[WorkerHost] = []
+        self._replies: List[deque] = []
+        self._has_pending: List[bool] = []
         self._exhausted: List[bool] = []
+        self._round_grads: Dict[int, Dict[str, Optional[np.ndarray]]] = {}
         self._dead: set = set()
 
     # -- lifecycle ------------------------------------------------------
 
     def bind(self, trainer) -> None:
-        """Attach to ``trainer``; serial needs no pool setup."""
+        """Attach to ``trainer``: one host per worker, nobody removed."""
         self.trainer = trainer
         self._closed = False
         n = len(trainer.workers)
-        self._pending = [None] * n
+        self._hosts = [WorkerHost(trainer, part, spans=not self.parallel)
+                       for part in range(n)]
+        self._replies = [deque() for _ in range(n)]
+        self._has_pending = [False] * n
         self._exhausted = [True] * n
+        self._round_grads = {}
+        self._dead = set()
 
     def shutdown(self) -> None:
         """Nothing to release for the in-process engine."""
         self.trainer = None
+        self._hosts = []
+
+    # -- transport ------------------------------------------------------
+
+    def _send(self, i: int, msg: tuple) -> None:
+        """Deliver one command to worker ``i``: run it here and now."""
+        reply = self._hosts[i].execute(msg)
+        if reply is not None:
+            self._replies[i].append(reply)
+
+    def _recv(self, i: int, inflight: tuple):
+        """The reply to ``inflight``, worker ``i``'s oldest unread."""
+        return self._replies[i].popleft()
+
+    def _active(self) -> List[int]:
+        """Worker indices not removed by elastic recovery."""
+        return [i for i in range(len(self._hosts)) if i not in self._dead]
+
+    def _request(self, workers: Sequence[int], msg: tuple) -> List[tuple]:
+        """Send ``msg`` to every given worker, then collect the replies
+        as ``(worker, payload)`` in worker order, skipping lost ones."""
+        for i in workers:
+            self._send(i, msg)
+        out = []
+        for i in workers:
+            reply = self._recv(i, msg)
+            if reply is not None:
+                out.append((i, reply[1]))
+        return out
 
     # -- epoch / round --------------------------------------------------
 
     def begin_epoch(self) -> None:
-        """Clear feature caches and build fresh shuffled iterators."""
-        trainer = self.trainer
-        if trainer.config.cache_remote_features:
-            for worker in trainer.workers:
-                worker.view.clear_feature_cache()
-        self._iters = [iter(w.loader) for w in trainer.workers]
-        self._exhausted = [i in self._dead
-                           for i in range(len(trainer.workers))]
-        self._pending = [None] * len(trainer.workers)
+        """Every live worker resets its feature cache and iterator."""
+        for i in self._active():
+            self._send(i, ("epoch",))
+        n = len(self._hosts)
+        self._exhausted = [i in self._dead for i in range(n)]
+        self._has_pending = [False] * n
 
     def all_exhausted(self) -> bool:
-        """True once every worker's iterator is spent."""
+        """True once every worker's epoch iterator is spent."""
         return all(self._exhausted)
 
     def poll_batches(self) -> List[bool]:
-        """Draw one batch per live worker, in worker order."""
-        has: List[bool] = []
-        for i, it in enumerate(self._iters):
-            if self._exhausted[i]:
-                self._pending[i] = None
-                has.append(False)
-                continue
-            batch = next(it, None)
-            if batch is None:
+        """Draw the next batch for every live worker (worker order).
+
+        Returns one flag per worker: True if it holds a pending batch
+        for this round, False if it is (or just became) exhausted.
+        """
+        live = [i for i in self._active() if not self._exhausted[i]]
+        for i, has_batch in self._request(live, ("draw",)):
+            self._has_pending[i] = bool(has_batch)
+            if not has_batch:
                 self._exhausted[i] = True
-                self._pending[i] = None
-                has.append(False)
-            else:
-                self._pending[i] = batch
-                has.append(True)
-        return has
+        return [self._has_pending[i] and not self._exhausted[i]
+                for i in range(len(self._hosts))]
 
     def train_round(self, participate: Sequence[bool]
                     ) -> List[Optional[RoundResult]]:
-        """Train pending batches one worker at a time, in order."""
+        """Run the round's pending batches.
+
+        ``participate[i]`` False discards worker *i*'s pending batch
+        (failure injection: the batch is consumed but never trained).
+        Returns per-worker results, ``None`` where nothing ran; the
+        gradients that came back are held for this round's collective.
+        """
+        trainer = self.trainer
+        want_grads = trainer.config.sync in ("grad", "ps", "async")
+        pending = [i for i in self._active() if self._has_pending[i]]
+        inflight = {i: ("train", bool(participate[i]), want_grads)
+                    for i in pending}
+        started = time.perf_counter()
+        for i in pending:
+            self._send(i, inflight[i])
         out: List[Optional[RoundResult]] = [None] * len(participate)
-        for i, worker in enumerate(self.trainer.workers):
-            batch = self._pending[i]
-            self._pending[i] = None
-            if batch is None or not participate[i]:
+        self._round_grads = {}
+        tasks = 0
+        for i in pending:
+            reply = self._recv(i, inflight[i])
+            self._has_pending[i] = False
+            if reply is None or reply[1] is None:
                 continue
-            loss, edges = worker.train_batch(batch)
+            loss, edges, delta, grads = reply[1]
             out[i] = RoundResult(loss, edges)
+            if self.child_owned_state:
+                # The worker charged a meter in another process; fold
+                # what it moved into the coordinator's ledger.
+                trainer.meters[i].absorb(CommRecord(
+                    feature_bytes=delta[0], structure_bytes=delta[1],
+                    sync_bytes=delta[2]))
+            if grads is not None:
+                self._round_grads[i] = grads
+            tasks += 1
+        if self.parallel:
+            _record_pool_round(trainer.observer, self.name, tasks,
+                               len(self._hosts),
+                               time.perf_counter() - started)
         return out
 
     # -- synchronization ------------------------------------------------
 
     def apply_gradients(self, participating: Sequence[bool],
-                        topology: str, obs=None, live=None) -> None:
-        """In-process gradient all-reduce over the worker replicas."""
-        trainer = self.trainer
-        average_gradients([w.model for w in trainer.workers],
-                          trainer.meters, participating,
-                          topology=topology, obs=obs, live=live)
+                        topology: str, obs=None) -> None:
+        """Average participants' gradients; every live replica receives
+        the mean (the gradient-sync barrier)."""
+        if obs is not None:
+            obs.counter("sync.rounds").inc(1)
+            obs.counter("sync.participants").inc(sum(participating))
+        averaged = average_gradients(
+            [self._round_grads.get(i) for i in range(len(participating))],
+            participating)
+        self._round_grads = {}
+        if averaged is None:
+            return
+        for i in self._active():
+            self._send(i, ("grads", averaged))
+        self._charge_sync(topology)
 
     def step_all(self) -> None:
-        """Step every optimizer (replicas share the averaged grad)."""
-        for worker in self.trainer.workers:
-            worker.optimizer.step()
+        """Optimizer step on every live worker (replicas share the
+        averaged gradient)."""
+        for i in self._active():
+            self._send(i, ("step",))
 
     def step_participants(self, participating: Sequence[bool]) -> None:
-        """Step only the workers that trained this round."""
-        for worker, ok in zip(self.trainer.workers, participating):
-            if ok:
-                worker.optimizer.step()
+        """Optimizer step on round participants only (model-averaging
+        modes train locally between syncs)."""
+        for i in self._active():
+            if participating[i]:
+                self._send(i, ("step",))
 
-    def sync_models(self, topology: str, obs=None, participating=None,
-                    live=None) -> None:
-        """In-process FedAvg over the worker replicas."""
-        trainer = self.trainer
-        average_models([w.model for w in trainer.workers],
-                       trainer.meters, topology=topology, obs=obs,
-                       participating=participating, live=live)
+    def sync_models(self, topology: str, obs=None,
+                    participating=None) -> None:
+        """FedAvg model averaging (the model-sync barrier): pull live
+        replicas' weights, average the participants in worker order,
+        load the mean into every live replica — a non-participant
+        rejoins the consensus rather than drifting."""
+        states = dict(self._request(self._active(), ("get_model",)))
+        averaged = average_models(
+            [states.get(i) for i in range(len(self._hosts))], participating)
+        if averaged is None:
+            return
+        if obs is not None:
+            obs.counter("sync.rounds").inc(1)
+            obs.counter("sync.participants").inc(
+                len(self._active()) if participating is None
+                else sum(participating))
+        for i in self._active():
+            self._send(i, ("set_model", averaged))
+        self._charge_sync(topology)
 
     def collect_gradients(self, mask: Sequence[bool]
                           ) -> List[Optional[Dict[str, np.ndarray]]]:
-        """Read the live replicas' gradients straight off their models."""
-        out: List[Optional[Dict[str, np.ndarray]]] = []
-        for worker, ok in zip(self.trainer.workers, mask):
-            if not ok:
-                out.append(None)
-                continue
-            out.append({name: p.grad for name, p
-                        in worker.model.named_parameters()})
-        return out
+        """This round's named-gradient dict per masked worker.
+
+        ``mask[i]`` False (or a worker that trained nothing) yields
+        ``None``.  Used by the parameter-server modes, which apply the
+        pushes coordinator-side in
+        :class:`~repro.distributed.sync.SyncPlan` order instead of
+        all-reducing them; the dicts are the ones ``train`` replies
+        carried, held until the next :meth:`train_round`.
+        """
+        return [self._round_grads.get(i) if ok else None
+                for i, ok in enumerate(mask)]
 
     def load_worker_model(self, worker: int,
                           state: Dict[str, np.ndarray]) -> None:
-        """Load weights into the in-process replica directly."""
-        self.trainer.workers[worker].model.load_state_dict(state)
+        """Load ``state`` into one worker's replica (a PS pull or any
+        other targeted weight delivery); removed workers are skipped."""
+        if worker not in self._dead:
+            self._send(worker, ("set_model", state))
 
-    # -- auxiliary hooks ------------------------------------------------
+    def _charge_sync(self, topology: str) -> None:
+        """Charge one collective to every live worker's meter, sized to
+        the live cluster."""
+        trainer = self.trainer
+        active = self._active()
+        per_worker = sync_bytes_per_worker(
+            trainer.workers[0].model.parameter_nbytes(),
+            len(active), topology)
+        for i in active:
+            trainer.meters[i].charge_sync(per_worker)
+
+    # -- coordinator-side replicas --------------------------------------
+
+    def _pull_replicas(self, workers: Sequence[int]) -> None:
+        """Make ``trainer.workers[i].model`` current for each given live
+        worker.  In-process that object *is* the replica."""
+        if not self.child_owned_state:
+            return
+        for i, state in self._request(workers, ("get_model",)):
+            self.trainer.workers[i].model.load_state_dict(state)
 
     def refresh_eval_model(self) -> None:
-        """Worker 0's model object is live in-process; nothing to do."""
+        """Make ``trainer.workers[0].model`` — the replica the evaluator
+        reads — hold the first live worker's current weights."""
+        source = None
+        while source is None or source in self._dead:
+            active = self._active()
+            if not active:
+                raise ClusterDeadError("no live worker to evaluate")
+            source = active[0]
+            self._pull_replicas([source])
+        workers = self.trainer.workers
+        if source != 0:
+            workers[0].model.load_state_dict(
+                workers[source].model.state_dict())
 
     def run_correction(self, hook) -> None:
-        """Run the correction hook directly over the live replicas."""
-        hook([w.model for w in self.trainer.workers])
+        """Run a server-side correction hook over all model replicas,
+        then deliver what it wrote to every live worker.
+
+        A removed worker's coordinator-side replica is first made a
+        copy of the first live one, so the hook — which corrects
+        ``models[0]`` and broadcasts it — never resurrects the weights
+        a worker held when it left."""
+        models = [w.model for w in self.trainer.workers]
+        self._pull_replicas(self._active())
+        first_live = models[self._active()[0]]
+        for i in self._dead:
+            models[i].load_state_dict(first_live.state_dict())
+        hook(models)
+        if self.child_owned_state:
+            for i in self._active():
+                self._send(i, ("set_model", models[i].state_dict()))
 
     def scale_lr(self, factor: float) -> None:
-        """Decay every worker optimizer's learning rate in place."""
-        for worker in self.trainer.workers:
-            worker.optimizer.lr *= factor
+        """Multiply every live worker optimizer's learning rate."""
+        for i in self._active():
+            self._send(i, ("lr", float(factor)))
 
-    # -- fault-tolerance hooks ------------------------------------------
+    # -- fault-tolerance hooks (repro.faults) ---------------------------
 
     def pending_batches(self) -> List[Optional[np.ndarray]]:
-        """The parent-side pending batches, by worker."""
-        return list(self._pending)
+        """This round's pending batch per worker (after
+        :meth:`poll_batches`, before :meth:`train_round`).  The fault
+        controller logs them for in-process restore replay; a forked
+        host's batch lives in its child and reads ``None`` here."""
+        return [host.pending if self._has_pending[host.part] else None
+                for host in self._hosts]
 
     def deactivate(self, worker: int) -> None:
-        """Remove a worker: drop its pending batch, stop polling it."""
+        """Permanently remove a worker from the pool (elastic
+        recovery): it draws no further batches and is skipped by every
+        broadcast."""
         self._dead.add(worker)
-        if worker < len(self._pending):
-            self._pending[worker] = None
-        if worker < len(self._exhausted):
-            self._exhausted[worker] = True
+        self._exhausted[worker] = True
+        self._has_pending[worker] = False
+        self._round_grads.pop(worker, None)
 
     def inject_crash(self, worker: int) -> None:
-        """In-process crashes are simulated by the fault controller
-        (state wipe + optional restore); nothing to kill here."""
+        """Make a planned crash real.  In-process there is nothing to
+        kill: the fault controller wipes/restores the worker object
+        itself."""
 
     def snapshot_workers(self, epoch: int,
                          rnd: int) -> List[Optional[bytes]]:
-        """Serialize the in-process worker objects directly."""
-        from ..faults.snapshot import snapshot_worker
-        out: List[Optional[bytes]] = []
-        for i, worker in enumerate(self.trainer.workers):
-            if i in self._dead:
-                out.append(None)
-                continue
-            out.append(snapshot_worker(worker, epoch, rnd).payload)
-        return out
+        """Serialize every live worker's state (model + optimizer +
+        RNG) where it lives, stamped ``(epoch, rnd)``, for the durable
+        session checkpoint (:mod:`repro.checkpoint`).  ``None`` for
+        workers removed by elastic recovery."""
+        payloads = dict(self._request(
+            self._active(), ("snapshot", int(epoch), int(rnd))))
+        return [payloads.get(i) for i in range(len(self._hosts))]
 
 
 # ----------------------------------------------------------------------
@@ -448,13 +590,13 @@ class SerialBackend(ExecutionBackend):
 
 
 class ThreadBackend(SerialBackend):
-    """Thread-pool engine: one round's batches run concurrently.
+    """Thread-pool transport: one round's batches run concurrently.
 
-    Batch *drawing* stays sequential in the caller thread (preserving
-    per-worker RNG streams exactly); only the compute-heavy
-    ``train_batch`` calls are dispatched to the pool.  Each worker's
-    state is touched by exactly one thread per round and results are
-    collected in worker order, so outputs are bit-identical to Serial.
+    Only ``("train", ...)`` commands go to the pool; everything else —
+    batch *drawing* in particular — stays sequential in the caller
+    thread, preserving per-worker RNG streams exactly.  Each worker's
+    state is touched by exactly one thread per round and replies are
+    read in worker order, so outputs are bit-identical to Serial.
 
     Per-batch observability spans are disabled under this backend (the
     span tracer is a single simulated-clock stack); the trainer records
@@ -483,32 +625,18 @@ class ThreadBackend(SerialBackend):
             self._pool = None
         super().shutdown()
 
-    def train_round(self, participate: Sequence[bool]
-                    ) -> List[Optional[RoundResult]]:
-        """Dispatch pending batches to the pool; join in worker order."""
-        trainer = self.trainer
-        tasks = []
-        for i, worker in enumerate(trainer.workers):
-            batch = self._pending[i]
-            self._pending[i] = None
-            if batch is None or not participate[i]:
-                continue
-            tasks.append((i, worker, batch))
-        out: List[Optional[RoundResult]] = [None] * len(participate)
-        if not tasks:
-            return out
-        started = time.perf_counter()
-        futures = [
-            (i, self._pool.submit(worker._run_batch, batch, None))
-            for i, worker, batch in tasks
-        ]
-        for i, future in futures:
-            loss, edges = future.result()
-            out[i] = RoundResult(loss, edges)
-        _record_pool_round(trainer.observer, self.name, len(tasks),
-                           self.num_workers,
-                           time.perf_counter() - started)
-        return out
+    def _send(self, i: int, msg: tuple) -> None:
+        """Submit a training command to the pool; run the rest inline."""
+        if msg[0] == "train":
+            self._replies[i].append(
+                self._pool.submit(self._hosts[i].execute, msg))
+        else:
+            super()._send(i, msg)
+
+    def _recv(self, i: int, inflight: tuple):
+        """Join the pooled command, if that is what was in flight."""
+        reply = super()._recv(i, inflight)
+        return reply.result() if isinstance(reply, Future) else reply
 
 
 # ----------------------------------------------------------------------
@@ -516,39 +644,17 @@ class ThreadBackend(SerialBackend):
 # ----------------------------------------------------------------------
 
 
-class ProcessBackend(ExecutionBackend):
-    """Forked worker processes with shared-memory feature storage.
+class ProcessBackend(SerialBackend):
+    """Forked-process transport with shared-memory feature storage.
 
     At :meth:`bind` the full graph's feature matrix is copied once into
     a ``multiprocessing.shared_memory`` segment and the graph is
     re-pointed at the shared view; the subsequent ``fork`` gives every
     child the same mapping, so feature reads never cross a pickle
     boundary and the matrix exists once in physical memory.  Each child
-    then owns its worker outright — batch loader, negative/neighbor
-    samplers, model replica, optimizer and meter — and speaks a small
-    command protocol over a pipe:
-
-    ``("epoch",)``                    reset caches + iterator
-    ``("draw",)``                     draw next batch  → has-batch flag
-    ``("train", ok, want_grads)``     train/discard    → loss, edges,
-                                      comm delta, optional grad dict
-    ``("grads", avg, step)``          receive averaged grads (+ step)
-    ``("step",)``                     local optimizer step
-    ``("get_model",)``                → state dict
-    ``("set_model", state)``          load synchronized weights
-    ``("lr", factor)``                decay learning rate
-    ``("ffwd", n)``                   skip n batches (warm respawn)
-    ``("ping",)``                     liveness probe   → pong
-    ``("snapshot", epoch)``           → serialized worker checkpoint
-    ``("load_snapshot", payload)``    rehydrate from a checkpoint
-    ``("replay", cmds)``              re-execute silently → ack
-    ``("stop",)``                     exit
-
-    The parent performs every cross-worker reduction (gradient mean,
-    model mean) itself, iterating replicas in worker order with the
-    same float operation order as :func:`~repro.distributed.sync`, and
-    absorbs each child's communication deltas into the parent-side
-    meters — hence bit-identical metrics and byte-identical ledgers.
+    then runs its :class:`WorkerHost` — batch loader, negative/neighbor
+    samplers, model replica, optimizer and meter — and answers the
+    host's commands over a pipe until ``("stop",)``.
 
     **Fault tolerance.**  Every pipe read runs through a guarded
     receive: it polls with a short period, probes the child's liveness,
@@ -580,16 +686,13 @@ class ProcessBackend(ExecutionBackend):
         "set_model", "lr", "ffwd"))
 
     def __init__(self, num_workers: int) -> None:
+        super().__init__()
         self.num_workers = int(num_workers)
-        self.trainer = None
         self._procs: List[mp.Process] = []
         self._conns: List = []
-        self._has_pending: List[bool] = []
-        self._exhausted: List[bool] = []
-        self._round_grads: Dict[int, Dict[str, Optional[np.ndarray]]] = {}
+        self._inbox: List[list] = []
         self._shm = None
         self._mp_ctx = None
-        self._dead: set = set()
         self._timeout_s = 30.0
         self._logging = False
         self._checkpoint_every = 1
@@ -603,13 +706,10 @@ class ProcessBackend(ExecutionBackend):
     # -- lifecycle ------------------------------------------------------
 
     def bind(self, trainer) -> None:
-        """Move features to shared memory, then fork one child per
-        worker (children inherit the trainer copy-on-write)."""
-        self.trainer = trainer
-        self._closed = False
-        n = len(trainer.workers)
-        if n != self.num_workers:
-            self.num_workers = n
+        """Move features to shared memory, then fork each host into its
+        own child (children inherit the trainer copy-on-write)."""
+        super().bind(trainer)
+        n = self.num_workers = len(trainer.workers)
         config = trainer.config
         self._timeout_s = float(config.fault_timeout_s)
         self._checkpoint_every = int(config.checkpoint_every)
@@ -622,9 +722,6 @@ class ProcessBackend(ExecutionBackend):
         self._inbox = [[] for _ in range(n)]
         for part in range(n):
             self._fork_child(part)
-        self._exhausted = [True] * n
-        self._has_pending = [False] * n
-        self._dead = set()
         self._epoch_index = -1
         self._in_epoch = False
         self._cmd_log = [[] for _ in range(n)]
@@ -633,10 +730,13 @@ class ProcessBackend(ExecutionBackend):
         self._recoveries = [0] * n
 
     def _fork_child(self, part: int) -> None:
-        """Fork (or re-fork) the child process owning worker ``part``."""
+        """Fork (or re-fork) the child process running host ``part``.
+
+        The parent never executes a command on its own copy of the
+        host, so a re-fork starts from the same pristine host."""
         parent_conn, child_conn = self._mp_ctx.Pipe(duplex=True)
         proc = self._mp_ctx.Process(
-            target=_child_main, args=(self.trainer, part, child_conn),
+            target=_child_main, args=(self._hosts[part], child_conn),
             daemon=True, name=f"repro-worker-{part}")
         proc.start()
         child_conn.close()
@@ -675,7 +775,7 @@ class ProcessBackend(ExecutionBackend):
             except FileNotFoundError:
                 pass
             self._shm = None
-        self.trainer = None
+        super().shutdown()
 
     # -- guarded pipe I/O -----------------------------------------------
 
@@ -688,11 +788,6 @@ class ProcessBackend(ExecutionBackend):
         controller = self._controller()
         if controller is not None:
             controller.count(name, value)
-
-    def _log_cmd(self, i: int, msg: tuple) -> None:
-        """Record a delivered command for restore replay."""
-        if self._logging and msg[0] in self._REPLAYABLE:
-            self._cmd_log[i].append(msg)
 
     def _raw_send(self, i: int, msg: tuple) -> None:
         """Send one command; a broken pipe means the child died."""
@@ -748,38 +843,45 @@ class ProcessBackend(ExecutionBackend):
                 return reply
             inbox.append(reply)
 
-    def _send(self, i: int, msg: tuple, context: str) -> None:
-        """Deliver a one-way command, recovering the worker if the
-        send itself reveals a death."""
+    def _send(self, i: int, msg: tuple) -> None:
+        """Deliver a command over the pipe, recovering the worker if
+        the send itself reveals a death; delivered commands are logged
+        for restore replay."""
+        if msg[0] == "draw":
+            # Counted before sending so recovery's fast-forward
+            # arithmetic sees the in-flight draw on both the send and
+            # the receive failure paths.
+            self._draws[i] += 1
         try:
             self._raw_send(i, msg)
         except WorkerDiedError:
-            if self._recover(i, msg, context, expect_reply=False) is None \
-                    and i in self._dead:
+            self._recover(i, msg, expect_reply=False)
+            if i in self._dead:
                 return
-        self._log_cmd(i, msg)
+        if self._logging and msg[0] in self._REPLAYABLE:
+            self._cmd_log[i].append(msg)
 
-    def _recv(self, i: int, inflight: tuple, context: str):
-        """Receive ``inflight``'s response, running death/timeout
-        recovery when the child fails mid-request.  Returns ``None``
-        when the worker was removed (elastic) or its contribution
-        dropped."""
+    def _recv(self, i: int, inflight: tuple):
+        """Receive ``inflight``'s reply, running death/timeout recovery
+        when the child fails mid-request.  Returns ``None`` when the
+        worker was removed (elastic) or its contribution dropped."""
+        if i in self._dead:
+            return None
         try:
-            return self._raw_recv(i, context)
+            return self._raw_recv(i, inflight[0])
         except (WorkerDiedError, WorkerTimeoutError):
-            return self._recover(i, inflight, context, expect_reply=True)
+            return self._recover(i, inflight, expect_reply=True)
 
     # -- death recovery --------------------------------------------------
 
-    def _recover(self, i: int, inflight: tuple, context: str,
-                 expect_reply: bool):
+    def _recover(self, i: int, inflight: tuple, expect_reply: bool):
         """A child died (or timed out) with ``inflight`` outstanding.
 
         Applies ``TrainConfig.recovery``: remove the worker (elastic),
         or respawn it — warm from a survivor (drop/retry) or restored
         from its last checkpoint plus a silent replay of the command
         log (restore) — then re-issues ``inflight`` and returns its
-        response (``None`` for one-way commands or lost work).
+        reply (``None`` for one-way commands or lost work).
         """
         trainer = self.trainer
         config = trainer.config
@@ -787,14 +889,13 @@ class ProcessBackend(ExecutionBackend):
         controller = self._controller()
         self._count("child_deaths")
         self._reap(i)
-        live_others = [j for j in range(self.num_workers)
-                       if j != i and j not in self._dead]
+        live_others = [j for j in self._active() if j != i]
         if policy == "elastic":
             if live_others:
                 had_pending = self._has_pending[i]
                 self.deactivate(i)
                 if controller is not None:
-                    controller.mark_dead(i, reason=context)
+                    controller.mark_dead(i, reason=inflight[0])
                     if had_pending:
                         controller.record_dropped()
                 return None
@@ -828,7 +929,7 @@ class ProcessBackend(ExecutionBackend):
                     controller.record_dropped()
                 return ("result", None)
         self._raw_send(i, inflight)
-        return self._raw_recv(i, context)
+        return self._raw_recv(i, inflight[0])
 
     def _reap(self, i: int) -> None:
         """Make sure a failed child is actually dead and reaped."""
@@ -900,18 +1001,11 @@ class ProcessBackend(ExecutionBackend):
 
     # -- fault-tolerance hooks ------------------------------------------
 
-    def pending_batches(self) -> List[Optional[np.ndarray]]:
-        """Batches live child-side; the parent has nothing to log."""
-        return [None] * self.num_workers
-
     def deactivate(self, worker: int) -> None:
         """Remove a worker for good: stop polling it, end its child."""
         if worker in self._dead:
             return
-        self._dead.add(worker)
-        self._exhausted[worker] = True
-        self._has_pending[worker] = False
-        self._round_grads.pop(worker, None)
+        super().deactivate(worker)
         conn = self._conns[worker]
         if conn is not None:
             try:
@@ -936,293 +1030,30 @@ class ProcessBackend(ExecutionBackend):
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=2.0)
 
-    def heartbeat(self) -> List[bool]:
-        """Probe every active child with a ping; False = unresponsive."""
-        alive = []
-        for i in range(self.num_workers):
-            if i in self._dead:
-                alive.append(False)
-                continue
-            try:
-                self._raw_send(i, ("ping",))
-                tag, _ = self._raw_recv(i, "ping")
-                alive.append(tag == "pong")
-            except (WorkerDiedError, WorkerTimeoutError):
-                alive.append(False)
-        return alive
-
-    def _active(self) -> List[int]:
-        """Worker indices not removed by elastic recovery."""
-        return [i for i in range(self.num_workers) if i not in self._dead]
-
-    # -- epoch / round --------------------------------------------------
+    # -- epoch ----------------------------------------------------------
 
     def begin_epoch(self) -> None:
-        """Checkpoint (restore policy, on cadence), then tell every
-        active child to reset its cache and iterator."""
+        """Take the restore point (restore policy, on cadence), then
+        start the epoch on every live child."""
         self._epoch_index += 1
         if (self._logging
                 and self._epoch_index % self._checkpoint_every == 0):
             self._take_snapshots()
-        for i in self._active():
-            self._send(i, ("epoch",), "epoch")
-        self._exhausted = [i in self._dead
-                           for i in range(self.num_workers)]
-        self._has_pending = [False] * self.num_workers
+        super().begin_epoch()
         self._draws = [0] * self.num_workers
         self._in_epoch = True
 
     def _take_snapshots(self) -> None:
-        """Pull a serialized checkpoint from every active child and
-        truncate its replay log — the restore point."""
-        for i in self._active():
-            msg = ("snapshot", self._epoch_index)
-            self._send(i, msg, "snapshot")
-            if i in self._dead:
+        """The restore point: keep every live child's snapshot and
+        truncate its replay log."""
+        payloads = self.snapshot_workers(self._epoch_index, 0)
+        for i, payload in enumerate(payloads):
+            if payload is None:
                 continue
-            reply = self._recv(i, msg, "snapshot")
-            if reply is None:
-                continue
-            tag, payload = reply
-            assert tag == "snapshot"
             self._snapshots[i] = payload
             self._cmd_log[i] = []
             self._count("checkpoint_bytes", len(payload))
         self._count("checkpoints")
-
-    def snapshot_workers(self, epoch: int,
-                         rnd: int) -> List[Optional[bytes]]:
-        """Pull a serialized state payload from every active child.
-
-        Unlike :meth:`_take_snapshots` (the restore-policy recovery
-        point) this leaves the replay logs untouched — it observes the
-        children without changing any recovery behavior."""
-        out: List[Optional[bytes]] = [None] * self.num_workers
-        for i in self._active():
-            msg = ("snapshot", self._epoch_index)
-            self._send(i, msg, "snapshot")
-            if i in self._dead:
-                continue
-            reply = self._recv(i, msg, "snapshot")
-            if reply is None:
-                continue
-            tag, payload = reply
-            assert tag == "snapshot"
-            out[i] = payload
-        return out
-
-    def all_exhausted(self) -> bool:
-        """True once every child reported an empty iterator."""
-        return all(self._exhausted)
-
-    def poll_batches(self) -> List[bool]:
-        """Ask all live children to draw; collect flags in order."""
-        live = [i for i in self._active() if not self._exhausted[i]]
-        for i in live:
-            # Count the draw before sending so recovery's fast-forward
-            # arithmetic sees the in-flight draw on both the send and
-            # the receive failure paths.
-            self._draws[i] += 1
-            self._send(i, ("draw",), "draw")
-        for i in live:
-            if i in self._dead:
-                continue
-            reply = self._recv(i, ("draw",), "draw")
-            if reply is None:
-                continue
-            tag, has_batch = reply
-            assert tag == "drawn"
-            self._has_pending[i] = bool(has_batch)
-            if not has_batch:
-                self._exhausted[i] = True
-        return [self._has_pending[i] and not self._exhausted[i]
-                for i in range(self.num_workers)]
-
-    def train_round(self, participate: Sequence[bool]
-                    ) -> List[Optional[RoundResult]]:
-        """Run (or discard) every pending batch concurrently; merge
-        losses, edge counts, grads and comm deltas in worker order."""
-        trainer = self.trainer
-        want_grads = trainer.config.sync in ("grad", "ps", "async")
-        pending = [i for i in self._active() if self._has_pending[i]]
-        inflight = {i: ("train", bool(participate[i]), want_grads)
-                    for i in pending}
-        started = time.perf_counter()
-        for i in pending:
-            self._send(i, inflight[i], "train")
-        out: List[Optional[RoundResult]] = [None] * len(participate)
-        self._round_grads = {}
-        tasks = 0
-        for i in pending:
-            if i in self._dead:
-                continue
-            reply = self._recv(i, inflight[i], "train")
-            self._has_pending[i] = False
-            if reply is None:
-                continue
-            tag, payload = reply
-            assert tag == "result"
-            if payload is None:
-                continue
-            loss, edges, delta, grads = payload
-            out[i] = RoundResult(loss, edges)
-            trainer.meters[i].absorb(
-                CommRecord(feature_bytes=delta[0], structure_bytes=delta[1],
-                           sync_bytes=delta[2]))
-            if grads is not None:
-                self._round_grads[i] = grads
-            tasks += 1
-        _record_pool_round(trainer.observer, self.name, tasks,
-                           self.num_workers,
-                           time.perf_counter() - started)
-        return out
-
-    # -- synchronization ------------------------------------------------
-
-    def apply_gradients(self, participating: Sequence[bool],
-                        topology: str, obs=None, live=None) -> None:
-        """Parent-side gradient mean over participants' returned grads;
-        every live child receives the mean (and steps on
-        ``step_all``)."""
-        active = [self._round_grads[i]
-                  for i, ok in enumerate(participating)
-                  if ok and i in self._round_grads]
-        if obs is not None:
-            obs.counter("sync.rounds").inc(1)
-            obs.counter("sync.participants").inc(sum(participating))
-        if not active:
-            return
-        averaged: Dict[str, Optional[np.ndarray]] = {}
-        for name in active[0]:
-            grads = [g[name] for g in active if g[name] is not None]
-            if grads:
-                averaged[name] = sum(grads) / len(active)
-            else:
-                averaged[name] = None
-        for i in self._active():
-            self._send(i, ("grads", averaged, False), "grads")
-        self._round_grads = {}
-        self._charge_sync(topology)
-
-    def step_all(self) -> None:
-        """Every live child steps its optimizer."""
-        for i in self._active():
-            self._send(i, ("step",), "step")
-
-    def step_participants(self, participating: Sequence[bool]) -> None:
-        """Only the round's participants step their optimizers."""
-        for i in self._active():
-            if participating[i]:
-                self._send(i, ("step",), "step")
-
-    def sync_models(self, topology: str, obs=None, participating=None,
-                    live=None) -> None:
-        """Parent-side FedAvg: pull live children's weights, average
-        participants in worker order, push the mean back to every live
-        child."""
-        active = self._active()
-        if participating is None:
-            mask = {i: True for i in active}
-        else:
-            mask = {i: bool(participating[i]) for i in active}
-        if obs is not None:
-            obs.counter("sync.rounds").inc(1)
-            obs.counter("sync.participants").inc(
-                sum(1 for i in active if mask[i]))
-        states = self._gather_states()
-        included = [sd for i, sd in states if mask[i]]
-        if not included:
-            return
-        averaged = {
-            name: np.mean([sd[name] for sd in included], axis=0)
-            for name in included[0]
-        }
-        for i in self._active():
-            self._send(i, ("set_model", averaged), "set_model")
-        self._charge_sync(topology)
-
-    def collect_gradients(self, mask: Sequence[bool]
-                          ) -> List[Optional[Dict[str, np.ndarray]]]:
-        """This round's child-reported gradients, filtered by ``mask``.
-
-        Children ship their named-gradient dicts with every trained
-        batch when an asynchronous sync mode is active (the same
-        payloads the barrier path averages); the round buffer holds
-        them until the next :meth:`train_round`.
-        """
-        return [self._round_grads.get(i) if ok else None
-                for i, ok in enumerate(mask)]
-
-    def load_worker_model(self, worker: int,
-                          state: Dict[str, np.ndarray]) -> None:
-        """Ship weights to one child (a PS pull); dead workers are
-        skipped — elastic recovery already removed them."""
-        if worker in self._dead:
-            return
-        self._send(worker, ("set_model", state), "set_model")
-
-    def _charge_sync(self, topology: str) -> None:
-        """Charge one sync round to every live parent-side meter (same
-        formula as the in-process ``_charge_sync``)."""
-        trainer = self.trainer
-        active = self._active()
-        per_worker = sync_bytes_per_worker(
-            trainer.workers[0].model.parameter_nbytes(),
-            len(active), topology)
-        for i in active:
-            trainer.meters[i].charge_sync(per_worker)
-
-    # -- auxiliary hooks ------------------------------------------------
-
-    def _gather_states(self) -> List[tuple]:
-        """Live children's ``(worker, state_dict)``, in worker order."""
-        active = self._active()
-        for i in active:
-            self._send(i, ("get_model",), "get_model")
-        states = []
-        for i in active:
-            if i in self._dead:
-                continue
-            reply = self._recv(i, ("get_model",), "get_model")
-            if reply is None:
-                continue
-            tag, state = reply
-            assert tag == "model"
-            states.append((i, state))
-        return states
-
-    def refresh_eval_model(self) -> None:
-        """Load the first live child's weights into the parent replica
-        the evaluator reads."""
-        active = self._active()
-        if not active:
-            raise ClusterDeadError("no live worker to evaluate")
-        i = active[0]
-        self._send(i, ("get_model",), "get_model")
-        reply = self._recv(i, ("get_model",), "get_model")
-        if reply is None:
-            self.refresh_eval_model()
-            return
-        tag, state = reply
-        assert tag == "model"
-        self.trainer.workers[0].model.load_state_dict(state)
-
-    def run_correction(self, hook) -> None:
-        """Pull live replicas to the parent, run the server-side hook,
-        push the corrected weights back to every live child."""
-        trainer = self.trainer
-        models = [w.model for w in trainer.workers]
-        for i, state in self._gather_states():
-            models[i].load_state_dict(state)
-        hook(models)
-        for i in self._active():
-            self._send(i, ("set_model", models[i].state_dict()),
-                       "set_model")
-
-    def scale_lr(self, factor: float) -> None:
-        """Broadcast the learning-rate decay to every live child."""
-        for i in self._active():
-            self._send(i, ("lr", float(factor)), "lr")
 
 
 def _share_features(graph):
@@ -1247,97 +1078,22 @@ def _share_features(graph):
     return shm
 
 
-def _child_main(trainer, part: int, conn) -> None:
+def _child_main(host: WorkerHost, conn) -> None:
     """Entry point of a forked worker process.
 
-    Owns worker ``part`` of the (inherited, copy-on-write) trainer and
-    executes parent commands until ``stop``.  Observability is detached
-    child-side — spans/metrics belong to the parent; the child reports
-    raw deltas instead.
-
-    Commands are dispatched through ``execute`` so the fault layer's
-    ``("replay", cmds)`` can re-run a logged command stream *silently*
-    (state advances, nothing is sent) after ``("load_snapshot", ...)``
-    rehydrates the worker — deterministic compute then reproduces the
-    dead child's state bit for bit.
+    Runs ``host`` against the (inherited, copy-on-write) trainer until
+    ``stop``.  Observability is detached child-side — spans/metrics
+    belong to the parent; the child reports raw deltas instead.
     """
-    from ..faults.snapshot import (
-        WorkerSnapshot, restore_worker, snapshot_worker)
-
-    worker = trainer.workers[part]
-    meter = trainer.meters[part]
+    trainer = host.trainer
+    worker = trainer.workers[host.part]
     worker.obs = None
     worker.negative_sampler.obs = None
     worker.view.obs = None
-    meter.obs = None
+    trainer.meters[host.part].obs = None
     if trainer.remote_store is not None:
         inner = getattr(trainer.remote_store, "_store", trainer.remote_store)
         inner.obs = None
-    state = {"iterator": None, "pending": None}
-
-    def execute(msg: tuple):
-        """Run one command; return ``(tag, payload)`` or ``None``."""
-        cmd = msg[0]
-        if cmd == "epoch":
-            if trainer.config.cache_remote_features:
-                worker.view.clear_feature_cache()
-            state["iterator"] = iter(worker.loader)
-            state["pending"] = None
-        elif cmd == "draw":
-            state["pending"] = next(state["iterator"], None)
-            return ("drawn", state["pending"] is not None)
-        elif cmd == "ffwd":
-            for _ in range(msg[1]):
-                next(state["iterator"], None)
-        elif cmd == "train":
-            _, ok, want_grads = msg
-            pending = state["pending"]
-            state["pending"] = None
-            if pending is None or not ok:
-                return ("result", None)
-            before = (meter.current.feature_bytes,
-                      meter.current.structure_bytes,
-                      meter.current.sync_bytes)
-            loss, edges = worker._run_batch(pending, None)
-            delta = (meter.current.feature_bytes - before[0],
-                     meter.current.structure_bytes - before[1],
-                     meter.current.sync_bytes - before[2])
-            grads = None
-            if want_grads:
-                grads = {name: p.grad for name, p
-                         in worker.model.named_parameters()}
-            return ("result", (loss, edges, delta, grads))
-        elif cmd == "grads":
-            _, averaged, do_step = msg
-            for name, p in worker.model.named_parameters():
-                g = averaged.get(name)
-                p.grad = None if g is None else g.copy()
-            if do_step:
-                worker.optimizer.step()
-        elif cmd == "step":
-            worker.optimizer.step()
-        elif cmd == "get_model":
-            return ("model", worker.model.state_dict())
-        elif cmd == "set_model":
-            worker.model.load_state_dict(msg[1])
-        elif cmd == "lr":
-            worker.optimizer.lr *= msg[1]
-        elif cmd == "ping":
-            return ("pong", part)
-        elif cmd == "snapshot":
-            snap = snapshot_worker(worker, int(msg[1]), 0)
-            return ("snapshot", snap.payload)
-        elif cmd == "load_snapshot":
-            restore_worker(worker, WorkerSnapshot(
-                payload=msg[1], epoch=0, round=0))
-        elif cmd == "replay":
-            for sub in msg[1]:
-                execute(sub)  # silent: responses are discarded
-            return ("replayed", len(msg[1]))
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown backend command {cmd!r}")
-        return None
-
     try:
         while True:
             # Child side: blocking on the parent is safe — parent death
@@ -1345,7 +1101,7 @@ def _child_main(trainer, part: int, conn) -> None:
             msg = conn.recv()  # lint: disable=R106
             if msg[0] == "stop":
                 break
-            reply = execute(msg)
+            reply = host.execute(msg)
             if reply is not None:
                 conn.send(reply)
     except (EOFError, KeyboardInterrupt):  # pragma: no cover

@@ -28,6 +28,12 @@ averaging rounds) from ``(seed, epoch, round)`` alone, so each mode is
 replayable and bit-identical same-seed across the serial, thread and
 process execution backends.
 
+The two barrier reductions, :func:`average_gradients` and
+:func:`average_models`, are pure functions over the per-worker
+named-gradient / state dicts the backends' round protocol collects;
+delivering the result and charging for it is the protocol's job
+(:mod:`repro.distributed.backends`).
+
 Sync traffic is charged to each worker's meter in the ``sync`` bucket:
 barrier modes use a selectable topology cost model (ring all-reduce by
 default, parameter-server optional) — see
@@ -59,92 +65,50 @@ PLANNED_SYNC_MODES = ("ps", "async", "local_sgd")
 
 
 def average_gradients(
-    models: Sequence[LinkPredictionModel],
-    meters: Optional[Sequence[CommMeter]] = None,
+    grads: Sequence[Optional[Dict[str, Optional[np.ndarray]]]],
     participating: Optional[Sequence[bool]] = None,
-    topology: str = "allreduce",
-    obs=None,
-    live: Optional[Sequence[bool]] = None,
-) -> None:
-    """All-reduce gradients in place (Algorithm 1 line 29).
+) -> Optional[Dict[str, Optional[np.ndarray]]]:
+    """The all-reduce's arithmetic (Algorithm 1 line 29): the mean of
+    the participants' named-gradient dicts.
 
-    ``participating`` masks workers that produced no batch this round
-    (their gradients are absent); the average runs over participants.
-    After the call every model holds the same averaged gradient, so
-    identical optimizer states take identical steps.  ``obs``, when
-    given, counts the round (byte metrics mirror through the meters).
-
-    ``live`` marks workers permanently removed by the fault layer's
-    elastic policy: the cost model sizes the collective to the live
-    cluster and dead workers are neither updated nor charged.
+    ``grads[i]`` is worker *i*'s ``{parameter name: gradient}`` (a
+    ``None`` entry is a worker that trained nothing this round) and
+    ``participating`` additionally masks workers whose contribution
+    never arrived.  A parameter no participant has a gradient for
+    averages to ``None``; one that only some have is still divided by
+    the number of participants.  Returns ``None`` when nobody
+    participates.  Every replica then installs the same mean, so
+    identical optimizer states take identical steps.
     """
-    if obs is not None:
-        obs.counter("sync.rounds").inc(1)
-        obs.counter("sync.participants").inc(
-            sum(participating) if participating is not None else len(models))
-    if participating is None:
-        participating = [True] * len(models)
-    if live is None:
-        live = [True] * len(models)
-    active = [m for m, ok in zip(models, participating) if ok]
+    active = [g for i, g in enumerate(grads) if g is not None
+              and (participating is None or participating[i])]
     if not active:
-        return
-    param_lists = [m.parameters() for m in active]
-    for group in zip(*param_lists):
-        grads = [p.grad for p in group if p.grad is not None]
-        if not grads:
-            continue
-        mean = sum(grads) / len(active)
-        for p in group:
-            p.grad = mean.copy()
-    # Every live worker, participant or not, receives the averaged
-    # gradient.
-    reference = active[0]
-    state = {name: p.grad for name, p in reference.named_parameters()}
-    for model, ok, alive in zip(models, participating, live):
-        if ok or model is reference or not alive:
-            continue
-        for name, p in model.named_parameters():
-            g = state[name]
-            p.grad = None if g is None else g.copy()
-    _charge_sync(models, meters, topology, live)
+        return None
+    averaged: Dict[str, Optional[np.ndarray]] = {}
+    for name in active[0]:
+        present = [g[name] for g in active if g[name] is not None]
+        averaged[name] = sum(present) / len(active) if present else None
+    return averaged
 
 
 def average_models(
-    models: Sequence[LinkPredictionModel],
-    meters: Optional[Sequence[CommMeter]] = None,
-    topology: str = "allreduce",
-    obs=None,
+    states: Sequence[Optional[Dict[str, np.ndarray]]],
     participating: Optional[Sequence[bool]] = None,
-    live: Optional[Sequence[bool]] = None,
-) -> None:
-    """FedAvg-style model averaging [40]: every worker's weights are
-    replaced by the element-wise mean.
+) -> Optional[Dict[str, np.ndarray]]:
+    """FedAvg-style model averaging [40]: the element-wise mean of the
+    participants' state dicts.
 
-    ``participating`` restricts the mean to the workers whose sync
-    messages arrived (partial averaging, PSGD-PA style); the result is
-    still loaded into every model so a non-participant rejoins the
-    consensus rather than drifting.  ``live`` sizes the collective's
-    cost model to the surviving cluster under elastic recovery.
+    ``states[i]`` is worker *i*'s ``state_dict()`` (``None`` for a
+    worker that is gone) and ``participating`` restricts the mean to
+    the workers whose sync messages arrived (partial averaging, PSGD-PA
+    style).  Returns ``None`` when nobody participates.
     """
-    if not models:
-        return
-    if participating is None:
-        participating = [True] * len(models)
-    if not any(participating):
-        return
-    if obs is not None:
-        obs.counter("sync.rounds").inc(1)
-        obs.counter("sync.participants").inc(sum(participating))
-    state_dicts = [m.state_dict() for m, ok in zip(models, participating)
-                   if ok]
-    averaged = {
-        name: np.mean([sd[name] for sd in state_dicts], axis=0)
-        for name in state_dicts[0]
-    }
-    for m in models:
-        m.load_state_dict(averaged)
-    _charge_sync(models, meters, topology, live)
+    included = [sd for i, sd in enumerate(states) if sd is not None
+                and (participating is None or participating[i])]
+    if not included:
+        return None
+    return {name: np.mean([sd[name] for sd in included], axis=0)
+            for name in included[0]}
 
 
 def broadcast_model(source: LinkPredictionModel,
@@ -174,23 +138,6 @@ def sync_bytes_per_worker(param_nbytes: int, num_workers: int,
     raise ValueError(
         f"unknown topology {topology!r}; choose 'allreduce' or "
         f"'parameter_server'")
-
-
-def _charge_sync(models: Sequence[LinkPredictionModel],
-                 meters: Optional[Sequence[CommMeter]],
-                 topology: str = "allreduce",
-                 live: Optional[Sequence[bool]] = None) -> None:
-    if meters is None or not models:
-        return
-    cluster = sum(live) if live is not None else len(models)
-    per_worker = sync_bytes_per_worker(models[0].parameter_nbytes(),
-                                       cluster, topology)
-    for i, meter in enumerate(meters):
-        if meter is None:
-            continue
-        if live is not None and i < len(live) and not live[i]:
-            continue
-        meter.charge_sync(per_worker)
 
 
 def ps_message_nbytes(param_nbytes: int) -> int:

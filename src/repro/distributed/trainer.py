@@ -777,6 +777,11 @@ class DistributedTrainer:
                 if not alive:
                     backend.deactivate(i)
 
+        # Model-averaging cadence in trained rounds (0 = epoch end only).
+        average_every = (self.sync_plan.sync_every
+                         if config.sync == "local_sgd"
+                         else config.sync_every_batches)
+
         for epoch in range(start_epoch, config.epochs):
             epoch_cm = (obs.span("epoch", epoch=epoch)
                         if obs is not None else nullcontext())
@@ -785,7 +790,6 @@ class DistributedTrainer:
                 backend.begin_epoch()
                 faults.begin_epoch(epoch)
                 losses: List[float] = []
-                batches_since_sync = 0
                 rounds_since_avg = 0
                 epoch_rounds = 0
                 epoch_mfg_edges = 0
@@ -823,67 +827,31 @@ class DistributedTrainer:
                                 self._synchronize("grad",
                                                   decision.sync_mask,
                                                   live=live)
-                                if live is None:
-                                    backend.step_all()
-                                else:
-                                    backend.step_participants(live)
+                                backend.step_all()
                                 faults.barrier(epoch, epoch_rounds)
                         elif config.sync in ("ps", "async"):
                             self._ps_round(epoch, epoch_rounds - 1,
                                            round_results,
                                            decision.sync_mask)
-                        elif config.sync == "local_sgd":
+                        else:
+                            # "model" / "local_sgd": local steps, one
+                            # model average every `average_every`
+                            # trained rounds.
                             backend.step_participants(train_mask)
                             for i, ok in enumerate(train_mask):
                                 if ok:
                                     faults.note_step(i)
                             rounds_since_avg += 1
-                            if self.sync_plan.is_sync_round(
-                                    rounds_since_avg):
-                                self._synchronize(
-                                    "local_sgd",
-                                    faults.model_sync_mask()
-                                    if faults.enabled else None,
-                                    live=live)
+                            if (average_every
+                                    and rounds_since_avg >= average_every):
+                                self._average_models(faults, epoch,
+                                                     epoch_rounds)
                                 rounds_since_avg = 0
-                                self._run_correction()
-                                faults.barrier(epoch, epoch_rounds)
-                        else:
-                            backend.step_participants(train_mask)
-                            for i, ok in enumerate(train_mask):
-                                if ok:
-                                    faults.note_step(i)
-                            batches_since_sync += 1
-                            if (config.sync_every_batches
-                                    and batches_since_sync
-                                    >= config.sync_every_batches):
-                                self._synchronize(
-                                    "model",
-                                    faults.model_sync_mask()
-                                    if faults.enabled else None,
-                                    live=live)
-                                batches_since_sync = 0
-                                self._run_correction()
-                                faults.barrier(epoch, epoch_rounds)
-                if config.sync == "model" and (
-                        not config.sync_every_batches or batches_since_sync):
-                    self._synchronize(
-                        "model",
-                        faults.model_sync_mask()
-                        if faults.enabled else None,
-                        live=None if faults.all_live else faults.live)
-                    self._run_correction()
-                    faults.barrier(epoch, epoch_rounds)
-                elif config.sync == "local_sgd" and rounds_since_avg:
+                if config.sync in ("model", "local_sgd") and (
+                        not average_every or rounds_since_avg):
                     # Flush the tail of the epoch into one last average
                     # so validation sees the consensus model.
-                    self._synchronize(
-                        "local_sgd",
-                        faults.model_sync_mask()
-                        if faults.enabled else None,
-                        live=None if faults.all_live else faults.live)
-                    self._run_correction()
-                    faults.barrier(epoch, epoch_rounds)
+                    self._average_models(faults, epoch, epoch_rounds)
                 elif config.sync in ("ps", "async"):
                     # The epoch boundary is a pull barrier: every live
                     # worker receives the server model, so validation
@@ -907,7 +875,6 @@ class DistributedTrainer:
                 if ((epoch + 1) % config.eval_every == 0
                         or epoch == config.epochs - 1):
                     backend.refresh_eval_model()
-                    faults.refresh_eval(models)
                     val_cm = (obs.span("validate", epoch=epoch)
                               if obs is not None else nullcontext())
                     with val_cm:
@@ -953,7 +920,6 @@ class DistributedTrainer:
             models[0].load_state_dict(best_state)
         else:
             backend.refresh_eval_model()
-            faults.refresh_eval(models)
         test_cm = obs.span("test") if obs is not None else nullcontext()
         with test_cm:
             test = self.evaluator.test(models[0])
@@ -1019,26 +985,12 @@ class DistributedTrainer:
                 self.meters[part].charge_sync(nbytes)
                 self._replica_sync_total += nbytes
 
-    def _synchronize(self, mode: str,
-                     participating: Optional[List[bool]] = None,
+    def _traced_sync(self, mode: str, dispatch,
                      live: Optional[List[bool]] = None) -> None:
-        """Run the backend's sync barrier, traced as one ``sync`` span
-        whose duration is the per-worker payload over the modeled
-        link.  ``live`` (elastic recovery) restricts the collective to
-        the surviving workers."""
+        """Run one sync event — ``dispatch(obs)`` plus the vertex-cut
+        replica charge — traced as one ``sync`` span whose duration is
+        worker 0's payload over the modeled link."""
         obs = self.observer
-        topology = self.config.sync_topology
-
-        def dispatch(obs_arg) -> None:
-            """Route to the right backend collective."""
-            if mode == "grad":
-                self.backend.apply_gradients(participating, topology,
-                                             obs=obs_arg, live=live)
-            else:
-                self.backend.sync_models(topology, obs=obs_arg,
-                                         participating=participating,
-                                         live=live)
-
         if obs is None:
             dispatch(None)
             self._charge_replica_sync(live)
@@ -1052,6 +1004,35 @@ class DistributedTrainer:
             obs.advance(seconds)
             sp.attrs["sync_bytes"] = moved
         obs.counter("time.sync_s").inc(seconds)
+
+    def _synchronize(self, mode: str,
+                     participating: Optional[List[bool]] = None,
+                     live: Optional[List[bool]] = None) -> None:
+        """Run the backend's sync barrier.  ``live`` (elastic recovery)
+        restricts the replica charge to the surviving workers; the
+        backend sizes the collective to them itself."""
+        topology = self.config.sync_topology
+
+        def dispatch(obs) -> None:
+            """Route to the right backend collective."""
+            if mode == "grad":
+                self.backend.apply_gradients(participating, topology,
+                                             obs=obs)
+            else:
+                self.backend.sync_models(topology, obs=obs,
+                                         participating=participating)
+
+        self._traced_sync(mode, dispatch, live)
+
+    def _average_models(self, faults, epoch: int, rnd: int) -> None:
+        """One model-averaging barrier of the ``model`` / ``local_sgd``
+        modes: average, server-side correction, fault barrier."""
+        self._synchronize(
+            self.config.sync,
+            faults.model_sync_mask() if faults.enabled else None,
+            live=None if faults.all_live else faults.live)
+        self._run_correction()
+        faults.barrier(epoch, rnd)
 
     # ------------------------------------------------------------------
 
@@ -1071,27 +1052,14 @@ class DistributedTrainer:
         push_mask = [ok and round_results[i] is not None
                      for i, ok in enumerate(sync_mask)]
         grads = backend.collect_gradients(push_mask)
-        obs = self.observer
 
-        def dispatch(obs_arg) -> None:
+        def dispatch(obs) -> None:
             """Apply the round against the server replica."""
-            server.obs = obs_arg
+            server.obs = obs
             server.apply_round(epoch, rnd, grads, push_mask,
                                backend.load_worker_model)
 
-        if obs is None:
-            dispatch(None)
-            self._charge_replica_sync()
-            return
-        before = self.meters[0].current.sync_bytes
-        with obs.span("sync", mode=self.config.sync) as sp:
-            dispatch(obs)
-            self._charge_replica_sync()
-            moved = self.meters[0].current.sync_bytes - before
-            seconds = obs.sync_seconds(moved)
-            obs.advance(seconds)
-            sp.attrs["sync_bytes"] = moved
-        obs.counter("time.sync_s").inc(seconds)
+        self._traced_sync(self.config.sync, dispatch)
 
     def _ps_epoch_barrier(self, live: Optional[List[bool]]) -> None:
         """Epoch-end pull barrier for ps/async runs: ship the server

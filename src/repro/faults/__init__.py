@@ -31,13 +31,7 @@ from .errors import (
     WorkerTimeoutError,
 )
 from .plan import EVENT_KINDS, FAILURE_SEED_SALT, FaultEvent, FaultPlan
-from .snapshot import (
-    WorkerSnapshot,
-    load_snapshot,
-    restore_worker,
-    save_snapshot,
-    snapshot_worker,
-)
+from .snapshot import WorkerSnapshot, restore_worker, snapshot_worker
 
 __all__ = [
     "EVENT_KINDS",
@@ -52,8 +46,6 @@ __all__ = [
     "WorkerDiedError",
     "WorkerSnapshot",
     "WorkerTimeoutError",
-    "load_snapshot",
     "restore_worker",
-    "save_snapshot",
     "snapshot_worker",
 ]

@@ -42,8 +42,8 @@ Recovery policies
 
 On the process backend, planned crashes are executed *for real*: the
 controller SIGKILLs the worker's child process and the backend's
-death-detection/respawn machinery (heartbeats, pipe timeouts, command
-log replay) carries out the recovery.
+death-detection/respawn machinery (guarded pipe reads, timeouts,
+command log replay) carries out the recovery.
 """
 
 from __future__ import annotations
@@ -153,17 +153,6 @@ class FaultController:
         whose sync messages since the last barrier all arrived."""
         return [alive and i not in self._model_sync_excluded
                 for i, alive in enumerate(self.live)]
-
-    def refresh_eval(self, models) -> None:
-        """Keep ``models[0]`` evaluable after worker 0's removal by
-        copying the first live replica's weights into it (in-process
-        backends; the process backend pulls from a live child)."""
-        if self.live[0]:
-            return
-        for i, alive in enumerate(self.live):
-            if alive:
-                models[0].load_state_dict(models[i].state_dict())
-                return
 
     def count(self, name: str, value: float = 1) -> None:
         """Increment an internal fault counter and its obs mirror."""

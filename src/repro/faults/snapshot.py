@@ -13,9 +13,8 @@ rehydrated bit-identically after a crash:
 * its position in the run (epoch, rounds into the epoch).
 
 Snapshots round-trip through :mod:`repro.nn.serialize`'s compressed
-npz codec — in memory by default, or to ``checkpoint_dir`` when one is
-configured — so every periodic checkpoint exercises the exact format a
-cross-session restore would read from disk.
+npz codec in memory; :mod:`repro.checkpoint` embeds the same payloads
+in its durable, atomically written session snapshots.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -99,29 +98,3 @@ def restore_worker(worker, snapshot: WorkerSnapshot) -> None:
     worker.model.load_state_dict(model_state)
     worker.optimizer.load_state_dict(optim_state)
     _set_rng_state(worker.rng, str(state[_RNG_KEY]))
-
-
-def save_snapshot(snapshot: WorkerSnapshot, path: str) -> None:
-    """Write a snapshot's payload to disk (already npz-encoded)."""
-    with open(path, "wb") as fh:
-        fh.write(snapshot.payload)
-
-
-def load_snapshot(path: str,
-                  epoch: Optional[int] = None) -> WorkerSnapshot:
-    """Read a snapshot written by :func:`save_snapshot`.
-
-    The position is recovered from the payload itself; ``epoch`` is
-    accepted only as an integrity check.
-    """
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    state = load_state_dict(io.BytesIO(payload))
-    pos = state[_POS_KEY]
-    snap = WorkerSnapshot(payload=payload, epoch=int(pos[0]),
-                          round=int(pos[1]))
-    if epoch is not None and snap.epoch != epoch:
-        raise ValueError(
-            f"snapshot at {path} is for epoch {snap.epoch}, "
-            f"expected {epoch}")
-    return snap

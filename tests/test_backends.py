@@ -212,6 +212,116 @@ class TestObservedParallelRuns:
         assert "train.wall_clock_s" not in result.report.metrics
 
 
+class TestElasticRemovalOfWorkerZero:
+    """Worker 0's replica is the one the evaluator and the correction
+    hook read.  Once elastic recovery removes worker 0, validation must
+    score the first *live* replica and a hook must never be handed (and
+    broadcast) the weights worker 0 held when it left — on every
+    backend alike, so the digests agree."""
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
+    @pytest.mark.parametrize("sync", ["grad", "model", "ps"])
+    @pytest.mark.parametrize("framework", ["psgd_pa", "llcg"])
+    def test_one_digest_across_backends(self, split, framework, sync):
+        from repro.faults import FaultEvent, FaultPlan
+
+        plan = FaultPlan(name="crash-worker-0", events=(
+            FaultEvent(kind="crash", epoch=0, round=1, worker=0),))
+        digests = {}
+        for backend in BACKEND_NAMES:
+            config = TrainConfig(hidden_dim=16, num_layers=2,
+                                 fanouts=(5, 5), epochs=3, batch_size=64,
+                                 seed=0, sync=sync, backend=backend,
+                                 fault_plan=plan, recovery="elastic")
+            result = run_framework(framework, split, 3, config,
+                                   rng=np.random.default_rng(0))
+            assert result.faults["elastic_removed"] == 1
+            digests[backend] = result.digest()
+        assert len(set(digests.values())) == 1, digests
+
+
+class TestWorkerHost:
+    """The one worker executor, driven directly."""
+
+    def test_snapshot_then_replay_reproduces_the_worker(self, split):
+        """snapshot -> k commands -> load_snapshot -> replay(the same k)
+        lands on the same weights and the same RNG state: the recovery
+        the process backend runs after a real SIGKILL."""
+        from repro.core.frameworks import FRAMEWORKS, build_trainer
+        from repro.distributed.backends import WorkerHost
+        from repro.faults import FaultController
+        from repro.nn.serialize import model_fingerprint
+
+        config = TrainConfig(hidden_dim=16, num_layers=2, fanouts=(5, 5),
+                             epochs=1, batch_size=64, seed=4, sync="grad")
+        trainer = build_trainer(FRAMEWORKS["splpg"], split, 2, config,
+                                rng=np.random.default_rng(4))
+        worker = trainer.workers[1]
+        host = WorkerHost(trainer, 1, spans=False)
+        tag, payload = host.execute(("snapshot", 0, 0))
+        assert tag == "snapshot"
+
+        grads = {name: np.full_like(p.data, 0.01)
+                 for name, p in worker.model.named_parameters()}
+        commands = [("epoch",), ("draw",), ("train", True, True),
+                    ("grads", grads), ("step",), ("lr", 0.5), ("draw",),
+                    ("train", False, True), ("draw",),
+                    ("train", True, False), ("step",)]
+        replies = [host.execute(msg) for msg in commands]
+        assert replies[1] == ("drawn", True)
+        assert replies[7] == ("result", None)        # discarded batch
+        assert replies[9][1][3] is None              # grads not wanted
+        want = (model_fingerprint(worker.model), worker.optimizer.lr,
+                worker.rng.bit_generator.state)
+
+        FaultController._wipe(worker)
+        assert model_fingerprint(worker.model) != want[0]
+        host.execute(("load_snapshot", payload))
+        assert host.execute(("replay", commands)) == ("replayed",
+                                                      len(commands))
+        assert (model_fingerprint(worker.model), worker.optimizer.lr,
+                worker.rng.bit_generator.state) == want
+
+
+class TestSpeedupGate:
+    """benchmarks/bench_backends.py::check_speedup on hand-built
+    documents: the process-beats-serial claim binds only on a host that
+    can give each of the 4 workers a core."""
+
+    @staticmethod
+    def _doc(cpus, speedup):
+        return {"host": {"schedulable_cpus": cpus},
+                "results": [{"backend": "process", "workers": 4,
+                             "speedup_vs_serial": speedup}]}
+
+    @pytest.fixture(scope="class")
+    def check_speedup(self):
+        import sys
+        from pathlib import Path
+
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+        try:
+            from benchmarks.bench_backends import check_speedup
+        finally:
+            sys.path.pop(0)
+        return check_speedup
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_skipped_with_a_note_below_four_cpus(self, check_speedup,
+                                                 cpus):
+        doc = self._doc(cpus, 0.257)
+        assert check_speedup(doc) is None
+        assert f"{cpus} schedulable CPU(s) for 4 workers" in \
+            doc["speedup_note"]
+
+    def test_enforced_from_four_cpus(self, check_speedup):
+        slow = self._doc(4, 0.9)
+        assert "did not beat serial" in check_speedup(slow)
+        fast = self._doc(8, 1.7)
+        assert check_speedup(fast) is None
+        assert "speedup_note" not in slow and "speedup_note" not in fast
+
+
 class TestIdempotentClose:
     class _StubTrainer:
         def __init__(self, n: int = 2):

@@ -183,6 +183,31 @@ class TestMidEpochRoundTrip:
                 ref["server_version"]
 
 
+    def test_worker_payloads_are_byte_equal_across_backends(self, split):
+        """A worker serializes the same bytes — weights, optimizer, RNG
+        and the ``(epoch, round)`` stamp — wherever it runs."""
+        payloads = {}
+
+        def hook(trainer, epoch: int, rnd: int) -> None:
+            if (epoch, rnd) == (1, 1):
+                state = capture_trainer_state(
+                    trainer, epoch=epoch, rnd=rnd,
+                    faults=trainer.fault_controller)
+                payloads[trainer.config.backend] = [
+                    state[f"worker.{i:04d}.payload"].tobytes()
+                    for i in range(len(trainer.workers))]
+
+        previous = trainer_mod.set_round_hook(hook)
+        try:
+            for backend in ("serial", "thread", "process"):
+                _trainer(split, _config(backend=backend)).train()
+        finally:
+            trainer_mod.set_round_hook(previous)
+        assert all(payloads["serial"])
+        assert payloads["thread"] == payloads["serial"]
+        assert payloads["process"] == payloads["serial"]
+
+
 class TestTornWrites:
     def _snapshot_files(self, ckpt_dir):
         with open(os.path.join(ckpt_dir, "manifest.json"),

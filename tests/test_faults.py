@@ -425,22 +425,6 @@ class TestSnapshotRoundTrip:
         probe.bit_generator.state = rng_before
         assert worker.rng.integers(0, 2**31) == probe.integers(0, 2**31)
 
-    def test_snapshot_survives_disk(self, split, tmp_path):
-        from repro.core import FRAMEWORKS, build_trainer
-        from repro.faults import load_snapshot, save_snapshot
-
-        config = TrainConfig(hidden_dim=16, num_layers=2, fanouts=(5, 5),
-                             epochs=1, batch_size=64, seed=7)
-        trainer = build_trainer(FRAMEWORKS["splpg"], split, 2, config,
-                                rng=np.random.default_rng(7))
-        trainer.train()
-        snap = snapshot_worker(trainer.workers[0], epoch=1, rnd=0)
-        path = tmp_path / "w0.ckpt"
-        save_snapshot(snap, str(path))
-        loaded = load_snapshot(str(path))
-        assert loaded.payload == snap.payload
-        assert (loaded.epoch, loaded.round) == (snap.epoch, snap.round)
-
 
 # ---------------------------------------------------------------------------
 # Chaos harness

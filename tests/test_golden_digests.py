@@ -1,0 +1,55 @@
+"""Committed golden ``TrainResult.digest()`` values (scripts/golden.py).
+
+Tier-1 recomputes a small slice of the matrix — every backend x sync
+mode fault-free, and the mixed fault plan under each recovery policy on
+the serial and process backends — and checks the committed file's own
+cross-backend invariants.  ``scripts/ci.sh`` checks all 512 cells.
+"""
+
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+try:
+    import golden
+finally:
+    sys.path.pop(0)
+
+
+@pytest.fixture(scope="module")
+def committed():
+    return golden.load_golden()
+
+
+def test_matrix_is_fully_committed(committed):
+    assert set(committed) == {cell.name for cell in golden.all_cells()}
+
+
+def test_subset_matches_committed_digests(committed):
+    got = golden.compute(golden.subset_cells())
+    assert golden.diff(committed, got) == []
+
+
+def test_fault_free_and_elastic_cells_do_not_depend_on_the_backend(
+        committed):
+    """No faults, or faults survived by removing workers: the backend
+    is an engine choice, so each such group has exactly one digest.
+    (drop/retry/restore respawn real processes on the process backend
+    and count that in the digested fault ledger.)"""
+    groups = defaultdict(set)
+    for name, digest in committed.items():
+        framework, _backend, sync, plan, policy = name.split("/")[:5]
+        if plan == "none" or policy == "elastic":
+            groups[framework, sync, plan, policy].add(digest)
+    assert len(groups) == 60
+    assert [g for g, digests in groups.items() if len(digests) != 1] == []
+
+
+def test_observation_does_not_change_the_digest(committed):
+    observed = [n for n in committed if n.endswith("/observed")]
+    assert len(observed) == 20
+    for name in observed:
+        assert committed[name] == committed[name[:-len("/observed")]]

@@ -1,10 +1,13 @@
 """Synchronization primitives and the distributed trainer loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.distributed import (
     CommMeter,
+    SerialBackend,
     TrainConfig,
     average_gradients,
     average_models,
@@ -20,6 +23,17 @@ def make_models(n, seed_offset=0):
             for i in range(n)]
 
 
+def bound_backend(models):
+    """A serial backend over bare replicas: all the round protocol's
+    collectives need of a trainer is ``workers[i].model`` + ``meters``."""
+    trainer = SimpleNamespace(
+        workers=[SimpleNamespace(model=m) for m in models],
+        meters=[CommMeter() for _ in models])
+    backend = SerialBackend()
+    backend.bind(trainer)
+    return backend, trainer
+
+
 class TestSync:
     def test_broadcast(self):
         models = make_models(3)
@@ -30,54 +44,67 @@ class TestSync:
                 assert np.allclose(arr, ref[name])
 
     def test_average_models_math(self):
-        models = make_models(2)
-        a = models[0].state_dict()
-        b = models[1].state_dict()
-        average_models(models)
-        for name, arr in models[0].state_dict().items():
+        a, b = (m.state_dict() for m in make_models(2))
+        averaged = average_models([a, b])
+        assert set(averaged) == set(a)
+        for name, arr in averaged.items():
             assert np.allclose(arr, (a[name] + b[name]) / 2)
-        for name, arr in models[1].state_dict().items():
-            assert np.allclose(arr, (a[name] + b[name]) / 2)
+        # Participation mask and departed (None) workers shrink the mean.
+        for name, arr in average_models([a, None, b],
+                                        [True, True, False]).items():
+            assert np.array_equal(arr, a[name])
+        assert average_models([a, b], [False, False]) is None
 
     def test_average_gradients_math(self):
-        models = make_models(2)
-        for i, m in enumerate(models):
-            for p in m.parameters():
-                p.grad = np.full_like(p.data, float(i + 1))
-        average_gradients(models)
-        for m in models:
-            for p in m.parameters():
-                assert np.allclose(p.grad, 1.5)
+        grads = [{name: np.full_like(p.data, float(i + 1))
+                  for name, p in m.named_parameters()}
+                 for i, m in enumerate(make_models(2))]
+        averaged = average_gradients(grads)
+        assert set(averaged) == set(grads[0])
+        for g in averaged.values():
+            assert np.allclose(g, 1.5)
 
     def test_average_gradients_participation_mask(self):
         models = make_models(3)
-        for i, m in enumerate(models[:2]):
-            for p in m.parameters():
-                p.grad = np.full_like(p.data, float(i))
-        average_gradients(models, participating=[True, True, False])
-        # Average over the two participants = 0.5; non-participant
-        # receives the same averaged gradient.
-        for m in models:
-            for p in m.parameters():
-                assert np.allclose(p.grad, 0.5)
+        grads = [{name: np.full_like(p.data, float(i))
+                  for name, p in m.named_parameters()}
+                 for i, m in enumerate(models)]
+        grads[2] = {name: np.full_like(g, 100.0)
+                    for name, g in grads[2].items()}
+        # Average over the two participants = 0.5: a masked-out worker's
+        # gradient never enters the mean, nor does one that is absent.
+        masked = average_gradients(grads, [True, True, False])
+        absent = average_gradients([grads[0], grads[1], None])
+        for g in list(masked.values()) + list(absent.values()):
+            assert np.allclose(g, 0.5)
+        assert average_gradients(grads, [False, False, False]) is None
 
     def test_sync_charges_meters_allreduce(self):
-        models = make_models(2)
-        meters = [CommMeter(), CommMeter()]
-        average_models(models, meters)
+        backend, trainer = bound_backend(make_models(2))
+        before = [m.state_dict() for m in make_models(2)]
+        backend.sync_models("allreduce")
         # ring all-reduce on p=2: 2 * (p-1)/p = 1x the payload
-        expected = models[0].parameter_nbytes()
-        for meter in meters:
+        expected = trainer.workers[0].model.parameter_nbytes()
+        for meter in trainer.meters:
             assert meter.current.sync_bytes == expected
             assert meter.current.graph_data_bytes == 0
+        for worker in trainer.workers:
+            for name, arr in worker.model.state_dict().items():
+                assert np.allclose(arr,
+                                   (before[0][name] + before[1][name]) / 2)
 
     def test_sync_charges_meters_parameter_server(self):
-        models = make_models(2)
-        meters = [CommMeter(), CommMeter()]
-        average_models(models, meters, topology="parameter_server")
-        expected = 2 * models[0].parameter_nbytes()
-        for meter in meters:
+        backend, trainer = bound_backend(make_models(2))
+        backend.sync_models("parameter_server")
+        expected = 2 * trainer.workers[0].model.parameter_nbytes()
+        for meter in trainer.meters:
             assert meter.current.sync_bytes == expected
+        # A removed worker is neither charged nor counted in the ring.
+        backend, trainer = bound_backend(make_models(3))
+        backend.deactivate(1)
+        backend.sync_models("allreduce")
+        charged = [m.current.sync_bytes for m in trainer.meters]
+        assert charged == [expected // 2, 0, expected // 2]
 
     def test_sync_bytes_per_worker_model(self):
         from repro.distributed import sync_bytes_per_worker
@@ -89,10 +116,14 @@ class TestSync:
             sync_bytes_per_worker(1000, 4, "mesh")
 
     def test_average_gradients_none_grads_tolerated(self):
-        models = make_models(2)
-        average_gradients(models)  # no grads set; should be a no-op
-        for m in models:
-            assert all(p.grad is None for p in m.parameters())
+        names = [name for name, _ in make_models(1)[0].named_parameters()]
+        grads = [{name: None for name in names} for _ in range(2)]
+        averaged = average_gradients(grads)  # no grads set: all None
+        assert averaged == {name: None for name in names}
+        # A gradient only one participant has is still divided by the
+        # number of participants.
+        grads[0][names[0]] = np.ones(3)
+        assert np.allclose(average_gradients(grads)[names[0]], 0.5)
 
 
 class TestTrainConfig:
