@@ -60,7 +60,7 @@ def main() -> None:
 
     sparsified_store = SparsifiedRemoteStore(
         split.train_graph, prepared.sparsified.graphs,
-        prepared.partitioned.assignment)
+        prepared.partitioned.node_owner)
     full_store = RemoteGraphStore(split.train_graph)
 
     print(f"\nServing {queries.shape[0]} queries from 4 workers:")

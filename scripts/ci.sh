@@ -8,7 +8,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== golden digest matrix (512 cells) =="
+echo "== golden digest matrices (512 training cells + 8 stream cells) =="
 python scripts/golden.py --check
 
 echo "== repro.lint =="
@@ -40,9 +40,10 @@ python scripts/bench.py --smoke --suite partition
 python scripts/bench.py --smoke --suite checkpoint
 python scripts/bench.py --smoke --suite stream
 
-echo "== perf traced smoke (backend spans present, residual bounded) =="
+echo "== perf traced smoke (trace TARGETS resolve, backend spans present, residual bounded) =="
 python3 perf/run.py --workload train_splpg_serial --trace 1 --smoke > /dev/null
 python3 perf/run.py --workload train_psgdpa_process --trace 1 --smoke > /dev/null
+python3 perf/run.py --workload stream_steady --trace 1 --smoke > /dev/null
 
 echo "== docs links =="
 python scripts/check_links.py

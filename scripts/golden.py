@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Golden ``TrainResult.digest()`` matrix: write it, or check against it.
+"""Golden digest matrices (training + streaming): write, or check.
 
 Usage::
 
@@ -25,6 +25,20 @@ named cells and leaves the rest untouched).
 
 Cell names read ``framework/backend/sync/plan/policy`` with an
 ``/observed`` suffix for the observed runs.
+
+The same switches cover the **stream cells**
+(``stream/<layout>/<regime>/<backend>[/resume]``, committed in
+``tests/golden_stream_digests.json`` next to the training file): one
+seeded 160-node graph streamed for 8 ticks under
+
+    {metis, metis+mirror, vertex_cut} x {steady, churn} on serial
+
+— churn arms the rebalance trigger that layout can fire, tuned so some
+ticks re-partition and others patch incrementally — plus one
+process-backend cell and one cell interrupted after tick 4 and resumed
+from its checkpoint.  Each stores ``StreamReport.digest()`` and the
+per-tick ``shards_fingerprint`` list, so a shard-layout refactor is
+pinned tick by tick on all three layouts.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple
@@ -42,6 +57,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 GOLDEN_PATH = REPO_ROOT / "tests" / "golden_train_digests.json"
+STREAM_GOLDEN_NAME = "golden_stream_digests.json"
 
 FRAMEWORKS = ("psgd_pa", "llcg", "splpg", "vertex_cut")
 BACKENDS = ("serial", "thread", "process")
@@ -152,33 +168,140 @@ def run_cell(split, cell: Cell) -> str:
     return result.digest()
 
 
-def compute(cells, verbose: bool = False) -> Dict[str, str]:
-    """Digest of every given cell, keyed by cell name."""
-    split = make_split()
-    out: Dict[str, str] = {}
+def _digests(cells, run, verbose: bool) -> Dict[str, object]:
+    """``run(cell)`` for every cell, keyed by cell name."""
+    out: Dict[str, object] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for cell in cells:
-            out[cell.name] = run_cell(split, cell)
+            value = out[cell.name] = run(cell)
             if verbose:
-                print(f"{out[cell.name][:12]}  {cell.name}", flush=True)
+                digest = value if isinstance(value, str) else value["digest"]
+                print(f"{digest[:12]}  {cell.name}", flush=True)
     return out
 
 
-def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, str]:
+def compute(cells, verbose: bool = False) -> Dict[str, str]:
+    """Digest of every given cell, keyed by cell name."""
+    split = make_split()
+    return _digests(cells, lambda cell: run_cell(split, cell), verbose)
+
+
+class StreamCell(NamedTuple):
+    """One streaming run: a shard layout under a trigger regime."""
+
+    layout: str     # "metis" | "metis+mirror" | "vertex_cut"
+    regime: str     # "steady" | "churn"
+    backend: str = "serial"
+    resume: bool = False
+
+    @property
+    def name(self) -> str:
+        """``stream/layout/regime/backend[/resume]``."""
+        parts = ["stream", self.layout, self.regime, self.backend]
+        if self.resume:
+            parts.append("resume")
+        return "/".join(parts)
+
+
+STREAM_LAYOUTS = ("metis", "metis+mirror", "vertex_cut")
+STREAM_SEED = 7
+STREAM_TICKS = 8
+#: The resume cell drops its driver after this many ticks.
+STREAM_RESUME_AFTER = 5
+STREAM_MODEL = {"gnn_type": "sage", "in_dim": 12, "hidden_dim": 16,
+                "num_layers": 2, "seed": STREAM_SEED}
+
+
+def stream_cells() -> List[StreamCell]:
+    """Every stream cell (all of them fit the tier-1 budget)."""
+    cells = [StreamCell(layout, regime) for layout in STREAM_LAYOUTS
+             for regime in ("steady", "churn")]
+    cells.append(StreamCell("metis+mirror", "steady", backend="process"))
+    cells.append(StreamCell("vertex_cut", "churn", resume=True))
+    return cells
+
+
+def run_stream_cell(cell: StreamCell) -> Dict[str, object]:
+    """Stream one cell; its digest and per-tick shard fingerprints."""
+    from repro.graph import synthetic_lp_graph
+    from repro.nn.models import build_model
+    from repro.partition.registry import PartitionSpec
+    from repro.stream import StreamConfig, StreamDriver
+
+    graph = synthetic_lp_graph(160, 640, feature_dim=12,
+                               rng=np.random.default_rng(STREAM_SEED))
+    strategy, _, mirror = cell.layout.partition("+")
+    spec = PartitionSpec(strategy, mirror=bool(mirror))
+    knobs = dict(ticks=STREAM_TICKS, seed=STREAM_SEED,
+                 requests_per_tick=12, inserts_per_tick=12.0,
+                 deletes_per_tick=6.0, drifts_per_tick=4.0, embed_batch=32)
+    if cell.regime == "churn":
+        # Plain metis replicates nothing, so only the imbalance trigger
+        # can fire; the mirrored layouts drift in replication instead.
+        # At these values each layout rebalances on some ticks only.
+        if cell.layout == "metis":
+            knobs["rebalance_threshold"] = 1.1
+        else:
+            knobs["replication_threshold"] = 1.95
+    with tempfile.TemporaryDirectory() as tmp:
+        if cell.resume:
+            knobs.update(checkpoint_dir=tmp, checkpoint_every=1)
+        driver = StreamDriver(build_model(**STREAM_MODEL), graph, spec, 3,
+                              StreamConfig(**knobs), backend=cell.backend,
+                              model_spec=STREAM_MODEL)
+        if cell.resume:
+            driver._setup()
+            for tick in range(STREAM_RESUME_AFTER):
+                driver._run_tick(tick)
+                driver._next_tick = tick + 1
+                driver._write_checkpoint(tick)
+            driver = StreamDriver.resume(tmp)
+        report = driver.run()
+    if cell.regime == "churn":
+        rebalanced = [bool(r.rebalanced) for r in report.records]
+        assert any(rebalanced) and not all(rebalanced), (cell.name,
+                                                         rebalanced)
+    return {"digest": report.digest(),
+            "shards_fingerprints": [r.shards_fingerprint
+                                    for r in report.records]}
+
+
+def compute_stream(cells, verbose: bool = False) -> Dict[str, dict]:
+    """Golden value of every given stream cell, keyed by cell name."""
+    return _digests(cells, run_stream_cell, verbose)
+
+
+def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
     """The committed digests."""
     return json.loads(path.read_text())["digests"]
 
 
-def diff(golden: Dict[str, str], got: Dict[str, str]) -> List[str]:
+def load_stream_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
+    """The committed stream cells (the file beside ``path``)."""
+    return load_golden(path.with_name(STREAM_GOLDEN_NAME))
+
+
+def _mismatch(want, got) -> str:
+    """Where a cell's value departs from the golden one."""
+    if isinstance(got, str):
+        return f"{got[:12]} != golden {want[:12]}"
+    ticks = [t for t, (a, b) in enumerate(zip(
+        want["shards_fingerprints"], got["shards_fingerprints"])) if a != b]
+    where = (f"; shard layout first differs at tick {ticks[0]}"
+             if ticks else "; every shard fingerprint equal")
+    return _mismatch(want["digest"], got["digest"]) + where
+
+
+def diff(golden: Dict[str, object], got: Dict[str, object]) -> List[str]:
     """One line per cell whose digest is missing or differs."""
     problems = []
-    for name, digest in got.items():
+    for name, value in got.items():
         want = golden.get(name)
         if want is None:
             problems.append(f"{name}: not in the golden file")
-        elif want != digest:
-            problems.append(f"{name}: {digest[:12]} != golden {want[:12]}")
+        elif want != value:
+            problems.append(f"{name}: {_mismatch(want, value)}")
     return problems
 
 
@@ -192,31 +315,48 @@ def main(argv=None) -> int:
                         help="only the tier-1 subset of cells")
     parser.add_argument("--match", default="",
                         help="only cells whose name contains this text")
-    parser.add_argument("--file", type=Path, default=GOLDEN_PATH)
+    parser.add_argument("--file", type=Path, default=GOLDEN_PATH,
+                        help="training digests; the stream cells live "
+                             f"beside it in {STREAM_GOLDEN_NAME}")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    cells = subset_cells() if args.subset else list(all_cells())
-    cells = [c for c in cells if args.match in c.name]
-    got = compute(cells, verbose=args.verbose)
-    if args.write:
-        digests = load_golden(args.file) if args.file.exists() else {}
-        changed = sorted(n for n, d in got.items() if digests.get(n) != d)
-        digests.update(got)
-        doc = {"workload": {"nodes": 300, "workers": WORKERS,
-                            "epochs": EPOCHS, "seed": SEED},
-               "digests": dict(sorted(digests.items()))}
-        args.file.write_text(json.dumps(doc, indent=1) + "\n")
-        print(f"wrote {len(got)} cell(s), {len(changed)} changed")
-        for name in changed:
-            print(f"  {name}")
-        return 0
-    problems = diff(load_golden(args.file), got)
-    for line in problems:
-        print(f"GOLDEN MISMATCH: {line}", file=sys.stderr)
-    print(f"checked {len(got)} cell(s): "
-          f"{'ok' if not problems else f'{len(problems)} differ'}")
-    return 1 if problems else 0
+    train = subset_cells() if args.subset else list(all_cells())
+    suites = [
+        (args.file, compute, train,
+         {"nodes": 300, "workers": WORKERS, "epochs": EPOCHS,
+          "seed": SEED}),
+        (args.file.with_name(STREAM_GOLDEN_NAME), compute_stream,
+         stream_cells(),
+         {"nodes": 160, "parts": 3, "ticks": STREAM_TICKS,
+          "seed": STREAM_SEED}),
+    ]
+    status = 0
+    for path, run, cells, workload in suites:
+        cells = [c for c in cells if args.match in c.name]
+        if not cells:
+            continue
+        got = run(cells, verbose=args.verbose)
+        if args.write:
+            digests = load_golden(path) if path.exists() else {}
+            changed = sorted(n for n, d in got.items()
+                             if digests.get(n) != d)
+            digests.update(got)
+            doc = {"workload": workload,
+                   "digests": dict(sorted(digests.items()))}
+            path.write_text(json.dumps(doc, indent=1) + "\n")
+            print(f"{path.name}: wrote {len(got)} cell(s), "
+                  f"{len(changed)} changed")
+            for name in changed:
+                print(f"  {name}")
+            continue
+        problems = diff(load_golden(path), got)
+        for line in problems:
+            print(f"GOLDEN MISMATCH: {line}", file=sys.stderr)
+        print(f"{path.name}: checked {len(got)} cell(s): "
+              f"{'ok' if not problems else f'{len(problems)} differ'}")
+        status = status or (1 if problems else 0)
+    return status
 
 
 if __name__ == "__main__":

@@ -163,7 +163,7 @@ def build_trainer(
         sparsified = sparsify_partitions(partitioned, alpha=alpha, rng=rng,
                                          kind=sparsifier_kind, obs=observer)
         remote_store = SparsifiedRemoteStore(
-            graph, sparsified.graphs, partitioned)
+            graph, sparsified.graphs, partitioned.node_owner)
 
     correction_hook = None
     if spec.correction:

@@ -133,7 +133,7 @@ class SpLPG:
         store = SparsifiedRemoteStore(
             split.train_graph,
             prepared.sparsified.graphs,
-            prepared.partitioned,
+            prepared.partitioned.node_owner,
         )
         self._trainer = DistributedTrainer(
             framework="splpg",

@@ -61,6 +61,7 @@ from ..faults.errors import (
 )
 from ..faults.snapshot import WorkerSnapshot, restore_worker, snapshot_worker
 from .comm import CommRecord
+from .routing import guarded_recv
 from .sync import average_gradients, average_models, sync_bytes_per_worker
 
 #: Names accepted by ``TrainConfig.backend`` / :func:`make_backend`.
@@ -807,27 +808,8 @@ class ProcessBackend(SerialBackend):
         """
         if self._inbox[i]:
             return self._inbox[i].pop(0)
-        return self._pipe_recv(i, context)
-
-    def _pipe_recv(self, i: int, context: str):
-        """The actual guarded pipe read behind :meth:`_raw_recv`."""
-        conn = self._conns[i]
-        proc = self._procs[i]
-        deadline = time.monotonic() + self._timeout_s
-        while True:
-            if conn.poll(0.05):  # lint: disable=R106
-                try:
-                    return conn.recv()  # lint: disable=R106
-                except (EOFError, ConnectionResetError, OSError) as err:
-                    raise WorkerDiedError(i, context) from err
-            if not proc.is_alive():
-                # One final drain: the child may have answered and then
-                # exited between our poll and the liveness probe.
-                if conn.poll(0):
-                    continue
-                raise WorkerDiedError(i, context)
-            if time.monotonic() > deadline:
-                raise WorkerTimeoutError(i, context, self._timeout_s)
+        return guarded_recv(i, self._conns[i], self._procs[i],
+                            self._timeout_s, context)
 
     def _recv_tagged(self, i: int, want: str, context: str):
         """Receive the next reply tagged ``want``, buffering any
@@ -838,7 +820,8 @@ class ProcessBackend(SerialBackend):
             if reply[0] == want:
                 return inbox.pop(k)
         while True:
-            reply = self._pipe_recv(i, context)
+            reply = guarded_recv(i, self._conns[i], self._procs[i],
+                                 self._timeout_s, context)
             if reply[0] == want:
                 return reply
             inbox.append(reply)

@@ -28,16 +28,13 @@ the moment the weights change.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..rng import ensure_rng
-from ..faults.errors import WorkerDiedError, WorkerTimeoutError
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
 from ..nn.tensor import Tensor
@@ -45,7 +42,7 @@ from ..partition.partitioned import PartitionedGraph
 from ..sampling.neighbor import NeighborSampler
 from .backends import BACKEND_NAMES
 from .comm import CommMeter, CommRecord
-from .routing import ShardRouter, guarded_recv
+from .routing import ShardRouter, fan_out, resolve_backend
 from .views import WorkerGraphView
 
 
@@ -117,25 +114,16 @@ class DistributedScorer:
         backend: str = "serial",
         timeout_s: float = 30.0,
     ) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKEND_NAMES}")
-        if (backend == "process"
-                and "fork" not in mp.get_all_start_methods()):
-            warnings.warn(
-                "backend='process' needs the fork start method; scoring "
-                "serially instead", RuntimeWarning, stacklevel=2)
-            backend = "serial"
         self.model = model
         self.partitioned = partitioned
         self.fanouts = list(fanouts)
         self.batch_size = batch_size
         self.rng = ensure_rng(rng)
-        self.backend = backend
+        self.backend = resolve_backend(backend, BACKEND_NAMES, "scoring")
         self.timeout_s = float(timeout_s)
-        # The router consumes the ownership model (master replicas
-        # under vertex cut), not a raw one-owner-per-node vector.
-        self.router = ShardRouter(partitioned, partitioned.num_parts)
+        # Pairs route to master replicas under vertex cut.
+        self.router = ShardRouter(partitioned.node_owner,
+                                  partitioned.num_parts)
         self.meters = [CommMeter() for _ in range(partitioned.num_parts)]
         self.views = [
             WorkerGraphView(partitioned, part, remote=remote,
@@ -156,12 +144,9 @@ class DistributedScorer:
                                       "embed_memo_hits": 0}
 
     def mark_down(self, part: int) -> None:
-        """Take shard ``part`` out of the routing table.
-
-        Pairs owned by a downed shard are rerouted — destination
-        endpoint's owner first, else the first live shard — and pay the
-        extra remote traffic of scoring through a non-owner's view.
-        """
+        """Take shard ``part`` out of the routing table; its pairs are
+        rerouted (see :meth:`ShardRouter.mark_down`) and pay the remote
+        traffic of scoring through a non-owner's view."""
         self.router.mark_down(part)
 
     def mark_up(self, part: int) -> None:
@@ -172,11 +157,6 @@ class DistributedScorer:
     def live_shards(self) -> List[int]:
         """Shards currently accepting queries, in worker order."""
         return self.router.live_shards
-
-    def _route(self, pairs: np.ndarray) -> tuple:
-        """Owner routing with down-shard fallback (see
-        :meth:`ShardRouter.route_pairs`)."""
-        return self.router.route_pairs(pairs)
 
     def _refresh_memo(self) -> None:
         """Invalidate the embedding memo if the model changed.
@@ -199,45 +179,59 @@ class DistributedScorer:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.shape[0] == 0:
             # Graceful empty query: nothing routed, nothing charged.
-            comm = CommRecord()
-            for meter in self.meters:
-                comm += meter.total()
             return InferenceResult(
-                scores=np.empty(0, dtype=np.float64), comm=comm,
+                scores=np.empty(0, dtype=np.float64),
+                comm=self._total_comm(),
                 pairs_per_worker=[0] * self.partitioned.num_parts,
                 rerouted_pairs=0)
         self._refresh_memo()
-        owners, rerouted = self._route(pairs)
+        owners, rerouted = self.router.route_pairs(pairs)
         scores = np.empty(pairs.shape[0], dtype=np.float64)
         counts: List[int] = []
         # Pre-draw every shard's sampler seed in worker order so the
         # scorer RNG advances identically on every backend.
-        shards: List[tuple] = []  # (part, sel, seed)
+        work: Dict[int, tuple] = {}  # part -> (sel, seed)
         for part in range(self.partitioned.num_parts):
             sel = np.flatnonzero(owners == part)
             counts.append(int(sel.size))
             if sel.size == 0:
                 continue
-            shards.append((part, sel,
-                           int(self.rng.integers(0, 2**63 - 1))))
+            work[part] = (sel, int(self.rng.integers(0, 2**63 - 1)))
+
+        def run(part: int, worker: Optional[int] = None) -> tuple:
+            """Score shard ``part`` through ``worker``'s view (its own by
+            default); the reply names the worker and what it charged."""
+            worker = part if worker is None else worker
+            sel, seed = work[part]
+            before = self.meters[worker].current.to_dict()
+            reply = self._score_shard(worker, sel, pairs, seed)
+            after = self.meters[worker].current.to_dict()
+            return (worker, *reply,
+                    {key: after[key] - before[key] for key in after})
+
+        def fallback(part: int, exc: Exception) -> tuple:
+            # Owner shard is gone mid-query: mark it down and re-score
+            # its pairs through a surviving shard's view (same sampler
+            # seed, remote fetches charged to the fallback worker).
+            warnings.warn(
+                f"scoring shard {part} failed ({exc}); falling back to "
+                f"a live shard", RuntimeWarning, stacklevel=2)
+            self.mark_down(part)
+            return run(part, worker=self.live_shards[0])
+
         self.model.eval()
         try:
-            if self.backend == "thread" and len(shards) > 1:
-                self._score_threaded(shards, pairs, scores)
-            elif self.backend == "process" and len(shards) > 1:
-                self._score_forked(shards, pairs, scores)
-            else:
-                for part, sel, seed in shards:
-                    shard_scores, fresh, hits = self._score_shard(
-                        part, sel, pairs, seed)
-                    scores[sel] = shard_scores
-                    self._absorb_memo(part, fresh, hits)
+            for part, reply, piped in fan_out(
+                    self.backend, list(work), run, fallback,
+                    self.timeout_s, context="score"):
+                worker, shard_scores, fresh, hits, charged = reply
+                scores[work[part][0]] = shard_scores
+                self._absorb_memo(worker, fresh, hits)
+                if piped:  # the child charged its own copy of the meter
+                    self.meters[worker].absorb(CommRecord(**charged))
         finally:
             self.model.train()
-        comm = CommRecord()
-        for meter in self.meters:
-            comm += meter.total()
-        return InferenceResult(scores=scores, comm=comm,
+        return InferenceResult(scores=scores, comm=self._total_comm(),
                                pairs_per_worker=counts,
                                rerouted_pairs=rerouted)
 
@@ -312,97 +306,10 @@ class DistributedScorer:
             out[start:start + idx.size] = logits.data
         return out, fresh, hits
 
-    def _score_threaded(self, shards, pairs, scores) -> None:
-        """Score shards on a thread pool; shards write disjoint rows
-        and worker-private meters, so no cross-thread mutation."""
-        with ThreadPoolExecutor(
-                max_workers=len(shards),
-                thread_name_prefix="repro-scorer") as pool:
-            futures = [
-                (part, sel,
-                 pool.submit(self._score_shard, part, sel, pairs, seed))
-                for part, sel, seed in shards
-            ]
-            for part, sel, future in futures:
-                shard_scores, fresh, hits = future.result()
-                scores[sel] = shard_scores
-                self._absorb_memo(part, fresh, hits)
-
-    def _score_forked(self, shards, pairs, scores) -> None:
-        """Fork one child per shard (copy-on-write graph); merge scores,
-        communication deltas and memo deltas in worker order."""
-        ctx = mp.get_context("fork")
-        procs, conns = [], []
-        for part, sel, seed in shards:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_scorer_child,
-                args=(self, part, sel, pairs, seed, child_conn),
-                daemon=True, name=f"repro-scorer-{part}")
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(parent_conn)
-        try:
-            for (part, sel, seed), conn, proc in zip(shards, conns, procs):
-                try:
-                    reply = guarded_recv(part, conn, proc, self.timeout_s)
-                except (WorkerDiedError, WorkerTimeoutError) as exc:
-                    # Owner shard is gone mid-query: mark it down and
-                    # re-score its pairs through a surviving shard's
-                    # view (same sampler seed, remote fetches charged
-                    # to the fallback worker).
-                    warnings.warn(
-                        f"scoring shard {part} failed ({exc}); falling "
-                        f"back to a live shard", RuntimeWarning,
-                        stacklevel=2)
-                    self.mark_down(part)
-                    fallback = self.live_shards[0]
-                    shard_scores, fresh, hits = self._score_shard(
-                        fallback, sel, pairs, seed)
-                    scores[sel] = shard_scores
-                    self._absorb_memo(fallback, fresh, hits)
-                    continue
-                shard_scores, delta, fresh, hits = reply
-                scores[sel] = shard_scores
-                self._absorb_memo(part, fresh, hits)
-                self.meters[part].absorb(
-                    CommRecord(feature_bytes=delta[0],
-                               structure_bytes=delta[1],
-                               sync_bytes=delta[2]))
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - hung child
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-
-    def comm_summary(self) -> Dict[str, int]:
+    def _total_comm(self) -> CommRecord:
         """Cumulative communication over every ``score`` call so far."""
         comm = CommRecord()
         for meter in self.meters:
             comm += meter.total()
-        return comm.to_dict()
+        return comm
 
-
-def _scorer_child(scorer: DistributedScorer, part: int, sel: np.ndarray,
-                  pairs: np.ndarray, seed: int, conn) -> None:
-    """Entry point of a forked scoring child: score the shard against
-    the inherited (copy-on-write) scorer state, report scores plus the
-    meter delta the shard charged and the embeddings it computed (the
-    parent folds those into the shard memo so repeated calls stay
-    bit-identical to the in-process backends)."""
-    meter = scorer.meters[part]
-    before = (meter.current.feature_bytes, meter.current.structure_bytes,
-              meter.current.sync_bytes)
-    try:
-        shard_scores, fresh, hits = scorer._score_shard(part, sel, pairs,
-                                                        seed)
-        delta = (meter.current.feature_bytes - before[0],
-                 meter.current.structure_bytes - before[1],
-                 meter.current.sync_bytes - before[2])
-        conn.send((shard_scores, delta, fresh, hits))
-    finally:
-        conn.close()

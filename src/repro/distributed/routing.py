@@ -11,18 +11,41 @@ last live shard down raises
 no live shards cannot make progress.
 
 :class:`ShardRouter` holds that logic once so the batch and online
-paths cannot drift; :func:`guarded_recv` is the shared bounded pipe
-read both paths use to collect forked shard replies without risking a
+paths cannot drift.  :func:`fan_out` is the other half they share:
+run one function per shard on the serial / thread / process backend and
+merge the replies in shard order, with :func:`guarded_recv` as the
+bounded pipe read that collects forked replies without risking a
 parent hang.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import multiprocessing as mp
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..faults.errors import ClusterDeadError, WorkerDiedError, WorkerTimeoutError
+from ..partition.partitioned import owner_vector
+
+
+def resolve_backend(name: str, names: Sequence[str], what: str) -> str:
+    """Validate a :func:`fan_out` backend name, degrading ``process``
+    to ``serial`` on platforms without the fork start method (same rule
+    as :func:`repro.distributed.backends.make_backend`)."""
+    if name not in names:
+        raise ValueError(
+            f"unknown backend {name!r} for {what}; expected one of "
+            f"{tuple(names)}")
+    if name == "process" and "fork" not in mp.get_all_start_methods():
+        warnings.warn(
+            f"backend 'process' for {what} needs the fork start method; "
+            "degrading to 'serial'", RuntimeWarning, stacklevel=3)
+        return "serial"
+    return name
 
 
 class ShardRouter:
@@ -30,23 +53,20 @@ class ShardRouter:
 
     Parameters
     ----------
-    assignment:
-        A :class:`~repro.partition.partitioned.PartitionedGraph` (its
+    node_owner:
+        Per-node owner array (node id → shard) — a layout's
         :attr:`~repro.partition.partitioned.PartitionedGraph.node_owner`
-        vector is used — the *master* replica under vertex cut) or a
-        raw per-node owner array (node id → shard).
+        (the *master* replica under vertex cut) or an artifact's
+        assignment.  Owners outside ``[0, num_parts)`` are rejected.
     num_parts:
         Number of shards in the cluster.
     """
 
-    def __init__(self, assignment, num_parts: int) -> None:
-        # Duck-typed: PartitionedGraph exposes node_owner (master under
-        # vertex cut); raw arrays pass through unchanged.
-        assignment = getattr(assignment, "node_owner", assignment)
-        self.assignment = np.asarray(assignment, dtype=np.int64)
+    def __init__(self, node_owner, num_parts: int) -> None:
         self.num_parts = int(num_parts)
         if self.num_parts < 1:
             raise ValueError("num_parts must be >= 1")
+        self.assignment = owner_vector(node_owner, self.num_parts)
         self._down: set = set()
 
     # -- membership -----------------------------------------------------
@@ -106,16 +126,14 @@ class ShardRouter:
 
 def guarded_recv(part: int, conn, proc, timeout_s: float,
                  context: str = "score"):
-    """Read a forked shard child's reply without risking a parent hang.
+    """Read a forked child's reply without risking a parent hang.
 
     Polls in short slices, probing child liveness between slices, and
-    gives up after ``timeout_s`` — the sanctioned direct pipe read for
-    fork-per-shard replies (mirrors the training backend's guarded
-    receive).  Raises :class:`WorkerDiedError` when the child is gone,
+    gives up after ``timeout_s`` — the one sanctioned direct pipe read,
+    for fork-per-shard replies and the process training backend alike.
+    Raises :class:`WorkerDiedError` when the child is gone,
     :class:`WorkerTimeoutError` past the deadline.
     """
-    import time
-
     deadline = time.monotonic() + timeout_s
     while True:
         if conn.poll(0.05):  # lint: disable=R106
@@ -124,12 +142,76 @@ def guarded_recv(part: int, conn, proc, timeout_s: float,
             except (EOFError, OSError) as exc:
                 raise WorkerDiedError(part, context) from exc
         if not proc.is_alive():
-            # Drain anything flushed between the poll and death.
+            # One final drain: the child may have answered and then
+            # exited between our poll and the liveness probe.
             if conn.poll(0):  # lint: disable=R106
-                try:
-                    return conn.recv()  # lint: disable=R106
-                except (EOFError, OSError) as exc:
-                    raise WorkerDiedError(part, context) from exc
+                continue
             raise WorkerDiedError(part, context)
         if time.monotonic() > deadline:
             raise WorkerTimeoutError(part, context, timeout_s)
+
+
+def fan_out(backend: str, shards: Sequence[int],
+            run: Callable[[int], object],
+            fallback: Callable[[int, Exception], object],
+            timeout_s: float, context: str
+            ) -> Iterator[Tuple[int, object, bool]]:
+    """Run ``run(shard)`` per shard; yield ``(shard, reply, piped)`` in
+    shard order, each before the next reply is collected.
+
+    ``backend`` picks where ``run`` executes: inline (``"serial"``, or
+    fewer than two shards), on a thread pool (``"thread"`` — ``run``
+    must touch shard-private state only), or in one forked child per
+    shard (``"process"`` — copy-on-write parent state, reply shipped
+    over a pipe).  ``piped`` is true when the reply crossed a pipe:
+    whatever ``run`` changed besides its return value stayed in the
+    child, so the reply must carry it.  A child that dies or overruns
+    ``timeout_s`` hands its shard to ``fallback(shard, exc)``, run in
+    the parent and yielded unpiped.  Pipes are always closed and
+    children joined (terminated if hung).
+    """
+    if backend == "serial" or len(shards) < 2:
+        for shard in shards:
+            yield shard, run(shard), False
+        return
+    if backend == "thread":
+        with ThreadPoolExecutor(len(shards), f"repro-{context}") as pool:
+            futures = [pool.submit(run, shard) for shard in shards]
+            for shard, future in zip(shards, futures):
+                yield shard, future.result(), False
+        return
+    ctx = mp.get_context("fork")
+    children = []
+    for shard in shards:
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_fan_out_child,
+                           args=(run, shard, child_conn), daemon=True,
+                           name=f"repro-{context}-{shard}")
+        proc.start()
+        child_conn.close()
+        children.append((shard, parent_conn, proc))
+    try:
+        for shard, conn, proc in children:
+            try:
+                reply = guarded_recv(shard, conn, proc, timeout_s, context)
+            except (WorkerDiedError, WorkerTimeoutError) as exc:
+                yield shard, fallback(shard, exc), False
+            else:
+                yield shard, reply, True
+    finally:
+        for _, conn, _ in children:
+            conn.close()
+        for _, _, proc in children:
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - hung child
+                proc.terminate()
+                proc.join(timeout=1.0)
+
+
+def _fan_out_child(run: Callable[[int], object], shard: int, conn) -> None:
+    """Entry point of a forked :func:`fan_out` child: ship ``run``'s
+    reply, computed against the inherited copy-on-write state."""
+    try:
+        conn.send(run(shard))
+    finally:
+        conn.close()

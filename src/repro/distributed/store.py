@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..graph.graph import Graph
+from ..partition.partitioned import PartitionedGraph, owner_vector
 from ..sampling.blocks import GraphNeighborSource
 from .comm import CommMeter
 
@@ -117,12 +118,14 @@ class SparsifiedRemoteStore:
     obs = None
 
     def __init__(self, full_graph: Graph, sparsified: List[Graph],
-                 assignment) -> None:
+                 node_owner) -> None:
         self.full_graph = full_graph
-        # Duck-typed owner source: a PartitionedGraph's node_owner (the
-        # master replica under vertex cut) or a raw per-node array.
-        assignment = getattr(assignment, "node_owner", assignment)
-        self.assignment = np.asarray(assignment, dtype=np.int64)
+        # The per-node owner array (``partitioned.node_owner``); owners
+        # must index ``sparsified``.  perf/micro.py, frozen by
+        # BENCHMARK.json, still hands over the layout itself.
+        if isinstance(node_owner, PartitionedGraph):
+            node_owner = node_owner.node_owner
+        self.assignment = owner_vector(node_owner, len(sparsified))
         self._sources = [GraphNeighborSource(g) for g in sparsified]
 
     def neighbors_batch(self, nodes: np.ndarray, meter: Optional[CommMeter]
@@ -131,8 +134,7 @@ class SparsifiedRemoteStore:
         from each node's owning partition and charged to ``meter``."""
         nodes = np.asarray(nodes, dtype=np.int64)
         owners = self.assignment[nodes]
-        nbr_chunks: List[np.ndarray] = []
-        w_chunks: List[np.ndarray] = []
+        nbr_chunks: List[tuple] = []
         counts = np.zeros(nodes.size, dtype=np.int64)
         # Group queried nodes by owning partition and answer each group
         # from that partition's sparsified copy.

@@ -5,8 +5,8 @@ invariant: every change to graph state flows through
 :meth:`repro.stream.MutableGraph.apply` (which turns
 :class:`~repro.stream.ArrivalPlan` events into an auditable
 :class:`~repro.stream.GraphDelta`) and
-:meth:`repro.stream.ShardedState.apply_delta` (which patches shard
-storage and charges the byte ledger).  A direct write to a graph's
+:meth:`repro.stream.ShardedState.apply_delta` (which re-assembles
+shard storage from the snapshot and charges the byte ledger).  A direct write to a graph's
 CSR arrays or feature matrix bypasses the delta pipeline: shard
 storage silently diverges from the graph, the comm meter misses the
 bytes, fingerprints stop matching, and the cross-backend digest —
@@ -14,8 +14,8 @@ the whole point — breaks.
 
 R111 is the scoped, graph-shaped sibling of R003 (which guards
 ``Tensor.data`` for the autodiff engine): it flags in-place writes to
-graph-state attributes everywhere except the two modules that *are*
-the managed mutation path.
+graph-state attributes everywhere except :mod:`repro.stream.mutable`,
+which *is* the managed mutation path.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from .registry import Rule, register
 _GRAPH_STATE_ATTRS = {"indptr", "indices", "features", "weights",
                       "_feature_mask"}
 
-#: The managed mutation path: these modules implement the delta
-#: discipline everything else must go through.
-_EXEMPT = ("repro/stream/mutable.py", "repro/stream/shards.py")
+#: The managed mutation path: the one module that applies events to
+#: storage; everything else (shard layouts included) rebuilds from its
+#: snapshots.
+_EXEMPT = ("repro/stream/mutable.py",)
 
 #: numpy calls that mutate their first array argument (same set R003
 #: guards for ``.data``).
@@ -69,9 +70,8 @@ class UnmanagedGraphMutationRule(Rule):
     numpy ops (``np.add.at(g.features, ...)``) and mutating ndarray
     methods (``g.indptr.sort()``).  Rebinding the attribute to a new
     array is fine — that is how snapshots are built; in-place writes
-    are not.  :mod:`repro.stream.mutable` and
-    :mod:`repro.stream.shards` are the sanctioned mutation path and
-    are exempt.
+    are not.  :mod:`repro.stream.mutable` is the sanctioned mutation
+    path and is exempt.
     """
 
     rule_id = "R111"
@@ -80,7 +80,7 @@ class UnmanagedGraphMutationRule(Rule):
                    "features/weights) outside the stream delta pipeline")
 
     def applies_to(self, modpath: str) -> bool:
-        """Everywhere except the managed mutation modules."""
+        """Everywhere except the managed mutation module."""
         return modpath not in _EXEMPT
 
     def check(self, tree: ast.AST, modpath: str) -> Iterable:

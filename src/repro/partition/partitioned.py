@@ -6,20 +6,21 @@ translation out of the training path and matches how the simulated
 cluster reasons about locality: a :class:`PartitionedGraph` knows, for
 every node, which worker owns it and which workers hold its features.
 
-Three storage modes:
+One placement rule (:meth:`PartitionedGraph.assemble`) — partition
+``i`` keeps the edges a mask selects and stores features for
+``owned(i) ∪ endpoints(kept edges)`` — and three masks:
 
-* ``mirror=False`` — node-induced partitions: only edges with both
-  endpoints in the partition (the baselines; cross-partition edges are
-  lost, fragmenting neighbor lists).
-* ``mirror=True`` — SpLPG's strategy (Section IV-B): every edge
-  incident to an owned node is stored, so owned nodes keep their full
-  neighbor lists; the off-partition endpoints ("halo" nodes) are stored
-  together with their feature vectors at distribution time.
+* ``mirror=False`` — both endpoints owned by ``i``: node-induced
+  partitions (the baselines; cross-partition edges are lost,
+  fragmenting neighbor lists).
+* ``mirror=True`` — either endpoint owned by ``i``: SpLPG's strategy
+  (Section IV-B).  Owned nodes keep their full neighbor lists; the
+  off-partition endpoints ("halo" nodes) are stored together with
+  their feature vectors at distribution time.
 * ``edge_partitioned=True`` (built via :meth:`build_edge_partitioned`)
-  — vertex-cut: *edges* are assigned to partitions and every endpoint
-  of a stored edge is replicated locally, features included.  Each node
-  has a deterministic **master** replica (the partition holding most of
-  its edges, ties to the lowest id; the ``assignment`` vector records
+  — the *edge* is assigned to ``i``: vertex cut.  Each node has a
+  deterministic **master** replica (the partition holding most of its
+  edges, ties to the lowest id; the ``assignment`` vector records
   masters so node-keyed consumers — routing, inference, serving — keep
   working unchanged) and zero or more **mirror** replicas that the
   trainer keeps consistent by replica averaging, charged as sync bytes.
@@ -41,6 +42,25 @@ import numpy as np
 from ..graph.graph import Graph
 
 
+def owner_vector(owners, num_parts: int,
+                 size: Optional[int] = None) -> np.ndarray:
+    """``owners`` as an int64 vector of partition ids (``size`` long).
+
+    An id outside ``[0, num_parts)`` names a partition that does not
+    exist — edges nobody stores, routed queries nobody scores — so it
+    is rejected here, for every consumer of an owner array.
+    """
+    owners = np.asarray(owners, dtype=np.int64)
+    low, high = (owners.min(), owners.max()) if owners.size else (0, 0)
+    if (owners.ndim != 1 or low < 0 or high >= num_parts
+            or size not in (None, owners.size)):
+        raise ValueError(
+            f"owner vector must be 1-d"
+            f"{'' if size is None else f' of length {size}'} with ids in "
+            f"[0, {num_parts}); got shape {owners.shape}, ids {low}..{high}")
+    return owners
+
+
 @dataclass
 class PartitionedGraph:
     """The result of distributing a graph across ``num_parts`` workers."""
@@ -59,39 +79,51 @@ class PartitionedGraph:
     edge_assignment: Optional[np.ndarray] = None
 
     @classmethod
-    def build(cls, graph: Graph, assignment: np.ndarray,
-              num_parts: int, mirror: bool) -> "PartitionedGraph":
-        """Assemble partition storage from an assignment vector."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        if assignment.size != graph.num_nodes:
-            raise ValueError("assignment must cover every node")
-        if assignment.size and (assignment.min() < 0
-                                or assignment.max() >= num_parts):
-            raise ValueError("assignment value out of range")
-        edges = graph.edge_list()
-        part_u = assignment[edges[:, 0]] if edges.size else np.zeros(0, int)
-        part_v = assignment[edges[:, 1]] if edges.size else np.zeros(0, int)
+    def assemble(cls, graph: Graph, node_owner: np.ndarray, num_parts: int,
+                 mirror: bool, edge_owner: Optional[np.ndarray] = None
+                 ) -> "PartitionedGraph":
+        """The one placement rule (module docstring), unvalidated.
 
+        ``edge_owner``, aligned with ``graph.edge_list()``, selects the
+        vertex-cut mask.  :meth:`build` and :meth:`build_edge_partitioned`
+        validate and derive the owner vectors;
+        :class:`repro.stream.ShardedState` calls this directly with the
+        ownership it carries from tick to tick.
+        """
+        edges = graph.edge_list()
+        src_part = node_owner[edges[:, 0]]
+        dst_part = node_owner[edges[:, 1]]
         parts: List[Graph] = []
         local_nodes: List[np.ndarray] = []
         feature_mask = np.zeros((num_parts, graph.num_nodes), dtype=bool)
         for i in range(num_parts):
-            owned = np.flatnonzero(assignment == i)
-            if mirror:
-                keep = (part_u == i) | (part_v == i)
+            if edge_owner is not None:
+                keep = edge_owner == i
+            elif mirror:
+                keep = (src_part == i) | (dst_part == i)
             else:
-                keep = (part_u == i) & (part_v == i)
+                keep = (src_part == i) & (dst_part == i)
             local_edges = edges[keep]
             # Structure only; features are answered via the mask below.
             parts.append(Graph.from_edges(graph.num_nodes, local_edges))
-            halo = np.unique(local_edges.ravel()) if mirror else owned
-            stored = np.union1d(owned, halo)
+            stored = np.union1d(np.flatnonzero(node_owner == i),
+                                local_edges.ravel())
             local_nodes.append(stored)
             feature_mask[i, stored] = True
-        return cls(full=graph, assignment=assignment, num_parts=num_parts,
+        return cls(full=graph, assignment=node_owner, num_parts=num_parts,
                    mirror=mirror, parts=parts,
                    local_feature_nodes=local_nodes,
-                   _feature_mask=feature_mask)
+                   _feature_mask=feature_mask,
+                   edge_partitioned=edge_owner is not None,
+                   edge_assignment=edge_owner)
+
+    @classmethod
+    def build(cls, graph: Graph, assignment: np.ndarray,
+              num_parts: int, mirror: bool) -> "PartitionedGraph":
+        """Assemble partition storage from an assignment vector."""
+        return cls.assemble(
+            graph, owner_vector(assignment, num_parts, graph.num_nodes),
+            num_parts, mirror)
 
     @classmethod
     def build_edge_partitioned(cls, graph: Graph, edge_assignment: np.ndarray,
@@ -107,44 +139,19 @@ class PartitionedGraph:
         ``node_id % num_parts`` and are stored at that master so routing
         and candidate covers stay total functions over nodes.
         """
-        edge_assignment = np.asarray(edge_assignment, dtype=np.int64)
         edges = graph.edge_list()
-        if edge_assignment.size != edges.shape[0]:
-            raise ValueError("edge_assignment must cover every edge")
-        if edge_assignment.size and (edge_assignment.min() < 0
-                                     or edge_assignment.max() >= num_parts):
-            raise ValueError("edge_assignment value out of range")
-
-        parts: List[Graph] = []
-        local_nodes: List[np.ndarray] = []
-        feature_mask = np.zeros((num_parts, graph.num_nodes), dtype=bool)
+        edge_assignment = owner_vector(edge_assignment, num_parts,
+                                       edges.shape[0])
         incident = np.zeros((num_parts, graph.num_nodes), dtype=np.int64)
-        for i in range(num_parts):
-            local_edges = edges[edge_assignment == i]
-            parts.append(Graph.from_edges(graph.num_nodes, local_edges))
-            endpoints = local_edges.ravel()
-            stored = np.unique(endpoints)
-            local_nodes.append(stored)
-            feature_mask[i, stored] = True
-            if endpoints.size:
-                np.add.at(incident[i], endpoints, 1)
-
+        np.add.at(incident, (np.repeat(edge_assignment, 2), edges.ravel()), 1)
         # Master replica: most incident edges, ties → lowest partition
         # id (argmax picks the first maximum).
         assignment = (np.argmax(incident, axis=0).astype(np.int64)
                       if num_parts else np.zeros(graph.num_nodes, np.int64))
         isolated = np.flatnonzero(incident.sum(axis=0) == 0)
-        if isolated.size:
-            assignment[isolated] = isolated % num_parts
-            for i in np.unique(assignment[isolated]):
-                extra = isolated[assignment[isolated] == i]
-                local_nodes[i] = np.union1d(local_nodes[i], extra)
-                feature_mask[i, extra] = True
-        return cls(full=graph, assignment=assignment, num_parts=num_parts,
-                   mirror=True, parts=parts,
-                   local_feature_nodes=local_nodes,
-                   _feature_mask=feature_mask, edge_partitioned=True,
-                   edge_assignment=edge_assignment)
+        assignment[isolated] = isolated % num_parts
+        return cls.assemble(graph, assignment, num_parts, mirror=True,
+                            edge_owner=edge_assignment)
 
     # -- ownership model ----------------------------------------------------
 
@@ -164,10 +171,14 @@ class PartitionedGraph:
         return self.assignment[np.asarray(nodes, dtype=np.int64)]
 
     def replicas_of(self, node: int) -> np.ndarray:
-        """All partitions storing ``node`` (features included), master
-        first by construction only when the master holds edges of the
-        node; sorted by partition id."""
+        """Partitions storing ``node`` (features included), ascending
+        partition id.  The master is always among them."""
         return np.flatnonzero(self._feature_mask[:, int(node)])
+
+    def replica_mask(self) -> np.ndarray:
+        """``(num_parts, num_nodes)`` boolean copy: entry ``[p, n]`` is
+        true when partition ``p`` stores node ``n``."""
+        return self._feature_mask.copy()
 
     def stored_nodes(self, part: int) -> np.ndarray:
         """Every node partition ``part`` stores (owned + replicas)."""
@@ -202,21 +213,27 @@ class PartitionedGraph:
             return self._feature_mask[part].copy()
         return self.assignment == part
 
-    def owned_edges(self, part: int) -> np.ndarray:
-        """The disjoint edge cover of partition ``part``.
+    def edge_cover(self, edges: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-edge owner in the disjoint edge cover, aligned with
+        ``full.edge_list()`` (pass it as ``edges`` when already at hand).
 
         Vertex-cut layouts own edges directly (the assignment *is* the
         cover); node-partitioned layouts assign each undirected edge to
-        its lower-id endpoint's owner.  Either way the union over
-        partitions is exactly ``full.edge_list()`` with no overlaps.
+        its lower-id endpoint's owner — including cut edges a plain
+        layout stores nowhere.
         """
-        edges = self.full.edge_list()
-        if edges.size == 0:
-            return edges
         if self.edge_partitioned:
-            return edges[self.edge_assignment == part]
-        owner = self.assignment[edges[:, 0]]
-        return edges[owner == part]
+            return self.edge_assignment
+        if edges is None:
+            edges = self.full.edge_list()
+        return self.assignment[edges[:, 0]]
+
+    def owned_edges(self, part: int) -> np.ndarray:
+        """The disjoint edge cover of partition ``part``: the union over
+        partitions is exactly ``full.edge_list()`` with no overlaps
+        (see :meth:`edge_cover`)."""
+        edges = self.full.edge_list()
+        return edges[self.edge_cover(edges) == part]
 
     def local_graph(self, part: int) -> Graph:
         """The structure a worker stores (global id space)."""

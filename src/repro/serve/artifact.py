@@ -27,6 +27,7 @@ full graph; online serve handlers must never touch raw graph state
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -44,7 +45,7 @@ from ..nn.serialize import (
     model_fingerprint,
     state_fingerprint,
 )
-from ..partition.partitioned import PartitionedGraph
+from ..partition.partitioned import PartitionedGraph, owner_vector
 from ..sampling.neighbor import NeighborSampler
 
 #: On-disk schema identifier; bump on any layout change.
@@ -117,11 +118,20 @@ class ServableArtifact:
     def load(cls, path) -> "ServableArtifact":
         """Read and *verify* an artifact written by :meth:`save`.
 
-        Raises ``ValueError`` on schema or checksum mismatch.
+        Raises ``ValueError`` on an unreadable (truncated, not an npz)
+        file, a missing payload key, or a schema or checksum mismatch.
         """
-        state = load_state_dict(path)
-        stored_checksum = str(state.pop("meta.checksum", np.array("")))
-        artifact = cls._from_payload(state)
+        try:
+            state = load_state_dict(path)
+            stored_checksum = str(state.pop("meta.checksum", np.array("")))
+            artifact = cls._from_payload(state)
+        except (zipfile.BadZipFile, EOFError) as exc:
+            raise ValueError(
+                f"servable artifact {path} is unreadable: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(
+                f"servable artifact {path} is missing payload key "
+                f"{exc.args[0]!r}") from exc
         if stored_checksum != state_fingerprint(state):
             raise ValueError(
                 "servable artifact failed its checksum: the file was "
@@ -267,7 +277,7 @@ def artifact_from_table(table: np.ndarray, model_version: str,
     re-shards them after rebalances; this constructor is the shared
     tail of both that path and :func:`export_servable`.
     """
-    assignment = np.asarray(assignment, dtype=np.int64)
+    assignment = owner_vector(assignment, num_parts)
     shard_nodes = [np.flatnonzero(assignment == p)
                    for p in range(num_parts)]
     shard_embeddings = [table[nodes] for nodes in shard_nodes]
@@ -299,6 +309,5 @@ def export_servable(model: LinkPredictionModel,
     # layouts; the master replica under vertex cut) keys the shards.
     return artifact_from_table(
         table, model_fingerprint(model), kind,
-        model.predictor.state_dict(),
-        np.asarray(partitioned.node_owner, dtype=np.int64),
+        model.predictor.state_dict(), partitioned.node_owner,
         partitioned.num_parts)

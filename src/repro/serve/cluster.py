@@ -27,17 +27,14 @@ with every fetch charged to the communication meter.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..distributed.comm import FEATURE_ITEMSIZE, CommMeter
-from ..distributed.routing import ShardRouter, guarded_recv
+from ..distributed.routing import ShardRouter, fan_out, resolve_backend
 from ..distributed.timeline import HardwareModel
-from ..faults.errors import WorkerDiedError, WorkerTimeoutError
 from ..faults.plan import FaultPlan
 from ..nn.tensor import Tensor
 from .artifact import ServableArtifact
@@ -47,22 +44,6 @@ from .scheduler import Flush, MicroBatchScheduler, ServeFaultSchedule
 
 #: Execution backends a cluster can serve on.
 SERVE_BACKENDS = ("serial", "thread", "process")
-
-
-def _resolve_backend(name: str) -> str:
-    """Validate the backend name, degrading ``process`` to ``serial``
-    on platforms without the fork start method (same rule as
-    :func:`repro.distributed.backends.make_backend`)."""
-    if name not in SERVE_BACKENDS:
-        raise ValueError(
-            f"unknown serve backend {name!r}; expected one of "
-            f"{SERVE_BACKENDS}")
-    if name == "process" and "fork" not in mp.get_all_start_methods():
-        warnings.warn(
-            "serve backend 'process' needs the fork start method; "
-            "degrading to 'serial'", RuntimeWarning, stacklevel=3)
-        return "serial"
-    return name
 
 
 class ServingCluster:
@@ -115,7 +96,7 @@ class ServingCluster:
         timeout_s: float = 30.0,
     ) -> None:
         self.artifact = artifact
-        self.backend = _resolve_backend(backend)
+        self.backend = resolve_backend(backend, SERVE_BACKENDS, "serve")
         self.store = store
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_s)
@@ -342,17 +323,19 @@ class ServingCluster:
         by_shard: Dict[int, List[Flush]] = {}
         for flush in flushes:
             by_shard.setdefault(flush.shard, []).append(flush)
-        shards = sorted(by_shard)
-        if self.backend == "serial" or len(shards) <= 1:
-            replies = [self._execute_shard(by_shard[s]) for s in shards]
-        elif self.backend == "thread":
-            with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-                futures = [pool.submit(self._execute_shard, by_shard[s])
-                           for s in shards]
-                replies = [f.result() for f in futures]
-        else:
-            replies = self._execute_forked(shards, by_shard)
-        for reply in replies:
+
+        def run(shard: int) -> List[tuple]:
+            return self._execute_shard(by_shard[shard])
+
+        def fallback(shard: int, exc: Exception) -> List[tuple]:
+            # The plan is frozen, so the parent computes the same bytes.
+            warnings.warn(
+                f"serve replica {shard} failed ({exc}); recomputing its "
+                "flushes in the parent", RuntimeWarning, stacklevel=2)
+            return run(shard)
+
+        for _, reply, _ in fan_out(self.backend, sorted(by_shard), run,
+                                   fallback, self.timeout_s, "serve"):
             for index, score, topk_nodes, topk_scores in reply:
                 outcome = outcomes[index]
                 outcome.score = score
@@ -399,7 +382,7 @@ class ServingCluster:
         pair_u: List[int] = []
         pair_v: List[int] = []
         for index in seqs:
-            request = self._request_of(flush, index)
+            request = flush.meta["requests"][index]
             if isinstance(request, ScoreRequest):
                 pair_seqs.append(index)
                 pair_u.append(request.u)
@@ -435,50 +418,6 @@ class ServingCluster:
             results.append((outcome_index, float(score), None, None))
         return results
 
-    def _request_of(self, flush: Flush, index: int):
-        """The request object for outcome ``index`` in this flush."""
-        return flush.meta["requests"][index]
-
-    def _execute_forked(self, shards: List[int],
-                        by_shard: Dict[int, List[Flush]]) -> List[list]:
-        """Fork one child per shard (copy-on-write table); collect
-        replies in shard order, recomputing in the parent if a child
-        dies — the plan is frozen, so the fallback is bit-identical."""
-        ctx = mp.get_context("fork")
-        procs, conns = [], []
-        for shard in shards:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_serve_child,
-                args=(self, by_shard[shard], child_conn),
-                daemon=True, name=f"repro-serve-{shard}")
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(parent_conn)
-        replies: List[list] = []
-        try:
-            for shard, conn, proc in zip(shards, conns, procs):
-                try:
-                    replies.append(guarded_recv(shard, conn, proc,
-                                                self.timeout_s,
-                                                context="serve"))
-                except (WorkerDiedError, WorkerTimeoutError) as exc:
-                    warnings.warn(
-                        f"serve replica {shard} failed ({exc}); "
-                        "recomputing its flushes in the parent",
-                        RuntimeWarning, stacklevel=2)
-                    replies.append(self._execute_shard(by_shard[shard]))
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - hung child
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-        return replies
-
     # -- phase 3: observability ------------------------------------------
 
     def _observe(self, report: ServeReport, flushes: List[Flush]) -> None:
@@ -506,13 +445,3 @@ class ServingCluster:
         obs.gauge("serve.queue_depth").set(
             report.counters.get("max_queue_depth", 0))
 
-
-def _serve_child(cluster: ServingCluster, flushes: List[Flush],
-                 conn) -> None:
-    """Entry point of a forked serve child: evaluate the shard's
-    frozen flush plan against the inherited (copy-on-write) embedding
-    table and ship the result rows back."""
-    try:
-        conn.send(cluster._execute_shard(flushes))
-    finally:
-        conn.close()

@@ -11,7 +11,8 @@ graph itself evolves:
    and the sync schedules use, so the identical stream replays on
    serial, thread and process backends.
 2. :class:`MutableGraph` + :class:`ShardedState` — incremental graph
-   and shard-store updates.  Deltas patch per-shard edge storage with
+   updates under frozen shard ownership.  Each delta advances the
+   shard layout (re-assembled from the snapshot) with
    every shipped byte charged to the
    :class:`~repro.distributed.comm.CommMeter`; imbalance or
    replication triggers fire a re-partition through the existing

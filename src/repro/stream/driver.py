@@ -5,8 +5,9 @@ pipeline in miniature, run incrementally:
 
 1. **Apply** the tick's :class:`~repro.stream.plan.ArrivalPlan` events
    to the :class:`~repro.stream.mutable.MutableGraph`.
-2. **Patch** shard storage (:class:`~repro.stream.shards.ShardedState`)
-   with the realized delta, charging every shipped byte; fire a
+2. **Advance** the shard layout
+   (:class:`~repro.stream.shards.ShardedState`) to the new snapshot,
+   charging every shipped byte of the realized delta; fire a
    **rebalance** through the partitioner registry when a trigger
    trips (cold swap: the serving cluster is rebuilt).
 3. **Re-embed** on the configured cadence — affected-vertex frontier
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..checkpoint.store import CheckpointStore
-from ..distributed.comm import CommMeter
+from ..distributed.comm import CommMeter, CommRecord
 from ..distributed.store import RemoteGraphStore
 from ..faults.plan import FaultPlan
 from ..graph.graph import Graph
@@ -323,14 +324,12 @@ class StreamDriver:
         snapshot = self.mutable.snapshot()
         self.reembedder.full_refresh(snapshot)
         self.active_artifact = self.reembedder.make_artifact(
-            snapshot, self.sharded.assignment, self.num_parts)
+            snapshot, self.sharded.layout.assignment, self.num_parts)
         self.gate = RolloutGate(auc_floor=cfg.auc_floor)
         self.records: List[TickRecord] = []
         self.counters: Dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
-        self._serve_comm = {"feature_bytes": 0, "structure_bytes": 0,
-                            "sync_bytes": 0}
-        self._base_comm = {"feature_bytes": 0, "structure_bytes": 0,
-                           "sync_bytes": 0}
+        self._serve_comm = CommRecord().to_dict()
+        self._base_comm = CommRecord().to_dict()
         self._cluster: Optional[ServingCluster] = None
         self._ready = True
 
@@ -358,7 +357,7 @@ class StreamDriver:
         events = self.plan.events_at(tick)
         delta = self.mutable.apply(events, tick)
         snapshot = self.mutable.snapshot()
-        self.sharded.apply_delta(delta, self.meter)
+        self.sharded.apply_delta(delta, snapshot, self.meter)
         self.counters["events"] += len(events)
         self.counters["inserted"] += int(delta.inserted.shape[0])
         self.counters["deleted"] += int(delta.deleted.shape[0])
@@ -379,7 +378,7 @@ class StreamDriver:
             # at cluster creation, so a crash/resume that also has to
             # rebuild the cluster does not perturb the digest.
             self.active_artifact = self.reembedder.make_artifact(
-                snapshot, self.sharded.assignment, self.num_parts)
+                snapshot, self.sharded.layout.assignment, self.num_parts)
             self._drop_cluster()
             cold_swapped = True
             self.counters["cold_swaps"] += 1
@@ -400,7 +399,7 @@ class StreamDriver:
                     snapshot, delta.touched_nodes())
             self.counters["reembed_rows"] += reembed_rows
             candidate = self.reembedder.make_artifact(
-                snapshot, self.sharded.assignment, self.num_parts)
+                snapshot, self.sharded.layout.assignment, self.num_parts)
 
         swapped = False
         rolled_back = False
@@ -428,9 +427,8 @@ class StreamDriver:
         report, swap_latency_s = self._serve_tick(tick, snapshot,
                                                   pre_swap,
                                                   swap_candidate)
-        self._serve_comm["feature_bytes"] += report.comm.feature_bytes
-        self._serve_comm["structure_bytes"] += report.comm.structure_bytes
-        self._serve_comm["sync_bytes"] += report.comm.sync_bytes
+        for key, value in report.comm.to_dict().items():
+            self._serve_comm[key] += value
         self.counters["requests"] += report.counters.get("requests", 0)
         self.counters["completed"] += report.counters.get("completed", 0)
         self.counters["shed"] += report.counters.get("shed", 0)
@@ -539,19 +537,18 @@ class StreamDriver:
 
     # -- report ----------------------------------------------------------
 
+    def _stream_comm(self) -> Dict[str, int]:
+        """Bytes the stream itself shipped: what a resumed run inherited
+        plus this process's meter."""
+        total = self.meter.total().to_dict()
+        return {key: self._base_comm[key] + total[key]
+                for key in self._base_comm}
+
     def _build_report(self, wall_s: float) -> StreamReport:
-        total = self.meter.total()
-        comm = {
-            "stream_feature_bytes": (self._base_comm["feature_bytes"]
-                                     + total.feature_bytes),
-            "stream_structure_bytes": (self._base_comm["structure_bytes"]
-                                       + total.structure_bytes),
-            "stream_sync_bytes": (self._base_comm["sync_bytes"]
-                                  + total.sync_bytes),
-            "serve_feature_bytes": self._serve_comm["feature_bytes"],
-            "serve_structure_bytes": self._serve_comm["structure_bytes"],
-            "serve_sync_bytes": self._serve_comm["sync_bytes"],
-        }
+        comm = {f"stream_{key}": value
+                for key, value in self._stream_comm().items()}
+        comm.update((f"serve_{key}", value)
+                    for key, value in self._serve_comm.items())
         return StreamReport(
             backend=self.backend, plan_name=self.plan.name,
             records=list(self.records), counters=dict(self.counters),
@@ -563,7 +560,6 @@ class StreamDriver:
 
     def _write_checkpoint(self, tick: int) -> None:
         """Durably snapshot everything resume needs (atomic WAL)."""
-        total = self.meter.total()
         meta = {
             "schema": STREAM_STATE_SCHEMA,
             "config": self.config.to_dict(),
@@ -576,14 +572,7 @@ class StreamDriver:
             "counters": dict(self.counters),
             "records": [r.to_dict() for r in self.records],
             "serve_comm": dict(self._serve_comm),
-            "stream_comm": {
-                "feature_bytes": (self._base_comm["feature_bytes"]
-                                  + total.feature_bytes),
-                "structure_bytes": (self._base_comm["structure_bytes"]
-                                    + total.structure_bytes),
-                "sync_bytes": (self._base_comm["sync_bytes"]
-                               + total.sync_bytes),
-            },
+            "stream_comm": self._stream_comm(),
             "active_version": self.active_artifact.model_version,
             "reembed_rows_total": self.reembedder.rows_recomputed,
         }
@@ -651,7 +640,7 @@ class StreamDriver:
             np.asarray(state["stream.active.table"],
                        dtype=np.float64).copy(),
             str(meta["active_version"]), predictor_kind_of(model),
-            model.predictor.state_dict(), driver.sharded.assignment,
+            model.predictor.state_dict(), driver.sharded.layout.assignment,
             int(meta["num_parts"]))
         driver.gate = RolloutGate(auc_floor=config.auc_floor)
         driver.records = [TickRecord.from_dict(r)

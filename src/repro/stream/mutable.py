@@ -7,7 +7,7 @@ drift touch storage.  It keeps its own edge set and its own feature
 matrix (copies, never views of a ``Graph``), applies
 :class:`~repro.stream.plan.StreamEvent` batches, and emits immutable
 :class:`Graph` snapshots plus a :class:`GraphDelta` describing exactly
-what changed — the delta is what drives per-shard CSR patching,
+what changed — the delta is what drives shard-layout updates,
 communication accounting and frontier re-embedding downstream.
 """
 

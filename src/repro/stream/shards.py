@@ -1,49 +1,32 @@
-"""Incremental partitioned storage: per-shard CSR patching.
+"""Streaming shard state: frozen ownership over a moving graph.
 
-:class:`ShardedState` is the streaming counterpart of
-:class:`~repro.partition.partitioned.PartitionedGraph`: it owns the
-same ownership model (node layouts with and without SpLPG mirroring,
-and vertex-cut edge layouts with master/mirror replicas) but applies
-:class:`~repro.stream.mutable.GraphDelta` batches *incrementally* —
-only shards that store a touched edge or node rebuild their CSR, and
-every shipped byte of the delta is charged to a
-:class:`~repro.distributed.comm.CommMeter`:
+:class:`ShardedState` keeps what is genuinely incremental about a
+partitioned stream — *who owns what* — and nothing else.  Its
+``layout`` is a plain
+:class:`~repro.partition.partitioned.PartitionedGraph`, re-assembled
+every tick from the tick's snapshot by the placement rule the static
+builders use (``PartitionedGraph.assemble``), so between rebalances
+``layout`` *is* what a from-scratch build on the carried ownership
+would produce.  Carried from tick to tick:
 
-* structure bytes — each inserted/deleted edge is announced to every
-  shard that stores it (edge id pair per shard, the same
-  ``structure_nbytes`` formula training uses);
-* feature bytes — each drifted feature row is pushed to every replica
-  holding that node's features.
+* the node→shard ``assignment``, fixed between rebalances (under
+  vertex cut: the frozen *masters* — no global argmax re-runs while
+  edges come and go);
+* under vertex cut, the per-edge owners: surviving edges keep theirs
+  and a new edge is assigned online, so ownership stays deterministic
+  and stable while replicas grow.
 
-**Node layouts are exact**: between rebalances the node→shard
-assignment is fixed, so incremental application provably converges to
-what :meth:`PartitionedGraph.build` would produce from scratch (the
-test suite asserts set-level equality after arbitrary churn).
-**Vertex-cut layouts freeze masters** between rebalances: a new edge
-is assigned online (common replica of both endpoints → least-loaded →
-lowest shard id) without re-running the global argmax, so ownership
-stays deterministic and stable while replicas grow — exactly the
-drift the *rebalancing triggers* watch:
-
-* ``edge_imbalance()`` — max/mean owned edges per shard;
-* ``replication_factor()`` — average replicas per node.
-
-When a trigger fires, :meth:`rebalance` re-runs the configured
-strategy through the :mod:`partitioner registry
-<repro.partition.registry>` on the current snapshot, charges the
-migration (every feature row and edge that lands on a new shard) and
-resets the frozen state — after which vertex-cut equals a from-scratch
-build again.
-
-This module is, with :mod:`repro.stream.mutable`, a sanctioned
-exemption of lint rule R111 (unmanaged graph mutation): it may patch
-graph-shaped arrays in place because it *is* the managed apply path.
+Every shipped byte is charged to a
+:class:`~repro.distributed.comm.CommMeter`.  Replica growth and skewed
+edge ownership are what the *rebalancing triggers* watch; when one
+fires, :meth:`ShardedState.rebalance` re-runs the configured strategy
+through the :mod:`partitioner registry <repro.partition.registry>`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -52,20 +35,21 @@ from ..graph.graph import Graph
 from ..partition.partitioned import PartitionedGraph
 from ..partition.registry import PartitionSpec
 from .errors import StreamError
-from .mutable import GraphDelta, _edge_array
+from .mutable import GraphDelta
 
-EdgeKey = Tuple[int, int]
+
+def _edge_keys(edges: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Canonical ``(m, 2)`` edge rows as sortable scalar keys."""
+    return edges[:, 0] * num_nodes + edges[:, 1]
 
 
 class ShardedState:
     """Evolving shard storage over a fixed node universe.
 
     Built once from a :class:`~repro.partition.registry.PartitionSpec`
-    and thereafter patched delta-by-delta.  All mutation goes through
-    :meth:`apply_delta` / :meth:`rebalance`; reads go through
-    :meth:`as_partitioned`, which assembles a fully consistent
-    :class:`PartitionedGraph` (rebuilding only the CSRs of shards the
-    last deltas dirtied).
+    and thereafter advanced by :meth:`apply_delta` / :meth:`rebalance`,
+    each of which replaces ``layout``; every read — storage, ownership,
+    replicas — goes through ``layout``.
     """
 
     def __init__(self, graph: Graph, spec: PartitionSpec,
@@ -73,310 +57,169 @@ class ShardedState:
         if num_parts < 1:
             raise StreamError("num_parts must be >= 1")
         self.spec = spec
-        self.num_parts = int(num_parts)
-        self.num_nodes = graph.num_nodes
         self.seed = int(seed)
         self.rebalances = 0
-        self._fdim = graph.feature_dim
-        self._init_from_build(
-            spec.build(graph, num_parts,
-                       rng=np.random.default_rng((seed, 0, 97))))
+        self.layout: PartitionedGraph = spec.build(
+            graph, int(num_parts), rng=np.random.default_rng((seed, 0, 97)))
 
-    # -- construction ----------------------------------------------------
-
-    def _init_from_build(self, built: PartitionedGraph) -> None:
-        """Adopt a freshly built layout as the new frozen baseline."""
-        self.mirror = built.mirror
-        self.edge_partitioned = built.edge_partitioned
-        self.assignment = built.assignment.copy()
-        edges = built.full.edge_list()
-        self.edge_owner: Dict[EdgeKey, int] = {}
-        if self.edge_partitioned:
-            for (u, v), part in zip(edges, built.edge_assignment):
-                self.edge_owner[(int(u), int(v))] = int(part)
-        self.shard_edges: List[Set[EdgeKey]] = [
-            set() for _ in range(self.num_parts)]
-        for u, v in edges:
-            key = (int(u), int(v))
-            for part in self._storing_parts(key):
-                self.shard_edges[part].add(key)
-        self._shard_graphs: List[Optional[Graph]] = (
-            [None] * self.num_parts)
-        self._dirty = set(range(self.num_parts))
-        # Owned counts cover *every* current edge (the disjoint edge
-        # cover), including cut edges a non-mirrored layout stores
-        # nowhere — that keeps the imbalance trigger honest.
-        self._owned_counts = np.zeros(self.num_parts, dtype=np.int64)
-        for u, v in edges:
-            self._owned_counts[
-                self._edge_cover_owner((int(u), int(v)))] += 1
-
-    def _storing_parts(self, key: EdgeKey) -> Tuple[int, ...]:
-        """Shards that store edge ``key`` under the current layout."""
-        u, v = key
-        if self.edge_partitioned:
-            return (self.edge_owner[key],)
-        pu = int(self.assignment[u])
-        pv = int(self.assignment[v])
-        if self.mirror:
-            return (pu,) if pu == pv else (pu, pv)
-        return (pu,) if pu == pv else ()
-
-    # -- delta application (the incremental hot path) --------------------
-
-    def apply_delta(self, delta: GraphDelta,
+    def apply_delta(self, delta: GraphDelta, snapshot: Graph,
                     meter: Optional[CommMeter] = None) -> None:
-        """Patch shard storage with one tick's realized delta.
+        """Advance the layout to ``snapshot``, the graph ``delta`` led to.
 
-        Inserted edges join (and deleted edges leave) every storing
-        shard's edge set; each change is charged as one structure
-        answer per storing shard.  Drifted feature rows are charged to
-        every replica of the node.  Touched shards are marked dirty;
-        their CSRs rebuild lazily on the next read.
+        Inserted edges are charged before deleted ones, each announced
+        to every shard that stores it (an edge id pair per shard, the
+        ``structure_nbytes`` formula training uses; vertex cut assigns
+        an inserted edge its owner online).  The layout is then
+        re-assembled on the carried ownership and each drifted feature
+        row is charged to every shard that now replicates the node.
         """
-        feature_dim = self._feature_dim
-        for u, v in delta.inserted:
-            key = (int(u), int(v))
-            parts = self._insert_parts(key)
-            for part in parts:
-                self.shard_edges[part].add(key)
-                self._dirty.add(part)
-            if meter is not None and parts:
-                meter.charge_structure(num_edges=len(parts),
-                                       num_queried_nodes=len(parts))
-            owner = self._edge_cover_owner(key)
-            self._owned_counts[owner] += 1
-        for u, v in delta.deleted:
-            key = (int(u), int(v))
-            owner = self._edge_cover_owner(key)
-            parts = [part for part in range(self.num_parts)
-                     if key in self.shard_edges[part]]
-            for part in parts:
-                self.shard_edges[part].remove(key)
-                self._dirty.add(part)
-            if meter is not None and parts:
-                meter.charge_structure(num_edges=len(parts),
-                                       num_queried_nodes=len(parts))
-            self._owned_counts[owner] -= 1
-            self.edge_owner.pop(key, None)
-        if delta.drifted.size and feature_dim:
-            rows = 0
-            for node in delta.drifted:
-                rows += len(self.replicas_of(int(node)))
+        old = self.layout
+        expected = (old.full.num_edges + delta.inserted.shape[0]
+                    - delta.deleted.shape[0])
+        if expected != snapshot.num_edges:
+            raise StreamError(
+                "sharded state is out of sync with the snapshot: expected "
+                f"{expected} edge(s), it has {snapshot.num_edges} — apply "
+                "the same deltas to both")
+        edge_owner = (self._carry_edge_owners(delta, snapshot)
+                      if old.edge_partitioned else None)
+        if meter is not None:
+            for edges in (delta.inserted, delta.deleted):
+                for k in self._storing_shards(edges).tolist():
+                    if k:
+                        meter.charge_structure(num_edges=k,
+                                               num_queried_nodes=k)
+        self.layout = PartitionedGraph.assemble(
+            snapshot, old.assignment, old.num_parts, old.mirror, edge_owner)
+        if delta.drifted.size and snapshot.feature_dim:
+            rows = int(self.layout.replica_mask()[:, delta.drifted].sum())
             if meter is not None and rows:
-                meter.charge_features(rows, feature_dim)
+                meter.charge_features(rows, snapshot.feature_dim)
 
-    def _insert_parts(self, key: EdgeKey) -> Tuple[int, ...]:
-        """Storing shards of a *new* edge, assigning ownership online.
-
-        Vertex-cut picks the owner deterministically without moving
-        any master: a shard already replicating both endpoints wins
-        (fewest owned edges, then lowest id); otherwise the less
-        loaded of the two endpoint masters.
+    def _carry_edge_owners(self, delta: GraphDelta,
+                           snapshot: Graph) -> np.ndarray:
+        """Vertex-cut owners of ``snapshot``'s edges: survivors keep
+        theirs, inserted edges are assigned online in delta order and
+        no master moves — a shard already replicating both endpoints
+        wins (insertions earlier in the same tick count; fewest owned
+        edges, then lowest id), else the less loaded endpoint master.
         """
-        if not self.edge_partitioned:
-            return self._storing_parts(key)
-        u, v = key
-        shared = [part for part in range(self.num_parts)
-                  if key[0] in self._replica_cache(part)
-                  and key[1] in self._replica_cache(part)]
-        candidates = shared or sorted(
-            {int(self.assignment[u]), int(self.assignment[v])})
-        owner = min(candidates,
-                    key=lambda p: (int(self._owned_counts[p]), p))
-        self.edge_owner[key] = owner
-        return (owner,)
+        old = self.layout
+        stored = old.replica_mask()
+        counts = np.bincount(old.edge_assignment, minlength=old.num_parts)
+        assigned = np.empty(delta.inserted.shape[0], dtype=np.int64)
+        for j, (u, v) in enumerate(delta.inserted):
+            shared = np.flatnonzero(stored[:, u] & stored[:, v])
+            candidates = shared if shared.size else np.unique(
+                old.assignment[[u, v]])
+            # Candidates ascend, so argmin's first minimum is the
+            # lowest shard id among the least loaded.
+            part = candidates[np.argmin(counts[candidates])]
+            assigned[j] = part
+            counts[part] += 1
+            stored[part, [u, v]] = True
+        # Look every snapshot edge up among the old and the inserted
+        # edges; the stable sort puts a re-inserted edge after its old
+        # self, so the right-most match is the owner that counts.
+        n = snapshot.num_nodes
+        known = np.concatenate([_edge_keys(old.full.edge_list(), n),
+                                _edge_keys(delta.inserted, n)])
+        order = np.argsort(known, kind="stable")
+        keys = _edge_keys(snapshot.edge_list(), n)
+        at = order[np.searchsorted(known[order], keys, side="right") - 1]
+        if np.any(known[at] != keys):
+            raise StreamError(
+                "sharded state is out of sync with the snapshot: the "
+                "carried edge owners do not cover its edge list")
+        return np.concatenate([old.edge_assignment, assigned])[at]
 
-    def _edge_cover_owner(self, key: EdgeKey) -> int:
-        """The shard charged with ``key`` in the disjoint edge cover."""
-        if self.edge_partitioned:
-            return self.edge_owner[key]
-        return int(self.assignment[key[0]])
-
-    def _replica_cache(self, part: int) -> Set[int]:
-        """Nodes shard ``part`` currently stores (features included).
-
-        Endpoints of every stored edge, plus every node mastered here
-        — which reduces to exactly the :class:`PartitionedGraph` rule
-        in all three layouts (non-mirror: owned only; mirror: owned +
-        halo; vertex cut: endpoints + the frozen-master fallback that
-        keeps coverage total when a master loses its local edges).
-        """
-        nodes: Set[int] = set()
-        for u, v in self.shard_edges[part]:
-            nodes.add(u)
-            nodes.add(v)
-        nodes.update(np.flatnonzero(self.assignment == part).tolist())
-        return nodes
-
-    @property
-    def _feature_dim(self) -> int:
-        return self._fdim
-
-    # -- ownership queries ----------------------------------------------
-
-    def replicas_of(self, node: int) -> List[int]:
-        """Shards storing ``node``'s features, ascending shard id."""
-        out = []
-        for part in range(self.num_parts):
-            if node in self._replica_cache(part):
-                out.append(part)
-        return out
-
-    def stored_nodes(self, part: int) -> np.ndarray:
-        """Sorted node ids shard ``part`` stores."""
-        return np.array(sorted(self._replica_cache(part)),
-                        dtype=np.int64)
-
-    # -- rebalancing triggers --------------------------------------------
+    def _storing_shards(self, edges: np.ndarray) -> np.ndarray:
+        """How many shards store each of ``edges`` under the carried
+        ownership: its one owner (vertex cut), both endpoint owners
+        (mirror), or the common owner if there is one (plain)."""
+        layout = self.layout
+        if layout.edge_partitioned:
+            return np.ones(edges.shape[0], dtype=np.int64)
+        owner = layout.assignment
+        cut = owner[edges[:, 0]] != owner[edges[:, 1]]
+        return 1 + cut if layout.mirror else 1 - cut
 
     def edge_imbalance(self) -> float:
-        """Max/mean owned edges per shard (1.0 = perfectly balanced)."""
-        counts = self._owned_counts.astype(np.float64)
-        mean = counts.mean() if counts.size else 0.0
-        if mean <= 0:
-            return 1.0
-        return float(counts.max() / mean)
-
-    def replication_factor(self) -> float:
-        """Average number of shards storing each node's features."""
-        total = sum(len(self._replica_cache(p))
-                    for p in range(self.num_parts))
-        return total / max(self.num_nodes, 1)
+        """Max/mean owned edges per shard (1.0 = perfectly balanced),
+        over the whole disjoint edge cover — cut edges a plain layout
+        stores nowhere included, which keeps the trigger honest."""
+        counts = np.bincount(self.layout.edge_cover(),
+                             minlength=self.layout.num_parts)
+        mean = counts.mean()
+        return float(counts.max() / mean) if mean > 0 else 1.0
 
     def needs_rebalance(self, imbalance_threshold: float,
                         replication_threshold: float) -> Optional[str]:
-        """The firing trigger's name, or ``None`` when balanced.
-
-        A threshold of 0 disables that trigger.
-        """
-        if (imbalance_threshold > 0
-                and self.edge_imbalance() > imbalance_threshold):
-            return (f"edge_imbalance {self.edge_imbalance():.3f} > "
-                    f"{imbalance_threshold:.3f}")
-        if (replication_threshold > 0
-                and self.replication_factor() > replication_threshold):
-            return (f"replication_factor "
-                    f"{self.replication_factor():.3f} > "
-                    f"{replication_threshold:.3f}")
+        """The firing trigger, or ``None`` when balanced (a threshold
+        of 0 disables that trigger)."""
+        for name, threshold, measure in (
+                ("edge_imbalance", imbalance_threshold, self.edge_imbalance),
+                ("replication_factor", replication_threshold,
+                 self.layout.replication_factor)):
+            if threshold > 0 and measure() > threshold:
+                return f"{name} {measure():.3f} > {threshold:.3f}"
         return None
 
     def rebalance(self, graph: Graph, tick: int,
                   meter: Optional[CommMeter] = None) -> Dict[str, int]:
         """Re-partition the current snapshot through the registry.
 
-        Runs the spec's strategy with an rng derived from
-        ``(seed, tick, salt)`` — deterministic across backends and
-        across resume — then charges migration: every (shard, edge)
-        newly stored ships as structure, every (shard, node) whose
-        features newly land ships as one feature row.  Returns the
-        migration tally.
+        The strategy's rng derives from ``(seed, tick, salt)`` —
+        deterministic across backends and across resume.  Migration is
+        charged and returned: every (shard, edge) newly stored ships as
+        structure, every (shard, node) newly replicated as a feature row.
         """
-        old_edges = [set(s) for s in self.shard_edges]
-        old_nodes = [self._replica_cache(p)
-                     for p in range(self.num_parts)]
-        built = self.spec.build(
-            graph, self.num_parts,
+        old = self.layout
+        new = self.layout = self.spec.build(
+            graph, old.num_parts,
             rng=np.random.default_rng((self.seed, tick, 131)))
-        self._init_from_build(built)
         self.rebalances += 1
-        moved_edges = 0
-        moved_rows = 0
-        for part in range(self.num_parts):
-            moved_edges += len(self.shard_edges[part] - old_edges[part])
-            moved_rows += len(self._replica_cache(part)
-                              - old_nodes[part])
+        n = graph.num_nodes
+        moved_edges = sum(
+            int((~np.isin(_edge_keys(new.parts[p].edge_list(), n),
+                          _edge_keys(old.parts[p].edge_list(), n))).sum())
+            for p in range(old.num_parts))
+        moved_rows = int((new.replica_mask() & ~old.replica_mask()).sum())
         if meter is not None:
             if moved_edges:
                 meter.charge_structure(num_edges=moved_edges,
                                        num_queried_nodes=moved_edges)
-            if moved_rows and self._feature_dim:
-                meter.charge_features(moved_rows, self._feature_dim)
+            if moved_rows and graph.feature_dim:
+                meter.charge_features(moved_rows, graph.feature_dim)
         return {"moved_edges": moved_edges, "moved_rows": moved_rows}
 
-    # -- assembly --------------------------------------------------------
-
-    def as_partitioned(self, graph: Graph) -> PartitionedGraph:
-        """A consistent :class:`PartitionedGraph` over ``graph``.
-
-        ``graph`` must be the snapshot the applied deltas evolved to
-        (its edge set is validated against the shard cover).  Only
-        dirty shards rebuild their CSR; clean shards reuse the cached
-        ``Graph`` object from the previous assembly.
-        """
-        current = {tuple(int(x) for x in row)
-                   for row in graph.edge_list()}
-        covered = set()
-        for part in range(self.num_parts):
-            covered |= self.shard_edges[part]
-        if self.edge_partitioned or self.mirror:
-            if covered != current:
-                raise StreamError(
-                    "sharded state is out of sync with the snapshot: "
-                    f"{len(covered ^ current)} edge(s) differ — apply "
-                    "the same deltas to both")
-        for part in sorted(self._dirty):
-            self._shard_graphs[part] = Graph.from_edges(
-                self.num_nodes, _edge_array(self.shard_edges[part]))
-        self._dirty.clear()
-        feature_mask = np.zeros((self.num_parts, self.num_nodes),
-                                dtype=bool)
-        local_nodes: List[np.ndarray] = []
-        for part in range(self.num_parts):
-            stored = self.stored_nodes(part)
-            local_nodes.append(stored)
-            feature_mask[part, stored] = True
-        edge_assignment = None
-        if self.edge_partitioned:
-            ordered = sorted(current)
-            edge_assignment = np.array(
-                [self.edge_owner[key] for key in ordered],
-                dtype=np.int64)
-        return PartitionedGraph(
-            full=graph, assignment=self.assignment.copy(),
-            num_parts=self.num_parts,
-            mirror=self.mirror or self.edge_partitioned,
-            parts=[g for g in self._shard_graphs],
-            local_feature_nodes=local_nodes,
-            _feature_mask=feature_mask,
-            edge_partitioned=self.edge_partitioned,
-            edge_assignment=edge_assignment)
-
-    # -- identity / persistence ------------------------------------------
-
     def fingerprint(self) -> str:
-        """Content hash of the layout (hex sha256).
-
-        Covers the assignment vector and every shard's sorted edge
-        set; two states agree exactly when every future
-        :meth:`as_partitioned` call would store identical bytes.
+        """Content hash of the layout (hex sha256): the assignment and
+        every shard's sorted edge list (plus the per-edge owners under
+        vertex cut).  Equal exactly when the layouts store equal bytes.
         """
+        layout = self.layout
         digest = hashlib.sha256()
-        digest.update(np.int64([self.num_parts, self.rebalances,
-                                int(self.edge_partitioned),
-                                int(self.mirror)]).tobytes())
-        digest.update(self.assignment.astype(np.int64).tobytes())
-        for part in range(self.num_parts):
-            digest.update(_edge_array(self.shard_edges[part]).tobytes())
-        if self.edge_partitioned:
-            ordered = sorted(self.edge_owner)
-            digest.update(_edge_array(ordered).tobytes())
-            digest.update(np.array([self.edge_owner[k] for k in ordered],
-                                   dtype=np.int64).tobytes())
+        digest.update(np.int64([layout.num_parts, self.rebalances,
+                                int(layout.edge_partitioned),
+                                int(layout.mirror)]).tobytes())
+        digest.update(layout.assignment.astype(np.int64).tobytes())
+        for part in layout.parts:
+            digest.update(part.edge_list().tobytes())
+        if layout.edge_partitioned:
+            digest.update(layout.full.edge_list().tobytes())
+            digest.update(layout.edge_assignment.tobytes())
         return digest.hexdigest()
 
     def state_arrays(self) -> dict:
         """Flat array dict for checkpointing."""
-        state = {
-            "stream.shards.assignment": self.assignment.copy(),
-            "stream.shards.rebalances": np.array(self.rebalances,
-                                                 dtype=np.int64),
-        }
-        if self.edge_partitioned:
-            ordered = sorted(self.edge_owner)
-            state["stream.shards.owner_edges"] = _edge_array(ordered)
-            state["stream.shards.owner_parts"] = np.array(
-                [self.edge_owner[k] for k in ordered], dtype=np.int64)
+        layout = self.layout
+        state = {"stream.shards.assignment": layout.assignment,
+                 "stream.shards.rebalances": np.array(self.rebalances,
+                                                      dtype=np.int64)}
+        if layout.edge_partitioned:
+            state["stream.shards.owner_edges"] = layout.full.edge_list()
+            state["stream.shards.owner_parts"] = layout.edge_assignment
         return state
 
     @classmethod
@@ -386,37 +229,25 @@ class ShardedState:
         """Rebuild from :meth:`state_arrays` plus the live snapshot.
 
         The frozen assignment (and, for vertex cut, the per-edge
-        ownership) is restored verbatim rather than re-partitioned, so
-        a resumed stream continues from the *same* layout the
-        interrupted run had — the requirement for bit-identical
-        resume.
+        ownership) is restored verbatim rather than re-partitioned: a
+        resumed stream continues from the *same* layout, which
+        bit-identical resume requires.
         """
         obj = cls.__new__(cls)
-        obj.spec = spec
-        obj.num_parts = int(num_parts)
-        obj.num_nodes = graph.num_nodes
-        obj.seed = int(seed)
-        obj._fdim = graph.feature_dim
+        obj.spec, obj.seed = spec, int(seed)
         obj.rebalances = int(state["stream.shards.rebalances"])
-        obj.mirror = spec.mirror or spec.edge_partitioned
-        obj.edge_partitioned = spec.edge_partitioned
-        obj.assignment = np.asarray(state["stream.shards.assignment"],
-                                    dtype=np.int64).copy()
-        obj.edge_owner = {}
-        if obj.edge_partitioned:
-            owner_edges = state["stream.shards.owner_edges"]
-            owner_parts = state["stream.shards.owner_parts"]
-            for (u, v), part in zip(owner_edges, owner_parts):
-                obj.edge_owner[(int(u), int(v))] = int(part)
-        obj.shard_edges = [set() for _ in range(obj.num_parts)]
-        for u, v in graph.edge_list():
-            key = (int(u), int(v))
-            for part in obj._storing_parts(key):
-                obj.shard_edges[part].add(key)
-        obj._shard_graphs = [None] * obj.num_parts
-        obj._dirty = set(range(obj.num_parts))
-        obj._owned_counts = np.zeros(obj.num_parts, dtype=np.int64)
-        for u, v in graph.edge_list():
-            obj._owned_counts[
-                obj._edge_cover_owner((int(u), int(v)))] += 1
+        edge_owner = None
+        if spec.edge_partitioned:
+            if not np.array_equal(state["stream.shards.owner_edges"],
+                                  graph.edge_list()):
+                raise StreamError(
+                    "checkpointed edge owners do not match the "
+                    "snapshot's edge list")
+            edge_owner = np.asarray(state["stream.shards.owner_parts"],
+                                    dtype=np.int64)
+        obj.layout = PartitionedGraph.assemble(
+            graph, np.asarray(state["stream.shards.assignment"],
+                              dtype=np.int64),
+            int(num_parts), spec.mirror or spec.edge_partitioned,
+            edge_owner)
         return obj

@@ -1,9 +1,11 @@
-"""Committed golden ``TrainResult.digest()`` values (scripts/golden.py).
+"""Committed golden digests (scripts/golden.py).
 
-Tier-1 recomputes a small slice of the matrix — every backend x sync
-mode fault-free, and the mixed fault plan under each recovery policy on
-the serial and process backends — and checks the committed file's own
-cross-backend invariants.  ``scripts/ci.sh`` checks all 512 cells.
+Tier-1 recomputes a small slice of the training matrix — every backend
+x sync mode fault-free, and the mixed fault plan under each recovery
+policy on the serial and process backends — and checks the committed
+file's own cross-backend invariants; ``scripts/ci.sh`` checks all 512
+cells.  The stream cells (three shard layouts x steady/churn, a process
+cell, a resumed cell) are cheap enough to recompute in full.
 """
 
 import sys
@@ -53,3 +55,21 @@ def test_observation_does_not_change_the_digest(committed):
     assert len(observed) == 20
     for name in observed:
         assert committed[name] == committed[name[:-len("/observed")]]
+
+
+@pytest.fixture(scope="module")
+def committed_stream():
+    return golden.load_stream_golden()
+
+
+def test_stream_cells_match_committed_digests(committed_stream):
+    cells = golden.stream_cells()
+    assert set(committed_stream) == {cell.name for cell in cells}
+    got = golden.compute_stream(cells)
+    assert golden.diff(committed_stream, got) == []
+
+
+def test_stream_backend_and_resume_do_not_change_the_cell(committed_stream):
+    for name, value in committed_stream.items():
+        layout, regime = name.split("/")[1:3]
+        assert value == committed_stream[f"stream/{layout}/{regime}/serial"]

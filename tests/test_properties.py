@@ -14,11 +14,13 @@ from repro.partition import (
     metis_partition,
     random_tma_partition,
 )
+from repro.partition.registry import PartitionSpec
 from repro.sparsify import (
     approx_effective_resistance,
     sampling_probabilities,
     spielman_srivastava_sparsify,
 )
+from repro.stream import MutableGraph, ShardedState, StreamEvent
 
 common_settings = settings(
     max_examples=30,
@@ -147,6 +149,88 @@ class TestPartitionProperties:
             graph.num_edges - cut
         assert sum(p.num_edges for p in mirrored.parts) == \
             graph.num_edges + cut
+
+
+@st.composite
+def event_ticks(draw, num_nodes):
+    """A few ticks of arbitrary insert/delete/drift events; the same
+    edge may be inserted and deleted (in either order) within a tick."""
+    node = st.integers(0, num_nodes - 1)
+    edge = st.tuples(node, node).filter(lambda e: e[0] != e[1])
+    event = st.one_of(
+        st.tuples(st.sampled_from(["insert", "delete"]), edge),
+        st.tuples(st.just("drift"), node))
+    ticks = draw(st.lists(st.lists(event, max_size=8), min_size=1,
+                          max_size=5))
+    return [[StreamEvent(kind, t, *target) if kind != "drift"
+             else StreamEvent(kind, t, target, scale=0.25)
+             for kind, target in events]
+            for t, events in enumerate(ticks)]
+
+
+def _owner_by_edge(layout):
+    return {tuple(e): int(p) for e, p in zip(
+        layout.full.edge_list().tolist(), layout.edge_cover())}
+
+
+class TestShardedStateProperties:
+    """Arbitrary delta sequences keep the carried layout equal to a
+    from-scratch placement on the carried ownership."""
+
+    @common_settings
+    @given(st.data(), random_graphs(min_nodes=8, max_nodes=20),
+           st.sampled_from([PartitionSpec("metis"),
+                            PartitionSpec("metis", mirror=True),
+                            PartitionSpec("vertex_cut")]),
+           st.integers(0, 2**31 - 1))
+    def test_layout_tracks_arbitrary_deltas(self, data, g, spec, seed):
+        n, edges = g
+        features = np.random.default_rng(seed).standard_normal((n, 3))
+        mutable = MutableGraph(Graph.from_edges(n, edges,
+                                                features=features))
+        sharded = ShardedState(mutable.snapshot(), spec, 3, seed)
+        masters = sharded.layout.assignment.copy()
+        for tick, events in enumerate(data.draw(event_ticks(n))):
+            before = _owner_by_edge(sharded.layout)
+            delta = mutable.apply(events, tick)
+            snap = mutable.snapshot()
+            sharded.apply_delta(delta, snap)
+            layout = sharded.layout
+
+            # Masters never move between rebalances.
+            assert np.array_equal(layout.assignment, masters)
+            # The edge cover is total and disjoint, and a surviving
+            # edge keeps its owner (inserted ones get theirs online).
+            cover = _owner_by_edge(layout)
+            assert list(cover) == [tuple(e) for e in
+                                   snap.edge_list().tolist()]
+            inserted = {tuple(e) for e in delta.inserted.tolist()}
+            assert all(cover[e] == before[e]
+                       for e in cover if e not in inserted)
+            # The layout is the from-scratch placement on the carried
+            # ownership, array for array.
+            if spec.edge_partitioned:
+                for part, graph in enumerate(layout.parts):
+                    assert np.array_equal(graph.edge_list(),
+                                          layout.owned_edges(part))
+                scratch = PartitionedGraph.assemble(
+                    snap, masters, 3, True, layout.edge_assignment)
+            else:
+                scratch = PartitionedGraph.build(snap, masters, 3,
+                                                 spec.mirror)
+            for part in range(3):
+                assert np.array_equal(layout.parts[part].indptr,
+                                      scratch.parts[part].indptr)
+                assert np.array_equal(layout.parts[part].indices,
+                                      scratch.parts[part].indices)
+                assert np.array_equal(layout.stored_nodes(part),
+                                      scratch.stored_nodes(part))
+            assert np.array_equal(layout.replica_mask(),
+                                  scratch.replica_mask())
+            # Checkpoint round trip.
+            clone = ShardedState.from_state_arrays(
+                sharded.state_arrays(), snap, spec, 3, seed)
+            assert clone.fingerprint() == sharded.fingerprint()
 
 
 class TestAutogradProperties:

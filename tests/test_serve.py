@@ -82,6 +82,30 @@ class TestArtifact:
         with pytest.raises(ValueError, match="checksum"):
             ServableArtifact.load(path)
 
+    def test_missing_payload_key_is_a_value_error(self, served, tmp_path):
+        """Drop a block and re-stamp the checksum: integrity passes,
+        so the loader itself must name the missing key."""
+        from repro.nn.serialize import (load_state_dict, save_state_dict,
+                                        state_fingerprint)
+
+        _, artifact, _, _ = served
+        path = tmp_path / "partial.npz"
+        artifact.save(path)
+        state = load_state_dict(path)
+        del state["shard.0001.embed"], state["meta.checksum"]
+        state["meta.checksum"] = np.array(state_fingerprint(state))
+        save_state_dict(state, path)
+        with pytest.raises(ValueError, match="shard.0001.embed"):
+            ServableArtifact.load(path)
+
+    def test_truncated_file_is_a_value_error(self, served, tmp_path):
+        _, artifact, _, _ = served
+        path = tmp_path / "truncated.npz"
+        artifact.save(path)
+        path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(ValueError, match="truncated.npz"):
+            ServableArtifact.load(path)
+
     def test_export_is_deterministic(self, served):
         session, artifact, _, _ = served
         again = session.export()

@@ -105,6 +105,13 @@ class TestSparsifiedRemoteStore:
         feats = store.fetch_features(np.array([3]), None)
         assert np.allclose(feats, graph.features[[3]])
 
+    def test_owner_without_a_sparsified_copy_rejected(self, setup):
+        graph, pg, sparsified = setup
+        owners = pg.node_owner.copy()
+        owners[0] = len(sparsified.graphs)
+        with pytest.raises(ValueError, match="ids in"):
+            SparsifiedRemoteStore(graph, sparsified.graphs, owners)
+
 
 class TestWorkerGraphView:
     def test_local_owned_query_free(self, setup):

@@ -1,4 +1,4 @@
-"""ShardedState: incremental shard patching vs. from-scratch builds."""
+"""ShardedState: the carried layout vs. from-scratch builds."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,14 @@ from repro.distributed.comm import CommMeter, feature_nbytes
 from repro.graph import synthetic_lp_graph
 from repro.partition.partitioned import PartitionedGraph
 from repro.partition.registry import PartitionSpec
-from repro.stream import ArrivalPlan, MutableGraph, ShardedState
+from repro.stream import (ArrivalPlan, MutableGraph, ShardedState,
+                          StreamEvent)
 from repro.stream.errors import StreamError
+
+LAYOUTS = pytest.mark.parametrize(
+    "spec", [PartitionSpec("metis"), PartitionSpec("metis", mirror=True),
+             PartitionSpec("vertex_cut")],
+    ids=["plain", "mirror", "vertex_cut"])
 
 
 def _graph(seed=0, nodes=40, edges=120):
@@ -26,7 +32,7 @@ def _churn(spec, ticks=5, seed=3):
                                 deletes_per_tick=2.0)
     for tick in range(ticks):
         delta = mutable.apply(plan.events_at(tick), tick)
-        sharded.apply_delta(delta)
+        sharded.apply_delta(delta, mutable.snapshot())
     return mutable, sharded
 
 
@@ -44,22 +50,13 @@ class TestNodeLayoutsExact:
     @pytest.mark.parametrize("mirror", [False, True])
     def test_incremental_equals_scratch_build(self, mirror):
         mutable, sharded = _churn(PartitionSpec("metis", mirror=mirror))
-        snap = mutable.snapshot()
-        incremental = sharded.as_partitioned(snap)
-        scratch = PartitionedGraph.build(snap, sharded.assignment,
-                                         3, mirror)
+        incremental = sharded.layout
+        scratch = PartitionedGraph.build(
+            mutable.snapshot(), incremental.assignment, 3, mirror)
         assert _part_edge_sets(incremental) == _part_edge_sets(scratch)
         for p in range(3):
             assert np.array_equal(incremental.local_feature_nodes[p],
                                   scratch.local_feature_nodes[p])
-
-    def test_clean_shards_reuse_cached_csr(self):
-        mutable, sharded = _churn(PartitionSpec("metis", mirror=True),
-                                  ticks=2)
-        snap = mutable.snapshot()
-        first = sharded.as_partitioned(snap)
-        again = sharded.as_partitioned(snap)
-        assert all(a is b for a, b in zip(first.parts, again.parts))
 
 
 class TestVertexCut:
@@ -68,10 +65,10 @@ class TestVertexCut:
         snap = mutable.snapshot()
         current = {tuple(int(x) for x in row)
                    for row in snap.edge_list()}
-        stored = [s for s in sharded.shard_edges]
+        stored = _part_edge_sets(sharded.layout)
         assert set().union(*stored) == current
         assert sum(len(s) for s in stored) == len(current)
-        assert int(sharded._owned_counts.sum()) == len(current)
+        assert sharded.layout.edge_assignment.size == len(current)
 
     def test_online_ownership_is_deterministic(self):
         _, a = _churn(PartitionSpec("vertex_cut"), seed=3)
@@ -84,7 +81,7 @@ class TestVertexCut:
         sharded.rebalance(snap, tick=7)
         fresh = sharded.spec.build(
             snap, 3, rng=np.random.default_rng((sharded.seed, 7, 131)))
-        rebuilt = sharded.as_partitioned(snap)
+        rebuilt = sharded.layout
         assert _part_edge_sets(rebuilt) == _part_edge_sets(fresh)
         assert np.array_equal(rebuilt.edge_assignment,
                               fresh.edge_assignment)
@@ -102,7 +99,7 @@ class TestTriggersAndMeter:
     def test_imbalance_and_replication_values(self):
         _, sharded = _churn(PartitionSpec("metis", mirror=True))
         assert sharded.edge_imbalance() >= 1.0
-        assert sharded.replication_factor() >= 1.0
+        assert sharded.layout.replication_factor() >= 1.0
 
     def test_delta_charges_meter(self):
         graph = _graph()
@@ -115,12 +112,12 @@ class TestTriggersAndMeter:
                                     drifts_per_tick=4.0)
         delta = mutable.apply(plan.events_at(0), 0)
         meter = CommMeter()
-        sharded.apply_delta(delta, meter)
+        sharded.apply_delta(delta, mutable.snapshot(), meter)
         total = meter.total()
         if delta.inserted.size or delta.deleted.size:
             assert total.structure_bytes > 0
         if delta.drifted.size:
-            rows = sum(len(sharded.replicas_of(int(n)))
+            rows = sum(len(sharded.layout.replicas_of(int(n)))
                        for n in delta.drifted)
             assert total.feature_bytes == feature_nbytes(
                 rows, graph.feature_dim)
@@ -136,24 +133,48 @@ class TestTriggersAndMeter:
 
 
 class TestConsistencyAndState:
-    def test_out_of_sync_snapshot_rejected(self):
-        mutable, sharded = _churn(PartitionSpec("metis", mirror=True),
-                                  ticks=2)
-        plan = ArrivalPlan.generate(mutable.snapshot().num_nodes, 5,
+    @LAYOUTS
+    def test_out_of_sync_snapshot_rejected(self, spec):
+        mutable, sharded = _churn(spec, ticks=2)
+        plan = ArrivalPlan.generate(mutable.snapshot().num_nodes, 6,
                                     seed=99, inserts_per_tick=6.0)
         mutable.apply(plan.events_at(4), 4)  # not applied to shards
-        with pytest.raises(StreamError):
-            sharded.as_partitioned(mutable.snapshot())
+        delta = mutable.apply(plan.events_at(5), 5)
+        before = sharded.fingerprint()
+        with pytest.raises(StreamError, match="out of sync"):
+            sharded.apply_delta(delta, mutable.snapshot())
+        assert sharded.fingerprint() == before
 
-    @pytest.mark.parametrize("spec", [PartitionSpec("metis"),
-                                      PartitionSpec("metis", mirror=True),
-                                      PartitionSpec("vertex_cut")],
-                             ids=["plain", "mirror", "vertex_cut"])
+    def test_vertex_cut_rejects_a_swapped_edge(self):
+        """Same edge count, different edge: only the owner cover sees
+        it."""
+        mutable, sharded = _churn(PartitionSpec("vertex_cut"), ticks=2)
+        edges = mutable.edge_array()
+        gone = tuple(int(x) for x in edges[0])
+        new = next((u, v) for u in range(40) for v in range(u + 1, 40)
+                   if not mutable.has_edge(u, v))
+        mutable.apply([StreamEvent("delete", 2, *gone),
+                       StreamEvent("insert", 2, *new)], 2)  # unseen
+        delta = mutable.apply([], 3)
+        with pytest.raises(StreamError, match="edge owners"):
+            sharded.apply_delta(delta, mutable.snapshot())
+
+    def test_resume_rejects_a_foreign_snapshot(self):
+        spec = PartitionSpec("vertex_cut")
+        mutable, sharded = _churn(spec)
+        state = sharded.state_arrays()
+        mutable.apply([StreamEvent("delete", 9,
+                                   *mutable.edge_array()[0])], 9)
+        with pytest.raises(StreamError, match="edge owners"):
+            ShardedState.from_state_arrays(
+                state, mutable.snapshot(), spec, 3, seed=3)
+
+    @LAYOUTS
     def test_state_round_trip_preserves_fingerprint(self, spec):
         mutable, sharded = _churn(spec)
         snap = mutable.snapshot()
         clone = ShardedState.from_state_arrays(
             sharded.state_arrays(), snap, spec, 3, seed=3)
         assert clone.fingerprint() == sharded.fingerprint()
-        assert _part_edge_sets(clone.as_partitioned(snap)) == \
-            _part_edge_sets(sharded.as_partitioned(snap))
+        assert _part_edge_sets(clone.layout) == \
+            _part_edge_sets(sharded.layout)
