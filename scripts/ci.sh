@@ -5,8 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
+echo "== tier-1 tests (slowest 15 printed: the per-file time budget) =="
+python -m pytest -x -q --durations=15
 
 echo "== golden digest matrices (512 training cells + 8 stream cells) =="
 python scripts/golden.py --check

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..partition.partitioned import PartitionedGraph, owner_vector
-from ..sampling.blocks import GraphNeighborSource
+from ..sampling.blocks import GraphNeighborSource, merge_neighbor_chunks
 from .comm import CommMeter
 
 
@@ -134,26 +134,16 @@ class SparsifiedRemoteStore:
         from each node's owning partition and charged to ``meter``."""
         nodes = np.asarray(nodes, dtype=np.int64)
         owners = self.assignment[nodes]
-        nbr_chunks: List[tuple] = []
-        counts = np.zeros(nodes.size, dtype=np.int64)
         # Group queried nodes by owning partition and answer each group
         # from that partition's sparsified copy.
+        chunks = []
         for part in np.unique(owners):
             sel = np.flatnonzero(owners == part)
-            nbrs, weights, offsets = self._sources[part].neighbors_batch(
-                nodes[sel])
-            counts[sel] = np.diff(offsets)
-            nbr_chunks.append((sel, nbrs, weights, offsets))
-        total = int(counts.sum())
-        out_nbrs = np.empty(total, dtype=np.int64)
-        out_w = np.empty(total, dtype=np.float64)
-        out_offsets = np.concatenate([[0], np.cumsum(counts)])
-        for sel, nbrs, weights, offsets in nbr_chunks:
-            for j, node_pos in enumerate(sel):
-                lo, hi = offsets[j], offsets[j + 1]
-                dst_lo = out_offsets[node_pos]
-                out_nbrs[dst_lo:dst_lo + (hi - lo)] = nbrs[lo:hi]
-                out_w[dst_lo:dst_lo + (hi - lo)] = weights[lo:hi]
+            chunks.append((sel,
+                           *self._sources[part].neighbors_batch(nodes[sel])))
+        out_nbrs, out_w, out_offsets = merge_neighbor_chunks(nodes.size,
+                                                             chunks)
+        total = int(out_nbrs.size)
         if meter is not None:
             meter.charge_structure(num_edges=total,
                                    num_queried_nodes=nodes.size,

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..partition.partitioned import PartitionedGraph
-from ..sampling.blocks import GraphNeighborSource
+from ..sampling.blocks import GraphNeighborSource, merge_neighbor_chunks
 from .comm import CommMeter
 
 
@@ -61,7 +61,7 @@ class WorkerGraphView:
         # them again until the cache is cleared (see the feature-cache
         # ablation benchmark).
         self.cache_remote_features = cache_remote_features
-        self._feature_cache: set[int] = set()
+        self._feature_cache = np.zeros(self.num_nodes, dtype=bool)
 
     @property
     def num_nodes(self) -> int:
@@ -88,31 +88,15 @@ class WorkerGraphView:
             # expose only locally stored edges).
             return self._local.neighbors_batch(nodes)
 
-        counts = np.zeros(nodes.size, dtype=np.int64)
-        chunk_data = []
+        chunks = []
         local_sel = np.flatnonzero(local_mask)
         if local_sel.size:
-            nbrs, w, offs = self._local.neighbors_batch(nodes[local_sel])
-            counts[local_sel] = np.diff(offs)
-            chunk_data.append((local_sel, nbrs, w, offs))
+            chunks.append((local_sel,
+                           *self._local.neighbors_batch(nodes[local_sel])))
         remote_sel = np.flatnonzero(~local_mask)
-        if remote_sel.size:
-            nbrs, w, offs = self.remote.neighbors_batch(
-                nodes[remote_sel], self.meter)
-            counts[remote_sel] = np.diff(offs)
-            chunk_data.append((remote_sel, nbrs, w, offs))
-
-        total = int(counts.sum())
-        out_nbrs = np.empty(total, dtype=np.int64)
-        out_w = np.empty(total, dtype=np.float64)
-        out_offsets = np.concatenate([[0], np.cumsum(counts)])
-        for sel, nbrs, w, offs in chunk_data:
-            for j, pos in enumerate(sel):
-                lo, hi = offs[j], offs[j + 1]
-                dst = out_offsets[pos]
-                out_nbrs[dst:dst + hi - lo] = nbrs[lo:hi]
-                out_w[dst:dst + hi - lo] = w[lo:hi]
-        return out_nbrs, out_w, out_offsets
+        chunks.append((remote_sel, *self.remote.neighbors_batch(
+            nodes[remote_sel], self.meter)))
+        return merge_neighbor_chunks(nodes.size, chunks)
 
     def _complete_neighbors(self, nodes: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,12 +125,8 @@ class WorkerGraphView:
         remote_pos = np.flatnonzero(~local)
         requested_remote = int(remote_pos.size)
         if self.cache_remote_features and remote_pos.size:
-            keep = np.fromiter(
-                (int(n) not in self._feature_cache
-                 for n in nodes[remote_pos]),
-                dtype=bool, count=remote_pos.size)
-            remote_pos = remote_pos[keep]
-            self._feature_cache.update(int(n) for n in nodes[remote_pos])
+            remote_pos = remote_pos[~self._feature_cache[nodes[remote_pos]]]
+            self._feature_cache[nodes[remote_pos]] = True
         if self.obs is not None:
             self.obs.counter("fetch.nodes_total").inc(int(nodes.size))
             self.obs.counter("fetch.nodes_remote").inc(int(remote_pos.size))
@@ -170,7 +150,7 @@ class WorkerGraphView:
 
     def clear_feature_cache(self) -> None:
         """Reset the remote-feature cache (e.g. at epoch boundaries)."""
-        self._feature_cache.clear()
+        self._feature_cache[:] = False
 
     # -- candidate sets for negative sampling ---------------------------------
 

@@ -76,9 +76,9 @@ class SAGEConv(Module):
         messages = gather(h_src, block.edge_src) * Tensor(
             block.edge_weight[:, None])
         summed = segment_sum(messages, block.edge_dst, block.num_dst)
-        denom = np.zeros(block.num_dst)
-        np.add.at(denom, block.edge_dst, block.edge_weight)
-        denom = np.maximum(denom, 1e-12)
+        denom = np.maximum(np.bincount(
+            block.edge_dst, weights=block.edge_weight,
+            minlength=block.num_dst), 1e-12)
         h_neigh = summed * Tensor(1.0 / denom[:, None])
         h_self = _slice_rows(h_src, block.num_dst)
         return self.fc_self(h_self) + self.fc_neigh(h_neigh)

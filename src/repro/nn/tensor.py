@@ -104,8 +104,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One pass instead of zeros then add; ``grad + 0.0``
+            # normalises ``-0.0`` exactly as ``0.0 + grad`` does.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     # -- basic properties ----------------------------------------------
 
@@ -371,6 +374,36 @@ def log(x: Tensor) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
+def _scatter_add_rows(index: Array, values: Array, num_rows: int) -> Array:
+    """Ordered scatter-add: ``out[index[k]] += values[k]`` for ``k = 0,
+    1, ...`` into zeros of ``num_rows`` rows.
+
+    Built as the product of a constant sparse matrix with one unit
+    entry per column (``S[index[k], k] = 1``) and ``values``: the CSC
+    kernel walks columns in increasing ``k`` and adds ``1.0 *
+    values[k]`` into row ``index[k]`` of a zero-initialised result —
+    the accumulation order and start value of ``np.add.at``, so the
+    result is bit-identical to it (signed zeros included).
+    """
+    shape = (num_rows,) + values.shape[1:]
+    count = index.size
+    if count:
+        lowest, highest = int(index.min()), int(index.max())
+        if lowest < 0 or highest >= num_rows:
+            bad = lowest if lowest < 0 else highest
+            raise ValueError(
+                f"row id {bad} outside [0, {num_rows}) in scatter-add")
+    if values.size == 0:
+        return np.zeros(shape, dtype=np.float64)
+    if values.ndim == 1:
+        # bincount adds weights in the same increasing-k order.
+        return np.bincount(index, weights=values, minlength=num_rows)
+    scatter = sp.csc_array(
+        (np.ones(count), index, np.arange(count + 1)),
+        shape=(num_rows, count))
+    return (scatter @ values.reshape(count, -1)).reshape(shape)
+
+
 def gather(x: Tensor, index: Array) -> Tensor:
     """Row gather ``x[index]``; backward is scatter-add."""
     index = np.asarray(index, dtype=np.int64)
@@ -379,9 +412,9 @@ def gather(x: Tensor, index: Array) -> Tensor:
     def backward(grad: Array) -> None:
         if not x.requires_grad:
             return
-        full = np.zeros_like(x.data)
-        np.add.at(full, index, grad)
-        x._accumulate(full)
+        x._accumulate(_scatter_add_rows(
+            index.ravel(), grad.reshape((index.size,) + x.data.shape[1:]),
+            x.data.shape[0]))
 
     return Tensor._result(data, (x,), backward)
 
@@ -408,8 +441,7 @@ def segment_sum(x: Tensor, segment_ids: Array, num_segments: int) -> Tensor:
     all i with segment_ids[i] == s``.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out = np.zeros((num_segments,) + x.data.shape[1:], dtype=np.float64)
-    np.add.at(out, segment_ids, x.data)
+    out = _scatter_add_rows(segment_ids, x.data, num_segments)
 
     def backward(grad: Array) -> None:
         x._accumulate(grad[segment_ids])

@@ -53,9 +53,10 @@ class Block:
         if self.num_dst > self.src_nodes.size:
             raise ValueError("num_dst cannot exceed len(src_nodes)")
         if self.edge_src.size:
-            if self.edge_src.max() >= self.src_nodes.size:
+            if (self.edge_src.min() < 0
+                    or self.edge_src.max() >= self.src_nodes.size):
                 raise ValueError("edge_src index out of range")
-            if self.edge_dst.max() >= self.num_dst:
+            if self.edge_dst.min() < 0 or self.edge_dst.max() >= self.num_dst:
                 raise ValueError("edge_dst index out of range")
 
     @property
@@ -122,6 +123,39 @@ class NeighborSource(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def _slice_index(starts: np.ndarray, counts: np.ndarray,
+                 offsets: np.ndarray) -> np.ndarray:
+    """Flat index of the concatenated slices ``starts[i]:starts[i] +
+    counts[i]``; ``offsets`` is the exclusive running sum of ``counts``
+    (``len(counts) + 1`` entries), i.e. where slice ``i`` lands in the
+    result."""
+    return (np.arange(offsets[-1], dtype=np.int64)
+            + np.repeat(starts - offsets[:-1], counts))
+
+
+def merge_neighbor_chunks(
+    num_queries: int, chunks,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``neighbors_batch`` answer from per-group partial answers.
+
+    ``chunks`` holds ``(sel, nbrs, weights, offsets)`` tuples: the
+    ``neighbors_batch`` answer for the queries at positions ``sel``
+    (the groups partition ``range(num_queries)``).  Every neighbor
+    list is written to its query's position in the merged answer.
+    """
+    counts = np.zeros(num_queries, dtype=np.int64)
+    for sel, _, _, offsets in chunks:
+        counts[sel] = np.diff(offsets)
+    out_offsets = np.concatenate([[0], np.cumsum(counts)])
+    out_nbrs = np.empty(out_offsets[-1], dtype=np.int64)
+    out_w = np.empty(out_offsets[-1], dtype=np.float64)
+    for sel, nbrs, weights, offsets in chunks:
+        flat = _slice_index(out_offsets[sel], counts[sel], offsets)
+        out_nbrs[flat] = nbrs
+        out_w[flat] = weights
+    return out_nbrs, out_w, out_offsets
+
+
 class GraphNeighborSource:
     """Adapter exposing a :class:`~repro.graph.Graph` as a
     :class:`NeighborSource`."""
@@ -146,8 +180,7 @@ class GraphNeighborSource:
         if total == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, np.zeros(0, dtype=np.float64), offsets
-        # Build a flat index selecting each node's CSR slice.
-        flat = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+        flat = _slice_index(starts, counts, offsets)
         nbrs = g.indices[flat]
         if g.weights is None:
             weights = np.ones(total, dtype=np.float64)

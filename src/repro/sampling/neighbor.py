@@ -56,16 +56,15 @@ def sample_block(
         order = np.lexsort((keys, dst_per_edge))
         sorted_dst = dst_per_edge[order]
         # rank of each edge within its destination group
-        group_start = np.concatenate([[0], np.cumsum(counts)])[sorted_dst]
-        rank = np.arange(sorted_dst.size) - group_start
+        rank = np.arange(sorted_dst.size) - offsets[sorted_dst]
         keep = order[rank < fanout]
         nbrs, weights, dst_per_edge = nbrs[keep], weights[keep], dst_per_edge[keep]
 
     src_nodes = _unique_preserving_seeds(seeds, nbrs)
-    # Map global neighbor ids to local row indices.
-    lookup = {int(n): i for i, n in enumerate(src_nodes)}
-    edge_src = np.fromiter((lookup[int(n)] for n in nbrs),
-                           dtype=np.int64, count=nbrs.size)
+    # Map global neighbor ids to local row indices: the first row
+    # holding each id (a stable sort keeps equal ids in row order).
+    by_id = np.argsort(src_nodes, kind="stable")
+    edge_src = by_id[np.searchsorted(src_nodes[by_id], nbrs)]
     return Block(
         src_nodes=src_nodes,
         num_dst=int(seeds.size),

@@ -30,6 +30,13 @@ class TestBlock:
                   edge_src=np.array([1]), edge_dst=np.array([1]),
                   edge_weight=np.array([1.0]))
 
+    @pytest.mark.parametrize("edge_src, edge_dst", [(-1, 0), (1, -1)])
+    def test_validation_negative_edge_ids(self, edge_src, edge_dst):
+        with pytest.raises(ValueError, match="out of range"):
+            Block(src_nodes=np.array([0, 1]), num_dst=1,
+                  edge_src=np.array([edge_src]), edge_dst=np.array([edge_dst]),
+                  edge_weight=np.array([1.0]))
+
     def test_validation_weight_alignment(self):
         with pytest.raises(ValueError):
             Block(src_nodes=np.array([0, 1]), num_dst=1,

@@ -115,6 +115,22 @@ class TestForward:
         out = segment_sum(x, np.array([1]), 3)
         assert np.allclose(out.data, [[0.0], [1.0], [0.0]])
 
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_segment_sum_rejects_out_of_range_id(self, bad_id):
+        x = Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=rf"{bad_id} outside \[0, 3\)"):
+            segment_sum(x, np.array([0, bad_id]), 3)
+
+    def test_segment_sum_rejects_negative_id_1d(self):
+        with pytest.raises(ValueError, match=r"-1 outside \[0, 3\)"):
+            segment_sum(Tensor(np.ones(1)), np.array([-1]), 3)
+
+    def test_gather_backward_rejects_negative_id(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = gather(x, np.array([-1]))
+        with pytest.raises(ValueError, match=r"-1 outside \[0, 3\)"):
+            out.backward(np.ones((1, 2)))
+
     def test_segment_mean(self):
         x = Tensor(np.array([[2.0], [4.0], [8.0]]))
         out = segment_mean(x, np.array([0, 0, 1]), 2)
