@@ -13,11 +13,14 @@ package makes a whole *session* durable:
   manifest/WAL recording the last durably completed ``(epoch, round)``.
   Torn or corrupted snapshots are detected on read and rolled back to
   the previous good entry.
-* :mod:`repro.checkpoint.state` — capture/restore of the full trainer
-  state: per-worker model + optimizer + RNG stream, the evaluator RNG,
-  CommMeter ledgers, ParameterServer version/staleness, fault-controller
-  counters, obs metric counters and the loop position.  Restoring and
-  continuing a killed run reproduces the uninterrupted run's
+* :mod:`repro.checkpoint.state` — the worker codec
+  (:func:`worker_state_bytes` / :func:`load_worker_state`, also the
+  ``restore`` recovery policy's restore points) and capture/restore of
+  the full trainer state: per-worker model + optimizer + RNG stream,
+  the evaluator RNG, CommMeter ledgers, ParameterServer
+  version/staleness, fault-controller counters, obs metric counters
+  and the loop position.  Restoring and continuing a killed run
+  reproduces the uninterrupted run's
   :meth:`~repro.distributed.trainer.TrainResult.digest` bit for bit.
 
 Entry points: ``TrainConfig.checkpoint_dir`` /
@@ -36,9 +39,11 @@ from .errors import (
 from .state import (
     capture_trainer_state,
     load_checkpoint,
+    load_worker_state,
     rebuild_trainer,
     restore_trainer,
     split_fingerprint,
+    worker_state_bytes,
 )
 from .store import CheckpointInfo, CheckpointStore
 
@@ -51,7 +56,9 @@ __all__ = [
     "CheckpointStore",
     "capture_trainer_state",
     "load_checkpoint",
+    "load_worker_state",
     "rebuild_trainer",
     "restore_trainer",
     "split_fingerprint",
+    "worker_state_bytes",
 ]

@@ -11,9 +11,8 @@ bit-identically:
   counters and RNG states (evaluator + legacy failure stream),
   ParameterServer version/staleness totals, and the obs metric
   counters + simulated-clock position of observing runs;
-* ``worker.NNNN.payload`` — each worker's serialized
-  :class:`~repro.faults.snapshot.WorkerSnapshot` (model, optimizer
-  moments, RNG bit-generator state);
+* ``worker.NNNN.payload`` — each worker's :func:`worker_state_bytes`
+  (model, optimizer moments, RNG bit-generator state);
 * ``meter.NNNN.*`` — the per-worker CommMeter ledgers;
 * ``best.*`` / ``server.*`` — the best-validation weights and the
   ParameterServer model/optimizer arrays, when present.
@@ -39,11 +38,17 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import CheckpointCorruptError, CheckpointMismatchError
+from .io import deserialize_state, serialize_state
 from .store import CheckpointStore
 
 #: Session-state schema identifier; bump on any layout change.
 STATE_SCHEMA = "repro_session_state/v1"
 _META_KEY = "meta_json"
+#: Key layout of one worker payload (:func:`worker_state_bytes`).
+_MODEL_PREFIX = "model/"
+_OPTIM_PREFIX = "optim/"
+_RNG_KEY = "rng_state_json"
+_POS_KEY = "position"
 
 
 # ----------------------------------------------------------------------
@@ -106,14 +111,38 @@ def config_to_dict(config) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 
-def _rng_state(rng: np.random.Generator) -> Dict[str, object]:
-    """A generator's bit-generator state (JSON-safe dict)."""
-    return rng.bit_generator.state
+def worker_state_bytes(worker, epoch: int, rnd: int) -> bytes:
+    """Serialize what rehydrates a worker (duck typed: ``model``,
+    ``optimizer``, ``rng``) bit-identically: model ``state_dict``,
+    optimizer state (Adam moments + step count), position and RNG
+    state.  A worker's loader shuffle, neighbor sampler and negative
+    sampler share **one** ``numpy.random.Generator``, so one
+    bit-generator state pins its entire remaining random stream.  The
+    ``restore`` policy's in-memory restore points and a durable
+    checkpoint's ``worker.NNNN.payload`` entries are both these bytes.
+    """
+    state: Dict[str, np.ndarray] = {}
+    for name, value in worker.model.state_dict().items():
+        state[_MODEL_PREFIX + name] = value
+    for name, value in worker.optimizer.state_dict().items():
+        state[_OPTIM_PREFIX + name] = value
+    state[_RNG_KEY] = np.array(json.dumps(worker.rng.bit_generator.state))
+    state[_POS_KEY] = np.array([epoch, rnd], dtype=np.int64)
+    return serialize_state(state)
 
 
-def _set_rng_state(rng: np.random.Generator, state) -> None:
-    """Restore a generator from :func:`_rng_state` output."""
-    rng.bit_generator.state = state
+def load_worker_state(worker, payload: bytes) -> None:
+    """Load :func:`worker_state_bytes` output back into ``worker``:
+    weights, optimizer moments and random stream are exactly as they
+    were when the payload was taken."""
+    state = deserialize_state(payload)
+    worker.model.load_state_dict({
+        key[len(_MODEL_PREFIX):]: value for key, value in state.items()
+        if key.startswith(_MODEL_PREFIX)})
+    worker.optimizer.load_state_dict({
+        key[len(_OPTIM_PREFIX):]: value for key, value in state.items()
+        if key.startswith(_OPTIM_PREFIX)})
+    worker.rng.bit_generator.state = json.loads(str(state[_RNG_KEY]))
 
 
 def _stats_to_dict(stats) -> Dict[str, object]:
@@ -159,7 +188,7 @@ def _capture_faults(faults) -> Optional[Dict[str, object]]:
         "retry_attempts": list(faults._retry_attempts),
         "model_sync_excluded": sorted(faults._model_sync_excluded),
         "outage_rounds_left": faults._outage_rounds_left,
-        "failure_rng": _rng_state(faults._failure_rng),
+        "failure_rng": faults._failure_rng.bit_generator.state,
     }
 
 
@@ -240,7 +269,7 @@ def capture_trainer_state(
         "best": {"val": best_val, "epoch": best_epoch,
                  "evals_since_best": evals_since_best,
                  "has_state": best_state is not None},
-        "evaluator_rng": _rng_state(trainer.evaluator.rng),
+        "evaluator_rng": trainer.evaluator.rng.bit_generator.state,
         "faults": _capture_faults(faults),
         "server": server_meta,
         "replica_sync_total": trainer._replica_sync_total,
@@ -281,7 +310,7 @@ class ResumeState:
         controller._model_sync_excluded = set(
             fstate["model_sync_excluded"])
         controller._outage_rounds_left = int(fstate["outage_rounds_left"])
-        _set_rng_state(controller._failure_rng, fstate["failure_rng"])
+        controller._failure_rng.bit_generator.state = fstate["failure_rng"]
 
 
 def _restore_metrics(observer, snapshot: Dict[str, Dict[str, object]]
@@ -323,7 +352,6 @@ def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> ResumeState:
     :class:`ResumeState`.
     """
     from ..distributed.comm import CommRecord
-    from ..faults.snapshot import WorkerSnapshot, restore_worker
 
     meta = parse_meta(state)
     if meta["num_workers"] != len(trainer.workers):
@@ -338,8 +366,7 @@ def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> ResumeState:
         if payload.size == 0:
             continue  # worker was dead (elastic removal) at capture
         nbytes_read += int(payload.size)
-        restore_worker(worker, WorkerSnapshot(
-            payload=payload.tobytes(), epoch=epoch, round=rnd))
+        load_worker_state(worker, payload.tobytes())
     for i, meter in enumerate(trainer.meters):
         rows = state[f"meter.{i:04d}.epochs"]
         meter.epochs = [CommRecord(feature_bytes=int(r[0]),
@@ -349,7 +376,7 @@ def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> ResumeState:
         meter.current = CommRecord(feature_bytes=int(cur[0]),
                                    structure_bytes=int(cur[1]),
                                    sync_bytes=int(cur[2]))
-    _set_rng_state(trainer.evaluator.rng, meta["evaluator_rng"])
+    trainer.evaluator.rng.bit_generator.state = meta["evaluator_rng"]
 
     server = trainer.parameter_server
     if server is not None and meta["server"] is not None:

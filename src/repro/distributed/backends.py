@@ -54,12 +54,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..checkpoint.state import load_worker_state, worker_state_bytes
 from ..faults.errors import (
     ClusterDeadError,
     WorkerDiedError,
     WorkerTimeoutError,
 )
-from ..faults.snapshot import WorkerSnapshot, restore_worker, snapshot_worker
 from .comm import CommRecord
 from .routing import guarded_recv
 from .sync import average_gradients, average_models, sync_bytes_per_worker
@@ -115,9 +115,10 @@ class WorkerHost:
 
     ``replay`` is what makes crash recovery exact: after
     ``load_snapshot`` rehydrates the worker, re-running the logged
-    command stream (state advances, replies are discarded) reproduces
-    the lost state bit for bit, because every command is deterministic
-    given the worker's RNG.
+    command stream reproduces the lost state bit for bit, because every
+    command is deterministic given the worker's RNG.  It is silent:
+    replies are discarded, the meter is not charged (the lost worker's
+    traffic was, when it first ran) and nothing reaches the observer.
 
     ``spans`` selects per-batch observability spans (the serial
     engine); pooled and forked hosts train unobserved because the span
@@ -182,18 +183,40 @@ class WorkerHost:
         elif cmd == "lr":
             worker.optimizer.lr *= msg[1]
         elif cmd == "snapshot":
-            snap = snapshot_worker(worker, int(msg[1]), int(msg[2]))
-            return ("snapshot", snap.payload)
+            return ("snapshot", worker_state_bytes(worker, int(msg[1]),
+                                                   int(msg[2])))
         elif cmd == "load_snapshot":
-            restore_worker(worker, WorkerSnapshot(
-                payload=msg[1], epoch=0, round=0))
+            load_worker_state(worker, msg[1])
         elif cmd == "replay":
+            meter = self.trainer.meters[self.part]
+            sites = self.obs_sites()
+            observers = [site.obs for site in sites]
+            charged, meter.current = meter.current, CommRecord()
+            for site in sites:
+                site.obs = None
             for sub in msg[1]:
-                self.execute(sub)  # silent: replies are discarded
+                self.execute(sub)
+            meter.current = charged
+            for site, obs in zip(sites, observers):
+                site.obs = obs
             return ("replayed", len(msg[1]))
         else:  # pragma: no cover - protocol error
             raise RuntimeError(f"unknown backend command {cmd!r}")
         return None
+
+    def obs_sites(self) -> list:
+        """Every object through which this worker's commands reach the
+        run observer (each carries an ``obs`` attribute)."""
+        trainer = self.trainer
+        worker = trainer.workers[self.part]
+        sites = [worker, worker.negative_sampler, worker.view,
+                 trainer.meters[self.part]]
+        if trainer.remote_store is not None:
+            # An AuditedStore sanitizer proxies reads but not attribute
+            # writes; the observer hangs off the store it wraps.
+            sites.append(getattr(trainer.remote_store, "_store",
+                                 trainer.remote_store))
+        return sites
 
 
 class ExecutionBackend:
@@ -216,10 +239,10 @@ class ExecutionBackend:
     #: True for backends that overlap worker compute; the trainer
     #: records ``pool.*`` metrics only for these.
     parallel = False
-    #: True when worker state lives outside the trainer process (the
-    #: fault layer then crashes workers for real and the backend owns
-    #: detection + respawn; in-process backends simulate crashes by
-    #: wiping the worker object instead).
+    #: True when worker state lives outside the trainer process: a
+    #: planned crash is then a real kill under every recovery policy
+    #: and the backend owns detection + respawn, and what a worker
+    #: charges to its meter has to be folded into the coordinator's.
     child_owned_state = False
 
     def shutdown(self) -> None:
@@ -283,13 +306,27 @@ class SerialBackend(ExecutionBackend):
 
     Every public method below drives the workers only through
     :meth:`_send` / :meth:`_recv`; subclasses change how a command
-    travels, never what a round does.  A ``None`` from :meth:`_recv`
-    means the worker was lost mid-request (only a real process can be)
-    and its contribution is skipped.
+    travels (:meth:`_raw_send` / :meth:`_raw_recv`), never what a round
+    does.  A ``None`` from :meth:`_recv` means the worker was lost
+    mid-request (only a real process can be) and its contribution is
+    skipped.
+
+    Restore-replay (``recovery="restore"``) lives here too, once for
+    every transport: :meth:`_send` logs each state-advancing command,
+    :meth:`begin_epoch` takes a restore point every
+    ``TrainConfig.checkpoint_every`` epochs, :meth:`_restore_from_log`
+    rebuilds a lost worker as fresh host + restore point + silent
+    replay of its log.  The transport decides only how a host is made
+    fresh (:meth:`_fresh_host`): wiped in-process, re-forked otherwise.
     """
 
     name = "serial"
     parallel = False
+
+    #: Commands recorded in the per-worker replay log (restore policy).
+    _REPLAYABLE = frozenset((
+        "epoch", "draw", "train", "grads", "step", "get_model",
+        "set_model", "lr", "ffwd"))
 
     def __init__(self) -> None:
         self.trainer = None
@@ -299,6 +336,10 @@ class SerialBackend(ExecutionBackend):
         self._exhausted: List[bool] = []
         self._round_grads: Dict[int, Dict[str, Optional[np.ndarray]]] = {}
         self._dead: set = set()
+        self._logging = False
+        self._epoch_index = -1
+        self._cmd_log: List[List[tuple]] = []
+        self._snapshots: List[Optional[bytes]] = []
 
     # -- lifecycle ------------------------------------------------------
 
@@ -314,6 +355,10 @@ class SerialBackend(ExecutionBackend):
         self._exhausted = [True] * n
         self._round_grads = {}
         self._dead = set()
+        self._logging = trainer.config.recovery == "restore"
+        self._epoch_index = -1
+        self._cmd_log = [[] for _ in range(n)]
+        self._snapshots = [None] * n
 
     def shutdown(self) -> None:
         """Nothing to release for the in-process engine."""
@@ -322,15 +367,34 @@ class SerialBackend(ExecutionBackend):
 
     # -- transport ------------------------------------------------------
 
-    def _send(self, i: int, msg: tuple) -> None:
+    def _raw_send(self, i: int, msg: tuple) -> None:
         """Deliver one command to worker ``i``: run it here and now."""
         reply = self._hosts[i].execute(msg)
         if reply is not None:
             self._replies[i].append(reply)
 
-    def _recv(self, i: int, inflight: tuple):
-        """The reply to ``inflight``, worker ``i``'s oldest unread."""
+    def _raw_recv(self, i: int, context: str):
+        """Worker ``i``'s oldest unread reply."""
         return self._replies[i].popleft()
+
+    def _fresh_host(self, i: int) -> None:
+        """Lose everything worker ``i`` held.  The wipe is real, so a
+        restore that failed to rebuild state exactly is caught by the
+        bit-identity tests rather than masked by leftover live state."""
+        wipe_worker(self.trainer.workers[i])
+        self._hosts[i] = WorkerHost(self.trainer, i,
+                                    spans=not self.parallel)
+        self._replies[i].clear()
+
+    def _send(self, i: int, msg: tuple) -> None:
+        """Send worker ``i`` one command, logged for restore replay."""
+        if self._logging and msg[0] in self._REPLAYABLE:
+            self._cmd_log[i].append(msg)
+        self._raw_send(i, msg)
+
+    def _recv(self, i: int, inflight: tuple):
+        """The reply to ``inflight``."""
+        return self._raw_recv(i, inflight[0])
 
     def _active(self) -> List[int]:
         """Worker indices not removed by elastic recovery."""
@@ -351,7 +415,12 @@ class SerialBackend(ExecutionBackend):
     # -- epoch / round --------------------------------------------------
 
     def begin_epoch(self) -> None:
-        """Every live worker resets its feature cache and iterator."""
+        """Take the restore point (restore policy, on cadence), then
+        every live worker resets its feature cache and iterator."""
+        self._epoch_index += 1
+        every = self.trainer.config.checkpoint_every
+        if self._logging and self._epoch_index % every == 0:
+            self._take_snapshots()
         for i in self._active():
             self._send(i, ("epoch",))
         n = len(self._hosts)
@@ -505,10 +574,8 @@ class SerialBackend(ExecutionBackend):
     # -- coordinator-side replicas --------------------------------------
 
     def _pull_replicas(self, workers: Sequence[int]) -> None:
-        """Make ``trainer.workers[i].model`` current for each given live
-        worker.  In-process that object *is* the replica."""
-        if not self.child_owned_state:
-            return
+        """Make ``trainer.workers[i].model`` — the coordinator's copy
+        of the replica — current for each given live worker."""
         for i, state in self._request(workers, ("get_model",)):
             self.trainer.workers[i].model.load_state_dict(state)
 
@@ -529,7 +596,9 @@ class SerialBackend(ExecutionBackend):
 
     def run_correction(self, hook) -> None:
         """Run a server-side correction hook over all model replicas,
-        then deliver what it wrote to every live worker.
+        then deliver what it wrote to every live worker as a logged
+        ``set_model`` — the command log must be the complete record of
+        what a worker was told, or replay would skip the correction.
 
         A removed worker's coordinator-side replica is first made a
         copy of the first live one, so the hook — which corrects
@@ -541,9 +610,8 @@ class SerialBackend(ExecutionBackend):
         for i in self._dead:
             models[i].load_state_dict(first_live.state_dict())
         hook(models)
-        if self.child_owned_state:
-            for i in self._active():
-                self._send(i, ("set_model", models[i].state_dict()))
+        for i in self._active():
+            self._send(i, ("set_model", models[i].state_dict()))
 
     def scale_lr(self, factor: float) -> None:
         """Multiply every live worker optimizer's learning rate."""
@@ -552,13 +620,11 @@ class SerialBackend(ExecutionBackend):
 
     # -- fault-tolerance hooks (repro.faults) ---------------------------
 
-    def pending_batches(self) -> List[Optional[np.ndarray]]:
-        """This round's pending batch per worker (after
-        :meth:`poll_batches`, before :meth:`train_round`).  The fault
-        controller logs them for in-process restore replay; a forked
-        host's batch lives in its child and reads ``None`` here."""
-        return [host.pending if self._has_pending[host.part] else None
-                for host in self._hosts]
+    def _count(self, name: str, value: float = 1) -> None:
+        """Mirror a backend fault event onto the controller counters."""
+        controller = self.trainer.fault_controller
+        if controller is not None:
+            controller.count(name, value)
 
     def deactivate(self, worker: int) -> None:
         """Permanently remove a worker from the pool (elastic
@@ -570,9 +636,40 @@ class SerialBackend(ExecutionBackend):
         self._round_grads.pop(worker, None)
 
     def inject_crash(self, worker: int) -> None:
-        """Make a planned crash real.  In-process there is nothing to
-        kill: the fault controller wipes/restores the worker object
-        itself."""
+        """Make a planned crash real.  In-process there is no child to
+        kill: under ``restore`` the worker is wiped and rebuilt from its
+        log on the spot; under the other policies the fault
+        controller's masks are the whole crash."""
+        if self._logging:
+            self._count("child_deaths")
+            self._count("respawns")
+            self._restore_from_log(worker, None)
+
+    def _take_snapshots(self) -> None:
+        """The restore point: keep every live worker's serialized state
+        and restart its replay log."""
+        for i, payload in self._request(
+                self._active(), ("snapshot", self._epoch_index, 0)):
+            self._snapshots[i] = payload
+            self._cmd_log[i] = []
+            self._count("checkpoint_bytes", len(payload))
+        self._count("checkpoints")
+
+    def _restore_from_log(self, i: int, inflight: Optional[tuple]) -> None:
+        """Rebuild lost worker ``i``: a fresh host, rehydrated from the
+        restore point, silently replays the commands logged since —
+        minus ``inflight`` when that very message is the log's last
+        entry, which the caller re-issues for real."""
+        self._fresh_host(i)
+        replay = self._cmd_log[i]
+        if replay and replay[-1] is inflight:
+            replay = replay[:-1]
+        self._raw_send(i, ("load_snapshot", self._snapshots[i]))
+        self._raw_send(i, ("replay", replay))
+        tag, replayed = self._raw_recv(i, "replay")
+        assert tag == "replayed"
+        self._count("restores")
+        self._count("replayed_commands", replayed)
 
     def snapshot_workers(self, epoch: int,
                          rnd: int) -> List[Optional[bytes]]:
@@ -626,17 +723,17 @@ class ThreadBackend(SerialBackend):
             self._pool = None
         super().shutdown()
 
-    def _send(self, i: int, msg: tuple) -> None:
+    def _raw_send(self, i: int, msg: tuple) -> None:
         """Submit a training command to the pool; run the rest inline."""
         if msg[0] == "train":
             self._replies[i].append(
                 self._pool.submit(self._hosts[i].execute, msg))
         else:
-            super()._send(i, msg)
+            super()._raw_send(i, msg)
 
-    def _recv(self, i: int, inflight: tuple):
+    def _raw_recv(self, i: int, context: str):
         """Join the pooled command, if that is what was in flight."""
-        reply = super()._recv(i, inflight)
+        reply = super()._raw_recv(i, context)
         return reply.result() if isinstance(reply, Future) else reply
 
 
@@ -668,11 +765,9 @@ class ProcessBackend(SerialBackend):
       lost.
     * ``retry``   — respawn warm (survivor weights, loader
       fast-forwarded) and requeue the in-flight batch on the new child.
-    * ``restore`` — respawn, rehydrate from the worker's last periodic
-      checkpoint (``TrainConfig.checkpoint_every`` epochs, serialized
-      child-side through :mod:`repro.nn.serialize`) and silently replay
-      the parent's command log since that checkpoint — deterministic
-      compute makes the rebuilt child bit-identical to the lost one.
+    * ``restore`` — re-fork, then the shared
+      :meth:`~SerialBackend._restore_from_log`: the rebuilt child is
+      bit-identical to the lost one.
     * ``elastic`` — the worker is removed; collectives reweight over
       the survivors.
     """
@@ -680,11 +775,6 @@ class ProcessBackend(SerialBackend):
     name = "process"
     parallel = True
     child_owned_state = True
-
-    #: Commands recorded in the per-worker replay log (restore policy).
-    _REPLAYABLE = frozenset((
-        "epoch", "draw", "train", "grads", "step", "get_model",
-        "set_model", "lr", "ffwd"))
 
     def __init__(self, num_workers: int) -> None:
         super().__init__()
@@ -695,12 +785,7 @@ class ProcessBackend(SerialBackend):
         self._shm = None
         self._mp_ctx = None
         self._timeout_s = 30.0
-        self._logging = False
-        self._checkpoint_every = 1
-        self._epoch_index = -1
         self._in_epoch = False
-        self._cmd_log: List[List[tuple]] = []
-        self._snapshots: List[Optional[bytes]] = []
         self._draws: List[int] = []
         self._recoveries: List[int] = []
 
@@ -711,26 +796,19 @@ class ProcessBackend(SerialBackend):
         own child (children inherit the trainer copy-on-write)."""
         super().bind(trainer)
         n = self.num_workers = len(trainer.workers)
-        config = trainer.config
-        self._timeout_s = float(config.fault_timeout_s)
-        self._checkpoint_every = int(config.checkpoint_every)
-        self._logging = (config.recovery == "restore"
-                         and self._checkpoint_every >= 1)
+        self._timeout_s = float(trainer.config.fault_timeout_s)
         self._shm = _share_features(trainer.partitioned.full)
         self._mp_ctx = mp.get_context("fork")
         self._procs = [None] * n
         self._conns = [None] * n
         self._inbox = [[] for _ in range(n)]
         for part in range(n):
-            self._fork_child(part)
-        self._epoch_index = -1
+            self._fresh_host(part)
         self._in_epoch = False
-        self._cmd_log = [[] for _ in range(n)]
-        self._snapshots = [None] * n
         self._draws = [0] * n
         self._recoveries = [0] * n
 
-    def _fork_child(self, part: int) -> None:
+    def _fresh_host(self, part: int) -> None:
         """Fork (or re-fork) the child process running host ``part``.
 
         The parent never executes a command on its own copy of the
@@ -780,16 +858,6 @@ class ProcessBackend(SerialBackend):
 
     # -- guarded pipe I/O -----------------------------------------------
 
-    def _controller(self):
-        """The run's fault controller, when one is attached."""
-        return getattr(self.trainer, "fault_controller", None)
-
-    def _count(self, name: str, value: float = 1) -> None:
-        """Mirror a backend fault event onto the controller counters."""
-        controller = self._controller()
-        if controller is not None:
-            controller.count(name, value)
-
     def _raw_send(self, i: int, msg: tuple) -> None:
         """Send one command; a broken pipe means the child died."""
         try:
@@ -827,22 +895,17 @@ class ProcessBackend(SerialBackend):
             inbox.append(reply)
 
     def _send(self, i: int, msg: tuple) -> None:
-        """Deliver a command over the pipe, recovering the worker if
-        the send itself reveals a death; delivered commands are logged
-        for restore replay."""
+        """Log and deliver a command over the pipe, recovering the
+        worker if the send itself reveals a death."""
         if msg[0] == "draw":
             # Counted before sending so recovery's fast-forward
             # arithmetic sees the in-flight draw on both the send and
             # the receive failure paths.
             self._draws[i] += 1
         try:
-            self._raw_send(i, msg)
+            super()._send(i, msg)
         except WorkerDiedError:
             self._recover(i, msg, expect_reply=False)
-            if i in self._dead:
-                return
-        if self._logging and msg[0] in self._REPLAYABLE:
-            self._cmd_log[i].append(msg)
 
     def _recv(self, i: int, inflight: tuple):
         """Receive ``inflight``'s reply, running death/timeout recovery
@@ -869,7 +932,7 @@ class ProcessBackend(SerialBackend):
         trainer = self.trainer
         config = trainer.config
         policy = config.recovery
-        controller = self._controller()
+        controller = trainer.fault_controller
         self._count("child_deaths")
         self._reap(i)
         live_others = [j for j in self._active() if j != i]
@@ -898,7 +961,7 @@ class ProcessBackend(SerialBackend):
                 "worker remains")
         self._count("respawns")
         if policy == "restore" and self._snapshots[i] is not None:
-            self._respawn_restore(i, inflight)
+            self._restore_from_log(i, inflight)
         else:
             self._respawn_warm(i, inflight, live_others,
                                requeue=(policy not in ("drop",)))
@@ -932,29 +995,13 @@ class ProcessBackend(SerialBackend):
             except OSError:
                 pass
 
-    def _respawn_restore(self, i: int, inflight: tuple) -> None:
-        """Fork a fresh child, rehydrate it from the last checkpoint
-        and replay the logged commands since — minus the in-flight one,
-        which the caller re-issues for real."""
-        self._fork_child(i)
-        log = self._cmd_log[i]
-        replay = list(log)
-        if replay and replay[-1] == inflight:
-            replay = replay[:-1]
-        self._raw_send(i, ("load_snapshot", self._snapshots[i]))
-        self._raw_send(i, ("replay", replay))
-        tag, replayed = self._raw_recv(i, "replay")
-        assert tag == "replayed"
-        self._count("restores")
-        self._count("replayed_commands", replayed)
-
     def _respawn_warm(self, i: int, inflight: tuple,
                       live_others: List[int], requeue: bool) -> None:
         """Fork a fresh child and warm it up: copy a survivor's model,
         re-enter the epoch and fast-forward the loader past the batches
         the dead child already consumed.  No bit-identity claim — the
         respawned worker continues on a fresh RNG stream."""
-        self._fork_child(i)
+        self._fresh_host(i)
         if live_others:
             src = live_others[0]
             self._raw_send(src, ("get_model",))
@@ -1016,27 +1063,25 @@ class ProcessBackend(SerialBackend):
     # -- epoch ----------------------------------------------------------
 
     def begin_epoch(self) -> None:
-        """Take the restore point (restore policy, on cadence), then
-        start the epoch on every live child."""
-        self._epoch_index += 1
-        if (self._logging
-                and self._epoch_index % self._checkpoint_every == 0):
-            self._take_snapshots()
+        """Start the epoch; recovery's fast-forward arithmetic counts
+        draws from here."""
         super().begin_epoch()
         self._draws = [0] * self.num_workers
         self._in_epoch = True
 
-    def _take_snapshots(self) -> None:
-        """The restore point: keep every live child's snapshot and
-        truncate its replay log."""
-        payloads = self.snapshot_workers(self._epoch_index, 0)
-        for i, payload in enumerate(payloads):
-            if payload is None:
-                continue
-            self._snapshots[i] = payload
-            self._cmd_log[i] = []
-            self._count("checkpoint_bytes", len(payload))
-        self._count("checkpoints")
+
+def wipe_worker(worker) -> None:
+    """What a crash takes from an in-process worker: parameters
+    zeroed, optimizer moments blanked, RNG scrambled."""
+    for p in worker.model.parameters():
+        p.data = np.zeros_like(p.data)
+        p.grad = None
+    blank = {name: np.zeros_like(value) for name, value
+             in worker.optimizer.state_dict().items()}
+    blank["lr"] = np.asarray(worker.optimizer.lr)
+    worker.optimizer.load_state_dict(blank)
+    worker.rng.bit_generator.state = (
+        np.random.default_rng(0xDEAD).bit_generator.state)
 
 
 def _share_features(graph):
@@ -1068,15 +1113,8 @@ def _child_main(host: WorkerHost, conn) -> None:
     ``stop``.  Observability is detached child-side — spans/metrics
     belong to the parent; the child reports raw deltas instead.
     """
-    trainer = host.trainer
-    worker = trainer.workers[host.part]
-    worker.obs = None
-    worker.negative_sampler.obs = None
-    worker.view.obs = None
-    trainer.meters[host.part].obs = None
-    if trainer.remote_store is not None:
-        inner = getattr(trainer.remote_store, "_store", trainer.remote_store)
-        inner.obs = None
+    for site in host.obs_sites():
+        site.obs = None
     try:
         while True:
             # Child side: blocking on the parent is safe — parent death

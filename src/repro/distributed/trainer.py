@@ -139,9 +139,9 @@ class TrainConfig:
     # (rehydrate from the last checkpoint + replay) or "elastic"
     # (continue with survivors, reweight the averages).
     recovery: str = "drop"
-    # Process-backend checkpoint cadence in epochs for the restore
-    # policy (0 disables checkpointing; in-process backends checkpoint
-    # at sync barriers and ignore this).
+    # Cadence in epochs of the restore policy's restore points (every
+    # backend; >= 1 under recovery="restore") and of the durable
+    # session snapshots written when checkpoint_dir is set.
     checkpoint_every: int = 1
     # Per-operation budget: how long (simulated seconds for injected
     # stragglers, wall seconds for real child-process reads) a worker
@@ -177,8 +177,8 @@ class TrainConfig:
     # Durable session checkpoints (repro.checkpoint): directory the
     # trainer writes atomic, checksummed full-session snapshots into,
     # every checkpoint_every epochs.  None disables durable
-    # checkpointing (the restore recovery policy's in-memory/child
-    # snapshots are independent of this knob).
+    # checkpointing (the restore recovery policy's in-memory restore
+    # points are independent of this knob).
     checkpoint_dir: Optional[str] = None
     seed: int = 0
 
@@ -214,10 +214,10 @@ class TrainConfig:
                 f"sync={self.sync!r}")
         if (self.sync in ("ps", "async") and self.recovery == "restore"):
             raise ValueError(
-                "recovery='restore' is a barrier-family policy (it "
-                "replays from synchronization barriers, which ps/async "
-                "runs never reach); use drop, retry or elastic with "
-                "asynchronous sync modes")
+                "recovery='restore' is a barrier-family policy (its "
+                "bit-identity guarantee rests on synchronization "
+                "barriers, which ps/async runs never reach); use drop, "
+                "retry or elastic with asynchronous sync modes")
         if self.sync in ("ps", "async", "local_sgd") \
                 and self.num_workers == 1:
             import warnings
@@ -272,12 +272,10 @@ class TrainConfig:
                 raise ValueError(
                     "checkpoint_dir needs checkpoint_every >= 1 "
                     "(epochs between durable session snapshots)")
-        if (self.recovery == "restore" and self.backend == "process"
-                and self.checkpoint_every < 1):
+        if self.recovery == "restore" and self.checkpoint_every < 1:
             raise ValueError(
-                "recovery='restore' on backend='process' needs "
-                "checkpointing enabled: set checkpoint_every >= 1 "
-                "(epochs between child snapshots)")
+                "recovery='restore' needs checkpointing enabled: set "
+                "checkpoint_every >= 1 (epochs between restore points)")
         if self.fault_timeout_s <= 0:
             raise ValueError("fault_timeout_s must be > 0")
         if self.max_retries < 0:
@@ -788,7 +786,6 @@ class DistributedTrainer:
             epoch_started = obs.tracer.now_s if obs is not None else 0.0
             with epoch_cm:
                 backend.begin_epoch()
-                faults.begin_epoch(epoch)
                 losses: List[float] = []
                 rounds_since_avg = 0
                 epoch_rounds = 0
@@ -803,17 +800,11 @@ class DistributedTrainer:
                         decision = faults.plan_round(epoch, epoch_rounds,
                                                      has_batch)
                         train_mask = decision.train_mask
-                        pending = (backend.pending_batches()
-                                   if faults.logging_batches else None)
                         round_results = backend.train_round(train_mask)
                         for res in round_results:
                             if res is not None:
                                 losses.append(res.loss)
                                 epoch_mfg_edges += res.mfg_edges
-                        if pending is not None:
-                            for i, ok in enumerate(train_mask):
-                                if ok:
-                                    faults.note_trained(i, pending[i])
                         epoch_rounds += 1
                         if obs is not None:
                             obs.counter("train.rounds").inc(1)
@@ -828,7 +819,7 @@ class DistributedTrainer:
                                                   decision.sync_mask,
                                                   live=live)
                                 backend.step_all()
-                                faults.barrier(epoch, epoch_rounds)
+                                faults.barrier()
                         elif config.sync in ("ps", "async"):
                             self._ps_round(epoch, epoch_rounds - 1,
                                            round_results,
@@ -838,20 +829,16 @@ class DistributedTrainer:
                             # model average every `average_every`
                             # trained rounds.
                             backend.step_participants(train_mask)
-                            for i, ok in enumerate(train_mask):
-                                if ok:
-                                    faults.note_step(i)
                             rounds_since_avg += 1
                             if (average_every
                                     and rounds_since_avg >= average_every):
-                                self._average_models(faults, epoch,
-                                                     epoch_rounds)
+                                self._average_models(faults)
                                 rounds_since_avg = 0
                 if config.sync in ("model", "local_sgd") and (
                         not average_every or rounds_since_avg):
                     # Flush the tail of the epoch into one last average
                     # so validation sees the consensus model.
-                    self._average_models(faults, epoch, epoch_rounds)
+                    self._average_models(faults)
                 elif config.sync in ("ps", "async"):
                     # The epoch boundary is a pull barrier: every live
                     # worker receives the server model, so validation
@@ -1024,7 +1011,7 @@ class DistributedTrainer:
 
         self._traced_sync(mode, dispatch, live)
 
-    def _average_models(self, faults, epoch: int, rnd: int) -> None:
+    def _average_models(self, faults) -> None:
         """One model-averaging barrier of the ``model`` / ``local_sgd``
         modes: average, server-side correction, fault barrier."""
         self._synchronize(
@@ -1032,7 +1019,7 @@ class DistributedTrainer:
             faults.model_sync_mask() if faults.enabled else None,
             live=None if faults.all_live else faults.live)
         self._run_correction()
-        faults.barrier(epoch, rnd)
+        faults.barrier()
 
     # ------------------------------------------------------------------
 

@@ -10,8 +10,8 @@ The subsystem has three layers:
 * :mod:`repro.faults.controller` — **how the run survives**: the
   :class:`FaultController` injects each round's planned faults into the
   trainer loop and drives the configured recovery policy (``drop``,
-  ``retry``, ``restore``, ``elastic``), checkpointing worker state
-  through :mod:`repro.faults.snapshot` when restores are possible.
+  ``retry``, ``restore``, ``elastic``); what a crash destroys and how
+  it is rebuilt belongs to :mod:`repro.distributed.backends`.
 * :mod:`repro.faults.chaos` — **proving it**: a harness that sweeps
   fault plans against every execution backend and asserts the
   robustness invariants (no hang, monotone progress, final metrics
@@ -31,7 +31,6 @@ from .errors import (
     WorkerTimeoutError,
 )
 from .plan import EVENT_KINDS, FAILURE_SEED_SALT, FaultEvent, FaultPlan
-from .snapshot import WorkerSnapshot, restore_worker, snapshot_worker
 
 __all__ = [
     "EVENT_KINDS",
@@ -44,8 +43,5 @@ __all__ = [
     "FaultToleranceError",
     "RoundDecision",
     "WorkerDiedError",
-    "WorkerSnapshot",
     "WorkerTimeoutError",
-    "restore_worker",
-    "snapshot_worker",
 ]

@@ -14,6 +14,9 @@ twin, and asserts the robustness invariants:
 * **metrics** — the final test AUC lands within an absolute tolerance
   of the fault-free twin on the same backend (faults degrade, they do
   not destroy);
+* **lossless restore** — under ``recovery="restore"`` the
+  communication ledger equals the fault-free twin's byte for byte
+  (replay is silent), on every framework and backend;
 * **accounted** — a non-empty plan leaves a non-empty
   ``TrainResult.faults`` ledger, and — when observing — ``fault``
   spans and ``fault.*`` counters in the :class:`~repro.obs.RunReport`.
@@ -133,10 +136,10 @@ def _make_workload(seed: int):
 def _compatible_recovery(recovery: str, sync: str) -> str:
     """Map ``restore`` to ``retry`` for barrier-free sync modes.
 
-    ``restore`` replays from barrier snapshots, which the ``ps`` and
-    ``async`` trainers never reach — :class:`TrainConfig` rejects the
-    combination, so the sweep substitutes the nearest policy instead
-    of burning a cell on a guaranteed ``ValueError``.
+    ``restore``'s bit-identity guarantee is established for the
+    barrier family only — :class:`TrainConfig` rejects it with the
+    ``ps`` and ``async`` trainers, so the sweep substitutes the nearest
+    policy instead of burning a cell on a guaranteed ``ValueError``.
     """
     if recovery == "restore" and sync in ("ps", "async"):
         return "retry"
@@ -180,6 +183,13 @@ def _check(case: ChaosCase, result, baseline, epochs: int, wall_s: float,
             f"final AUC {result.test.auc:.3f} drifted more than "
             f"{tolerance} from the fault-free twin "
             f"{baseline.test.auc:.3f}")
+    if (case.recovery == "restore"
+            and "elastic_removed" not in result.faults
+            and result.comm_total != baseline.comm_total):
+        violations.append(
+            f"comm_total {result.comm_total.to_dict()} != fault-free "
+            f"twin {baseline.comm_total.to_dict()} under 'restore' "
+            "(replay must not re-charge the meters)")
     from ..core.frameworks import FRAMEWORKS
     from ..partition import get_partitioner
 

@@ -29,32 +29,32 @@ Recovery policies
     (charged to the simulated clock), so a run with enough retry
     budget finishes bit-identical to its fault-free twin.
 ``restore``
-    The crash wipes the worker's volatile state (model, optimizer
-    moments, RNG).  The worker is rehydrated from the last barrier
-    checkpoint (serialized through :mod:`repro.nn.serialize`) and its
-    batch/step log since that barrier is replayed, reproducing the
-    pre-crash state bit for bit; the pending batch then trains
+    A planned crash destroys the worker's volatile state (model,
+    optimizer moments, RNG).  The execution backend rebuilds it from
+    the worker's last restore point plus a silent replay of the
+    command log since (:mod:`repro.distributed.backends`), reproducing
+    the pre-crash state bit for bit; the pending batch then trains
     normally and the round is indistinguishable from fault-free.
 ``elastic``
     The worker is removed for good; training continues with the
     survivors and every subsequent model average is reweighted over
     the live workers only (partial-participation PSGD-PA averaging).
 
-On the process backend, planned crashes are executed *for real*: the
-controller SIGKILLs the worker's child process and the backend's
-death-detection/respawn machinery (guarded pipe reads, timeouts,
-command log replay) carries out the recovery.
+Planned crashes are handed to the backend (``inject_crash``): on the
+process backend a real SIGKILL of the worker's child under every
+policy (guarded pipe reads detect it, respawn carries out the
+recovery); in-process a wipe-and-rebuild under ``restore`` and nothing
+beyond the masks below otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
 from .plan import FAILURE_SEED_SALT, FaultEvent, FaultPlan
-from .snapshot import WorkerSnapshot, restore_worker, snapshot_worker
 
 #: Recovery policies accepted by ``TrainConfig.recovery``.
 RECOVERY_POLICIES = ("drop", "retry", "restore", "elastic")
@@ -66,17 +66,6 @@ class RoundDecision:
 
     train_mask: List[bool]
     sync_mask: List[bool]
-    #: Workers whose pending batch was dropped this round.
-    dropped: int = 0
-
-
-@dataclass
-class _WorkerLog:
-    """Replay log since the last barrier snapshot (restore policy)."""
-
-    snapshot: Optional[WorkerSnapshot] = None
-    #: ``("batch", array)`` and ``("step",)`` actions, in order.
-    actions: List[tuple] = field(default_factory=list)
 
 
 class FaultController:
@@ -110,21 +99,11 @@ class FaultController:
         #: ``worker_failure_prob`` configs stay bit-identical.
         self._failure_rng = np.random.default_rng(
             config.seed + FAILURE_SEED_SALT)
-        self._logs: List[_WorkerLog] = [_WorkerLog()
-                                        for _ in range(num_workers)]
         self._retry_attempts: List[int] = [0] * num_workers
         #: Workers whose sync message was lost since the last model
         #: barrier — excluded from the next model average.
         self._model_sync_excluded: set = set()
         self._outage_rounds_left = 0
-        self._epoch = -1
-        self._epoch_first_round = True
-        #: In-process restore needs barrier snapshots; the process
-        #: backend manages its own checkpoint/replay machinery.
-        self._snapshots_here = (self.policy == "restore"
-                                and not plan.is_empty()
-                                and not getattr(trainer.backend,
-                                                "child_owned_state", False))
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -132,12 +111,6 @@ class FaultController:
     def enabled(self) -> bool:
         """Whether this run injects any faults at all."""
         return not self.plan.is_empty()
-
-    @property
-    def logging_batches(self) -> bool:
-        """True when the trainer must hand trained batches to
-        :meth:`note_trained` (in-process restore replay log)."""
-        return self._snapshots_here
 
     def num_live(self) -> int:
         """Workers still participating."""
@@ -177,31 +150,20 @@ class FaultController:
             self.count("elastic_removed")
             self._span("elastic_remove", worker=worker, reason=reason)
 
-    # -- epoch / round hooks ---------------------------------------------
-
-    def begin_epoch(self, epoch: int) -> None:
-        """Reset per-epoch state; barrier snapshots wait for the first
-        round so they capture the post-shuffle RNG state."""
-        self._epoch = epoch
-        self._epoch_first_round = True
+    # -- round hooks -----------------------------------------------------
 
     def plan_round(self, epoch: int, rnd: int,
                    has_batch: List[bool]) -> RoundDecision:
-        """Decide this round's faults and run in-process recoveries.
+        """Decide this round's faults.
 
         Draw order of the probabilistic shim replays the legacy
         trainer's exactly: one draw per live worker holding a batch, in
         worker order, before declarative events apply.
         """
-        if self._epoch_first_round:
-            self._epoch_first_round = False
-            if self._snapshots_here:
-                self._barrier_snapshot(epoch, rnd)
         train_mask = [bool(h) and self.live[i]
                       for i, h in enumerate(has_batch)]
         decision = RoundDecision(train_mask=train_mask,
                                  sync_mask=list(train_mask))
-        dropped_before = self.dropped_contributions
         if self._outage_rounds_left > 0:
             self._outage_rounds_left -= 1
             self._store_stall()
@@ -214,26 +176,12 @@ class FaultController:
                     self._apply_crash(i, decision, source="prob")
         for event in self.plan.events_at(epoch, rnd):
             self._apply_event(event, decision)
-        decision.dropped = self.dropped_contributions - dropped_before
         return decision
 
-    def note_trained(self, worker: int, batch) -> None:
-        """Record a trained batch in the replay log (restore policy)."""
-        if self._snapshots_here and batch is not None:
-            self._logs[worker].actions.append(("batch", batch))
-
-    def note_step(self, worker: int) -> None:
-        """Record a local optimizer step in the replay log."""
-        if self._snapshots_here:
-            self._logs[worker].actions.append(("step",))
-
-    def barrier(self, epoch: int, rnd: int) -> None:
+    def barrier(self) -> None:
         """A synchronization barrier completed: every live replica is
-        at a consistent, reproducible point — refresh checkpoints and
-        forget pre-barrier message faults."""
+        at the consensus again — forget pre-barrier message faults."""
         self._model_sync_excluded.clear()
-        if self._snapshots_here:
-            self._barrier_snapshot(epoch, rnd)
 
     # -- event application ------------------------------------------------
 
@@ -259,42 +207,33 @@ class FaultController:
 
     def _apply_crash(self, worker: int, decision: RoundDecision,
                      source: str) -> None:
-        """A worker loses its round (and, under restore, its state).
+        """A worker loses its round (and, when planned under restore,
+        its state).
 
-        On the process backend, *planned* crashes are executed for real
-        (SIGKILL); the backend's death detection and respawn machinery
-        then carries out the recovery, so the mask stays on for retry
-        and restore.  Probabilistic (legacy-shim) crashes never kill —
-        they keep the pre-plan drop semantics on every backend.
+        Only *planned* crashes reach the backend; probabilistic
+        (legacy-shim) and straggle-timeout crashes never kill.  The
+        mask stays on where the backend makes the worker whole again:
+        retry after a real kill (the batch is requeued), and restore
+        always (a planned victim is rebuilt exactly; otherwise the
+        result is durable worker-side).
         """
         self.count("crashes")
         self._span("crash", worker=worker, source=source,
                    policy=self.policy)
         backend = self.trainer.backend
-        child_owned = getattr(backend, "child_owned_state", False)
-        real_kill = child_owned and source == "plan"
-        if real_kill:
+        planned = source == "plan"
+        real_kill = planned and backend.child_owned_state
+        if planned:
             backend.inject_crash(worker)
         if self.policy == "drop":
             self._drop(worker, decision)
-        elif self.policy == "retry":
-            if real_kill:
-                # The backend requeues the pending batch onto the
-                # respawned child; the backoff is charged there.
-                pass
-            elif self._charge_retries(worker):
+        elif self.policy == "retry" and not real_kill:
+            # (After a real kill the backend requeues the pending batch
+            # onto the respawned child; the backoff is charged there.)
+            if self._charge_retries(worker):
                 self.count("redelivered")
             else:
                 self._drop(worker, decision)
-        elif self.policy == "restore":
-            if child_owned:
-                # Real kill: the backend rehydrates the child from its
-                # last snapshot and replays the command log.  Shim
-                # crash: the result is durable child-side, so leaving
-                # the mask on is the re-delivery.
-                pass
-            else:
-                self._restore(worker)
         elif self.policy == "elastic":
             if self.num_live() <= 1:
                 self._spare_last_worker(worker, decision)
@@ -329,7 +268,7 @@ class FaultController:
         if decision.train_mask[worker]:
             decision.sync_mask[worker] = False
             self._model_sync_excluded.add(worker)
-            self._count_dropped()
+            self.record_dropped()
 
     # -- recovery actions --------------------------------------------------
 
@@ -337,13 +276,11 @@ class FaultController:
         """Lose the worker's round: batch consumed, never trained."""
         decision.train_mask[worker] = False
         decision.sync_mask[worker] = False
-        self._count_dropped()
+        self.record_dropped()
 
     def record_dropped(self) -> None:
-        """Backend hook: a real worker death dropped a contribution."""
-        self._count_dropped()
-
-    def _count_dropped(self) -> None:
+        """A contribution was lost (also the backend's hook for a real
+        worker death)."""
         self.dropped_contributions += 1
         self.count("dropped_contributions")
         if self.obs is not None:
@@ -381,59 +318,6 @@ class FaultController:
         self.count("spared_last_worker")
         self._span("spared_last_worker", worker=worker)
         self._drop(worker, decision)
-
-    def _restore(self, worker: int) -> None:
-        """Wipe and rehydrate an in-process worker, then replay.
-
-        The wipe is real: parameters are zeroed, the optimizer loses
-        its moments and the RNG is scrambled, so a restore that failed
-        to rebuild state exactly would be caught by the bit-identity
-        acceptance tests rather than masked by leftover live state.
-        """
-        log = self._logs[worker]
-        if log.snapshot is None:  # crash before the first barrier
-            self.count("restore_unavailable")
-            return
-        self.count("restores")
-        self._span("restore", worker=worker,
-                   replayed=len(log.actions))
-        w = self.trainer.workers[worker]
-        self._wipe(w)
-        restore_worker(w, log.snapshot)
-        replayed = 0
-        for action in log.actions:
-            if action[0] == "batch":
-                w._run_batch(action[1], None)
-                replayed += 1
-            elif action[0] == "step":
-                w.optimizer.step()
-        if replayed:
-            self.count("replayed_batches", replayed)
-        if self.obs is not None:
-            self.obs.advance(self.config.retry_backoff_s)
-
-    @staticmethod
-    def _wipe(worker) -> None:
-        """Destroy a worker's volatile state (simulated crash)."""
-        for p in worker.model.parameters():
-            p.data = np.zeros_like(p.data)
-            p.grad = None
-        blank = {name: np.zeros_like(value) for name, value
-                 in worker.optimizer.state_dict().items()}
-        blank["lr"] = np.asarray(worker.optimizer.lr)
-        worker.optimizer.load_state_dict(blank)
-        worker.rng.bit_generator.state = (
-            np.random.default_rng(0xDEAD).bit_generator.state)
-
-    def _barrier_snapshot(self, epoch: int, rnd: int) -> None:
-        """Checkpoint every live worker and truncate the replay logs."""
-        for i, w in enumerate(self.trainer.workers):
-            if not self.live[i]:
-                continue
-            snap = snapshot_worker(w, epoch, rnd)
-            self._logs[i] = _WorkerLog(snapshot=snap)
-            self.count("checkpoint_bytes", snap.nbytes)
-        self.count("checkpoints")
 
     def _store_stall(self) -> None:
         """One round spent with the shared store unreachable: workers

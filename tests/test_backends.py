@@ -245,18 +245,20 @@ class TestWorkerHost:
 
     def test_snapshot_then_replay_reproduces_the_worker(self, split):
         """snapshot -> k commands -> load_snapshot -> replay(the same k)
-        lands on the same weights and the same RNG state: the recovery
-        the process backend runs after a real SIGKILL."""
+        lands on the same weights and the same RNG state — the recovery
+        every backend runs under ``restore`` — and is silent: the
+        meter's open record is untouched by ``replay``."""
         from repro.core.frameworks import FRAMEWORKS, build_trainer
-        from repro.distributed.backends import WorkerHost
-        from repro.faults import FaultController
+        from repro.distributed.backends import WorkerHost, wipe_worker
         from repro.nn.serialize import model_fingerprint
 
         config = TrainConfig(hidden_dim=16, num_layers=2, fanouts=(5, 5),
-                             epochs=1, batch_size=64, seed=4, sync="grad")
+                             epochs=1, batch_size=64, seed=4, sync="grad",
+                             observe=True)
         trainer = build_trainer(FRAMEWORKS["splpg"], split, 2, config,
                                 rng=np.random.default_rng(4))
         worker = trainer.workers[1]
+        meter = trainer.meters[1]
         host = WorkerHost(trainer, 1, spans=False)
         tag, payload = host.execute(("snapshot", 0, 0))
         assert tag == "snapshot"
@@ -273,14 +275,21 @@ class TestWorkerHost:
         assert replies[9][1][3] is None              # grads not wanted
         want = (model_fingerprint(worker.model), worker.optimizer.lr,
                 worker.rng.bit_generator.state)
+        record = meter.current
+        charged = record.to_dict()
+        assert charged["feature_bytes"] > 0      # the commands did fetch
+        counters = trainer.observer.metrics.to_dict()
 
-        FaultController._wipe(worker)
+        wipe_worker(worker)
         assert model_fingerprint(worker.model) != want[0]
         host.execute(("load_snapshot", payload))
         assert host.execute(("replay", commands)) == ("replayed",
                                                       len(commands))
         assert (model_fingerprint(worker.model), worker.optimizer.lr,
                 worker.rng.bit_generator.state) == want
+        assert meter.current is record and record.to_dict() == charged
+        assert trainer.observer.metrics.to_dict() == counters
+        assert meter.obs is trainer.observer     # re-attached
 
 
 class TestSpeedupGate:
@@ -326,6 +335,7 @@ class TestIdempotentClose:
     class _StubTrainer:
         def __init__(self, n: int = 2):
             self.workers = [object()] * n
+            self.config = TrainConfig()
 
     @pytest.mark.parametrize("factory", [SerialBackend,
                                          lambda: ThreadBackend(2)])

@@ -13,7 +13,10 @@ Covers the acceptance criteria of the ``repro.faults`` PR:
   finishes under every policy;
 * fault events land in ``TrainResult.faults`` and (when observing)
   as ``fault`` spans / ``fault.*`` counters in the RunReport;
-* checkpoints round-trip bit-exactly through ``repro.nn.serialize``;
+* the worker codec (``repro.checkpoint.worker_state_bytes``)
+  round-trips bit-exactly through ``repro.nn.serialize``;
+* ``restore`` is one mechanism: the same history, accuracy, byte
+  ledger *and* fault counters on every backend;
 * ``TrainConfig`` rejects incoherent fault settings;
 * lint rule R106 flags unguarded worker I/O.
 """
@@ -25,15 +28,10 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
+from repro.checkpoint import load_worker_state, worker_state_bytes
 from repro.core.frameworks import run_framework
 from repro.distributed import TrainConfig
-from repro.faults import (
-    RECOVERY_POLICIES,
-    FaultEvent,
-    FaultPlan,
-    restore_worker,
-    snapshot_worker,
-)
+from repro.faults import RECOVERY_POLICIES, FaultEvent, FaultPlan
 from repro.graph import split_edges, synthetic_lp_graph
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
@@ -143,12 +141,16 @@ class TestConfigValidation:
             TrainConfig(fault_plan=CRASH_PLAN, worker_failure_prob=0.2)
 
     def test_restore_on_process_needs_checkpointing(self):
-        with pytest.raises(ValueError,
-                           match="checkpoint|checkpointing"):
-            TrainConfig(backend="process", recovery="restore",
-                        checkpoint_every=0, num_workers=2)
-        # Checkpointing on (the default) is fine.
-        TrainConfig(backend="process", recovery="restore", num_workers=2)
+        """One restore mechanism, one rule: restore points are taken
+        every ``checkpoint_every`` epochs on every backend.  (A loop,
+        not a parametrisation, so the test keeps its committed id.)"""
+        for backend in ("serial", "thread", "process"):
+            with pytest.raises(ValueError,
+                               match="checkpoint|checkpointing"):
+                TrainConfig(backend=backend, recovery="restore",
+                            checkpoint_every=0, num_workers=2)
+            # Checkpointing on (the default) is fine.
+            TrainConfig(backend=backend, recovery="restore", num_workers=2)
 
     def test_fault_knob_ranges(self):
         with pytest.raises(ValueError):
@@ -343,6 +345,93 @@ class TestProcessBackendKills:
 
 
 # ---------------------------------------------------------------------------
+# One restore mechanism on every backend
+
+
+class TestOneRestoreMechanism:
+    #: Two mid-epoch crashes around the epoch-2 restore point
+    #: (``checkpoint_every=2``): the first replays across an epoch
+    #: boundary — the end-of-epoch model average and LLCG's server-side
+    #: correction included — the second right after a fresh restore
+    #: point, on the replica the evaluator reads.
+    PLAN = FaultPlan(name="mid-epoch", events=(
+        FaultEvent(kind="crash", epoch=1, round=2, worker=1),
+        FaultEvent(kind="crash", epoch=2, round=1, worker=0)))
+
+    @staticmethod
+    def _train(split, framework, sync, backend, plan, recovery):
+        config = TrainConfig(
+            hidden_dim=16, num_layers=2, fanouts=(5, 5), epochs=3,
+            batch_size=32, seed=7, sync=sync, sync_every=2,
+            sync_every_batches=2, backend=backend, fault_plan=plan,
+            recovery=recovery, checkpoint_every=2, fault_timeout_s=15.0)
+        return run_framework(framework, split, 3, config,
+                             rng=np.random.default_rng(7))
+
+    @pytest.mark.parametrize("sync", ["grad", "model", "local_sgd"])
+    @pytest.mark.parametrize("framework", ["llcg", "splpg"])
+    def test_restore_equals_fault_free_with_one_ledger(self, split,
+                                                       framework, sync):
+        """``restore`` rebuilds the lost worker exactly — loss history,
+        accuracy and every communicated byte equal the fault-free
+        run's (replay charges nothing) — and reports the same fault
+        counters whichever backend ran it."""
+        clean = self._train(split, framework, sync, "serial", None, "drop")
+        assert min(s.rounds for s in clean.history) > 2
+        ledgers = {}
+        for backend in ("serial", "thread", "process"):
+            if backend == "process" and not HAS_FORK:
+                continue
+            got = self._train(split, framework, sync, backend, self.PLAN,
+                              "restore")
+            assert _fingerprint(got) == _fingerprint(clean), backend
+            assert got.comm_total.to_dict() == clean.comm_total.to_dict()
+            ledgers[backend] = got.faults
+        assert ledgers["serial"]["restores"] == 2
+        assert ledgers["serial"]["child_deaths"] == 2
+        assert ledgers["serial"]["checkpoints"] == 2
+        assert "replayed_batches" not in ledgers["serial"]
+        assert all(led == ledgers["serial"] for led in ledgers.values())
+
+    def test_inflight_command_is_dropped_by_identity(self, split):
+        """The replay skips the in-flight command only when it is the
+        very message last logged.  Two consecutive array-carrying
+        frames (a model average, then LLCG's correction) must not be
+        compared by value — ``ndarray.__bool__`` would raise inside
+        recovery."""
+        from repro.core.frameworks import FRAMEWORKS, build_trainer
+        from repro.distributed import SerialBackend
+
+        config = TrainConfig(hidden_dim=16, num_layers=2, fanouts=(5, 5),
+                             epochs=1, batch_size=64, seed=7,
+                             recovery="restore")
+        trainer = build_trainer(FRAMEWORKS["llcg"], split, 2, config,
+                                rng=np.random.default_rng(7))
+        backend = SerialBackend()
+        backend.bind(trainer)
+        backend.begin_epoch()                    # the restore point
+        averaged = trainer.workers[0].model.state_dict()
+        corrected = {k: v + 1.0 for k, v in averaged.items()}
+        logged = ("set_model", averaged)
+        backend._send(1, logged)
+        assert [m[0] for m in backend._cmd_log[1]] == ["epoch", "set_model"]
+
+        replayed = []
+        backend._count = lambda name, value=1: replayed.append((name, value))
+        # A different frame of the same shape is in flight: nothing is
+        # dropped, and comparing it with the logged one does not raise.
+        backend._restore_from_log(1, ("set_model", corrected))
+        # The logged frame itself is in flight: the caller re-issues it.
+        backend._restore_from_log(1, logged)
+        assert replayed == [("restores", 1), ("replayed_commands", 2),
+                            ("restores", 1), ("replayed_commands", 1)]
+        got = trainer.workers[1].model.state_dict()
+        reference = trainer.workers[0].model.state_dict()
+        assert all(np.array_equal(got[k], reference[k]) for k in got)
+        backend.close()
+
+
+# ---------------------------------------------------------------------------
 # Observability: spans, counters, report meta
 
 
@@ -397,7 +486,8 @@ class TestSnapshotRoundTrip:
         trainer.train()  # leaves the workers in a mid-stream state
         worker = trainer.workers[0]
 
-        snap = snapshot_worker(worker, epoch=1, rnd=0)
+        payload = worker_state_bytes(worker, epoch=1, rnd=0)
+        assert isinstance(payload, bytes)
         model_before = {k: v.copy()
                         for k, v in worker.model.state_dict().items()}
         optim_before = {k: (v.copy() if isinstance(v, np.ndarray) else v)
@@ -409,7 +499,7 @@ class TestSnapshotRoundTrip:
             p.data[...] = 0.0
         worker.rng = np.random.default_rng(0xBAD)
 
-        restore_worker(worker, snap)
+        load_worker_state(worker, payload)
         for name, arr in worker.model.state_dict().items():
             assert np.array_equal(arr, model_before[name]), name
         restored_optim = worker.optimizer.state_dict()

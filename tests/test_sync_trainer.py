@@ -25,10 +25,11 @@ def make_models(n, seed_offset=0):
 
 def bound_backend(models):
     """A serial backend over bare replicas: all the round protocol's
-    collectives need of a trainer is ``workers[i].model`` + ``meters``."""
+    collectives need of a trainer is ``workers[i].model``, ``meters``
+    and the ``config`` that says whether commands are logged."""
     trainer = SimpleNamespace(
         workers=[SimpleNamespace(model=m) for m in models],
-        meters=[CommMeter() for _ in models])
+        meters=[CommMeter() for _ in models], config=TrainConfig())
     backend = SerialBackend()
     backend.bind(trainer)
     return backend, trainer
