@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Golden digest matrices (training + streaming): write, or check.
+"""Golden digest matrices (training, streaming, serving): write, or check.
 
 Usage::
 
@@ -39,11 +39,27 @@ process-backend cell and one cell interrupted after tick 4 and resumed
 from its checkpoint.  Each stores ``StreamReport.digest()`` and the
 per-tick ``shards_fingerprint`` list, so a shard-layout refactor is
 pinned tick by tick on all three layouts.
+
+And the **serve cells** (``serve/<regime>/<backend>``, committed in
+``tests/golden_serve_digests.json``): two untrained, layout-compatible
+artifacts over one seeded 400-node graph on 3 shards serve 240 seeded
+requests under
+
+    {pair, mixed, outage, swap, cache0, cache4, dot} x {serial, process}
+
+— pair-only; mixed pairs + store-backed top-k exclusion in a closed
+loop; a shard crash + a store-outage window + a straggle; a hot swap
+that straddles a flush; the embedding cache off and at 4 entries (a
+top-k sweep of ~267 remote rows evicts inside itself; the default 256
+of the other cells evicts too); the dot-product decoder.  Each stores
+one hash over ``ServeReport.digest()`` and the counters (cache hits and
+misses included, which the report digest alone does not cover).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -58,6 +74,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 GOLDEN_PATH = REPO_ROOT / "tests" / "golden_train_digests.json"
 STREAM_GOLDEN_NAME = "golden_stream_digests.json"
+SERVE_GOLDEN_NAME = "golden_serve_digests.json"
 
 FRAMEWORKS = ("psgd_pa", "llcg", "splpg", "vertex_cut")
 BACKENDS = ("serial", "thread", "process")
@@ -272,6 +289,112 @@ def compute_stream(cells, verbose: bool = False) -> Dict[str, dict]:
     return _digests(cells, run_stream_cell, verbose)
 
 
+class ServeCell(NamedTuple):
+    """One serving run: a request/fault/cache regime on a backend."""
+
+    regime: str
+    backend: str
+
+    @property
+    def name(self) -> str:
+        """``serve/regime/backend``."""
+        return f"serve/{self.regime}/{self.backend}"
+
+
+SERVE_REGIMES = ("pair", "mixed", "outage", "swap", "cache0", "cache4",
+                 "dot")
+SERVE_SEED = 11
+SERVE_NODES = 400
+SERVE_REQUESTS = 240
+#: The ``swap`` cell switches model versions at this admission sequence.
+SERVE_SWAP_SEQ = 97
+
+
+def serve_cells() -> List[ServeCell]:
+    """Every serve cell (all of them fit the tier-1 budget)."""
+    return [ServeCell(regime, backend) for regime in SERVE_REGIMES
+            for backend in ("serial", "process")]
+
+
+def serve_fixture():
+    """The serve cells' graph store and two layout-compatible
+    artifacts per decoder kind (``kind -> (old, new)``)."""
+    from repro.distributed.store import RemoteGraphStore
+    from repro.graph import synthetic_lp_graph
+    from repro.nn.models import build_model
+    from repro.partition import partition_graph
+    from repro.serve import export_servable
+
+    graph = synthetic_lp_graph(SERVE_NODES, 1600, feature_dim=16,
+                               rng=np.random.default_rng(SERVE_SEED))
+    partitioned = partition_graph(graph, 3,
+                                  rng=np.random.default_rng(SERVE_SEED))
+    artifacts = {
+        kind: tuple(export_servable(
+            build_model("sage", 16, hidden_dim=16, num_layers=2,
+                        predictor=kind, seed=SERVE_SEED + version),
+            partitioned) for version in (0, 1))
+        for kind in ("mlp", "dot")}
+    return RemoteGraphStore(graph), artifacts
+
+
+def run_serve_cell(fixture, cell: ServeCell) -> str:
+    """Serve one cell; a hash of its report digest and counters."""
+    from repro.faults import FaultEvent, FaultPlan
+    from repro.serve import (ClosedLoopWorkload, OpenLoopWorkload,
+                             ServingCluster, synthetic_requests)
+
+    store, artifacts = fixture
+    old, new = artifacts["dot" if cell.regime == "dot" else "mlp"]
+    knobs = dict(backend=cell.backend, store=store, max_batch=5,
+                 max_delay_s=2e-3, max_queue=32)
+    if cell.regime.startswith("cache"):
+        knobs["embed_cache"] = int(cell.regime[len("cache"):])
+    if cell.regime == "outage":
+        knobs["plan"] = FaultPlan(name="golden-serve", events=(
+            FaultEvent(kind="store_outage", epoch=0, round=20, rounds=30,
+                       worker=2),
+            FaultEvent(kind="straggle", epoch=0, round=40, worker=0,
+                       delay_s=0.01),
+            FaultEvent(kind="crash", epoch=0, round=SERVE_REQUESTS // 3,
+                       worker=1)))
+    requests = synthetic_requests(
+        SERVE_REQUESTS, SERVE_NODES, seed=SERVE_SEED,
+        topk_fraction=0.0 if cell.regime == "pair" else 0.1)
+    if cell.regime == "mixed":
+        workload = ClosedLoopWorkload(requests, num_clients=12,
+                                      think_time_s=2e-4)
+    else:
+        workload = OpenLoopWorkload(requests, rate_rps=4000.0,
+                                    seed=SERVE_SEED + 13)
+    swaps = None
+    with ServingCluster(old, **knobs) as cluster:
+        if cell.regime == "swap":
+            swaps = [(SERVE_SWAP_SEQ, cluster.register_version(new))]
+        report = cluster.serve(workload, swaps=swaps)
+    counters = report.counters
+    if cell.regime == "swap":
+        flushes: Dict[tuple, List[int]] = {}
+        for o in report.completed():
+            flushes.setdefault((o.shard, o.dispatch_s), []).append(o.index)
+        assert any(min(seqs) < SERVE_SWAP_SEQ <= max(seqs)
+                   for seqs in flushes.values()), "no flush straddles"
+    elif cell.regime == "outage":
+        assert counters["rerouted"] > 0, counters
+    if cell.regime not in ("pair", "cache0"):
+        assert counters["embed_cache_hits"] > 0, counters
+        assert counters["neighbor_cache_misses"] > 0, counters
+    return hashlib.sha256((report.digest() + json.dumps(
+        counters, sort_keys=True)).encode()).hexdigest()
+
+
+def compute_serve(cells, verbose: bool = False) -> Dict[str, str]:
+    """Golden value of every given serve cell, keyed by cell name."""
+    fixture = serve_fixture()
+    return _digests(cells, lambda cell: run_serve_cell(fixture, cell),
+                    verbose)
+
+
 def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
     """The committed digests."""
     return json.loads(path.read_text())["digests"]
@@ -280,6 +403,11 @@ def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
 def load_stream_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
     """The committed stream cells (the file beside ``path``)."""
     return load_golden(path.with_name(STREAM_GOLDEN_NAME))
+
+
+def load_serve_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
+    """The committed serve cells (the file beside ``path``)."""
+    return load_golden(path.with_name(SERVE_GOLDEN_NAME))
 
 
 def _mismatch(want, got) -> str:
@@ -316,8 +444,9 @@ def main(argv=None) -> int:
     parser.add_argument("--match", default="",
                         help="only cells whose name contains this text")
     parser.add_argument("--file", type=Path, default=GOLDEN_PATH,
-                        help="training digests; the stream cells live "
-                             f"beside it in {STREAM_GOLDEN_NAME}")
+                        help="training digests; the stream and serve "
+                             f"cells live beside it in {STREAM_GOLDEN_NAME}"
+                             f" and {SERVE_GOLDEN_NAME}")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -330,6 +459,10 @@ def main(argv=None) -> int:
          stream_cells(),
          {"nodes": 160, "parts": 3, "ticks": STREAM_TICKS,
           "seed": STREAM_SEED}),
+        (args.file.with_name(SERVE_GOLDEN_NAME), compute_serve,
+         serve_cells(),
+         {"nodes": SERVE_NODES, "shards": 3, "requests": SERVE_REQUESTS,
+          "seed": SERVE_SEED}),
     ]
     status = 0
     for path, run, cells, workload in suites:

@@ -5,7 +5,9 @@ x sync mode fault-free, and the mixed fault plan under each recovery
 policy on the serial and process backends — and checks the committed
 file's own cross-backend invariants; ``scripts/ci.sh`` checks all 512
 cells.  The stream cells (three shard layouts x steady/churn, a process
-cell, a resumed cell) are cheap enough to recompute in full.
+cell, a resumed cell) and the serve cells (seven request / fault / cache
+/ decoder regimes on serial + process) are cheap enough to recompute in
+full.
 """
 
 import sys
@@ -76,3 +78,21 @@ def test_stream_backend_and_resume_do_not_change_the_cell(committed_stream):
     for name, value in committed_stream.items():
         layout, regime = name.split("/")[1:3]
         assert value == committed_stream[f"stream/{layout}/{regime}/serial"]
+
+
+@pytest.fixture(scope="module")
+def committed_serve():
+    return golden.load_serve_golden()
+
+
+def test_serve_cells_match_committed_digests(committed_serve):
+    cells = golden.serve_cells()
+    assert set(committed_serve) == {cell.name for cell in cells}
+    got = golden.compute_serve(cells)
+    assert golden.diff(committed_serve, got) == []
+
+
+def test_serve_backend_does_not_change_the_cell(committed_serve):
+    for name, value in committed_serve.items():
+        regime = name.split("/")[1]
+        assert value == committed_serve[f"serve/{regime}/serial"]
