@@ -100,8 +100,9 @@ class DotPredictor(Module):
     """Dot-product edge scorer: ``s_uv = <h_u, h_v>``."""
 
     def forward(self, h_u: Tensor, h_v: Tensor) -> Tensor:
-        """Edge scores as dot products of endpoint embeddings."""
-        return (h_u * h_v).sum(axis=1)
+        """Edge scores as dot products of endpoint embeddings (over the
+        last axis, so a stacked ``(n, 1, d)`` block gives ``n`` scores)."""
+        return (h_u * h_v).sum(axis=-1).reshape(-1)
 
 
 class MLPPredictor(Module):

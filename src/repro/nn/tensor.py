@@ -301,12 +301,12 @@ class Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0.0)
+    """Rectified linear unit (NaN propagates, as in ``np.maximum``)."""
+    data = np.maximum(x.data, 0.0)
+    data += 0.0   # -0.0 -> +0.0, i.e. the bits of ``np.where(x > 0, x, 0.0)``
 
     def backward(grad: Array) -> None:
-        x._accumulate(grad * mask)
+        x._accumulate(grad * (x.data > 0))
 
     return Tensor._result(data, (x,), backward)
 

@@ -10,13 +10,17 @@ embedding table — so the cache tracks keys, not values.
 Everything is deterministic: eviction is strict LRU over the exact
 lookup order, so the same request stream always produces the same
 hit/miss sequence (and therefore the same simulated byte charges) on
-every execution backend.
+every execution backend.  A duplicate-free key array (a top-k
+candidate sweep) is admitted in one vectorised pass that reproduces
+the per-key sequence exactly (:meth:`LRUCache.admit_unique`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Iterable, List
+
+import numpy as np
 
 
 class LRUCache:
@@ -69,6 +73,44 @@ class LRUCache:
                 self._entries[key] = None
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
+        return missing
+
+    def admit_unique(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`admit` for a duplicate-free key array, in one pass.
+
+        LRU inclusion property: the cache holds the ``capacity`` most
+        recently looked-up distinct keys, so a lookup hits iff fewer
+        than ``capacity`` distinct keys were looked up since that key's
+        last lookup.  For the entry of recency rank ``r`` (0 = newest)
+        at batch position ``p`` that count is ``r + p`` minus the
+        entries that are both newer and earlier in the batch (counted
+        twice otherwise).  Hits, misses and the final recency order
+        equal the per-key loop's; the misses come back as an array.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        cached = np.fromiter(self._entries, np.int64, len(self._entries))
+        stale = np.ones(cached.size, dtype=bool)   # entries not looked up
+        hit = np.zeros(keys.size, dtype=bool)
+        if cached.size:
+            # Position p >= capacity never hits (r - both >= 0) and the
+            # entries found there are evicted anyway: search the head.
+            head = keys[:self.capacity]
+            order = np.argsort(cached)
+            slot = order[np.minimum(
+                np.searchsorted(cached, head, sorter=order),
+                cached.size - 1)]
+            pos = np.flatnonzero(cached[slot] == head)
+            slot = slot[pos]
+            rank = cached.size - 1 - slot
+            both = np.tril(rank[:, None] > rank, -1).sum(axis=1)
+            hit[pos[rank + pos - both < self.capacity]] = True
+            stale[slot] = False
+        missing = keys[~hit]
+        self.hits += keys.size - missing.size
+        self.misses += missing.size
+        kept = np.concatenate([cached[stale], keys])
+        self._entries = OrderedDict.fromkeys(
+            kept[max(0, kept.size - self.capacity):].tolist())
         return missing
 
     def counters(self) -> dict:

@@ -111,6 +111,10 @@ class ServingCluster:
         self.table = artifact.embedding_table()
         self.predictor = artifact.build_predictor()
         self._owned = [set(nodes.tolist()) for nodes in artifact.shard_nodes]
+        #: Sorted ids each shard does not own: a top-k candidate sweep.
+        self._remote = [
+            np.setdiff1d(np.arange(artifact.num_nodes), nodes)
+            for nodes in artifact.shard_nodes]
         #: Registered servables by ``model_version``; requests execute
         #: against exactly one of these tables, chosen by the version
         #: pinned at admission time (see :meth:`serve`'s ``swaps``).
@@ -272,25 +276,32 @@ class ServingCluster:
         """
         embed_dim = self.artifact.embed_dim
         owned = self._owned[shard]
-        needed: List[int] = []
+        remote = self._remote[shard]
+        cache = self._embed_caches[shard]
+        # Remote pair endpoints wait in ``run`` and are admitted in
+        # order around each top-k sweep, so the cache sees exactly the
+        # per-key lookup sequence of the batch.
+        run: List[int] = []
+        missed = 0
         exclusions: Dict[int, np.ndarray] = {}
         work_rows = 0
         store_requests = 0
         for outcome in batch:
             request = outcome.request
             if isinstance(request, ScoreRequest):
-                needed.extend(n for n in (request.u, request.v)
-                              if n not in owned)
+                run.extend(n for n in (request.u, request.v)
+                           if n not in owned)
                 work_rows += 1
             else:
                 node = request.node
                 if node not in owned:
-                    needed.append(node)
+                    run.append(node)
                 # Top-k scores the query node against every candidate;
                 # candidate rows the replica does not own flow through
                 # the embedding cache like any other remote row.
-                needed.extend(n for n in range(self.table.shape[0])
-                              if n != node and n not in owned)
+                missed += len(cache.admit(run)) + cache.admit_unique(
+                    remote[remote != node]).size
+                run = []
                 work_rows += self.table.shape[0] - 1
                 if self.store is not None:
                     if self._nbr_caches[shard].admit([node]):
@@ -300,15 +311,15 @@ class ServingCluster:
                         store_requests += 1
                     exclusions[outcome.index] = self._neighbor_lists.get(
                         node, np.empty(0, dtype=np.int64))
-        missed = self._embed_caches[shard].admit(needed)
+        missed += len(cache.admit(run))
         if missed:
-            self._meter.charge_features(len(missed), embed_dim)
-        transfer_bytes = len(missed) * embed_dim * FEATURE_ITEMSIZE
+            self._meter.charge_features(missed, embed_dim)
+        transfer_bytes = missed * embed_dim * FEATURE_ITEMSIZE
         service_s = (
             self.hardware.request_latency_s * (1 + store_requests)
             + transfer_bytes / self.hardware.bytes_per_second
             + work_rows * embed_dim / self.hardware.edges_per_second)
-        meta = {"exclusions": exclusions, "embed_missed": len(missed),
+        meta = {"exclusions": exclusions, "embed_missed": missed,
                 "work_rows": work_rows,
                 # Frozen request objects ride along so phase-2 workers
                 # (possibly forked processes) need no outcome list.
@@ -349,45 +360,30 @@ class ServingCluster:
         function of the registered artifacts and the plan, so any
         backend (or a parent-side fallback) computes identical bytes.
 
-        Requests are evaluated in version-homogeneous groups: each
-        request uses exactly the table+decoder of the version pinned
-        at its admission, so a flush straddling a hot swap never mixes
-        embedding tables within one batch.
+        Each request uses exactly the table+decoder of the version
+        pinned at its admission, so a flush straddling a hot swap never
+        mixes embedding tables.  All pair requests of one version are
+        decoded in a single predictor call on ``(n, 1, d)`` blocks:
+        NumPy evaluates a stacked ``(n, 1, d) @ (d, h)`` as ``n``
+        independent ``1 x d`` products, so every score stays a pure
+        function of ``(table, predictor, u, v)`` — bit-equal to scoring
+        the request alone, whatever else shares its flush or version
+        group (one gemm over an ``(n, d)`` block would not be: BLAS
+        results can differ in the last bit across batch shapes).
         """
         results: List[tuple] = []
+        pairs: Dict[str, List[Tuple[int, int, int]]] = {}
         for flush in flushes:
             exclusions = flush.meta.get("exclusions", {})
-            group_order: List[str] = []
-            groups: Dict[str, List[int]] = {}
             for index in flush.seqs:
+                request = flush.meta["requests"][index]
                 version = self._pinned.get(index, self.active_version)
-                if version not in groups:
-                    groups[version] = []
-                    group_order.append(version)
-                groups[version].append(index)
-            for version in group_order:
+                if isinstance(request, ScoreRequest):
+                    pairs.setdefault(version, []).append(
+                        (index, request.u, request.v))
+                    continue
                 table, predictor = self._versions[version]
-                results.extend(self._execute_group(
-                    flush, groups[version], table, predictor,
-                    exclusions))
-        return results
-
-    def _execute_group(self, flush: Flush, seqs: List[int],
-                       table: np.ndarray, predictor,
-                       exclusions: Dict[int, np.ndarray]) -> List[tuple]:
-        """Evaluate one version-consistent slice of a flush."""
-        results: List[tuple] = []
-        num_nodes = table.shape[0]
-        pair_seqs: List[int] = []
-        pair_u: List[int] = []
-        pair_v: List[int] = []
-        for index in seqs:
-            request = flush.meta["requests"][index]
-            if isinstance(request, ScoreRequest):
-                pair_seqs.append(index)
-                pair_u.append(request.u)
-                pair_v.append(request.v)
-            else:
+                num_nodes = table.shape[0]
                 excl = np.asarray(
                     exclusions.get(index, np.empty(0, dtype=np.int64)),
                     dtype=np.int64)
@@ -395,27 +391,21 @@ class ServingCluster:
                 mask[request.node] = False
                 mask[excl[excl < num_nodes]] = False
                 candidates = np.flatnonzero(mask).astype(np.int64)
-                h_u = np.repeat(table[request.node][None, :],
-                                candidates.size, axis=0)
-                scores = predictor(
-                    Tensor(h_u), Tensor(table[candidates])).data
+                scores = predictor(Tensor(table[request.node][None, :]),
+                                   Tensor(table[candidates])).data
                 # Descending score, ties broken by ascending node id
                 # — a total order, so top-k is deterministic.
                 order = np.lexsort((candidates, -scores))
                 top = order[:request.k]
-                results.append((index, None,
-                                candidates[top].copy(),
+                results.append((index, None, candidates[top].copy(),
                                 scores[top].copy()))
-        # Pairs are scored one request at a time on purpose: BLAS
-        # results can differ in the last bit across batch shapes, so a
-        # flush that splits into version groups at a hot swap would
-        # otherwise score its rows differently from an unswapped run.
-        # Row-at-a-time keeps every score a pure function of
-        # (table, predictor, u, v), independent of batching.
-        for outcome_index, u, v in zip(pair_seqs, pair_u, pair_v):
-            score = predictor(Tensor(table[[u]]),
-                              Tensor(table[[v]])).data[0]
-            results.append((outcome_index, float(score), None, None))
+        for version, rows in pairs.items():
+            table, predictor = self._versions[version]
+            index, u, v = np.array(rows, dtype=np.int64).T
+            scores = predictor(Tensor(table[u][:, None, :]),
+                               Tensor(table[v][:, None, :])).data
+            results.extend((i, score, None, None) for i, score
+                           in zip(index.tolist(), scores.tolist()))
         return results
 
     # -- phase 3: observability ------------------------------------------

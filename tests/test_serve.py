@@ -26,6 +26,7 @@ from repro.serve import (
     OpenLoopWorkload,
     ScoreRequest,
     ServableArtifact,
+    ServeFaultSchedule,
     ServingCluster,
     TopKRequest,
     export_servable,
@@ -209,7 +210,7 @@ class TestServingSemantics:
             req = outcome.request
             expected = predictor(Tensor(table[[req.u]]),
                                  Tensor(table[[req.v]])).data[0]
-            assert outcome.score == pytest.approx(expected, abs=1e-12)
+            assert outcome.score == expected  # bit-equal, batched or not
 
     def test_topk_excludes_self_and_neighbors(self, served):
         _, artifact, store, _ = served
@@ -284,6 +285,16 @@ class TestServingSemantics:
             OpenLoopWorkload(requests, rate_rps=2000.0, seed=10))
         assert (slow.latencies_s().max()
                 >= base.latencies_s().max() + delay * 0.99)
+
+    def test_router_sync_is_skipped_without_outage_windows(self):
+        """A plan with no crash/store_outage never downs a shard, so
+        admission must not scan for one (``object()`` has no router
+        methods to call)."""
+        plan = FaultPlan(events=(FaultEvent(
+            kind="straggle", epoch=0, round=0, worker=1, delay_s=0.1),))
+        for schedule in (ServeFaultSchedule(plan, 3),
+                         ServeFaultSchedule(None, 3)):
+            schedule.sync_router(object(), 5)
 
     def test_empty_workload_yields_empty_report(self, served):
         _, artifact, store, _ = served

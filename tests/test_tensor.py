@@ -91,6 +91,19 @@ class TestForward:
         assert np.allclose(elu(x).data[1:], [0.0, 2.0])
         assert elu(x).data[0] == pytest.approx(np.exp(-1.0) - 1.0)
 
+    def test_relu_bits_match_the_where_form(self):
+        """``maximum`` then ``+ 0.0`` gives exactly the bits of the
+        reference ``np.where(x > 0, x, 0.0)`` on zeros of both signs,
+        infinities and subnormals; only NaN differs — it propagates."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, -np.inf, np.inf, tiny, -tiny, 1.5, -2.5,
+                      np.finfo(np.float64).max, -np.finfo(np.float64).tiny])
+        x = np.concatenate([x, np.random.default_rng(0).standard_normal(64)])
+        assert (relu(Tensor(x)).data.tobytes()
+                == np.where(x > 0, x, 0.0).tobytes())
+        assert not np.signbit(relu(Tensor(np.array([-0.0]))).data[0])
+        assert np.isnan(relu(Tensor(np.array([np.nan, 1.0]))).data[0])
+
     def test_exp_log(self):
         x = Tensor(np.array([1.0, 2.0]))
         assert np.allclose(log(exp(x)).data, x.data)
