@@ -8,7 +8,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests (slowest 15 printed: the per-file time budget) =="
 python -m pytest -x -q --durations=15
 
-echo "== golden digest matrices (512 training + 8 stream + 14 serve cells) =="
+echo "== golden digest matrices (560 training + 8 stream + 14 serve cells) =="
 python scripts/golden.py --check
 
 echo "== repro.lint =="
@@ -40,11 +40,8 @@ python scripts/bench.py --smoke --suite partition
 python scripts/bench.py --smoke --suite checkpoint
 python scripts/bench.py --smoke --suite stream
 
-echo "== perf traced smoke (trace TARGETS resolve, backend spans present, residual bounded) =="
-python3 perf/run.py --workload train_splpg_serial --trace 1 --smoke > /dev/null
-python3 perf/run.py --workload train_psgdpa_process --trace 1 --smoke > /dev/null
-python3 perf/run.py --workload serve_mixed --trace 1 --smoke > /dev/null
-python3 perf/run.py --workload stream_steady --trace 1 --smoke > /dev/null
+echo "== benchmark smoke (the BENCHMARK.json command: four workloads x untraced + traced pass, digest_stable) =="
+python3 perf/run.py --smoke > /dev/null
 
 echo "== docs links =="
 python scripts/check_links.py

@@ -15,9 +15,8 @@ of
       x {no faults, a 7-event mixed plan x 4 policies,
          worker_failure_prob=0.2 x 4 policies}
 
-(``restore`` with ``ps``/``async`` is rejected by ``TrainConfig`` and
-left out) plus one observed serial run per framework x sync mode, 512
-cells in all.  The digests are committed in
+plus one observed serial run per framework x sync mode, 560 cells in
+all.  The digests are committed in
 ``tests/golden_train_digests.json``; a refactor proves "behaviour
 unchanged" with ``--check``, and an intended change shows up as a
 reviewed diff of that file (``--write --match`` re-writes only the
@@ -115,8 +114,6 @@ def all_cells() -> Iterator[Cell]:
                 yield Cell(fw, backend, sync, "none", "drop")
                 for plan in PLANS:
                     for policy in POLICIES:
-                        if policy == "restore" and sync in ("ps", "async"):
-                            continue
                         yield Cell(fw, backend, sync, plan, policy)
             yield Cell(fw, "serial", sync, "mixed", "retry", observe=True)
 

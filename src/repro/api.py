@@ -114,6 +114,22 @@ def resolve_config(scale=None, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def _resolve_split(dataset, graph, split, scale,
+                   seed: Optional[int] = None) -> EdgeSplit:
+    """The :class:`EdgeSplit` behind a data source: a ready ``split``,
+    a ``dataset`` name loaded at ``scale`` (default: the ``quick``
+    preset), or a ``graph`` split by the ``seed + 101`` stream."""
+    if split is not None:
+        return split
+    if dataset is not None:
+        if isinstance(scale, str) or scale is None:
+            from .experiments.config import ExperimentScale
+            scale = (_scale_preset(scale) if isinstance(scale, str)
+                     else ExperimentScale.quick())
+        return scale.load_split(dataset)
+    return split_edges(graph, rng=np.random.default_rng(seed + 101))
+
+
 def run(
     framework: str = "splpg",
     dataset: Optional[str] = None,
@@ -170,16 +186,9 @@ def run(
             raise ValueError(
                 "stream= and resume= cannot be combined; resume the "
                 "training run first, then stream over the session")
-        if dataset is not None:
-            if isinstance(scale, str) or scale is None:
-                from .experiments.config import ExperimentScale
-                data_scale = (_scale_preset(scale)
-                              if isinstance(scale, str)
-                              else ExperimentScale.quick())
-            else:
-                data_scale = scale
-            split = data_scale.load_split(dataset)
-        session = Session(split if split is not None else graph)
+        # A bare graph is split by the session, once it knows its seed.
+        session = Session(graph if graph is not None else
+                          _resolve_split(dataset, None, split, scale))
         session.partition(workers).framework(framework)
         session.backend(backend).scale(scale)
         session.configure(alpha=alpha, **cfg)
@@ -194,33 +203,12 @@ def run(
         from .checkpoint import load_checkpoint, rebuild_trainer
 
         meta, state = load_checkpoint(resume)
-        seed = int(meta["config"]["seed"])
-        if dataset is not None:
-            if isinstance(scale, str) or scale is None:
-                from .experiments.config import ExperimentScale
-                data_scale = (_scale_preset(scale)
-                              if isinstance(scale, str)
-                              else ExperimentScale.quick())
-            else:
-                data_scale = scale
-            split = data_scale.load_split(dataset)
-        elif graph is not None:
-            split = split_edges(graph,
-                                rng=np.random.default_rng(seed + 101))
+        split = _resolve_split(dataset, graph, split, scale,
+                               seed=int(meta["config"]["seed"]))
         return rebuild_trainer(meta, state, split).train()
     config = resolve_config(scale, backend=backend, num_workers=workers,
                             **cfg)
-    if dataset is not None:
-        if isinstance(scale, str) or scale is None:
-            from .experiments.config import ExperimentScale
-            data_scale = (_scale_preset(scale) if isinstance(scale, str)
-                          else ExperimentScale.quick())
-        else:
-            data_scale = scale
-        split = data_scale.load_split(dataset)
-    elif graph is not None:
-        split = split_edges(graph,
-                            rng=np.random.default_rng(config.seed + 101))
+    split = _resolve_split(dataset, graph, split, scale, seed=config.seed)
     from .core.frameworks import run_framework as _run_framework
 
     if framework == "centralized":
@@ -438,10 +426,8 @@ class Session:
         from .checkpoint import load_checkpoint, rebuild_trainer
 
         meta, state = load_checkpoint(path)
-        if self._split is None:
-            seed = int(meta["config"]["seed"])
-            self._split = split_edges(
-                self._graph, rng=np.random.default_rng(seed + 101))
+        self._split = _resolve_split(None, self._graph, self._split, None,
+                                     int(meta["config"]["seed"]))
         self._trainer = rebuild_trainer(meta, state, self._split)
         self._framework = meta["framework"]
         self._workers = int(meta["num_workers"])
@@ -474,9 +460,8 @@ class Session:
     def train(self) -> TrainResult:
         """Build the trainer for the current configuration and run it."""
         config = self.config()
-        if self._split is None:
-            self._split = split_edges(
-                self._graph, rng=np.random.default_rng(config.seed + 101))
+        self._split = _resolve_split(None, self._graph, self._split, None,
+                                     config.seed)
         self._trainer = build_trainer(
             FRAMEWORKS[self._framework], self._split, self._workers,
             config, alpha=self._alpha,

@@ -9,13 +9,14 @@ bit-identically:
   (JSON form), framework name, worker count, workload fingerprint,
   epoch history, best-validation bookkeeping, fault-controller
   counters and RNG states (evaluator + legacy failure stream),
-  ParameterServer version/staleness totals, and the obs metric
+  the sync strategy's entries (ParameterServer version/staleness
+  totals, replica-sync total), and the obs metric
   counters + simulated-clock position of observing runs;
 * ``worker.NNNN.payload`` — each worker's :func:`worker_state_bytes`
   (model, optimizer moments, RNG bit-generator state);
 * ``meter.NNNN.*`` — the per-worker CommMeter ledgers;
 * ``best.*`` / ``server.*`` — the best-validation weights and the
-  ParameterServer model/optimizer arrays, when present.
+  sync strategy's (ParameterServer model/optimizer) arrays, when present.
 
 Checkpoints are written at epoch boundaries (every
 ``TrainConfig.checkpoint_every`` epochs): loaders reshuffle at
@@ -233,21 +234,8 @@ def capture_trainer_state(
         for name, value in best_state.items():
             state[f"best.{name}"] = value
 
-    server_meta = None
-    server = trainer.parameter_server
-    if server is not None:
-        for name, value in server.model.state_dict().items():
-            state[f"server.model.{name}"] = value
-        for name, value in server.optimizer.state_dict().items():
-            state[f"server.optim.{name}"] = value
-        server_meta = {
-            "version": server.version,
-            "worker_version": list(server.worker_version),
-            "pushes": server.pushes,
-            "pulls": server.pulls,
-            "staleness_sum": server.staleness_sum,
-            "staleness_max": server.staleness_max,
-        }
+    sync_meta, sync_arrays = trainer.sync_strategy.capture()
+    state.update(sync_arrays)
 
     obs_meta = None
     if trainer.observer is not None:
@@ -271,8 +259,7 @@ def capture_trainer_state(
                  "has_state": best_state is not None},
         "evaluator_rng": trainer.evaluator.rng.bit_generator.state,
         "faults": _capture_faults(faults),
-        "server": server_meta,
-        "replica_sync_total": trainer._replica_sync_total,
+        **sync_meta,
         "obs": obs_meta,
     }
     state[_META_KEY] = np.array(json.dumps(meta))
@@ -346,8 +333,8 @@ def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> ResumeState:
     """Load a snapshot into a freshly built (unbound) trainer.
 
     Applies worker model/optimizer/RNG payloads, the evaluator RNG,
-    CommMeter ledgers, ParameterServer state, fault counters' RNG and
-    obs metrics; stashes the loop state on ``trainer._resume`` for
+    CommMeter ledgers, the sync strategy's state, fault counters' RNG
+    and obs metrics; stashes the loop state on ``trainer._resume`` for
     ``_train_loop`` to re-enter at ``epoch + 1``.  Returns the
     :class:`ResumeState`.
     """
@@ -378,23 +365,7 @@ def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> ResumeState:
                                    sync_bytes=int(cur[2]))
     trainer.evaluator.rng.bit_generator.state = meta["evaluator_rng"]
 
-    server = trainer.parameter_server
-    if server is not None and meta["server"] is not None:
-        smeta = meta["server"]
-        server.model.load_state_dict({
-            k[len("server.model."):]: v for k, v in state.items()
-            if k.startswith("server.model.")})
-        server.optimizer.load_state_dict({
-            k[len("server.optim."):]: v for k, v in state.items()
-            if k.startswith("server.optim.")})
-        server.version = int(smeta["version"])
-        server.worker_version = [int(v) for v in smeta["worker_version"]]
-        server.pushes = int(smeta["pushes"])
-        server.pulls = int(smeta["pulls"])
-        server.staleness_sum = int(smeta["staleness_sum"])
-        server.staleness_max = int(smeta["staleness_max"])
-
-    trainer._replica_sync_total = int(meta["replica_sync_total"])
+    trainer.sync_strategy.restore(meta, state)
 
     obs = trainer.observer
     if obs is not None and meta["obs"] is not None:

@@ -144,6 +144,8 @@ class SpLPG:
             global_negatives=True,
             observer=self._observer,
         )
+        self._trainer.build_knobs = {"alpha": float(self.alpha),
+                                     "sparsifier_kind": "approx_er"}
         self.result = self._trainer.train()
         self._split = split
         return self.result

@@ -455,7 +455,7 @@ class SerialBackend(ExecutionBackend):
         gradients that came back are held for this round's collective.
         """
         trainer = self.trainer
-        want_grads = trainer.config.sync in ("grad", "ps", "async")
+        want_grads = trainer.sync_strategy.want_grads
         pending = [i for i in self._active() if self._has_pending[i]]
         inflight = {i: ("train", bool(participate[i]), want_grads)
                     for i in pending}

@@ -8,19 +8,21 @@ the headline numbers.  Both are *barrier* modes: every worker reaches
 the collective before any worker proceeds.
 
 This module also implements the asynchronous alternatives the paper
-leaves unexplored, selected with ``TrainConfig(sync=)``:
+leaves unexplored.  Every ``TrainConfig(sync=)`` name is one of three
+algorithms, each a :class:`SyncStrategy` over the backends' round
+protocol (:data:`STRATEGIES` is the one name → class table,
+:func:`make_strategy` the one place a name is resolved):
 
-* ``"barrier"``   — today's behaviour (canonicalized to the legacy
-  ``"grad"`` per-round gradient all-reduce), bit-identical to pre-async
+* :class:`GradAllReduce` — ``"barrier"``, canonical name of the legacy
+  ``"grad"``: the per-round all-reduce, bit-identical to pre-async
   builds;
-* ``"ps"``        — a parameter server with bounded staleness: workers
-  push gradients to a server replica and pull weights back only when
-  their version lag exceeds ``max_staleness``;
-* ``"async"``     — fully-asynchronous updates: pushes apply in a
-  seeded interleaved order and pulls happen on seeded coin flips, so
-  staleness is unbounded;
-* ``"local_sgd"`` — periodic model averaging every ``sync_every``
-  rounds (FedAvg cadence measured in rounds, not batches).
+* :class:`PeriodicAverage` — the legacy ``"model"`` (FedAvg every
+  ``sync_every_batches`` batches, or once per epoch) and
+  ``"local_sgd"`` (every ``sync_every`` rounds);
+* :class:`ParameterServer` — ``"ps"`` (bounded staleness: workers push
+  gradients and pull weights back only when their version lag exceeds
+  ``max_staleness``) and ``"async"`` (pushes in a seeded interleaved
+  order, pulls on seeded coin flips: unbounded staleness).
 
 Determinism follows the ``FaultPlan`` trick: a seeded :class:`SyncPlan`
 pre-computes every interleaving decision (push order, pull coin flips,
@@ -44,13 +46,16 @@ travel as float32.
 
 from __future__ import annotations
 
+import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.models import LinkPredictionModel
-from .comm import CommMeter
+from ..nn.optim import Adam
+from .comm import FEATURE_ITEMSIZE, CommMeter
 
 #: First-class ``TrainConfig(sync=)`` modes.  ``"barrier"`` is the
 #: canonical name of the legacy ``"grad"`` per-round all-reduce; the
@@ -273,8 +278,8 @@ class SyncPlan:
     def for_config(cls, config, num_workers: int) -> "SyncPlan":
         """Derive the plan a :class:`TrainConfig` implies.
 
-        Used by the trainer when ``config.sync_plan`` is ``None``: the
-        plan seed is the run seed, so the schedule is pinned by the
+        Used by :func:`make_strategy` when ``config.sync_plan`` is ``None``:
+        the plan seed is the run seed, so the schedule is pinned by the
         same knob that pins everything else.
         """
         return cls(mode=config.sync, num_workers=num_workers,
@@ -284,7 +289,197 @@ class SyncPlan:
                    name=f"{config.sync}-from-config")
 
 
-class ParameterServer:
+class SyncStrategy:
+    """One synchronisation algorithm, as the rest of the system sees it.
+
+    A strategy answers five questions, so nobody else names modes:
+    :attr:`want_grads` (must ``train`` replies carry the gradients?),
+    :meth:`after_round`, :meth:`end_epoch`, :meth:`scale_lr` /
+    :meth:`stats`, and :meth:`capture` / :meth:`restore`.  It is built
+    on its own state (:meth:`for_trainer`), :meth:`bind`-ed to the
+    trainer whose cluster it synchronises (the backends' idiom), and
+    reaches the workers only through the backend's round protocol.
+    Shared here: the traced ``sync`` span with its vertex-cut replica
+    charge, and LLCG's correction as the post-sync step.
+    """
+
+    want_grads = False
+
+    def __init__(self, mode: str) -> None:
+        #: The resolved ``TrainConfig.sync`` name: the ``sync`` span's
+        #: ``mode`` attribute and ``sync_stats["mode"]``.
+        self.mode = mode
+        #: Vertex-cut mirror-reconciliation bytes charged so far.
+        self.replica_sync_total = 0
+        self.trainer = None
+        # Per-worker bytes of one reconciliation (vertex cut only).
+        self._replica_nbytes: Optional[List[int]] = None
+
+    @classmethod
+    def for_trainer(cls, trainer, mode: str, plan: Optional[SyncPlan]):
+        """The strategy ``mode`` names, configured from ``trainer``."""
+        return cls(mode)
+
+    def bind(self, trainer) -> "SyncStrategy":
+        """Attach to ``trainer``.  On a vertex-cut layout every sync
+        event ships each mirrored node's hidden state to its master and
+        the averaged copy back (2 × |mirrors| × hidden_dim floats) —
+        what vertex cut trades its zero feature fetches for."""
+        self.trainer = trainer
+        partitioned = trainer.partitioned
+        if partitioned.edge_partitioned:
+            self._replica_nbytes = [
+                2 * int(partitioned.mirror_nodes(part).size)
+                * trainer.config.hidden_dim * FEATURE_ITEMSIZE
+                for part in range(partitioned.num_parts)]
+        return self
+
+    def after_round(self, epoch, rnd, results, decision, faults) -> None:
+        """Synchronise once round ``rnd`` of ``epoch`` has trained
+        somebody: ``results[i]`` is worker *i*'s ``RoundResult`` or
+        ``None``, ``decision`` the fault layer's train/sync masks,
+        ``faults`` the run's ``FaultController``."""
+        raise NotImplementedError
+
+    def end_epoch(self, faults) -> None:
+        """Leave every live replica at one consensus model."""
+        raise NotImplementedError
+
+    def scale_lr(self, factor: float) -> None:
+        """Decay a coordinator-side optimizer, if there is one."""
+
+    def stats(self) -> Dict[str, object]:
+        """``TrainResult.sync_stats`` (replica bytes: vertex cut only)."""
+        out: Dict[str, object] = {"mode": self.mode}
+        if self._replica_nbytes is not None:
+            out["replica_sync_bytes"] = self.replica_sync_total
+        return out
+
+    def capture(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+        """``(meta entries, named arrays)`` a durable checkpoint stores
+        of this strategy, under their on-disk names."""
+        return ({"server": None,
+                 "replica_sync_total": self.replica_sync_total}, {})
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back (given the whole snapshot)."""
+        self.replica_sync_total = int(meta["replica_sync_total"])
+
+    def _sync_event(self, dispatch: Callable[[], None],
+                    faults=None) -> None:
+        """``dispatch()`` plus the replica charge of every worker (with
+        ``faults``: every live one; coordinator-side, so one ledger on
+        every backend), traced as one ``sync`` span lasting worker 0's
+        payload on the link."""
+        trainer = self.trainer
+        obs = trainer.observer
+        live = None if faults is None or faults.all_live else faults.live
+        before = trainer.meters[0].current.sync_bytes
+        with (obs.span("sync", mode=self.mode) if obs is not None
+              else nullcontext()) as sp:
+            dispatch()
+            for part, nbytes in enumerate(self._replica_nbytes or ()):
+                if nbytes and (live is None or live[part]):
+                    trainer.meters[part].charge_sync(nbytes)
+                    self.replica_sync_total += nbytes
+            if obs is not None:
+                moved = trainer.meters[0].current.sync_bytes - before
+                seconds = obs.sync_seconds(moved)
+                obs.advance(seconds)
+                sp.attrs["sync_bytes"] = moved
+        if obs is not None:
+            obs.counter("time.sync_s").inc(seconds)
+
+    def _correct(self) -> None:
+        """The post-sync step: a server-side correction (LLCG), if any."""
+        if self.trainer.correction_hook is not None:
+            self.trainer.backend.run_correction(
+                self.trainer.correction_hook)
+
+
+class GradAllReduce(SyncStrategy):
+    """``grad`` / ``barrier``: all-reduce the gradients every round
+    (Algorithm 1 line 29), so replicas never diverge; the correction
+    runs once per epoch, the default model-averaging cadence."""
+
+    want_grads = True
+
+    def after_round(self, epoch, rnd, results, decision, faults) -> None:
+        """Average the gradients that arrived, step every replica."""
+        if not any(decision.sync_mask):
+            return
+        trainer = self.trainer
+        self._sync_event(
+            lambda: trainer.backend.apply_gradients(
+                decision.sync_mask, trainer.config.sync_topology,
+                obs=trainer.observer),
+            faults)
+        trainer.backend.step_all()
+        faults.barrier()
+
+    def end_epoch(self, faults) -> None:
+        """Replicas are already synchronized: only the correction."""
+        self._correct()
+
+
+class PeriodicAverage(SyncStrategy):
+    """``model`` / ``local_sgd``: step locally, average the models
+    every ``every`` trained rounds (0 = never mid-epoch) and once for
+    the epoch's tail; the correction follows every average.  The names
+    differ only in where ``every`` comes from (``sync_every_batches``
+    vs the plan's ``sync_every``); whether an average is due is
+    :meth:`SyncPlan.is_sync_round`'s call either way."""
+
+    def __init__(self, every: int, mode: str = "model") -> None:
+        super().__init__(mode)
+        self.every = int(every)
+        self._cadence = (
+            SyncPlan(mode="local_sgd", num_workers=1, sync_every=self.every)
+            if self.every else None)
+        self._rounds_since = 0
+
+    @classmethod
+    def for_trainer(cls, trainer, mode: str, plan: Optional[SyncPlan]):
+        """On the plan's cadence when the mode is a planned one."""
+        return cls(trainer.config.sync_every_batches if plan is None
+                   else plan.sync_every, mode)
+
+    def after_round(self, epoch, rnd, results, decision, faults) -> None:
+        """Local optimizer steps; an average when one is due."""
+        self.trainer.backend.step_participants(decision.train_mask)
+        self._rounds_since += 1
+        if (self._cadence is not None
+                and self._cadence.is_sync_round(self._rounds_since)):
+            self._average(faults)
+
+    def end_epoch(self, faults) -> None:
+        """Average the epoch's tail so validation sees the consensus."""
+        if self._cadence is None or self._rounds_since:
+            self._average(faults)
+
+    def stats(self) -> Dict[str, object]:
+        """A planned mode also reports its cadence."""
+        out = super().stats()
+        if self.mode in PLANNED_SYNC_MODES:
+            out["sync_every"] = self.every
+        return out
+
+    def _average(self, faults) -> None:
+        """One averaging barrier over the workers whose sync messages
+        all arrived, then the correction."""
+        trainer = self.trainer
+        participating = faults.model_sync_mask() if faults.enabled else None
+        self._sync_event(
+            lambda: trainer.backend.sync_models(
+                trainer.config.sync_topology, obs=trainer.observer,
+                participating=participating),
+            faults)
+        self._correct()
+        faults.barrier()
+        self._rounds_since = 0
+
+
+class ParameterServer(SyncStrategy):
     """The server replica for ``sync="ps"`` / ``sync="async"`` runs.
 
     Lives in the trainer (parent) process on every backend: workers
@@ -299,12 +494,23 @@ class ParameterServer:
     number of pushes applied since it last pulled, observed at the
     moment its own push lands.  Push/pull payloads are charged to the
     pushing/pulling worker's meter (:func:`ps_message_nbytes` each).
+
+    As a :class:`SyncStrategy`: a round is its pushes and the mode's
+    pulls (``ps`` and ``async`` differ only inside
+    :meth:`SyncPlan.should_pull`), the epoch boundary a pull barrier,
+    after which a correction hook runs and the server adopts its result.
     """
+
+    want_grads = True
+    #: The integer attributes a checkpoint carries beside the arrays.
+    _TOTALS = ("version", "pushes", "pulls", "staleness_sum",
+               "staleness_max")
 
     def __init__(self, model: LinkPredictionModel, optimizer,
                  plan: SyncPlan,
                  meters: Optional[Sequence[CommMeter]] = None,
                  obs=None) -> None:
+        super().__init__(plan.mode)
         self.model = model
         self.optimizer = optimizer
         self.plan = plan
@@ -319,6 +525,68 @@ class ParameterServer:
         self.pulls = 0
         self.staleness_sum = 0
         self.staleness_max = 0
+
+    @classmethod
+    def for_trainer(cls, trainer, mode: str, plan: Optional[SyncPlan]):
+        """The server replica starts from the same broadcast weights as
+        every worker and owns the only optimizer that moves."""
+        model = trainer.build_replica()
+        model.load_state_dict(trainer.workers[0].model.state_dict())
+        return cls(model, Adam(model.parameters(), lr=trainer.config.lr),
+                   plan, meters=trainer.meters, obs=trainer.observer)
+
+    def after_round(self, epoch, rnd, results, decision, faults) -> None:
+        """Push the gradients of the workers that trained (``results``)
+        and whose push was not lost (the sync mask): one
+        :meth:`apply_round`, one ``sync`` span for its payloads."""
+        backend = self.trainer.backend
+        push_mask = [ok and results[i] is not None
+                     for i, ok in enumerate(decision.sync_mask)]
+        grads = backend.collect_gradients(push_mask)
+        self._sync_event(lambda: self.apply_round(
+            epoch, rnd, grads, push_mask, backend.load_worker_model))
+
+    def end_epoch(self, faults) -> None:
+        """The pull barrier (:meth:`epoch_barrier`), then a correction
+        hook, whose result the server adopts."""
+        trainer = self.trainer
+        live = None if faults.all_live else faults.live
+        with (self.obs.span("sync", mode=f"{self.mode}-barrier")
+              if self.obs is not None else nullcontext()):
+            self.epoch_barrier(live, trainer.backend.load_worker_model)
+        if trainer.correction_hook is not None:
+            self._correct()
+            self.adopt(trainer.workers[0].model.state_dict(), live=live)
+
+    def scale_lr(self, factor: float) -> None:
+        """Decay the server optimizer along with the workers'."""
+        self.optimizer.lr *= factor
+
+    def capture(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+        """Adds the server's model, optimizer, versions and totals."""
+        meta, arrays = super().capture()
+        meta["server"] = {key: getattr(self, key) for key in self._TOTALS}
+        meta["server"]["worker_version"] = list(self.worker_version)
+        for name, value in self.model.state_dict().items():
+            arrays[f"server.model.{name}"] = value
+        for name, value in self.optimizer.state_dict().items():
+            arrays[f"server.optim.{name}"] = value
+        return meta, arrays
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back into the server."""
+        super().restore(meta, arrays)
+        smeta = meta["server"]
+        if smeta is None:
+            return
+        for prefix, target in (("server.model.", self.model),
+                               ("server.optim.", self.optimizer)):
+            target.load_state_dict({
+                key[len(prefix):]: value for key, value in arrays.items()
+                if key.startswith(prefix)})
+        for key in self._TOTALS:
+            setattr(self, key, int(smeta[key]))
+        self.worker_version = [int(v) for v in smeta["worker_version"]]
 
     def _charge(self, worker: int) -> None:
         """Charge one PS message to ``worker``'s sync-byte ledger."""
@@ -424,13 +692,52 @@ class ParameterServer:
             if live is None or live[i]:
                 self.worker_version[i] = self.version
 
-    def stats(self) -> Dict[str, float]:
+    def stats(self) -> Dict[str, object]:
         """Run totals for ``TrainResult.sync_stats``."""
         mean = (self.staleness_sum / self.pushes) if self.pushes else 0.0
-        return {
+        out = super().stats()
+        out.update({
             "pushes": float(self.pushes),
             "pulls": float(self.pulls),
             "server_version": float(self.version),
             "mean_staleness": float(mean),
             "max_staleness": float(self.staleness_max),
-        }
+        })
+        return out
+
+
+#: The one ``TrainConfig(sync=)`` name → strategy class table.
+STRATEGIES = {
+    "grad": GradAllReduce,
+    "barrier": GradAllReduce,
+    "model": PeriodicAverage,
+    "local_sgd": PeriodicAverage,
+    "ps": ParameterServer,
+    "async": ParameterServer,
+}
+
+
+def make_strategy(trainer) -> SyncStrategy:
+    """The bound strategy ``trainer.config.sync`` names.
+
+    A planned mode runs on ``config.sync_plan`` or the plan the config
+    implies; on a one-partition cluster it degrades to the barrier
+    strategy with a warning and the run reports ``mode="grad"``.  The
+    caller's config is never written to.
+    """
+    config = trainer.config
+    num_workers = trainer.partitioned.num_parts
+    mode, plan = config.sync, None
+    if mode in PLANNED_SYNC_MODES and num_workers == 1:
+        warnings.warn(
+            f"sync={mode!r} on a single partition degrades "
+            "to the barrier mode (reason: a one-worker cluster has "
+            "no staleness to schedule)", RuntimeWarning, stacklevel=3)
+        mode = "grad"
+    elif mode in PLANNED_SYNC_MODES:
+        plan = config.sync_plan or SyncPlan.for_config(config, num_workers)
+        if plan.num_workers != num_workers:
+            raise ValueError(
+                f"sync_plan.num_workers={plan.num_workers} does not "
+                f"match the partitioning ({num_workers} parts)")
+    return STRATEGIES[mode].for_trainer(trainer, mode, plan).bind(trainer)

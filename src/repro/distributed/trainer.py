@@ -12,8 +12,8 @@ still has a mini-batch this epoch:
    are charged to its communication meter),
 4. computes the loss and backpropagates.
 
-Synchronization is either per-round gradient averaging or periodic
-model averaging.  Per-epoch validation follows the paper's protocol:
+Synchronization is the :class:`~repro.distributed.sync.SyncStrategy`
+the config names.  Per-epoch validation follows the paper's protocol:
 the synchronized model is scored on the validation split, and the
 weights with the best validation Hits@K are the ones tested.
 """
@@ -46,8 +46,8 @@ from ..sampling.negative import (
     PerSourceUniformNegativeSampler,
 )
 from ..sampling.neighbor import NeighborSampler
-from .comm import FEATURE_ITEMSIZE, GB, CommMeter, CommRecord
-from .sync import ParameterServer, SyncPlan, broadcast_model
+from .comm import GB, CommMeter, CommRecord
+from .sync import broadcast_model, make_strategy
 from .views import WorkerGraphView
 
 #: Test/chaos instrumentation: a callable invoked parent-side at the
@@ -183,7 +183,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        from .sync import LEGACY_SYNC_MODES, SYNC_MODES, SyncPlan
+        from .sync import (LEGACY_SYNC_MODES, PLANNED_SYNC_MODES,
+                           SYNC_MODES, SyncPlan)
         if self.sync not in SYNC_MODES + LEGACY_SYNC_MODES:
             raise ValueError(
                 f"sync must be one of {SYNC_MODES + LEGACY_SYNC_MODES}, "
@@ -212,14 +213,7 @@ class TrainConfig:
             raise ValueError(
                 f"sync_plan.mode {self.sync_plan.mode!r} does not match "
                 f"sync={self.sync!r}")
-        if (self.sync in ("ps", "async") and self.recovery == "restore"):
-            raise ValueError(
-                "recovery='restore' is a barrier-family policy (its "
-                "bit-identity guarantee rests on synchronization "
-                "barriers, which ps/async runs never reach); use drop, "
-                "retry or elastic with asynchronous sync modes")
-        if self.sync in ("ps", "async", "local_sgd") \
-                and self.num_workers == 1:
+        if self.sync in PLANNED_SYNC_MODES and self.num_workers == 1:
             import warnings
             warnings.warn(
                 f"sync={self.sync!r} with num_workers=1 degrades to the "
@@ -527,9 +521,9 @@ class DistributedTrainer:
     The framework-specific pieces are injected: the partitioned graph
     (strategy + mirroring already applied), one remote store shared by
     all workers (or ``None``), and the negative candidate space per
-    worker.  ``correction_hook``, when given, runs after every
-    synchronization round with the synchronized model — this is how
-    LLCG's global correction step is implemented.
+    worker.  ``correction_hook``, when given, is the sync strategy's
+    post-sync step, run on the synchronized model — this is how LLCG's
+    global correction step is implemented.
     """
 
     def __init__(
@@ -575,8 +569,8 @@ class DistributedTrainer:
         self.fault_controller = None
         #: Build-time knobs that live outside TrainConfig (alpha,
         #: sparsifier choice); recorded in durable checkpoints so
-        #: resume can rebuild the identical cluster.  build_trainer
-        #: overwrites this with its actual arguments.
+        #: resume can rebuild the identical cluster.  build_trainer and
+        #: SpLPG.fit overwrite this with their actual arguments.
         self.build_knobs = {"alpha": 0.15,
                             "sparsifier_kind": "approx_er"}
         #: Loop state loaded by repro.checkpoint.restore_trainer;
@@ -584,20 +578,6 @@ class DistributedTrainer:
         #: previous run at ``epoch + 1``.
         self._resume = None
         self.meters = [CommMeter() for _ in range(partitioned.num_parts)]
-        # Vertex-cut replica averaging: every sync event a worker ships
-        # the hidden state of each mirrored node to its master and gets
-        # the averaged copy back (2 × |mirrors| × hidden_dim floats).
-        # This is the communication vertex cut trades its zero
-        # training-time feature fetches for; charged parent-side (in
-        # _synchronize/_ps_round) so all backends stay bit-identical.
-        self._replica_sync_total = 0
-        if partitioned.edge_partitioned:
-            self._replica_sync_nbytes = [
-                2 * int(partitioned.mirror_nodes(part).size)
-                * config.hidden_dim * FEATURE_ITEMSIZE
-                for part in range(partitioned.num_parts)]
-        else:
-            self._replica_sync_nbytes = [0] * partitioned.num_parts
         if observer is not None:
             for meter in self.meters:
                 meter.obs = observer
@@ -611,12 +591,7 @@ class DistributedTrainer:
             rng=np.random.default_rng(config.seed + 7919))
 
         master_rng = np.random.default_rng(config.seed)
-        feature_dim = split.train_graph.feature_dim
-        reference = build_model(
-            config.gnn_type, feature_dim, config.hidden_dim,
-            num_layers=config.num_layers, predictor=config.predictor,
-            dropout=config.dropout, num_heads=config.num_heads,
-            seed=config.seed)
+        reference = self.build_replica()
 
         self.workers: List[_Worker] = []
         for part in range(partitioned.num_parts):
@@ -625,11 +600,7 @@ class DistributedTrainer:
                 meter=self.meters[part],
                 cache_remote_features=config.cache_remote_features,
                 obs=observer)
-            model = build_model(
-                config.gnn_type, feature_dim, config.hidden_dim,
-                num_layers=config.num_layers, predictor=config.predictor,
-                dropout=config.dropout, num_heads=config.num_heads,
-                seed=config.seed)
+            model = self.build_replica()
             if global_negatives:
                 candidates = view.global_candidate_nodes()
             else:
@@ -642,40 +613,18 @@ class DistributedTrainer:
                 obs=observer))
         broadcast_model(reference, [w.model for w in self.workers])
 
-        if (config.sync in ("ps", "async", "local_sgd")
-                and partitioned.num_parts == 1):
-            import warnings
-            warnings.warn(
-                f"sync={config.sync!r} on a single partition degrades "
-                "to the barrier mode (reason: a one-worker cluster has "
-                "no staleness to schedule)", RuntimeWarning, stacklevel=2)
-            config.sync = "grad"
-            config.sync_plan = None
-        self.sync_plan: Optional[SyncPlan] = None
-        self.parameter_server: Optional[ParameterServer] = None
-        if config.sync in ("ps", "async", "local_sgd"):
-            plan = config.sync_plan
-            if plan is None:
-                plan = SyncPlan.for_config(config, partitioned.num_parts)
-            if plan.num_workers != partitioned.num_parts:
-                raise ValueError(
-                    f"sync_plan.num_workers={plan.num_workers} does not "
-                    f"match the partitioning ({partitioned.num_parts} "
-                    f"parts)")
-            self.sync_plan = plan
-        if config.sync in ("ps", "async"):
-            # The server replica starts from the same broadcast weights
-            # as every worker and owns the only optimizer that moves
-            # under PS training.
-            server_model = build_model(
-                config.gnn_type, feature_dim, config.hidden_dim,
-                num_layers=config.num_layers, predictor=config.predictor,
-                dropout=config.dropout, num_heads=config.num_heads,
-                seed=config.seed)
-            server_model.load_state_dict(reference.state_dict())
-            self.parameter_server = ParameterServer(
-                server_model, Adam(server_model.parameters(), lr=config.lr),
-                self.sync_plan, meters=self.meters, obs=observer)
+        #: The one object that knows which ``config.sync`` mode runs.
+        self.sync_strategy = make_strategy(self)
+
+    def build_replica(self) -> LinkPredictionModel:
+        """A freshly initialized model of the run's architecture and
+        seed: what every replica (a parameter server's too) starts as."""
+        config = self.config
+        return build_model(
+            config.gnn_type, self.split.train_graph.feature_dim,
+            config.hidden_dim, num_layers=config.num_layers,
+            predictor=config.predictor, dropout=config.dropout,
+            num_heads=config.num_heads, seed=config.seed)
 
     # ------------------------------------------------------------------
 
@@ -741,6 +690,7 @@ class DistributedTrainer:
         config = self.config
         obs = self.observer
         backend = self.backend
+        strategy = self.sync_strategy
         models = [w.model for w in self.workers]
         history: List[EpochStats] = []
         best_val = -1.0
@@ -775,11 +725,6 @@ class DistributedTrainer:
                 if not alive:
                     backend.deactivate(i)
 
-        # Model-averaging cadence in trained rounds (0 = epoch end only).
-        average_every = (self.sync_plan.sync_every
-                         if config.sync == "local_sgd"
-                         else config.sync_every_batches)
-
         for epoch in range(start_epoch, config.epochs):
             epoch_cm = (obs.span("epoch", epoch=epoch)
                         if obs is not None else nullcontext())
@@ -787,7 +732,6 @@ class DistributedTrainer:
             with epoch_cm:
                 backend.begin_epoch()
                 losses: List[float] = []
-                rounds_since_avg = 0
                 epoch_rounds = 0
                 epoch_mfg_edges = 0
                 while not backend.all_exhausted():
@@ -799,8 +743,8 @@ class DistributedTrainer:
                         has_batch = backend.poll_batches()
                         decision = faults.plan_round(epoch, epoch_rounds,
                                                      has_batch)
-                        train_mask = decision.train_mask
-                        round_results = backend.train_round(train_mask)
+                        round_results = backend.train_round(
+                            decision.train_mask)
                         for res in round_results:
                             if res is not None:
                                 losses.append(res.loss)
@@ -808,50 +752,13 @@ class DistributedTrainer:
                         epoch_rounds += 1
                         if obs is not None:
                             obs.counter("train.rounds").inc(1)
-                        if not any(train_mask):
-                            # Nothing trained this round (exhausted
-                            # loaders and/or injected failures).
-                            continue
-                        live = None if faults.all_live else faults.live
-                        if config.sync == "grad":
-                            if any(decision.sync_mask):
-                                self._synchronize("grad",
-                                                  decision.sync_mask,
-                                                  live=live)
-                                backend.step_all()
-                                faults.barrier()
-                        elif config.sync in ("ps", "async"):
-                            self._ps_round(epoch, epoch_rounds - 1,
-                                           round_results,
-                                           decision.sync_mask)
-                        else:
-                            # "model" / "local_sgd": local steps, one
-                            # model average every `average_every`
-                            # trained rounds.
-                            backend.step_participants(train_mask)
-                            rounds_since_avg += 1
-                            if (average_every
-                                    and rounds_since_avg >= average_every):
-                                self._average_models(faults)
-                                rounds_since_avg = 0
-                if config.sync in ("model", "local_sgd") and (
-                        not average_every or rounds_since_avg):
-                    # Flush the tail of the epoch into one last average
-                    # so validation sees the consensus model.
-                    self._average_models(faults)
-                elif config.sync in ("ps", "async"):
-                    # The epoch boundary is a pull barrier: every live
-                    # worker receives the server model, so validation
-                    # (and any correction hook) sees one consistent
-                    # consensus state.
-                    self._ps_epoch_barrier(
-                        None if faults.all_live else faults.live)
-                elif config.sync == "grad":
-                    # Under per-round gradient averaging the replicas
-                    # are already synchronized; the server-side
-                    # correction (LLCG) runs once per epoch, the same
-                    # cadence as the default model-averaging round.
-                    self._run_correction()
+                        # Nothing trained (exhausted loaders and/or
+                        # injected failures): nothing to synchronize.
+                        if any(decision.train_mask):
+                            strategy.after_round(
+                                epoch, epoch_rounds - 1, round_results,
+                                decision, faults)
+                strategy.end_epoch(faults)
 
                 comm = CommRecord()
                 for meter in self.meters:
@@ -891,8 +798,7 @@ class DistributedTrainer:
             if (config.lr_decay < 1.0
                     and (epoch + 1) % config.lr_decay_every == 0):
                 backend.scale_lr(config.lr_decay)
-                if self.parameter_server is not None:
-                    self.parameter_server.optimizer.lr *= config.lr_decay
+                strategy.scale_lr(config.lr_decay)
             if ckpt_store is not None and (
                     (epoch + 1) % config.checkpoint_every == 0
                     or epoch == config.epochs - 1):
@@ -914,13 +820,6 @@ class DistributedTrainer:
         total = CommRecord()
         for stats in history:
             total += stats.comm
-        sync_stats: Dict[str, object] = {"mode": config.sync}
-        if self.parameter_server is not None:
-            sync_stats.update(self.parameter_server.stats())
-        elif self.sync_plan is not None:
-            sync_stats["sync_every"] = self.sync_plan.sync_every
-        if self.partitioned.edge_partitioned:
-            sync_stats["replica_sync_bytes"] = self._replica_sync_total
         result = TrainResult(
             framework=self.framework,
             test=test,
@@ -930,7 +829,7 @@ class DistributedTrainer:
             num_workers=len(self.workers),
             dropped_contributions=faults.dropped_contributions,
             faults=faults.summary(),
-            sync_stats=sync_stats,
+            sync_stats=strategy.stats(),
         )
         if obs is not None:
             result.report = build_run_report(obs, result)
@@ -956,115 +855,3 @@ class DistributedTrainer:
         if obs is not None:
             obs.counter("checkpoint.writes").inc(1)
             obs.counter("checkpoint.bytes_written").inc(info.nbytes)
-
-    # ------------------------------------------------------------------
-
-    def _charge_replica_sync(self,
-                             live: Optional[List[bool]] = None) -> None:
-        """Charge vertex-cut mirror reconciliation for one sync event.
-
-        Parent-side (never inside backend workers) so the ledger is
-        bit-identical across serial/thread/process.  No-op for
-        node-partitioned layouts — ``_replica_sync_nbytes`` is all
-        zeros there."""
-        for part, nbytes in enumerate(self._replica_sync_nbytes):
-            if nbytes and (live is None or live[part]):
-                self.meters[part].charge_sync(nbytes)
-                self._replica_sync_total += nbytes
-
-    def _traced_sync(self, mode: str, dispatch,
-                     live: Optional[List[bool]] = None) -> None:
-        """Run one sync event — ``dispatch(obs)`` plus the vertex-cut
-        replica charge — traced as one ``sync`` span whose duration is
-        worker 0's payload over the modeled link."""
-        obs = self.observer
-        if obs is None:
-            dispatch(None)
-            self._charge_replica_sync(live)
-            return
-        before = self.meters[0].current.sync_bytes
-        with obs.span("sync", mode=mode) as sp:
-            dispatch(obs)
-            self._charge_replica_sync(live)
-            moved = self.meters[0].current.sync_bytes - before
-            seconds = obs.sync_seconds(moved)
-            obs.advance(seconds)
-            sp.attrs["sync_bytes"] = moved
-        obs.counter("time.sync_s").inc(seconds)
-
-    def _synchronize(self, mode: str,
-                     participating: Optional[List[bool]] = None,
-                     live: Optional[List[bool]] = None) -> None:
-        """Run the backend's sync barrier.  ``live`` (elastic recovery)
-        restricts the replica charge to the surviving workers; the
-        backend sizes the collective to them itself."""
-        topology = self.config.sync_topology
-
-        def dispatch(obs) -> None:
-            """Route to the right backend collective."""
-            if mode == "grad":
-                self.backend.apply_gradients(participating, topology,
-                                             obs=obs)
-            else:
-                self.backend.sync_models(topology, obs=obs,
-                                         participating=participating)
-
-        self._traced_sync(mode, dispatch, live)
-
-    def _average_models(self, faults) -> None:
-        """One model-averaging barrier of the ``model`` / ``local_sgd``
-        modes: average, server-side correction, fault barrier."""
-        self._synchronize(
-            self.config.sync,
-            faults.model_sync_mask() if faults.enabled else None,
-            live=None if faults.all_live else faults.live)
-        self._run_correction()
-        faults.barrier()
-
-    # ------------------------------------------------------------------
-
-    def _ps_round(self, epoch: int, rnd: int, round_results,
-                  sync_mask: List[bool]) -> None:
-        """One parameter-server round: push surviving gradients in the
-        SyncPlan's seeded order, pulling per the mode's staleness rule.
-
-        ``round_results`` tells which workers actually trained a batch
-        (their replicas hold this round's gradients); ``sync_mask``
-        drops workers whose push was lost by the fault layer.  Traced
-        as one ``sync`` span whose modeled duration covers this round's
-        push/pull payloads.
-        """
-        server = self.parameter_server
-        backend = self.backend
-        push_mask = [ok and round_results[i] is not None
-                     for i, ok in enumerate(sync_mask)]
-        grads = backend.collect_gradients(push_mask)
-
-        def dispatch(obs) -> None:
-            """Apply the round against the server replica."""
-            server.obs = obs
-            server.apply_round(epoch, rnd, grads, push_mask,
-                               backend.load_worker_model)
-
-        self._traced_sync(self.config.sync, dispatch)
-
-    def _ps_epoch_barrier(self, live: Optional[List[bool]]) -> None:
-        """Epoch-end pull barrier for ps/async runs: ship the server
-        model to every live worker, then run the correction hook (the
-        server adopts any corrected weights)."""
-        server = self.parameter_server
-        backend = self.backend
-        obs = self.observer
-        barrier_cm = (obs.span("sync", mode=f"{self.config.sync}-barrier")
-                      if obs is not None else nullcontext())
-        with barrier_cm:
-            server.epoch_barrier(live, backend.load_worker_model)
-        if self.correction_hook is not None:
-            self._run_correction()
-            server.adopt(self.workers[0].model.state_dict(), live=live)
-
-    # ------------------------------------------------------------------
-
-    def _run_correction(self) -> None:
-        if self.correction_hook is not None:
-            self.backend.run_correction(self.correction_hook)

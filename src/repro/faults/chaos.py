@@ -133,19 +133,6 @@ def _make_workload(seed: int):
     return split_edges(graph, rng=rng)
 
 
-def _compatible_recovery(recovery: str, sync: str) -> str:
-    """Map ``restore`` to ``retry`` for barrier-free sync modes.
-
-    ``restore``'s bit-identity guarantee is established for the
-    barrier family only — :class:`TrainConfig` rejects it with the
-    ``ps`` and ``async`` trainers, so the sweep substitutes the nearest
-    policy instead of burning a cell on a guaranteed ``ValueError``.
-    """
-    if recovery == "restore" and sync in ("ps", "async"):
-        return "retry"
-    return recovery
-
-
 def _run_case(split, plan: Optional[FaultPlan], backend: str,
               recovery: str, sync: str, *, workers: int, epochs: int,
               seed: int, observe: bool, framework: str = "splpg"):
@@ -263,9 +250,7 @@ def run_chaos(
     recovery policy, one sync mode and one framework per cell chosen
     round-robin so all four policies, all four sync families and both
     partition families (node-partitioned ``splpg``, edge-partitioned
-    ``vertex_cut``) still execute.  ``restore`` cells landing on a
-    barrier-free sync mode fall back to ``retry`` (see
-    :func:`_compatible_recovery`).  Returns one :class:`ChaosOutcome`
+    ``vertex_cut``) still execute.  Returns one :class:`ChaosOutcome`
     per case; raises :class:`ChaosError` if any case violated an
     invariant.
     """
@@ -298,10 +283,8 @@ def run_chaos(
                              % len(syncs)]
                 framework = frameworks[rotation % len(frameworks)]
                 rotation += 1
-                cases.append(ChaosCase(
-                    plan_name, plan, backend,
-                    _compatible_recovery(recovery, sync), sync,
-                    framework))
+                cases.append(ChaosCase(plan_name, plan, backend,
+                                       recovery, sync, framework))
     else:
         for plan_name, plan in sorted(plans.items()):
             for backend in backends:
@@ -309,8 +292,7 @@ def run_chaos(
                     for sync in syncs:
                         for framework in frameworks:
                             cases.append(ChaosCase(
-                                plan_name, plan, backend,
-                                _compatible_recovery(recovery, sync),
+                                plan_name, plan, backend, recovery,
                                 sync, framework))
 
     # Fault-free twins, one per (backend, sync, framework) the sweep

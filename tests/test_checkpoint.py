@@ -81,12 +81,14 @@ def _install_crash(epoch: int, rnd: int):
     return trainer_mod.set_round_hook(hook)
 
 
-def _crash_then_resume(split, config, ckpt_dir, crash_at=(1, 1)):
-    """Train-with-crash, then resume from disk; returns the result."""
+def _crash_then_resume(split, config, ckpt_dir, crash_at=(1, 1),
+                       train=None):
+    """Train-with-crash (``train()``, by default a ``build_trainer``
+    run), then resume from disk; returns the result."""
     previous = _install_crash(*crash_at)
     try:
         with pytest.raises(_PlannedCrash):
-            _trainer(split, config).train()
+            (train or _trainer(split, config).train)()
     finally:
         trainer_mod.set_round_hook(previous)
     meta, state = load_checkpoint(ckpt_dir)
@@ -113,6 +115,25 @@ class TestCrashResumeBitIdentity:
             assert resumed.digest() == baseline, (
                 f"{backend}/{sync}: resumed digest diverged from the "
                 "uninterrupted run")
+
+    @pytest.mark.parametrize("alpha", [0.15, 0.6])
+    def test_splpg_fit_checkpoints_record_their_alpha(self, split, alpha,
+                                                      tmp_path):
+        """``SpLPG.fit`` wires its own trainer; its checkpoints must
+        name the sparsification level it really used, or resume
+        rebuilds a different remote store (0.15 passed by luck)."""
+        from repro import SpLPG
+
+        def fit(**overrides):
+            return SpLPG(num_parts=3, alpha=alpha, seed=SEED,
+                         config=_config(**overrides)).fit(split)
+
+        baseline = fit().digest()
+        ckpt_dir = str(tmp_path / "fit")
+        resumed = _crash_then_resume(
+            split, None, ckpt_dir, crash_at=(2, 0),
+            train=lambda: fit(checkpoint_dir=ckpt_dir, checkpoint_every=1))
+        assert resumed.digest() == baseline
 
     def test_sigkill_resume_bit_identity(self):
         """A real SIGKILL of a subprocess coordinator, not an exception.
@@ -155,8 +176,8 @@ class TestMidEpochRoundTrip:
                 [r.to_dict() for r in m.epochs] + [m.current.to_dict()]
                 for m in trainer.meters]
             ref["eval_rng"] = trainer.evaluator.rng.bit_generator.state
-            if trainer.parameter_server is not None:
-                ref["server_version"] = trainer.parameter_server.version
+            if sync == "ps":
+                ref["server_version"] = trainer.sync_strategy.version
 
         previous = trainer_mod.set_round_hook(hook)
         try:
@@ -179,8 +200,7 @@ class TestMidEpochRoundTrip:
         assert rebuilt.evaluator.rng.bit_generator.state == \
             ref["eval_rng"]
         if sync == "ps":
-            assert rebuilt.parameter_server.version == \
-                ref["server_version"]
+            assert rebuilt.sync_strategy.version == ref["server_version"]
 
 
     def test_worker_payloads_are_byte_equal_across_backends(self, split):

@@ -368,7 +368,8 @@ class TestOneRestoreMechanism:
         return run_framework(framework, split, 3, config,
                              rng=np.random.default_rng(7))
 
-    @pytest.mark.parametrize("sync", ["grad", "model", "local_sgd"])
+    @pytest.mark.parametrize("sync", ["grad", "model", "local_sgd", "ps",
+                                      "async"])
     @pytest.mark.parametrize("framework", ["llcg", "splpg"])
     def test_restore_equals_fault_free_with_one_ledger(self, split,
                                                        framework, sync):

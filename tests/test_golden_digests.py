@@ -3,7 +3,7 @@
 Tier-1 recomputes a small slice of the training matrix — every backend
 x sync mode fault-free, and the mixed fault plan under each recovery
 policy on the serial and process backends — and checks the committed
-file's own cross-backend invariants; ``scripts/ci.sh`` checks all 512
+file's own cross-backend invariants; ``scripts/ci.sh`` checks all 560
 cells.  The stream cells (three shard layouts x steady/churn, a process
 cell, a resumed cell) and the serve cells (seven request / fault / cache
 / decoder regimes on serial + process) are cheap enough to recompute in
@@ -51,7 +51,7 @@ def test_fault_free_and_elastic_cells_do_not_depend_on_the_backend(
         framework, _backend, sync, plan, policy = name.split("/")[:5]
         if plan == "none" or policy in ("elastic", "restore"):
             groups[framework, sync, plan, policy].add(digest)
-    assert len(groups) == 84
+    assert len(groups) == 100
     assert [g for g, digests in groups.items() if len(digests) != 1] == []
 
 

@@ -14,6 +14,7 @@ from repro.distributed import (
     broadcast_model,
     train_centralized,
 )
+from repro.distributed.sync import PeriodicAverage
 from repro.core import build_trainer, FRAMEWORKS
 from repro.nn import build_model
 
@@ -125,6 +126,49 @@ class TestSync:
         # number of participants.
         grads[0][names[0]] = np.ones(3)
         assert np.allclose(average_gradients(grads)[names[0]], 0.5)
+
+
+class TestPeriodicAverage:
+    @pytest.mark.parametrize("every, averaged_after", [
+        (0, [5]),           # the epoch end only
+        (2, [2, 4, 5]),     # every second round, then the tail
+    ])
+    def test_cadence_over_a_five_round_epoch(self, every, averaged_after):
+        """*When* the strategy averages: local steps every round, an
+        average (then the correction, then the fault barrier) each
+        ``every`` trained rounds and once more for the epoch's tail."""
+        log = []
+        backend = SimpleNamespace(
+            step_participants=lambda mask: log.append("step"),
+            sync_models=lambda topology, obs=None, participating=None:
+                log.append("average"),
+            run_correction=lambda hook: log.append("correct"))
+        trainer = SimpleNamespace(
+            backend=backend, observer=None, correction_hook=object(),
+            meters=[CommMeter(), CommMeter()], config=TrainConfig(),
+            partitioned=SimpleNamespace(edge_partitioned=False))
+        faults = SimpleNamespace(enabled=False, all_live=True,
+                                 barrier=lambda: log.append("barrier"))
+        decision = SimpleNamespace(train_mask=[True, True],
+                                   sync_mask=[True, True])
+        strategy = PeriodicAverage(every).bind(trainer)
+        assert not strategy.want_grads
+        for rnd in range(5):
+            strategy.after_round(0, rnd, [None, None], decision, faults)
+        strategy.end_epoch(faults)
+        expected = []
+        for rnd in range(1, 6):
+            expected.append("step")
+            if rnd in averaged_after:
+                expected += ["average", "correct", "barrier"]
+        assert log == expected
+        # A four-round epoch at every=2 ends on an average: no tail.
+        del log[:]
+        for rnd in range(4):
+            strategy.after_round(1, rnd, [None, None], decision, faults)
+        strategy.end_epoch(faults)
+        assert log.count("average") == (2 if every else 1)
+        assert strategy.stats() == {"mode": "model"}
 
 
 class TestTrainConfig:
