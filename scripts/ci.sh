@@ -8,7 +8,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests (slowest 15 printed: the per-file time budget) =="
 python -m pytest -x -q --durations=15
 
-echo "== golden digest matrices (560 training + 8 stream + 14 serve cells) =="
+echo "== golden digest matrices (560 training + 13 resume + 8 stream + 14 serve cells) =="
 python scripts/golden.py --check
 
 echo "== repro.lint =="
@@ -23,7 +23,7 @@ python -m repro.lint --select R001,R101,R102,R103 tests scripts benchmarks
 echo "== chaos smoke (fault tolerance) =="
 python -m repro.faults chaos --smoke
 
-echo "== kill-driver smoke (SIGKILL coordinator, bit-identical resume) =="
+echo "== kill-driver smoke (SIGKILL coordinator, bit-identical resume; splpg + llcg) =="
 python -m repro.faults chaos --smoke --kill-driver
 
 echo "== serve smoke (cross-backend digest) =="

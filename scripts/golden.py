@@ -25,6 +25,13 @@ named cells and leaves the rest untouched).
 Cell names read ``framework/backend/sync/plan/policy`` with an
 ``/observed`` suffix for the observed runs.
 
+Thirteen more training cells carry a ``/resume`` suffix — every
+framework x {grad, model, ps} on serial, plus ``llcg/process/grad``:
+the run checkpoints every epoch, is crashed by a round hook at
+``(1, 1)``, resumed from its checkpoint directory, and must equal the
+digest **already committed** for its uninterrupted twin.  They have no
+entry of their own in the golden file and ``--write`` skips them.
+
 The same switches cover the **stream cells**
 (``stream/<layout>/<regime>/<backend>[/resume]``, committed in
 ``tests/golden_stream_digests.json`` next to the training file): one
@@ -95,14 +102,17 @@ class Cell(NamedTuple):
     plan: str       # "none" | "mixed" | "prob"
     policy: str
     observe: bool = False
+    resume: bool = False
 
     @property
     def name(self) -> str:
-        """``framework/backend/sync/plan/policy[/observed]``."""
+        """``framework/backend/sync/plan/policy[/observed|/resume]``."""
         parts = [self.framework, self.backend, self.sync, self.plan,
                  self.policy]
         if self.observe:
             parts.append("observed")
+        if self.resume:
+            parts.append("resume")
         return "/".join(parts)
 
 
@@ -126,6 +136,30 @@ def subset_cells() -> List[Cell]:
     cells += [Cell("psgd_pa", backend, "model", "mixed", policy)
               for backend in ("serial", "process") for policy in POLICIES]
     return cells
+
+
+#: Where a resume cell's coordinator loop is crashed: ``(epoch, round)``.
+RESUME_CRASH_AT = (1, 1)
+
+
+def resume_cells() -> List[Cell]:
+    """Crash-and-resume twins of fault-free cells: checked against the
+    twin's committed digest, never written."""
+    cells = [Cell(fw, "serial", sync, "none", "drop", resume=True)
+             for fw in FRAMEWORKS for sync in ("grad", "model", "ps")]
+    cells.append(Cell("llcg", "process", "grad", "none", "drop",
+                      resume=True))
+    return cells
+
+
+def with_resume_twins(golden: Dict[str, object]) -> Dict[str, object]:
+    """``golden`` plus every resume cell under its twin's digest."""
+    golden = dict(golden)
+    for cell in resume_cells():
+        twin = cell._replace(resume=False).name
+        if twin in golden:
+            golden[cell.name] = golden[twin]
+    return golden
 
 
 def make_split():
@@ -158,10 +192,22 @@ def mixed_plan():
     ))
 
 
+class _Crash(RuntimeError):
+    """Raised by a resume cell's round hook."""
+
+
+def _crash_hook(_trainer, epoch: int, rnd: int) -> None:
+    if (epoch, rnd) == RESUME_CRASH_AT:
+        raise _Crash
+
+
 def run_cell(split, cell: Cell) -> str:
-    """Train one cell and return its digest."""
+    """Train one cell and return its digest (a resume cell: train with
+    durable checkpoints, crash, resume from the directory)."""
+    from repro.checkpoint import load_checkpoint, rebuild_trainer
     from repro.core.frameworks import run_framework
     from repro.distributed import TrainConfig
+    from repro.distributed.trainer import set_round_hook
 
     faults = {}
     if cell.plan == "mixed":
@@ -171,15 +217,30 @@ def run_cell(split, cell: Cell) -> str:
     # Half the frameworks average models mid-epoch, half only at the
     # epoch end, so both cadences of sync="model" are in the matrix.
     every = 2 if cell.framework in ("splpg", "vertex_cut") else 0
-    config = TrainConfig(
-        hidden_dim=16, num_layers=2, fanouts=(5, 5), epochs=EPOCHS,
-        batch_size=64, seed=SEED, sync=cell.sync, sync_every=2,
-        sync_every_batches=every, backend=cell.backend,
-        observe=cell.observe, recovery=cell.policy, fault_timeout_s=15.0,
-        retry_backoff_s=0.05, **faults)
-    result = run_framework(cell.framework, split, WORKERS, config,
-                           rng=np.random.default_rng(SEED))
-    return result.digest()
+    def train(**checkpointing):
+        config = TrainConfig(
+            hidden_dim=16, num_layers=2, fanouts=(5, 5), epochs=EPOCHS,
+            batch_size=64, seed=SEED, sync=cell.sync, sync_every=2,
+            sync_every_batches=every, backend=cell.backend,
+            observe=cell.observe, recovery=cell.policy,
+            fault_timeout_s=15.0, retry_backoff_s=0.05, **faults,
+            **checkpointing)
+        return run_framework(cell.framework, split, WORKERS, config,
+                             rng=np.random.default_rng(SEED))
+
+    if not cell.resume:
+        return train().digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        previous = set_round_hook(_crash_hook)
+        try:
+            train(checkpoint_dir=tmp)
+            raise AssertionError(f"{cell.name}: the crash never fired")
+        except _Crash:
+            pass
+        finally:
+            set_round_hook(previous)
+        meta, state = load_checkpoint(tmp)
+        return rebuild_trainer(meta, state, split).train().digest()
 
 
 def _digests(cells, run, verbose: bool) -> Dict[str, object]:
@@ -448,6 +509,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     train = subset_cells() if args.subset else list(all_cells())
+    if args.check:
+        train += resume_cells()
     suites = [
         (args.file, compute, train,
          {"nodes": 300, "workers": WORKERS, "epochs": EPOCHS,
@@ -480,7 +543,7 @@ def main(argv=None) -> int:
             for name in changed:
                 print(f"  {name}")
             continue
-        problems = diff(load_golden(path), got)
+        problems = diff(with_resume_twins(load_golden(path)), got)
         for line in problems:
             print(f"GOLDEN MISMATCH: {line}", file=sys.stderr)
         print(f"{path.name}: checked {len(got)} cell(s): "

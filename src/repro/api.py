@@ -582,15 +582,14 @@ class Session:
 
         trainer = self._trainer
         model = trainer.workers[0].model
-        resume = trainer._resume
+        best_state = trainer.loop.best_state
         saved = None
-        if (self._result is None and resume is not None
-                and resume.best_state is not None):
+        if self._result is None and best_state is not None:
             # Restored-but-untrained session: export the checkpoint's
             # best-validation weights — the same weights train() would
             # have left on worker 0 — then put the resume state back.
             saved = {k: v.copy() for k, v in model.state_dict().items()}
-            model.load_state_dict(resume.best_state)
+            model.load_state_dict(best_state)
         try:
             artifact = export_servable(model, trainer.partitioned)
         finally:

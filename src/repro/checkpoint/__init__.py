@@ -15,11 +15,11 @@ package makes a whole *session* durable:
   the previous good entry.
 * :mod:`repro.checkpoint.state` — the worker codec
   (:func:`worker_state_bytes` / :func:`load_worker_state`, also the
-  ``restore`` recovery policy's restore points) and capture/restore of
-  the full trainer state: per-worker model + optimizer + RNG stream,
-  the evaluator RNG, CommMeter ledgers, ParameterServer
-  version/staleness, fault-controller counters, obs metric counters
-  and the loop position.  Restoring and continuing a killed run
+  ``restore`` recovery policy's restore points), the checkpoint's
+  identity header, and a loop over ``trainer.components()``: workers,
+  CommMeter ledgers, loop state, evaluator, fault controller, sync
+  strategy, LLCG correction and observer each ``capture()`` /
+  ``restore()`` their own state.  Restoring and continuing a killed run
   reproduces the uninterrupted run's
   :meth:`~repro.distributed.trainer.TrainResult.digest` bit for bit.
 

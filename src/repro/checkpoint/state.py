@@ -1,22 +1,37 @@
 """Capture and restore of full trainer state for exact resume.
 
 A session checkpoint is one array state dict (npz codec) written
-through the :class:`~repro.checkpoint.store.CheckpointStore`.  It
-contains everything a fresh process needs to continue the epoch loop
-bit-identically:
+through the :class:`~repro.checkpoint.store.CheckpointStore`.  This
+module writes only its **identity header** into ``meta_json`` — schema,
+framework, worker count, the full ``TrainConfig`` (JSON form), build
+knobs, workload fingerprint — and then loops over
+``trainer.components()``: each stateful participant of a run answers
+``capture() -> (meta entries, named arrays)`` / ``restore(meta,
+arrays)`` for its own state under its own on-disk names, so no state
+format is known by two modules:
 
-* ``meta_json`` — position (epoch, round), the full ``TrainConfig``
-  (JSON form), framework name, worker count, workload fingerprint,
-  epoch history, best-validation bookkeeping, fault-controller
-  counters and RNG states (evaluator + legacy failure stream),
-  the sync strategy's entries (ParameterServer version/staleness
-  totals, replica-sync total), and the obs metric
-  counters + simulated-clock position of observing runs;
-* ``worker.NNNN.payload`` — each worker's :func:`worker_state_bytes`
-  (model, optimizer moments, RNG bit-generator state);
-* ``meter.NNNN.*`` — the per-worker CommMeter ledgers;
-* ``best.*`` / ``server.*`` — the best-validation weights and the
-  sync strategy's (ParameterServer model/optimizer) arrays, when present.
+=============  =============================  =========================
+component      meta entries                   arrays
+=============  =============================  =========================
+``WorkerSet``  —                              ``worker.NNNN.payload``
+``CommMeter``  —                              ``meter.NNNN.epochs``,
+                                              ``meter.NNNN.current``
+``LoopState``  ``epoch round history best``   ``best.*``
+``Evaluator``  ``evaluator_rng``              —
+fault ctrl.    ``faults``                     —
+sync strategy  ``server replica_sync_total``  ``server.model.*``,
+                                              ``server.optim.*``
+correction     ``correction`` (LLCG only)     ``correction.optim.*``
+observer       ``obs`` (else ``None``)        —
+=============  =============================  =========================
+
+A worker payload is :func:`worker_state_bytes` (model, optimizer
+moments, RNG stream); the codec lives here because the ``restore``
+recovery policy's in-memory restore points are the same bytes.  A new
+stateful component grows the two methods and a line in
+``DistributedTrainer.components()``; ``tests/test_state_closure.py``
+fails on any RNG or optimizer reachable from a trainer that no
+component brings back, so closure is enforced rather than promised.
 
 Checkpoints are written at epoch boundaries (every
 ``TrainConfig.checkpoint_every`` epochs): loaders reshuffle at
@@ -33,8 +48,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Dict, List, Optional
+from dataclasses import fields as dataclass_fields
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -90,11 +105,12 @@ def split_fingerprint(split) -> str:
 
 
 def config_to_dict(config) -> Dict[str, object]:
-    """JSON form of a :class:`~repro.distributed.trainer.TrainConfig`.
+    """JSON form of a config dataclass
+    (:class:`~repro.distributed.trainer.TrainConfig`, ``StreamConfig``).
 
-    Plan/spec objects serialize through their ``to_dict``;
-    ``TrainConfig.__post_init__`` canonicalizes them back on rebuild,
-    so ``TrainConfig(**config_to_dict(c))`` round-trips exactly.
+    Plan/spec objects serialize through their ``to_dict``; the config's
+    ``__post_init__`` canonicalizes them back on rebuild, so
+    ``TrainConfig(**config_to_dict(c))`` round-trips exactly.
     """
     out: Dict[str, object] = {}
     for f in dataclass_fields(config):
@@ -110,6 +126,13 @@ def config_to_dict(config) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # capture
 # ----------------------------------------------------------------------
+
+
+def strip_prefix(arrays, prefix: str) -> Dict[str, np.ndarray]:
+    """The entries of ``arrays`` named ``prefix + name``, keyed by
+    ``name`` — how a component picks its own arrays out of a snapshot."""
+    return {key[len(prefix):]: value for key, value in arrays.items()
+            if key.startswith(prefix)}
 
 
 def worker_state_bytes(worker, epoch: int, rnd: int) -> bytes:
@@ -137,115 +160,23 @@ def load_worker_state(worker, payload: bytes) -> None:
     weights, optimizer moments and random stream are exactly as they
     were when the payload was taken."""
     state = deserialize_state(payload)
-    worker.model.load_state_dict({
-        key[len(_MODEL_PREFIX):]: value for key, value in state.items()
-        if key.startswith(_MODEL_PREFIX)})
-    worker.optimizer.load_state_dict({
-        key[len(_OPTIM_PREFIX):]: value for key, value in state.items()
-        if key.startswith(_OPTIM_PREFIX)})
+    worker.model.load_state_dict(strip_prefix(state, _MODEL_PREFIX))
+    worker.optimizer.load_state_dict(strip_prefix(state, _OPTIM_PREFIX))
     worker.rng.bit_generator.state = json.loads(str(state[_RNG_KEY]))
 
 
-def _stats_to_dict(stats) -> Dict[str, object]:
-    """JSON form of one :class:`~repro.distributed.trainer.EpochStats`."""
-    val = None
-    if stats.val is not None:
-        val = {"hits": float(stats.val.hits), "auc": float(stats.val.auc),
-               "k": int(stats.val.k)}
-    return {"epoch": stats.epoch, "mean_loss": stats.mean_loss,
-            "comm": stats.comm.to_dict(), "rounds": stats.rounds,
-            "mfg_edges": stats.mfg_edges, "val": val}
-
-
-def _stats_from_dict(d: Dict[str, object]):
-    """Rebuild one ``EpochStats`` from :func:`_stats_to_dict` output."""
-    from ..distributed.trainer import EpochStats
-    from ..distributed.comm import CommRecord
-    from ..eval.evaluator import EvalResult
-
-    val = None
-    if d["val"] is not None:
-        val = EvalResult(hits=float(d["val"]["hits"]),
-                         auc=float(d["val"]["auc"]), k=int(d["val"]["k"]))
-    return EpochStats(epoch=int(d["epoch"]),
-                      mean_loss=float(d["mean_loss"]),
-                      comm=CommRecord(**d["comm"]), val=val,
-                      rounds=int(d["rounds"]),
-                      mfg_edges=int(d["mfg_edges"]))
-
-
-def _capture_faults(faults) -> Optional[Dict[str, object]]:
-    """Serializable fault-controller state (counters + RNG stream).
-
-    ``None`` in (no controller attached yet — e.g. a snapshot taken
-    outside ``train()``) means ``None`` out: nothing to restore.
-    """
-    if faults is None:
-        return None
-    return {
-        "live": list(faults.live),
-        "counts": dict(faults.counts),
-        "dropped": faults.dropped_contributions,
-        "retry_attempts": list(faults._retry_attempts),
-        "model_sync_excluded": sorted(faults._model_sync_excluded),
-        "outage_rounds_left": faults._outage_rounds_left,
-        "failure_rng": faults._failure_rng.bit_generator.state,
-    }
-
-
-def capture_trainer_state(
-    trainer,
-    *,
-    epoch: int,
-    rnd: int,
-    history=(),
-    best_val: float = -1.0,
-    best_state: Optional[Dict[str, np.ndarray]] = None,
-    best_epoch: int = -1,
-    evals_since_best: int = 0,
-    faults=None,
-) -> Dict[str, np.ndarray]:
-    """Snapshot a (bound, mid-``train()``) trainer into an array dict.
-
-    ``epoch``/``rnd`` record the last completed position; the loop
-    state arguments mirror ``_train_loop``'s locals.  ``faults``
-    defaults to the trainer's live
-    :class:`~repro.faults.FaultController`.
+def capture_trainer_state(trainer, *, epoch: Optional[int] = None,
+                          rnd: Optional[int] = None
+                          ) -> Dict[str, np.ndarray]:
+    """Snapshot a bound trainer (at an epoch boundary, or mid-epoch
+    from a round hook) into an array dict: the identity header, then
+    whatever each of ``trainer.components()`` captures.  ``epoch`` +
+    ``rnd`` (together) relabel the snapshot, which otherwise carries
+    the loop's own position.
     """
     config = trainer.config
-    if faults is None:
-        faults = trainer.fault_controller
-    state: Dict[str, np.ndarray] = {}
-
-    payloads = trainer.backend.snapshot_workers(epoch, rnd)
-    for i, payload in enumerate(payloads):
-        raw = b"" if payload is None else payload
-        state[f"worker.{i:04d}.payload"] = np.frombuffer(raw,
-                                                         dtype=np.uint8)
-    for i, meter in enumerate(trainer.meters):
-        epochs = [[r.feature_bytes, r.structure_bytes, r.sync_bytes]
-                  for r in meter.epochs]
-        state[f"meter.{i:04d}.epochs"] = np.array(
-            epochs, dtype=np.int64).reshape(len(epochs), 3)
-        state[f"meter.{i:04d}.current"] = np.array(
-            [meter.current.feature_bytes, meter.current.structure_bytes,
-             meter.current.sync_bytes], dtype=np.int64)
-    if best_state is not None:
-        for name, value in best_state.items():
-            state[f"best.{name}"] = value
-
-    sync_meta, sync_arrays = trainer.sync_strategy.capture()
-    state.update(sync_arrays)
-
-    obs_meta = None
-    if trainer.observer is not None:
-        obs_meta = {"metrics": trainer.observer.metrics.to_dict(),
-                    "now_s": trainer.observer.tracer.now_s}
-
     meta = {
         "schema": STATE_SCHEMA,
-        "epoch": int(epoch),
-        "round": int(rnd),
         "framework": trainer.framework,
         "num_workers": len(trainer.workers),
         "positive_mode": trainer.positive_mode,
@@ -253,15 +184,15 @@ def capture_trainer_state(
         "config": config_to_dict(config),
         "build_knobs": dict(trainer.build_knobs),
         "split_fingerprint": split_fingerprint(trainer.split),
-        "history": [_stats_to_dict(s) for s in history],
-        "best": {"val": best_val, "epoch": best_epoch,
-                 "evals_since_best": evals_since_best,
-                 "has_state": best_state is not None},
-        "evaluator_rng": trainer.evaluator.rng.bit_generator.state,
-        "faults": _capture_faults(faults),
-        **sync_meta,
-        "obs": obs_meta,
+        "obs": None,
     }
+    state: Dict[str, np.ndarray] = {}
+    for _, component in trainer.components():
+        entries, arrays = component.capture()
+        meta.update(entries)
+        state.update(arrays)
+    if epoch is not None:
+        meta["epoch"], meta["round"] = int(epoch), int(rnd)
     state[_META_KEY] = np.array(json.dumps(meta))
     return state
 
@@ -269,51 +200,6 @@ def capture_trainer_state(
 # ----------------------------------------------------------------------
 # restore
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class ResumeState:
-    """Loop state ``_train_loop`` re-enters after a restore."""
-
-    epoch: int
-    round: int
-    history: List[object]
-    best_val: float
-    best_state: Optional[Dict[str, np.ndarray]]
-    best_epoch: int
-    evals_since_best: int
-    faults: Optional[Dict[str, object]]
-
-    def apply_faults(self, controller) -> None:
-        """Restore a fresh :class:`FaultController`'s mutable state."""
-        fstate = self.faults
-        if fstate is None:
-            return
-        controller.live = [bool(x) for x in fstate["live"]]
-        controller.counts = dict(fstate["counts"])
-        controller.dropped_contributions = int(fstate["dropped"])
-        controller._retry_attempts = [int(x)
-                                      for x in fstate["retry_attempts"]]
-        controller._model_sync_excluded = set(
-            fstate["model_sync_excluded"])
-        controller._outage_rounds_left = int(fstate["outage_rounds_left"])
-        controller._failure_rng.bit_generator.state = fstate["failure_rng"]
-
-
-def _restore_metrics(observer, snapshot: Dict[str, Dict[str, object]]
-                     ) -> None:
-    """Recreate a metrics registry from its ``to_dict`` snapshot."""
-    for name, entry in snapshot.items():
-        kind = entry["kind"]
-        if kind == "counter":
-            observer.counter(name).value = entry["value"]
-        elif kind == "gauge":
-            observer.gauge(name).set(entry["value"])
-        elif kind == "histogram":
-            hist = observer.histogram(name, entry["buckets"])
-            hist.counts = [int(c) for c in entry["counts"]]
-            hist.total = float(entry["sum"])
-            hist.count = int(entry["count"])
 
 
 def parse_meta(state: Dict[str, np.ndarray]) -> Dict[str, object]:
@@ -329,67 +215,32 @@ def parse_meta(state: Dict[str, np.ndarray]) -> Dict[str, object]:
     return meta
 
 
-def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> ResumeState:
-    """Load a snapshot into a freshly built (unbound) trainer.
-
-    Applies worker model/optimizer/RNG payloads, the evaluator RNG,
-    CommMeter ledgers, the sync strategy's state, fault counters' RNG
-    and obs metrics; stashes the loop state on ``trainer._resume`` for
-    ``_train_loop`` to re-enter at ``epoch + 1``.  Returns the
-    :class:`ResumeState`.
+def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> None:
+    """Load a snapshot into a freshly built (unbound) trainer: each of
+    ``trainer.components()`` restores itself from it, after which
+    ``trainer.train()`` continues the run.  A snapshot lacking a key a
+    component needs raises :class:`CheckpointCorruptError` naming both;
+    the trainer is then half-loaded and must be dropped
+    (:func:`rebuild_trainer` never returns one).
     """
-    from ..distributed.comm import CommRecord
-
     meta = parse_meta(state)
     if meta["num_workers"] != len(trainer.workers):
         raise CheckpointMismatchError(
             f"checkpoint has {meta['num_workers']} workers, the trainer "
             f"{len(trainer.workers)}")
-    epoch, rnd = int(meta["epoch"]), int(meta["round"])
-
-    nbytes_read = 0
-    for i, worker in enumerate(trainer.workers):
-        payload = state[f"worker.{i:04d}.payload"]
-        if payload.size == 0:
-            continue  # worker was dead (elastic removal) at capture
-        nbytes_read += int(payload.size)
-        load_worker_state(worker, payload.tobytes())
-    for i, meter in enumerate(trainer.meters):
-        rows = state[f"meter.{i:04d}.epochs"]
-        meter.epochs = [CommRecord(feature_bytes=int(r[0]),
-                                   structure_bytes=int(r[1]),
-                                   sync_bytes=int(r[2])) for r in rows]
-        cur = state[f"meter.{i:04d}.current"]
-        meter.current = CommRecord(feature_bytes=int(cur[0]),
-                                   structure_bytes=int(cur[1]),
-                                   sync_bytes=int(cur[2]))
-    trainer.evaluator.rng.bit_generator.state = meta["evaluator_rng"]
-
-    trainer.sync_strategy.restore(meta, state)
-
+    for name, component in trainer.components():
+        try:
+            component.restore(meta, state)
+        except KeyError as exc:
+            raise CheckpointCorruptError(
+                f"snapshot is incomplete: component {name!r} found no "
+                f"{exc.args[0]!r} in it") from exc
     obs = trainer.observer
-    if obs is not None and meta["obs"] is not None:
-        _restore_metrics(obs, meta["obs"]["metrics"])
-        behind = float(meta["obs"]["now_s"]) - obs.tracer.now_s
-        if behind > 0:
-            obs.tracer.advance(behind)
+    if obs is not None:
         obs.counter("checkpoint.restores").inc(1)
-        obs.counter("checkpoint.bytes_read").inc(nbytes_read)
-
-    best_state = None
-    if meta["best"]["has_state"]:
-        best_state = {k[len("best."):]: v for k, v in state.items()
-                      if k.startswith("best.")}
-    resume = ResumeState(
-        epoch=epoch, round=rnd,
-        history=[_stats_from_dict(d) for d in meta["history"]],
-        best_val=float(meta["best"]["val"]),
-        best_state=best_state,
-        best_epoch=int(meta["best"]["epoch"]),
-        evals_since_best=int(meta["best"]["evals_since_best"]),
-        faults=meta["faults"])
-    trainer._resume = resume
-    return resume
+        obs.counter("checkpoint.bytes_read").inc(sum(
+            int(value.size) for key, value in state.items()
+            if key.startswith("worker.")))
 
 
 # ----------------------------------------------------------------------

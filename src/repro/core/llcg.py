@@ -12,10 +12,11 @@ sharing the correction becomes redundant.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..checkpoint.state import strip_prefix
 from ..distributed.sync import broadcast_model
 from ..distributed.trainer import TrainConfig
 from ..graph.splits import EdgeSplit
@@ -26,12 +27,22 @@ from ..sampling.negative import PerSourceUniformNegativeSampler
 from ..sampling.neighbor import NeighborSampler
 
 
+#: Key prefix of the correction optimizer's arrays in a checkpoint.
+_OPTIM_PREFIX = "correction.optim."
+
+
 class GlobalCorrection:
     """Server-side correction applied after each synchronization round.
 
     Performs ``steps`` mini-batch updates on the synchronized model
     with full-graph sampling, then re-broadcasts the corrected weights
     to every worker.
+
+    The correction has state of its own — the sampling stream and the
+    server optimizer's Adam moments — which :meth:`capture` /
+    :meth:`restore` carry across a checkpoint.  The optimizer is bound
+    to the model it is first called with, so restored moments are held
+    until that call builds it.
     """
 
     def __init__(
@@ -50,14 +61,44 @@ class GlobalCorrection:
             self.graph, rng=self.rng)
         self.positives = self.graph.edge_list()
         self._optimizer: Optional[Adam] = None
+        #: Optimizer state a restore delivered (empty: start fresh).
+        self._held: Dict[str, np.ndarray] = {}
+
+    def _build_optimizer(self, params) -> Adam:
+        """Adam over ``params``, continuing from any held state."""
+        optimizer = Adam(params, lr=self.config.lr)
+        if self._held:
+            optimizer.load_state_dict(self._held)
+        return optimizer
+
+    def capture(self) -> tuple:
+        """The ``correction`` meta entry (the RNG stream) and the
+        optimizer's ``correction.optim.*`` arrays, once it exists."""
+        optim = ({} if self._optimizer is None
+                 else self._optimizer.state_dict())
+        return ({"correction": {"rng": self.rng.bit_generator.state}},
+                {_OPTIM_PREFIX + name: value
+                 for name, value in optim.items()})
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back.  A checkpoint written
+        before the correction was captured has no entry: nothing to
+        load."""
+        saved = meta.get("correction")
+        if saved is None:
+            return
+        self.rng.bit_generator.state = saved["rng"]
+        self._held = strip_prefix(arrays, _OPTIM_PREFIX)
+        if self._optimizer is not None:
+            self._optimizer = self._build_optimizer(self._optimizer.params)
 
     def __call__(self, models: Sequence[LinkPredictionModel]) -> None:
         """Correct the synchronized model (models are identical after
         averaging) and broadcast the result."""
         server_model = models[0]
         if self._optimizer is None:
-            self._optimizer = Adam(server_model.parameters(),
-                                   lr=self.config.lr)
+            self._optimizer = self._build_optimizer(
+                server_model.parameters())
         for _ in range(self.steps):
             idx = self.rng.choice(self.positives.shape[0],
                                   size=min(self.config.batch_size,

@@ -622,9 +622,7 @@ class SerialBackend(ExecutionBackend):
 
     def _count(self, name: str, value: float = 1) -> None:
         """Mirror a backend fault event onto the controller counters."""
-        controller = self.trainer.fault_controller
-        if controller is not None:
-            controller.count(name, value)
+        self.trainer.fault_controller.count(name, value)
 
     def deactivate(self, worker: int) -> None:
         """Permanently remove a worker from the pool (elastic
@@ -940,10 +938,9 @@ class ProcessBackend(SerialBackend):
             if live_others:
                 had_pending = self._has_pending[i]
                 self.deactivate(i)
-                if controller is not None:
-                    controller.mark_dead(i, reason=inflight[0])
-                    if had_pending:
-                        controller.record_dropped()
+                controller.mark_dead(i, reason=inflight[0])
+                if had_pending:
+                    controller.record_dropped()
                 return None
             # Never lose the last worker: fall through to a warm
             # respawn so the run can finish.
@@ -953,8 +950,7 @@ class ProcessBackend(SerialBackend):
                 and self._recoveries[i] > max(1, config.max_retries)):
             if live_others:
                 self.deactivate(i)
-                if controller is not None:
-                    controller.mark_dead(i, reason="retry budget")
+                controller.mark_dead(i, reason="retry budget")
                 return None
             raise ClusterDeadError(
                 f"worker {i} exceeded its retry budget and no live "
@@ -971,8 +967,7 @@ class ProcessBackend(SerialBackend):
         if inflight[0] == "train":
             if policy == "drop" or not self._has_pending[i]:
                 # The contribution is lost; the worker lives on.
-                if controller is not None:
-                    controller.record_dropped()
+                controller.record_dropped()
                 return ("result", None)
         self._raw_send(i, inflight)
         return self._raw_recv(i, inflight[0])

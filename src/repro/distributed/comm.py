@@ -20,8 +20,10 @@ server to all workers during one training epoch, in gigabytes.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional
+
+import numpy as np
 
 BYTES_PER_EDGE = 16
 BYTES_PER_EDGE_WEIGHT = 8
@@ -96,6 +98,9 @@ class CommMeter:
     current: CommRecord = field(default_factory=CommRecord)
     epochs: List[CommRecord] = field(default_factory=list)
     obs: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Key prefix of this ledger in a session checkpoint (the trainer
+    #: names its per-worker meters ``meter.NNNN``).
+    name: str = field(default="meter", compare=False)
 
     # -- charging -------------------------------------------------------
 
@@ -152,6 +157,26 @@ class CommMeter:
         self.epochs.append(record)
         self.current = CommRecord()
         return record
+
+    # -- checkpointing ----------------------------------------------------
+
+    def capture(self) -> tuple:
+        """The ledger as ``<name>.epochs`` (one row per closed epoch)
+        and ``<name>.current`` int64 arrays (no meta entries)."""
+        rows = [astuple(record) for record in self.epochs]
+        return {}, {
+            f"{self.name}.epochs": np.array(rows, dtype=np.int64).reshape(
+                len(rows), 3),
+            f"{self.name}.current": np.array(astuple(self.current),
+                                             dtype=np.int64)}
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back (the observer mirror is
+        restored by the observer itself)."""
+        rows = [*arrays[f"{self.name}.epochs"],
+                arrays[f"{self.name}.current"]]
+        records = [CommRecord(*(int(x) for x in row)) for row in rows]
+        self.epochs, self.current = records[:-1], records[-1]
 
     # -- summaries --------------------------------------------------------
 

@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checkpoint.state import strip_prefix
 from ..nn.models import LinkPredictionModel
 from ..nn.optim import Adam
 from .comm import FEATURE_ITEMSIZE, CommMeter
@@ -579,11 +580,9 @@ class ParameterServer(SyncStrategy):
         smeta = meta["server"]
         if smeta is None:
             return
-        for prefix, target in (("server.model.", self.model),
-                               ("server.optim.", self.optimizer)):
-            target.load_state_dict({
-                key[len(prefix):]: value for key, value in arrays.items()
-                if key.startswith(prefix)})
+        self.model.load_state_dict(strip_prefix(arrays, "server.model."))
+        self.optimizer.load_state_dict(
+            strip_prefix(arrays, "server.optim."))
         for key in self._TOTALS:
             setattr(self, key, int(smeta[key]))
         self.worker_version = [int(v) for v in smeta["worker_version"]]

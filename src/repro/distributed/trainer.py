@@ -26,11 +26,17 @@ import os
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..checkpoint.state import (
+    capture_trainer_state,
+    load_worker_state,
+    strip_prefix,
+)
+from ..checkpoint.store import CheckpointStore
 from ..eval.evaluator import EvalResult, Evaluator
 from ..faults import FaultController
 from ..graph.splits import EdgeSplit
@@ -307,6 +313,12 @@ class EpochStats:
     rounds: int = 0
     mfg_edges: int = 0  # message-flow edges computed (all workers)
 
+    @classmethod
+    def from_dict(cls, d: Dict[str, object]) -> "EpochStats":
+        """Rebuild a record from its ``dataclasses.asdict`` (JSON) form."""
+        val = None if d["val"] is None else EvalResult(**d["val"])
+        return cls(**{**d, "comm": CommRecord(**d["comm"]), "val": val})
+
 
 @dataclass
 class TrainResult:
@@ -515,6 +527,75 @@ class _Worker:
         return loss_value, mfg_edges
 
 
+class LoopState:
+    """What the epoch loop carries from one round to the next.
+
+    ``_train_loop`` keeps these as attributes, not locals, so a snapshot
+    taken anywhere — the epoch-boundary write or a round hook — holds
+    the real history and best-validation weights, and a restored
+    trainer's ``train()`` re-enters the loop at ``epoch + 1`` untold.
+    """
+
+    def __init__(self) -> None:
+        #: The epoch being run or last finished (-1: none yet) and the
+        #: rounds finished in it.
+        self.epoch = -1
+        self.round = 0
+        self.history: List[EpochStats] = []
+        self.best_val = -1.0
+        self.best_state: Optional[Dict[str, np.ndarray]] = None
+        self.best_epoch = -1
+        self.evals_since_best = 0
+
+    def capture(self) -> tuple:
+        """Position, history and best-validation bookkeeping as meta;
+        the best weights as ``best.*`` arrays."""
+        meta = {"epoch": self.epoch, "round": self.round,
+                "history": [asdict(s) for s in self.history],
+                "best": {"val": self.best_val, "epoch": self.best_epoch,
+                         "evals_since_best": self.evals_since_best,
+                         "has_state": self.best_state is not None}}
+        return meta, {f"best.{name}": value
+                      for name, value in (self.best_state or {}).items()}
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back."""
+        best = meta["best"]
+        self.epoch, self.round = meta["epoch"], meta["round"]
+        self.history = [EpochStats.from_dict(d) for d in meta["history"]]
+        self.best_val, self.best_epoch = best["val"], best["epoch"]
+        self.evals_since_best = best["evals_since_best"]
+        self.best_state = (strip_prefix(arrays, "best.")
+                           if best["has_state"] else None)
+
+
+class WorkerSet:
+    """The workers as one checkpoint component: every worker's model,
+    optimizer moments and RNG stream, serialized where the worker lives
+    (``backend.snapshot_workers`` — the child process on the process
+    backend) and loaded back in this process, before a backend binds."""
+
+    def __init__(self, trainer) -> None:
+        self.trainer = trainer
+
+    def capture(self) -> tuple:
+        """One ``worker.NNNN.payload`` per worker, empty for a worker
+        elastic recovery removed."""
+        loop = self.trainer.loop
+        payloads = self.trainer.backend.snapshot_workers(loop.epoch,
+                                                         loop.round)
+        return {}, {f"worker.{i:04d}.payload":
+                    np.frombuffer(payload or b"", dtype=np.uint8)
+                    for i, payload in enumerate(payloads)}
+
+    def restore(self, meta, arrays) -> None:
+        """Load every non-empty payload into its worker."""
+        for i, worker in enumerate(self.trainer.workers):
+            payload = arrays[f"worker.{i:04d}.payload"]
+            if payload.size:
+                load_worker_state(worker, payload.tobytes())
+
+
 class DistributedTrainer:
     """Runs Algorithm 1 for any framework configuration.
 
@@ -564,28 +645,21 @@ class DistributedTrainer:
         if observer is None and config.observe:
             observer = RunObserver()
         self.observer = observer
-        #: Set by ``_train_loop``; backends consult it for fault
-        #: counters and elastic liveness during recovery.
-        self.fault_controller = None
         #: Build-time knobs that live outside TrainConfig (alpha,
         #: sparsifier choice); recorded in durable checkpoints so
         #: resume can rebuild the identical cluster.  build_trainer and
         #: SpLPG.fit overwrite this with their actual arguments.
         self.build_knobs = {"alpha": 0.15,
                             "sparsifier_kind": "approx_er"}
-        #: Loop state loaded by repro.checkpoint.restore_trainer;
-        #: consumed (and cleared) by ``_train_loop`` to continue a
-        #: previous run at ``epoch + 1``.
-        self._resume = None
-        self.meters = [CommMeter() for _ in range(partitioned.num_parts)]
-        if observer is not None:
-            for meter in self.meters:
-                meter.obs = observer
-            if remote_store is not None:
-                # An AuditedStore sanitizer proxies reads but not
-                # attribute writes; instrument the store it wraps.
-                inner = getattr(remote_store, "_store", remote_store)
-                inner.obs = observer
+        #: The epoch loop's own state: ``train()`` continues from it.
+        self.loop = LoopState()
+        self.meters = [CommMeter(name=f"meter.{part:04d}", obs=observer)
+                       for part in range(partitioned.num_parts)]
+        if observer is not None and remote_store is not None:
+            # An AuditedStore sanitizer proxies reads but not attribute
+            # writes; instrument the store it wraps.
+            inner = getattr(remote_store, "_store", remote_store)
+            inner.obs = observer
         self.evaluator = Evaluator(
             split, config.fanouts, k=config.hits_k,
             rng=np.random.default_rng(config.seed + 7919))
@@ -615,6 +689,28 @@ class DistributedTrainer:
 
         #: The one object that knows which ``config.sync`` mode runs.
         self.sync_strategy = make_strategy(self)
+        #: Injects the run's faults and drives recovery; backends
+        #: consult it for counters and elastic liveness.
+        self.fault_controller = FaultController(self)
+
+    def components(self) -> list:
+        """Every stateful participant of the run as ``(name,
+        component)``, in checkpoint order.  Each answers ``capture() ->
+        (meta entries, named arrays)`` under its on-disk names and
+        ``restore(meta, arrays)`` given the whole snapshot —
+        :mod:`repro.checkpoint.state` loops over this list and knows
+        nothing else.  State that must survive a resume belongs to one
+        of these (``tests/test_state_closure.py`` enforces it)."""
+        parts = [("workers", WorkerSet(self))]
+        parts += [(meter.name, meter) for meter in self.meters]
+        parts += [("loop", self.loop), ("evaluator", self.evaluator),
+                  ("faults", self.fault_controller),
+                  ("sync", self.sync_strategy)]
+        if hasattr(self.correction_hook, "capture"):  # a stateful hook
+            parts.append(("correction", self.correction_hook))
+        if self.observer is not None:
+            parts.append(("obs", self.observer))
+        return parts
 
     def build_replica(self) -> LinkPredictionModel:
         """A freshly initialized model of the run's architecture and
@@ -686,62 +782,43 @@ class DistributedTrainer:
         return result
 
     def _train_loop(self) -> TrainResult:
-        """The epoch/round loop, generic over the execution backend."""
+        """The epoch/round loop, generic over the execution backend.
+        What it carries between rounds lives on ``self.loop``: a fresh
+        trainer starts at epoch 0, a restored one at ``epoch + 1``."""
         config = self.config
         obs = self.observer
         backend = self.backend
         strategy = self.sync_strategy
         models = [w.model for w in self.workers]
-        history: List[EpochStats] = []
-        best_val = -1.0
-        best_state: Optional[Dict[str, np.ndarray]] = None
-        best_epoch = -1
-        faults = FaultController(self)
-        self.fault_controller = faults
-        evals_since_best = 0
+        loop = self.loop
+        faults = self.fault_controller
+        # Permanent worker removals a restored controller remembers
+        # are replayed into the freshly bound backend.
+        for i, alive in enumerate(faults.live):
+            if not alive:
+                backend.deactivate(i)
 
         ckpt_store = None
         if config.checkpoint_dir is not None:
-            from ..checkpoint.store import CheckpointStore
             ckpt_store = CheckpointStore(config.checkpoint_dir)
 
-        start_epoch = 0
-        resume = self._resume
-        if resume is not None:
-            # Continue a restored run: re-enter the loop exactly where
-            # the checkpoint left off.  Worker/evaluator/server state
-            # was already loaded by repro.checkpoint.restore_trainer;
-            # here we rebuild the loop locals and replay permanent
-            # worker removals into the fresh backend + controller.
-            self._resume = None
-            start_epoch = resume.epoch + 1
-            history = list(resume.history)
-            best_val = resume.best_val
-            best_state = resume.best_state
-            best_epoch = resume.best_epoch
-            evals_since_best = resume.evals_since_best
-            resume.apply_faults(faults)
-            for i, alive in enumerate(faults.live):
-                if not alive:
-                    backend.deactivate(i)
-
-        for epoch in range(start_epoch, config.epochs):
+        for epoch in range(loop.epoch + 1, config.epochs):
+            loop.epoch, loop.round = epoch, 0
             epoch_cm = (obs.span("epoch", epoch=epoch)
                         if obs is not None else nullcontext())
             epoch_started = obs.tracer.now_s if obs is not None else 0.0
             with epoch_cm:
                 backend.begin_epoch()
                 losses: List[float] = []
-                epoch_rounds = 0
                 epoch_mfg_edges = 0
                 while not backend.all_exhausted():
-                    round_cm = (obs.span("round", index=epoch_rounds)
+                    round_cm = (obs.span("round", index=loop.round)
                                 if obs is not None else nullcontext())
                     with round_cm:
                         if _ROUND_HOOK is not None:
-                            _ROUND_HOOK(self, epoch, epoch_rounds)
+                            _ROUND_HOOK(self, epoch, loop.round)
                         has_batch = backend.poll_batches()
-                        decision = faults.plan_round(epoch, epoch_rounds,
+                        decision = faults.plan_round(epoch, loop.round,
                                                      has_batch)
                         round_results = backend.train_round(
                             decision.train_mask)
@@ -749,14 +826,14 @@ class DistributedTrainer:
                             if res is not None:
                                 losses.append(res.loss)
                                 epoch_mfg_edges += res.mfg_edges
-                        epoch_rounds += 1
+                        loop.round += 1
                         if obs is not None:
                             obs.counter("train.rounds").inc(1)
                         # Nothing trained (exhausted loaders and/or
                         # injected failures): nothing to synchronize.
                         if any(decision.train_mask):
                             strategy.after_round(
-                                epoch, epoch_rounds - 1, round_results,
+                                epoch, loop.round - 1, round_results,
                                 decision, faults)
                 strategy.end_epoch(faults)
 
@@ -776,24 +853,23 @@ class DistributedTrainer:
                     if obs is not None:
                         obs.counter("train.evals").inc(1)
                         obs.gauge("train.val_hits").set(float(val.hits))
-                    if val.hits > best_val:
-                        best_val = val.hits
-                        best_state = models[0].state_dict()
-                        best_epoch = epoch
-                        evals_since_best = 0
+                    if val.hits > loop.best_val:
+                        loop.best_val = val.hits
+                        loop.best_state = models[0].state_dict()
+                        loop.best_epoch = epoch
+                        loop.evals_since_best = 0
                     else:
-                        evals_since_best += 1
-                history.append(EpochStats(epoch=epoch, mean_loss=mean_loss,
-                                          comm=comm, val=val,
-                                          rounds=epoch_rounds,
-                                          mfg_edges=epoch_mfg_edges))
+                        loop.evals_since_best += 1
+                loop.history.append(EpochStats(
+                    epoch=epoch, mean_loss=mean_loss, comm=comm, val=val,
+                    rounds=loop.round, mfg_edges=epoch_mfg_edges))
             if obs is not None:
                 obs.counter("train.epochs").inc(1)
                 obs.histogram("epoch.duration_s").observe(
                     obs.tracer.now_s - epoch_started)
 
             if (config.patience and val is not None
-                    and evals_since_best >= config.patience):
+                    and loop.evals_since_best >= config.patience):
                 break
             if (config.lr_decay < 1.0
                     and (epoch + 1) % config.lr_decay_every == 0):
@@ -805,12 +881,10 @@ class DistributedTrainer:
                 # After the lr decay so the snapshot holds the decayed
                 # rate; a patience break above skips the write, so
                 # resume re-evaluates (and re-takes) the break.
-                self._write_checkpoint(
-                    ckpt_store, epoch, epoch_rounds, history, best_val,
-                    best_state, best_epoch, evals_since_best, faults)
+                self._write_checkpoint(ckpt_store)
 
-        if best_state is not None:
-            models[0].load_state_dict(best_state)
+        if loop.best_state is not None:
+            models[0].load_state_dict(loop.best_state)
         else:
             backend.refresh_eval_model()
         test_cm = obs.span("test") if obs is not None else nullcontext()
@@ -818,13 +892,13 @@ class DistributedTrainer:
             test = self.evaluator.test(models[0])
 
         total = CommRecord()
-        for stats in history:
+        for stats in loop.history:
             total += stats.comm
         result = TrainResult(
             framework=self.framework,
             test=test,
-            best_epoch=best_epoch,
-            history=history,
+            best_epoch=loop.best_epoch,
+            history=loop.history,
             comm_total=total,
             num_workers=len(self.workers),
             dropped_contributions=faults.dropped_contributions,
@@ -837,21 +911,14 @@ class DistributedTrainer:
 
     # ------------------------------------------------------------------
 
-    def _write_checkpoint(self, store, epoch: int, rnd: int, history,
-                          best_val: float, best_state, best_epoch: int,
-                          evals_since_best: int, faults) -> None:
+    def _write_checkpoint(self, store) -> None:
         """Capture the full session state and durably persist it."""
-        from ..checkpoint.state import capture_trainer_state
         obs = self.observer
-        cm = (obs.span("checkpoint.write", epoch=epoch)
+        cm = (obs.span("checkpoint.write", epoch=self.loop.epoch)
               if obs is not None else nullcontext())
         with cm:
-            state = capture_trainer_state(
-                self, epoch=epoch, rnd=rnd, history=history,
-                best_val=best_val, best_state=best_state,
-                best_epoch=best_epoch,
-                evals_since_best=evals_since_best, faults=faults)
-            info = store.write(state, epoch, rnd)
+            info = store.write(capture_trainer_state(self),
+                               self.loop.epoch, self.loop.round)
         if obs is not None:
             obs.counter("checkpoint.writes").inc(1)
             obs.counter("checkpoint.bytes_written").inc(info.nbytes)

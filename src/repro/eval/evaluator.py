@@ -95,6 +95,15 @@ class Evaluator:
             k=self.k,
         )
 
+    def capture(self) -> tuple:
+        """The ``evaluator_rng`` meta entry of a session checkpoint:
+        the sampling stream both splits are scored with."""
+        return {"evaluator_rng": self.rng.bit_generator.state}, {}
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back."""
+        self.rng.bit_generator.state = meta["evaluator_rng"]
+
     def validate(self, model: LinkPredictionModel) -> EvalResult:
         """Hits@K and AUC on the validation split."""
         return self._evaluate(model, self.split.val_pos, self.split.val_neg)

@@ -1,8 +1,9 @@
 """The fault controller: injects planned faults and drives recovery.
 
-One :class:`FaultController` is attached to a
-:class:`~repro.distributed.trainer.DistributedTrainer` for the length
-of a ``train()`` call.  Each synchronization round the trainer hands it
+One :class:`FaultController` belongs to a
+:class:`~repro.distributed.trainer.DistributedTrainer` for its whole
+life, checkpoints included (:meth:`FaultController.capture`).  Each
+synchronization round the trainer hands it
 the per-worker has-batch flags; the controller consults the
 :class:`~repro.faults.plan.FaultPlan` (plus the legacy probabilistic
 shim) and returns a :class:`RoundDecision` with two masks:
@@ -81,8 +82,6 @@ class FaultController:
                 plan = FaultPlan.from_probability(config.worker_failure_prob)
             else:
                 plan = FaultPlan.empty()
-        elif isinstance(plan, dict):
-            plan = FaultPlan.from_dict(plan)
         self.plan = plan
         self.policy = config.recovery
         num_workers = len(trainer.workers)
@@ -136,6 +135,30 @@ class FaultController:
     def summary(self) -> Dict[str, float]:
         """All fault/recovery counters accumulated so far."""
         return dict(self.counts)
+
+    def capture(self) -> tuple:
+        """The ``faults`` meta entry of a session checkpoint: liveness,
+        counters, retry budgets, exclusions, the legacy failure RNG."""
+        return {"faults": {
+            "live": list(self.live),
+            "counts": dict(self.counts),
+            "dropped": self.dropped_contributions,
+            "retry_attempts": list(self._retry_attempts),
+            "model_sync_excluded": sorted(self._model_sync_excluded),
+            "outage_rounds_left": self._outage_rounds_left,
+            "failure_rng": self._failure_rng.bit_generator.state,
+        }}, {}
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back."""
+        saved = meta["faults"]
+        self.live = [bool(x) for x in saved["live"]]
+        self.counts = dict(saved["counts"])
+        self.dropped_contributions = int(saved["dropped"])
+        self._retry_attempts = [int(x) for x in saved["retry_attempts"]]
+        self._model_sync_excluded = set(saved["model_sync_excluded"])
+        self._outage_rounds_left = int(saved["outage_rounds_left"])
+        self._failure_rng.bit_generator.state = saved["failure_rng"]
 
     def _span(self, kind: str, **attrs):
         """Emit a zero-duration ``fault`` span when observing."""

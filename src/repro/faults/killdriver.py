@@ -2,7 +2,7 @@
 
 The fault layer tolerates worker failures; this harness attacks the
 other side of the contract — the coordinator process itself.  For each
-``(backend, sync)`` cell it:
+``(framework, backend, sync)`` cell it:
 
 1. computes the uninterrupted run's
    :meth:`~repro.distributed.trainer.TrainResult.digest` in-process
@@ -17,9 +17,9 @@ other side of the contract — the coordinator process itself.  For each
    :func:`repro.checkpoint.rebuild_trainer` and trains to completion;
 5. asserts the resumed run's digest equals the uninterrupted one.
 
-Because the uninterrupted baseline is computed once per sync mode (on
-the first backend swept), step 5 simultaneously gates crash-resume
-bit-identity *and* cross-backend bit-identity.
+Because the uninterrupted baseline is computed once per framework and
+sync mode (on the first backend swept), step 5 simultaneously gates
+crash-resume bit-identity *and* cross-backend bit-identity.
 
 CLI: ``python -m repro.faults chaos --kill-driver [--smoke]``.
 """
@@ -45,6 +45,7 @@ KILL_TIMEOUT_S = 240.0
 class KillOutcome:
     """What one kill/resume cell did, and what (if anything) broke."""
 
+    framework: str
     backend: str
     sync: str
     ok: bool
@@ -58,7 +59,8 @@ class KillOutcome:
         status = "ok  " if self.ok else "FAIL"
         where = (f"kill@{self.kill_at[0]}.{self.kill_at[1]}"
                  if self.kill_at else "kill@?")
-        line = (f"[{status}] {self.backend:8s} {self.sync:9s} {where} "
+        line = (f"[{status}] {self.framework:8s} {self.backend:8s} "
+                f"{self.sync:9s} {where} "
                 f"resumed_from={self.resumed_from} {self.wall_s:5.1f}s")
         for v in self.violations:
             line += f"\n       - {v}"
@@ -81,7 +83,7 @@ def _result_path(out_dir: str) -> str:
     return os.path.join(out_dir, "RESULT.json")
 
 
-def _coordinator(out_dir: str, backend: str, sync: str,
+def _coordinator(out_dir: str, framework: str, backend: str, sync: str,
                  kill_at: Optional[Tuple[int, int]], seed: int,
                  epochs: int, workers: int) -> None:
     """One coordinator incarnation (runs in a forked subprocess).
@@ -117,7 +119,7 @@ def _coordinator(out_dir: str, backend: str, sync: str,
                              batch_size=64, epochs=epochs, seed=seed,
                              sync=sync, backend=backend,
                              checkpoint_dir=out_dir, checkpoint_every=1)
-        trainer = build_trainer(FRAMEWORKS["splpg"], split, workers,
+        trainer = build_trainer(FRAMEWORKS[framework], split, workers,
                                 config, rng=np.random.default_rng(seed))
     else:
         resumed_from = int(meta["epoch"])
@@ -169,6 +171,7 @@ def run_kill_driver(
     smoke: bool = False,
     backends: Sequence[str] = ("serial", "thread", "process"),
     syncs: Sequence[str] = ("barrier", "ps", "async", "local_sgd"),
+    frameworks: Sequence[str] = ("splpg", "llcg"),
     workers: int = 2,
     epochs: int = 3,
     seed: int = 29,
@@ -176,9 +179,10 @@ def run_kill_driver(
 ) -> List[KillOutcome]:
     """Sweep kill/resume cells and gate resume + cross-backend digests.
 
-    ``smoke`` pairs the backends with the sync modes round-robin (4
-    cells, every sync mode and every backend represented); the full
-    sweep runs all ``len(backends) x len(syncs)`` cells.  Raises
+    ``smoke`` pairs the frameworks and backends with the sync modes
+    round-robin (4 cells, every sync mode, backend and framework — so
+    ``llcg``'s stateful correction — represented); the full sweep runs
+    the whole ``frameworks x backends x syncs`` product.  Raises
     :class:`KillDriverError` if any cell's resumed digest differs from
     the uninterrupted baseline, the kill did not land, or a
     coordinator failed.
@@ -192,29 +196,32 @@ def run_kill_driver(
                          "kill lands in epoch 1)")
     split = _make_workload(seed)
     if smoke:
-        cells = [(backends[i % len(backends)], syncs[i % len(syncs)])
-                 for i in range(len(syncs))]
+        cells = [(frameworks[i % len(frameworks)],
+                  backends[i % len(backends)], sync)
+                 for i, sync in enumerate(syncs)]
     else:
-        cells = [(b, s) for b in backends for s in syncs]
+        cells = [(f, b, s) for f in frameworks for b in backends
+                 for s in syncs]
 
     ctx = mp.get_context("fork")
     point_rng = np.random.default_rng(seed)
-    baselines: Dict[str, str] = {}
+    baselines: Dict[Tuple[str, str], str] = {}
     outcomes: List[KillOutcome] = []
-    for backend, sync in cells:
+    for framework, backend, sync in cells:
         started = time.perf_counter()
         violations: List[str] = []
-        if sync not in baselines:
-            # Computed once per sync mode: backends are bit-identical
-            # by contract, so every backend's resumed digest is held
-            # to this one value (cross-backend + resume gate in one).
+        if (framework, sync) not in baselines:
+            # Computed once per framework and sync mode: backends are
+            # bit-identical by contract, so every backend's resumed digest
+            # is held to this one value (cross-backend + resume gate).
             config = TrainConfig(
                 hidden_dim=16, num_layers=2, fanouts=(5, 5),
                 batch_size=64, epochs=epochs, seed=seed, sync=sync,
                 backend=backend)
-            baselines[sync] = build_trainer(
-                FRAMEWORKS["splpg"], split, workers, config,
+            baselines[framework, sync] = build_trainer(
+                FRAMEWORKS[framework], split, workers, config,
                 rng=np.random.default_rng(seed)).train().digest()
+        baseline = baselines[framework, sync]
         # Epoch 1 guarantees epoch 0's checkpoint is already durable,
         # so the resume is a genuine mid-run continuation; the round
         # within it is seeded.
@@ -223,7 +230,8 @@ def run_kill_driver(
         with tempfile.TemporaryDirectory(prefix="repro-killdrv-") as tmp:
             victim = ctx.Process(
                 target=_coordinator,
-                args=(tmp, backend, sync, kill_at, seed, epochs, workers))
+                args=(tmp, framework, backend, sync, kill_at, seed,
+                      epochs, workers))
             victim.start()
             exitcode = _wait(victim, "victim", violations)
             if exitcode is not None and exitcode != -signal.SIGKILL:
@@ -239,8 +247,8 @@ def run_kill_driver(
             if not violations:
                 resumer = ctx.Process(
                     target=_coordinator,
-                    args=(tmp, backend, sync, None, seed, epochs,
-                          workers))
+                    args=(tmp, framework, backend, sync, None, seed,
+                          epochs, workers))
                 resumer.start()
                 exitcode = _wait(resumer, "resume", violations)
                 if exitcode != 0:
@@ -258,15 +266,15 @@ def run_kill_driver(
                         violations.append(
                             "resume coordinator started fresh instead "
                             "of loading the durable checkpoint")
-                    if doc["digest"] != baselines[sync]:
+                    if doc["digest"] != baseline:
                         violations.append(
                             f"resumed digest {doc['digest'][:16]}… != "
-                            f"uninterrupted {baselines[sync][:16]}… "
+                            f"uninterrupted {baseline[:16]}… "
                             "(bit-identity broken)")
 
         outcome = KillOutcome(
-            backend=backend, sync=sync, ok=not violations,
-            violations=violations, kill_at=kill_at,
+            framework=framework, backend=backend, sync=sync,
+            ok=not violations, violations=violations, kill_at=kill_at,
             resumed_from=resumed_from,
             wall_s=time.perf_counter() - started)
         outcomes.append(outcome)

@@ -170,6 +170,17 @@ class MetricsRegistry:
         creation)."""
         return self._get_or_create(name, Histogram, buckets)
 
+    def load_dict(self, snapshot: Dict[str, Dict[str, object]]) -> None:
+        """Set every metric named in a :meth:`to_dict` snapshot to its
+        recorded value, creating the ones that do not exist yet."""
+        for name, entry in snapshot.items():
+            if entry["kind"] == "histogram":
+                hist = self.histogram(name, entry["buckets"])
+                hist.counts = list(entry["counts"])
+                hist.total, hist.count = entry["sum"], entry["count"]
+            else:
+                getattr(self, entry["kind"])(name).value = entry["value"]
+
     def to_dict(self) -> Dict[str, Dict[str, object]]:
         """All metrics as ``{name: {"kind": ..., ...snapshot}}``,
         sorted by name for stable serialization."""

@@ -72,6 +72,21 @@ class RunObserver:
             return self.metrics.histogram(name)
         return self.metrics.histogram(name, buckets)
 
+    # -- checkpointing ---------------------------------------------------
+
+    def capture(self) -> tuple:
+        """The ``obs`` meta entry of a session checkpoint: every metric
+        and the simulated clock (spans are not carried over)."""
+        return {"obs": {"metrics": self.metrics.to_dict(),
+                        "now_s": self.tracer.now_s}}, {}
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back; the clock only moves
+        forward."""
+        saved = meta["obs"]
+        self.metrics.load_dict(saved["metrics"])
+        self.advance(max(0.0, float(saved["now_s"]) - self.tracer.now_s))
+
     # -- cost model ------------------------------------------------------
 
     def transfer_seconds(self, nbytes: float, requests: int = 0) -> float:

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..checkpoint.state import config_to_dict
 from ..checkpoint.store import CheckpointStore
 from ..distributed.comm import CommMeter, CommRecord
 from ..distributed.store import RemoteGraphStore
@@ -49,10 +50,6 @@ from ..faults.plan import FaultPlan
 from ..graph.graph import Graph
 from ..nn.models import build_model
 from ..partition.registry import PartitionSpec
-from ..serve.artifact import (
-    artifact_from_table,
-    predictor_kind_of,
-)
 from ..serve.cluster import SERVE_BACKENDS, ServingCluster
 from ..serve.workload import OpenLoopWorkload, synthetic_requests
 from .errors import StreamError, StreamStateError
@@ -132,13 +129,7 @@ class StreamConfig:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON form (inverse of :meth:`from_dict`)."""
-        out: Dict[str, object] = {}
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("plan", "fault_plan") and value is not None:
-                value = value.to_dict()
-            out[f.name] = value
-        return out
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "StreamConfig":
@@ -302,7 +293,8 @@ class StreamDriver:
     # -- setup -----------------------------------------------------------
 
     def _setup(self) -> None:
-        """Fresh-run initialization (skipped on resume)."""
+        """Build every component in its tick-0 state (``resume`` then
+        restores the checkpointed state into them)."""
         cfg = self.config
         graph = self._graph
         self.plan = cfg.plan or ArrivalPlan.generate(
@@ -328,8 +320,7 @@ class StreamDriver:
         self.gate = RolloutGate(auc_floor=cfg.auc_floor)
         self.records: List[TickRecord] = []
         self.counters: Dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
-        self._serve_comm = CommRecord().to_dict()
-        self._base_comm = CommRecord().to_dict()
+        self._serve_comm = CommRecord()
         self._cluster: Optional[ServingCluster] = None
         self._ready = True
 
@@ -427,8 +418,7 @@ class StreamDriver:
         report, swap_latency_s = self._serve_tick(tick, snapshot,
                                                   pre_swap,
                                                   swap_candidate)
-        for key, value in report.comm.to_dict().items():
-            self._serve_comm[key] += value
+        self._serve_comm += report.comm
         self.counters["requests"] += report.counters.get("requests", 0)
         self.counters["completed"] += report.counters.get("completed", 0)
         self.counters["shed"] += report.counters.get("shed", 0)
@@ -537,18 +527,11 @@ class StreamDriver:
 
     # -- report ----------------------------------------------------------
 
-    def _stream_comm(self) -> Dict[str, int]:
-        """Bytes the stream itself shipped: what a resumed run inherited
-        plus this process's meter."""
-        total = self.meter.total().to_dict()
-        return {key: self._base_comm[key] + total[key]
-                for key in self._base_comm}
-
     def _build_report(self, wall_s: float) -> StreamReport:
         comm = {f"stream_{key}": value
-                for key, value in self._stream_comm().items()}
+                for key, value in self.meter.total().to_dict().items()}
         comm.update((f"serve_{key}", value)
-                    for key, value in self._serve_comm.items())
+                    for key, value in self._serve_comm.to_dict().items())
         return StreamReport(
             backend=self.backend, plan_name=self.plan.name,
             records=list(self.records), counters=dict(self.counters),
@@ -559,7 +542,8 @@ class StreamDriver:
     # -- checkpoint / resume ---------------------------------------------
 
     def _write_checkpoint(self, tick: int) -> None:
-        """Durably snapshot everything resume needs (atomic WAL)."""
+        """Durably snapshot everything resume needs (atomic WAL): the
+        header and the driver's own ledgers here, the rest by its owner."""
         meta = {
             "schema": STREAM_STATE_SCHEMA,
             "config": self.config.to_dict(),
@@ -571,21 +555,16 @@ class StreamDriver:
             "model_spec": self.model_spec,
             "counters": dict(self.counters),
             "records": [r.to_dict() for r in self.records],
-            "serve_comm": dict(self._serve_comm),
-            "stream_comm": self._stream_comm(),
+            "serve_comm": self._serve_comm.to_dict(),
+            "stream_comm": self.meter.total().to_dict(),
             "active_version": self.active_artifact.model_version,
-            "reembed_rows_total": self.reembedder.rows_recomputed,
         }
-        state = {}
+        entries, state = self.reembedder.capture()
+        meta.update(entries)
         state.update(self.mutable.state_arrays())
         state.update(self.sharded.state_arrays())
-        state["stream.embed.table"] = self.reembedder.table.copy()
-        embedded = self.reembedder._embedded_graph
-        state["stream.embed.graph_edges"] = embedded.edge_list()
         state["stream.active.table"] = (
             self.active_artifact.embedding_table())
-        for key, value in self.model.state_dict().items():
-            state[f"stream.model.{key}"] = np.asarray(value)
         state["stream.meta.json"] = np.array(json.dumps(meta))
         CheckpointStore(self.config.checkpoint_dir).write(
             state, epoch=tick, rnd=0)
@@ -600,58 +579,45 @@ class StreamDriver:
         shard layout, the embedding tables and every counter are
         restored bit-for-bit.  ``backend`` overrides the serving
         backend (the digest is backend-invariant, so this is safe).
+        A checksum-valid snapshot that lacks an entry raises
+        :class:`StreamError` naming it.
         """
         _, state, _ = CheckpointStore(checkpoint_dir).latest()
-        meta = json.loads(str(state["stream.meta.json"]))
-        if meta.get("schema") != STREAM_STATE_SCHEMA:
+        try:
+            meta = json.loads(str(state["stream.meta.json"]))
+            if meta.get("schema") != STREAM_STATE_SCHEMA:
+                raise StreamError(
+                    f"checkpoint schema {meta.get('schema')!r} is not "
+                    f"{STREAM_STATE_SCHEMA!r}")
+            config = StreamConfig.from_dict(
+                {**meta["config"], "plan": meta["plan"]})
+            spec = PartitionSpec.from_dict(meta["spec"])
+            num_parts = int(meta["num_parts"])
+            snapshot = MutableGraph.from_state_arrays(state).snapshot()
+            # Set up as a fresh run on the checkpointed graph would be,
+            # then restore every component.
+            driver = cls(build_model(**meta["model_spec"]), snapshot,
+                         spec, num_parts, config,
+                         backend=backend or meta["backend"],
+                         observer=observer, model_spec=meta["model_spec"])
+            driver._setup()
+            driver.sharded = ShardedState.from_state_arrays(
+                state, snapshot, spec, num_parts, config.seed)
+            driver.reembedder.restore(meta, state)
+            driver.active_artifact = driver.reembedder.artifact_of(
+                np.asarray(state["stream.active.table"],
+                           dtype=np.float64).copy(),
+                meta["active_version"], driver.sharded.layout.assignment,
+                num_parts)
+            driver.records = [TickRecord.from_dict(r)
+                              for r in meta["records"]]
+            driver.counters = dict(meta["counters"])
+            driver._serve_comm = CommRecord(**meta["serve_comm"])
+            # What the stream had shipped so far reopens the ledger.
+            driver.meter.current = CommRecord(**meta["stream_comm"])
+            driver._next_tick = int(meta["next_tick"])
+        except KeyError as exc:
             raise StreamError(
-                f"checkpoint schema {meta.get('schema')!r} is not "
-                f"{STREAM_STATE_SCHEMA!r}")
-        config = StreamConfig.from_dict(meta["config"])
-        config.plan = ArrivalPlan.from_dict(meta["plan"])
-        model_spec = meta["model_spec"]
-        model = build_model(**model_spec)
-        model.load_state_dict({
-            key[len("stream.model."):]: value
-            for key, value in state.items()
-            if key.startswith("stream.model.")})
-        spec = PartitionSpec.from_dict(meta["spec"])
-        mutable = MutableGraph.from_state_arrays(state)
-        snapshot = mutable.snapshot()
-        driver = cls(model, snapshot, spec, int(meta["num_parts"]),
-                     config, backend=backend or meta["backend"],
-                     observer=observer, model_spec=model_spec)
-        driver.plan = config.plan
-        driver.mutable = mutable
-        driver.sharded = ShardedState.from_state_arrays(
-            state, snapshot, spec, int(meta["num_parts"]), config.seed)
-        driver.meter = CommMeter()
-        driver.meter.obs = observer
-        driver.reembedder = Reembedder(model,
-                                       batch_size=config.embed_batch)
-        driver.reembedder.table = np.asarray(
-            state["stream.embed.table"], dtype=np.float64).copy()
-        driver.reembedder.rows_recomputed = int(
-            meta["reembed_rows_total"])
-        driver.reembedder._embedded_graph = Graph.from_edges(
-            snapshot.num_nodes, state["stream.embed.graph_edges"],
-            features=snapshot.features)
-        driver.active_artifact = artifact_from_table(
-            np.asarray(state["stream.active.table"],
-                       dtype=np.float64).copy(),
-            str(meta["active_version"]), predictor_kind_of(model),
-            model.predictor.state_dict(), driver.sharded.layout.assignment,
-            int(meta["num_parts"]))
-        driver.gate = RolloutGate(auc_floor=config.auc_floor)
-        driver.records = [TickRecord.from_dict(r)
-                          for r in meta["records"]]
-        driver.counters = {k: int(v)
-                           for k, v in meta["counters"].items()}
-        driver._serve_comm = {k: int(v)
-                              for k, v in meta["serve_comm"].items()}
-        driver._base_comm = {k: int(v)
-                             for k, v in meta["stream_comm"].items()}
-        driver._cluster = None
-        driver._next_tick = int(meta["next_tick"])
-        driver._ready = True
+                f"stream checkpoint is incomplete: no {exc.args[0]!r} "
+                "in it") from exc
         return driver

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..checkpoint.state import strip_prefix
 from ..graph.graph import Graph
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
@@ -130,6 +131,31 @@ class Reembedder:
         self.rows_recomputed += rows
         return rows
 
+    # -- checkpointing ---------------------------------------------------
+
+    def capture(self) -> tuple:
+        """``(meta entries, named arrays)`` of a stream checkpoint: the
+        row counter; the model weights, the table and the edges of the
+        graph it was computed against (the next frontier's old side)."""
+        arrays = {f"stream.model.{key}": np.asarray(value)
+                  for key, value in self.model.state_dict().items()}
+        arrays["stream.embed.table"] = self.table.copy()
+        arrays["stream.embed.graph_edges"] = (
+            self._embedded_graph.edge_list())
+        return {"reembed_rows_total": self.rows_recomputed}, arrays
+
+    def restore(self, meta, arrays) -> None:
+        """Load :meth:`capture` output back into a refreshed reembedder
+        of the same architecture, node universe and features."""
+        embedded = self._embedded_graph
+        self.model.load_state_dict(strip_prefix(arrays, "stream.model."))
+        self.table = np.asarray(arrays["stream.embed.table"],
+                                dtype=np.float64).copy()
+        self._embedded_graph = Graph.from_edges(
+            embedded.num_nodes, arrays["stream.embed.graph_edges"],
+            features=embedded.features)
+        self.rows_recomputed = int(meta["reembed_rows_total"])
+
     # -- artifact export -------------------------------------------------
 
     def version(self, graph: Graph) -> str:
@@ -159,8 +185,14 @@ class Reembedder:
             raise StreamStateError(
                 "no table yet: call full_refresh()/frontier_refresh() "
                 "before make_artifact()")
+        return self.artifact_of(self.table.copy(), self.version(graph),
+                                assignment, num_parts)
+
+    def artifact_of(self, table: np.ndarray, version: str,
+                    assignment: np.ndarray,
+                    num_parts: int) -> ServableArtifact:
+        """Shard any table of this model (a checkpointed one, say) into
+        a servable carrying ``version``."""
         return artifact_from_table(
-            self.table.copy(), self.version(graph),
-            predictor_kind_of(self.model),
-            self.model.predictor.state_dict(),
-            assignment, num_parts)
+            table, version, predictor_kind_of(self.model),
+            self.model.predictor.state_dict(), assignment, num_parts)

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import Session, SessionStateError
@@ -62,8 +65,8 @@ def _config(sync: str = "barrier", backend: str = "serial",
     return TrainConfig(**defaults)
 
 
-def _trainer(split, config):
-    return build_trainer(FRAMEWORKS["splpg"], split, 2, config,
+def _trainer(split, config, framework: str = "splpg"):
+    return build_trainer(FRAMEWORKS[framework], split, 2, config,
                          rng=np.random.default_rng(SEED))
 
 
@@ -135,18 +138,51 @@ class TestCrashResumeBitIdentity:
             train=lambda: fit(checkpoint_dir=ckpt_dir, checkpoint_every=1))
         assert resumed.digest() == baseline
 
+    #: Uninterrupted runs of the drawn-kill-point test, by
+    #: ``(framework, sync)``: each is trained once however often drawn.
+    _baselines: dict = {}
+
+    @settings(max_examples=8, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(framework=st.sampled_from(["llcg", "splpg", "psgd_pa",
+                                      "vertex_cut"]),
+           sync=st.sampled_from(SYNC_MODES + ("model",)),
+           epoch=st.integers(1, EPOCHS - 1), rnd=st.integers(0, 7))
+    def test_resume_from_a_drawn_kill_point(self, split, framework, sync,
+                                            epoch, rnd):
+        """The kill point is drawn, not fixed at (1, 1): any framework
+        (``llcg`` and its correction state included), any sync mode,
+        any later epoch, any round of it — serial backend."""
+        key = (framework, sync)
+        if key not in self._baselines:
+            self._baselines[key] = _trainer(
+                split, _config(sync), framework).train()
+        baseline = self._baselines[key]
+        crash_at = (epoch, rnd % baseline.history[epoch].rounds)
+        with tempfile.TemporaryDirectory() as ckpt_dir:
+            config = _config(sync, checkpoint_dir=ckpt_dir,
+                             checkpoint_every=1)
+            resumed = _crash_then_resume(
+                split, config, ckpt_dir, crash_at=crash_at,
+                train=lambda: _trainer(split, config, framework).train())
+        assert resumed.digest() == baseline.digest(), (
+            f"{framework}/{sync}: resumed from a crash at {crash_at} "
+            "to a different digest")
+
     def test_sigkill_resume_bit_identity(self):
         """A real SIGKILL of a subprocess coordinator, not an exception.
 
         ``run_kill_driver`` forks a coordinator that kills its own
         process group mid-epoch, asserts death-by-signal, resumes in a
         second coordinator and compares digests; it raises on any
-        violation.
+        violation.  ``llcg``: the framework whose correction hook has
+        an RNG and an optimizer of its own to bring back.
         """
         from repro.faults.killdriver import run_kill_driver
 
         outcomes = run_kill_driver(backends=("serial",),
-                                   syncs=("barrier", "ps"), workers=2,
+                                   syncs=("barrier", "ps"),
+                                   frameworks=("llcg",), workers=2,
                                    epochs=3, seed=31, verbose=False)
         assert [o.ok for o in outcomes] == [True, True]
         assert all(o.resumed_from is not None for o in outcomes)
@@ -163,9 +199,7 @@ class TestMidEpochRoundTrip:
         def hook(trainer, epoch: int, rnd: int) -> None:
             if epoch != 1 or rnd != 1 or ref:
                 return
-            state = capture_trainer_state(
-                trainer, epoch=epoch, rnd=rnd,
-                faults=trainer.fault_controller)
+            state = capture_trainer_state(trainer, epoch=epoch, rnd=rnd)
             store.write(state, epoch=epoch, rnd=rnd)
             ref["models"] = [
                 {k: v.copy() for k, v in w.model.state_dict().items()}
@@ -176,12 +210,19 @@ class TestMidEpochRoundTrip:
                 [r.to_dict() for r in m.epochs] + [m.current.to_dict()]
                 for m in trainer.meters]
             ref["eval_rng"] = trainer.evaluator.rng.bit_generator.state
+            loop = trainer.loop
+            ref["history"] = list(loop.history)
+            ref["best_epoch"] = loop.best_epoch
+            ref["best"] = {k: v.copy()
+                           for k, v in loop.best_state.items()}
             if sync == "ps":
                 ref["server_version"] = trainer.sync_strategy.version
 
         previous = trainer_mod.set_round_hook(hook)
         try:
-            _trainer(split, _config(sync)).train()
+            # Validate every epoch, so epoch 0 has already set the
+            # best-validation weights when the hook fires.
+            _trainer(split, _config(sync, eval_every=1)).train()
         finally:
             trainer_mod.set_round_hook(previous)
         assert ref, "the snapshot hook never fired"
@@ -199,6 +240,15 @@ class TestMidEpochRoundTrip:
                 for m in rebuilt.meters] == ref["meters"]
         assert rebuilt.evaluator.rng.bit_generator.state == \
             ref["eval_rng"]
+        # The loop state lives on the trainer, so a snapshot taken from
+        # a round hook carries the real history and best weights.
+        loop = rebuilt.loop
+        assert len(ref["history"]) == 1
+        assert loop.history == ref["history"]
+        assert loop.best_epoch == ref["best_epoch"] == 0
+        assert sorted(loop.best_state) == sorted(ref["best"])
+        for name, value in ref["best"].items():
+            np.testing.assert_array_equal(loop.best_state[name], value)
         if sync == "ps":
             assert rebuilt.sync_strategy.version == ref["server_version"]
 
@@ -210,9 +260,8 @@ class TestMidEpochRoundTrip:
 
         def hook(trainer, epoch: int, rnd: int) -> None:
             if (epoch, rnd) == (1, 1):
-                state = capture_trainer_state(
-                    trainer, epoch=epoch, rnd=rnd,
-                    faults=trainer.fault_controller)
+                state = capture_trainer_state(trainer, epoch=epoch,
+                                              rnd=rnd)
                 payloads[trainer.config.backend] = [
                     state[f"worker.{i:04d}.payload"].tobytes()
                     for i in range(len(trainer.workers))]
@@ -267,6 +316,32 @@ class TestTornWrites:
 
 
 class TestTypedErrors:
+    @pytest.mark.parametrize("component, key, array", [
+        ("meter.0000", "meter.0000.epochs", "meter.0000.epochs"),
+        ("workers", "worker.0001.payload", "worker.0001.payload"),
+        ("sync", "m.6", "server.optim.m.6"),
+        ("faults", "failure_rng", None),  # a meta field, not an array
+    ])
+    def test_incomplete_snapshot_names_component_and_key(
+            self, split, tmp_path, component, key, array):
+        """A checksum-valid snapshot that lacks something a component
+        needs is corrupt, and says whose what — never a bare
+        ``KeyError``, never a trainer handed back half-restored."""
+        ckpt_dir = str(tmp_path / "ck")
+        _trainer(split, _config("ps", checkpoint_dir=ckpt_dir,
+                                checkpoint_every=1)).train()
+        meta, state = load_checkpoint(ckpt_dir)
+        if array is not None:
+            del state[array]
+        else:
+            stored = json.loads(str(state["meta_json"]))
+            del stored["faults"][key]
+            state["meta_json"] = np.array(json.dumps(stored))
+        with pytest.raises(CheckpointCorruptError) as err:
+            rebuild_trainer(meta, state, split)
+        assert repr(component) in str(err.value)
+        assert repr(key) in str(err.value)
+
     def test_nonexistent_dir(self, tmp_path):
         with pytest.raises(CheckpointNotFoundError, match="does not exist"):
             load_checkpoint(str(tmp_path / "never-written"))

@@ -2,9 +2,10 @@
 
 Tier-1 recomputes a small slice of the training matrix — every backend
 x sync mode fault-free, and the mixed fault plan under each recovery
-policy on the serial and process backends — and checks the committed
-file's own cross-backend invariants; ``scripts/ci.sh`` checks all 560
-cells.  The stream cells (three shard layouts x steady/churn, a process
+policy on the serial and process backends — plus the 13 crash-and-resume
+cells (which have no digest of their own: each must equal its
+uninterrupted twin's committed one), and checks the committed file's own
+cross-backend invariants; ``scripts/ci.sh`` checks all 560 cells.  The stream cells (three shard layouts x steady/churn, a process
 cell, a resumed cell) and the serve cells (seven request / fault / cache
 / decoder regimes on serial + process) are cheap enough to recompute in
 full.
@@ -35,6 +36,22 @@ def test_matrix_is_fully_committed(committed):
 def test_subset_matches_committed_digests(committed):
     got = golden.compute(golden.subset_cells())
     assert golden.diff(committed, got) == []
+
+
+def test_resumed_cells_equal_their_uninterrupted_twins(committed):
+    """Every framework x {grad, model, ps} on serial and
+    ``llcg/process/grad``: crashed at a round hook, resumed from the
+    checkpoint directory, held to the digest already committed for the
+    run that was never interrupted."""
+    cells = golden.resume_cells()
+    assert len(cells) == 13
+    assert {"llcg/serial/grad/none/drop/resume",
+            "llcg/serial/model/none/drop/resume",
+            "llcg/serial/ps/none/drop/resume",
+            "llcg/process/grad/none/drop/resume"} <= {c.name for c in cells}
+    assert not {c.name for c in cells} & set(committed)
+    got = golden.compute(cells)
+    assert golden.diff(golden.with_resume_twins(committed), got) == []
 
 
 def test_fault_free_and_elastic_cells_do_not_depend_on_the_backend(

@@ -153,6 +153,19 @@ class TestCheckpointResume:
         resumed = StreamDriver.resume(tmp_path)
         assert resumed.run().digest() == digest
 
+    def test_incomplete_checkpoint_is_a_stream_error(self, tmp_path):
+        """A checksum-valid snapshot without one of its entries names
+        the entry in a ``StreamError``, not a bare ``KeyError``."""
+        from repro.checkpoint.store import CheckpointStore
+        from repro.stream.errors import StreamError
+
+        self._interrupted_dir(tmp_path / "ckpt")
+        _, state, _ = CheckpointStore(tmp_path / "ckpt").latest()
+        del state["stream.embed.table"]
+        CheckpointStore(tmp_path / "holed").write(state, epoch=1, rnd=0)
+        with pytest.raises(StreamError, match="'stream.embed.table'"):
+            StreamDriver.resume(tmp_path / "holed")
+
     def test_checkpoint_requires_model_spec(self, tmp_path):
         model, graph, spec = _fixture()
         config = _config(checkpoint_dir=str(tmp_path))
