@@ -433,9 +433,8 @@ class Session:
         self._workers = int(meta["num_workers"])
         self._backend = self._trainer.config.backend
         self._result = None
-        from .checkpoint.state import split_fingerprint
-
-        self._trained_fingerprint = split_fingerprint(self._split)
+        # rebuild_trainer checked the split against this very value.
+        self._trained_fingerprint = meta["split_fingerprint"]
         self._stale_reason = None
         return self
 
@@ -583,18 +582,13 @@ class Session:
         trainer = self._trainer
         model = trainer.workers[0].model
         best_state = trainer.loop.best_state
-        saved = None
         if self._result is None and best_state is not None:
             # Restored-but-untrained session: export the checkpoint's
-            # best-validation weights — the same weights train() would
-            # have left on worker 0 — then put the resume state back.
-            saved = {k: v.copy() for k, v in model.state_dict().items()}
+            # best-validation weights — the ones train() would leave on
+            # worker 0 — from a scratch replica; the workers stay as loaded.
+            model = trainer.build_replica()
             model.load_state_dict(best_state)
-        try:
-            artifact = export_servable(model, trainer.partitioned)
-        finally:
-            if saved is not None:
-                model.load_state_dict(saved)
+        artifact = export_servable(model, trainer.partitioned)
         if path is not None:
             artifact.save(path)
         return artifact

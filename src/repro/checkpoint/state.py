@@ -8,22 +8,19 @@ knobs, workload fingerprint — and then loops over
 ``trainer.components()``: each stateful participant of a run answers
 ``capture() -> (meta entries, named arrays)`` / ``restore(meta,
 arrays)`` for its own state under its own on-disk names, so no state
-format is known by two modules:
+format is known by two modules.  The components, by the name
+``components()`` (and a :class:`CheckpointCorruptError`) gives them,
+and what each writes:
 
-=============  =============================  =========================
-component      meta entries                   arrays
-=============  =============================  =========================
-``WorkerSet``  —                              ``worker.NNNN.payload``
-``CommMeter``  —                              ``meter.NNNN.epochs``,
-                                              ``meter.NNNN.current``
-``LoopState``  ``epoch round history best``   ``best.*``
-``Evaluator``  ``evaluator_rng``              —
-fault ctrl.    ``faults``                     —
-sync strategy  ``server replica_sync_total``  ``server.model.*``,
-                                              ``server.optim.*``
-correction     ``correction`` (LLCG only)     ``correction.optim.*``
-observer       ``obs`` (else ``None``)        —
-=============  =============================  =========================
+* ``workers`` — ``worker.NNNN.payload``
+* ``meter.NNNN`` — ``meter.NNNN.epochs``, ``meter.NNNN.current``
+* ``loop`` — meta ``epoch round history best``; ``best.*``
+* ``evaluator`` — meta ``evaluator_rng``
+* ``faults`` — meta ``faults``
+* ``sync`` — meta ``server replica_sync_total``; ``server.model.*``,
+  ``server.optim.*``
+* ``correction`` (LLCG only) — meta ``correction``; ``correction.optim.*``
+* ``obs`` (observed runs; else meta ``obs`` is ``None``) — meta ``obs``
 
 A worker payload is :func:`worker_state_bytes` (model, optimizer
 moments, RNG stream); the codec lives here because the ``restore``
@@ -171,28 +168,34 @@ def capture_trainer_state(trainer, *, epoch: Optional[int] = None,
     """Snapshot a bound trainer (at an epoch boundary, or mid-epoch
     from a round hook) into an array dict: the identity header, then
     whatever each of ``trainer.components()`` captures.  ``epoch`` +
-    ``rnd`` (together) relabel the snapshot, which otherwise carries
-    the loop's own position.
+    ``rnd`` (together) relabel the snapshot: every component sees that
+    position instead of the loop's own for the length of the capture.
     """
-    config = trainer.config
+    if (epoch is None) != (rnd is None):
+        raise ValueError("epoch= and rnd= relabel a snapshot together")
+    loop = trainer.loop
+    position = loop.epoch, loop.round
+    if epoch is not None:
+        loop.epoch, loop.round = int(epoch), int(rnd)
     meta = {
         "schema": STATE_SCHEMA,
         "framework": trainer.framework,
         "num_workers": len(trainer.workers),
         "positive_mode": trainer.positive_mode,
-        "seed": config.seed,
-        "config": config_to_dict(config),
+        "seed": trainer.config.seed,
+        "config": config_to_dict(trainer.config),
         "build_knobs": dict(trainer.build_knobs),
         "split_fingerprint": split_fingerprint(trainer.split),
         "obs": None,
     }
     state: Dict[str, np.ndarray] = {}
-    for _, component in trainer.components():
-        entries, arrays = component.capture()
-        meta.update(entries)
-        state.update(arrays)
-    if epoch is not None:
-        meta["epoch"], meta["round"] = int(epoch), int(rnd)
+    try:
+        for _, component in trainer.components():
+            entries, arrays = component.capture()
+            meta.update(entries)
+            state.update(arrays)
+    finally:
+        loop.epoch, loop.round = position
     state[_META_KEY] = np.array(json.dumps(meta))
     return state
 
@@ -239,8 +242,7 @@ def restore_trainer(trainer, state: Dict[str, np.ndarray]) -> None:
     if obs is not None:
         obs.counter("checkpoint.restores").inc(1)
         obs.counter("checkpoint.bytes_read").inc(sum(
-            int(value.size) for key, value in state.items()
-            if key.startswith("worker.")))
+            int(p.size) for p in strip_prefix(state, "worker.").values()))
 
 
 # ----------------------------------------------------------------------

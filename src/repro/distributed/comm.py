@@ -98,8 +98,7 @@ class CommMeter:
     current: CommRecord = field(default_factory=CommRecord)
     epochs: List[CommRecord] = field(default_factory=list)
     obs: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Key prefix of this ledger in a session checkpoint (the trainer
-    #: names its per-worker meters ``meter.NNNN``).
+    #: Checkpoint key prefix (the trainer's meters: ``meter.NNNN``).
     name: str = field(default="meter", compare=False)
 
     # -- charging -------------------------------------------------------
@@ -173,10 +172,10 @@ class CommMeter:
     def restore(self, meta, arrays) -> None:
         """Load :meth:`capture` output back (the observer mirror is
         restored by the observer itself)."""
-        rows = [*arrays[f"{self.name}.epochs"],
-                arrays[f"{self.name}.current"]]
-        records = [CommRecord(*(int(x) for x in row)) for row in rows]
-        self.epochs, self.current = records[:-1], records[-1]
+        epochs = arrays[f"{self.name}.epochs"]
+        current = arrays[f"{self.name}.current"]
+        self.epochs = [CommRecord(*row.tolist()) for row in epochs]
+        self.current = CommRecord(*current.tolist())
 
     # -- summaries --------------------------------------------------------
 

@@ -532,8 +532,7 @@ class LoopState:
 
     ``_train_loop`` keeps these as attributes, not locals, so a snapshot
     taken anywhere — the epoch-boundary write or a round hook — holds
-    the real history and best-validation weights, and a restored
-    trainer's ``train()`` re-enters the loop at ``epoch + 1`` untold.
+    the real history and best-validation weights.
     """
 
     def __init__(self) -> None:
@@ -563,7 +562,8 @@ class LoopState:
         best = meta["best"]
         self.epoch, self.round = meta["epoch"], meta["round"]
         self.history = [EpochStats.from_dict(d) for d in meta["history"]]
-        self.best_val, self.best_epoch = best["val"], best["epoch"]
+        self.best_val = best["val"]
+        self.best_epoch = best["epoch"]
         self.evals_since_best = best["evals_since_best"]
         self.best_state = (strip_prefix(arrays, "best.")
                            if best["has_state"] else None)
@@ -653,6 +653,7 @@ class DistributedTrainer:
                             "sparsifier_kind": "approx_er"}
         #: The epoch loop's own state: ``train()`` continues from it.
         self.loop = LoopState()
+        self._started = False
         self.meters = [CommMeter(name=f"meter.{part:04d}", obs=observer)
                        for part in range(partitioned.num_parts)]
         if observer is not None and remote_store is not None:
@@ -764,7 +765,17 @@ class DistributedTrainer:
         traced on the simulated clock and the joined
         :class:`~repro.obs.report.RunReport` lands on
         ``TrainResult.report``.
+
+        A trainer trains once, from ``self.loop`` on (epoch 0 when
+        fresh, ``epoch + 1`` when restored).  A second call — after a
+        finished run or one an exception cut short — would continue
+        from half-advanced state, so it raises ``RuntimeError``.
         """
+        if self._started:
+            raise RuntimeError(
+                "train() already ran on this trainer; build a new one "
+                "(or rebuild_trainer() a checkpoint) to train again")
+        self._started = True
         backend = self.backend
         backend.bind(self)
         wall_started = time.perf_counter()
@@ -782,9 +793,7 @@ class DistributedTrainer:
         return result
 
     def _train_loop(self) -> TrainResult:
-        """The epoch/round loop, generic over the execution backend.
-        What it carries between rounds lives on ``self.loop``: a fresh
-        trainer starts at epoch 0, a restored one at ``epoch + 1``."""
+        """The epoch/round loop, generic over the execution backend."""
         config = self.config
         obs = self.observer
         backend = self.backend
@@ -797,10 +806,6 @@ class DistributedTrainer:
         for i, alive in enumerate(faults.live):
             if not alive:
                 backend.deactivate(i)
-
-        ckpt_store = None
-        if config.checkpoint_dir is not None:
-            ckpt_store = CheckpointStore(config.checkpoint_dir)
 
         for epoch in range(loop.epoch + 1, config.epochs):
             loop.epoch, loop.round = epoch, 0
@@ -875,13 +880,13 @@ class DistributedTrainer:
                     and (epoch + 1) % config.lr_decay_every == 0):
                 backend.scale_lr(config.lr_decay)
                 strategy.scale_lr(config.lr_decay)
-            if ckpt_store is not None and (
+            if config.checkpoint_dir is not None and (
                     (epoch + 1) % config.checkpoint_every == 0
                     or epoch == config.epochs - 1):
                 # After the lr decay so the snapshot holds the decayed
                 # rate; a patience break above skips the write, so
                 # resume re-evaluates (and re-takes) the break.
-                self._write_checkpoint(ckpt_store)
+                self._write_checkpoint()
 
         if loop.best_state is not None:
             models[0].load_state_dict(loop.best_state)
@@ -911,9 +916,10 @@ class DistributedTrainer:
 
     # ------------------------------------------------------------------
 
-    def _write_checkpoint(self, store) -> None:
+    def _write_checkpoint(self) -> None:
         """Capture the full session state and durably persist it."""
         obs = self.observer
+        store = CheckpointStore(self.config.checkpoint_dir)
         cm = (obs.span("checkpoint.write", epoch=self.loop.epoch)
               if obs is not None else nullcontext())
         with cm:

@@ -3,8 +3,8 @@
 One :class:`FaultController` belongs to a
 :class:`~repro.distributed.trainer.DistributedTrainer` for its whole
 life, checkpoints included (:meth:`FaultController.capture`).  Each
-synchronization round the trainer hands it
-the per-worker has-batch flags; the controller consults the
+synchronization round the trainer hands it the per-worker has-batch
+flags; the controller consults the
 :class:`~repro.faults.plan.FaultPlan` (plus the legacy probabilistic
 shim) and returns a :class:`RoundDecision` with two masks:
 

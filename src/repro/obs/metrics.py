@@ -177,7 +177,8 @@ class MetricsRegistry:
             if entry["kind"] == "histogram":
                 hist = self.histogram(name, entry["buckets"])
                 hist.counts = list(entry["counts"])
-                hist.total, hist.count = entry["sum"], entry["count"]
+                hist.total = entry["sum"]
+                hist.count = entry["count"]
             else:
                 getattr(self, entry["kind"])(name).value = entry["value"]
 

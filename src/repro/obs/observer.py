@@ -82,8 +82,10 @@ class RunObserver:
 
     def restore(self, meta, arrays) -> None:
         """Load :meth:`capture` output back; the clock only moves
-        forward."""
+        forward.  An unobserved run's snapshot has nothing to load."""
         saved = meta["obs"]
+        if saved is None:
+            return
         self.metrics.load_dict(saved["metrics"])
         self.advance(max(0.0, float(saved["now_s"]) - self.tracer.now_s))
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Dict, List, Optional
 
@@ -50,6 +51,7 @@ from ..faults.plan import FaultPlan
 from ..graph.graph import Graph
 from ..nn.models import build_model
 from ..partition.registry import PartitionSpec
+from ..serve.artifact import artifact_from_table, predictor_kind_of
 from ..serve.cluster import SERVE_BACKENDS, ServingCluster
 from ..serve.workload import OpenLoopWorkload, synthetic_requests
 from .errors import StreamError, StreamStateError
@@ -255,6 +257,17 @@ class StreamReport:
                 f"requests served, digest {self.digest()[:12]}")
 
 
+@contextmanager
+def _reading_checkpoint():
+    """An entry a checksum-valid checkpoint lacks is a typed
+    :class:`StreamError` naming it, not a bare ``KeyError``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise StreamError(f"stream checkpoint is incomplete: no "
+                          f"{exc.args[0]!r} in it") from exc
+
+
 class StreamDriver:
     """Runs one :class:`StreamConfig` against a trained model.
 
@@ -286,50 +299,46 @@ class StreamDriver:
         self.backend = backend
         self.observer = observer
         self.model_spec = dict(model_spec) if model_spec else None
-        self._graph = graph
-        self._ready = False
         self._next_tick = 0
-
-    # -- setup -----------------------------------------------------------
-
-    def _setup(self) -> None:
-        """Build every component in its tick-0 state (``resume`` then
-        restores the checkpointed state into them)."""
-        cfg = self.config
-        graph = self._graph
-        self.plan = cfg.plan or ArrivalPlan.generate(
-            graph.num_nodes, cfg.ticks, cfg.seed,
-            inserts_per_tick=cfg.inserts_per_tick,
-            deletes_per_tick=cfg.deletes_per_tick,
-            drifts_per_tick=cfg.drifts_per_tick)
-        if self.plan.ticks != cfg.ticks:
+        self.plan = config.plan or ArrivalPlan.generate(
+            graph.num_nodes, config.ticks, config.seed,
+            inserts_per_tick=config.inserts_per_tick,
+            deletes_per_tick=config.deletes_per_tick,
+            drifts_per_tick=config.drifts_per_tick)
+        if self.plan.ticks != config.ticks:
             raise StreamError(
                 f"plan covers {self.plan.ticks} tick(s) but the config "
-                f"runs {cfg.ticks}")
+                f"runs {config.ticks}")
+        # Every component, none initialized yet: a fresh run's
+        # _setup() does that, resume() restores them instead.
         self.mutable = MutableGraph(graph)
-        self.sharded = ShardedState(self.mutable.snapshot(), self.spec,
-                                    self.num_parts, cfg.seed)
-        self.meter = CommMeter()
-        self.meter.obs = self.observer
-        self.reembedder = Reembedder(self.model,
-                                     batch_size=cfg.embed_batch)
-        snapshot = self.mutable.snapshot()
-        self.reembedder.full_refresh(snapshot)
-        self.active_artifact = self.reembedder.make_artifact(
-            snapshot, self.sharded.layout.assignment, self.num_parts)
-        self.gate = RolloutGate(auc_floor=cfg.auc_floor)
+        self.meter = CommMeter(obs=observer)
+        self.reembedder = Reembedder(model, batch_size=config.embed_batch)
+        self.gate = RolloutGate(auc_floor=config.auc_floor)
+        self.sharded: Optional[ShardedState] = None
+        self.active_artifact = None
         self.records: List[TickRecord] = []
         self.counters: Dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         self._serve_comm = CommRecord()
         self._cluster: Optional[ServingCluster] = None
-        self._ready = True
+
+    # -- setup -----------------------------------------------------------
+
+    def _setup(self) -> None:
+        """A fresh run's tick-0 state: partition, embed, first artifact."""
+        snapshot = self.mutable.snapshot()
+        self.sharded = ShardedState(snapshot, self.spec, self.num_parts,
+                                    self.config.seed)
+        self.reembedder.full_refresh(snapshot)
+        self.active_artifact = self.reembedder.make_artifact(
+            snapshot, self.sharded.layout.assignment, self.num_parts)
 
     # -- the tick loop ---------------------------------------------------
 
     def run(self) -> StreamReport:
         """Run (or continue) the stream to completion."""
         started = time.perf_counter()
-        if not self._ready:
+        if self.active_artifact is None:
             self._setup()
         cfg = self.config
         for tick in range(self._next_tick, cfg.ticks):
@@ -579,11 +588,9 @@ class StreamDriver:
         shard layout, the embedding tables and every counter are
         restored bit-for-bit.  ``backend`` overrides the serving
         backend (the digest is backend-invariant, so this is safe).
-        A checksum-valid snapshot that lacks an entry raises
-        :class:`StreamError` naming it.
         """
         _, state, _ = CheckpointStore(checkpoint_dir).latest()
-        try:
+        with _reading_checkpoint():
             meta = json.loads(str(state["stream.meta.json"]))
             if meta.get("schema") != STREAM_STATE_SCHEMA:
                 raise StreamError(
@@ -593,22 +600,22 @@ class StreamDriver:
                 {**meta["config"], "plan": meta["plan"]})
             spec = PartitionSpec.from_dict(meta["spec"])
             num_parts = int(meta["num_parts"])
+            model_spec = meta["model_spec"]
+            backend = backend or meta["backend"]
             snapshot = MutableGraph.from_state_arrays(state).snapshot()
-            # Set up as a fresh run on the checkpointed graph would be,
-            # then restore every component.
-            driver = cls(build_model(**meta["model_spec"]), snapshot,
-                         spec, num_parts, config,
-                         backend=backend or meta["backend"],
-                         observer=observer, model_spec=meta["model_spec"])
-            driver._setup()
+        driver = cls(build_model(**model_spec), snapshot, spec, num_parts,
+                     config, backend=backend, observer=observer,
+                     model_spec=model_spec)
+        with _reading_checkpoint():
             driver.sharded = ShardedState.from_state_arrays(
                 state, snapshot, spec, num_parts, config.seed)
             driver.reembedder.restore(meta, state)
-            driver.active_artifact = driver.reembedder.artifact_of(
+            driver.active_artifact = artifact_from_table(
                 np.asarray(state["stream.active.table"],
                            dtype=np.float64).copy(),
-                meta["active_version"], driver.sharded.layout.assignment,
-                num_parts)
+                meta["active_version"], predictor_kind_of(driver.model),
+                driver.model.predictor.state_dict(),
+                driver.sharded.layout.assignment, num_parts)
             driver.records = [TickRecord.from_dict(r)
                               for r in meta["records"]]
             driver.counters = dict(meta["counters"])
@@ -616,8 +623,4 @@ class StreamDriver:
             # What the stream had shipped so far reopens the ledger.
             driver.meter.current = CommRecord(**meta["stream_comm"])
             driver._next_tick = int(meta["next_tick"])
-        except KeyError as exc:
-            raise StreamError(
-                f"stream checkpoint is incomplete: no {exc.args[0]!r} "
-                "in it") from exc
         return driver

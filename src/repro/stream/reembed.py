@@ -145,15 +145,14 @@ class Reembedder:
         return {"reembed_rows_total": self.rows_recomputed}, arrays
 
     def restore(self, meta, arrays) -> None:
-        """Load :meth:`capture` output back into a refreshed reembedder
-        of the same architecture, node universe and features."""
-        embedded = self._embedded_graph
+        """Load :meth:`capture` output back into a reembedder of the
+        same architecture (refreshed or not).  The embedded graph comes
+        back as adjacency only: all the next frontier walk reads."""
         self.model.load_state_dict(strip_prefix(arrays, "stream.model."))
         self.table = np.asarray(arrays["stream.embed.table"],
                                 dtype=np.float64).copy()
         self._embedded_graph = Graph.from_edges(
-            embedded.num_nodes, arrays["stream.embed.graph_edges"],
-            features=embedded.features)
+            self.table.shape[0], arrays["stream.embed.graph_edges"])
         self.rows_recomputed = int(meta["reembed_rows_total"])
 
     # -- artifact export -------------------------------------------------
@@ -185,14 +184,8 @@ class Reembedder:
             raise StreamStateError(
                 "no table yet: call full_refresh()/frontier_refresh() "
                 "before make_artifact()")
-        return self.artifact_of(self.table.copy(), self.version(graph),
-                                assignment, num_parts)
-
-    def artifact_of(self, table: np.ndarray, version: str,
-                    assignment: np.ndarray,
-                    num_parts: int) -> ServableArtifact:
-        """Shard any table of this model (a checkpointed one, say) into
-        a servable carrying ``version``."""
         return artifact_from_table(
-            table, version, predictor_kind_of(self.model),
-            self.model.predictor.state_dict(), assignment, num_parts)
+            self.table.copy(), self.version(graph),
+            predictor_kind_of(self.model),
+            self.model.predictor.state_dict(),
+            assignment, num_parts)

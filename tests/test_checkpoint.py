@@ -175,16 +175,21 @@ class TestCrashResumeBitIdentity:
         ``run_kill_driver`` forks a coordinator that kills its own
         process group mid-epoch, asserts death-by-signal, resumes in a
         second coordinator and compares digests; it raises on any
-        violation.  ``llcg``: the framework whose correction hook has
-        an RNG and an optimizer of its own to bring back.
+        violation.  ``splpg`` and ``llcg`` — the framework whose
+        correction hook has an RNG and an optimizer of its own to bring
+        back — under per-round all-reduce and the parameter server.
         """
         from repro.faults.killdriver import run_kill_driver
 
         outcomes = run_kill_driver(backends=("serial",),
                                    syncs=("barrier", "ps"),
-                                   frameworks=("llcg",), workers=2,
-                                   epochs=3, seed=31, verbose=False)
-        assert [o.ok for o in outcomes] == [True, True]
+                                   frameworks=("splpg", "llcg"),
+                                   workers=2, epochs=3, seed=31,
+                                   verbose=False)
+        assert [(o.framework, o.sync) for o in outcomes] == [
+            ("splpg", "barrier"), ("splpg", "ps"),
+            ("llcg", "barrier"), ("llcg", "ps")]
+        assert all(o.ok for o in outcomes)
         assert all(o.resumed_from is not None for o in outcomes)
 
 
@@ -275,6 +280,70 @@ class TestMidEpochRoundTrip:
         assert all(payloads["serial"])
         assert payloads["thread"] == payloads["serial"]
         assert payloads["process"] == payloads["serial"]
+
+
+class TestLoopStateContract:
+    """The loop state lives on the trainer for its whole life: what
+    that means for a second ``train()`` and for a relabelled capture."""
+
+    def test_train_runs_once(self, split):
+        """A finished trainer does not quietly run zero epochs and hand
+        the old history back."""
+        trainer = _trainer(split, _config())
+        trainer.train()
+        with pytest.raises(RuntimeError, match="already ran"):
+            trainer.train()
+
+    def test_train_is_not_retried_after_a_crash(self, split):
+        """A run an exception cut short is not resumed in place from
+        half-advanced worker, meter and fault state."""
+        trainer = _trainer(split, _config())
+        previous = _install_crash(1, 1)
+        try:
+            with pytest.raises(_PlannedCrash):
+                trainer.train()
+        finally:
+            trainer_mod.set_round_hook(previous)
+        with pytest.raises(RuntimeError, match="already ran"):
+            trainer.train()
+
+    def test_relabel_reaches_every_component(self, split):
+        """``epoch=`` / ``rnd=`` on a bound, untrained trainer (what
+        ``benchmarks/bench_checkpoint.py`` captures): the meta and the
+        worker payloads carry one position, the loop gets its own back,
+        and half a relabel is refused."""
+        from repro.checkpoint.io import deserialize_state
+
+        trainer = _trainer(split, _config())
+        trainer.backend.bind(trainer)
+        try:
+            state = capture_trainer_state(trainer, epoch=0, rnd=0)
+            with pytest.raises(ValueError, match="together"):
+                capture_trainer_state(trainer, epoch=0)
+        finally:
+            trainer.backend.close()
+        meta = json.loads(str(state["meta_json"]))
+        assert (meta["epoch"], meta["round"]) == (0, 0)
+        for i in range(len(trainer.workers)):
+            payload = deserialize_state(
+                state[f"worker.{i:04d}.payload"].tobytes())
+            assert payload["position"].tolist() == [0, 0]
+        assert (trainer.loop.epoch, trainer.loop.round) == (-1, 0)
+
+    def test_unobserved_snapshot_restores_into_observed_trainer(
+            self, split, tmp_path):
+        """``meta["obs"]`` is ``None`` when the writing run was not
+        observed: an observed trainer loads it and keeps its own."""
+        from repro.checkpoint import restore_trainer
+
+        ckpt_dir = str(tmp_path / "ck")
+        _trainer(split, _config(checkpoint_dir=ckpt_dir,
+                                checkpoint_every=1)).train()
+        meta, state = load_checkpoint(ckpt_dir)
+        assert meta["obs"] is None
+        observed = _trainer(split, _config(observe=True))
+        restore_trainer(observed, state)
+        assert observed.loop.epoch == meta["epoch"]
 
 
 class TestTornWrites:
