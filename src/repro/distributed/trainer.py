@@ -51,7 +51,7 @@ from ..sampling.negative import (
     InBatchNegativeSampler,
     PerSourceUniformNegativeSampler,
 )
-from ..sampling.neighbor import NeighborSampler
+from ..sampling.neighbor import NeighborSampler, check_fanouts
 from .comm import GB, CommMeter, CommRecord
 from .sync import broadcast_model, make_strategy
 from .views import WorkerGraphView
@@ -244,6 +244,7 @@ class TrainConfig:
             self.backend = "serial"
         if len(self.fanouts) != self.num_layers:
             raise ValueError("need one fanout per layer")
+        check_fanouts(self.fanouts)
         if not 0.0 <= self.worker_failure_prob < 1.0:
             raise ValueError("worker_failure_prob must be in [0, 1)")
         from ..faults import RECOVERY_POLICIES, FaultPlan

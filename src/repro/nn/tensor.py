@@ -13,6 +13,10 @@ Design notes
 * The graph is recorded eagerly: every op returns a new ``Tensor``
   holding its parents and a closure that propagates the output gradient
   to the parents.  ``backward`` runs a topological sort.
+* A backward closure computes only gradients a ``requires_grad``
+  operand will read: a constant operand's share (``grad @ W.T`` into
+  raw input features, ``grad * h`` into an edge-weight factor) is never
+  formed, since ``_accumulate`` would discard it.
 * Everything is float64 to make finite-difference gradient checks tight;
   feature payload sizes in the communication model are accounted
   separately (float32, as shipped on the wire).
@@ -149,8 +153,10 @@ class Tensor:
         data = self.data + other.data
 
         def backward(grad: Array) -> None:
-            self._accumulate(_unbroadcast(grad, self.data.shape))
-            other._accumulate(_unbroadcast(grad, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad, other.data.shape))
 
         return Tensor._result(data, (self, other), backward)
 
@@ -174,8 +180,12 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: Array) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(
+                    _unbroadcast(grad * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(grad * self.data, other.data.shape))
 
         return Tensor._result(data, (self, other), backward)
 
@@ -186,9 +196,12 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: Array) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
-            other._accumulate(_unbroadcast(
-                -grad * self.data / (other.data ** 2), other.data.shape))
+            if self.requires_grad:
+                self._accumulate(
+                    _unbroadcast(grad / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(
+                    -grad * self.data / (other.data ** 2), other.data.shape))
 
         return Tensor._result(data, (self, other), backward)
 
@@ -204,8 +217,10 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(grad: Array) -> None:
-            self._accumulate(grad @ other.data.T)
-            other._accumulate(self.data.T @ grad)
+            if self.requires_grad:
+                self._accumulate(grad @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ grad)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -427,6 +442,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
 
     def backward(grad: Array) -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if not t.requires_grad:
+                continue
             sl = [slice(None)] * grad.ndim
             sl[axis] = slice(start, stop)
             t._accumulate(grad[tuple(sl)])

@@ -255,7 +255,9 @@ class PartitionedGraph:
         if self.full.features is None:
             raise ValueError("graph has no features")
         nodes = np.asarray(nodes, dtype=np.int64)
-        return self.full.features[nodes].astype(np.float32)
+        # Fancy indexing already copies; converting is a second copy
+        # only when the stored matrix is not float32.
+        return self.full.features[nodes].astype(np.float32, copy=False)
 
     def preprocessing_feature_nbytes(self) -> int:
         """Bytes of feature data shipped at distribution time (one-off).

@@ -123,6 +123,18 @@ class NeighborSource(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def check_node_ids(ids: np.ndarray, num_nodes: int) -> int:
+    """Raise ``ValueError`` unless every id lies in ``[0, num_nodes)``;
+    returns one past the largest id (0 for no ids)."""
+    if ids.size == 0:
+        return 0
+    lowest, highest = int(ids.min()), int(ids.max())
+    if lowest < 0 or highest >= num_nodes:
+        bad = lowest if lowest < 0 else highest
+        raise ValueError(f"node id {bad} outside [0, {num_nodes})")
+    return highest + 1
+
+
 def _slice_index(starts: np.ndarray, counts: np.ndarray,
                  offsets: np.ndarray) -> np.ndarray:
     """Flat index of the concatenated slices ``starts[i]:starts[i] +
@@ -172,6 +184,7 @@ class GraphNeighborSource:
         """CSR neighbor lists of ``nodes`` (see the protocol)."""
         nodes = np.asarray(nodes, dtype=np.int64)
         g = self.graph
+        check_node_ids(nodes, g.num_nodes)
         starts = g.indptr[nodes]
         stops = g.indptr[nodes + 1]
         counts = stops - starts

@@ -13,22 +13,38 @@ uniform key and we keep the ``fanout`` smallest keys per destination.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..rng import ensure_rng
-from .blocks import Block, ComputationGraph, GraphNeighborSource, NeighborSource
+from .blocks import (
+    Block,
+    ComputationGraph,
+    GraphNeighborSource,
+    NeighborSource,
+    check_node_ids,
+)
 
 
-def _unique_preserving_seeds(seeds: np.ndarray,
-                             extra: np.ndarray) -> np.ndarray:
-    """Seeds first (in order), then unique extra nodes not in seeds."""
-    if extra.size == 0:
-        return seeds
-    extra_unique = np.unique(extra)
-    mask = ~np.isin(extra_unique, seeds, assume_unique=False)
-    return np.concatenate([seeds, extra_unique[mask]])
+def _by_destination_then_key(dst_per_edge: np.ndarray,
+                             keys: np.ndarray) -> np.ndarray:
+    """The edge order of ``np.lexsort((keys, dst_per_edge))``.
+
+    Destinations are integers and keys lie in [0, 1), so ``d + k`` is
+    strictly increasing in ``(d, k)``; rounding is monotone, so sorting
+    the float sums gives the same order whenever no two sums round to
+    the same value.  Only on such a collision is ``lexsort`` needed.
+    Without one the order is unique, so ``kind="stable"`` is there for
+    speed: NumPy's stable sort is the faster one on ascending groups.
+    """
+    composite = dst_per_edge + keys
+    order = np.argsort(composite, kind="stable")
+    ranked = composite[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.lexsort((keys, dst_per_edge))
+    return order
 
 
 def sample_block(
@@ -45,26 +61,36 @@ def sample_block(
         Maximum neighbors kept per seed; ``-1`` keeps all.
     """
     seeds = np.asarray(seeds, dtype=np.int64)
+    num_nodes = source.num_nodes
+    bound = check_node_ids(seeds, num_nodes)
     nbrs, weights, offsets = source.neighbors_batch(seeds)
+    bound = max(bound, check_node_ids(nbrs, num_nodes))
     counts = np.diff(offsets)
     dst_per_edge = np.repeat(np.arange(seeds.size, dtype=np.int64), counts)
 
     if fanout >= 0 and nbrs.size:
         keys = rng.random(nbrs.size)
-        # Sort edges by (destination, random key); keep first `fanout`
-        # edges of each destination.
-        order = np.lexsort((keys, dst_per_edge))
-        sorted_dst = dst_per_edge[order]
-        # rank of each edge within its destination group
-        rank = np.arange(sorted_dst.size) - offsets[sorted_dst]
+        # Keep the `fanout` smallest keys of each destination, in key
+        # order.  Sorting leaves the non-decreasing destinations in
+        # place, so an edge's rank in its group is its sorted position
+        # minus the group's offset.
+        order = _by_destination_then_key(dst_per_edge, keys)
+        rank = np.arange(nbrs.size) - offsets[dst_per_edge]
         keep = order[rank < fanout]
         nbrs, weights, dst_per_edge = nbrs[keep], weights[keep], dst_per_edge[keep]
 
-    src_nodes = _unique_preserving_seeds(seeds, nbrs)
-    # Map global neighbor ids to local row indices: the first row
-    # holding each id (a stable sort keeps equal ids in row order).
-    by_id = np.argsort(src_nodes, kind="stable")
-    edge_src = by_id[np.searchsorted(src_nodes[by_id], nbrs)]
+    # Rows: the seeds in order, then every other sampled id ascending.
+    # A dense table over the ids touched maps each id to the first row
+    # holding it (``minimum.at`` settles repeated seeds).
+    present = np.zeros(bound, dtype=bool)
+    present[nbrs] = True
+    present[seeds] = False
+    src_nodes = np.concatenate([seeds, np.flatnonzero(present)])
+    row = np.empty(bound, dtype=np.int64)
+    row[src_nodes[seeds.size:]] = np.arange(seeds.size, src_nodes.size)
+    row[seeds] = seeds.size
+    np.minimum.at(row, seeds, np.arange(seeds.size))
+    edge_src = row[nbrs]
     return Block(
         src_nodes=src_nodes,
         num_dst=int(seeds.size),
@@ -72,6 +98,19 @@ def sample_block(
         edge_dst=dst_per_edge,
         edge_weight=weights,
     )
+
+
+def check_fanouts(fanouts: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``fanouts`` is non-empty and each one
+    is an int >= 1 or exactly -1 (all neighbours)."""
+    if not fanouts:
+        raise ValueError("need at least one fanout")
+    for fanout in fanouts:
+        if (isinstance(fanout, bool) or not isinstance(fanout, Integral)
+                or not (fanout >= 1 or fanout == -1)):
+            raise ValueError(
+                "fanout must be an int >= 1 or -1 (all neighbours), "
+                f"got {fanout!r}")
 
 
 class NeighborSampler:
@@ -88,8 +127,7 @@ class NeighborSampler:
 
     def __init__(self, fanouts: Sequence[int],
                  rng: Optional[np.random.Generator] = None) -> None:
-        if not fanouts:
-            raise ValueError("need at least one fanout")
+        check_fanouts(fanouts)
         self.fanouts = list(fanouts)
         self.rng = ensure_rng(rng)
 

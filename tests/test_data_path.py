@@ -1,12 +1,15 @@
 """Property tests of the vectorised sample → fetch → aggregate path.
 
 Every oracle is the public per-node API (or ``np.add.at`` itself for
-the scatter-add), never a copy of an implementation: a batched answer
-must equal what asking one node at a time gives.
+the scatter-add): a batched answer must equal what asking one node at
+a time gives.  The one copied implementation is the lexsort / unique /
+searchsorted ``sample_block`` that the linear-pass one replaced, kept
+here as its exactness oracle.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +24,7 @@ from repro.nn import Tensor, gather, segment_sum
 from repro.nn.tensor import _scatter_add_rows
 from repro.partition import PartitionedGraph
 from repro.sampling import (
+    Block,
     EdgeMembership,
     GraphNeighborSource,
     sample_block,
@@ -165,6 +169,72 @@ class TestNeighborsBatch:
         assert_batch_is_concatenation(local_only.neighbors_batch, nodes)
 
 
+#: Seeds 0-2 are each other's neighbours, 3 hangs off 2, 4 is isolated.
+TRIANGLE_AND_LEAF = Graph.from_edges(5, [[0, 1], [1, 2], [0, 2], [2, 3]])
+
+
+class FixedKeys:
+    """A generator stand-in whose ``random`` returns given keys."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def random(self, size):
+        assert size == self.keys.size
+        return self.keys.copy()
+
+
+@st.composite
+def weighted_graph_and_seeds(draw):
+    """A graph (weighted or not) and seeds with repeats, seeds adjacent
+    to each other, zero-degree seeds, or none at all."""
+    graph, seeds = draw(graph_and_queries())
+    if draw(st.booleans()):
+        edges = graph.edge_list()
+        weights = draw(hnp.arrays(np.float64, edges.shape[0],
+                                  elements=st.floats(0.25, 4.0)))
+        graph = Graph.from_edges(graph.num_nodes, edges,
+                                 edge_weights=weights)
+    return graph, seeds
+
+
+def reference_sample_block(source, seeds, fanout, rng):
+    """``sample_block`` as it was written before the linear passes:
+    lexsort by (destination, key), ``np.unique`` + ``np.isin`` for the
+    rows, a stable argsort + ``searchsorted`` for the id → row map."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    nbrs, weights, offsets = source.neighbors_batch(seeds)
+    counts = np.diff(offsets)
+    dst_per_edge = np.repeat(np.arange(seeds.size, dtype=np.int64), counts)
+    if fanout >= 0 and nbrs.size:
+        keys = rng.random(nbrs.size)
+        order = np.lexsort((keys, dst_per_edge))
+        sorted_dst = dst_per_edge[order]
+        rank = np.arange(sorted_dst.size) - offsets[sorted_dst]
+        keep = order[rank < fanout]
+        nbrs, weights, dst_per_edge = (nbrs[keep], weights[keep],
+                                       dst_per_edge[keep])
+    src_nodes = seeds
+    if nbrs.size:
+        extra = np.unique(nbrs)
+        src_nodes = np.concatenate(
+            [seeds, extra[~np.isin(extra, seeds, assume_unique=False)]])
+    by_id = np.argsort(src_nodes, kind="stable")
+    edge_src = by_id[np.searchsorted(src_nodes[by_id], nbrs)]
+    return Block(src_nodes=src_nodes, num_dst=int(seeds.size),
+                 edge_src=edge_src, edge_dst=dst_per_edge,
+                 edge_weight=weights)
+
+
+def assert_same_block(got, want):
+    """Array for array, dtypes included."""
+    assert got.num_dst == want.num_dst
+    for name in ("src_nodes", "edge_src", "edge_dst", "edge_weight"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestSampleBlock:
     @common_settings
     @given(graph_and_queries(), st.integers(-1, 4),
@@ -213,6 +283,66 @@ class TestSampleBlock:
         assert np.array_equal(block.src_nodes[block.edge_src], nbrs)
         assert np.array_equal(block.edge_weight, weights)
         assert block.edge_dst.tolist() == [0, 0, 1, 1, 1, 2, 2]
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(weighted_graph_and_seeds(), st.sampled_from([-1, 1, 3, 10]),
+           st.integers(0, 2**31 - 1))
+    @example((TRIANGLE_AND_LEAF, np.array([2, 0, 4, 2, 3])), 1, 0)
+    @example((TRIANGLE_AND_LEAF, np.array([1, 0, 1])), -1, 0)
+    @example((TRIANGLE_AND_LEAF, np.zeros(0, np.int64)), 3, 0)
+    def test_equals_the_sort_and_search_algorithm(self, case, fanout, seed):
+        graph, seeds = case
+        source = GraphNeighborSource(graph)
+        assert_same_block(
+            sample_block(source, seeds, fanout, np.random.default_rng(seed)),
+            reference_sample_block(source, seeds, fanout,
+                                   np.random.default_rng(seed)))
+
+    def test_rounding_collision_takes_lexsort(self, monkeypatch):
+        # Destination 2 draws keys 0.5 and the next double above it:
+        # both sums round to 2.5, so only lexsort orders them, and it
+        # must put the second edge (key 0.5) first.
+        graph = Graph.from_edges(6, [[0, 3], [1, 4], [2, 4], [2, 5]])
+        source = GraphNeighborSource(graph)
+        keys = np.array([0.1, 0.2, np.nextafter(0.5, 1.0), 0.5])
+        assert 2 + keys[2] == 2 + keys[3]
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda k: calls.append(1) or lexsort(k))
+        for fanout in (1, 10):
+            block = sample_block(source, [0, 1, 2], fanout, FixedKeys(keys))
+            assert_same_block(block, reference_sample_block(
+                source, [0, 1, 2], fanout, FixedKeys(keys)))
+            sampled = block.src_nodes[block.edge_src]
+            assert sampled[block.edge_dst == 2][0] == 5
+        # Twice in sample_block, twice in the reference.
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("seeds, bad", [([-5], -5), ([-1, 3], -1),
+                                            ([200, 3], 200)])
+    def test_out_of_range_seed_rejected(self, seeds, bad):
+        source = GraphNeighborSource(Graph.from_edges(
+            200, [[i, (i + 1) % 200] for i in range(200)]))
+        message = rf"node id {bad} outside \[0, 200\)"
+        with pytest.raises(ValueError, match=message):
+            source.neighbors_batch(np.array(seeds))
+        with pytest.raises(ValueError, match=message):
+            sample_block(source, seeds, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_out_of_range_neighbour_rejected(self, bad):
+        class Lying:
+            num_nodes = 10
+
+            def neighbors_batch(self, nodes):
+                return (np.array([1, bad]), np.ones(2),
+                        np.array([0, 2], dtype=np.int64))
+
+        with pytest.raises(ValueError,
+                           match=rf"node id {bad} outside \[0, 10\)"):
+            sample_block(Lying(), [0], -1, np.random.default_rng(0))
 
 
 SPECIALS = [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 1e-308]

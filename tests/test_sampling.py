@@ -1,8 +1,11 @@
 """Sampling subsystem: blocks, neighbor sampler, negatives, loader."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.distributed.trainer import TrainConfig
 from repro.graph import Graph
 from repro.sampling import (
     Block,
@@ -142,6 +145,21 @@ class TestNeighborSampler:
     def test_empty_fanouts_rejected(self):
         with pytest.raises(ValueError):
             NeighborSampler([])
+
+    @pytest.mark.parametrize("bad", [0, -2, -3, 2.5, True, "3", None])
+    def test_bad_fanout_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            NeighborSampler([5, bad])
+
+    @pytest.mark.parametrize("fanouts, bad", [((0, 5), 0), ((-3, 5), -3),
+                                              ((5, 2.5), 2.5)])
+    def test_train_config_rejects_bad_fanouts(self, fanouts, bad):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            TrainConfig(num_layers=2, fanouts=fanouts)
+
+    def test_good_fanouts_accepted(self):
+        assert NeighborSampler([-1, 1, np.int64(25)]).fanouts == [-1, 1, 25]
+        assert TrainConfig(num_layers=2, fanouts=(-1, 3)).fanouts == (-1, 3)
 
     def test_deterministic_given_rng(self, featured_graph):
         a = NeighborSampler([3, 2], rng=np.random.default_rng(5)).sample(

@@ -1,5 +1,7 @@
 """Autograd engine tests: forward values and gradient checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +23,9 @@ from repro.nn import (
     sparse_matmul,
     tanh,
 )
+
+from repro.nn import tensor as tensor_module
+from repro.nn.tensor import _unbroadcast
 
 from conftest import numeric_gradient
 
@@ -299,3 +304,151 @@ class TestGradcheck:
         def build(t):
             return sigmoid(t[0] @ t[1]) * t[2]
         check_grad(build, [(2, 3), (3, 2), (2, 2)])
+
+
+class CountingArray(np.ndarray):
+    """An ndarray that records every ``*``, ``/`` and ``@`` computed on
+    it while :attr:`products` is a list (results stay counting)."""
+
+    products = None
+    COUNTED = (np.multiply, np.divide, np.matmul)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (CountingArray.products is not None and method == "__call__"
+                and ufunc in self.COUNTED):
+            CountingArray.products.append(ufunc.__name__)
+        inputs = [x.view(np.ndarray) if isinstance(x, CountingArray) else x
+                  for x in inputs]
+        out = kwargs.get("out")
+        if out:
+            kwargs["out"] = tuple(
+                o.view(np.ndarray) if isinstance(o, CountingArray) else o
+                for o in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out:
+            return out[0]
+        if isinstance(result, np.ndarray):
+            return result.view(CountingArray)
+        return result
+
+
+def _full_add(self, other):
+    other = other if isinstance(other, Tensor) else Tensor(other)
+
+    def backward(grad):
+        self._accumulate(_unbroadcast(grad, self.data.shape))
+        other._accumulate(_unbroadcast(grad, other.data.shape))
+
+    return Tensor._result(self.data + other.data, (self, other), backward)
+
+
+def _full_mul(self, other):
+    other = other if isinstance(other, Tensor) else Tensor(other)
+
+    def backward(grad):
+        self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
+        other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+
+    return Tensor._result(self.data * other.data, (self, other), backward)
+
+
+def _full_div(self, other):
+    other = other if isinstance(other, Tensor) else Tensor(other)
+
+    def backward(grad):
+        self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
+        other._accumulate(_unbroadcast(
+            -grad * self.data / (other.data ** 2), other.data.shape))
+
+    return Tensor._result(self.data / other.data, (self, other), backward)
+
+
+def _full_matmul(self, other):
+    def backward(grad):
+        self._accumulate(grad @ other.data.T)
+        other._accumulate(self.data.T @ grad)
+
+    return Tensor._result(self.data @ other.data, (self, other), backward)
+
+
+#: Binary ops that form both operands' gradients, as the engine did
+#: before closures learned to skip constant operands.
+FULL_OPS = {"__add__": _full_add, "__radd__": _full_add,
+            "__mul__": _full_mul, "__rmul__": _full_mul,
+            "__truediv__": _full_div, "__matmul__": _full_matmul}
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Every array entering the tape counts products; yields a function
+    running ``backward`` and returning the products it computed."""
+    monkeypatch.setattr(
+        tensor_module, "_as_array",
+        lambda value: np.asarray(value, dtype=np.float64).view(CountingArray))
+
+    def backward_products(out, grad=None):
+        CountingArray.products = []
+        try:
+            out.backward(grad)
+            return Counter(CountingArray.products)
+        finally:
+            CountingArray.products = None
+
+    return backward_products
+
+
+class TestBackwardSkipsConstants:
+    """A backward closure forms only gradients a ``requires_grad``
+    operand reads."""
+
+    @pytest.mark.parametrize("build, products", [
+        pytest.param(lambda v, c: v + c, {}, id="var+const"),
+        pytest.param(lambda v, c: c + v, {}, id="const+var"),
+        pytest.param(lambda v, c: v * c, {"multiply": 1}, id="var*const"),
+        pytest.param(lambda v, c: v / c, {"divide": 1}, id="var/const"),
+        pytest.param(lambda v, c: c / v, {"multiply": 1, "divide": 1},
+                     id="const/var"),
+        pytest.param(lambda v, c: v @ c, {"matmul": 1}, id="var@const"),
+        pytest.param(lambda v, c: c @ v, {"matmul": 1}, id="const@var"),
+    ])
+    def test_constant_operand(self, counting, build, products):
+        rng = np.random.default_rng(0)
+        var = Tensor(rng.random((3, 3)) + 1.0, requires_grad=True)
+        const = Tensor(rng.random((3, 3)) + 1.0)
+        out = build(var, const)
+        assert counting(out, np.ones((3, 3))) == Counter(products)
+        assert const.grad is None
+        assert var.grad is not None
+
+    def test_sage_mlp_backward(self, counting, monkeypatch, featured_graph):
+        """Two SAGE layers + the MLP predictor: the constant operands
+        are layer 0's raw features (one ``grad @ W.T`` per linear map)
+        and layer 1's edge-weight and ``1/denom`` factors."""
+        from repro.nn import bce_with_logits, build_model
+        from repro.sampling import NeighborSampler
+
+        graph = featured_graph
+        seeds = np.arange(0, 40, 2)
+        comp = NeighborSampler([4, 3], rng=np.random.default_rng(1)).sample(
+            graph, seeds)
+        features = graph.features[comp.input_nodes].astype(np.float64)
+        pairs = np.random.default_rng(2).integers(0, seeds.size, (16, 2))
+        labels = np.tile([1.0, 0.0], 8)
+
+        def run():
+            model = build_model("sage", graph.feature_dim, 8, num_layers=2,
+                                seed=0)
+            loss = bce_with_logits(
+                model(comp, features, pairs[:, 0], pairs[:, 1]), labels)
+            products = counting(loss)
+            return products, {name: p.grad.tobytes()
+                              for name, p in model.named_parameters()}
+
+        products, grads = run()
+        with monkeypatch.context() as full:
+            for name, op in FULL_OPS.items():
+                full.setattr(Tensor, name, op)
+            full_products, full_grads = run()
+        assert grads == full_grads
+        assert full_products - products == Counter(matmul=2, multiply=2)
+        assert not products - full_products
