@@ -11,11 +11,8 @@ python -m pytest -x -q --durations=15
 echo "== golden digest matrices (560 training + 13 resume + 8 stream + 14 serve cells) =="
 python scripts/golden.py --check
 
-echo "== repro.lint =="
+echo "== repro.lint (per-file rules + F202 worker races) =="
 python -m repro.lint src/ --format json
-
-echo "== repro.lint --deep (baseline-gated) =="
-python -m repro.lint --deep src/ --baseline lint-baseline.json --format json
 
 echo "== repro.lint (tests/scripts/benchmarks, hygiene subset) =="
 python -m repro.lint --select R001,R101,R102,R103 tests scripts benchmarks

@@ -212,10 +212,7 @@ class WorkerHost:
         sites = [worker, worker.negative_sampler, worker.view,
                  trainer.meters[self.part]]
         if trainer.remote_store is not None:
-            # An AuditedStore sanitizer proxies reads but not attribute
-            # writes; the observer hangs off the store it wraps.
-            sites.append(getattr(trainer.remote_store, "_store",
-                                 trainer.remote_store))
+            sites.append(trainer.remote_store)
         return sites
 
 

@@ -42,9 +42,7 @@ def structure_nbytes(num_edges: int, num_queried_nodes: int,
     """Wire bytes for a structure answer: edges + queried node ids.
 
     These formulas are the single source of truth — the
-    :class:`CommMeter` charges with them and the
-    :class:`~repro.lint.runtime.AuditedStore` sanitizer independently
-    recomputes them to cross-check every store answer.
+    :class:`CommMeter` charges with them.
     """
     per_edge = BYTES_PER_EDGE + (BYTES_PER_EDGE_WEIGHT if weighted else 0)
     return (int(num_edges) * per_edge

@@ -658,10 +658,7 @@ class DistributedTrainer:
         self.meters = [CommMeter(name=f"meter.{part:04d}", obs=observer)
                        for part in range(partitioned.num_parts)]
         if observer is not None and remote_store is not None:
-            # An AuditedStore sanitizer proxies reads but not attribute
-            # writes; instrument the store it wraps.
-            inner = getattr(remote_store, "_store", remote_store)
-            inner.obs = observer
+            remote_store.obs = observer
         self.evaluator = Evaluator(
             split, config.fanouts, k=config.hits_k,
             rng=np.random.default_rng(config.seed + 7919))

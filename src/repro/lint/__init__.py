@@ -1,24 +1,12 @@
 """repro.lint — machine-checked invariants for the reproduction.
 
-Two halves:
-
-* a **static rule engine** (:mod:`repro.lint.engine`) that walks Python
-  sources with AST visitors and reports violations of the invariants
-  the paper's numbers rest on — determinism (R001), data locality
-  (R002), autograd safety (R003) — plus generic hygiene rules
-  (R101-R103).  Run it as ``python -m repro.lint src/``.
-* a **whole-program analyzer** (:mod:`repro.lint.flow`) behind
-  ``python -m repro.lint --deep``: one parse of the project builds a
-  symbol table, call graph, and per-function control-flow graphs, then
-  interprocedural analyses prove RNG-seed provenance (F201), flag
-  worker/module-global races (F202), check CommMeter charge
-  completeness (F203), and verify worker resource release on all paths
-  (F204).  CI gates deep runs on a committed ``lint-baseline.json``.
-* **runtime sanitizers** (:mod:`repro.lint.runtime`): a debug mode that
-  freezes arrays as they enter the autodiff graph, and a
-  :class:`~repro.lint.runtime.AuditedStore` wrapper that cross-checks
-  every remote store answer against the bytes charged to the
-  :class:`~repro.distributed.comm.CommMeter`.
+A **static rule engine** (:mod:`repro.lint.engine`) that walks Python
+sources with AST visitors and reports violations of the invariants the
+paper's numbers rest on — determinism (R001), data locality (R002),
+autograd safety (R003) — plus hygiene rules (R1xx) and one
+whole-program rule, F202, which builds the project's call graph
+(:mod:`repro.lint.callgraph`) and flags worker-executed writes to
+module-level globals.  Run it as ``python -m repro.lint src/``.
 
 Findings can be silenced per line with a trailing comment::
 
@@ -28,29 +16,15 @@ See ``docs/lint.md`` for the full rule catalogue.
 """
 
 from .engine import Finding, LintEngine, lint_paths, lint_source
-from .flow import DEEP_ANALYSES, analyze_paths, analyze_sources
 from .registry import Rule, all_rules, get_rule, register
-from .runtime import (
-    AuditedStore,
-    CommAuditError,
-    audit_store,
-    autograd_sanitizer,
-)
 
 __all__ = [
     "Finding",
     "LintEngine",
     "lint_paths",
     "lint_source",
-    "DEEP_ANALYSES",
-    "analyze_paths",
-    "analyze_sources",
     "Rule",
     "all_rules",
     "get_rule",
     "register",
-    "AuditedStore",
-    "CommAuditError",
-    "audit_store",
-    "autograd_sanitizer",
 ]

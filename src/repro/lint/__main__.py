@@ -1,16 +1,9 @@
 """CLI entry point: ``python -m repro.lint [paths...]``.
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage
-errors.  ``--format json`` emits a machine-readable report for CI and
-``--format sarif`` a SARIF 2.1.0 log for code-review tooling.
-
-``--deep`` additionally runs the whole-program analyses (F201–F204,
-:mod:`repro.lint.flow`): the project is parsed once into a symbol
-table + call graph and the interprocedural determinism / concurrency /
-byte-accounting invariants are checked.  Deep runs are usually gated
-on a committed baseline::
-
-    python -m repro.lint --deep src/ --baseline lint-baseline.json
+errors.  ``--format json`` emits a machine-readable report for CI.
+The given paths are linted as one project, so the whole-program rule
+(F202) runs in the same pass as the per-file rules.
 """
 
 from __future__ import annotations
@@ -20,9 +13,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .engine import LintEngine, dedupe_sorted
+from .engine import LintEngine
 from .registry import all_rules
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,25 +24,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=("Invariant checker for the repro codebase: "
                      "determinism (R001), data locality (R002), "
-                     "autograd safety (R003), hygiene (R1xx) and — "
-                     "with --deep — the whole-program analyses "
-                     "(F201-F204)."))
+                     "autograd safety (R003), hygiene (R1xx) and "
+                     "worker races (F202)."))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
     parser.add_argument("--select", default=None, metavar="R001,F202",
-                        help=("comma-separated subset of rule ids to run "
-                              "(F2xx ids imply --deep)"))
-    parser.add_argument("--deep", action="store_true",
-                        help=("also run the interprocedural analyses "
-                              "(repro.lint.flow, rules F201-F204)"))
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=("accepted-findings file; only findings "
-                              "beyond the baseline are reported"))
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help=("write the current findings as the new "
-                              "baseline and exit 0"))
+                        help="comma-separated subset of rule ids to run")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
@@ -60,35 +42,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.list_rules:
-        from .flow.analyses import DEEP_ANALYSES
-
         for rule in all_rules():
             print(f"{rule.rule_id}  {rule.name:<28} {rule.description}")
-        for rule_id in sorted(DEEP_ANALYSES):
-            name, description = DEEP_ANALYSES[rule_id]
-            print(f"{rule_id}  {name:<28} {description} [--deep]")
         return 0
 
-    shallow_ids: List[str] = []
-    deep_ids: List[str] = []
-    if args.select:
-        for rid in args.select.split(","):
-            rid = rid.strip()
-            if not rid:
-                continue
-            (deep_ids if rid.upper().startswith("F")
-             else shallow_ids).append(rid)
-    run_deep = args.deep or bool(deep_ids)
-
     engine = LintEngine()
-    if shallow_ids:
+    if args.select:
         try:
-            engine = engine.select(shallow_ids)
+            engine = engine.select(
+                rid.strip() for rid in args.select.split(",") if rid.strip())
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-    elif deep_ids:
-        engine = LintEngine(rules=[])  # F-only selection
 
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
@@ -98,36 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     findings = engine.check_paths(paths)
-    if run_deep:
-        from .flow import analyze_paths
-
-        try:
-            deep = analyze_paths(paths, select=deep_ids or None)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        findings = dedupe_sorted(findings + deep)
-
-    if args.write_baseline:
-        from .flow.baseline import write_baseline
-
-        write_baseline(args.write_baseline, findings)
-        print(f"wrote {len(findings)} finding(s) to {args.write_baseline}")
-        return 0
-
-    if args.baseline:
-        from .flow.baseline import apply_baseline, load_baseline
-
-        try:
-            table = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        findings = apply_baseline(findings, table)
-
-    renderer = {"json": render_json, "sarif": render_sarif}.get(
-        args.format, render_text)
+    renderer = render_json if args.format == "json" else render_text
     print(renderer(findings))
     return 1 if findings else 0
 

@@ -1,16 +1,27 @@
-"""Project-wide symbol table.
+"""Project-wide symbol table and static call graph (what F202 reads).
 
-Parses every module once and records what the interprocedural analyses
-need to resolve names across files: the functions and classes each
-module defines, what its imports bind, and which module-level names
-are mutable containers (the shared state F202 polices).
+:class:`ProjectIndex` parses nothing itself: it indexes already-parsed
+modules and records what is needed to resolve names across files — the
+functions and classes each module defines, what its imports bind, and
+which module-level names are mutable containers (the shared state F202
+polices).
+
+:class:`CallGraph` resolves calls over that index.  Resolution is
+deliberately *over-approximate* where Python's dynamism defeats precise
+typing: a ``receiver.method(...)`` call whose receiver class is unknown
+links to **every** project method of that name.  For F202's worker cone
+an over-approximation is the sound direction — a spurious edge can at
+worst surface a finding for a human to triage; a missing edge would
+silently un-check real worker code.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+from .astutils import call_name
 
 #: Call names whose result is a mutable container (module-global
 #: classification).
@@ -19,6 +30,11 @@ _MUTABLE_CALLS = {
     "collections.defaultdict", "collections.OrderedDict", "deque",
     "collections.deque",
 }
+
+#: Methods that execute their function argument on another thread or
+#: process — the roots of the worker cone.
+_SUBMIT_METHODS = {"submit", "map", "apply_async", "starmap"}
+_SPAWN_CALLS = {"Thread", "Process"}
 
 
 def modname_of(modpath: str) -> str:
@@ -43,20 +59,11 @@ class FunctionInfo:
     modname: str
     node: ast.AST                   # FunctionDef | AsyncFunctionDef
     cls: Optional[str] = None       # enclosing class name, if a method
-    #: Positional parameter names (``self``/``cls`` included).
-    params: List[str] = field(default_factory=list)
 
     @property
     def name(self) -> str:
         """Bare function name."""
         return self.node.name
-
-    def param_index(self, name: str) -> Optional[int]:
-        """Positional index of parameter ``name`` (None if absent)."""
-        try:
-            return self.params.index(name)
-        except ValueError:
-            return None
 
 
 @dataclass
@@ -64,8 +71,6 @@ class ClassInfo:
     """One class definition and its methods."""
 
     qname: str
-    modpath: str
-    node: ast.ClassDef
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     bases: List[str] = field(default_factory=list)
 
@@ -76,8 +81,6 @@ class ModuleInfo:
 
     modpath: str
     modname: str
-    tree: ast.Module
-    source: str
     #: alias → fully dotted target ("np" → "numpy",
     #: "ensure_rng" → "repro.rng.ensure_rng").
     imports: Dict[str, str] = field(default_factory=dict)
@@ -103,9 +106,9 @@ def _resolve_relative(modname: str, target: Optional[str],
 
 
 class ProjectIndex:
-    """Every module of the project, parsed once and cross-linked."""
+    """Every module of the project, indexed once and cross-linked."""
 
-    def __init__(self) -> None:
+    def __init__(self, trees: Dict[str, ast.Module]) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         #: Fully qualified function name → info (methods included).
         self.functions: Dict[str, FunctionInfo] = {}
@@ -113,33 +116,13 @@ class ProjectIndex:
         #: attribute-call resolution for the call graph).
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
         self.classes: Dict[str, ClassInfo] = {}
+        for modpath in sorted(trees):
+            mod = ModuleInfo(modpath=modpath, modname=modname_of(modpath))
+            self.modules[mod.modname] = mod
+            for stmt in trees[modpath].body:
+                self._index_toplevel(mod, stmt)
 
     # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_sources(cls, sources: Dict[str, str]) -> "ProjectIndex":
-        """Build the index from ``{modpath: source}`` mappings.
-
-        Unparseable sources are skipped (the per-file engine reports
-        them as ``E999``).
-        """
-        index = cls()
-        for modpath in sorted(sources):
-            try:
-                tree = ast.parse(sources[modpath])
-            except SyntaxError:
-                continue
-            index._add_module(modpath, tree, sources[modpath])
-        return index
-
-    def _add_module(self, modpath: str, tree: ast.Module,
-                    source: str) -> None:
-        modname = modname_of(modpath)
-        mod = ModuleInfo(modpath=modpath, modname=modname, tree=tree,
-                         source=source)
-        self.modules[modname] = mod
-        for stmt in tree.body:
-            self._index_toplevel(mod, stmt)
 
     def _index_toplevel(self, mod: ModuleInfo, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Import):
@@ -175,10 +158,8 @@ class ProjectIndex:
                         cls: Optional[str]) -> FunctionInfo:
         local = f"{cls}.{node.name}" if cls else node.name
         qname = f"{mod.modname}.{local}"
-        params = [a.arg for a in (node.args.posonlyargs + node.args.args)]
         info = FunctionInfo(qname=qname, modpath=mod.modpath,
-                            modname=mod.modname, node=node, cls=cls,
-                            params=params)
+                            modname=mod.modname, node=node, cls=cls)
         mod.functions[local] = info
         self.functions[qname] = info
         self.methods_by_name.setdefault(node.name, []).append(info)
@@ -186,7 +167,7 @@ class ProjectIndex:
 
     def _index_class(self, mod: ModuleInfo, node: ast.ClassDef) -> None:
         qname = f"{mod.modname}.{node.name}"
-        cinfo = ClassInfo(qname=qname, modpath=mod.modpath, node=node,
+        cinfo = ClassInfo(qname=qname,
                           bases=[b for b in map(_base_name, node.bases)
                                  if b])
         mod.classes[node.name] = cinfo
@@ -292,6 +273,107 @@ def _is_mutable_value(node: ast.AST) -> bool:
                          ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        from ..astutils import call_name
         return call_name(node) in _MUTABLE_CALLS
     return False
+
+
+class CallGraph:
+    """Call edges plus the worker roots they start from."""
+
+    def __init__(self, index: ProjectIndex) -> None:
+        self.index = index
+        #: caller qname → ordered callee qnames (duplicates removed).
+        self.edges: Dict[str, List[str]] = {}
+        #: functions handed to pools/threads/processes as work items.
+        self.worker_roots: List[FunctionInfo] = []
+        for modname in sorted(index.modules):
+            mod = index.modules[modname]
+            for local in sorted(mod.functions):
+                self._scan_function(mod, mod.functions[local])
+
+    # -- construction ---------------------------------------------------
+
+    def _scan_function(self, mod: ModuleInfo, info: FunctionInfo) -> None:
+        callees = self.edges.setdefault(info.qname, [])
+        for node in ast.walk(info.node):
+            if not isinstance(node, ast.Call):
+                continue
+            for callee in self.resolve_call(mod, info, node):
+                if callee.qname not in callees:
+                    callees.append(callee.qname)
+            self._scan_worker_root(mod, info, node)
+
+    def _scan_worker_root(self, mod: ModuleInfo, info: FunctionInfo,
+                          node: ast.Call) -> None:
+        """Record functions shipped to executors / thread / process
+        constructors as worker-cone roots."""
+        func = node.func
+        # pool.submit(fn, ...) / pool.map(fn, ...)
+        if (isinstance(func, ast.Attribute)
+                and func.attr in _SUBMIT_METHODS and node.args):
+            for target in self._work_item_targets(mod, info, node.args[0]):
+                self.worker_roots.append(target)
+        # Thread(target=fn) / Process(target=fn) / ctx.Process(target=fn)
+        callee_name = (func.attr if isinstance(func, ast.Attribute)
+                       else func.id if isinstance(func, ast.Name) else None)
+        if callee_name in _SPAWN_CALLS:
+            for kw in node.keywords:
+                if kw.arg == "target":
+                    for target in self._work_item_targets(mod, info,
+                                                         kw.value):
+                        self.worker_roots.append(target)
+
+    def _work_item_targets(self, mod: ModuleInfo, info: FunctionInfo,
+                           expr: ast.AST) -> List[FunctionInfo]:
+        """Resolve a function *reference* (not call) to project targets."""
+        if isinstance(expr, ast.Name):
+            found = self.index.resolve_name(mod, expr.id)
+            return [found] if found is not None else []
+        if isinstance(expr, ast.Attribute):
+            owner = expr.value
+            owner_name = owner.id if isinstance(owner, ast.Name) else None
+            if owner_name is not None:
+                return self.index.resolve_attribute(
+                    mod, owner_name, expr.attr, cls=info.cls)
+            return list(self.index.methods_by_name.get(expr.attr, []))
+        return []
+
+    # -- resolution -----------------------------------------------------
+
+    def resolve_call(self, mod: ModuleInfo, info: FunctionInfo,
+                     node: ast.Call) -> List[FunctionInfo]:
+        """Project-function targets of one call expression."""
+        func = node.func
+        if isinstance(func, ast.Name):
+            found = self.index.resolve_name(mod, func.id)
+            return [found] if found is not None else []
+        if isinstance(func, ast.Attribute):
+            owner = func.value
+            if isinstance(owner, ast.Name):
+                return self.index.resolve_attribute(
+                    mod, owner.id, func.attr, cls=info.cls)
+            if isinstance(owner, ast.Attribute):
+                # self.obj.meth / module.sub.meth: duck-typed fallback.
+                return list(self.index.methods_by_name.get(func.attr, []))
+        return []
+
+    # -- queries --------------------------------------------------------
+
+    def worker_reachable(self) -> Tuple[Set[str], Dict[str, str]]:
+        """The worker cone: functions reachable from submit targets.
+
+        Returns ``(qnames, why)`` where ``why[qname]`` names the root
+        that makes the function worker-executed (for messages).
+        """
+        why: Dict[str, str] = {}
+        seen: Set[str] = set()
+        for root in self.worker_roots:
+            stack = [root.qname]
+            while stack:
+                qname = stack.pop()
+                if qname in seen:
+                    continue
+                seen.add(qname)
+                why.setdefault(qname, root.qname)
+                stack.extend(self.edges.get(qname, ()))
+        return seen, why

@@ -1,7 +1,8 @@
 """The lint driver: file discovery, parsing, suppression, dispatch.
 
-The engine parses each module once and hands the tree to every
-applicable rule.  Findings whose *logical statement* carries a
+The engine parses each module once and hands the parsed project to
+every rule: per-file rules see one module at a time, the whole-program
+rule (F202) sees them all.  Findings whose *logical statement* carries a
 ``# lint: disable=R001[,R002...]`` (or a bare ``# lint: disable``)
 trailing comment are dropped: a suppression anywhere on a multi-line
 call, and on any decorator of a decorated definition, covers the whole
@@ -11,7 +12,7 @@ the syntax do not suppress anything.
 
 Engine output is deterministic: findings are globally sorted by
 (path, line, col, rule, message) and exact duplicates are removed, so
-``--deep`` baselines and CI diffs are reproducible run to run.
+CI diffs are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from .registry import Rule, all_rules
 
@@ -149,21 +150,6 @@ def _apply_suppressions(findings: List[Finding],
     return kept
 
 
-def filter_suppressed(findings: List[Finding],
-                      source: str) -> List[Finding]:
-    """Apply one module's suppression comments to external findings.
-
-    Used by :mod:`repro.lint.flow` so deep-analysis findings honor the
-    same ``# lint: disable`` machinery as the per-file rules.
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        tree = None
-    return _apply_suppressions(findings, _suppressions(source),
-                               _line_groups(source, tree))
-
-
 def dedupe_sorted(findings: List[Finding]) -> List[Finding]:
     """Stable-sort findings and drop exact duplicates.
 
@@ -214,39 +200,50 @@ class LintEngine:
 
     # -- entry points ---------------------------------------------------
 
-    def check_source(self, source: str, modpath: str) -> List[Finding]:
-        """Lint one module's source; returns sorted, unsuppressed findings."""
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            return [Finding(rule_id="E999", path=modpath,
-                            line=exc.lineno or 0, col=exc.offset or 0,
-                            message=f"syntax error: {exc.msg}")]
-        findings: List[Finding] = []
+    def check_sources(self, sources: Mapping[str, str]) -> List[Finding]:
+        """Lint a project given as ``{modpath: source}``.
+
+        Every module is parsed once; a module that fails to parse is an
+        ``E999`` finding and is left out of what the rules see.
+        Returns sorted, deduplicated, unsuppressed findings.
+        """
+        trees: Dict[str, ast.AST] = {}
+        broken: List[Finding] = []
+        for modpath in sorted(sources):
+            try:
+                trees[modpath] = ast.parse(sources[modpath])
+            except SyntaxError as exc:
+                broken.append(Finding(
+                    rule_id="E999", path=modpath, line=exc.lineno or 0,
+                    col=exc.offset or 0,
+                    message=f"syntax error: {exc.msg}"))
+        by_path: Dict[str, List[Finding]] = {}
         for rule in self.rules:
-            if not rule.applies_to(modpath):
-                continue
-            findings.extend(rule.check(tree, modpath))
-        kept = _apply_suppressions(findings, _suppressions(source),
-                                   _line_groups(source, tree))
+            for finding in rule.check_project(trees):
+                by_path.setdefault(finding.path, []).append(finding)
+        kept = broken
+        for modpath, findings in by_path.items():
+            source, tree = sources[modpath], trees[modpath]
+            kept += _apply_suppressions(findings, _suppressions(source),
+                                        _line_groups(source, tree))
         return dedupe_sorted(kept)
 
-    def check_file(self, path: Path) -> List[Finding]:
-        """Lint a single file from disk."""
-        source = path.read_text(encoding="utf-8")
-        return self.check_source(source, _module_path(path))
+    def check_source(self, source: str, modpath: str) -> List[Finding]:
+        """Lint one module's source as a one-module project."""
+        return self.check_sources({modpath: source})
 
     def check_paths(self, paths: Sequence[Path]) -> List[Finding]:
-        """Lint files and directory trees (recursively).
+        """Lint files and directory trees (recursively) as one project.
 
         Findings come back globally sorted and deduplicated regardless
         of how many roots were given or in what order.
         """
-        findings: List[Finding] = []
+        sources: Dict[str, str] = {}
         for path in paths:
-            for file in sorted(_iter_python_files(path)):
-                findings.extend(self.check_file(file))
-        return dedupe_sorted(findings)
+            for file in _iter_python_files(path):
+                sources[_module_path(file)] = file.read_text(
+                    encoding="utf-8")
+        return self.check_sources(sources)
 
 
 def _iter_python_files(root: Path) -> Iterable[Path]:

@@ -2,15 +2,17 @@
 
 A rule owns an id (``R001``), a short name, a description, and a
 ``check`` that yields :class:`~repro.lint.engine.Finding` objects for
-one parsed module.  Rules register themselves with :func:`register` at
-import time; the engine instantiates every registered rule unless a
-``--select`` subset is given.
+one parsed module — or, for a whole-program rule (F202), a
+``check_project`` that sees every module at once.  Rules register
+themselves with :func:`register` at import time; the engine
+instantiates every registered rule unless a ``--select`` subset is
+given.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Type
+from typing import Dict, Iterable, List, Mapping, Type
 
 _REGISTRY: Dict[str, Type["Rule"]] = {}
 
@@ -46,6 +48,7 @@ def _load_builtin_rules() -> None:
     from . import (  # noqa: F401
         rules_api,
         rules_autograd,
+        rules_concurrency,
         rules_determinism,
         rules_docs,
         rules_hygiene,
@@ -53,7 +56,6 @@ def _load_builtin_rules() -> None:
         rules_partition,
         rules_persistence,
         rules_robustness,
-        rules_serving,
         rules_streaming,
     )
 
@@ -78,3 +80,14 @@ class Rule:
     def check(self, tree: ast.AST, modpath: str) -> Iterable:
         """Yield findings for one parsed module."""
         raise NotImplementedError
+
+    def check_project(self, trees: Mapping[str, ast.AST]) -> Iterable:
+        """Yield findings for every module (``{modpath: tree}``).
+
+        Per-file rules keep this default, which runs :meth:`check` on
+        each module :meth:`applies_to` admits; a whole-program rule
+        overrides it instead.
+        """
+        for modpath, tree in trees.items():
+            if self.applies_to(modpath):
+                yield from self.check(tree, modpath)

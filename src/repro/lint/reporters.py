@@ -1,4 +1,4 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0."""
+"""Finding reporters: human text and machine JSON."""
 
 from __future__ import annotations
 
@@ -35,63 +35,3 @@ def render_json(findings: Sequence[Finding]) -> str:
         "total": len(findings),
     }
     return json.dumps(payload, indent=2)
-
-
-def _rule_catalogue() -> List[dict]:
-    """SARIF rule descriptors for every R-rule and deep analysis."""
-    from .flow.analyses import DEEP_ANALYSES
-    from .registry import all_rules
-
-    rules = [
-        {"id": rule.rule_id,
-         "name": rule.name,
-         "shortDescription": {"text": rule.description}}
-        for rule in all_rules()
-    ]
-    for rule_id in sorted(DEEP_ANALYSES):
-        name, description = DEEP_ANALYSES[rule_id]
-        rules.append({"id": rule_id, "name": name,
-                      "shortDescription": {"text": description}})
-    rules.sort(key=lambda r: r["id"])
-    return rules
-
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """Render findings as a SARIF 2.1.0 log (one run, one driver).
-
-    Columns are emitted 1-based per the SARIF spec; our findings carry
-    0-based columns from :mod:`ast`, hence the ``col + 1``.
-    """
-    results = [
-        {
-            "ruleId": f.rule_id,
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path},
-                    "region": {
-                        "startLine": max(f.line, 1),
-                        "startColumn": f.col + 1,
-                    },
-                },
-            }],
-        }
-        for f in findings
-    ]
-    log = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro.lint",
-                    "informationUri": "docs/lint.md",
-                    "rules": _rule_catalogue(),
-                },
-            },
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=2)

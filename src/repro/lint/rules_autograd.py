@@ -5,11 +5,6 @@ The numpy autodiff engine records backward closures that capture
 after it has entered the graph silently corrupts every gradient
 computed from it — no exception, just wrong numbers.  Rebinding
 (``t.data = new_array``) is fine; in-place writes are not.
-
-The runtime counterpart is
-:func:`repro.lint.runtime.autograd_sanitizer`, which makes the same
-mistake raise at run time by freezing arrays while they are in the
-graph.
 """
 
 from __future__ import annotations

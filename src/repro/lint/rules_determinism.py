@@ -19,22 +19,24 @@ from .registry import Rule, register
 class UnseededRngRule(Rule):
     """R001: unseeded numpy RNG construction / legacy global RNG.
 
-    Flags ``np.random.default_rng()`` with no seed argument — callers
-    must thread an explicit generator (or go through
-    :func:`repro.rng.ensure_rng`, which supplies a lint-visible default
-    seed) — and *any* call into the legacy global ``np.random.*``
-    namespace (``np.random.seed``, ``np.random.rand``, ...), whose
-    process-wide hidden state defeats per-worker seeding.
+    Flags ``np.random.default_rng()`` and the bit generators
+    (``PCG64``, ``MT19937``, ``Philox``, ``SFC64``, ``SeedSequence``)
+    called with no seed or a literal ``None`` one — each draws fresh OS
+    entropy, so callers must thread an explicit generator (or go
+    through :func:`repro.rng.ensure_rng`, which supplies a lint-visible
+    default seed) — and *any* call into the legacy global
+    ``np.random.*`` namespace (``np.random.seed``, ``np.random.rand``,
+    ...), whose process-wide hidden state defeats per-worker seeding.
     """
 
     rule_id = "R001"
     name = "unseeded-rng"
-    description = ("np.random.default_rng() without a seed, or a legacy "
-                   "global np.random.* call")
+    description = ("np.random.default_rng() or a bit generator without a "
+                   "seed, or a legacy global np.random.* call")
 
-    # Explicitly-seeded generator machinery is fine to construct.
-    _SEEDABLE = {"Generator", "PCG64", "MT19937", "Philox", "SFC64",
-                 "SeedSequence"}
+    # Constructors that draw OS entropy unless given a seed.
+    _CONSTRUCTORS = {"default_rng", "PCG64", "MT19937", "Philox", "SFC64",
+                     "SeedSequence"}
 
     def check(self, tree: ast.AST, modpath: str) -> Iterable:
         """Yield findings for one parsed module."""
@@ -48,25 +50,40 @@ class UnseededRngRule(Rule):
             if name is None:
                 continue
             parts = name.split(".")
-            if name == "default_rng" or (
-                    len(parts) == 3 and is_numpy_alias(parts[0])
-                    and parts[1] == "random" and parts[2] == "default_rng"):
-                if not node.args and not node.keywords:
+            in_np_random = (len(parts) >= 3 and is_numpy_alias(parts[0])
+                            and parts[1] == "random")
+            ctor = parts[-1] if len(parts) == 1 or (
+                in_np_random and len(parts) == 3) else None
+            if ctor in self._CONSTRUCTORS:
+                if not _has_seed(node):
                     findings.append(Finding(
                         rule_id=self.rule_id, path=modpath,
                         line=node.lineno, col=node.col_offset,
-                        message=("np.random.default_rng() without a seed: "
-                                 "thread an explicit rng or use "
+                        message=(f"{name}() without a seed draws OS "
+                                 "entropy: thread an explicit rng or use "
                                  "repro.rng.ensure_rng")))
-            elif (len(parts) >= 3 and is_numpy_alias(parts[0])
-                    and parts[1] == "random"
-                    and parts[2] not in self._SEEDABLE):
+            elif (in_np_random and parts[2] != "Generator"
+                  and parts[2] not in self._CONSTRUCTORS):
                 findings.append(Finding(
                     rule_id=self.rule_id, path=modpath,
                     line=node.lineno, col=node.col_offset,
                     message=(f"global numpy RNG call {name}(): use an "
                              "explicit np.random.Generator instead")))
         return findings
+
+
+def _has_seed(node: ast.Call) -> bool:
+    """Whether a generator-constructor call passes a seed.
+
+    The seed is the first positional argument or a ``seed=`` /
+    ``entropy=`` (``SeedSequence``) / ``key=`` (``Philox``) keyword.  A
+    literal ``None`` counts as no seed: numpy then draws OS entropy.
+    """
+    seed = node.args[0] if node.args else next(
+        (kw.value for kw in node.keywords
+         if kw.arg in ("seed", "entropy", "key")), None)
+    return seed is not None and not (isinstance(seed, ast.Constant)
+                                     and seed.value is None)
 
 
 @register

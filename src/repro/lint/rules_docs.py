@@ -37,73 +37,6 @@ class MissingDocstringRule(Rule):
         return findings
 
 
-@register
-class UndocumentedSyncApiRule(Rule):
-    """R108: undocumented public sync-mode API.
-
-    The synchronisation strategies (``distributed/sync.py`` and any
-    ``SyncPlan`` class wherever it lives) are the replayability
-    contract for the async training modes — every public symbol there
-    is part of the determinism story users rely on, so each one must
-    carry a docstring.  Stricter than R104: the module docstring is
-    required and *nested* public defs are covered too (a public helper
-    closed over plan state is still API surface here).
-    """
-
-    rule_id = "R108"
-    name = "undocumented-sync-api"
-    description = "public sync-mode symbol missing a docstring"
-
-    def applies_to(self, modpath: str) -> bool:
-        """Run everywhere: sync modules get the full sweep, other
-        modules are scanned for ``SyncPlan`` classes only."""
-        return True
-
-    def check(self, tree: ast.AST, modpath: str) -> Iterable:
-        """Yield findings for one parsed module."""
-        from .engine import Finding
-
-        findings: List[Finding] = []
-        whole_module = _is_sync_module(modpath)
-        if whole_module and ast.get_docstring(tree) is None:
-            findings.append(Finding(
-                rule_id=self.rule_id, path=modpath, line=1, col=0,
-                message="sync-mode module has no docstring"))
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.ClassDef, ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            in_scope = whole_module or _inside_sync_plan(tree, node)
-            if not in_scope or node.name.startswith("_"):
-                continue
-            if ast.get_docstring(node) is None:
-                kind = ("class" if isinstance(node, ast.ClassDef)
-                        else "function")
-                findings.append(Finding(
-                    rule_id=self.rule_id, path=modpath,
-                    line=node.lineno, col=node.col_offset,
-                    message=(f"public sync-mode {kind} {node.name!r} "
-                             f"has no docstring")))
-        return findings
-
-
-def _is_sync_module(modpath: str) -> bool:
-    """Whether ``modpath`` is a synchronisation-strategy module."""
-    return modpath.endswith("/sync.py") or modpath == "sync.py"
-
-
-def _inside_sync_plan(tree: ast.AST, node: ast.AST) -> bool:
-    """Whether ``node`` is a ``SyncPlan`` class or defined inside one."""
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "SyncPlan":
-            if node is cls:
-                return True
-            for child in ast.walk(cls):
-                if child is node:
-                    return True
-    return False
-
-
 def _public_defs(tree: ast.AST):
     """Yield ``(node, kind)`` for public defs at module and class level.
 

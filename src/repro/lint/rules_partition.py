@@ -3,11 +3,10 @@
 Partition strategies are first-class :class:`repro.partition.Partitioner`
 objects resolved through the registry
 (:func:`repro.partition.register` / ``get_partitioner``).  Code that
-reaches for the old private ``_STRATEGIES`` dict, or dispatches on
-hard-coded strategy-name string comparisons outside the partition
-package, re-creates exactly the closed-world coupling the registry
-removed: a newly registered partitioner would silently miss that call
-site.
+dispatches on hard-coded strategy-name string comparisons outside the
+partition package re-creates exactly the closed-world coupling the
+registry removed: a newly registered partitioner would silently miss
+that call site.
 """
 
 from __future__ import annotations
@@ -40,15 +39,12 @@ def _is_strategy_string(node: ast.AST) -> bool:
 class PartitionRegistryBypassRule(Rule):
     """R109: partition-strategy dispatch bypassing the registry.
 
-    Two patterns are flagged outside ``repro/partition/``:
-
-    * any reference to the private ``_STRATEGIES`` mapping (attribute
-      or bare name) — it no longer exists; the registry is the API;
-    * ``==``/``!=``/``in`` comparisons against hard-coded strategy-name
-      literals (e.g. ``if strategy == "metis":``) — capability checks
-      belong on the :class:`~repro.partition.Partitioner` (e.g.
-      ``get_partitioner(name).edge_partitioned``), not on name matching
-      that a newly registered strategy would silently miss.
+    Flags ``==``/``!=``/``in`` comparisons against hard-coded
+    strategy-name literals (e.g. ``if strategy == "metis":``) outside
+    ``repro/partition/`` — capability checks belong on the
+    :class:`~repro.partition.Partitioner` (e.g.
+    ``get_partitioner(name).edge_partitioned``), not on name matching
+    that a newly registered strategy would silently miss.
 
     Scope: everything outside ``repro/partition/`` (the package that
     defines the strategies may of course name them).  A deliberate
@@ -58,8 +54,8 @@ class PartitionRegistryBypassRule(Rule):
     rule_id = "R109"
     name = "partition-registry-bypass"
     description = ("partition strategies dispatched outside the "
-                   "repro.partition registry (_STRATEGIES access or "
-                   "hard-coded strategy-string comparison)")
+                   "repro.partition registry (hard-coded strategy-string "
+                   "comparison)")
 
     _EXEMPT_PREFIXES = ("repro/partition/",)
 
@@ -73,17 +69,7 @@ class PartitionRegistryBypassRule(Rule):
 
         findings: List[Finding] = []
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr == "_STRATEGIES") or (
-                    isinstance(node, ast.Name)
-                    and node.id == "_STRATEGIES"):
-                findings.append(Finding(
-                    rule_id=self.rule_id, path=modpath,
-                    line=node.lineno, col=node.col_offset,
-                    message=("private _STRATEGIES access: resolve "
-                             "strategies through repro.partition."
-                             "get_partitioner / registered_partitioners")))
-            elif isinstance(node, ast.Compare):
+            if isinstance(node, ast.Compare):
                 operands = [node.left, *node.comparators]
                 if (any(_is_strategy_string(op) for op in operands)
                         and all(isinstance(o, (ast.Eq, ast.NotEq, ast.In,

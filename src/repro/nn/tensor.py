@@ -32,24 +32,6 @@ from ..rng import ensure_rng
 
 Array = np.ndarray
 
-# Optional autograd sanitizer (installed by
-# ``repro.lint.runtime.autograd_sanitizer``).  When set, every array is
-# frozen (``writeable = False``) as it enters the autodiff graph and
-# thawed again after ``backward`` — so the silent-gradient-corruption
-# bug (mutating ``tensor.data`` in place while a backward closure holds
-# a reference to it) raises immediately instead.
-_SANITIZER = None
-
-
-def set_autograd_sanitizer(sanitizer) -> object:
-    """Install (or with ``None`` remove) the array freezer; returns the
-    previously installed one."""
-    global _SANITIZER
-    previous = _SANITIZER
-    _SANITIZER = sanitizer
-    return previous
-
-
 def _as_array(value) -> Array:
     return np.asarray(value, dtype=np.float64)
 
@@ -83,8 +65,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: Tuple["Tensor", ...] = ()
         self._backward: Optional[Callable[[Array], None]] = None
-        if _SANITIZER is not None:
-            _SANITIZER.freeze(self.data)
 
     # -- construction of graph nodes -----------------------------------
 
@@ -92,12 +72,6 @@ class Tensor:
     def _result(data: Array, parents: Sequence["Tensor"],
                 backward: Callable[[Array], None]) -> "Tensor":
         out = Tensor(data)
-        if _SANITIZER is not None:
-            # Parents formally enter the graph here; freeze them too so
-            # a ``.data`` array rebound after construction (e.g. by
-            # ``load_state_dict``) is still protected.
-            for p in parents:
-                _SANITIZER.freeze(p.data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -298,16 +272,9 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        try:
-            for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-        finally:
-            if _SANITIZER is not None:
-                # The graph is consumed: thaw every array frozen since
-                # the last backward so optimizers may update parameters
-                # in place again.
-                _SANITIZER.thaw_all()
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import TrainConfig, run_framework, split_edges
+from repro import TrainConfig, split_edges
+from repro.core import run_framework
 from repro.distributed import estimate_epoch_comm
 from repro.graph import synthetic_lp_graph
 from repro.partition import partition_graph

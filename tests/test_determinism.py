@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro import TrainConfig, run_framework
+from repro import TrainConfig
+from repro.core import run_framework
 from repro.distributed import CommMeter, RemoteGraphStore, WorkerGraphView
 from repro.distributed.comm import BYTES_PER_EDGE, BYTES_PER_NODE_ID
-from repro.distributed.trainer import DistributedTrainer
-from repro.lint import audit_store, autograd_sanitizer
 from repro.partition import partition_graph
 
 
@@ -39,37 +38,6 @@ class TestDeterminism:
         b = run_framework("splpg", small_split, 2, config(seed=2),
                           rng=np.random.default_rng(2))
         assert a.history[0].mean_loss != b.history[0].mean_loss
-
-
-class TestSanitizedDistributedDeterminism:
-    """A 2-worker epoch under both runtime sanitizers, run twice.
-
-    The sanitizers must neither perturb the numerics (bit-identical
-    losses and metrics across runs) nor the byte accounting (identical
-    comm-meter totals), while auditing every store answer.
-    """
-
-    def _run(self, small_split, seed):
-        graph = small_split.train_graph
-        pg = partition_graph(graph, 2, "metis",
-                             rng=np.random.default_rng(seed), mirror=True)
-        store = audit_store(RemoteGraphStore(graph))
-        trainer = DistributedTrainer(
-            "psgd_pa", small_split, pg, config(seed=seed),
-            remote_store=store)
-        with autograd_sanitizer():
-            return trainer.train()
-
-    def test_bit_identical_under_sanitizers(self, small_split):
-        a = self._run(small_split, 11)
-        b = self._run(small_split, 11)
-        assert [s.mean_loss for s in a.history] == \
-            [s.mean_loss for s in b.history]
-        assert a.comm_total.feature_bytes == b.comm_total.feature_bytes
-        assert a.comm_total.structure_bytes == b.comm_total.structure_bytes
-        assert a.comm_total.sync_bytes == b.comm_total.sync_bytes
-        assert a.test.hits == b.test.hits
-        assert a.test.auc == b.test.auc
 
 
 class TestDeltaCharging:

@@ -257,7 +257,8 @@ class TestTreePlusER:
                                      rng=rng).num_edges == 0
 
     def test_splpg_runs_with_tree_er(self, rng):
-        from repro import TrainConfig, run_framework, split_edges
+        from repro import TrainConfig, split_edges
+        from repro.core import run_framework
         from repro.graph import synthetic_lp_graph
         g = synthetic_lp_graph(150, 600, feature_dim=8,
                                num_communities=4,

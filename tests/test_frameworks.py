@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import SpLPG, TrainConfig, run_framework
+from repro import SpLPG, TrainConfig
+from repro.core import run_framework
 from repro.core import FRAMEWORK_NAMES, FRAMEWORKS, PAPER_LABELS, FrameworkSpec
 from repro.core.llcg import GlobalCorrection
 from repro.nn import build_model

@@ -57,7 +57,8 @@ class TestSplitIO:
                            split.train_graph.features)
 
     def test_loaded_split_trains(self, featured_graph, rng, tmp_path):
-        from repro import TrainConfig, run_framework
+        from repro import TrainConfig
+        from repro.core import run_framework
         split = split_edges(featured_graph, rng=rng)
         path = str(tmp_path / "split.npz")
         save_split(split, path)

@@ -8,7 +8,8 @@ tie the code back to the paper's claims.
 import numpy as np
 import pytest
 
-from repro import TrainConfig, run_framework, split_edges
+from repro import TrainConfig, split_edges
+from repro.core import run_framework
 from repro.graph import synthetic_lp_graph
 
 

@@ -1,8 +1,9 @@
 """CI gate: the shipped source tree must be lint-clean.
 
-Runs the invariant checker over ``src/repro`` in-process so the gate
-rides along with the tier-1 pytest run (no separate CI step needed to
-catch regressions, though ``scripts/ci.sh`` also runs the CLI).
+Runs the invariant checker over ``src/repro`` in-process — every
+per-file rule plus the whole-program F202 worker-race rule — so the
+gate rides along with the tier-1 pytest run (no separate CI step needed
+to catch regressions, though ``scripts/ci.sh`` also runs the CLI).
 """
 
 from pathlib import Path

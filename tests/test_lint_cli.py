@@ -1,16 +1,20 @@
 """CLI contract for ``python -m repro.lint``.
 
-Pins the exit codes (clean / findings / usage error), the JSON and
-SARIF reporter schemas, the baseline workflow behind ``--deep``, and
-the logical-statement suppression semantics the engine applies before
-any reporter runs.
+Pins the exit codes (clean / findings / usage error), the JSON
+reporter schema, the whole-program rule running in the default pass,
+the rule catalogue in ``docs/lint.md``, and the logical-statement
+suppression semantics the engine applies before any reporter runs.
 """
 
 import json
+import re
 import textwrap
+from pathlib import Path
 
 from repro.lint import lint_source
-from repro.lint.__main__ import main
+from repro.lint.__main__ import build_parser, main
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "lint.md"
 
 CLEAN = '"""A clean module."""\n\nX = 1\n'
 
@@ -21,13 +25,23 @@ DIRTY = textwrap.dedent('''\
     SAMPLE = np.random.rand(3)
     ''')
 
-DEEP_DIRTY = textwrap.dedent('''\
-    """A module with one deep violation (F203)."""
+RACY = textwrap.dedent('''\
+    """A module with one worker race (F202)."""
+    from threading import Thread
+
+    SEEN = []
 
 
-    def fetch(graph, nodes, meter):
-        """Returns features without charging the meter."""
-        return graph.features[nodes]
+    def work(item):
+        """Appends to a module global from a worker thread."""
+        SEEN.append(item)
+
+
+    def launch(item):
+        """Starts the worker."""
+        thread = Thread(target=work, args=(item,))
+        thread.start()
+        return thread
     ''')
 
 
@@ -76,15 +90,37 @@ def test_exit_two_on_missing_path_and_unknown_rule(tmp_path, capsys):
     assert main(["--select", "R999", str(tmp_path)]) == 2
     assert "unknown rule ids" in capsys.readouterr().err
     assert main(["--select", "F999", str(tmp_path)]) == 2
-    assert "unknown deep analyses" in capsys.readouterr().err
+    assert "unknown rule ids" in capsys.readouterr().err
+
+
+def _listed_rule_ids(capsys):
+    assert main(["--list-rules"]) == 0
+    return set(re.findall(r"^([A-Z]\d{3}) ", capsys.readouterr().out,
+                          flags=re.M))
 
 
 def test_list_rules_covers_deep_catalogue(capsys):
-    """--list-rules prints both the R-rules and the F-analyses."""
-    assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("R001", "F201", "F202", "F203", "F204"):
-        assert rule_id in out
+    """--list-rules prints the R-rules and the one whole-program rule."""
+    listed = _listed_rule_ids(capsys)
+    assert {"R001", "F202"} <= listed
+    assert not listed & {"F201", "F203", "F204", "R108"}
+
+
+def test_docs_catalogue_matches_list_rules(capsys):
+    """The ``## Rules`` tables in docs/lint.md list exactly the rules
+    the CLI knows — the catalogue cannot drift from the registry."""
+    text = DOCS.read_text(encoding="utf-8")
+    section = text.split("\n## Rules\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([RF]\d{3})` \|", section,
+                                flags=re.M))
+    assert documented == _listed_rule_ids(capsys)
+
+
+def test_help_has_no_deep_baseline_or_sarif():
+    """One pass, one gate: the deep/baseline/SARIF options are gone."""
+    text = build_parser().format_help()
+    for gone in ("--deep", "--baseline", "--write-baseline", "sarif"):
+        assert gone not in text
 
 
 # ----------------------------------------------------------------------
@@ -114,80 +150,29 @@ def test_json_reporter_schema_round_trip(tmp_path, capsys):
     assert finding.to_dict() == entry
 
 
-def test_sarif_reporter_emits_valid_log(tmp_path, capsys):
-    """SARIF output: versioned log, rule catalogue, 1-based columns."""
+# ----------------------------------------------------------------------
+# the whole-program rule in the default pass
+# ----------------------------------------------------------------------
+
+
+def test_default_pass_reports_worker_race(tmp_path, capsys):
+    """A plain run reports F202 beside the per-file rules."""
+    _project(tmp_path, "racy.py", RACY)
     _project(tmp_path, "bad.py", DIRTY)
-    _project(tmp_path, "deep.py", DEEP_DIRTY)
-    assert main(["--deep", "--format", "sarif", str(tmp_path)]) == 1
-    log = json.loads(capsys.readouterr().out)
-    assert log["version"] == "2.1.0"
-    (run,) = log["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.lint"
-    rule_ids = {rule["id"] for rule in driver["rules"]}
-    assert {"R001", "F201", "F202", "F203", "F204"} <= rule_ids
-    by_rule = {res["ruleId"]: res for res in run["results"]}
-    assert {"R001", "F203"} <= set(by_rule)
-    region = (by_rule["R001"]["locations"][0]["physicalLocation"]
-              ["region"])
-    assert region["startLine"] == 4
-    assert region["startColumn"] >= 1
-
-
-# ----------------------------------------------------------------------
-# --deep and the baseline workflow
-# ----------------------------------------------------------------------
-
-
-def test_deep_flag_adds_flow_findings(tmp_path, capsys):
-    """Shallow runs miss F203; --deep reports it."""
-    _project(tmp_path, "deep.py", DEEP_DIRTY)
-    assert main([str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main(["--deep", str(tmp_path)]) == 1
-    assert "F203" in capsys.readouterr().out
+    assert main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "repro/racy.py:9" in out and "F202" in out
+    assert "R001" in out
 
 
 def test_select_deep_id_implies_deep_run(tmp_path, capsys):
-    """--select F203 runs only that analysis, no shallow rules."""
+    """--select F202 runs only that rule, no per-file rules."""
     _project(tmp_path, "bad.py", DIRTY)
-    _project(tmp_path, "deep.py", DEEP_DIRTY)
-    assert main(["--select", "F203", str(tmp_path)]) == 1
+    _project(tmp_path, "racy.py", RACY)
+    assert main(["--select", "F202", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "F203" in out
+    assert "F202" in out
     assert "R001" not in out
-
-
-def test_baseline_workflow_gates_only_new_findings(tmp_path, capsys):
-    """write-baseline → accepted; a new violation still fails."""
-    _project(tmp_path, "deep.py", DEEP_DIRTY)
-    baseline = tmp_path / "baseline.json"
-    assert main(["--deep", str(tmp_path),
-                 "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 1
-    assert payload["findings"][0]["rule"] == "F203"
-    # Gated run: the accepted finding no longer fails CI.
-    assert main(["--deep", str(tmp_path),
-                 "--baseline", str(baseline)]) == 0
-    assert "clean" in capsys.readouterr().out
-    # A *new* violation in another function is beyond the baseline.
-    _project(tmp_path, "deep2.py", DEEP_DIRTY.replace("fetch", "grab"))
-    assert main(["--deep", str(tmp_path),
-                 "--baseline", str(baseline)]) == 1
-    out = capsys.readouterr().out
-    assert "grab" in out and "fetch" not in out
-
-
-def test_corrupt_baseline_is_a_usage_error(tmp_path, capsys):
-    """An unreadable or wrong-version baseline exits 2."""
-    _project(tmp_path, "ok.py", CLEAN)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text('{"version": 99, "findings": []}')
-    assert main(["--deep", str(tmp_path),
-                 "--baseline", str(baseline)]) == 2
-    assert "baseline" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,30 @@ class TestR001UnseededRng:
                 "rng = default_rng()\n")
         assert rule_ids(lint_source(code)) == ["R001"]
 
+    def test_unseeded_bit_generators_flagged(self):
+        code = ("gen = np.random.Generator(np.random.PCG64())\n"
+                "ss = np.random.SeedSequence()\n"
+                "mt = np.random.MT19937()\n"
+                "ph = numpy.random.Philox()\n"
+                "sf = SFC64()\n")
+        assert rule_ids(lint_source(code)) == ["R001"] * 5
+
+    def test_literal_none_seed_flagged(self):
+        code = ("a = np.random.default_rng(None)\n"
+                "b = np.random.default_rng(seed=None)\n"
+                "c = np.random.PCG64(None)\n"
+                "d = np.random.SeedSequence(entropy=None)\n")
+        assert rule_ids(lint_source(code)) == ["R001"] * 4
+
+    def test_seeded_bit_generators_clean(self):
+        code = ("gen = np.random.Generator(np.random.PCG64(5))\n"
+                "ss = np.random.SeedSequence(17)\n"
+                "kid = np.random.default_rng(ss.spawn(1)[0])\n"
+                "ph = np.random.Philox(key=3)\n"
+                "sq = np.random.SeedSequence(entropy=seed)\n"
+                "rng = np.random.default_rng(seed)\n")
+        assert lint_source(code) == []
+
 
 class TestR002RawGraphAccess:
     WORKER_PATH = "repro/distributed/evil_worker.py"

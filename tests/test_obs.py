@@ -12,7 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from repro import TrainConfig, run_framework, split_edges
+from repro import TrainConfig, split_edges
+from repro.core import run_framework
 from repro.graph import synthetic_lp_graph
 from repro.obs import (
     LOSS_BUCKETS,

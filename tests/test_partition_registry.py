@@ -308,15 +308,6 @@ class TestR109:
     def _lint(self, code, modpath="repro/core/other.py"):
         return lint_source(code, modpath=modpath, rules=self.RULES)
 
-    def test_flags_private_dict_attribute(self):
-        code = "fn = partition._STRATEGIES['metis']\n"
-        assert [f.rule_id for f in self._lint(code)] == ["R109"]
-
-    def test_flags_private_dict_name(self):
-        code = "from repro.partition import _STRATEGIES\n"
-        code += "fn = _STRATEGIES[name]\n"
-        assert "R109" in [f.rule_id for f in self._lint(code)]
-
     def test_flags_strategy_string_dispatch(self):
         code = "if strategy == 'vertex_cut':\n    do_mirror()\n"
         assert [f.rule_id for f in self._lint(code)] == ["R109"]

@@ -4,8 +4,7 @@ The headline contract under test: a serving run is bit-identical —
 same :meth:`ServeReport.digest` — across the serial, thread and
 process backends, including under a shard-outage fault plan.  Around
 it: artifact export/checksum behavior, micro-batch scheduling, load
-shedding, cache accounting, top-k semantics, the serve CLI, and lint
-rule R107.
+shedding, cache accounting, top-k semantics and the serve CLI.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.distributed.store import RemoteGraphStore
 from repro.faults import ClusterDeadError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.graph import synthetic_lp_graph
-from repro.lint import get_rule, lint_source
 from repro.nn.tensor import Tensor
 from repro.obs import RunObserver
 from repro.serve import (
@@ -340,47 +338,3 @@ class TestServeCli:
     def test_smoke_exits_zero(self):
         assert serve_main(["--smoke", "--backends", "serial",
                            "thread"]) == 0
-
-
-class TestServeLintRule:
-    R107 = [get_rule("R107")]
-
-    def _lint(self, code, modpath="repro/serve/handler.py"):
-        return [f.rule_id for f in lint_source(code, modpath=modpath,
-                                               rules=self.R107)]
-
-    def test_raw_csr_access_flagged(self):
-        assert self._lint("x = graph.indptr[5]\n") == ["R107"]
-
-    def test_master_features_flagged(self):
-        assert self._lint("f = pg.full.features[nodes]\n") == ["R107"]
-
-    def test_neighbor_source_flagged(self):
-        assert self._lint("s = GraphNeighborSource(g)\n") == ["R107"]
-
-    def test_unbounded_deque_flagged(self):
-        assert self._lint("q = deque()\n") == ["R107"]
-        assert self._lint("from collections import deque\n"
-                          "q = deque([1, 2])\n") == ["R107"]
-
-    def test_bounded_deque_clean(self):
-        assert self._lint("q = deque(maxlen=32)\n") == []
-
-    def test_unbounded_queue_flagged(self):
-        assert self._lint("q = Queue()\n") == ["R107"]
-        assert self._lint("q = queue.Queue(0)\n") == ["R107"]
-
-    def test_bounded_queue_clean(self):
-        assert self._lint("q = Queue(maxsize=64)\n") == []
-
-    def test_artifact_module_exempt(self):
-        assert self._lint("x = graph.indptr[5]\n",
-                          modpath="repro/serve/artifact.py") == []
-
-    def test_out_of_scope_modules_clean(self):
-        assert self._lint("q = deque()\n",
-                          modpath="repro/obs/trace.py") == []
-
-    def test_suppression_comment(self):
-        assert self._lint(
-            "x = graph.indptr[5]  # lint: disable=R107\n") == []

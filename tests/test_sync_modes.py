@@ -22,7 +22,6 @@ from repro.core.frameworks import run_framework
 from repro.distributed import SYNC_MODES, SyncPlan, TrainConfig
 from repro.distributed.sync import PLANNED_SYNC_MODES, ps_message_nbytes
 from repro.graph import split_edges, synthetic_lp_graph
-from repro.lint import get_rule, lint_source
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
@@ -257,62 +256,6 @@ class TestSyncStats:
         result = _train(split, "serial", 3, 0, sync="local_sgd",
                         sync_every=3)
         assert result.sync_stats == {"mode": "local_sgd", "sync_every": 3}
-
-
-class TestR108:
-    def test_undocumented_sync_symbol_flagged(self):
-        code = "\"\"\"Mod doc.\"\"\"\ndef push_order(x):\n    return x\n"
-        findings = lint_source(code, modpath="repro/distributed/sync.py",
-                               rules=[get_rule("R108")])
-        assert [f.rule_id for f in findings] == ["R108"]
-
-    def test_nested_public_def_flagged(self):
-        code = ('"""Mod doc."""\n'
-                'def outer():\n'
-                '    """Doc."""\n'
-                '    def inner():\n'
-                '        return 1\n'
-                '    return inner\n')
-        findings = lint_source(code, modpath="repro/distributed/sync.py",
-                               rules=[get_rule("R108")])
-        assert [f.message for f in findings] == [
-            "public sync-mode function 'inner' has no docstring"]
-
-    def test_missing_module_docstring_flagged(self):
-        findings = lint_source("X = 1\n",
-                               modpath="repro/distributed/sync.py",
-                               rules=[get_rule("R108")])
-        assert any("module" in f.message for f in findings)
-
-    def test_sync_plan_class_flagged_anywhere(self):
-        code = ('"""Mod doc."""\n'
-                'class SyncPlan:\n'
-                '    def decide(self):\n'
-                '        return 0\n')
-        findings = lint_source(code, modpath="repro/other.py",
-                               rules=[get_rule("R108")])
-        assert {f.message.split()[2] for f in findings} == {
-            "class", "function"}
-
-    def test_documented_module_clean(self):
-        code = ('"""Mod doc."""\n'
-                'def push(x):\n'
-                '    """Doc."""\n'
-                '    return x\n'
-                'class SyncPlan:\n'
-                '    """Doc."""\n')
-        assert lint_source(code, modpath="repro/distributed/sync.py",
-                           rules=[get_rule("R108")]) == []
-
-    def test_shipped_tree_clean(self):
-        from pathlib import Path
-
-        from repro.lint import lint_paths
-
-        src = Path(__file__).resolve().parents[1] / "src"
-        findings = [f for f in lint_paths([src])
-                    if f.rule_id == "R108"]
-        assert findings == []
 
 
 class TestCheckDocsExtraction:

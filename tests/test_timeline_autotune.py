@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import TrainConfig, run_framework
+from repro import TrainConfig
+from repro.core import run_framework
 from repro.core import predicted_saving, suggest_alpha
 from repro.distributed import (
     CommRecord,
