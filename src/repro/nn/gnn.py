@@ -21,9 +21,11 @@ from ..sampling.blocks import Block
 from .module import Linear, Module, Parameter, xavier_uniform
 from .tensor import (
     Tensor,
+    aggregate,
     concat,
     gather,
     leaky_relu,
+    relu,
     segment_softmax,
     segment_sum,
 )
@@ -49,9 +51,7 @@ class GCNConv(Module):
 
     def forward(self, block: Block, h_src: Tensor) -> Tensor:
         """One message-passing step over ``block``."""
-        messages = gather(h_src, block.edge_src) * Tensor(
-            block.edge_weight[:, None])
-        agg = segment_sum(messages, block.edge_dst, block.num_dst)
+        agg = aggregate(h_src, block)
         h_self = _slice_rows(h_src, block.num_dst)
         total_weight = np.ones(block.num_dst)
         np.add.at(total_weight, block.edge_dst, block.edge_weight)
@@ -73,13 +73,11 @@ class SAGEConv(Module):
 
     def forward(self, block: Block, h_src: Tensor) -> Tensor:
         """One message-passing step over ``block``."""
-        messages = gather(h_src, block.edge_src) * Tensor(
-            block.edge_weight[:, None])
-        summed = segment_sum(messages, block.edge_dst, block.num_dst)
         denom = np.maximum(np.bincount(
             block.edge_dst, weights=block.edge_weight,
             minlength=block.num_dst), 1e-12)
-        h_neigh = summed * Tensor(1.0 / denom[:, None])
+        h_neigh = aggregate(h_src, block,
+                            scale=np.divide(1.0, denom, out=denom))
         h_self = _slice_rows(h_src, block.num_dst)
         return self.fc_self(h_self) + self.fc_neigh(h_neigh)
 
@@ -188,13 +186,10 @@ class GINConv(Module):
 
     def forward(self, block: Block, h_src: Tensor) -> Tensor:
         """One message-passing step over ``block``."""
-        from .tensor import relu as _relu
-        messages = gather(h_src, block.edge_src) * Tensor(
-            block.edge_weight[:, None])
-        agg = segment_sum(messages, block.edge_dst, block.num_dst)
+        agg = aggregate(h_src, block)
         h_self = _slice_rows(h_src, block.num_dst)
         combined = h_self * (self.eps + 1.0) + agg
-        return self.fc2(_relu(self.fc1(combined)))
+        return self.fc2(relu(self.fc1(combined)))
 
 
 def _slice_rows(x: Tensor, count: int) -> Tensor:

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..rng import ensure_rng
-from .tensor import Tensor, dropout, relu
+from .tensor import Tensor, dropout, linear, relu
 
 
 class Parameter(Tensor):
@@ -148,11 +148,8 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        """Affine transform ``x @ W + b``."""
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        """Affine transform ``x @ W + b`` (one tape node)."""
+        return linear(x, self.weight, self.bias)
 
 
 class Dropout(Module):

@@ -17,6 +17,15 @@ Design notes
   operand will read: a constant operand's share (``grad @ W.T`` into
   raw input features, ``grad * h`` into an edge-weight factor) is never
   formed, since ``_accumulate`` would discard it.
+* ``backward`` releases the tape as it goes: once a node's closure has
+  run, its ``grad``, parents and closure are dropped, so only leaves
+  keep gradients and a second ``backward`` through the same tape raises
+  instead of counting every gradient twice.
+* Two fused ops are one node each where a composition would be several:
+  :func:`linear` (``x @ W + b``) and :func:`aggregate` (the weighted
+  neighbour sum of paper Eq. (1) over a sampled block, as one sparse
+  product with no per-edge intermediate).  Both give the bits of the
+  compositions they replace.
 * Everything is float64 to make finite-difference gradient checks tight;
   feature payload sizes in the communication model are accounted
   separately (float32, as shipped on the wire).
@@ -24,11 +33,15 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
 from ..rng import ensure_rng
+
+if TYPE_CHECKING:
+    from ..sampling.blocks import Block
 
 Array = np.ndarray
 
@@ -246,6 +259,8 @@ class Tensor:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to 1 for scalar outputs (the usual loss case).
+        The tape behind this tensor is freed on the way, so only leaves
+        keep ``grad`` and a second call raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward on a non-differentiable tensor")
@@ -275,11 +290,47 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # Every consumer ran before this node, so its gradient
+                # is final and fully passed on: free it and its tape.
+                node.grad = None
+                node._parents = ()
+                node._backward = _released
+
+
+def _released(grad: Array) -> None:
+    """The closure of a node whose tape a ``backward`` already freed."""
+    raise RuntimeError(
+        "backward through a graph that was already backpropagated; "
+        "run the forward pass again")
 
 
 # ----------------------------------------------------------------------
 # free functions (ops that read more naturally as functions)
 # ----------------------------------------------------------------------
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine map ``x @ weight + bias`` as one node.
+
+    ``x`` is ``(..., in)``; leading axes are flattened for the weight and
+    bias gradients, so a stacked ``(n, 1, in)`` block differentiates
+    like its ``(n, in)`` rows.
+    """
+    data = x.data @ weight.data
+    if bias is not None:
+        data += bias.data
+
+    def backward(grad: Array) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T)
+        rows = grad.reshape(-1, grad.shape[-1])
+        if weight.requires_grad:
+            weight._accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ rows)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(rows.sum(axis=0))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._result(data, parents, backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -356,6 +407,15 @@ def log(x: Tensor) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
+def _check_rows(index: Array, num_rows: int, op: str) -> None:
+    """Raise ``ValueError`` unless every id is in ``[0, num_rows)``."""
+    if index.size:
+        lowest, highest = int(index.min()), int(index.max())
+        if lowest < 0 or highest >= num_rows:
+            bad = lowest if lowest < 0 else highest
+            raise ValueError(f"row id {bad} outside [0, {num_rows}) in {op}")
+
+
 def _scatter_add_rows(index: Array, values: Array, num_rows: int) -> Array:
     """Ordered scatter-add: ``out[index[k]] += values[k]`` for ``k = 0,
     1, ...`` into zeros of ``num_rows`` rows.
@@ -369,12 +429,7 @@ def _scatter_add_rows(index: Array, values: Array, num_rows: int) -> Array:
     """
     shape = (num_rows,) + values.shape[1:]
     count = index.size
-    if count:
-        lowest, highest = int(index.min()), int(index.max())
-        if lowest < 0 or highest >= num_rows:
-            bad = lowest if lowest < 0 else highest
-            raise ValueError(
-                f"row id {bad} outside [0, {num_rows}) in scatter-add")
+    _check_rows(index, num_rows, "scatter-add")
     if values.size == 0:
         return np.zeros(shape, dtype=np.float64)
     if values.ndim == 1:
@@ -431,6 +486,48 @@ def segment_sum(x: Tensor, segment_ids: Array, num_segments: int) -> Tensor:
         x._accumulate(grad[segment_ids])
 
     return Tensor._result(out, (x,), backward)
+
+
+def _edge_matrix(rows: Array, cols: Array, weights: Array, num_rows: int,
+                 num_cols: int) -> sp.csr_array:
+    """``A[rows[k], cols[k]] += weights[k]`` as CSR, each row holding its
+    entries in increasing ``k`` (a stable sort by row)."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return sp.csr_array((weights[order], cols[order], indptr),
+                        shape=(num_rows, num_cols))
+
+
+def aggregate(x: Tensor, block: "Block",
+              scale: Optional[Array] = None) -> Tensor:
+    """Weighted neighbour sum over a sampled block, as one node:
+    ``segment_sum(gather(x, edge_src) * edge_weight[:, None], edge_dst,
+    num_dst)``, times ``scale[:, None]`` when a per-row ``scale`` is given.
+
+    Forward is one ``(num_dst, num_src)`` CSR product and backward one
+    ``(num_src, num_dst)`` product, with no per-edge intermediate.  The
+    CSR kernel sums each row from ``0.0`` in stored order, and the rows
+    hold their edges in edge order, which is the order ``segment_sum``
+    and ``gather``'s backward add them in; ``w * h == 1.0 * (h * w)``,
+    and a sum started at ``+0.0`` drops the sign of a zero term, so the
+    bits are the composition's.  ``edge_dst`` need not be sorted.
+    """
+    src, dst, weights = block.edge_src, block.edge_dst, block.edge_weight
+    num_src, num_dst = x.data.shape[0], block.num_dst
+    _check_rows(src, num_src, "aggregate")
+    _check_rows(dst, num_dst, "aggregate")
+    data = _edge_matrix(dst, src, weights, num_dst, num_src) @ x.data
+    if scale is not None:
+        data *= scale[:, None]
+
+    def backward(grad: Array) -> None:
+        if scale is not None:
+            grad = grad * scale[:, None]
+        x._accumulate(
+            _edge_matrix(src, dst, weights, num_src, num_dst) @ grad)
+
+    return Tensor._result(data, (x,), backward)
 
 
 def segment_mean(x: Tensor, segment_ids: Array, num_segments: int) -> Tensor:

@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.graph import Graph, load_dataset, split_edges, synthetic_lp_graph
+from repro.nn import (
+    GCNConv,
+    GINConv,
+    Linear,
+    SAGEConv,
+    Tensor,
+    gather,
+    relu,
+    segment_sum,
+)
+from repro.nn.gnn import _slice_rows
 
 
 @pytest.fixture
@@ -69,3 +82,58 @@ def numeric_gradient(f, x, eps=1e-6):
         grad[idx] = (fp - fm) / (2 * eps)
         it.iternext()
     return grad
+
+
+# The compositions the fused ``aggregate`` and ``linear`` tape nodes
+# replaced, kept here as their bit-identity oracle.
+
+def unfused_sum(h_src, block):
+    """``gather`` -> ``* edge_weight`` -> ``segment_sum``: three nodes."""
+    messages = gather(h_src, block.edge_src) * Tensor(
+        block.edge_weight[:, None])
+    return segment_sum(messages, block.edge_dst, block.num_dst)
+
+
+def _unfused_linear(self, x):
+    out = x @ self.weight
+    if self.bias is not None:
+        out = out + self.bias
+    return out
+
+
+def _unfused_gcn(self, block, h_src):
+    agg = unfused_sum(h_src, block)
+    h_self = _slice_rows(h_src, block.num_dst)
+    total_weight = np.ones(block.num_dst)
+    np.add.at(total_weight, block.edge_dst, block.edge_weight)
+    normalized = (agg + h_self) * Tensor(1.0 / total_weight[:, None])
+    return self.linear(normalized)
+
+
+def _unfused_sage(self, block, h_src):
+    summed = unfused_sum(h_src, block)
+    denom = np.maximum(np.bincount(
+        block.edge_dst, weights=block.edge_weight,
+        minlength=block.num_dst), 1e-12)
+    h_neigh = summed * Tensor(1.0 / denom[:, None])
+    h_self = _slice_rows(h_src, block.num_dst)
+    return self.fc_self(h_self) + self.fc_neigh(h_neigh)
+
+
+def _unfused_gin(self, block, h_src):
+    agg = unfused_sum(h_src, block)
+    h_self = _slice_rows(h_src, block.num_dst)
+    combined = h_self * (self.eps + 1.0) + agg
+    return self.fc2(relu(self.fc1(combined)))
+
+
+@contextmanager
+def unfused_layers():
+    """``Linear``, ``GCNConv``, ``SAGEConv`` and ``GINConv`` run their
+    unfused compositions inside the block."""
+    forwards = {Linear: _unfused_linear, GCNConv: _unfused_gcn,
+                SAGEConv: _unfused_sage, GINConv: _unfused_gin}
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, forward in forwards.items():
+            patch.setattr(cls, "forward", forward)
+        yield

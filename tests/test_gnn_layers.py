@@ -1,12 +1,26 @@
 """GNN convolution layers: shapes, semantics and gradient flow."""
 
+from types import SimpleNamespace
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
-from repro.nn import GATConv, GATv2Conv, GCNConv, SAGEConv, Tensor
-from repro.sampling import Block
+from repro.nn import (
+    GATConv,
+    GATv2Conv,
+    GCNConv,
+    SAGEConv,
+    Tensor,
+    aggregate,
+    bce_with_logits,
+    build_model,
+)
+from repro.sampling import Block, ComputationGraph
 
-from conftest import numeric_gradient
+from conftest import numeric_gradient, unfused_layers, unfused_sum
 
 
 def make_block(num_src=5, num_dst=2, edges=((2, 0), (3, 0), (4, 1)),
@@ -172,3 +186,117 @@ class TestAttention:
         out1 = conv(with_zero, Tensor(h)).data
         out2 = conv(without, Tensor(h)).data
         np.testing.assert_allclose(out1, out2, atol=1e-6)
+
+
+# -- fused aggregate / linear against the unfused compositions -----------
+
+#: Edge weights: 0, 1, and values like the Spielman-Srivastava sparsifier's
+#: ``1 / (keep probability)``.
+WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1 / 0.15, 1 / 0.35,
+                                     2 / 3, 1e-300]),
+                    st.floats(1e-3, 50.0))
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e-300]),
+                   st.floats(-10.0, 10.0))
+
+
+@st.composite
+def blocks(draw, num_src, num_dst):
+    """Any block over ``num_src`` -> ``num_dst`` rows: unsorted
+    destinations, repeated ``(src, dst)`` pairs, destinations without
+    in-edges, possibly no edge at all."""
+    edges = draw(st.lists(st.tuples(st.integers(0, num_src - 1),
+                                    st.integers(0, num_dst - 1)),
+                          max_size=12)) if num_dst else []
+    weights = draw(st.lists(WEIGHTS, min_size=len(edges),
+                            max_size=len(edges)))
+    return make_block(num_src, num_dst, edges, weights)
+
+
+@st.composite
+def aggregate_cases(draw):
+    num_dst = draw(st.integers(0, 5))
+    num_src = num_dst + draw(st.integers(0, 4))
+    dim = draw(st.integers(1, 3))
+    block = draw(blocks(num_src, num_dst))
+    x = draw(hnp.arrays(np.float64, (num_src, dim), elements=VALUES))
+    scale = draw(st.none() | hnp.arrays(
+        np.float64, num_dst, elements=st.sampled_from([1.0, 0.25, 1e12])
+        | st.floats(1e-3, 10.0)))
+    upstream = draw(hnp.arrays(np.float64, (num_dst, dim), elements=VALUES))
+    return block, x, scale, upstream
+
+
+@st.composite
+def model_cases(draw):
+    """A 2-layer computation graph (layer sizes may be equal) and a
+    seed for the weights, features and scored pairs."""
+    seeds = draw(st.integers(1, 4))
+    middle = seeds + draw(st.integers(0, 3))
+    inputs = middle + draw(st.integers(0, 4))
+    comp = ComputationGraph([draw(blocks(inputs, middle)),
+                             draw(blocks(middle, seeds))],
+                            seeds=np.arange(seeds))
+    return comp, draw(st.integers(0, 2**16))
+
+
+class TestFusedOracle:
+    """``aggregate`` and ``linear`` give the unfused compositions' bits,
+    forward and backward.  GCN and GIN have no golden cells, so this is
+    their only bit-identity gate."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(aggregate_cases())
+    @example((make_block(3, 3, ((2, 1), (0, 1), (2, 1), (1, 0)),
+                         [1 / 0.15, 0.0, 1 / 0.15, 1.0]),
+              np.array([[1.0], [-0.0], [3.0]]), None,
+              np.array([[-0.0], [2.0], [1.0]])))
+    @example((make_block(2, 0, ()), np.ones((2, 2)), None,
+              np.zeros((0, 2))))
+    def test_aggregate(self, case):
+        block, x0, scale, upstream = case
+        outs = []
+        for fused in (True, False):
+            x = Tensor(x0, requires_grad=True)
+            with np.errstate(invalid="ignore", over="ignore"):
+                if fused:
+                    out = aggregate(x, block, scale)
+                else:
+                    out = unfused_sum(x, block)
+                    if scale is not None:
+                        out = out * Tensor(scale[:, None])
+                out.backward(upstream)
+            outs.append((out.data.tobytes(), x.grad.tobytes()))
+        assert outs[0] == outs[1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model_cases(), st.sampled_from(["sage", "gcn", "gin"]))
+    def test_two_layer_models(self, case, kind):
+        comp, seed = case
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((comp.input_nodes.size, 4))
+        features[rng.random(features.shape) < 0.2] = -0.0
+        pairs = rng.integers(0, comp.seeds.size, (6, 2))
+        labels = np.tile([1.0, 0.0], 3)
+
+        def run():
+            model = build_model(kind, 4, 4, num_layers=2, seed=seed)
+            h = Tensor(features, requires_grad=True)
+            scores = model(comp, h, pairs[:, 0], pairs[:, 1])
+            bce_with_logits(scores, labels).backward()
+            return scores.data.tobytes(), h.grad.tobytes(), {
+                name: p.grad.tobytes()
+                for name, p in model.named_parameters()}
+
+        fused = run()
+        with unfused_layers():
+            assert run() == fused
+
+    @pytest.mark.parametrize("src, dst", [([0, 3], [0, 1]), ([0, -1], [0, 1]),
+                                          ([0, 1], [0, 2]), ([0, 1], [-1, 0])])
+    def test_aggregate_rejects_out_of_range_ids(self, src, dst):
+        block = SimpleNamespace(edge_src=np.array(src), edge_dst=np.array(dst),
+                                edge_weight=np.ones(2), num_dst=2)
+        with pytest.raises(ValueError, match=r"outside \[0, [23]\)"):
+            aggregate(Tensor(np.ones((3, 2))), block)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.nn import (
+    Linear,
     Tensor,
     concat,
     dropout,
@@ -27,7 +28,7 @@ from repro.nn import (
 from repro.nn import tensor as tensor_module
 from repro.nn.tensor import _unbroadcast
 
-from conftest import numeric_gradient
+from conftest import numeric_gradient, unfused_layers
 
 
 def check_grad(build, shapes, seed=0, tol=1e-5):
@@ -223,6 +224,27 @@ class TestBackward:
         y.backward()
         assert np.allclose(x.grad, [7.0])
 
+    def test_second_backward_through_a_tape_raises(self):
+        """A second pass used to re-run every closure with the
+        intermediates' stale gradients still in place (216, not 72)."""
+        w = Tensor([[2.0]], requires_grad=True)
+        x = Tensor([[3.0]])
+        loss = (relu(x @ w) ** 2).sum()
+        loss.backward()
+        assert w.grad.tolist() == [[36.0]]
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        assert w.grad.tolist() == [[36.0]]
+
+    def test_backward_frees_the_tape(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        hidden = x * 3.0
+        hidden.sum().backward()
+        assert hidden.grad is None and hidden._parents == ()
+        assert x.grad.tolist() == [3.0, 3.0]
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (hidden * 2.0).sum().backward()
+
 
 class TestGradcheck:
     def test_add(self):
@@ -305,6 +327,15 @@ class TestGradcheck:
             return sigmoid(t[0] @ t[1]) * t[2]
         check_grad(build, [(2, 3), (3, 2), (2, 2)])
 
+    def test_linear_on_stacked_rows(self):
+        """A stacked ``(n, 1, in)`` block, as the serve path decodes
+        pairs, differentiates like its rows."""
+        def build(t):
+            layer = Linear(2, 3, rng=np.random.default_rng(0))
+            layer.weight, layer.bias = t[1], t[2]
+            return layer(t[0])
+        check_grad(build, [(4, 1, 2), (2, 3), (3,)])
+
 
 class CountingArray(np.ndarray):
     """An ndarray that records every ``*``, ``/`` and ``@`` computed on
@@ -378,6 +409,19 @@ FULL_OPS = {"__add__": _full_add, "__radd__": _full_add,
             "__truediv__": _full_div, "__matmul__": _full_matmul}
 
 
+def tape_nodes(root):
+    """Non-constant nodes (those holding a backward closure) on the tape
+    behind ``root``."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
 @pytest.fixture
 def counting(monkeypatch):
     """Every array entering the tape counts products; yields a function
@@ -421,9 +465,22 @@ class TestBackwardSkipsConstants:
         assert var.grad is not None
 
     def test_sage_mlp_backward(self, counting, monkeypatch, featured_graph):
-        """Two SAGE layers + the MLP predictor: the constant operands
-        are layer 0's raw features (one ``grad @ W.T`` per linear map)
-        and layer 1's edge-weight and ``1/denom`` factors."""
+        """Two SAGE layers + the MLP predictor + BCE, fused against the
+        unfused compositions kept in ``conftest``: equal gradient bytes,
+        one multiply fewer (``* edge_weight`` and ``* 1/denom`` become
+        one ``* scale``) and no other product added.
+
+        Tape nodes: layer 1 goes from 9 (gather, ``* w``, segment_sum,
+        ``* 1/denom``, slice, 2 × ``@``, ``+ b``, ``+``) to 5 (aggregate,
+        slice, 2 × linear, ``+``); layer 0, whose input is constant,
+        from 4 to 3; the MLP's three affine maps from 6 to 3.  Around
+        them: relu between the layers, two gathers, ``h_u * h_v``, two
+        MLP relus, the reshape and the loss.
+
+        The unfused run also pins the constant-operand skipping of the
+        binary ops: layer 0's raw features (one ``grad @ W.T`` per
+        linear map) and layer 1's edge-weight and ``1/denom`` factors.
+        """
         from repro.nn import bce_with_logits, build_model
         from repro.sampling import NeighborSampler
 
@@ -440,15 +497,22 @@ class TestBackwardSkipsConstants:
                                 seed=0)
             loss = bce_with_logits(
                 model(comp, features, pairs[:, 0], pairs[:, 1]), labels)
+            nodes = tape_nodes(loss)
             products = counting(loss)
-            return products, {name: p.grad.tobytes()
-                              for name, p in model.named_parameters()}
+            return nodes, products, {name: p.grad.tobytes()
+                                     for name, p in model.named_parameters()}
 
-        products, grads = run()
-        with monkeypatch.context() as full:
-            for name, op in FULL_OPS.items():
-                full.setattr(Tensor, name, op)
-            full_products, full_grads = run()
-        assert grads == full_grads
-        assert full_products - products == Counter(matmul=2, multiply=2)
-        assert not products - full_products
+        nodes, products, grads = run()
+        with unfused_layers():
+            old_nodes, old_products, old_grads = run()
+            with monkeypatch.context() as full:
+                for name, op in FULL_OPS.items():
+                    full.setattr(Tensor, name, op)
+                _, full_products, full_grads = run()
+        assert grads == old_grads == full_grads
+        around = 1 + 2 + 1 + 2 + 1 + 1
+        assert (old_nodes, nodes) == (9 + 4 + 6 + around, 5 + 3 + 3 + around)
+        assert old_products - products == Counter(multiply=1)
+        assert not products - old_products
+        assert full_products - old_products == Counter(matmul=2, multiply=2)
+        assert not old_products - full_products
