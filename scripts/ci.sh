@@ -8,7 +8,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests (slowest 15 printed: the per-file time budget) =="
 python -m pytest -x -q --durations=15
 
-echo "== golden digest matrices (560 training + 13 resume + 8 stream + 14 serve cells) =="
+echo "== golden digest matrices (training + resume, stream, serve; each file prints its cell count) =="
 python scripts/golden.py --check
 
 echo "== repro.lint (per-file rules + F202 worker races) =="

@@ -15,15 +15,23 @@ of
       x {no faults, a 7-event mixed plan x 4 policies,
          worker_failure_prob=0.2 x 4 policies}
 
-plus one observed serial run per framework x sync mode, 560 cells in
-all.  The digests are committed in
+plus one observed serial run per framework x sync mode, and sixteen
+fault-free serial + process cells that widen two axes past the matrix
+grid: the ``splpg`` staleness frontier (``local_sgd`` every 8 rounds,
+``ps`` at ``max_staleness`` 1 / 4 / 16, ``async`` at ``pull_prob``
+0.1) and the partitioners no framework above trains on
+(``random_tma``, ``super_tma``, and ``psgd_pa`` over ``ldg``).  The
+digests are committed in
 ``tests/golden_train_digests.json``; a refactor proves "behaviour
 unchanged" with ``--check``, and an intended change shows up as a
 reviewed diff of that file (``--write --match`` re-writes only the
 named cells and leaves the rest untouched).
 
 Cell names read ``framework/backend/sync/plan/policy`` with an
-``/observed`` suffix for the observed runs.
+``/observed`` suffix for the observed runs.  A knob that departs from
+the matrix default rides in its segment as ``name:key=value``
+(``splpg/serial/ps:max_staleness=4/none/drop``,
+``psgd_pa:partition=ldg/process/grad/none/drop``).
 
 Thirteen more training cells carry a ``/resume`` suffix — every
 framework x {grad, model, ps} on serial, plus ``llcg/process/grad``:
@@ -40,9 +48,14 @@ seeded 160-node graph streamed for 8 ticks under
     {metis, metis+mirror, vertex_cut} x {steady, churn} on serial
 
 — churn arms the rebalance trigger that layout can fire, tuned so some
-ticks re-partition and others patch incrementally — plus one
-process-backend cell and one cell interrupted after tick 4 and resumed
-from its checkpoint.  Each stores ``StreamReport.digest()`` and the
+ticks re-partition and others patch incrementally — plus, on
+``metis+mirror``, steady on the thread and process backends, an
+``outage`` regime (a shard crash and a store outage mid-tick) on serial
++ process, and a ``rollback`` regime (a hair-trigger rebalance and an
+unreachable AUC floor, so candidates are rolled back) on serial; and
+one cell interrupted after tick 4 and resumed from its checkpoint.
+Every steady cell must hot-swap at least once, and the rollback cell
+must rebalance and roll back.  Each stores ``StreamReport.digest()`` and the
 per-tick ``shards_fingerprint`` list, so a shard-layout refactor is
 pinned tick by tick on all three layouts.
 
@@ -51,7 +64,8 @@ And the **serve cells** (``serve/<regime>/<backend>``, committed in
 artifacts over one seeded 400-node graph on 3 shards serve 240 seeded
 requests under
 
-    {pair, mixed, outage, swap, cache0, cache4, dot} x {serial, process}
+    {pair, mixed, outage, swap, cache0, cache4, dot}
+      x {serial, thread, process}
 
 — pair-only; mixed pairs + store-backed top-k exclusion in a closed
 loop; a shard crash + a store-outage window + a straggle; a hot swap
@@ -116,6 +130,20 @@ class Cell(NamedTuple):
         return "/".join(parts)
 
 
+#: ``(framework, sync)`` segments of the fault-free cells beyond the
+#: grid: the staleness frontier, then the partitioners.
+FRONTIER = (
+    ("splpg", "local_sgd:sync_every=8"),
+    ("splpg", "ps:max_staleness=1"),
+    ("splpg", "ps:max_staleness=4"),
+    ("splpg", "ps:max_staleness=16"),
+    ("splpg", "async:pull_prob=0.1"),
+    ("random_tma", "grad"),
+    ("super_tma", "grad"),
+    ("psgd_pa:partition=ldg", "grad"),
+)
+
+
 def all_cells() -> Iterator[Cell]:
     """Every cell of the matrix, in a stable order."""
     for fw in FRAMEWORKS:
@@ -126,15 +154,21 @@ def all_cells() -> Iterator[Cell]:
                     for policy in POLICIES:
                         yield Cell(fw, backend, sync, plan, policy)
             yield Cell(fw, "serial", sync, "mixed", "retry", observe=True)
+    for fw, sync in FRONTIER:
+        for backend in ("serial", "process"):
+            yield Cell(fw, backend, sync, "none", "drop")
 
 
 def subset_cells() -> List[Cell]:
-    """The tier-1 slice: every backend x sync mode fault-free, and the
-    mixed plan under each policy on the serial and process backends."""
+    """The tier-1 slice: every backend x sync mode fault-free, the
+    mixed plan under each policy on the serial and process backends,
+    and one frontier and one partitioner cell."""
     cells = [Cell("splpg", backend, sync, "none", "drop")
              for backend in BACKENDS for sync in SYNCS]
     cells += [Cell("psgd_pa", backend, "model", "mixed", policy)
               for backend in ("serial", "process") for policy in POLICIES]
+    cells += [Cell("splpg", "process", "ps:max_staleness=4", "none", "drop"),
+              Cell("psgd_pa:partition=ldg", "serial", "grad", "none", "drop")]
     return cells
 
 
@@ -201,6 +235,18 @@ def _crash_hook(_trainer, epoch: int, rnd: int) -> None:
         raise _Crash
 
 
+def _segment(segment: str):
+    """``name[:key=value]`` -> ``(name, {key: value})``."""
+    from repro.partition import PartitionSpec
+
+    name, _, knob = segment.partition(":")
+    if not knob:
+        return name, {}
+    key, _, value = knob.partition("=")
+    return name, {key: PartitionSpec(value) if key == "partition"
+                  else json.loads(value)}
+
+
 def run_cell(split, cell: Cell) -> str:
     """Train one cell and return its digest (a resume cell: train with
     durable checkpoints, crash, resume from the directory)."""
@@ -209,23 +255,25 @@ def run_cell(split, cell: Cell) -> str:
     from repro.distributed import TrainConfig
     from repro.distributed.trainer import set_round_hook
 
-    faults = {}
+    framework, knobs = _segment(cell.framework)
+    sync, sync_knobs = _segment(cell.sync)
+    knobs = {"sync_every": 2, **knobs, **sync_knobs}
     if cell.plan == "mixed":
-        faults["fault_plan"] = mixed_plan()
+        knobs["fault_plan"] = mixed_plan()
     elif cell.plan == "prob":
-        faults["worker_failure_prob"] = 0.2
+        knobs["worker_failure_prob"] = 0.2
     # Half the frameworks average models mid-epoch, half only at the
     # epoch end, so both cadences of sync="model" are in the matrix.
-    every = 2 if cell.framework in ("splpg", "vertex_cut") else 0
+    every = 2 if framework in ("splpg", "vertex_cut") else 0
     def train(**checkpointing):
         config = TrainConfig(
             hidden_dim=16, num_layers=2, fanouts=(5, 5), epochs=EPOCHS,
-            batch_size=64, seed=SEED, sync=cell.sync, sync_every=2,
+            batch_size=64, seed=SEED, sync=sync,
             sync_every_batches=every, backend=cell.backend,
             observe=cell.observe, recovery=cell.policy,
-            fault_timeout_s=15.0, retry_backoff_s=0.05, **faults,
+            fault_timeout_s=15.0, retry_backoff_s=0.05, **knobs,
             **checkpointing)
-        return run_framework(cell.framework, split, WORKERS, config,
+        return run_framework(framework, split, WORKERS, config,
                              rng=np.random.default_rng(SEED))
 
     if not cell.resume:
@@ -292,13 +340,19 @@ def stream_cells() -> List[StreamCell]:
     """Every stream cell (all of them fit the tier-1 budget)."""
     cells = [StreamCell(layout, regime) for layout in STREAM_LAYOUTS
              for regime in ("steady", "churn")]
-    cells.append(StreamCell("metis+mirror", "steady", backend="process"))
+    cells += [StreamCell("metis+mirror", regime, backend)
+              for regime, backend in (("steady", "thread"),
+                                      ("steady", "process"),
+                                      ("outage", "serial"),
+                                      ("outage", "process"),
+                                      ("rollback", "serial"))]
     cells.append(StreamCell("vertex_cut", "churn", resume=True))
     return cells
 
 
 def run_stream_cell(cell: StreamCell) -> Dict[str, object]:
     """Stream one cell; its digest and per-tick shard fingerprints."""
+    from repro.faults import FaultEvent, FaultPlan
     from repro.graph import synthetic_lp_graph
     from repro.nn.models import build_model
     from repro.partition.registry import PartitionSpec
@@ -319,6 +373,14 @@ def run_stream_cell(cell: StreamCell) -> Dict[str, object]:
             knobs["rebalance_threshold"] = 1.1
         else:
             knobs["replication_threshold"] = 1.95
+    elif cell.regime == "outage":
+        # Fault events are addressed by (tick, request sequence).
+        knobs["fault_plan"] = FaultPlan(name="golden-stream", events=(
+            FaultEvent(kind="crash", epoch=1, round=4, worker=1),
+            FaultEvent(kind="store_outage", epoch=2, round=3, rounds=2)))
+    elif cell.regime == "rollback":
+        # Every tick re-partitions, and no candidate can pass the gate.
+        knobs.update(rebalance_threshold=1.01, auc_floor=1.5)
     with tempfile.TemporaryDirectory() as tmp:
         if cell.resume:
             knobs.update(checkpoint_dir=tmp, checkpoint_every=1)
@@ -337,6 +399,12 @@ def run_stream_cell(cell: StreamCell) -> Dict[str, object]:
         rebalanced = [bool(r.rebalanced) for r in report.records]
         assert any(rebalanced) and not all(rebalanced), (cell.name,
                                                          rebalanced)
+    counters = report.counters
+    if cell.regime == "steady":
+        assert counters["swaps"] >= 1, (cell.name, counters)
+    elif cell.regime == "rollback":
+        assert counters["rebalances"] >= 1 and counters["rollbacks"] >= 1, (
+            cell.name, counters)
     return {"digest": report.digest(),
             "shards_fingerprints": [r.shards_fingerprint
                                     for r in report.records]}
@@ -371,7 +439,7 @@ SERVE_SWAP_SEQ = 97
 def serve_cells() -> List[ServeCell]:
     """Every serve cell (all of them fit the tier-1 budget)."""
     return [ServeCell(regime, backend) for regime in SERVE_REGIMES
-            for backend in ("serial", "process")]
+            for backend in BACKENDS]
 
 
 def serve_fixture():
