@@ -54,18 +54,25 @@ def test_feature_cache(benchmark, scale, report):
 def test_sync_strategies(benchmark, scale, report):
     rows = run_once(benchmark, lambda: run_sync_ablation(
         dataset="cora", p=4, scale=scale))
-    report("Ablation: gradient vs model averaging (SpLPG)", rows,
-           ["dataset", "sync", "hits", "auc", "sync_gb"])
+    report("Ablation: sync modes and the staleness frontier (SpLPG)", rows,
+           ["dataset", "sync", "hits", "auc", "mean_staleness",
+            "max_staleness", "sync_bytes"])
 
+    by = {r["sync"]: r for r in rows}
     for row in rows:
-        assert row["sync_gb"] > 0
+        assert row["sync_bytes"] > 0
+    # Staleness is the currency that buys communication.
+    assert by["local_sgd/sync_every=8"]["sync_bytes"] < \
+        by["local_sgd/sync_every=2"]["sync_bytes"]
+    assert by["grad"]["max_staleness"] == 0
+    assert by["ps/max_staleness=16"]["mean_staleness"] > \
+        by["ps/max_staleness=1"]["mean_staleness"]
     if strict(scale):
         # Paper: both synchronization modes end up comparable; at our
         # small epoch budget per-round averaging must at least be in
         # the same league as gradient averaging.
-        by = {r["sync"]: r["auc"] for r in rows}
-        assert by["model/round"] > 0.5
-        assert by["grad"] > 0.5
+        assert by["model/round"]["auc"] > 0.5
+        assert by["grad"]["auc"] > 0.5
 
 
 def test_partitioner_quality(benchmark, scale, report):
@@ -73,9 +80,12 @@ def test_partitioner_quality(benchmark, scale, report):
         dataset="pubmed", p=4, scale=scale))
     report("Ablation: partitioner quality vs SpLPG communication", rows,
            ["dataset", "partitioner", "cut_fraction", "replication",
-            "comm_gb_per_epoch"])
+            "comm_gb_per_epoch", "sync_bytes", "hits", "auc"])
 
     by = {r["partitioner"]: r for r in rows}
+    # Vertex cut fetches no graph data; replica averaging pays instead.
+    assert by["vertex_cut"]["comm_gb_per_epoch"] == 0
+    assert by["vertex_cut"]["sync_bytes"] > by["metis"]["sync_bytes"]
     # Edge-cut ordering is structural and holds at any scale.
     assert by["metis"]["cut_fraction"] < by["ldg"]["cut_fraction"] \
         < by["random_tma"]["cut_fraction"]

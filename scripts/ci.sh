@@ -23,20 +23,6 @@ python -m repro.faults chaos --smoke
 echo "== kill-driver smoke (SIGKILL coordinator, bit-identical resume; splpg + llcg) =="
 python -m repro.faults chaos --smoke --kill-driver
 
-echo "== serve smoke (cross-backend digest) =="
-python -m repro.serve --smoke
-
-echo "== stream smoke (cross-backend digest under churn/faults) =="
-python -m repro.stream --smoke
-
-echo "== bench smoke (schema gate) =="
-python scripts/bench.py --smoke
-python scripts/bench.py --smoke --suite serve
-python scripts/bench.py --smoke --suite sync
-python scripts/bench.py --smoke --suite partition
-python scripts/bench.py --smoke --suite checkpoint
-python scripts/bench.py --smoke --suite stream
-
 echo "== benchmark smoke (the BENCHMARK.json command: four workloads x untraced + traced pass, digest_stable) =="
 python3 perf/run.py --smoke > /dev/null
 

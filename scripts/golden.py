@@ -235,18 +235,6 @@ def _crash_hook(_trainer, epoch: int, rnd: int) -> None:
         raise _Crash
 
 
-def _segment(segment: str):
-    """``name[:key=value]`` -> ``(name, {key: value})``."""
-    from repro.partition import PartitionSpec
-
-    name, _, knob = segment.partition(":")
-    if not knob:
-        return name, {}
-    key, _, value = knob.partition("=")
-    return name, {key: PartitionSpec(value) if key == "partition"
-                  else json.loads(value)}
-
-
 def run_cell(split, cell: Cell) -> str:
     """Train one cell and return its digest (a resume cell: train with
     durable checkpoints, crash, resume from the directory)."""
@@ -254,9 +242,19 @@ def run_cell(split, cell: Cell) -> str:
     from repro.core.frameworks import run_framework
     from repro.distributed import TrainConfig
     from repro.distributed.trainer import set_round_hook
+    from repro.partition import PartitionSpec
 
-    framework, knobs = _segment(cell.framework)
-    sync, sync_knobs = _segment(cell.sync)
+    def segment(text: str):
+        """``name[:key=value]`` -> ``(name, {key: value})``."""
+        name, _, knob = text.partition(":")
+        if not knob:
+            return name, {}
+        key, _, value = knob.partition("=")
+        return name, {key: PartitionSpec(value) if key == "partition"
+                      else json.loads(value)}
+
+    framework, knobs = segment(cell.framework)
+    sync, sync_knobs = segment(cell.sync)
     knobs = {"sync_every": 2, **knobs, **sync_knobs}
     if cell.plan == "mixed":
         knobs["fault_plan"] = mixed_plan()

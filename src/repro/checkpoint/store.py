@@ -104,7 +104,7 @@ class CheckpointStore:
                 "pass the directory a previous run checkpointed into "
                 "(Session.checkpoint / TrainConfig.checkpoint_dir)")
         try:
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
+            with open(self.manifest_path, "rb") as fh:
                 raw = fh.read()
         except FileNotFoundError:
             raise CheckpointNotFoundError(
@@ -115,8 +115,8 @@ class CheckpointStore:
             raise CheckpointCorruptError(
                 f"cannot read {self.manifest_path!r}: {exc}") from exc
         try:
-            doc = json.loads(raw)
-        except ValueError as exc:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:   # UnicodeDecodeError included
             raise CheckpointCorruptError(
                 f"{self.manifest_path!r} is not valid JSON "
                 f"({exc}); the manifest was corrupted") from exc
@@ -126,7 +126,12 @@ class CheckpointStore:
                 f"{self.manifest_path!r} has schema "
                 f"{doc.get('schema') if isinstance(doc, dict) else None!r}"
                 f", expected {MANIFEST_SCHEMA!r}")
-        return [CheckpointInfo.from_dict(e) for e in doc["entries"]]
+        try:
+            return [CheckpointInfo.from_dict(e) for e in doc["entries"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointCorruptError(
+                f"{self.manifest_path!r} has a malformed entry list "
+                f"({type(exc).__name__}: {exc})") from exc
 
     def _write_manifest(self, entries: List[CheckpointInfo]) -> None:
         """Atomically rewrite the manifest with ``entries``."""

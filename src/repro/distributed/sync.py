@@ -267,13 +267,17 @@ class SyncPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SyncPlan":
         """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(mode=str(data["mode"]),
-                   num_workers=int(data["num_workers"]),
-                   seed=int(data.get("seed", 0)),
-                   max_staleness=int(data.get("max_staleness", 2)),
-                   pull_prob=float(data.get("pull_prob", 0.5)),
-                   sync_every=int(data.get("sync_every", 4)),
-                   name=str(data.get("name", "sync-plan")))
+        try:
+            return cls(mode=str(data["mode"]),
+                       num_workers=int(data["num_workers"]),
+                       seed=int(data.get("seed", 0)),
+                       max_staleness=int(data.get("max_staleness", 2)),
+                       pull_prob=float(data.get("pull_prob", 0.5)),
+                       sync_every=int(data.get("sync_every", 4)),
+                       name=str(data.get("name", "sync-plan")))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed SyncPlan dict "
+                             f"({type(exc).__name__}: {exc})") from exc
 
     @classmethod
     def for_config(cls, config, num_workers: int) -> "SyncPlan":

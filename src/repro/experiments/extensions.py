@@ -13,7 +13,11 @@ optional features of this implementation:
   accuracy (caching never changes computation).
 * :func:`run_sync_ablation` — gradient averaging vs (periodic) model
   averaging; the paper reports both perform "more or less the same"
-  given enough epochs.
+  given enough epochs.  The same table carries the staleness–accuracy
+  frontier of the asynchronous modes (``local_sgd``, ``ps``,
+  ``async``) with their observed staleness and sync bytes.
+* :func:`run_partitioner_ablation` — SpLPG's communication bill and
+  accuracy on top of each partitioner, with vertex cut beside them.
 * :func:`run_gnn_zoo` — every implemented conv (including the GIN
   extension) under SpLPG.
 """
@@ -94,29 +98,41 @@ def run_sync_ablation(
     scale: Optional[ExperimentScale] = None,
     gnn_type: str = "sage",
 ) -> List[Dict]:
-    """Gradient averaging vs periodic model averaging for SpLPG."""
+    """The sync-mode frontier for SpLPG: gradient averaging, model
+    averaging every round or every epoch, and each asynchronous family
+    at several points along its staleness knob.
+
+    Expected shape: accuracy degrades with observed staleness within
+    each asynchronous family while sync bytes drop.
+    """
     scale = scale or ExperimentScale.quick()
     split = scale.load_split(dataset)
     rows: List[Dict] = []
     settings = [
-        ("grad", 0),
-        ("model", 1),     # average after every round
-        ("model", 0),     # average once per epoch
+        ("grad", dict(sync="grad", sync_every_batches=0)),
+        ("model/round", dict(sync="model", sync_every_batches=1)),
+        ("model/epoch", dict(sync="model", sync_every_batches=0)),
     ]
-    for sync, every in settings:
-        config = scale.train_config(gnn_type=gnn_type, sync=sync,
-                                    sync_every_batches=every)
+    settings += [(f"local_sgd/sync_every={n}",
+                  dict(sync="local_sgd", sync_every=n)) for n in (2, 8)]
+    settings += [(f"ps/max_staleness={n}", dict(sync="ps", max_staleness=n))
+                 for n in (1, 4, 16)]
+    settings += [(f"async/pull_prob={q}", dict(sync="async", pull_prob=q))
+                 for q in (0.5, 0.1)]
+    for label, knobs in settings:
+        config = scale.train_config(gnn_type=gnn_type, **knobs)
         result = run_framework(
             "splpg", split, num_parts=p, config=config, alpha=scale.alpha,
             rng=np.random.default_rng(scale.seed))
-        label = "grad" if sync == "grad" else (
-            "model/round" if every else "model/epoch")
+        stats = result.sync_stats
         rows.append({
             "dataset": dataset,
             "sync": label,
             "hits": result.test.hits,
             "auc": result.test.auc,
-            "sync_gb": result.comm_total.sync_bytes / 1024**3,
+            "mean_staleness": float(stats.get("mean_staleness", 0.0)),
+            "max_staleness": float(stats.get("max_staleness", 0.0)),
+            "sync_bytes": int(result.comm_total.sync_bytes),
         })
     return rows
 
@@ -125,7 +141,7 @@ def run_partitioner_ablation(
     dataset: str = "cora",
     p: int = 4,
     strategies: Sequence[str] = ("metis", "ldg", "super_tma",
-                                 "random_tma"),
+                                 "random_tma", "vertex_cut"),
     scale: Optional[ExperimentScale] = None,
     gnn_type: str = "sage",
     comm_epochs: int = 2,
@@ -136,9 +152,13 @@ def run_partitioner_ablation(
     sparsification).  Lower edge cut means fewer halo replicas and
     fewer remote expansions, so METIS < LDG < SuperTMA < RandomTMA in
     per-epoch bytes — quantifying why the paper partitions with METIS.
+    An edge-partitioned layout (vertex cut) is one the sparsified
+    store cannot serve, so its row trains without remote access, like
+    the ``vertex_cut`` framework: zero graph bytes, paid for in
+    replica-averaging sync.
     """
     from ..core.frameworks import FrameworkSpec, build_trainer
-    from ..partition import edge_cut, partition_graph
+    from ..partition import edge_cut, get_partitioner, partition_graph
 
     scale = scale or ExperimentScale.quick()
     split = scale.load_split(dataset)
@@ -147,12 +167,15 @@ def run_partitioner_ablation(
     rows: List[Dict] = []
     for strategy in strategies:
         rng = np.random.default_rng(scale.seed)
+        if get_partitioner(strategy).edge_partitioned:
+            spec = FrameworkSpec(strategy, partition_strategy=strategy)
+        else:
+            spec = FrameworkSpec("splpg_" + strategy,
+                                 partition_strategy=strategy, mirror=True,
+                                 remote="sparsified", global_negatives=True)
         partitioned = partition_graph(split.train_graph, p,
                                       strategy=strategy, rng=rng,
-                                      mirror=True)
-        spec = FrameworkSpec("splpg_" + strategy,
-                             partition_strategy=strategy, mirror=True,
-                             remote="sparsified", global_negatives=True)
+                                      mirror=spec.mirror)
         trainer = build_trainer(spec, split, p, config, alpha=scale.alpha,
                                 rng=rng, partitioned=partitioned)
         result = trainer.train()
@@ -164,6 +187,9 @@ def run_partitioner_ablation(
             / max(split.train_graph.num_edges, 1),
             "replication": partitioned.replication_factor(),
             "comm_gb_per_epoch": result.graph_data_gb_per_epoch,
+            "sync_bytes": int(result.comm_total.sync_bytes),
+            "hits": result.test.hits,
+            "auc": result.test.auc,
         })
     return rows
 

@@ -81,11 +81,15 @@ class FaultEvent:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultEvent":
         """Rebuild an event from :meth:`to_dict` output."""
-        return cls(kind=str(data["kind"]), epoch=int(data["epoch"]),
-                   round=int(data["round"]),
-                   worker=int(data.get("worker", 0)),
-                   delay_s=float(data.get("delay_s", 0.0)),
-                   rounds=int(data.get("rounds", 1)))
+        try:
+            return cls(kind=str(data["kind"]), epoch=int(data["epoch"]),
+                       round=int(data["round"]),
+                       worker=int(data.get("worker", 0)),
+                       delay_s=float(data.get("delay_s", 0.0)),
+                       rounds=int(data.get("rounds", 1)))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed FaultEvent dict "
+                             f"({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -194,11 +198,16 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(
-            events=tuple(FaultEvent.from_dict(e)
-                         for e in data.get("events", [])),
-            worker_failure_prob=float(data.get("worker_failure_prob", 0.0)),
-            name=str(data.get("name", "plan")))
+        try:
+            return cls(
+                events=tuple(FaultEvent.from_dict(e)
+                             for e in data.get("events", [])),
+                worker_failure_prob=float(
+                    data.get("worker_failure_prob", 0.0)),
+                name=str(data.get("name", "plan")))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed FaultPlan dict "
+                             f"({type(exc).__name__}: {exc})") from exc
 
     def describe(self) -> str:
         """One line per scheduled event, for logs and chaos reports."""

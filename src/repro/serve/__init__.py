@@ -17,13 +17,12 @@ Pipeline:
    micro-batching, bounded admission queues (explicit load shedding),
    per-shard LRU caches, and fault-plan-driven shard outages routed
    around via the same fallback machinery training-time scoring uses.
-3. The load harness (:mod:`repro.serve.workload`,
-   ``benchmarks/bench_serve.py``) replays seeded open-loop and
-   closed-loop request streams and reports simulated throughput,
-   latency percentiles, cache hit rates and shed rates.
+3. The load harness (:mod:`repro.serve.workload`) replays seeded
+   open-loop and closed-loop request streams and reports simulated
+   throughput, latency percentiles, cache hit rates and shed rates.
 
-``python -m repro.serve --smoke`` runs the end-to-end determinism
-check (train → export → serve on all backends → compare digests).
+The ``serve/`` cells of ``scripts/golden.py`` pin the report digest of
+seven request / fault / cache / decoder regimes on every backend.
 """
 
 from .artifact import (

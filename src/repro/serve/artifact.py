@@ -28,6 +28,7 @@ full graph; online serve handlers must never touch raw graph state
 from __future__ import annotations
 
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -118,24 +119,28 @@ class ServableArtifact:
     def load(cls, path) -> "ServableArtifact":
         """Read and *verify* an artifact written by :meth:`save`.
 
-        Raises ``ValueError`` on an unreadable (truncated, not an npz)
-        file, a missing payload key, or a schema or checksum mismatch.
+        Raises ``ValueError`` naming the file on an unreadable
+        (truncated, corrupted, not an npz) file, a missing payload key,
+        or a schema or checksum mismatch.
         """
         try:
             state = load_state_dict(path)
             stored_checksum = str(state.pop("meta.checksum", np.array("")))
             artifact = cls._from_payload(state)
-        except (zipfile.BadZipFile, EOFError) as exc:
-            raise ValueError(
-                f"servable artifact {path} is unreadable: {exc}") from exc
         except KeyError as exc:
             raise ValueError(
                 f"servable artifact {path} is missing payload key "
                 f"{exc.args[0]!r}") from exc
+        # A damaged zip member fails in whichever layer decodes it:
+        # the archive, zlib, or numpy's header parser.
+        except (ValueError, zipfile.BadZipFile, EOFError, zlib.error,
+                NotImplementedError, RuntimeError) as exc:
+            raise ValueError(
+                f"servable artifact {path} is unreadable: {exc}") from exc
         if stored_checksum != state_fingerprint(state):
             raise ValueError(
-                "servable artifact failed its checksum: the file was "
-                "corrupted or edited after export")
+                f"servable artifact {path} failed its checksum: the file "
+                "was corrupted or edited after export")
         return artifact
 
     @classmethod

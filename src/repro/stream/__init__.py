@@ -30,7 +30,8 @@ graph itself evolves:
 :class:`StreamDriver` runs the whole loop tick by tick and emits a
 :class:`StreamReport` whose :meth:`~StreamReport.digest` is
 bit-identical across backends, fault plans and checkpoint/resume
-boundaries.  ``python -m repro.stream --smoke`` asserts exactly that.
+boundaries.  The ``stream/`` cells of ``scripts/golden.py`` pin exactly
+that.
 """
 
 from .driver import (

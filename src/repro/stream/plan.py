@@ -84,9 +84,13 @@ class StreamEvent:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "StreamEvent":
         """Rebuild an event from :meth:`to_dict` output."""
-        return cls(kind=str(data["kind"]), tick=int(data["tick"]),
-                   u=int(data["u"]), v=int(data.get("v", -1)),
-                   scale=float(data.get("scale", 0.0)))
+        try:
+            return cls(kind=str(data["kind"]), tick=int(data["tick"]),
+                       u=int(data["u"]), v=int(data.get("v", -1)),
+                       scale=float(data.get("scale", 0.0)))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed StreamEvent dict "
+                             f"({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -205,11 +209,15 @@ class ArrivalPlan:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ArrivalPlan":
         """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(num_nodes=int(data["num_nodes"]),
-                   ticks=int(data["ticks"]),
-                   events=tuple(StreamEvent.from_dict(e)
-                                for e in data.get("events", [])),
-                   name=str(data.get("name", "plan")))
+        try:
+            return cls(num_nodes=int(data["num_nodes"]),
+                       ticks=int(data["ticks"]),
+                       events=tuple(StreamEvent.from_dict(e)
+                                    for e in data.get("events", [])),
+                       name=str(data.get("name", "plan")))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed ArrivalPlan dict "
+                             f"({type(exc).__name__}: {exc})") from exc
 
     def describe(self) -> str:
         """One-paragraph summary plus a per-tick event tally."""

@@ -292,45 +292,6 @@ class TestWorkerHost:
         assert meter.obs is trainer.observer     # re-attached
 
 
-class TestSpeedupGate:
-    """benchmarks/bench_backends.py::check_speedup on hand-built
-    documents: the process-beats-serial claim binds only on a host that
-    can give each of the 4 workers a core."""
-
-    @staticmethod
-    def _doc(cpus, speedup):
-        return {"host": {"schedulable_cpus": cpus},
-                "results": [{"backend": "process", "workers": 4,
-                             "speedup_vs_serial": speedup}]}
-
-    @pytest.fixture(scope="class")
-    def check_speedup(self):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-        try:
-            from benchmarks.bench_backends import check_speedup
-        finally:
-            sys.path.pop(0)
-        return check_speedup
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_skipped_with_a_note_below_four_cpus(self, check_speedup,
-                                                 cpus):
-        doc = self._doc(cpus, 0.257)
-        assert check_speedup(doc) is None
-        assert f"{cpus} schedulable CPU(s) for 4 workers" in \
-            doc["speedup_note"]
-
-    def test_enforced_from_four_cpus(self, check_speedup):
-        slow = self._doc(4, 0.9)
-        assert "did not beat serial" in check_speedup(slow)
-        fast = self._doc(8, 1.7)
-        assert check_speedup(fast) is None
-        assert "speedup_note" not in slow and "speedup_note" not in fast
-
-
 class TestIdempotentClose:
     class _StubTrainer:
         def __init__(self, n: int = 2):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -29,6 +30,7 @@ import repro
 from repro import Session, SessionStateError
 from repro.checkpoint import (
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointMismatchError,
     CheckpointNotFoundError,
     load_checkpoint,
@@ -308,10 +310,9 @@ class TestLoopStateContract:
             trainer.train()
 
     def test_relabel_reaches_every_component(self, split):
-        """``epoch=`` / ``rnd=`` on a bound, untrained trainer (what
-        ``benchmarks/bench_checkpoint.py`` captures): the meta and the
-        worker payloads carry one position, the loop gets its own back,
-        and half a relabel is refused."""
+        """``epoch=`` / ``rnd=`` on a bound, untrained trainer: the meta
+        and the worker payloads carry one position, the loop gets its own
+        back, and half a relabel is refused."""
         from repro.checkpoint.io import deserialize_state
 
         trainer = _trainer(split, _config())
@@ -382,6 +383,41 @@ class TestTornWrites:
                 fh.write(b"not a snapshot")
         with pytest.raises(CheckpointCorruptError, match="checksum"):
             load_checkpoint(ckpt_dir)
+
+
+    def test_manifest_bit_flips_raise_only_typed_errors(self, split,
+                                                        tmp_path):
+        """200 seeded single-bit flips of ``manifest.json``: each one
+        loads or raises a :class:`CheckpointError` — never the parser's
+        ``UnicodeDecodeError`` or ``KeyError``.  The first flip of each
+        outcome also goes through ``repro.run(resume=)``."""
+        pristine = tmp_path / "pristine"
+        _trainer(split, _config(checkpoint_dir=str(pristine),
+                                checkpoint_every=1)).train()
+        raw = (pristine / "manifest.json").read_bytes()
+        witnesses = {}
+        bits = np.random.default_rng(0).choice(len(raw) * 8, size=200,
+                                               replace=False)
+        for bit in bits:
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            (pristine / "manifest.json").write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(str(pristine))
+                outcome = "loaded"
+            except CheckpointError as exc:
+                outcome = type(exc).__name__
+            witnesses.setdefault(outcome, bytes(flipped))
+        assert {"loaded", "CheckpointCorruptError"} <= set(witnesses)
+        for i, (outcome, manifest) in enumerate(sorted(witnesses.items())):
+            ckpt_dir = tmp_path / f"witness{i}"
+            shutil.copytree(pristine, ckpt_dir)
+            (ckpt_dir / "manifest.json").write_bytes(manifest)
+            if outcome == "loaded":
+                repro.run(split=split, resume=str(ckpt_dir))
+            else:
+                with pytest.raises(CheckpointError):
+                    repro.run(split=split, resume=str(ckpt_dir))
 
 
 class TestTypedErrors:

@@ -5,6 +5,10 @@ import pytest
 
 from repro import TrainConfig, train_centralized
 from repro.core import FRAMEWORKS, build_trainer
+from repro.distributed.sync import SyncPlan
+from repro.faults import FaultPlan
+from repro.partition import PartitionSpec
+from repro.stream import ArrivalPlan
 
 
 def config(**overrides):
@@ -35,6 +39,26 @@ class TestValidation:
     def test_topology_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(sync_topology="mesh")
+
+    @pytest.mark.parametrize("decode, data, names", [
+        (FaultPlan.from_dict, {"events": [{}]}, "'kind'"),
+        (FaultPlan.from_dict, [], "FaultPlan"),
+        (FaultPlan.from_dict, {"events": [{"kind": "crash", "epoch": 0}]},
+         "'round'"),
+        (SyncPlan.from_dict, {"mode": "ps"}, "'num_workers'"),
+        (ArrivalPlan.from_dict, {}, "'num_nodes'"),
+        (ArrivalPlan.from_dict, {"num_nodes": 9, "ticks": 2,
+                                 "events": [{"kind": "insert"}]}, "'tick'"),
+        (PartitionSpec.canonicalize, 42, "partition"),
+    ], ids=["fault-event", "fault-plan-list", "fault-event-round",
+            "sync-plan", "arrival-plan", "stream-event", "partition-spec"])
+    def test_plan_dicts_fail_with_a_value_error_naming_the_key(
+            self, decode, data, names):
+        """The dict forms TrainConfig / StreamConfig accept: a missing
+        key or a non-dict is a ValueError saying what is wrong, never a
+        bare KeyError or AttributeError."""
+        with pytest.raises(ValueError, match=names):
+            decode(data)
 
 
 class TestEarlyStopping:
