@@ -8,7 +8,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests (slowest 15 printed: the per-file time budget) =="
 python -m pytest -x -q --durations=15
 
-echo "== golden digest matrices (training + resume, stream, serve; each file prints its cell count) =="
+echo "== golden digest matrices (training + fault invariants + resume + coordinator kill, stream, serve; each file prints its cell count) =="
 python scripts/golden.py --check
 
 echo "== repro.lint (per-file rules + F202 worker races) =="
@@ -16,12 +16,6 @@ python -m repro.lint src/ --format json
 
 echo "== repro.lint (tests/scripts/benchmarks, hygiene subset) =="
 python -m repro.lint --select R001,R101,R102,R103 tests scripts benchmarks
-
-echo "== chaos smoke (fault tolerance) =="
-python -m repro.faults chaos --smoke
-
-echo "== kill-driver smoke (SIGKILL coordinator, bit-identical resume; splpg + llcg) =="
-python -m repro.faults chaos --smoke --kill-driver
 
 echo "== benchmark smoke (the BENCHMARK.json command: four workloads x untraced + traced pass, digest_stable) =="
 python3 perf/run.py --smoke > /dev/null

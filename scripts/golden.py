@@ -33,12 +33,29 @@ the matrix default rides in its segment as ``name:key=value``
 (``splpg/serial/ps:max_staleness=4/none/drop``,
 ``psgd_pa:partition=ldg/process/grad/none/drop``).
 
+Every faulted cell (a ``mixed`` or ``prob`` plan, observed ones
+included) must also hold the fault-tolerance invariants against its
+fault-free ``none/drop`` twin on the same framework, backend and sync
+mode, trained in the same pass (:func:`check_faulted`): it finishes
+inside a 300 s budget with ``EPOCHS`` finite-loss epochs and a finite
+test AUC within 0.30 of the twin's; under ``restore`` (no worker
+removed) its byte ledger equals the twin's; an edge-partitioned
+framework fetches no features and averages replicas
+(``replica_sync_bytes`` > 0, the twin's under ``retry`` / ``restore``);
+its ``faults`` ledger is non-empty, and an observed run's report
+carries ``fault.*`` counters and ``meta["faults"]``.
+
 Thirteen more training cells carry a ``/resume`` suffix — every
 framework x {grad, model, ps} on serial, plus ``llcg/process/grad``:
 the run checkpoints every epoch, is crashed by a round hook at
 ``(1, 1)``, resumed from its checkpoint directory, and must equal the
-digest **already committed** for its uninterrupted twin.  They have no
-entry of their own in the golden file and ``--write`` skips them.
+digest **already committed** for its uninterrupted twin.  Five
+``/kill`` cells do the same with a real death: a forked coordinator
+SIGKILLs its own process group (workers included) at ``(1, 1)`` and
+must exit by that signal, and a second fork resumes from the durable
+checkpoint — every backend and sync mode, ``llcg`` included.  Neither
+kind has an entry of its own in the golden file, and ``--write`` skips
+them.
 
 The same switches cover the **stream cells**
 (``stream/<layout>/<regime>/<backend>[/resume]``, committed in
@@ -81,11 +98,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing as mp
+import os
+import signal
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -106,6 +127,15 @@ WORKERS = 3
 EPOCHS = 3
 SEED = 5
 
+#: A faulted cell's test AUC may sit this far from its fault-free
+#: twin's: faults degrade a run, they do not destroy it.
+AUC_TOLERANCE = 0.30
+#: Wall-clock budget of one faulted cell (seconds), the no-hang backstop
+#: on top of the backends' own ``fault_timeout_s`` deadlines.
+WALL_BUDGET_S = 300.0
+#: How long a kill cell waits for each forked coordinator (seconds).
+KILL_TIMEOUT_S = 240.0
+
 
 class Cell(NamedTuple):
     """One training run of the matrix."""
@@ -117,16 +147,19 @@ class Cell(NamedTuple):
     policy: str
     observe: bool = False
     resume: bool = False
+    kill: bool = False
 
     @property
     def name(self) -> str:
-        """``framework/backend/sync/plan/policy[/observed|/resume]``."""
+        """``framework/backend/sync/plan/policy[/observed|/resume|/kill]``."""
         parts = [self.framework, self.backend, self.sync, self.plan,
                  self.policy]
         if self.observe:
             parts.append("observed")
         if self.resume:
             parts.append("resume")
+        if self.kill:
+            parts.append("kill")
         return "/".join(parts)
 
 
@@ -162,11 +195,15 @@ def all_cells() -> Iterator[Cell]:
 def subset_cells() -> List[Cell]:
     """The tier-1 slice: every backend x sync mode fault-free, the
     mixed plan under each policy on the serial and process backends,
-    and one frontier and one partitioner cell."""
+    the edge-partitioned framework under the mixed plan's lossless
+    policies (the replica-ledger invariants), and one frontier and one
+    partitioner cell."""
     cells = [Cell("splpg", backend, sync, "none", "drop")
              for backend in BACKENDS for sync in SYNCS]
     cells += [Cell("psgd_pa", backend, "model", "mixed", policy)
               for backend in ("serial", "process") for policy in POLICIES]
+    cells += [Cell("vertex_cut", "serial", "model", "mixed", policy)
+              for policy in ("retry", "restore")]
     cells += [Cell("splpg", "process", "ps:max_staleness=4", "none", "drop"),
               Cell("psgd_pa:partition=ldg", "serial", "grad", "none", "drop")]
     return cells
@@ -186,11 +223,24 @@ def resume_cells() -> List[Cell]:
     return cells
 
 
+def kill_cells() -> List[Cell]:
+    """Coordinator-SIGKILL twins of fault-free cells, one per backend
+    and sync mode at least, ``llcg``'s stateful correction included:
+    checked against the twin's committed digest, never written."""
+    return [Cell(fw, backend, sync, "none", "drop", kill=True)
+            for fw, backend, sync in (("splpg", "serial", "grad"),
+                                      ("llcg", "thread", "ps"),
+                                      ("splpg", "process", "async"),
+                                      ("llcg", "serial", "local_sgd"),
+                                      ("vertex_cut", "process", "model"))]
+
+
 def with_resume_twins(golden: Dict[str, object]) -> Dict[str, object]:
-    """``golden`` plus every resume cell under its twin's digest."""
+    """``golden`` plus every resume and kill cell under its twin's
+    digest."""
     golden = dict(golden)
-    for cell in resume_cells():
-        twin = cell._replace(resume=False).name
+    for cell in resume_cells() + kill_cells():
+        twin = cell._replace(resume=False, kill=False).name
         if twin in golden:
             golden[cell.name] = golden[twin]
     return golden
@@ -235,26 +285,25 @@ def _crash_hook(_trainer, epoch: int, rnd: int) -> None:
         raise _Crash
 
 
-def run_cell(split, cell: Cell) -> str:
-    """Train one cell and return its digest (a resume cell: train with
-    durable checkpoints, crash, resume from the directory)."""
-    from repro.checkpoint import load_checkpoint, rebuild_trainer
-    from repro.core.frameworks import run_framework
-    from repro.distributed import TrainConfig
-    from repro.distributed.trainer import set_round_hook
+def _segment(text: str):
+    """``name[:key=value]`` -> ``(name, {key: value})``."""
     from repro.partition import PartitionSpec
 
-    def segment(text: str):
-        """``name[:key=value]`` -> ``(name, {key: value})``."""
-        name, _, knob = text.partition(":")
-        if not knob:
-            return name, {}
-        key, _, value = knob.partition("=")
-        return name, {key: PartitionSpec(value) if key == "partition"
-                      else json.loads(value)}
+    name, _, knob = text.partition(":")
+    if not knob:
+        return name, {}
+    key, _, value = knob.partition("=")
+    return name, {key: PartitionSpec(value) if key == "partition"
+                  else json.loads(value)}
 
-    framework, knobs = segment(cell.framework)
-    sync, sync_knobs = segment(cell.sync)
+
+def train_cell(split, cell: Cell, **checkpointing):
+    """Train one cell's configuration; its ``TrainResult``."""
+    from repro.core.frameworks import run_framework
+    from repro.distributed import TrainConfig
+
+    framework, knobs = _segment(cell.framework)
+    sync, sync_knobs = _segment(cell.sync)
     knobs = {"sync_every": 2, **knobs, **sync_knobs}
     if cell.plan == "mixed":
         knobs["fault_plan"] = mixed_plan()
@@ -263,30 +312,201 @@ def run_cell(split, cell: Cell) -> str:
     # Half the frameworks average models mid-epoch, half only at the
     # epoch end, so both cadences of sync="model" are in the matrix.
     every = 2 if framework in ("splpg", "vertex_cut") else 0
-    def train(**checkpointing):
-        config = TrainConfig(
-            hidden_dim=16, num_layers=2, fanouts=(5, 5), epochs=EPOCHS,
-            batch_size=64, seed=SEED, sync=sync,
-            sync_every_batches=every, backend=cell.backend,
-            observe=cell.observe, recovery=cell.policy,
-            fault_timeout_s=15.0, retry_backoff_s=0.05, **knobs,
-            **checkpointing)
-        return run_framework(framework, split, WORKERS, config,
-                             rng=np.random.default_rng(SEED))
+    config = TrainConfig(
+        hidden_dim=16, num_layers=2, fanouts=(5, 5), epochs=EPOCHS,
+        batch_size=64, seed=SEED, sync=sync, sync_every_batches=every,
+        backend=cell.backend, observe=cell.observe, recovery=cell.policy,
+        fault_timeout_s=15.0, retry_backoff_s=0.05, **knobs,
+        **checkpointing)
+    return run_framework(framework, split, WORKERS, config,
+                         rng=np.random.default_rng(SEED))
 
-    if not cell.resume:
-        return train().digest()
+
+def check_faulted(cell: Cell, result, twin, wall_s: float) -> None:
+    """Hold a faulted cell's run to the fault-tolerance invariants
+    against ``twin``, its fault-free ``none/drop`` run on the same
+    framework, backend and sync mode; raise ``AssertionError`` naming
+    every invariant it breaks."""
+    from repro.core.frameworks import FRAMEWORKS
+    from repro.partition import get_partitioner
+
+    broken = []
+    if wall_s > WALL_BUDGET_S:
+        broken.append(f"took {wall_s:.1f}s, over the "
+                      f"{WALL_BUDGET_S:.0f}s no-hang budget")
+    if len(result.history) != EPOCHS:
+        broken.append(f"history has {len(result.history)} epochs, "
+                      f"expected {EPOCHS}: the round loop stopped early")
+    bad = [i for i, s in enumerate(result.history)
+           if not np.isfinite(s.mean_loss)]
+    if bad:
+        broken.append(f"non-finite mean loss at epochs {bad}")
+    if not np.isfinite(result.test.auc):
+        broken.append("non-finite test AUC")
+    elif abs(result.test.auc - twin.test.auc) > AUC_TOLERANCE:
+        broken.append(f"test AUC {result.test.auc:.3f} is more than "
+                      f"{AUC_TOLERANCE} from the twin's "
+                      f"{twin.test.auc:.3f}")
+    lossless = "elastic_removed" not in result.faults
+    if (cell.policy == "restore" and lossless
+            and result.comm_total != twin.comm_total):
+        broken.append(f"comm_total {result.comm_total.to_dict()} != twin "
+                      f"{twin.comm_total.to_dict()} under 'restore' "
+                      "(replay must not re-charge the meters)")
+    strategy = FRAMEWORKS[_segment(cell.framework)[0]].partition_strategy
+    if get_partitioner(strategy).edge_partitioned:
+        # Edge-partitioned training keeps its communication shape under
+        # faults: no feature fetches, a replica-averaging ledger, and
+        # the twin's ledger byte for byte under a lossless policy.
+        replica = result.sync_stats.get("replica_sync_bytes", 0)
+        if result.comm_total.feature_bytes != 0:
+            broken.append(f"moved {result.comm_total.feature_bytes} "
+                          "feature bytes (must stay 0)")
+        if replica <= 0:
+            broken.append("no replica_sync_bytes: mirror reconciliation "
+                          "did not run")
+        twin_replica = twin.sync_stats.get("replica_sync_bytes", 0)
+        if (cell.policy in ("retry", "restore") and lossless
+                and replica != twin_replica):
+            broken.append(f"replica_sync_bytes {replica} != twin "
+                          f"{twin_replica} under '{cell.policy}'")
+    if not result.faults:
+        broken.append("empty TrainResult.faults ledger")
+    if cell.observe:
+        report = result.report
+        if report is None:
+            broken.append("an observed run produced no RunReport")
+        else:
+            if not any(n.startswith("fault.") for n in report.metrics):
+                broken.append("RunReport has no fault.* counters")
+            if not report.meta.get("faults"):
+                broken.append("RunReport.meta['faults'] is empty")
+    if broken:
+        raise AssertionError(f"{cell.name}: " + "; ".join(broken))
+
+
+def _coordinator(split, cell: Cell, directory: str, kill: bool) -> None:
+    """One forked coordinator of a kill cell.
+
+    Trains from scratch with durable checkpoints when ``directory``
+    holds none yet, else resumes from its newest snapshot.  ``kill``
+    arms a round hook that SIGKILLs this coordinator's own process group
+    (its forked workers included) at ``RESUME_CRASH_AT``.  A run that
+    finishes records its digest in ``RESULT.json`` beside the
+    checkpoints.
+    """
+    from repro.checkpoint import (CheckpointNotFoundError, load_checkpoint,
+                                  rebuild_trainer)
+    from repro.distributed.trainer import set_round_hook
+
+    os.setpgid(0, 0)
+    checkpoints = os.path.join(directory, "checkpoints")
+    resumed_from = None
+    if kill:
+        def hook(_trainer, epoch: int, rnd: int) -> None:
+            if (epoch, rnd) == RESUME_CRASH_AT:
+                os.killpg(os.getpgrp(), signal.SIGKILL)
+
+        set_round_hook(hook)
+    try:
+        meta, state = load_checkpoint(checkpoints)
+    except CheckpointNotFoundError:
+        result = train_cell(split, cell, checkpoint_dir=checkpoints)
+    else:
+        resumed_from = int(meta["epoch"])
+        result = rebuild_trainer(meta, state, split).train()
+    Path(directory, "RESULT.json").write_text(json.dumps(
+        {"digest": result.digest(), "resumed_from": resumed_from}))
+
+
+def _reap(cell: Cell, proc, what: str) -> int:
+    """Wait for a forked coordinator within ``KILL_TIMEOUT_S``; its
+    exit code.  Polls instead of joining: the coordinator's own workers
+    inherit its join sentinel."""
+    deadline = time.monotonic() + KILL_TIMEOUT_S
+    while proc.is_alive():
+        if time.monotonic() > deadline:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.join(10)
+            raise AssertionError(
+                f"{cell.name}: the {what} coordinator overran the "
+                f"{KILL_TIMEOUT_S:.0f}s budget and was killed")
+        time.sleep(0.02)
+    return proc.exitcode
+
+
+def _killed_digest(split, cell: Cell) -> str:
+    """Fork a coordinator that SIGKILLs itself mid-run, then a second
+    one that resumes from its checkpoints; the resumed run's digest."""
+    ctx = mp.get_context("fork")
     with tempfile.TemporaryDirectory() as tmp:
-        previous = set_round_hook(_crash_hook)
-        try:
-            train(checkpoint_dir=tmp)
-            raise AssertionError(f"{cell.name}: the crash never fired")
-        except _Crash:
-            pass
-        finally:
-            set_round_hook(previous)
-        meta, state = load_checkpoint(tmp)
-        return rebuild_trainer(meta, state, split).train().digest()
+        done = Path(tmp, "RESULT.json")
+        victim = ctx.Process(target=_coordinator,
+                             args=(split, cell, tmp, True))
+        victim.start()
+        code = _reap(cell, victim, "victim")
+        if code != -signal.SIGKILL or done.exists():
+            raise AssertionError(
+                f"{cell.name}: the victim exited with {code}, expected "
+                f"{-signal.SIGKILL}" + (" — the kill never landed"
+                                        if done.exists() else ""))
+        resumer = ctx.Process(target=_coordinator,
+                              args=(split, cell, tmp, False))
+        resumer.start()
+        code = _reap(cell, resumer, "resumed")
+        if code != 0 or not done.exists():
+            raise AssertionError(
+                f"{cell.name}: the resumed coordinator exited with {code}"
+                " and recorded no digest")
+        doc = json.loads(done.read_text())
+    if doc["resumed_from"] is None:
+        raise AssertionError(f"{cell.name}: the resumed coordinator "
+                             "started fresh instead of loading the "
+                             "checkpoint")
+    return doc["digest"]
+
+
+def run_cell(split, cell: Cell, twins: Optional[dict] = None) -> str:
+    """Train one cell and return its digest.
+
+    A resume cell trains with durable checkpoints, is crashed by a
+    round hook and resumed from the directory; a kill cell is SIGKILLed
+    in a forked coordinator and resumed in another.  A faulted cell
+    must pass :func:`check_faulted` against its fault-free twin, taken
+    from ``twins`` (fault-free results by cell name) or trained now.
+    """
+    from repro.checkpoint import load_checkpoint, rebuild_trainer
+    from repro.distributed.trainer import set_round_hook
+
+    if cell.kill:
+        return _killed_digest(split, cell)
+    if cell.resume:
+        with tempfile.TemporaryDirectory() as tmp:
+            previous = set_round_hook(_crash_hook)
+            try:
+                train_cell(split, cell, checkpoint_dir=tmp)
+                raise AssertionError(f"{cell.name}: the crash never fired")
+            except _Crash:
+                pass
+            finally:
+                set_round_hook(previous)
+            meta, state = load_checkpoint(tmp)
+            return rebuild_trainer(meta, state, split).train().digest()
+    twins = {} if twins is None else twins
+    started = time.perf_counter()
+    result = train_cell(split, cell)
+    wall_s = time.perf_counter() - started
+    if cell.plan == "none":
+        twins[cell.name] = result
+    else:
+        twin = cell._replace(plan="none", policy="drop", observe=False)
+        if twin.name not in twins:
+            twins[twin.name] = train_cell(split, twin)
+        check_faulted(cell, result, twins[twin.name], wall_s)
+    return result.digest()
 
 
 def _digests(cells, run, verbose: bool) -> Dict[str, object]:
@@ -305,7 +525,9 @@ def _digests(cells, run, verbose: bool) -> Dict[str, object]:
 def compute(cells, verbose: bool = False) -> Dict[str, str]:
     """Digest of every given cell, keyed by cell name."""
     split = make_split()
-    return _digests(cells, lambda cell: run_cell(split, cell), verbose)
+    twins: Dict[str, object] = {}
+    return _digests(cells, lambda cell: run_cell(split, cell, twins),
+                    verbose)
 
 
 class StreamCell(NamedTuple):
@@ -576,7 +798,7 @@ def main(argv=None) -> int:
 
     train = subset_cells() if args.subset else list(all_cells())
     if args.check:
-        train += resume_cells()
+        train += resume_cells() + kill_cells()
     suites = [
         (args.file, compute, train,
          {"nodes": 300, "workers": WORKERS, "epochs": EPOCHS,

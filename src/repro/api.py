@@ -74,29 +74,28 @@ _SCALE_FIELDS = ("hidden_dim", "num_layers", "fanouts", "batch_size",
                  "epochs", "hits_k", "eval_every", "sync", "seed")
 
 
+#: The :class:`ExperimentScale` presets, each named after the
+#: classmethod that builds it.
+_SCALE_PRESETS = ("smoke", "quick", "paper")
+
+
 def _scale_preset(name: str):
     """Look up an :class:`ExperimentScale` preset by name."""
     from .experiments.config import ExperimentScale
 
-    presets = {
-        "quick": ExperimentScale.quick,
-        "smoke": ExperimentScale.smoke,
-        "paper": ExperimentScale.paper,
-        "chaos": ExperimentScale.chaos,
-    }
-    if name not in presets:
+    if name not in _SCALE_PRESETS:
         raise ValueError(
             f"unknown scale preset {name!r}; choose from "
-            f"{tuple(sorted(presets))}")
-    return presets[name]()
+            f"{tuple(sorted(_SCALE_PRESETS))}")
+    return getattr(ExperimentScale, name)()
 
 
 def resolve_config(scale=None, **overrides) -> TrainConfig:
     """Reconcile an experiment scale with ``TrainConfig`` overrides.
 
     ``scale`` may be ``None`` (paper-default ``TrainConfig``), a preset
-    name (``"quick"`` | ``"smoke"`` | ``"chaos"`` | ``"paper"``), or any
-    object
+    name from :data:`_SCALE_PRESETS` (``"smoke"`` | ``"quick"`` |
+    ``"paper"``), or any object
     carrying the :data:`_SCALE_FIELDS` attributes (duck-typed so
     :class:`~repro.experiments.config.ExperimentScale` can delegate
     here without a circular import).  Explicit ``overrides`` always win

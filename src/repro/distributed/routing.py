@@ -131,15 +131,16 @@ def guarded_recv(part: int, conn, proc, timeout_s: float,
     Polls in short slices, probing child liveness between slices, and
     gives up after ``timeout_s`` — the one sanctioned direct pipe read,
     for fork-per-shard replies and the process training backend alike.
-    Raises :class:`WorkerDiedError` when the child is gone,
-    :class:`WorkerTimeoutError` past the deadline.
+    Raises :class:`WorkerDiedError` when the child is gone or its reply
+    cannot be decoded (a torn or garbled frame leaves the pipe in an
+    unknown state), :class:`WorkerTimeoutError` past the deadline.
     """
     deadline = time.monotonic() + timeout_s
     while True:
         if conn.poll(0.05):  # lint: disable=R106
             try:
                 return conn.recv()  # lint: disable=R106
-            except (EOFError, OSError) as exc:
+            except Exception as exc:
                 raise WorkerDiedError(part, context) from exc
         if not proc.is_alive():
             # One final drain: the child may have answered and then

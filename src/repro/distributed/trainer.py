@@ -56,11 +56,11 @@ from .comm import GB, CommMeter, CommRecord
 from .sync import broadcast_model, make_strategy
 from .views import WorkerGraphView
 
-#: Test/chaos instrumentation: a callable invoked parent-side at the
-#: top of every round with ``(trainer, epoch, round)`` before any work
-#: is dispatched.  The kill-driver harness uses it to SIGKILL the
-#: coordinator at an exact seeded point; ``None`` (the default) costs
-#: one comparison per round.
+#: Test instrumentation: a callable invoked parent-side at the top of
+#: every round with ``(trainer, epoch, round)`` before any work is
+#: dispatched.  The golden resume and kill cells use it to crash or
+#: SIGKILL the coordinator at an exact point; ``None`` (the default)
+#: costs one comparison per round.
 _ROUND_HOOK = None
 
 #: Serializes hook swaps: harnesses may install/clear hooks from a

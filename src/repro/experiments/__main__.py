@@ -13,8 +13,8 @@ import argparse
 import sys
 from typing import Dict, List
 
+from ..api import _SCALE_PRESETS, _scale_preset
 from . import (
-    ExperimentScale,
     format_rows,
     run_fig3,
     run_fig4,
@@ -118,13 +118,6 @@ _EXPERIMENTS: Dict[str, dict] = {
 }
 
 
-def _make_scale(name: str) -> ExperimentScale:
-    return {"smoke": ExperimentScale.smoke,
-            "quick": ExperimentScale.quick,
-            "chaos": ExperimentScale.chaos,
-            "paper": ExperimentScale.paper}[name]()
-
-
 def main(argv: List[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -138,9 +131,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--alphas", nargs="+", type=float, default=None)
     parser.add_argument("--batch-sizes", nargs="+", type=int, default=None,
                         dest="batch_sizes")
-    parser.add_argument("--scale",
-                        choices=("smoke", "quick", "chaos", "paper"),
-                        default="quick")
+    parser.add_argument("--scale", choices=_SCALE_PRESETS, default="quick")
     parser.add_argument("--json", default=None,
                         help="with 'all': write the full report here")
     parser.add_argument("--extensions", action="store_true",
@@ -149,7 +140,7 @@ def main(argv: List[str] | None = None) -> int:
 
     if args.experiment == "all":
         from .report import run_all, save_report
-        report = run_all(scale=_make_scale(args.scale),
+        report = run_all(scale=_scale_preset(args.scale),
                          include_extensions=args.extensions,
                          progress=lambda name: print(f"running {name}..."))
         if args.json:
@@ -170,7 +161,7 @@ def main(argv: List[str] | None = None) -> int:
         return 2
 
     spec = _EXPERIMENTS[args.experiment]
-    scale = _make_scale(args.scale)
+    scale = _scale_preset(args.scale)
     rows = spec["run"](args, scale)
     columns = spec["columns"]
     if columns is None:

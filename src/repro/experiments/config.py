@@ -56,19 +56,6 @@ class ExperimentScale:
                    num_seeds=1)
 
     @classmethod
-    def chaos(cls) -> "ExperimentScale":
-        """Fault-injection scale: the chaos harness's workload size.
-
-        Matches :func:`repro.faults.chaos.run_chaos` — small enough to
-        sweep plans x backends x recovery policies in CI, big enough
-        that every worker sees several rounds per epoch for faults to
-        land in.
-        """
-        return cls(dataset_scale=0.08, feature_dim=16, hidden_dim=16,
-                   fanouts=(5, 5), epochs=2, eval_every=2, batch_size=64,
-                   hits_k=20, sync="model", num_seeds=1)
-
-    @classmethod
     def paper(cls) -> "ExperimentScale":
         """Full-scale preset approximating the paper's settings."""
         return cls(dataset_scale=1.0, feature_dim=None, hidden_dim=256,

@@ -1,6 +1,6 @@
-"""Fault tolerance for distributed training: plans, recovery, chaos.
+"""Fault tolerance for distributed training: plans and recovery.
 
-The subsystem has three layers:
+The subsystem has two layers:
 
 * :mod:`repro.faults.plan` — **what goes wrong**: a
   :class:`FaultPlan` is a seeded, declarative schedule of fault events
@@ -12,11 +12,12 @@ The subsystem has three layers:
   trainer loop and drives the configured recovery policy (``drop``,
   ``retry``, ``restore``, ``elastic``); what a crash destroys and how
   it is rebuilt belongs to :mod:`repro.distributed.backends`.
-* :mod:`repro.faults.chaos` — **proving it**: a harness that sweeps
-  fault plans against every execution backend and asserts the
-  robustness invariants (no hang, monotone progress, final metrics
-  within tolerance of the fault-free twin).  ``python -m repro.faults
-  chaos --smoke`` runs the CI-sized sweep.
+
+The proof lives in ``scripts/golden.py``: every faulted cell of the
+golden matrix is held to the robustness invariants (no hang, full
+progress, final metrics within tolerance of its fault-free twin, a
+lossless ``restore`` ledger), and its ``kill`` cells SIGKILL a forked
+coordinator and resume it bit-identically.
 
 Fault and recovery events surface as ``fault`` spans and ``fault.*``
 counters on the run's :class:`~repro.obs.RunObserver`, and as a

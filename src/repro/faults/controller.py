@@ -337,7 +337,7 @@ class FaultController:
     def _spare_last_worker(self, worker: int,
                            decision: RoundDecision) -> None:
         """Never remove the final live worker — degrade to drop so the
-        run can finish (the no-hang chaos invariant)."""
+        run can finish (the no-hang fault invariant)."""
         self.count("spared_last_worker")
         self._span("spared_last_worker", worker=worker)
         self._drop(worker, decision)

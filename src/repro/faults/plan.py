@@ -14,7 +14,7 @@ distributed training run:
 
 Events are deterministic: the same plan against the same seed produces
 the same injected faults on every backend, which is what lets the
-chaos harness compare backends and recovery policies run-for-run.  The
+golden matrix compare backends and recovery policies run-for-run.  The
 legacy ``worker_failure_prob`` knob compiles to a plan through
 :meth:`FaultPlan.from_probability`; its per-round draws replay the old
 trainer's RNG stream exactly, so legacy configs stay bit-identical.
@@ -131,7 +131,7 @@ class FaultPlan:
                events_per_epoch: float = 1.0,
                kinds: Iterable[str] = ("crash", "straggle", "msg_loss"),
                rounds_hint: int = 4) -> "FaultPlan":
-        """A seeded random schedule for chaos sweeps.
+        """A seeded random schedule of faults.
 
         Draws ``events_per_epoch`` events per epoch on average, each
         with a random kind from ``kinds``, a random worker, and a round
@@ -210,7 +210,7 @@ class FaultPlan:
                              f"({type(exc).__name__}: {exc})") from exc
 
     def describe(self) -> str:
-        """One line per scheduled event, for logs and chaos reports."""
+        """One line per scheduled event, for logs."""
         lines = [f"plan {self.name!r}: {len(self.events)} event(s), "
                  f"p(crash)={self.worker_failure_prob}"]
         for e in self.events:

@@ -171,29 +171,6 @@ class TestCrashResumeBitIdentity:
             f"{framework}/{sync}: resumed from a crash at {crash_at} "
             "to a different digest")
 
-    def test_sigkill_resume_bit_identity(self):
-        """A real SIGKILL of a subprocess coordinator, not an exception.
-
-        ``run_kill_driver`` forks a coordinator that kills its own
-        process group mid-epoch, asserts death-by-signal, resumes in a
-        second coordinator and compares digests; it raises on any
-        violation.  ``splpg`` and ``llcg`` — the framework whose
-        correction hook has an RNG and an optimizer of its own to bring
-        back — under per-round all-reduce and the parameter server.
-        """
-        from repro.faults.killdriver import run_kill_driver
-
-        outcomes = run_kill_driver(backends=("serial",),
-                                   syncs=("barrier", "ps"),
-                                   frameworks=("splpg", "llcg"),
-                                   workers=2, epochs=3, seed=31,
-                                   verbose=False)
-        assert [(o.framework, o.sync) for o in outcomes] == [
-            ("splpg", "barrier"), ("splpg", "ps"),
-            ("llcg", "barrier"), ("llcg", "ps")]
-        assert all(o.ok for o in outcomes)
-        assert all(o.resumed_from is not None for o in outcomes)
-
 
 class TestMidEpochRoundTrip:
     @pytest.mark.parametrize("sync", SYNC_MODES)

@@ -1,4 +1,4 @@
-"""Fault-tolerance subsystem: plans, recovery policies, chaos.
+"""Fault-tolerance subsystem: plans and recovery policies.
 
 Covers the acceptance criteria of the ``repro.faults`` PR:
 
@@ -515,34 +515,6 @@ class TestSnapshotRoundTrip:
         probe = np.random.Generator(type(worker.rng.bit_generator)())
         probe.bit_generator.state = rng_before
         assert worker.rng.integers(0, 2**31) == probe.integers(0, 2**31)
-
-
-# ---------------------------------------------------------------------------
-# Chaos harness
-
-
-class TestChaosHarness:
-    def test_smoke_sweep_passes(self, split):
-        from repro.faults.chaos import run_chaos
-
-        outcomes = run_chaos(smoke=True, backends=("serial", "thread"),
-                             verbose=False)
-        assert outcomes and all(o.ok for o in outcomes)
-
-    def test_violations_are_raised(self):
-        from repro.faults.chaos import ChaosError, run_chaos
-
-        # An impossible tolerance forces a metrics violation.
-        with pytest.raises(ChaosError, match="drifted|failed"):
-            run_chaos(smoke=True, backends=("serial",),
-                      tolerance=-1.0, observe=False, verbose=False)
-
-    def test_cli_plans_command(self, capsys):
-        from repro.faults.__main__ import main
-
-        assert main(["plans"]) == 0
-        out = capsys.readouterr().out
-        assert "crash_mid" in out and "mixed" in out
 
 
 # ---------------------------------------------------------------------------

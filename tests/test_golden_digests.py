@@ -2,10 +2,13 @@
 
 Tier-1 recomputes a small slice of the training matrix — every backend
 x sync mode fault-free, the mixed fault plan under each recovery policy
-on the serial and process backends, one staleness-frontier cell and one
-partitioner cell — plus the crash-and-resume cells (which have no
-digest of their own: each must equal its uninterrupted twin's committed
-one), and checks the committed file's own cross-backend invariants;
+on the serial and process backends and under the lossless policies on
+``vertex_cut``, one staleness-frontier cell and one partitioner cell;
+every faulted cell also passes the fault-tolerance invariants against
+its fault-free twin — plus the crash-and-resume and coordinator-kill
+cells (which have no digest of their own: each must equal its
+uninterrupted twin's committed one), and checks the committed file's
+own cross-backend invariants;
 ``scripts/ci.sh`` checks every cell ``golden.all_cells()`` names.  The
 stream cells (three shard layouts x steady/churn, steady on every
 backend, an outage and a rollback regime, a resumed cell) and the serve
@@ -13,6 +16,7 @@ cells (seven request / fault / cache / decoder regimes on every
 backend) are cheap enough to recompute in full.
 """
 
+import dataclasses
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -54,6 +58,45 @@ def test_resumed_cells_equal_their_uninterrupted_twins(committed):
     assert not {c.name for c in cells} & set(committed)
     got = golden.compute(cells)
     assert golden.diff(golden.with_resume_twins(committed), got) == []
+
+
+def test_killed_coordinators_resume_to_their_uninterrupted_twins(
+        committed):
+    """A forked coordinator SIGKILLs its own process group (workers
+    included) at a round hook and must exit by that signal; a second
+    fork resumes from the durable checkpoint, and its digest is held to
+    the committed uninterrupted one: every backend and sync mode, and
+    ``llcg``'s correction RNG and optimizer."""
+    cells = golden.kill_cells()
+    assert {c.backend for c in cells} == set(golden.BACKENDS)
+    assert {"grad", "ps", "async", "local_sgd", "model"} == {
+        c.sync for c in cells}
+    assert "llcg" in {c.framework for c in cells}
+    assert not {c.name for c in cells} & set(committed)
+    got = golden.compute(cells)
+    assert golden.diff(golden.with_resume_twins(committed), got) == []
+
+
+def test_fault_invariants_hold_the_restore_ledger_to_the_twin():
+    """The check every faulted cell passes raises when a ``restore`` run
+    charges other bytes than its fault-free twin."""
+    split = golden.make_split()
+    cell = golden.Cell("psgd_pa", "serial", "model", "mixed", "restore")
+    result = golden.train_cell(split, cell)
+    twin = golden.train_cell(split, cell._replace(plan="none"))
+    golden.check_faulted(cell, result, twin, wall_s=0.0)
+    drifted = dataclasses.replace(twin, comm_total=dataclasses.replace(
+        twin.comm_total, sync_bytes=twin.comm_total.sync_bytes + 1))
+    with pytest.raises(AssertionError, match="comm_total .* under 'restore'"):
+        golden.check_faulted(cell, result, drifted, wall_s=0.0)
+
+
+def test_kill_cell_fails_when_the_kill_never_lands(monkeypatch):
+    """A victim that trains to the end is reported, not resumed."""
+    monkeypatch.setattr(golden, "RESUME_CRASH_AT", (golden.EPOCHS, 0))
+    cell = golden.kill_cells()[0]
+    with pytest.raises(AssertionError, match="never landed"):
+        golden.run_cell(golden.make_split(), cell)
 
 
 def _backend_free(plan: str, policy: str) -> bool:

@@ -4,7 +4,7 @@ F202 is exercised with true positives and true negatives over small
 self-contained "projects" (modpath → source mappings fed straight to
 :meth:`repro.lint.LintEngine.check_sources`), so the call graph and
 worker cone are pinned down by behavior, not structure — and once over
-the real source tree, with its one known race re-introduced.
+the real source tree, with a race re-introduced.
 """
 
 import textwrap
@@ -122,20 +122,25 @@ def test_f202_process_spawn_counts_as_worker_root():
 
 
 def test_source_tree_worker_race_is_found():
-    """The real tree with its ``_SHARED_SEGMENTS_LOCK`` guard removed:
-    worker-root discovery through ``_coordinator`` / ``_child_main``
-    must still reach ``_share_features`` — one F202, nothing else."""
+    """The real tree with a module-level append re-introduced in
+    ``sample_block``: worker-root discovery through ``_child_main``
+    must reach the sampler — one F202, nothing else.  (No in-tree worker
+    root constructs a ``ProcessBackend``, so ``_share_features``'
+    ``_SHARED_SEGMENTS_LOCK`` guard is not worker-reachable.)"""
     sources = {_module_path(path): path.read_text(encoding="utf-8")
                for path in _iter_python_files(SRC)}
-    guarded = ("    with _SHARED_SEGMENTS_LOCK:\n"
-               "        _LIVE_SHARED_SEGMENTS.append((shm, view))\n")
-    backends = "repro/distributed/backends.py"
-    assert sources[backends].count(guarded) == 1
-    sources[backends] = sources[backends].replace(
-        guarded, "    _LIVE_SHARED_SEGMENTS.append((shm, view))\n")
+    sampler = "repro/sampling/neighbor.py"
+    site = "    edge_src = row[nbrs]\n"
+    anchor = "\n\ndef _by_destination_then_key"
+    assert sources[sampler].count(site) == 1
+    assert sources[sampler].count(anchor) == 1
+    sources[sampler] = sources[sampler].replace(
+        site, "    _CALLS.append(fanout)\n" + site).replace(
+        anchor, "\n\n_CALLS = []\n" + anchor)
     findings = LintEngine().check_sources(sources)
-    assert [(f.rule_id, f.path) for f in findings] == [("F202", backends)]
-    assert "'_LIVE_SHARED_SEGMENTS'" in findings[0].message
+    assert [(f.rule_id, f.path) for f in findings] == [("F202", sampler)]
+    assert "'_CALLS'" in findings[0].message
+    assert "_child_main" in findings[0].message
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import multiprocessing as mp
 import os
+import pickle
 import time
 
 import numpy as np
 import pytest
 
-from repro.distributed.routing import ShardRouter, fan_out
+from repro.distributed.routing import ShardRouter, fan_out, guarded_recv
+from repro.faults import WorkerDiedError
 from repro.partition import partition_graph
 
 needs_fork = pytest.mark.skipif(
@@ -86,3 +88,47 @@ class TestFanOut:
                           (2, ("fallback", 2), False), (3, 3, True)]
         assert failed == [(1, "WorkerDiedError"),
                           (2, "WorkerTimeoutError")]
+
+
+class _AliveChild:
+    """A ``proc`` stand-in whose child never dies."""
+
+    def is_alive(self) -> bool:
+        return True
+
+
+def _explode():
+    raise ValueError("cannot rebuild this reply")
+
+
+class _Unpicklable:
+    """Pickles fine in the child; rebuilding it in the parent raises."""
+
+    def __reduce__(self):
+        return _explode, ()
+
+
+class TestGuardedRecv:
+    """A frame that cannot be decoded is a dead worker, never an untyped
+    unpickling error escaping into the round loop."""
+
+    @pytest.mark.parametrize("frame", [
+        b"garbage",
+        pickle.dumps(("result", np.arange(8)))[:-3],
+        b"",
+    ], ids=["garbage", "truncated", "empty"])
+    def test_undecodable_frame_is_a_worker_death(self, frame):
+        reader, writer = mp.Pipe(duplex=False)
+        with reader, writer:
+            writer.send_bytes(frame)
+            with pytest.raises(WorkerDiedError) as info:
+                guarded_recv(1, reader, _AliveChild(), 5.0, "test")
+        assert info.value.__cause__ is not None
+
+    @needs_fork
+    def test_fan_out_falls_back_on_an_undecodable_reply(self):
+        merged, failed = _collect(
+            "process", [0, 1],
+            lambda shard: _Unpicklable() if shard == 1 else shard)
+        assert merged == [(0, 0, True), (1, ("fallback", 1), False)]
+        assert failed == [(1, "WorkerDiedError")]
