@@ -202,6 +202,12 @@ class Graph:
                         np.diff(self.indptr))
         mask = src < self.indices
         edges = np.stack([src[mask], self.indices[mask]], axis=1)
+        # Rows come out grouped by ``u``, and :meth:`from_edges` stores
+        # each node's ``v > u`` neighbors in increasing order, so the
+        # sort is needed only for CSR built by the raw constructor.
+        keys = edges[:, 0] * self.num_nodes + edges[:, 1]
+        if np.all(keys[1:] > keys[:-1]):
+            return edges
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         return edges[order]
 

@@ -109,8 +109,8 @@ class GATConv(Module):
 
     def _head(self, i: int, block: Block, h_src: Tensor) -> Tensor:
         z = self.fc[i](h_src)                      # (num_src, head_dim)
-        score_src = z @ self.attn_l[i]             # (num_src, 1)
-        score_dst = z @ self.attn_r[i]
+        score_src = _row_dot(z, self.attn_l[i])    # (num_src, 1)
+        score_dst = _row_dot(z, self.attn_r[i])
         e = (gather(score_src, block.edge_src)
              + gather(score_dst, block.edge_dst))
         e = leaky_relu(e, self.negative_slope)
@@ -155,7 +155,8 @@ class GATv2Conv(Module):
         z_r = self.fc_r[i](h_src)
         combined = (gather(z_l, block.edge_src)
                     + gather(z_r, block.edge_dst))
-        e = leaky_relu(combined, self.negative_slope) @ self.attn[i]
+        e = _row_dot(leaky_relu(combined, self.negative_slope),
+                     self.attn[i])
         e = e + Tensor(np.log(np.maximum(block.edge_weight, 1e-12))[:, None])
         alpha = segment_softmax(e, block.edge_dst, block.num_dst)
         messages = gather(z_l, block.edge_src) * alpha
@@ -190,6 +191,13 @@ class GINConv(Module):
         h_self = _slice_rows(h_src, block.num_dst)
         combined = h_self * (self.eps + 1.0) + agg
         return self.fc2(relu(self.fc1(combined)))
+
+
+def _row_dot(x: Tensor, a: Parameter) -> Tensor:
+    """``x @ a`` for a ``(k, 1)`` column ``a``, as a row-wise
+    product-sum: each row's bits then depend on that row alone, where
+    an ``(n, k) @ (k, 1)`` GEMV may round differently as ``n`` changes."""
+    return (x * a.reshape(1, -1)).sum(axis=-1, keepdims=True)
 
 
 def _slice_rows(x: Tensor, count: int) -> Tensor:

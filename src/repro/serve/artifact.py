@@ -3,9 +3,10 @@
 Serving never runs the GNN encoder online.  At export time the full
 final-layer embedding of every node is materialized with exact
 full-neighbor computation (``fanouts = [-1] * K`` — deterministic, no
-RNG draws) and split by shard ownership; online requests then reduce
-to embedding lookups plus a decoder forward, which is what makes
-micro-batched low-latency serving tractable.
+RNG draws), in one message-flow graph so each node's layer-``l`` row
+is computed once, and split by shard ownership; online requests then
+reduce to embedding lookups plus a decoder forward, which is what
+makes micro-batched low-latency serving tractable.
 
 The artifact is versioned and checksummed:
 
@@ -226,48 +227,44 @@ def predictor_kind_of(model: LinkPredictionModel) -> str:
 
 
 def materialize_embeddings(model: LinkPredictionModel, graph,
-                           batch_size: int = 512,
-                           batch_ids=None) -> np.ndarray:
-    """Exact full-neighbor embeddings in fixed export batches.
+                           rows=None) -> np.ndarray:
+    """Exact full-neighbor embeddings of ``rows`` (every node by default).
 
-    Nodes are processed in fixed ``[b * batch_size, (b+1) * batch_size)``
-    ranges; ``batch_ids`` selects which batches to compute (all by
-    default).  Because the batch partition never depends on *which*
-    batches are requested, recomputing any subset reproduces exactly
-    the rows a full pass would — the property the streaming
+    One ``[-1] * K`` message-flow graph over all requested rows and one
+    ``model.embed``, so every node's layer-``l`` row is computed once.
+    A row's embedding depends only on its K-hop neighborhood, never on
+    which other rows are computed with it, so any subset reproduces
+    exactly the rows a full pass would — the property the streaming
     re-embedder relies on to patch tables bit-identically.  Returns a
-    ``(num_nodes, embed_dim)`` table; rows of unselected batches are
-    zero.
+    ``(num_nodes, embed_dim)`` table; rows not requested are zero.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    num_layers = model.encoder.num_layers
+    if rows is None:
+        nodes = np.arange(graph.num_nodes, dtype=np.int64)
+    else:
+        nodes = np.unique(np.asarray(rows, dtype=np.int64))
+        if nodes.size and not 0 <= nodes[0] <= nodes[-1] < graph.num_nodes:
+            raise ValueError(
+                f"rows must lie in [0, {graph.num_nodes})")
+    if nodes.size == 0:
+        return np.zeros((graph.num_nodes, 0), dtype=np.float64)
+    seeds = nodes
+    if nodes.size == 1 and graph.num_nodes > 1:
+        # A one-row (1,k)@(k,m) product goes down BLAS GEMV, whose bits
+        # differ from GEMM's: compute a lone row beside a companion.
+        seeds = np.unique([int(nodes[0]), 1 if nodes[0] == 0 else 0])
     # Full-neighbor sampling draws no randomness; the rng argument only
     # satisfies the seeded-RNG invariant (R001).
-    sampler = NeighborSampler([-1] * num_layers,
+    sampler = NeighborSampler([-1] * model.encoder.num_layers,
                               rng=np.random.default_rng(0))
-    num_batches = -(-graph.num_nodes // batch_size)
-    if batch_ids is None:
-        batch_ids = range(num_batches)
-    pieces: List[tuple] = []
+    comp_graph = sampler.sample(graph, seeds)
     model.eval()
     try:
-        for b in sorted(set(int(b) for b in batch_ids)):
-            if not 0 <= b < num_batches:
-                raise ValueError(
-                    f"batch id {b} out of range [0, {num_batches})")
-            nodes = np.arange(b * batch_size,
-                              min((b + 1) * batch_size, graph.num_nodes),
-                              dtype=np.int64)
-            comp_graph = sampler.sample(graph, nodes)
-            feats = graph.features[comp_graph.input_nodes]
-            pieces.append((nodes, model.embed(comp_graph, feats).data))
+        out = model.embed(comp_graph,
+                          graph.features[comp_graph.input_nodes]).data
     finally:
         model.train()
-    embed_dim = int(pieces[0][1].shape[1]) if pieces else 0
-    table = np.zeros((graph.num_nodes, embed_dim), dtype=np.float64)
-    for nodes, rows in pieces:
-        table[nodes] = rows
+    table = np.zeros((graph.num_nodes, out.shape[1]), dtype=np.float64)
+    table[nodes] = out[np.searchsorted(seeds, nodes)]
     return table
 
 
@@ -298,8 +295,7 @@ def artifact_from_table(table: np.ndarray, model_version: str,
 
 
 def export_servable(model: LinkPredictionModel,
-                    partitioned: PartitionedGraph,
-                    batch_size: int = 512) -> ServableArtifact:
+                    partitioned: PartitionedGraph) -> ServableArtifact:
     """Freeze a trained model into a :class:`ServableArtifact`.
 
     Embeds every node with exact full-neighbor computation on the
@@ -308,8 +304,7 @@ def export_servable(model: LinkPredictionModel,
     the table by shard ownership.
     """
     kind = predictor_kind_of(model)
-    table = materialize_embeddings(model, partitioned.full,
-                                   batch_size=batch_size)
+    table = materialize_embeddings(model, partitioned.full)
     # Master ownership (node_owner == assignment for node-partitioned
     # layouts; the master replica under vertex cut) keys the shards.
     return artifact_from_table(

@@ -81,8 +81,12 @@ class StreamConfig:
     mode).  ``rebalance_threshold``/``replication_threshold`` arm the
     re-partition triggers (0 disarms).  ``auc_floor`` parametrizes the
     rollout gate and ``swap_fraction`` places the hot-swap point
-    inside the tick's workload.  ``fault_plan`` events use ``epoch``
-    as the tick and ``round`` as the admitted-request sequence.
+    inside the tick's workload.  ``embed_batch`` is the frontier
+    refresh's patch unit (every row of each ``embed_batch``-node block
+    the frontier touches is recomputed), not a compute batch: the
+    patched rows come out of one message-flow graph.  ``fault_plan``
+    events use ``epoch`` as the tick and ``round`` as the
+    admitted-request sequence.
     """
 
     ticks: int = 8

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Collection, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -24,12 +24,14 @@ from .errors import StreamError
 from .plan import StreamEvent
 
 
-def _edge_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """Canonical ``(m, 2)`` int64 array, rows sorted lexicographically."""
-    rows = sorted(edges)
-    if not rows:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
+def _edge_array(edges: Collection[Tuple[int, int]],
+                num_nodes: int) -> np.ndarray:
+    """Canonical ``(m, 2)`` int64 array, rows sorted lexicographically
+    (by the key ``u * num_nodes + v``, whose order is the rows')."""
+    keys = np.fromiter((u * num_nodes + v for u, v in edges),
+                       dtype=np.int64, count=len(edges))
+    keys.sort()
+    return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,10 @@ class MutableGraph:
     :meth:`apply`.  All state is private copies — mutating a
     ``MutableGraph`` can never alias-corrupt the immutable ``Graph``
     it was seeded from, and every :meth:`snapshot` is a fresh
-    immutable ``Graph``.
+    immutable ``Graph``.  The canonical edge array that snapshots,
+    fingerprints and checkpoints read is built once per mutating
+    :meth:`apply` (and at construction, which is also how a resumed
+    graph gets it back).
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -78,6 +83,7 @@ class MutableGraph:
         edges = graph.edge_list()
         self._edges: Set[Tuple[int, int]] = {
             (int(u), int(v)) for u, v in edges}
+        self._edge_rows = _edge_array(self._edges, self.num_nodes)
         self._features: Optional[np.ndarray] = (
             None if graph.features is None
             else graph.features.astype(np.float32, copy=True))
@@ -100,8 +106,9 @@ class MutableGraph:
         return (min(u, v), max(u, v)) in self._edges
 
     def edge_array(self) -> np.ndarray:
-        """Canonical sorted ``(m, 2)`` view of the current edge set."""
-        return _edge_array(self._edges)
+        """Canonical sorted ``(m, 2)`` array of the current edge set
+        (a copy: callers may not reach the cached rows)."""
+        return self._edge_rows.copy()
 
     # -- mutation (the sanctioned apply path) ----------------------------
 
@@ -142,10 +149,12 @@ class MutableGraph:
                     drifted.add(event.u)
             else:  # pragma: no cover - StreamEvent validates kinds
                 raise StreamError(f"unknown event kind {event.kind!r}")
+        if inserted or deleted:
+            self._edge_rows = _edge_array(self._edges, self.num_nodes)
         return GraphDelta(
             tick=tick,
-            inserted=_edge_array(inserted),
-            deleted=_edge_array(deleted),
+            inserted=_edge_array(inserted, self.num_nodes),
+            deleted=_edge_array(deleted, self.num_nodes),
             drifted=np.array(sorted(drifted), dtype=np.int64),
             skipped=skipped)
 
@@ -155,7 +164,7 @@ class MutableGraph:
         """Freeze the current state into an immutable :class:`Graph`."""
         features = (None if self._features is None
                     else self._features.copy())
-        return Graph.from_edges(self.num_nodes, self.edge_array(),
+        return Graph.from_edges(self.num_nodes, self._edge_rows,
                                 features=features)
 
     def fingerprint(self) -> str:
@@ -166,9 +175,8 @@ class MutableGraph:
         be bit-identical.
         """
         digest = hashlib.sha256()
-        edges = self.edge_array()
         digest.update(np.int64([self.num_nodes]).tobytes())
-        digest.update(edges.tobytes())
+        digest.update(self._edge_rows.tobytes())
         if self._features is not None:
             digest.update(str(self._features.shape).encode("ascii"))
             digest.update(np.ascontiguousarray(self._features).tobytes())

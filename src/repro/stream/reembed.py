@@ -6,15 +6,20 @@ touches a set of nodes, only nodes within K hops of the touched set —
 computed over the *union* of the pre- and post-delta adjacency, so
 both sides of an inserted or deleted edge count — can change their
 embedding.  :func:`affected_frontier` computes that set;
-:class:`Reembedder` recomputes exactly the export batches containing
-it and patches the table in place of its own copy.
+:class:`Reembedder` recomputes exactly the patch blocks containing it
+and patches the table in place of its own copy.
 
-Patching happens at **export-batch granularity**: the batches are the
-same fixed node ranges :func:`~repro.serve.artifact.
-materialize_embeddings` always uses, so recomputed rows are
-bit-identical to what a full refresh would produce — incremental and
-full re-embedding agree to the last bit (asserted by the test suite),
-which is what lets frontier mode participate in the stream digest.
+The **patch unit** is a fixed node range ``[b * batch_size, (b+1) *
+batch_size)`` (``StreamConfig.embed_batch``): a refresh recomputes
+every row of each block the frontier touches, so the row count it
+reports depends only on the frontier.  It is not a compute batch —
+all patched rows come out of one full-neighbor message-flow graph
+(:func:`~repro.serve.artifact.materialize_embeddings`), and since a
+row's embedding never depends on which rows it is computed with,
+recomputed rows are bit-identical to what a full refresh would
+produce — incremental and full re-embedding agree to the last bit
+(asserted by the test suite), which is what lets frontier mode
+participate in the stream digest.
 
 The resulting table becomes a new versioned
 :class:`~repro.serve.artifact.ServableArtifact`; the ``model_version``
@@ -33,6 +38,7 @@ from ..checkpoint.state import strip_prefix
 from ..graph.graph import Graph
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
+from ..sampling.blocks import GraphNeighborSource
 from ..serve.artifact import (
     ServableArtifact,
     artifact_from_table,
@@ -49,21 +55,19 @@ def affected_frontier(old_graph: Graph, new_graph: Graph,
     Expands ``hops`` BFS levels from ``touched`` over the union of the
     old and new adjacency (an edge present on either side conducts
     influence).  Conservative by construction: a superset of the nodes
-    whose embeddings actually change.
+    whose embeddings actually change.  Returns the sorted node ids.
     """
-    seen = set(int(n) for n in np.asarray(touched, dtype=np.int64))
-    current = sorted(seen)
+    seen = np.unique(np.asarray(touched, dtype=np.int64))
+    current = seen
     for _ in range(max(hops, 0)):
-        nxt = set()
-        for node in current:
-            for graph in (old_graph, new_graph):
-                nxt.update(graph.neighbors(node).tolist())
-        fresh = nxt - seen
-        if not fresh:
+        reached = np.unique(np.concatenate(
+            [GraphNeighborSource(graph).neighbors_batch(current)[0]
+             for graph in (old_graph, new_graph)]))
+        current = np.setdiff1d(reached, seen, assume_unique=True)
+        if current.size == 0:
             break
-        seen |= fresh
-        current = sorted(fresh)
-    return np.array(sorted(seen), dtype=np.int64)
+        seen = np.union1d(seen, current)
+    return seen
 
 
 class Reembedder:
@@ -71,10 +75,11 @@ class Reembedder:
 
     Owns a frozen trained ``model`` and the current ``(num_nodes,
     embed_dim)`` table.  :meth:`full_refresh` recomputes everything;
-    :meth:`frontier_refresh` recomputes only the export batches
-    containing the affected frontier.  Both leave the table in the
-    exact state a from-scratch materialization against the same graph
-    would — the equivalence the streaming digest depends on.
+    :meth:`frontier_refresh` recomputes only the ``batch_size``-node
+    patch blocks containing the affected frontier, in one pass.  Both
+    leave the table in the exact state a from-scratch materialization
+    against the same graph would — the equivalence the streaming
+    digest depends on.
     """
 
     def __init__(self, model: LinkPredictionModel,
@@ -96,15 +101,14 @@ class Reembedder:
 
     def full_refresh(self, graph: Graph) -> int:
         """Recompute every row against ``graph``; returns rows done."""
-        self.table = materialize_embeddings(self.model, graph,
-                                            batch_size=self.batch_size)
+        self.table = materialize_embeddings(self.model, graph)
         self._embedded_graph = graph
         self.rows_recomputed += graph.num_nodes
         return graph.num_nodes
 
     def frontier_refresh(self, graph: Graph,
                          touched: Sequence[int]) -> int:
-        """Patch only the batches the touched set can reach; returns
+        """Patch only the blocks the touched set can reach; returns
         the number of rows recomputed (0 when nothing was touched).
 
         Falls back to :meth:`full_refresh` on the first call (there is
@@ -114,22 +118,17 @@ class Reembedder:
             return self.full_refresh(graph)
         frontier = affected_frontier(self._embedded_graph, graph,
                                      touched, self.num_layers)
-        if frontier.size == 0:
-            self._embedded_graph = graph
-            return 0
-        batch_ids = np.unique(frontier // self.batch_size)
-        patch = materialize_embeddings(self.model, graph,
-                                       batch_size=self.batch_size,
-                                       batch_ids=batch_ids.tolist())
-        rows = 0
-        for b in batch_ids:
-            lo = int(b) * self.batch_size
-            hi = min(lo + self.batch_size, graph.num_nodes)
-            self.table[lo:hi] = patch[lo:hi]
-            rows += hi - lo
         self._embedded_graph = graph
-        self.rows_recomputed += rows
-        return rows
+        if frontier.size == 0:
+            return 0
+        blocks = np.unique(frontier // self.batch_size)
+        rows = (blocks[:, None] * self.batch_size
+                + np.arange(self.batch_size)).ravel()
+        rows = rows[rows < graph.num_nodes]
+        self.table[rows] = materialize_embeddings(self.model, graph,
+                                                  rows=rows)[rows]
+        self.rows_recomputed += rows.size
+        return int(rows.size)
 
     # -- checkpointing ---------------------------------------------------
 

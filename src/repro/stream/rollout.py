@@ -50,7 +50,6 @@ def probe_pairs(graph: Graph, seed: int, tick: int,
                 np.zeros((0, 2), dtype=np.int64))
     take = min(num_pairs, edges.shape[0])
     pos = edges[rng.choice(edges.shape[0], size=take, replace=False)]
-    present = {(int(u), int(v)) for u, v in edges}
     neg = []
     attempts = 0
     while len(neg) < take and attempts < take * 50:
@@ -59,7 +58,7 @@ def probe_pairs(graph: Graph, seed: int, tick: int,
         v = int(rng.integers(0, graph.num_nodes - 1))
         if v >= u:
             v += 1
-        if (min(u, v), max(u, v)) not in present:
+        if not graph.has_edge(u, v):
             neg.append((u, v))
     return pos, np.asarray(neg, dtype=np.int64).reshape(-1, 2)
 

@@ -106,6 +106,32 @@ class TestQueries:
         keys = edges[:, 0] * 5 + edges[:, 1]
         assert np.all(np.diff(keys) > 0)
 
+    @staticmethod
+    def _lexsorted_edges(graph):
+        """``edge_list``'s sort, always taken: its oracle."""
+        src = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+        mask = src < graph.indices
+        edges = np.stack([src[mask], graph.indices[mask]], axis=1)
+        return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_list_equals_lexsorted_on_from_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 30, size=(120, 2))
+        for dedup in (True, False):
+            g = Graph.from_edges(30, raw, dedup=dedup)
+            np.testing.assert_array_equal(g.edge_list(),
+                                          self._lexsorted_edges(g))
+
+    def test_edge_list_sorts_raw_csr_with_unsorted_rows(self):
+        # Node 0's row lists 3 before 1; node 1's lists 2 before 0.
+        indptr = np.array([0, 2, 4, 5, 6])
+        indices = np.array([3, 1, 2, 0, 1, 0])
+        g = Graph(indptr, indices)
+        edges = g.edge_list()
+        np.testing.assert_array_equal(edges, [[0, 1], [0, 3], [1, 2]])
+        np.testing.assert_array_equal(edges, self._lexsorted_edges(g))
+
     def test_edge_weight_list_alignment(self):
         g = Graph.from_edges(4, [[2, 3], [0, 1]], edge_weights=[5.0, 9.0])
         edges = g.edge_list()

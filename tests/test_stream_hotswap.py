@@ -10,10 +10,10 @@ version-homogeneous groups rather than mixing embedding tables.
 import numpy as np
 import pytest
 
-from repro.graph import synthetic_lp_graph
+from repro.graph import Graph, synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.serve import ServingCluster, OpenLoopWorkload, synthetic_requests
-from repro.stream import MutableGraph, Reembedder, StreamEvent
+from repro.stream import MutableGraph, Reembedder, StreamEvent, probe_pairs
 
 NODES, DIM = 40, 6
 SWAP_SEQ = 12
@@ -148,3 +148,46 @@ class TestTornBatches:
                                       new.embedding_table())
         with pytest.raises(ValueError):
             cluster.activate("not-registered")
+
+
+def _set_based_probe_pairs(graph, seed, tick, num_pairs=32):
+    """The gate probe before it queried ``graph.has_edge``: negatives
+    rejected against a Python set of every edge.  Its oracle."""
+    rng = np.random.default_rng((seed, tick, 211))
+    edges = graph.edge_list()
+    take = min(num_pairs, edges.shape[0])
+    pos = edges[rng.choice(edges.shape[0], size=take, replace=False)]
+    present = {(int(u), int(v)) for u, v in edges}
+    neg = []
+    attempts = 0
+    while len(neg) < take and attempts < take * 50:
+        attempts += 1
+        u = int(rng.integers(0, graph.num_nodes))
+        v = int(rng.integers(0, graph.num_nodes - 1))
+        if v >= u:
+            v += 1
+        if (min(u, v), max(u, v)) not in present:
+            neg.append((u, v))
+    return pos, np.asarray(neg, dtype=np.int64).reshape(-1, 2)
+
+
+class TestProbePairs:
+    @staticmethod
+    def _near_complete():
+        """10 nodes, all but 3 of the 45 pairs present: most negative
+        draws are rejected."""
+        pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+        return Graph.from_edges(10, pairs[3:])
+
+    def test_equals_the_set_based_probe(self):
+        """Same RNG draws, same pairs."""
+        graphs = [synthetic_lp_graph(NODES, 120, feature_dim=DIM,
+                                     rng=np.random.default_rng(4)),
+                  self._near_complete()]
+        for graph in graphs:
+            for seed, tick in [(0, 0), (3, 1), (7, 5)]:
+                got = probe_pairs(graph, seed, tick)
+                want = _set_based_probe_pairs(graph, seed, tick)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)

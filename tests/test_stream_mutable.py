@@ -74,6 +74,30 @@ class TestApply:
             runs.append(mutable.fingerprint())
         assert runs[0] == runs[1]
 
+    def test_edge_array_follows_every_mutating_apply(self):
+        """The cached canonical array equals the sorted live edge set
+        after each tick, including an edge inserted and deleted (and
+        one deleted and re-inserted) within one tick."""
+        mutable = MutableGraph(_featured())
+        ticks = [
+            [StreamEvent("insert", 0, u=7, v=5),
+             StreamEvent("delete", 0, u=1, v=0)],
+            [StreamEvent("insert", 1, u=2, v=6),
+             StreamEvent("delete", 1, u=2, v=6),
+             StreamEvent("delete", 1, u=3, v=4),
+             StreamEvent("insert", 1, u=4, v=3)],
+            [StreamEvent("drift", 2, u=1, scale=0.3)],
+        ]
+        live = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 7]]
+        for tick, events in enumerate(ticks):
+            mutable.apply(events, tick)
+            assert mutable.edge_array().tolist() == live
+            snap = mutable.snapshot()
+            np.testing.assert_array_equal(snap.edge_list(),
+                                          mutable.edge_array())
+        mutable.edge_array()[:] = 0
+        assert mutable.edge_array().tolist() == live
+
 
 class TestState:
     def test_state_arrays_round_trip(self):

@@ -5,10 +5,13 @@ import pytest
 
 from repro.graph import synthetic_lp_graph
 from repro.nn.models import build_model
+from repro.sampling.neighbor import NeighborSampler
+from repro.serve import materialize_embeddings
 from repro.stream import (
     ArrivalPlan,
     MutableGraph,
     Reembedder,
+    StreamEvent,
     affected_frontier,
 )
 from repro.stream.errors import StreamStateError
@@ -47,6 +50,176 @@ class TestAffectedFrontier:
     def test_empty_touched_set(self):
         old, _ = _setup()
         assert affected_frontier(old, old, [], hops=2).size == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_set_based_walk(self, seed):
+        old, _ = _setup(seed=seed, nodes=60, edges=150)
+        mutable = MutableGraph(old)
+        plan = ArrivalPlan.generate(old.num_nodes, 1, seed=seed,
+                                    inserts_per_tick=6.0,
+                                    deletes_per_tick=6.0,
+                                    drifts_per_tick=2.0)
+        delta = mutable.apply(plan.events_at(0), 0)
+        new = mutable.snapshot()
+        touched = delta.touched_nodes()
+        for hops in range(4):
+            got = affected_frontier(old, new, touched, hops)
+            want = _set_based_frontier(old, new, touched, hops)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+
+def _set_based_frontier(old_graph, new_graph, touched, hops):
+    """The Python-set BFS ``affected_frontier`` replaced: its oracle."""
+    seen = set(int(n) for n in np.asarray(touched, dtype=np.int64))
+    current = sorted(seen)
+    for _ in range(max(hops, 0)):
+        nxt = set()
+        for node in current:
+            for graph in (old_graph, new_graph):
+                nxt.update(graph.neighbors(node).tolist())
+        fresh = nxt - seen
+        if not fresh:
+            break
+        seen |= fresh
+        current = sorted(fresh)
+    return np.array(sorted(seen), dtype=np.int64)
+
+
+def _per_batch_embeddings(model, graph, batch_size, batch_ids=None):
+    """The per-batch export loop ``materialize_embeddings`` replaced: one
+    full-neighbour MFG per ``batch_size`` node range.  Kept as the
+    oracle of the one-MFG pass."""
+    sampler = NeighborSampler([-1] * model.encoder.num_layers,
+                              rng=np.random.default_rng(0))
+    num_batches = -(-graph.num_nodes // batch_size)
+    table = None
+    model.eval()
+    try:
+        for b in (range(num_batches) if batch_ids is None else batch_ids):
+            nodes = np.arange(b * batch_size,
+                              min((b + 1) * batch_size, graph.num_nodes))
+            comp_graph = sampler.sample(graph, nodes)
+            rows = model.embed(comp_graph,
+                               graph.features[comp_graph.input_nodes]).data
+            if table is None:
+                table = np.zeros((graph.num_nodes, rows.shape[1]))
+            table[nodes] = rows
+    finally:
+        model.train()
+    return table
+
+
+_KINDS = ["sage", "gcn", "gin", "gat", "gatv2"]
+
+
+class TestOneMFGOracle:
+    """One message-flow graph over the requested rows gives the bits of
+    the per-batch loop, whatever that loop's batch size: a row's
+    embedding never depends on which rows it is computed with.  GAT
+    and GATv2 hold this only since their attention logits stopped
+    being ``(n, k) @ (k, 1)`` GEMVs; the lone-row case holds only
+    because a companion row keeps the product off GEMV."""
+
+    @staticmethod
+    def _case(kind, layers):
+        graph = synthetic_lp_graph(150, 600, feature_dim=6,
+                                   rng=np.random.default_rng(11))
+        model = build_model(kind, 6, hidden_dim=16, num_layers=layers,
+                            seed=5)
+        return graph, model
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_all_rows(self, kind, layers):
+        graph, model = self._case(kind, layers)
+        table = materialize_embeddings(model, graph)
+        for batch_size in (64, 512):
+            oracle = _per_batch_embeddings(model, graph, batch_size)
+            assert table.tobytes() == oracle.tobytes(), batch_size
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_block_subset(self, kind, layers):
+        graph, model = self._case(kind, layers)
+        rows = np.r_[32:48, 96:112]
+        table = materialize_embeddings(model, graph, rows=rows)
+        oracle = _per_batch_embeddings(model, graph, 16, [2, 6])
+        assert table.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_patch_unit_64_vs_512(self, kind, layers):
+        graph, model = self._case(kind, layers)
+        mutable = MutableGraph(graph)
+        tables = []
+        for patch in (64, 512):
+            reembedder = Reembedder(model, batch_size=patch)
+            reembedder.full_refresh(graph)
+            tables.append(reembedder)
+        delta = mutable.apply([StreamEvent("insert", 0, u=3, v=140),
+                               StreamEvent("drift", 0, u=70, scale=0.4)],
+                              0)
+        snap = mutable.snapshot()
+        for reembedder in tables:
+            reembedder.frontier_refresh(snap, delta.touched_nodes())
+        oracle = _per_batch_embeddings(model, snap, 64)
+        for reembedder in tables:
+            assert reembedder.table.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_lone_last_row(self, kind, layers):
+        graph, model = self._case(kind, layers)
+        last = graph.num_nodes - 1
+        table = materialize_embeddings(model, graph, rows=[last])
+        oracle = _per_batch_embeddings(model, graph, 64)
+        assert table[last].tobytes() == oracle[last].tobytes()
+        assert not table[:last].any()
+
+    def test_rows_out_of_range(self):
+        graph, model = self._case("sage", 1)
+        with pytest.raises(ValueError, match="rows must lie"):
+            materialize_embeddings(model, graph, rows=[graph.num_nodes])
+
+
+class TestWorkCount:
+    """Every refresh builds one MFG: each layer-l row is computed once."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        calls = []
+        sample = NeighborSampler.sample
+
+        def counted(self, source, seeds):
+            comp_graph = sample(self, source, seeds)
+            calls.append(comp_graph)
+            return comp_graph
+
+        monkeypatch.setattr(NeighborSampler, "sample", counted)
+        return calls
+
+    def test_full_refresh_samples_once_over_every_node(self, sampled):
+        graph, model = _setup()
+        Reembedder(model, batch_size=8).full_refresh(graph)
+        assert len(sampled) == 1
+        assert sampled[0].blocks[0].num_dst == graph.num_nodes
+
+    def test_frontier_refresh_samples_once(self, sampled):
+        graph, model = _setup(nodes=150, edges=200)
+        reembedder = Reembedder(model, batch_size=8)
+        reembedder.full_refresh(graph)
+        mutable = MutableGraph(graph)
+        delta = mutable.apply([StreamEvent("drift", 0, u=3, scale=0.5)],
+                              0)
+        snap = mutable.snapshot()
+        rows = reembedder.frontier_refresh(snap, delta.touched_nodes())
+        frontier = affected_frontier(graph, snap, [3], 2)
+        blocks = np.arange(graph.num_nodes) // 8
+        patched = np.flatnonzero(np.isin(blocks, frontier // 8))
+        assert rows == patched.size < graph.num_nodes
+        assert len(sampled) == 2
+        np.testing.assert_array_equal(sampled[1].seeds, patched)
 
 
 class TestRefreshEquivalence:
