@@ -90,7 +90,11 @@ that straddles a flush; the embedding cache off and at 4 entries (a
 top-k sweep of ~267 remote rows evicts inside itself; the default 256
 of the other cells evicts too); the dot-product decoder.  Each stores
 one hash over ``ServeReport.digest()`` and the counters (cache hits and
-misses included, which the report digest alone does not cover).
+misses included, which the report digest alone does not cover).  One
+more regime, ``sweep``, runs on its own seeded 1 300-node graph: the
+``mixed`` closed loop there makes every top-k sweep score ~1 290
+candidates, so the decoder's 512-row chunks run three to a sweep with a
+tail of more than one row.
 """
 
 from __future__ import annotations
@@ -648,10 +652,14 @@ class ServeCell(NamedTuple):
 
 
 SERVE_REGIMES = ("pair", "mixed", "outage", "swap", "cache0", "cache4",
-                 "dot")
+                 "dot", "sweep")
 SERVE_SEED = 11
 SERVE_NODES = 400
 SERVE_REQUESTS = 240
+#: The ``sweep`` regime's graph: large enough that a top-k sweep spans
+#: three decoder chunks of ``SWEEP_CHUNK`` rows, the last one > 1 row.
+SWEEP_NODES = 1300
+SWEEP_CHUNK = 512
 #: The ``swap`` cell switches model versions at this admission sequence.
 SERVE_SWAP_SEQ = 97
 
@@ -662,16 +670,16 @@ def serve_cells() -> List[ServeCell]:
             for backend in BACKENDS]
 
 
-def serve_fixture():
-    """The serve cells' graph store and two layout-compatible
-    artifacts per decoder kind (``kind -> (old, new)``)."""
+def serve_fixture(num_nodes: int = SERVE_NODES, kinds=("mlp", "dot")):
+    """A serve graph store and two layout-compatible artifacts per
+    decoder kind (``kind -> (old, new)``)."""
     from repro.distributed.store import RemoteGraphStore
     from repro.graph import synthetic_lp_graph
     from repro.nn.models import build_model
     from repro.partition import partition_graph
     from repro.serve import export_servable
 
-    graph = synthetic_lp_graph(SERVE_NODES, 1600, feature_dim=16,
+    graph = synthetic_lp_graph(num_nodes, 4 * num_nodes, feature_dim=16,
                                rng=np.random.default_rng(SERVE_SEED))
     partitioned = partition_graph(graph, 3,
                                   rng=np.random.default_rng(SERVE_SEED))
@@ -680,7 +688,7 @@ def serve_fixture():
             build_model("sage", 16, hidden_dim=16, num_layers=2,
                         predictor=kind, seed=SERVE_SEED + version),
             partitioned) for version in (0, 1))
-        for kind in ("mlp", "dot")}
+        for kind in kinds}
     return RemoteGraphStore(graph), artifacts
 
 
@@ -692,6 +700,7 @@ def run_serve_cell(fixture, cell: ServeCell) -> str:
 
     store, artifacts = fixture
     old, new = artifacts["dot" if cell.regime == "dot" else "mlp"]
+    num_nodes = old.num_nodes
     knobs = dict(backend=cell.backend, store=store, max_batch=5,
                  max_delay_s=2e-3, max_queue=32)
     if cell.regime.startswith("cache"):
@@ -705,9 +714,9 @@ def run_serve_cell(fixture, cell: ServeCell) -> str:
             FaultEvent(kind="crash", epoch=0, round=SERVE_REQUESTS // 3,
                        worker=1)))
     requests = synthetic_requests(
-        SERVE_REQUESTS, SERVE_NODES, seed=SERVE_SEED,
+        SERVE_REQUESTS, num_nodes, seed=SERVE_SEED,
         topk_fraction=0.0 if cell.regime == "pair" else 0.1)
-    if cell.regime == "mixed":
+    if cell.regime in ("mixed", "sweep"):
         workload = ClosedLoopWorkload(requests, num_clients=12,
                                       think_time_s=2e-4)
     else:
@@ -727,6 +736,15 @@ def run_serve_cell(fixture, cell: ServeCell) -> str:
                    for seqs in flushes.values()), "no flush straddles"
     elif cell.regime == "outage":
         assert counters["rerouted"] > 0, counters
+    elif cell.regime == "sweep":
+        # Every sweep's candidates (all nodes but the query and its
+        # neighbours) fill two chunks and leave a tail of >= 2 rows.
+        graph = store.graph
+        sweeps = [num_nodes - np.union1d(graph.neighbors(o.request.node),
+                                         [o.request.node]).size
+                  for o in report.completed() if o.topk_nodes is not None]
+        assert sweeps and all(2 * SWEEP_CHUNK + 2 <= n < 3 * SWEEP_CHUNK
+                              for n in sweeps), sweeps
     if cell.regime not in ("pair", "cache0"):
         assert counters["embed_cache_hits"] > 0, counters
         assert counters["neighbor_cache_misses"] > 0, counters
@@ -736,9 +754,16 @@ def run_serve_cell(fixture, cell: ServeCell) -> str:
 
 def compute_serve(cells, verbose: bool = False) -> Dict[str, str]:
     """Golden value of every given serve cell, keyed by cell name."""
-    fixture = serve_fixture()
-    return _digests(cells, lambda cell: run_serve_cell(fixture, cell),
-                    verbose)
+    fixtures = {}
+
+    def run(cell: ServeCell) -> str:
+        key = SWEEP_NODES if cell.regime == "sweep" else SERVE_NODES
+        if key not in fixtures:
+            fixtures[key] = (serve_fixture() if key == SERVE_NODES else
+                             serve_fixture(SWEEP_NODES, kinds=("mlp",)))
+        return run_serve_cell(fixtures[key], cell)
+
+    return _digests(cells, run, verbose)
 
 
 def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
