@@ -67,6 +67,8 @@ class ShardRouter:
         if self.num_parts < 1:
             raise ValueError("num_parts must be >= 1")
         self.assignment = owner_vector(node_owner, self.num_parts)
+        #: ``assignment`` as a list: :meth:`route` indexes it per query.
+        self._owners: List[int] = self.assignment.tolist()
         self._down: set = set()
 
     # -- membership -----------------------------------------------------
@@ -122,6 +124,16 @@ class ShardRouter:
             still_down = np.isin(owners, sorted(self._down))
             owners[still_down] = self.live_shards[0]
         return owners, rerouted
+
+    def route(self, src: int, dst: int) -> Tuple[int, bool]:
+        """:meth:`route_pairs` for one ``(src, dst)`` pair, without
+        building an array while every shard is up.  Returns ``(owner,
+        rerouted)``."""
+        if not self._down:
+            return self._owners[src], False
+        owners, rerouted = self.route_pairs(
+            np.array([[src, dst]], dtype=np.int64))
+        return int(owners[0]), bool(rerouted)
 
 
 def guarded_recv(part: int, conn, proc, timeout_s: float,

@@ -21,6 +21,15 @@ from .tensor import Tensor, gather, relu
 
 GNN_TYPES = ("gcn", "sage", "gat", "gatv2", "gin")
 
+#: Rows per chunk of :meth:`MLPPredictor.sweep`'s hidden layers: one
+#: chunk's ``(rows, width)`` intermediates stay cache-resident.
+SWEEP_CHUNK = 512
+#: Hidden widths :meth:`MLPPredictor.sweep` chunks: multiples of the
+#: double-precision GEMM kernels' column panel.  On OpenBLAS a width
+#: 1-4 columns past a multiple of 8 takes an edge kernel whose rounding
+#: moves with the row count, so such a decoder runs as one chunk.
+SWEEP_PANEL = 8
+
 
 def make_conv(gnn_type: str, in_dim: int, out_dim: int,
               num_heads: int = 1,
@@ -96,6 +105,15 @@ class GNNModel(Module):
         return h
 
 
+def _checked_rows(rows, num_rows: int) -> np.ndarray:
+    """``rows`` as int64, each in ``[0, num_rows)`` (so an unbuffered
+    ``np.take(mode="clip")`` gathers exactly ``table[rows]``)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+        raise IndexError(f"sweep rows must lie in [0, {num_rows})")
+    return rows
+
+
 class DotPredictor(Module):
     """Dot-product edge scorer: ``s_uv = <h_u, h_v>``."""
 
@@ -103,6 +121,16 @@ class DotPredictor(Module):
         """Edge scores as dot products of endpoint embeddings (over the
         last axis, so a stacked ``(n, 1, d)`` block gives ``n`` scores)."""
         return (h_u * h_v).sum(axis=-1).reshape(-1)
+
+    def sweep(self, query: np.ndarray, table: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+        """Scores of ``query`` against every ``table[rows]``, without
+        the tape: byte-equal to ``forward`` on the same candidates."""
+        table = np.asarray(table, dtype=np.float64)
+        cand = np.take(table, _checked_rows(rows, table.shape[0]), axis=0,
+                       mode="clip")
+        cand *= query
+        return cand.sum(axis=-1)
 
 
 class MLPPredictor(Module):
@@ -124,6 +152,58 @@ class MLPPredictor(Module):
         """Edge scores from an MLP over concatenated endpoints."""
         out = self.mlp(h_u * h_v)
         return out.reshape(-1)
+
+    def sweep(self, query: np.ndarray, table: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+        """Scores of one ``query`` row against every ``table[rows]``.
+
+        Forward-only: no ``Tensor``, no tape, and byte-equal to
+        ``forward(query[None], table[rows])``.  The hidden layers run in
+        chunks of :data:`SWEEP_CHUNK` rows through preallocated buffers
+        (gather, Hadamard product, GEMM, bias and ReLU all in place),
+        which is exact because a GEMM row's bits do not depend on the
+        row count or the row's offset once there are two or more rows
+        (for hidden widths that are multiples of :data:`SWEEP_PANEL`;
+        other widths run as one chunk); a lone tail row would go down
+        GEMV and round differently, so it joins the previous chunk.  The output layer's ``(n, h) @ (h, 1)``
+        GEMV does round by row position, so it runs once over the whole
+        hidden matrix, exactly as ``forward`` runs it.  Active dropout
+        falls back to ``forward``.
+        """
+        mlp = self.mlp
+        if mlp.dropout is not None and mlp.dropout.training:
+            return self.forward(Tensor(query[None, :]),
+                                Tensor(table[rows])).data
+        table = np.asarray(table, dtype=np.float64)
+        rows = _checked_rows(rows, table.shape[0])
+        *hidden, last = mlp.layers
+        n = rows.size
+        out = np.empty((n, last.in_features))
+        step = (SWEEP_CHUNK if all(layer.out_features % SWEEP_PANEL == 0
+                                   for layer in hidden) else max(n, 1))
+        bounds = list(range(0, n, step)) + [n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            del bounds[-2]   # a lone tail row joins the chunk before it
+        cap = min(n, step + 1)
+        prod = np.empty((cap, table.shape[1])) if hidden else None
+        acts = [np.empty((cap, layer.out_features))
+                for layer in hidden[:-1]]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            x = prod[:stop - start] if hidden else out[start:stop]
+            np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
+            x *= query
+            for i, layer in enumerate(hidden):
+                y = acts[i][:stop - start] if i < len(acts) else out[start:stop]
+                np.matmul(x, layer.weight.data, out=y)
+                if layer.bias is not None:
+                    y += layer.bias.data
+                np.maximum(y, 0.0, out=y)
+                y += 0.0   # -0.0 -> +0.0, the bits ``relu`` gives
+                x = y
+        scores = out @ last.weight.data
+        if last.bias is not None:
+            scores += last.bias.data
+        return scores.reshape(-1)
 
 
 class LinkPredictionModel(Module):

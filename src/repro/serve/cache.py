@@ -23,6 +23,28 @@ from typing import Iterable, List
 import numpy as np
 
 
+#: Keys per block of :func:`_earlier_and_smaller`'s blocked count.
+_BLOCK = 256
+
+
+def _earlier_and_smaller(values: np.ndarray) -> np.ndarray:
+    """``out[i] = #{j < i : values[j] < values[i]}`` in O(P) memory.
+
+    Blocks of :data:`_BLOCK` values compare among themselves directly
+    and count the smaller values of all earlier blocks with one
+    ``searchsorted`` into their merged, sorted union.
+    """
+    out = np.empty(values.size, dtype=np.int64)
+    seen = np.empty(0, dtype=values.dtype)   # earlier blocks, sorted
+    for start in range(0, values.size, _BLOCK):
+        block = values[start:start + _BLOCK]
+        out[start:start + _BLOCK] = np.searchsorted(seen, block) + np.tril(
+            block[:, None] > block, -1).sum(axis=1)
+        block = np.sort(block)
+        seen = np.insert(seen, np.searchsorted(seen, block), block)
+    return out
+
+
 class LRUCache:
     """A bounded LRU key set with hit/miss accounting.
 
@@ -102,7 +124,7 @@ class LRUCache:
             pos = np.flatnonzero(cached[slot] == head)
             slot = slot[pos]
             rank = cached.size - 1 - slot
-            both = np.tril(rank[:, None] > rank, -1).sum(axis=1)
+            both = _earlier_and_smaller(rank)
             hit[pos[rank + pos - both < self.capacity]] = True
             stale[slot] = False
         missing = keys[~hit]

@@ -46,6 +46,21 @@ from .scheduler import Flush, MicroBatchScheduler, ServeFaultSchedule
 SERVE_BACKENDS = ("serial", "thread", "process")
 
 
+def top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` best rows: descending score, ties broken
+    by ascending id — a total order, so top-k is deterministic.
+
+    Equal to ``np.lexsort((ids, -scores))[:k]``: ``np.partition``
+    finds the k-th score, and only the rows scoring at or above it are
+    sorted.  NaN scores take the full sort.
+    """
+    neg = -scores
+    if k <= 0 or k >= neg.size or np.isnan(neg).any():
+        return np.lexsort((ids, neg))[:k]
+    keep = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return keep[np.lexsort((ids[keep], neg[keep]))[:k]]
+
+
 class ServingCluster:
     """Owner-routed, micro-batched serving over a frozen artifact.
 
@@ -362,7 +377,10 @@ class ServingCluster:
 
         Each request uses exactly the table+decoder of the version
         pinned at its admission, so a flush straddling a hot swap never
-        mixes embedding tables.  All pair requests of one version are
+        mixes embedding tables.  A top-k request is one forward-only
+        ``predictor.sweep`` over its candidates (byte-equal to the
+        decoder's ``forward`` on them, see ``MLPPredictor.sweep``) and
+        a :func:`top_k` selection.  All pair requests of one version are
         decoded in a single predictor call on ``(n, 1, d)`` blocks:
         NumPy evaluates a stacked ``(n, 1, d) @ (d, h)`` as ``n``
         independent ``1 x d`` products, so every score stays a pure
@@ -391,14 +409,11 @@ class ServingCluster:
                 mask[request.node] = False
                 mask[excl[excl < num_nodes]] = False
                 candidates = np.flatnonzero(mask).astype(np.int64)
-                scores = predictor(Tensor(table[request.node][None, :]),
-                                   Tensor(table[candidates])).data
-                # Descending score, ties broken by ascending node id
-                # — a total order, so top-k is deterministic.
-                order = np.lexsort((candidates, -scores))
-                top = order[:request.k]
-                results.append((index, None, candidates[top].copy(),
-                                scores[top].copy()))
+                scores = predictor.sweep(table[request.node], table,
+                                         candidates)
+                top = top_k(scores, candidates, request.k)
+                results.append((index, None, candidates[top],
+                                scores[top]))
         for version, rows in pairs.items():
             table, predictor = self._versions[version]
             index, u, v = np.array(rows, dtype=np.int64).T

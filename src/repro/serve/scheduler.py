@@ -33,8 +33,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..distributed.routing import ShardRouter
 from ..faults.plan import FaultPlan
 from .requests import RequestOutcome, ScoreRequest, TopKRequest
@@ -211,17 +209,14 @@ class MicroBatchScheduler:
         seq = len(self.outcomes)
         self.schedule.sync_router(self.router, seq)
         if isinstance(request, ScoreRequest):
-            endpoints = np.array([[request.u, request.v]], dtype=np.int64)
+            src, dst = request.u, request.v
         elif isinstance(request, TopKRequest):
-            endpoints = np.array([[request.node, request.node]],
-                                 dtype=np.int64)
+            src = dst = request.node
         else:
             raise TypeError(f"unknown request type {type(request).__name__}")
-        owners, rerouted = self.router.route_pairs(endpoints)
-        outcome = RequestOutcome(index=seq, request=request,
-                                 shard=int(owners[0]),
-                                 rerouted=bool(rerouted),
-                                 arrival_s=now)
+        shard, rerouted = self.router.route(src, dst)
+        outcome = RequestOutcome(index=seq, request=request, shard=shard,
+                                 rerouted=rerouted, arrival_s=now)
         self.outcomes.append(outcome)
         self.counters["requests"] += 1
         self.counters["rerouted"] += int(rerouted)

@@ -110,11 +110,13 @@ class ClosedLoopWorkload:
         self.num_clients = int(num_clients)
         self.think_time_s = float(think_time_s)
         self._pending = list(requests)
+        self._cursor = 0   # index of the next request to issue
 
     def _next(self, time_s: float) -> List[Tuple[float, Request]]:
-        if not self._pending:
+        if self._cursor == len(self._pending):
             return []
-        return [(time_s, self._pending.pop(0))]
+        self._cursor += 1
+        return [(time_s, self._pending[self._cursor - 1])]
 
     def initial(self) -> List[Tuple[float, Request]]:
         """One request per client at t=0 (up to the budget)."""

@@ -12,6 +12,7 @@ from repro.nn import (
     build_model,
     make_conv,
 )
+from repro.nn.models import SWEEP_CHUNK
 from repro.sampling import NeighborSampler
 
 
@@ -71,6 +72,63 @@ class TestPredictors:
     def test_mlp_predictor_depth(self, rng):
         pred = MLPPredictor(8, num_layers=3, rng=rng)
         assert len(pred.mlp.layers) == 3
+
+
+class TestSweepOracle:
+    """``sweep`` (forward-only, chunked, in place) is byte-equal to
+    ``forward`` on the same candidates: the old top-k decode is the
+    oracle."""
+
+    COUNTS = (0, 1, 2, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1,
+              2 * SWEEP_CHUNK + 1, 4000)
+
+    @staticmethod
+    def _assert_oracle(predictor, table, rng):
+        query = table[7]
+        for n in TestSweepOracle.COUNTS:
+            rows = rng.permutation(table.shape[0])[:n]
+            want = predictor(Tensor(query[None, :]),
+                             Tensor(table[rows])).data
+            got = predictor.sweep(query, table, rows)
+            assert got.shape == want.shape == (n,)
+            assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [64, 16, 20])
+    def test_mlp(self, depth, bias, width):
+        """Width 20 is not a multiple of ``SWEEP_PANEL``: one chunk."""
+        rng = np.random.default_rng(depth)
+        predictor = MLPPredictor(64, hidden_dim=width, num_layers=depth,
+                                 rng=rng).eval()
+        if not bias:
+            for layer in predictor.mlp.layers:
+                layer.bias = None
+        self._assert_oracle(predictor, rng.standard_normal((4100, 64)), rng)
+
+    def test_dot(self):
+        rng = np.random.default_rng(5)
+        self._assert_oracle(DotPredictor(), rng.standard_normal((4100, 64)),
+                            rng)
+
+    def test_active_dropout_falls_back_to_forward(self):
+        from repro.nn.module import Dropout
+        rng = np.random.default_rng(7)
+        predictor = MLPPredictor(16, num_layers=3, rng=rng)
+        predictor.mlp.dropout = Dropout(0.5, rng=np.random.default_rng(1))
+        table = rng.standard_normal((700, 16))
+        rows = np.arange(1, 700)
+        got = predictor.sweep(table[0], table, rows)
+        predictor.mlp.dropout.rng = np.random.default_rng(1)
+        want = predictor(Tensor(table[:1]), Tensor(table[rows])).data
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_rows_out_of_range_raise(self, bad):
+        table = np.zeros((10, 4))
+        for predictor in (MLPPredictor(4, num_layers=2), DotPredictor()):
+            with pytest.raises(IndexError):
+                predictor.sweep(table[0], table, np.array([0, bad]))
 
 
 class TestLinkPredictionModel:

@@ -42,6 +42,41 @@ class TestShardRouterOwners:
             ShardRouter(layout, layout.num_parts)
 
 
+class TestScalarRoute:
+    """``route(src, dst)`` is ``route_pairs`` on one pair, under every
+    down-set a 3-shard router can have."""
+
+    def test_equals_route_pairs_for_every_pair_and_down_set(self):
+        owner = np.array([0, 1, 2, 2, 1, 0, 1, 0, 2], dtype=np.int64)
+        router = ShardRouter(owner, 3)
+        via = {"owner": 0, "destination": 0, "first live": 0}
+        for down in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2]):
+            for part in range(3):
+                router.mark_up(part)
+            for part in down:
+                router.mark_down(part)
+            for src in range(owner.size):
+                for dst in range(owner.size):
+                    owners, rerouted = router.route_pairs(
+                        np.array([[src, dst]], dtype=np.int64))
+                    got = router.route(src, dst)
+                    assert got == (int(owners[0]), bool(rerouted))
+                    assert type(got[0]) is int and type(got[1]) is bool
+                    if not rerouted:
+                        via["owner"] += 1
+                    elif got[0] == owner[dst]:
+                        via["destination"] += 1
+                    else:
+                        via["first live"] += 1
+        # Every branch of the fallback was taken.
+        assert min(via.values()) > 0, via
+
+    def test_owner_table_follows_the_assignment(self, layout):
+        router = ShardRouter(layout.node_owner, layout.num_parts)
+        assert [router.route(n, n)[0] for n in range(20)] == (
+            layout.node_owner[:20].tolist())
+
+
 def _collect(backend, shards, run, timeout_s=5.0):
     failed = []
 

@@ -1,4 +1,4 @@
-"""The two invariants the vectorised serve path rests on.
+"""The invariants the vectorised serve path rests on.
 
 1. **LRU inclusion property => exact batch admission.**
    ``LRUCache.admit_unique`` must reproduce the per-key loop — hits,
@@ -10,10 +10,14 @@
    decoding all pairs of a shard in one call is bit-equal to decoding
    each alone.  The canary fails loudly if a NumPy ever collapses the
    stack into one gemm (which would shift digests across a hot swap).
+3. **Top-k selection and admission keep the old order.**  ``top_k``
+   equals the full ``lexsort`` it replaced, and ``ClosedLoopWorkload``
+   issues the request sequence of the list-popping loop it replaced.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.serve import (
     artifact_from_table,
     synthetic_requests,
 )
+from repro.serve.cluster import top_k
 
 
 class ReferenceLRU:
@@ -107,6 +112,40 @@ class TestBatchAdmission:
             ops.append((True, sweep))
         _replay(capacity, ops)
 
+    @pytest.mark.parametrize("capacity", [4096, 8192])
+    def test_large_capacities(self, capacity):
+        """Sweeps of ~9 000 rows against caches holding thousands of
+        matched entries: many blocks of the blocked recency count."""
+        rng = np.random.default_rng(capacity)
+        remote = np.flatnonzero(rng.random(12000) < 0.75)
+        ops = []
+        for _ in range(5):
+            ops.append((False, rng.choice(remote, 5).tolist()))
+            node = int(rng.integers(0, 12000))
+            ops.append((True, rng.permutation(remote[remote != node])
+                        .tolist()))
+        _replay(capacity, ops)
+
+    def test_sweep_memory_is_linear_in_the_matches(self):
+        """~9 000 cached keys matched by one 30 000-key sweep: a pairwise
+        recency matrix would need ~80 MB per copy."""
+        cache, reference = LRUCache(16384), ReferenceLRU(16384)
+        fill = np.arange(16384, dtype=np.int64)
+        cache.admit_unique(fill)
+        reference.admit(fill.tolist())
+        sweep = np.random.default_rng(0).permutation(30000)
+        tracemalloc.start()
+        try:
+            missed = cache.admit_unique(sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert missed.tolist() == reference.admit(sweep.tolist())
+        assert (cache.hits, cache.misses) == (reference.hits,
+                                              reference.misses)
+        assert list(cache._entries) == list(reference.entries)
+
     def test_partial_sweeps_keep_untouched_entries_in_order(self):
         cache = LRUCache(6)
         cache.admit([1, 2, 3, 4, 5, 6])
@@ -180,3 +219,74 @@ class TestStackedDecoding:
             u, v = outcome.request.u, outcome.request.v
             alone = decoder(Tensor(table[[u]]), Tensor(table[[v]])).data[0]
             assert outcome.score == alone
+
+
+_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 2.0, np.inf,
+                           -np.inf, np.nan])
+
+
+class TestTopKSelection:
+    """``top_k`` against the full sort it replaced."""
+
+    @given(scores=st.lists(_SCORES, max_size=40), k=st.integers(0, 45),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_lexsort(self, scores, k, data):
+        ids = np.array(data.draw(st.permutations(range(100)))[:len(scores)],
+                       dtype=np.int64)
+        scores = np.array(scores, dtype=np.float64)
+        want = np.lexsort((ids, -scores))[:k]
+        assert top_k(scores, ids, k).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("k", [1, 10, 399, 400, 401])
+    def test_ties_at_the_kth_score(self, k):
+        """Integer-valued scores: every cut lands inside a tie group;
+        k = n - 1, n and n + 1 included."""
+        rng = np.random.default_rng(k)
+        scores = rng.integers(0, 6, 400).astype(np.float64)
+        ids = rng.permutation(1000)[:400]
+        got = top_k(scores, ids, k)
+        assert got.tolist() == np.lexsort((ids, -scores))[:k].tolist()
+        if k < 400:
+            kth = -np.sort(-scores)[k - 1]
+            assert (scores == kth).sum() > 1
+
+    def test_nan_scores_take_the_full_sort(self):
+        scores = np.array([1.0, np.nan, 3.0, np.nan, 2.0])
+        ids = np.arange(5)
+        assert top_k(scores, ids, 2).tolist() == [2, 4]
+        assert top_k(scores, ids, 4).tolist() == [2, 4, 0, 1]
+
+
+class _PoppingClosedLoop(ClosedLoopWorkload):
+    """The list-popping ``_next`` the cursor replaced (the oracle)."""
+
+    def _next(self, time_s):
+        if not self._pending:
+            return []
+        return [(time_s, self._pending.pop(0))]
+
+
+class TestClosedLoopOrder:
+    def test_issues_the_popping_sequence(self):
+        requests = synthetic_requests(40, 30, seed=2)
+        new = ClosedLoopWorkload(requests, num_clients=7, think_time_s=1e-3)
+        old = _PoppingClosedLoop(requests, num_clients=7, think_time_s=1e-3)
+        assert new.initial() == old.initial()
+        for step in range(40):
+            got = new.on_complete(requests[step], 0.5 * step, "ok")
+            assert got == old.on_complete(requests[step], 0.5 * step, "ok")
+        assert new.on_complete(requests[0], 99.0, "shed") == []
+
+    def test_serves_the_same_report(self):
+        rng = np.random.default_rng(8)
+        artifact = artifact_from_table(
+            rng.standard_normal((90, 8)), "v0", "mlp",
+            MLPPredictor(8, num_layers=2, rng=rng).state_dict(),
+            np.arange(90, dtype=np.int64) % 3, 3)
+        requests = synthetic_requests(80, 90, seed=9)
+        digests = [
+            ServingCluster(artifact, max_batch=4).serve(
+                workload(requests, num_clients=6)).digest()
+            for workload in (ClosedLoopWorkload, _PoppingClosedLoop)]
+        assert digests[0] == digests[1]
