@@ -659,7 +659,6 @@ SERVE_REQUESTS = 240
 #: The ``sweep`` regime's graph: large enough that a top-k sweep spans
 #: three decoder chunks of ``SWEEP_CHUNK`` rows, the last one > 1 row.
 SWEEP_NODES = 1300
-SWEEP_CHUNK = 512
 #: The ``swap`` cell switches model versions at this admission sequence.
 SERVE_SWAP_SEQ = 97
 
@@ -670,7 +669,7 @@ def serve_cells() -> List[ServeCell]:
             for backend in BACKENDS]
 
 
-def serve_fixture(num_nodes: int = SERVE_NODES, kinds=("mlp", "dot")):
+def serve_fixture(num_nodes: int = SERVE_NODES):
     """A serve graph store and two layout-compatible artifacts per
     decoder kind (``kind -> (old, new)``)."""
     from repro.distributed.store import RemoteGraphStore
@@ -688,13 +687,14 @@ def serve_fixture(num_nodes: int = SERVE_NODES, kinds=("mlp", "dot")):
             build_model("sage", 16, hidden_dim=16, num_layers=2,
                         predictor=kind, seed=SERVE_SEED + version),
             partitioned) for version in (0, 1))
-        for kind in kinds}
+        for kind in ("mlp", "dot")}
     return RemoteGraphStore(graph), artifacts
 
 
 def run_serve_cell(fixture, cell: ServeCell) -> str:
     """Serve one cell; a hash of its report digest and counters."""
     from repro.faults import FaultEvent, FaultPlan
+    from repro.nn.models import SWEEP_CHUNK
     from repro.serve import (ClosedLoopWorkload, OpenLoopWorkload,
                              ServingCluster, synthetic_requests)
 
@@ -757,11 +757,10 @@ def compute_serve(cells, verbose: bool = False) -> Dict[str, str]:
     fixtures = {}
 
     def run(cell: ServeCell) -> str:
-        key = SWEEP_NODES if cell.regime == "sweep" else SERVE_NODES
-        if key not in fixtures:
-            fixtures[key] = (serve_fixture() if key == SERVE_NODES else
-                             serve_fixture(SWEEP_NODES, kinds=("mlp",)))
-        return run_serve_cell(fixtures[key], cell)
+        nodes = SWEEP_NODES if cell.regime == "sweep" else SERVE_NODES
+        if nodes not in fixtures:
+            fixtures[nodes] = serve_fixture(nodes)
+        return run_serve_cell(fixtures[nodes], cell)
 
     return _digests(cells, run, verbose)
 

@@ -160,15 +160,17 @@ class MLPPredictor(Module):
         Forward-only: no ``Tensor``, no tape, and byte-equal to
         ``forward(query[None], table[rows])``.  The hidden layers run in
         chunks of :data:`SWEEP_CHUNK` rows through preallocated buffers
-        (gather, Hadamard product, GEMM, bias and ReLU all in place),
-        which is exact because a GEMM row's bits do not depend on the
-        row count or the row's offset once there are two or more rows
-        (for hidden widths that are multiples of :data:`SWEEP_PANEL`;
-        other widths run as one chunk); a lone tail row would go down
-        GEMV and round differently, so it joins the previous chunk.  The output layer's ``(n, h) @ (h, 1)``
-        GEMV does round by row position, so it runs once over the whole
-        hidden matrix, exactly as ``forward`` runs it.  Active dropout
-        falls back to ``forward``.
+        (gather, Hadamard product, GEMM, bias and ReLU all in place).
+        That is exact because a GEMM row's bits depend neither on the
+        row count nor on the row's offset once there are two or more
+        rows (for hidden widths that are multiples of
+        :data:`SWEEP_PANEL`; other widths run as one chunk).  A lone
+        tail row would go down GEMV and round differently, so it joins
+        the chunk before it.  The output layer's ``(n, h) @ (h, 1)``
+        GEMV does round by row position (the last rows of a call take a
+        tail path), so it runs once over the whole hidden matrix,
+        exactly as ``forward`` runs it.  Active dropout falls back to
+        ``forward``.
         """
         mlp = self.mlp
         if mlp.dropout is not None and mlp.dropout.training:
@@ -193,7 +195,8 @@ class MLPPredictor(Module):
             np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
             x *= query
             for i, layer in enumerate(hidden):
-                y = acts[i][:stop - start] if i < len(acts) else out[start:stop]
+                y = (acts[i][:stop - start] if i < len(acts)
+                     else out[start:stop])
                 np.matmul(x, layer.weight.data, out=y)
                 if layer.bias is not None:
                     y += layer.bias.data
