@@ -277,16 +277,3 @@ class TestClosedLoopOrder:
             got = new.on_complete(requests[step], 0.5 * step, "ok")
             assert got == old.on_complete(requests[step], 0.5 * step, "ok")
         assert new.on_complete(requests[0], 99.0, "shed") == []
-
-    def test_serves_the_same_report(self):
-        rng = np.random.default_rng(8)
-        artifact = artifact_from_table(
-            rng.standard_normal((90, 8)), "v0", "mlp",
-            MLPPredictor(8, num_layers=2, rng=rng).state_dict(),
-            np.arange(90, dtype=np.int64) % 3, 3)
-        requests = synthetic_requests(80, 90, seed=9)
-        digests = [
-            ServingCluster(artifact, max_batch=4).serve(
-                workload(requests, num_clients=6)).digest()
-            for workload in (ClosedLoopWorkload, _PoppingClosedLoop)]
-        assert digests[0] == digests[1]
