@@ -17,7 +17,8 @@ Run:  python examples/baseline_comparison.py
 
 import numpy as np
 
-from repro import TrainConfig, run_framework, split_edges
+from repro import TrainConfig, split_edges
+from repro.core import run_framework
 from repro.embeddings import deepwalk_embedding
 from repro.eval import auc, heuristic_score, hits_at_k
 from repro.graph import synthetic_lp_graph

@@ -12,7 +12,8 @@ Run:  python examples/citation_graph.py
 
 import numpy as np
 
-from repro import SpLPG, TrainConfig, load_dataset, run_framework, split_edges
+from repro import SpLPG, TrainConfig, load_dataset, split_edges
+from repro.core import run_framework
 
 
 def main() -> None:

@@ -19,7 +19,8 @@ Run:  python examples/observability.py
 
 import numpy as np
 
-from repro import TrainConfig, run_framework, split_edges
+from repro import TrainConfig, split_edges
+from repro.core import run_framework
 from repro.graph import synthetic_lp_graph
 
 

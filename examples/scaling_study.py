@@ -11,7 +11,8 @@ Run:  python examples/scaling_study.py
 
 import numpy as np
 
-from repro import TrainConfig, load_dataset, run_framework, split_edges
+from repro import TrainConfig, load_dataset, split_edges
+from repro.core import run_framework
 from repro.partition import edge_cut, partition_balance, partition_graph
 from repro.sparsify import sparsify_partitions
 

@@ -17,7 +17,8 @@ Run:  python examples/social_network.py
 
 import numpy as np
 
-from repro import PAPER_LABELS, TrainConfig, run_framework, split_edges
+from repro import PAPER_LABELS, TrainConfig, split_edges
+from repro.core import run_framework
 from repro.graph import synthetic_lp_graph
 
 

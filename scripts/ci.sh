@@ -14,8 +14,8 @@ python scripts/golden.py --check
 echo "== repro.lint (per-file rules + F202 worker races) =="
 python -m repro.lint src/ --format json
 
-echo "== repro.lint (tests/scripts/benchmarks, hygiene subset) =="
-python -m repro.lint --select R001,R101,R102,R103 tests scripts benchmarks
+echo "== repro.lint (tests/scripts/benchmarks/examples, hygiene subset) =="
+python -m repro.lint --select R001,R101,R102,R103 tests scripts benchmarks examples
 
 echo "== benchmark smoke (the BENCHMARK.json command: four workloads x untraced + traced pass, digest_stable) =="
 python3 perf/run.py --smoke > /dev/null
