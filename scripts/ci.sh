@@ -11,6 +11,11 @@ python -m pytest -x -q --durations=15
 echo "== golden digest matrices (training + fault invariants + resume + coordinator kill, stream, serve; each file prints its cell count) =="
 python scripts/golden.py --check
 
+echo "== tier-1 golden subset, BLAS pinned to one thread (digests must not depend on the BLAS thread count) =="
+OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+    python -m pytest -q tests/test_golden_digests.py \
+    -k "subset_matches or stream_cells_match or serve_cells_match"
+
 echo "== repro.lint (per-file rules + F202 worker races) =="
 python -m repro.lint src/ --format json
 

@@ -37,7 +37,7 @@ import numpy as np
 from ..rng import ensure_rng
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from ..partition.partitioned import PartitionedGraph
 from ..sampling.neighbor import NeighborSampler
 from .backends import BACKEND_NAMES
@@ -247,6 +247,7 @@ class DistributedScorer:
         if self._memo_enabled and fresh:
             self._embed_memo[part].update(fresh)
 
+    @no_grad()
     def _score_shard(self, part: int, sel: np.ndarray, pairs: np.ndarray,
                      seed: int
                      ) -> Tuple[np.ndarray, Dict[int, np.ndarray], int]:
@@ -257,7 +258,8 @@ class DistributedScorer:
         scores plus the per-node embeddings computed from scratch this
         call plus the memo hit count (the caller folds both into the
         shard memo and the work counters — the forked child ships them
-        back to the parent instead).
+        back to the parent instead).  Records no tape: the scope is
+        entered here, on whichever thread or child runs the shard.
         """
         view = self.views[part]
         sampler = NeighborSampler(self.fanouts,

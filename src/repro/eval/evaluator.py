@@ -17,6 +17,7 @@ from ..rng import ensure_rng
 from ..graph.graph import Graph
 from ..graph.splits import EdgeSplit
 from ..nn.models import LinkPredictionModel
+from ..nn.tensor import no_grad
 from ..sampling.neighbor import NeighborSampler
 from .metrics import auc, hits_at_k
 
@@ -33,6 +34,7 @@ class EvalResult:
         return f"Hits@{self.k}={self.hits:.4f}, AUC={self.auc:.4f}"
 
 
+@no_grad()
 def score_pairs(
     model: LinkPredictionModel,
     graph: Graph,
@@ -41,7 +43,10 @@ def score_pairs(
     rng: Optional[np.random.Generator] = None,
     batch_size: int = 2048,
 ) -> np.ndarray:
-    """Score node pairs using full-graph neighborhood sampling."""
+    """Score node pairs using full-graph neighborhood sampling.
+
+    Records no tape, so no batch's activations outlive its scores.
+    """
     rng = ensure_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     sampler = NeighborSampler(fanouts, rng=rng)

@@ -24,7 +24,7 @@ from .loss import bce_with_logits
 from .module import Linear, Module
 from .models import MLPPredictor
 from .optim import Adam
-from .tensor import Tensor, gather, relu, sparse_matmul
+from .tensor import Tensor, gather, no_grad, relu, sparse_matmul
 
 
 def normalized_adjacency(graph: Graph, add_self_loops: bool = True
@@ -123,6 +123,8 @@ def train_full_batch(
         losses.append(loss.item())
 
     model.eval()
+
+    @no_grad()
     def score(pairs: np.ndarray) -> np.ndarray:
         return model(prop, graph.features,
                      np.asarray(pairs, dtype=np.int64)).data

@@ -21,6 +21,10 @@ Design notes
   run, its ``grad``, parents and closure are dropped, so only leaves
   keep gradients and a second ``backward`` through the same tape raises
   instead of counting every gradient twice.
+* Inside :func:`no_grad` nothing is recorded: results keep no parents
+  and no closure, so each intermediate array is freed as soon as the
+  forward stops using it.  The scope is per thread, so an inference
+  pass on one thread never stops another thread's training step.
 * Two fused ops are one node each where a composition would be several:
   :func:`linear` (``x @ W + b``) and :func:`aggregate` (the weighted
   neighbour sum of paper Eq. (1) over a sampled block, as one sparse
@@ -33,8 +37,10 @@ Design notes
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
-                    Sequence, Tuple)
+import threading
+from contextlib import contextmanager
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +50,34 @@ if TYPE_CHECKING:
     from ..sampling.blocks import Block
 
 Array = np.ndarray
+
+
+class _TapeState(threading.local):
+    """Whether ops on the current thread record the tape."""
+
+    recording = True
+
+
+_TAPE = _TapeState()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape on this thread while the scope is held.
+
+    Results computed inside have ``requires_grad`` False, no parents and
+    no backward closure; the forward arithmetic, and so every output
+    bit, is unchanged.  Scopes nest, and the previous state comes back
+    on exit, exception or not.  Other threads keep recording.  As a
+    decorator (``@no_grad()``) it holds the scope for each call.
+    """
+    previous = _TAPE.recording
+    _TAPE.recording = False
+    try:
+        yield
+    finally:
+        _TAPE.recording = previous
+
 
 def _as_array(value) -> Array:
     return np.asarray(value, dtype=np.float64)
@@ -85,7 +119,7 @@ class Tensor:
     def _result(data: Array, parents: Sequence["Tensor"],
                 backward: Callable[[Array], None]) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _TAPE.recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

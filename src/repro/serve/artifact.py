@@ -41,6 +41,7 @@ from ..nn.models import (
     MLPPredictor,
 )
 from ..nn.module import Module
+from ..nn.tensor import no_grad
 from ..checkpoint.io import atomic_save_state_dict
 from ..nn.serialize import (
     load_state_dict,
@@ -226,6 +227,7 @@ def predictor_kind_of(model: LinkPredictionModel) -> str:
         "expected MLPPredictor or DotPredictor")
 
 
+@no_grad()
 def materialize_embeddings(model: LinkPredictionModel, graph,
                            rows=None) -> np.ndarray:
     """Exact full-neighbor embeddings of ``rows`` (every node by default).
@@ -237,6 +239,7 @@ def materialize_embeddings(model: LinkPredictionModel, graph,
     exactly the rows a full pass would — the property the streaming
     re-embedder relies on to patch tables bit-identically.  Returns a
     ``(num_nodes, embed_dim)`` table; rows not requested are zero.
+    Records no tape.
     """
     if rows is None:
         nodes = np.arange(graph.num_nodes, dtype=np.int64)

@@ -36,7 +36,7 @@ from ..distributed.comm import FEATURE_ITEMSIZE, CommMeter
 from ..distributed.routing import ShardRouter, fan_out, resolve_backend
 from ..distributed.timeline import HardwareModel
 from ..faults.plan import FaultPlan
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .artifact import ServableArtifact
 from .cache import LRUCache
 from .requests import RequestOutcome, ScoreRequest, ServeReport
@@ -186,6 +186,21 @@ class ServingCluster:
                 "register_version() it first")
         self.active_version = version
         self.table, self.predictor = self._versions[version]
+
+    def retire(self, version: str) -> None:
+        """Drop a registered version's table and decoder.
+
+        The active version cannot be retired, and an unknown one is an
+        error; both raise ``ValueError``.  A retired version can no
+        longer be a ``serve`` swap target or :meth:`activate`-d.
+        """
+        if version == self.active_version:
+            raise ValueError(
+                f"model_version {version[:12]!r}… is active; activate "
+                "another version before retiring it")
+        if version not in self._versions:
+            raise ValueError(f"unknown model_version {version[:12]!r}…")
+        del self._versions[version]
 
     def pinned_version(self, index: int) -> str:
         """The model version request ``index`` of the last run scored
@@ -368,6 +383,7 @@ class ServingCluster:
                 outcome.topk_nodes = topk_nodes
                 outcome.topk_scores = topk_scores
 
+    @no_grad()
     def _execute_shard(self, flushes: List[Flush]) -> List[tuple]:
         """Run one shard's flush plan against the read-only tables.
 
@@ -387,7 +403,10 @@ class ServingCluster:
         function of ``(table, predictor, u, v)`` — bit-equal to scoring
         the request alone, whatever else shares its flush or version
         group (one gemm over an ``(n, d)`` block would not be: BLAS
-        results can differ in the last bit across batch shapes).
+        results can differ in the last bit across batch shapes).  The
+        pair decode and the sweep's dropout fallback record no tape: the
+        scope is entered here, on whichever thread or child runs the
+        shard.
         """
         results: List[tuple] = []
         pairs: Dict[str, List[Tuple[int, int, int]]] = {}

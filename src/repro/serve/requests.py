@@ -31,7 +31,7 @@ from ..distributed.comm import CommRecord
 STATUSES = ("ok", "shed", "pending")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreRequest:
     """Pairwise scoring: the logit for the candidate edge ``(u, v)``."""
 
@@ -39,7 +39,7 @@ class ScoreRequest:
     v: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopKRequest:
     """Top-k link recommendation for ``node`` (self/known-neighbor
     candidates excluded)."""
@@ -51,7 +51,7 @@ class TopKRequest:
 Request = Union[ScoreRequest, TopKRequest]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     """One request's routing, timing and result."""
 

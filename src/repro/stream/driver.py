@@ -503,7 +503,12 @@ class StreamDriver:
         report = self._cluster.serve(workload, swaps=swaps)
         swap_latency_s = 0.0
         if swap_seq is not None:
+            # The pre-swap table is unreachable from here on: no later
+            # run pins a request to it, so drop it instead of letting
+            # the cluster keep one table per swap.
+            retired = self._cluster.active_version
             self._cluster.activate(swap_version)
+            self._cluster.retire(retired)
             post = [o for o in report.outcomes
                     if o.index >= swap_seq and o.status == "ok"]
             if post:

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..eval.metrics import auc
 from ..graph.graph import Graph
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from ..serve.artifact import ServableArtifact
 
 
@@ -63,6 +63,7 @@ def probe_pairs(graph: Graph, seed: int, tick: int,
     return pos, np.asarray(neg, dtype=np.int64).reshape(-1, 2)
 
 
+@no_grad()
 def score_pairs(artifact: ServableArtifact,
                 pairs: np.ndarray) -> np.ndarray:
     """Decoder scores for ``pairs`` straight off the artifact table."""

@@ -137,3 +137,40 @@ def unfused_layers():
         for cls, forward in forwards.items():
             patch.setattr(cls, "forward", forward)
         yield
+
+
+def _taped_result(data, parents, backward):
+    """``Tensor._result`` recording the tape whatever scope is held:
+    the taped forward the tape-free inference entry points must
+    reproduce bit for bit."""
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward = backward
+    return out
+
+
+@contextmanager
+def taped_forward():
+    """Every op records the tape inside the block, ``no_grad`` or not."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tensor, "_result", staticmethod(_taped_result))
+        yield
+
+
+@contextmanager
+def recorded_nodes():
+    """Yield a one-element list counting the tape nodes ops record
+    inside the block (on any thread of this process)."""
+    count = [0]
+    result = Tensor._result
+
+    def spy(data, parents, backward):
+        out = result(data, parents, backward)
+        count[0] += bool(out._parents)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tensor, "_result", staticmethod(spy))
+        yield count

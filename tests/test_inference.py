@@ -13,6 +13,8 @@ from repro.nn import build_model
 from repro.partition import partition_graph
 from repro.sparsify import sparsify_partitions
 
+from conftest import recorded_nodes, taped_forward
+
 
 @pytest.fixture(scope="module")
 def setting():
@@ -82,6 +84,33 @@ class TestConsistency:
         b = full_scorer.score(pairs).scores
         # correlated even though remote neighborhoods are sparsified
         assert np.corrcoef(a, b)[0, 1] > 0.8
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("fanouts", [(5, 5), (-1, -1)],
+                         ids=["sampled", "memo"])
+def test_shards_record_no_tape_and_keep_the_bits(setting, backend,
+                                                 fanouts):
+    """The scope is entered inside each shard, so it holds on the
+    worker threads too; the scores equal the taped forward's."""
+    graph, pg, model = setting
+    pairs = graph.edge_list()[:40]
+
+    def scores():
+        scorer = DistributedScorer(model, pg,
+                                   remote=RemoteGraphStore(graph),
+                                   fanouts=fanouts, backend=backend,
+                                   batch_size=16,
+                                   rng=np.random.default_rng(3))
+        scorer.score(pairs)   # the second call reads the memo
+        return scorer.score(pairs).scores
+
+    with recorded_nodes() as nodes:
+        free = scores()
+    assert nodes == [0]
+    with taped_forward():
+        taped = scores()
+    assert free.tobytes() == taped.tobytes()
 
 
 class TestInferenceComm:

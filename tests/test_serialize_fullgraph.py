@@ -16,6 +16,8 @@ from repro.nn import (
     train_full_batch,
 )
 
+from conftest import recorded_nodes, taped_forward
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
@@ -100,6 +102,22 @@ class TestTrainFullBatch:
         assert losses[-1] < losses[0]
         assert result["test_auc"] > 0.6
         assert 0 <= result["test_hits"] <= 1
+
+    def test_test_scoring_records_no_tape(self, small_split):
+        """Only the training steps record nodes; the final scoring
+        gives the taped forward's metrics without its tape."""
+        def run():
+            return train_full_batch(small_split, hidden_dim=8,
+                                    num_layers=2, epochs=2, seed=1)
+
+        with recorded_nodes() as free_nodes:
+            free = run()
+        with taped_forward(), recorded_nodes() as taped_nodes:
+            taped = run()
+        assert free_nodes[0] < taped_nodes[0]
+        assert free["losses"] == taped["losses"]
+        assert (free["test_auc"], free["test_hits"]) == \
+            (taped["test_auc"], taped["test_hits"])
 
     def test_requires_features(self, small_split):
         from repro.graph.splits import EdgeSplit

@@ -9,6 +9,8 @@ shedding, cache accounting and top-k semantics.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,9 @@ from repro.serve import (
     export_servable,
     synthetic_requests,
 )
+from repro.serve.requests import RequestOutcome
+
+from conftest import recorded_nodes, taped_forward
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +219,44 @@ class TestBackendDeterminism:
         with pytest.raises(ClusterDeadError):
             cluster.serve(OpenLoopWorkload(requests, rate_rps=100.0,
                                            seed=2))
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_pair_decode_records_no_tape_and_keeps_the_bits(served, backend):
+    _, artifact, store, _ = served
+
+    def digest():
+        requests = synthetic_requests(40, 150, seed=21, topk_fraction=0.0)
+        with _cluster(artifact, store, backend=backend) as cluster:
+            return cluster.serve(OpenLoopWorkload(
+                requests, rate_rps=3000.0, seed=22)).digest()
+
+    with recorded_nodes() as nodes:
+        free = digest()
+    assert nodes == [0]
+    with taped_forward(), recorded_nodes() as nodes:
+        taped = digest()
+    assert nodes[0] > 0
+    assert free == taped
+
+
+def test_request_records_survive_a_pickle_round_trip():
+    """Frozen + slotted dataclasses are a known pickling edge case; the
+    process backends ship all three across the pipe."""
+    outcome = RequestOutcome(index=3, request=TopKRequest(node=5, k=2),
+                             status="ok", shard=1, score=0.25,
+                             topk_nodes=np.array([1, 2]))
+    for record in (ScoreRequest(u=1, v=2), TopKRequest(node=5, k=2),
+                   outcome):
+        assert not hasattr(record, "__dict__")
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        if record is outcome:
+            assert copy.request == outcome.request
+            assert copy.topk_nodes.tolist() == [1, 2]
+            assert (copy.index, copy.status, copy.score) == (3, "ok", 0.25)
+        else:
+            assert copy == record and hash(copy) == hash(record)
 
 
 class TestServingSemantics:

@@ -8,6 +8,7 @@ from repro.graph import synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.obs import RunObserver
 from repro.partition.registry import PartitionSpec
+from repro.serve import ServingCluster
 from repro.stream import StreamConfig, StreamDriver
 from repro.stream.errors import StreamStateError
 
@@ -81,6 +82,24 @@ class TestTickLoop:
         rolled = [r for r in report.records if r.rolled_back]
         assert rolled and all("below floor" in r.gate_reason
                               for r in rolled)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_hot_swaps_retire_the_pre_swap_version(self, backend,
+                                                   monkeypatch):
+        """A swap registers the candidate beside the live version and
+        retires the old one after activation, so the cluster holds at
+        most two tables however many ticks swap."""
+        held = []
+        serve = ServingCluster.serve
+
+        def counting_serve(cluster, workload, swaps=None):
+            held.append(len(cluster._versions))
+            return serve(cluster, workload, swaps=swaps)
+
+        monkeypatch.setattr(ServingCluster, "serve", counting_serve)
+        report = _run(_config(ticks=10), backend)
+        assert report.counters["swaps"] >= 3
+        assert len(held) == 10 and max(held) == 2, held
 
     def test_rollback_keeps_prior_version_serving(self):
         report = _run(_config(auc_floor=1.5, rebalance_threshold=0.0))

@@ -14,6 +14,9 @@ from repro.graph import Graph, synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.serve import ServingCluster, OpenLoopWorkload, synthetic_requests
 from repro.stream import MutableGraph, Reembedder, StreamEvent, probe_pairs
+from repro.stream.rollout import score_pairs
+
+from conftest import recorded_nodes, taped_forward
 
 NODES, DIM = 40, 6
 SWAP_SEQ = 12
@@ -95,6 +98,42 @@ class TestAdmissionTimePinning:
         _, a = _serve(old)
         _, b = _serve(old, swaps=[])
         assert a.digest() == b.digest()
+
+
+class TestRetire:
+    def test_retired_version_is_gone(self):
+        old, new = _artifacts()
+        cluster = ServingCluster(old)
+        cluster.register_version(new)
+        cluster.activate(new.model_version)
+        cluster.retire(old.model_version)
+        assert list(cluster._versions) == [new.model_version]
+        with pytest.raises(ValueError, match="not a registered"):
+            cluster.serve(_workload(), swaps=[(1, old.model_version)])
+        with pytest.raises(ValueError, match="unknown model_version"):
+            cluster.activate(old.model_version)
+
+    def test_active_and_unknown_versions_refuse(self):
+        old, new = _artifacts()
+        cluster = ServingCluster(old)
+        cluster.register_version(new)
+        with pytest.raises(ValueError, match="is active"):
+            cluster.retire(old.model_version)
+        cluster.retire(new.model_version)
+        with pytest.raises(ValueError, match="unknown model_version"):
+            cluster.retire(new.model_version)
+        assert list(cluster._versions) == [old.model_version]
+
+
+def test_rollout_scores_record_no_tape_and_keep_the_bits():
+    old, _ = _artifacts()
+    pairs = np.array([[0, 1], [2, 30], [7, 7], [39, 4]], dtype=np.int64)
+    with recorded_nodes() as nodes:
+        free = score_pairs(old, pairs)
+    assert nodes == [0]
+    with taped_forward():
+        taped = score_pairs(old, pairs)
+    assert free.tobytes() == taped.tobytes()
 
 
 class TestTornBatches:

@@ -16,6 +16,8 @@ from repro.stream import (
 )
 from repro.stream.errors import StreamStateError
 
+from conftest import recorded_nodes, taped_forward
+
 
 def _setup(seed=0, nodes=40, edges=120, dim=6):
     graph = synthetic_lp_graph(nodes, edges, feature_dim=dim,
@@ -176,6 +178,16 @@ class TestOneMFGOracle:
         oracle = _per_batch_embeddings(model, graph, 64)
         assert table[last].tobytes() == oracle[last].tobytes()
         assert not table[:last].any()
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_records_no_tape_and_keeps_the_bits(self, kind):
+        graph, model = self._case(kind, 2)
+        with recorded_nodes() as nodes:
+            table = materialize_embeddings(model, graph)
+        assert nodes == [0]
+        with taped_forward():
+            taped = materialize_embeddings(model, graph)
+        assert table.tobytes() == taped.tobytes()
 
     def test_rows_out_of_range(self):
         graph, model = self._case("sage", 1)

@@ -1,5 +1,6 @@
 """Autograd engine tests: forward values and gradient checks."""
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.nn import (
     gather,
     leaky_relu,
     log,
+    no_grad,
     relu,
     segment_mean,
     segment_softmax,
@@ -244,6 +246,70 @@ class TestBackward:
         assert x.grad.tolist() == [3.0, 3.0]
         with pytest.raises(RuntimeError, match="already backpropagated"):
             (hidden * 2.0).sum().backward()
+
+
+
+class TestNoGrad:
+    def test_results_record_no_tape(self):
+        w = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
+        x = Tensor(np.array([[3.0], [1.0]]))
+        taped = relu(x @ w).sum()
+        with no_grad():
+            free = relu(x @ w).sum()
+        assert free.data.tobytes() == taped.data.tobytes()
+        assert not free.requires_grad
+        assert free._parents == () and free._backward is None
+        with pytest.raises(RuntimeError, match="non-differentiable"):
+            free.backward()
+        taped.backward()
+        assert w.grad.tolist() == [[4.0, 0.0]]
+
+    def test_scopes_nest_and_restore_after_an_exception(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not (w * 2.0).requires_grad
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("boom")
+        assert (w * 2.0).requires_grad
+
+    def test_decorated_function_holds_the_scope_per_call(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+
+        @no_grad()
+        def double(t):
+            return t * 2.0
+
+        assert not double(w).requires_grad
+        assert (w * 2.0).requires_grad
+
+    def test_scope_is_per_thread(self):
+        """A thread holding the scope does not stop another thread's
+        backward."""
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def infer():
+            with no_grad():
+                entered.set()
+                release.wait(5.0)
+                seen.append((Tensor(np.ones(2), requires_grad=True)
+                             * 2.0).requires_grad)
+
+        thread = threading.Thread(target=infer)
+        thread.start()
+        try:
+            assert entered.wait(5.0)
+            w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            (w * w).sum().backward()
+            assert w.grad.tolist() == [2.0, 4.0]
+        finally:
+            release.set()
+            thread.join(5.0)
+        assert seen == [False]
 
 
 class TestGradcheck:
