@@ -95,6 +95,13 @@ more regime, ``sweep``, runs on its own seeded 1 300-node graph: the
 ``mixed`` closed loop there makes every top-k sweep score ~1 290
 candidates, so the decoder's 512-row chunks run three to a sweep with a
 tail of more than one row.
+
+The same file holds the **score cells** (``score/<mode>/<backend>``):
+a ``DistributedScorer`` over the serve cells' graph and layout, with
+the complete remote store, scores 240 seeded pairs in batches of 64
+under full-neighbour (``full``) or sampled (``sampled``) fanouts on
+every backend.  Each stores one hash over the scores' bytes, the
+communication ledger, ``pairs_per_worker`` and ``rerouted_pairs``.
 """
 
 from __future__ import annotations
@@ -663,15 +670,35 @@ SWEEP_NODES = 1300
 SERVE_SWAP_SEQ = 97
 
 
-def serve_cells() -> List[ServeCell]:
-    """Every serve cell (all of them fit the tier-1 budget)."""
-    return [ServeCell(regime, backend) for regime in SERVE_REGIMES
-            for backend in BACKENDS]
+class ScoreCell(NamedTuple):
+    """One ``DistributedScorer`` pass: a fanout mode on a backend."""
+
+    mode: str       # "full" | "sampled"
+    backend: str
+
+    @property
+    def name(self) -> str:
+        """``score/mode/backend``."""
+        return f"score/{self.mode}/{self.backend}"
+
+
+#: Fanouts of each score mode.
+SCORE_FANOUTS = {"full": (-1, -1), "sampled": (5, 5)}
+#: Pairs per scorer batch: each shard's share runs several batches.
+SCORE_BATCH = 64
+
+
+def serve_cells() -> List[object]:
+    """Every serve and score cell (all of them fit the tier-1 budget)."""
+    return ([ServeCell(regime, backend) for regime in SERVE_REGIMES
+             for backend in BACKENDS]
+            + [ScoreCell(mode, backend) for mode in SCORE_FANOUTS
+               for backend in BACKENDS])
 
 
 def serve_fixture(num_nodes: int = SERVE_NODES):
-    """A serve graph store and two layout-compatible artifacts per
-    decoder kind (``kind -> (old, new)``)."""
+    """A serve graph store, two layout-compatible artifacts per
+    decoder kind (``kind -> (old, new)``) and the layout itself."""
     from repro.distributed.store import RemoteGraphStore
     from repro.graph import synthetic_lp_graph
     from repro.nn.models import build_model
@@ -688,7 +715,7 @@ def serve_fixture(num_nodes: int = SERVE_NODES):
                         predictor=kind, seed=SERVE_SEED + version),
             partitioned) for version in (0, 1))
         for kind in ("mlp", "dot")}
-    return RemoteGraphStore(graph), artifacts
+    return RemoteGraphStore(graph), artifacts, partitioned
 
 
 def run_serve_cell(fixture, cell: ServeCell) -> str:
@@ -698,7 +725,7 @@ def run_serve_cell(fixture, cell: ServeCell) -> str:
     from repro.serve import (ClosedLoopWorkload, OpenLoopWorkload,
                              ServingCluster, synthetic_requests)
 
-    store, artifacts = fixture
+    store, artifacts, _ = fixture
     old, new = artifacts["dot" if cell.regime == "dot" else "mlp"]
     num_nodes = old.num_nodes
     knobs = dict(backend=cell.backend, store=store, max_batch=5,
@@ -752,14 +779,41 @@ def run_serve_cell(fixture, cell: ServeCell) -> str:
         counters, sort_keys=True)).encode()).hexdigest()
 
 
+def run_score_cell(fixture, cell: ScoreCell) -> str:
+    """Score the seeded pairs once; a hash of the scores and ledger."""
+    from repro.distributed import DistributedScorer
+    from repro.nn.models import build_model
+
+    store, _, partitioned = fixture
+    model = build_model("sage", 16, hidden_dim=16, num_layers=2,
+                        seed=SERVE_SEED)
+    pairs = np.random.default_rng(SERVE_SEED).integers(
+        0, SERVE_NODES, size=(SERVE_REQUESTS, 2))
+    scorer = DistributedScorer(
+        model, partitioned, remote=store,
+        fanouts=SCORE_FANOUTS[cell.mode], batch_size=SCORE_BATCH,
+        rng=np.random.default_rng(SERVE_SEED + 17), backend=cell.backend)
+    result = scorer.score(pairs)
+    assert min(result.pairs_per_worker) > SCORE_BATCH, result
+    digest = hashlib.sha256(result.scores.tobytes())
+    digest.update(json.dumps(
+        [result.comm.to_dict(), result.pairs_per_worker,
+         result.rerouted_pairs], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def compute_serve(cells, verbose: bool = False) -> Dict[str, str]:
-    """Golden value of every given serve cell, keyed by cell name."""
+    """Golden value of every given serve or score cell, keyed by cell
+    name."""
     fixtures = {}
 
-    def run(cell: ServeCell) -> str:
-        nodes = SWEEP_NODES if cell.regime == "sweep" else SERVE_NODES
+    def run(cell) -> str:
+        nodes = (SWEEP_NODES if getattr(cell, "regime", "") == "sweep"
+                 else SERVE_NODES)
         if nodes not in fixtures:
             fixtures[nodes] = serve_fixture(nodes)
+        if isinstance(cell, ScoreCell):
+            return run_score_cell(fixtures[nodes], cell)
         return run_serve_cell(fixtures[nodes], cell)
 
     return _digests(cells, run, verbose)

@@ -165,7 +165,8 @@ def test_serve_cells_match_committed_digests(committed_serve):
 
 
 def test_serve_backend_does_not_change_the_cell(committed_serve):
-    """Every regime has one value across serial, thread and process."""
+    """Every serve regime and score mode has one value across serial,
+    thread and process."""
     for name, value in committed_serve.items():
-        regime = name.split("/")[1]
-        assert value == committed_serve[f"serve/{regime}/serial"]
+        group = name.rsplit("/", 1)[0]
+        assert value == committed_serve[f"{group}/serial"]
