@@ -15,31 +15,31 @@ results and communication deltas merged in worker order).  Scores and
 ledgers are bit-identical across backends: every worker's sampler seed
 is pre-drawn from the scorer RNG in worker order before any dispatch.
 
-With full-neighbor computation (``fanouts = [-1] * K``) and a complete
-remote store, distributed scores are *exactly* equal to centralized
-scores — the test suite uses this as an end-to-end consistency check
-of the whole locality machinery.  Full-neighbor embeddings are also
-deterministic per node, which lets the scorer memoize them across
-``score`` calls: repeated queries against an unchanged model reuse
-each node's embedding instead of recomputing (and re-fetching) it.
-The memo is keyed by the model's parameter fingerprint and invalidated
-the moment the weights change.
+A shard runs the inference engine of :mod:`repro.eval.evaluator`
+through its worker's view.  With full-neighbor fanouts (``[-1] * K``)
+it embeds all of the shard's distinct endpoints in one message-flow
+graph (:func:`~repro.eval.evaluator.materialize_embeddings`), so each
+remote row is fetched and charged once per call whatever the batch
+size, then decodes the pairs ``batch_size`` at a time.  With a
+complete remote store those embeddings are *exactly* the centralized
+ones — the test suite uses this as an end-to-end consistency check of
+the whole locality machinery.  Sampled fanouts run
+:func:`~repro.eval.evaluator.score_pairs`, the evaluator's own loop.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..eval.evaluator import eval_mode, materialize_embeddings, score_pairs
 from ..rng import ensure_rng
 from ..nn.models import LinkPredictionModel
-from ..nn.serialize import model_fingerprint
 from ..nn.tensor import Tensor, no_grad
 from ..partition.partitioned import PartitionedGraph
-from ..sampling.neighbor import NeighborSampler
 from .backends import BACKEND_NAMES
 from .comm import CommMeter, CommRecord
 from .routing import ShardRouter, fan_out, resolve_backend
@@ -88,19 +88,14 @@ class DistributedScorer:
         Master-side store for non-local data (same choices as
         training: ``None``, full, or sparsified).
     fanouts:
-        Per-layer fanouts; ``[-1] * K`` for exact full-neighbor
-        inference.
+        Per-layer fanouts, one per encoder layer; ``[-1] * K`` for
+        exact full-neighbor inference.
+    batch_size:
+        Pairs per decoder call (and, with sampled fanouts, per sampled
+        computation graph).
     backend:
         Execution backend name (``serial`` | ``thread`` | ``process``);
         results are bit-identical across all three.
-
-    With all-full-neighbor fanouts, per-node embeddings are exact and
-    deterministic, so the scorer memoizes them per shard across
-    ``score`` calls (see :attr:`stats` for hit/compute counters).  The
-    memo is keyed by the model's parameter fingerprint: any weight
-    update invalidates it.  Stochastic fanouts disable the memo — the
-    sampled neighborhoods (and hence the scores) legitimately differ
-    per call.
     """
 
     def __init__(
@@ -114,6 +109,10 @@ class DistributedScorer:
         backend: str = "serial",
         timeout_s: float = 30.0,
     ) -> None:
+        if len(fanouts) != model.encoder.num_layers:
+            raise ValueError(
+                f"need one fanout per encoder layer: got {len(fanouts)} "
+                f"for {model.encoder.num_layers} layers")
         self.model = model
         self.partitioned = partitioned
         self.fanouts = list(fanouts)
@@ -130,18 +129,6 @@ class DistributedScorer:
                             meter=self.meters[part])
             for part in range(partitioned.num_parts)
         ]
-        #: Embedding memo, per shard: node id -> final-layer embedding.
-        #: Only populated with all-full-neighbor fanouts (deterministic
-        #: embeddings); see the class docstring.
-        self._memo_enabled = all(f == -1 for f in self.fanouts)
-        self._embed_memo: List[Dict[int, np.ndarray]] = [
-            {} for _ in range(partitioned.num_parts)]
-        self._memo_version: Optional[str] = None
-        #: Deterministic embedding-work counters: ``embed_computed``
-        #: (node embeddings built from scratch) and ``embed_memo_hits``
-        #: (reused from the memo).  Identical across backends.
-        self.stats: Dict[str, int] = {"embed_computed": 0,
-                                      "embed_memo_hits": 0}
 
     def mark_down(self, part: int) -> None:
         """Take shard ``part`` out of the routing table; its pairs are
@@ -158,21 +145,6 @@ class DistributedScorer:
         """Shards currently accepting queries, in worker order."""
         return self.router.live_shards
 
-    def _refresh_memo(self) -> None:
-        """Invalidate the embedding memo if the model changed.
-
-        The memo is keyed by the model's parameter fingerprint; a
-        version mismatch (any weight update since the last ``score``)
-        clears every shard's cache.
-        """
-        if not self._memo_enabled:
-            return
-        version = model_fingerprint(self.model)
-        if version != self._memo_version:
-            self._memo_version = version
-            for memo in self._embed_memo:
-                memo.clear()
-
     def score(self, pairs: np.ndarray) -> InferenceResult:
         """Score pairs; each is routed to its source endpoint's owner
         (or a fallback shard when the owner is marked down)."""
@@ -184,7 +156,6 @@ class DistributedScorer:
                 comm=self._total_comm(),
                 pairs_per_worker=[0] * self.partitioned.num_parts,
                 rerouted_pairs=0)
-        self._refresh_memo()
         owners, rerouted = self.router.route_pairs(pairs)
         scores = np.empty(pairs.shape[0], dtype=np.float64)
         counts: List[int] = []
@@ -204,9 +175,9 @@ class DistributedScorer:
             worker = part if worker is None else worker
             sel, seed = work[part]
             before = self.meters[worker].current.to_dict()
-            reply = self._score_shard(worker, sel, pairs, seed)
+            shard_scores = self._score_shard(worker, pairs[sel], seed)
             after = self.meters[worker].current.to_dict()
-            return (worker, *reply,
+            return (worker, shard_scores,
                     {key: after[key] - before[key] for key in after})
 
         def fallback(part: int, exc: Exception) -> tuple:
@@ -219,94 +190,44 @@ class DistributedScorer:
             self.mark_down(part)
             return run(part, worker=self.live_shards[0])
 
-        self.model.eval()
-        try:
+        with eval_mode(self.model):
             for part, reply, piped in fan_out(
                     self.backend, list(work), run, fallback,
                     self.timeout_s, context="score"):
-                worker, shard_scores, fresh, hits, charged = reply
+                worker, shard_scores, charged = reply
                 scores[work[part][0]] = shard_scores
-                self._absorb_memo(worker, fresh, hits)
                 if piped:  # the child charged its own copy of the meter
                     self.meters[worker].absorb(CommRecord(**charged))
-        finally:
-            self.model.train()
         return InferenceResult(scores=scores, comm=self._total_comm(),
                                pairs_per_worker=counts,
                                rerouted_pairs=rerouted)
 
     # ------------------------------------------------------------------
 
-    def _absorb_memo(self, part: int, fresh: Dict[int, np.ndarray],
-                     hits: int) -> None:
-        """Fold a shard's freshly computed embeddings into its memo and
-        count the embedding work.  Runs parent-side only, in worker
-        order, so the counters are bit-identical across backends."""
-        self.stats["embed_computed"] += len(fresh)
-        self.stats["embed_memo_hits"] += int(hits)
-        if self._memo_enabled and fresh:
-            self._embed_memo[part].update(fresh)
-
     @no_grad()
-    def _score_shard(self, part: int, sel: np.ndarray, pairs: np.ndarray,
-                     seed: int
-                     ) -> Tuple[np.ndarray, Dict[int, np.ndarray], int]:
-        """Score one worker's shard of pairs, in routing order.
+    def _score_shard(self, part: int, pairs: np.ndarray,
+                     seed: int) -> np.ndarray:
+        """Score one shard's pairs, in routing order, through worker
+        ``part``'s view.
 
-        Touches only worker-``part`` state (view, meter, a fresh
-        sampler), so shards are safe to run concurrently.  Returns the
-        scores plus the per-node embeddings computed from scratch this
-        call plus the memo hit count (the caller folds both into the
-        shard memo and the work counters — the forked child ships them
-        back to the parent instead).  Records no tape: the scope is
-        entered here, on whichever thread or child runs the shard.
+        Touches only worker-``part`` state (view, meter), so shards are
+        safe to run concurrently.  Records no tape: the scope is entered
+        here, on whichever thread or child runs the shard.
         """
         view = self.views[part]
-        sampler = NeighborSampler(self.fanouts,
-                                  rng=np.random.default_rng(seed))
-        memo = self._embed_memo[part] if self._memo_enabled else None
-        fresh: Dict[int, np.ndarray] = {}
-        hits = 0
-        out = np.empty(sel.size, dtype=np.float64)
-        for start in range(0, sel.size, self.batch_size):
-            idx = sel[start:start + self.batch_size]
-            batch = pairs[idx]
-            seeds, inverse = np.unique(batch.ravel(), return_inverse=True)
-            pair_idx = inverse.reshape(-1, 2)
-            if memo is None:
-                comp_graph = sampler.sample(view, seeds)
-                feats = view.fetch_features(comp_graph.input_nodes)
-                emb = self.model.embed(comp_graph, feats)
-                logits = self.model.score_pairs(emb, pair_idx[:, 0],
-                                                pair_idx[:, 1])
-                # Without the memo every seed is computed fresh; the
-                # rows are still reported so the work counters agree
-                # across backends (the forked child ships them back).
-                for j, node in enumerate(seeds):
-                    fresh[int(node)] = emb.data[j]
-            else:
-                known = np.fromiter(
-                    (int(n) in memo or int(n) in fresh for n in seeds),
-                    dtype=bool, count=seeds.size)
-                missing = seeds[~known]
-                hits += int(known.sum())
-                if missing.size:
-                    # `missing` is sorted-unique, so the sampled
-                    # computation graph's seed order matches it and
-                    # embedding rows align one-to-one.
-                    comp_graph = sampler.sample(view, missing)
-                    feats = view.fetch_features(comp_graph.input_nodes)
-                    new_emb = self.model.embed(comp_graph, feats).data
-                    for j, node in enumerate(missing):
-                        fresh[int(node)] = new_emb[j]
-                rows = np.stack([
-                    fresh[int(n)] if int(n) in fresh else memo[int(n)]
-                    for n in seeds])
-                logits = self.model.score_pairs(Tensor(rows),
-                                                pair_idx[:, 0],
-                                                pair_idx[:, 1])
-            out[start:start + idx.size] = logits.data
-        return out, fresh, hits
+        if any(f != -1 for f in self.fanouts):
+            return score_pairs(self.model, view, pairs, self.fanouts,
+                               rng=np.random.default_rng(seed),
+                               batch_size=self.batch_size)
+        nodes, inverse = np.unique(pairs.ravel(), return_inverse=True)
+        emb = Tensor(materialize_embeddings(self.model, view, rows=nodes))
+        pair_idx = inverse.reshape(-1, 2)
+        out = np.empty(pair_idx.shape[0], dtype=np.float64)
+        for start in range(0, out.size, self.batch_size):
+            idx = pair_idx[start:start + self.batch_size]
+            out[start:start + idx.shape[0]] = self.model.score_pairs(
+                emb, idx[:, 0], idx[:, 1]).data
+        return out
 
     def _total_comm(self) -> CommRecord:
         """Cumulative communication over every ``score`` call so far."""

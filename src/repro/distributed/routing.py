@@ -8,7 +8,9 @@ with a two-step fallback when that shard is marked down: first the
 destination endpoint's owner, then the first live shard.  Marking the
 last live shard down raises
 :class:`~repro.faults.errors.ClusterDeadError`, because a router with
-no live shards cannot make progress.
+no live shards cannot make progress.  Routing is where both paths admit
+a query, so a node id outside ``[0, num_nodes)`` raises ``ValueError``
+there, before any shard runs.
 
 :class:`ShardRouter` holds that logic once so the batch and online
 paths cannot drift.  :func:`fan_out` is the other half they share:
@@ -67,6 +69,7 @@ class ShardRouter:
         if self.num_parts < 1:
             raise ValueError("num_parts must be >= 1")
         self.assignment = owner_vector(node_owner, self.num_parts)
+        self.num_nodes = int(self.assignment.size)
         #: ``assignment`` as a list: :meth:`route` indexes it per query.
         self._owners: List[int] = self.assignment.tolist()
         self._down: set = set()
@@ -110,7 +113,10 @@ class ShardRouter:
 
         Returns ``(owners, rerouted)``: the shard each pair is served
         from, and how many pairs could not use their true owner.
+        Raises ``ValueError`` on a node id outside ``[0, num_nodes)``.
         """
+        if pairs.size:
+            self._check_ids(int(pairs.min()), int(pairs.max()))
         owners = self.assignment[pairs[:, 0]].copy()
         if not self._down:
             return owners, 0
@@ -129,11 +135,20 @@ class ShardRouter:
         """:meth:`route_pairs` for one ``(src, dst)`` pair, without
         building an array while every shard is up.  Returns ``(owner,
         rerouted)``."""
+        self._check_ids(min(src, dst), max(src, dst))
         if not self._down:
             return self._owners[src], False
         owners, rerouted = self.route_pairs(
             np.array([[src, dst]], dtype=np.int64))
         return int(owners[0]), bool(rerouted)
+
+    def _check_ids(self, low: int, high: int) -> None:
+        """Raise ``ValueError`` unless node ids ``low..high`` all lie in
+        ``[0, num_nodes)`` (a negative id would index from the end)."""
+        if low < 0 or high >= self.num_nodes:
+            raise ValueError(
+                f"node id {low if low < 0 else high} is outside "
+                f"[0, {self.num_nodes})")
 
 
 def guarded_recv(part: int, conn, proc, timeout_s: float,

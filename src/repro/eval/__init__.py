@@ -1,6 +1,12 @@
-"""Evaluation: Hits@K / AUC metrics and the validation-test protocol."""
+"""Evaluation: Hits@K / AUC metrics, the validation-test protocol and
+the inference engine (`score_pairs`, `materialize_embeddings`)."""
 
-from .evaluator import EvalResult, Evaluator, score_pairs
+from .evaluator import (
+    EvalResult,
+    Evaluator,
+    materialize_embeddings,
+    score_pairs,
+)
 from .heuristics import (
     HEURISTICS,
     adamic_adar,
@@ -22,6 +28,7 @@ from .metrics import (
 __all__ = [
     "EvalResult",
     "Evaluator",
+    "materialize_embeddings",
     "score_pairs",
     "HEURISTICS",
     "adamic_adar",

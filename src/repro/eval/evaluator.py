@@ -1,15 +1,28 @@
-"""Model evaluation for link prediction.
+"""Model evaluation for link prediction, and the inference engine.
 
 Evaluation is always *centralized* (on the full training graph): the
 paper's experimental question is how the distributed *training* regime
 affects the quality of the final model, so validation/test scoring uses
 complete neighborhoods regardless of how the model was trained.
+
+The two engine functions every inference path runs live here, below
+both :mod:`repro.serve` and :mod:`repro.distributed`:
+:func:`score_pairs` (sampled or full-neighbour scoring, one computation
+graph per batch of pairs) and :func:`materialize_embeddings` (exact
+full-neighbour embeddings of any row set in one message-flow graph).
+Both read from any neighbour source — a raw
+:class:`~repro.graph.Graph`, or a
+:class:`~repro.distributed.views.WorkerGraphView` whose feature fetches
+charge its meter — and run the model in whatever mode it is in: each
+entry point wraps its whole pass in :func:`eval_mode`, so no engine
+call switches dropout back on under a sibling shard's forward.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,34 +47,91 @@ class EvalResult:
         return f"Hits@{self.k}={self.hits:.4f}, AUC={self.auc:.4f}"
 
 
+@contextmanager
+def eval_mode(model: LinkPredictionModel) -> Iterator[None]:
+    """Hold ``model`` in eval mode for an inference pass; train mode
+    comes back however the pass ends."""
+    model.eval()
+    try:
+        yield
+    finally:
+        model.train()
+
+
+def _input_features(source, nodes: np.ndarray) -> np.ndarray:
+    """Feature rows of ``nodes``: read from a raw graph, fetched (and
+    charged) through a worker view."""
+    if isinstance(source, Graph):
+        return source.features[nodes]
+    return source.fetch_features(nodes)
+
+
 @no_grad()
 def score_pairs(
     model: LinkPredictionModel,
-    graph: Graph,
+    graph,
     pairs: np.ndarray,
     fanouts: Sequence[int],
     rng: Optional[np.random.Generator] = None,
     batch_size: int = 2048,
 ) -> np.ndarray:
-    """Score node pairs using full-graph neighborhood sampling.
+    """Score node pairs, sampling each batch's computation graph from
+    ``graph`` (a ``Graph`` or a worker view).
 
     Records no tape, so no batch's activations outlive its scores.
     """
     rng = ensure_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     sampler = NeighborSampler(fanouts, rng=rng)
-    model.eval()
     scores = np.empty(pairs.shape[0], dtype=np.float64)
     for start in range(0, pairs.shape[0], batch_size):
         batch = pairs[start:start + batch_size]
         seeds, inverse = np.unique(batch.ravel(), return_inverse=True)
         comp_graph = sampler.sample(graph, seeds)
-        feats = graph.features[comp_graph.input_nodes]
+        feats = _input_features(graph, comp_graph.input_nodes)
         pair_idx = inverse.reshape(-1, 2)
         out = model(comp_graph, feats, pair_idx[:, 0], pair_idx[:, 1])
         scores[start:start + batch.shape[0]] = out.data
-    model.train()
     return scores
+
+
+@no_grad()
+def materialize_embeddings(model: LinkPredictionModel, graph,
+                           rows=None) -> np.ndarray:
+    """Exact full-neighbor embeddings of ``rows`` (every node by default)
+    from ``graph`` (a ``Graph`` or a worker view).
+
+    One ``[-1] * K`` message-flow graph over all requested rows and one
+    ``model.embed``, so every node's layer-``l`` row is computed once.
+    A row's embedding depends only on its K-hop neighborhood, never on
+    which other rows are computed with it, so any subset reproduces
+    exactly the rows a full pass would — the property the streaming
+    re-embedder relies on to patch tables bit-identically.  Returns the
+    ``(len(unique rows), embed_dim)`` rows in ascending node order.
+    Records no tape.
+    """
+    if rows is None:
+        nodes = np.arange(graph.num_nodes, dtype=np.int64)
+    else:
+        nodes = np.unique(np.asarray(rows, dtype=np.int64))
+        if nodes.size and not 0 <= nodes[0] <= nodes[-1] < graph.num_nodes:
+            raise ValueError(
+                f"rows must lie in [0, {graph.num_nodes})")
+    if nodes.size == 0:
+        return np.zeros((0, 0), dtype=np.float64)
+    seeds = nodes
+    if nodes.size == 1 and graph.num_nodes > 1:
+        # A one-row (1,k)@(k,m) product goes down BLAS GEMV, whose bits
+        # differ from GEMM's: compute a lone row beside a companion.
+        seeds = np.unique([int(nodes[0]), 1 if nodes[0] == 0 else 0])
+    # Full-neighbor sampling draws no randomness; the rng argument only
+    # satisfies the seeded-RNG invariant (R001).
+    sampler = NeighborSampler([-1] * model.encoder.num_layers,
+                              rng=np.random.default_rng(0))
+    comp_graph = sampler.sample(graph, seeds)
+    out = model.embed(comp_graph,
+                      _input_features(graph, comp_graph.input_nodes)).data
+    return out if seeds is nodes else out[np.searchsorted(seeds, nodes)]
 
 
 class Evaluator:
@@ -90,10 +160,13 @@ class Evaluator:
     def _evaluate(self, model: LinkPredictionModel, pos: np.ndarray,
                   neg: np.ndarray) -> EvalResult:
         graph = self.split.train_graph
-        pos_scores = score_pairs(model, graph, pos, self.fanouts,
-                                 rng=self.rng, batch_size=self.batch_size)
-        neg_scores = score_pairs(model, graph, neg, self.fanouts,
-                                 rng=self.rng, batch_size=self.batch_size)
+        with eval_mode(model):
+            pos_scores = score_pairs(model, graph, pos, self.fanouts,
+                                     rng=self.rng,
+                                     batch_size=self.batch_size)
+            neg_scores = score_pairs(model, graph, neg, self.fanouts,
+                                     rng=self.rng,
+                                     batch_size=self.batch_size)
         return EvalResult(
             hits=hits_at_k(pos_scores, neg_scores, self.k),
             auc=auc(pos_scores, neg_scores),

@@ -64,9 +64,9 @@ def state_fingerprint(state: Dict[str, np.ndarray]) -> str:
     Keys are hashed in sorted order together with each array's shape,
     dtype and raw bytes, so two models agree on a fingerprint exactly
     when their parameters are bit-identical.  This is the *model
-    version* used by the inference embedding memo and the serving
-    artifact: any parameter update changes the fingerprint and
-    invalidates everything derived from the old weights.
+    version* of the serving artifact and the stream's candidates: any
+    parameter update changes the fingerprint and invalidates
+    everything derived from the old weights.
     """
     digest = hashlib.sha256()
     for key in sorted(state):

@@ -30,7 +30,6 @@ from .artifact import (
     ServableArtifact,
     artifact_from_table,
     export_servable,
-    materialize_embeddings,
     predictor_kind_of,
 )
 from .cache import LRUCache
@@ -67,7 +66,6 @@ __all__ = [
     "TopKRequest",
     "artifact_from_table",
     "export_servable",
-    "materialize_embeddings",
     "predictor_kind_of",
     "synthetic_requests",
 ]

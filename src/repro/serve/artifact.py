@@ -3,10 +3,11 @@
 Serving never runs the GNN encoder online.  At export time the full
 final-layer embedding of every node is materialized with exact
 full-neighbor computation (``fanouts = [-1] * K`` — deterministic, no
-RNG draws), in one message-flow graph so each node's layer-``l`` row
-is computed once, and split by shard ownership; online requests then
-reduce to embedding lookups plus a decoder forward, which is what
-makes micro-batched low-latency serving tractable.
+RNG draws) by :func:`~repro.eval.evaluator.materialize_embeddings`, in
+one message-flow graph so each node's layer-``l`` row is computed
+once, and split by shard ownership; online requests then reduce to
+embedding lookups plus a decoder forward, which is what makes
+micro-batched low-latency serving tractable.
 
 The artifact is versioned and checksummed:
 
@@ -22,8 +23,7 @@ On disk the artifact is a single ``.npz`` written through
 ``serve_artifact/v1``.
 
 This module is the *offline export* path and legitimately owns the
-full graph; online serve handlers must never touch raw graph state
-(lint rule R107 — this file is its sanctioned exemption).
+full graph; online serve handlers never touch raw graph state.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ from ..nn.models import (
     MLPPredictor,
 )
 from ..nn.module import Module
-from ..nn.tensor import no_grad
 from ..checkpoint.io import atomic_save_state_dict
+from ..eval.evaluator import eval_mode, materialize_embeddings
 from ..nn.serialize import (
     load_state_dict,
     model_fingerprint,
     state_fingerprint,
 )
 from ..partition.partitioned import PartitionedGraph, owner_vector
-from ..sampling.neighbor import NeighborSampler
 
 #: On-disk schema identifier; bump on any layout change.
 ARTIFACT_SCHEMA = "serve_artifact/v1"
@@ -227,50 +226,6 @@ def predictor_kind_of(model: LinkPredictionModel) -> str:
         "expected MLPPredictor or DotPredictor")
 
 
-@no_grad()
-def materialize_embeddings(model: LinkPredictionModel, graph,
-                           rows=None) -> np.ndarray:
-    """Exact full-neighbor embeddings of ``rows`` (every node by default).
-
-    One ``[-1] * K`` message-flow graph over all requested rows and one
-    ``model.embed``, so every node's layer-``l`` row is computed once.
-    A row's embedding depends only on its K-hop neighborhood, never on
-    which other rows are computed with it, so any subset reproduces
-    exactly the rows a full pass would — the property the streaming
-    re-embedder relies on to patch tables bit-identically.  Returns a
-    ``(num_nodes, embed_dim)`` table; rows not requested are zero.
-    Records no tape.
-    """
-    if rows is None:
-        nodes = np.arange(graph.num_nodes, dtype=np.int64)
-    else:
-        nodes = np.unique(np.asarray(rows, dtype=np.int64))
-        if nodes.size and not 0 <= nodes[0] <= nodes[-1] < graph.num_nodes:
-            raise ValueError(
-                f"rows must lie in [0, {graph.num_nodes})")
-    if nodes.size == 0:
-        return np.zeros((graph.num_nodes, 0), dtype=np.float64)
-    seeds = nodes
-    if nodes.size == 1 and graph.num_nodes > 1:
-        # A one-row (1,k)@(k,m) product goes down BLAS GEMV, whose bits
-        # differ from GEMM's: compute a lone row beside a companion.
-        seeds = np.unique([int(nodes[0]), 1 if nodes[0] == 0 else 0])
-    # Full-neighbor sampling draws no randomness; the rng argument only
-    # satisfies the seeded-RNG invariant (R001).
-    sampler = NeighborSampler([-1] * model.encoder.num_layers,
-                              rng=np.random.default_rng(0))
-    comp_graph = sampler.sample(graph, seeds)
-    model.eval()
-    try:
-        out = model.embed(comp_graph,
-                          graph.features[comp_graph.input_nodes]).data
-    finally:
-        model.train()
-    table = np.zeros((graph.num_nodes, out.shape[1]), dtype=np.float64)
-    table[nodes] = out[np.searchsorted(seeds, nodes)]
-    return table
-
-
 def artifact_from_table(table: np.ndarray, model_version: str,
                         predictor_kind: str,
                         predictor_state: Dict[str, np.ndarray],
@@ -307,7 +262,8 @@ def export_servable(model: LinkPredictionModel,
     the table by shard ownership.
     """
     kind = predictor_kind_of(model)
-    table = materialize_embeddings(model, partitioned.full)
+    with eval_mode(model):
+        table = materialize_embeddings(model, partitioned.full)
     # Master ownership (node_owner == assignment for node-partitioned
     # layouts; the master replica under vertex cut) keys the shards.
     return artifact_from_table(

@@ -19,10 +19,10 @@ are bit-identical across execution backends:
    interleaving, so the serial, thread and process backends produce
    byte-identical :class:`~repro.serve.requests.ServeReport` digests.
 
-Serve handlers never touch the raw graph (lint rule R107): embeddings
-come from the artifact's table, and top-k neighbor exclusion goes
-through the master's :class:`~repro.distributed.store.RemoteGraphStore`
-with every fetch charged to the communication meter.
+Serve handlers never touch the raw graph: embeddings come from the
+artifact's table, and top-k neighbor exclusion goes through the
+master's :class:`~repro.distributed.store.RemoteGraphStore` with every
+fetch charged to the communication meter.
 """
 
 from __future__ import annotations

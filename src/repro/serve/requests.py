@@ -47,6 +47,10 @@ class TopKRequest:
     node: int
     k: int = 10
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"top-k needs k >= 1, got {self.k}")
+
 
 Request = Union[ScoreRequest, TopKRequest]
 

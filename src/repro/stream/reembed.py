@@ -14,7 +14,7 @@ batch_size)`` (``StreamConfig.embed_batch``): a refresh recomputes
 every row of each block the frontier touches, so the row count it
 reports depends only on the frontier.  It is not a compute batch —
 all patched rows come out of one full-neighbor message-flow graph
-(:func:`~repro.serve.artifact.materialize_embeddings`), and since a
+(:func:`~repro.eval.evaluator.materialize_embeddings`), and since a
 row's embedding never depends on which rows it is computed with,
 recomputed rows are bit-identical to what a full refresh would
 produce — incremental and full re-embedding agree to the last bit
@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..checkpoint.state import strip_prefix
+from ..eval.evaluator import eval_mode, materialize_embeddings
 from ..graph.graph import Graph
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
@@ -42,7 +43,6 @@ from ..sampling.blocks import GraphNeighborSource
 from ..serve.artifact import (
     ServableArtifact,
     artifact_from_table,
-    materialize_embeddings,
     predictor_kind_of,
 )
 from .errors import StreamStateError
@@ -101,7 +101,8 @@ class Reembedder:
 
     def full_refresh(self, graph: Graph) -> int:
         """Recompute every row against ``graph``; returns rows done."""
-        self.table = materialize_embeddings(self.model, graph)
+        with eval_mode(self.model):
+            self.table = materialize_embeddings(self.model, graph)
         self._embedded_graph = graph
         self.rows_recomputed += graph.num_nodes
         return graph.num_nodes
@@ -125,8 +126,9 @@ class Reembedder:
         rows = (blocks[:, None] * self.batch_size
                 + np.arange(self.batch_size)).ravel()
         rows = rows[rows < graph.num_nodes]
-        self.table[rows] = materialize_embeddings(self.model, graph,
-                                                  rows=rows)[rows]
+        with eval_mode(self.model):
+            self.table[rows] = materialize_embeddings(self.model, graph,
+                                                      rows=rows)
         self.rows_recomputed += rows.size
         return int(rows.size)
 

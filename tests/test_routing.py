@@ -41,6 +41,19 @@ class TestShardRouterOwners:
         with pytest.raises(TypeError):
             ShardRouter(layout, layout.num_parts)
 
+    def test_out_of_range_node_ids_rejected(self):
+        """A negative id used to index the owner list from the end."""
+        router = ShardRouter(np.array([0, 1, 1]), 2)
+        for down in ([], [1]):
+            for part in down:
+                router.mark_down(part)
+            for src, dst in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+                with pytest.raises(ValueError, match="outside"):
+                    router.route(src, dst)
+                with pytest.raises(ValueError, match="outside"):
+                    router.route_pairs(np.array([[src, dst]]))
+            assert router.route(2, 0)[0] == (0 if down else 1)
+
 
 class TestScalarRoute:
     """``route(src, dst)`` is ``route_pairs`` on one pair, under every

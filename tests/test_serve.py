@@ -10,6 +10,7 @@ shedding, cache accounting and top-k semantics.
 from __future__ import annotations
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,35 @@ class TestServingSemantics:
         cluster.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             cluster.serve(ClosedLoopWorkload([], num_clients=1))
+
+
+class TestMalformedRequests:
+    """A bad request fails at admission with a typed error (node -1
+    used to be served as the last node, with status ``ok``)."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize(
+        "bad", [ScoreRequest(-1, 3), ScoreRequest(3, 150), TopKRequest(-1),
+                TopKRequest(150)],
+        ids=["u-1", "v150", "topk-1", "topk150"])
+    def test_out_of_range_node_raises_at_admission(self, served, backend,
+                                                   bad):
+        _, artifact, store, _ = served
+        good = [ScoreRequest(0, 1), ScoreRequest(2, 3)]
+        with _cluster(artifact, store, backend=backend) as cluster:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="outside"):
+                    cluster.serve(OpenLoopWorkload(
+                        [good[0], bad, good[1]], rate_rps=1000.0, seed=1))
+            report = cluster.serve(
+                OpenLoopWorkload(good, rate_rps=1000.0, seed=1))
+        assert [o.status for o in report.outcomes] == ["ok", "ok"]
+
+    def test_topk_needs_a_positive_k(self):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k >= 1"):
+                TopKRequest(7, k=k)
 
 
 class TestObservability:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.eval import materialize_embeddings
 from repro.graph import synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.sampling.neighbor import NeighborSampler
-from repro.serve import materialize_embeddings
 from repro.stream import (
     ArrivalPlan,
     MutableGraph,
@@ -147,7 +147,7 @@ class TestOneMFGOracle:
         rows = np.r_[32:48, 96:112]
         table = materialize_embeddings(model, graph, rows=rows)
         oracle = _per_batch_embeddings(model, graph, 16, [2, 6])
-        assert table.tobytes() == oracle.tobytes()
+        assert table.tobytes() == oracle[rows].tobytes()
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("kind", _KINDS)
@@ -176,8 +176,7 @@ class TestOneMFGOracle:
         last = graph.num_nodes - 1
         table = materialize_embeddings(model, graph, rows=[last])
         oracle = _per_batch_embeddings(model, graph, 64)
-        assert table[last].tobytes() == oracle[last].tobytes()
-        assert not table[:last].any()
+        assert table.tobytes() == oracle[[last]].tobytes()
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_records_no_tape_and_keeps_the_bits(self, kind):
@@ -188,6 +187,14 @@ class TestOneMFGOracle:
         with taped_forward():
             taped = materialize_embeddings(model, graph)
         assert table.tobytes() == taped.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_leaves_the_mode_as_it_found_it(self, training):
+        graph, model = self._case("sage", 2)
+        if not training:
+            model.eval()
+        materialize_embeddings(model, graph, rows=[3, 7])
+        assert model.training is training
 
     def test_rows_out_of_range(self):
         graph, model = self._case("sage", 1)
