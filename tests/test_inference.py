@@ -18,6 +18,8 @@ from repro.sparsify import sparsify_partitions
 
 from conftest import recorded_nodes, taped_forward
 
+BACKENDS = ["serial", "thread", "process"]
+
 
 @pytest.fixture(scope="module")
 def setting():
@@ -54,9 +56,6 @@ class TestRouting:
         result = scorer.score(pairs)
         assert result.scores.shape == (17,)
         assert np.all(np.isfinite(result.scores))
-
-
-BACKENDS = ["serial", "thread", "process"]
 
 
 class TestConsistency:
@@ -178,8 +177,8 @@ class TestInferenceComm:
                                                      backend):
         """Each shard embeds its endpoints in one message-flow graph,
         so a remote row is charged once per call however the pairs are
-        batched (per-batch embedding charged 34 752 feature bytes at
-        batch 16 here, 13 248 at 1 024)."""
+        batched (embedding per batch would charge 34 752 feature bytes
+        at batch 16 here, 13 248 at 1 024)."""
         graph, pg, model = setting
         pairs = graph.edge_list()[:120]
         results = [
