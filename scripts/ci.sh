@@ -16,6 +16,9 @@ OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 \
     python -m pytest -q tests/test_golden_digests.py \
     -k "subset_matches or stream_cells_match or serve_cells_match"
 
+echo "== paper figures (benchmarks/, smoke scale: catches a figure that stops running; strict() only prints rows here) =="
+REPRO_BENCH_SCALE=smoke python -m pytest benchmarks/ -q
+
 echo "== repro.lint (per-file rules + F202 worker races) =="
 python -m repro.lint src/ --format json
 

@@ -2,8 +2,15 @@
 
 Evaluation is always *centralized* (on the full training graph): the
 paper's experimental question is how the distributed *training* regime
-affects the quality of the final model, so validation/test scoring uses
-complete neighborhoods regardless of how the model was trained.
+affects the quality of the final model, so validation/test scoring
+reads the whole training graph regardless of how the model was
+trained.  It is not exact: :class:`Evaluator` scores through
+:func:`score_pairs` with the *training* fanouts and its own generator
+(the trainers seed it with ``seed + 7919``), so each validation or test
+metric depends on that generator's stream — which is why its state
+rides in every checkpoint.  ROADMAP.md's "Exact evaluation through the
+one engine" item replaces this with one full-neighbour
+:func:`materialize_embeddings` pass.
 
 The two engine functions every inference path runs live here, below
 both :mod:`repro.serve` and :mod:`repro.distributed`:

@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from ..rng import ensure_rng
 from .graph import Graph
@@ -51,7 +50,11 @@ class GraphStats:
 
 def connected_components(graph: Graph) -> np.ndarray:
     """Component label per node."""
-    n_comp, labels = csgraph.connected_components(
+    # Imported on first call: ``scipy.sparse.csgraph`` pulls in
+    # scipy.linalg, which ``import repro`` otherwise never loads.
+    from scipy.sparse import csgraph
+
+    _, labels = csgraph.connected_components(
         graph.adjacency(weighted=False), directed=False)
     return labels
 

@@ -35,7 +35,7 @@ one-owner-per-node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +59,30 @@ def owner_vector(owners, num_parts: int,
             f"{'' if size is None else f' of length {size}'} with ids in "
             f"[0, {num_parts}); got shape {owners.shape}, ids {low}..{high}")
     return owners
+
+
+def _canonical_rows(graph: Graph) -> Tuple[Graph, np.ndarray]:
+    """``graph``'s structure in the canonical row layout, and each CSR
+    entry's row.
+
+    :meth:`Graph.from_edges` stores row ``x`` as its neighbours ``> x``
+    in ascending order, then its neighbours ``< x`` in ascending order,
+    with no self-loop or repeat.  Dropping entries keeps that layout,
+    so masking such a CSR with a symmetric per-entry mask gives the
+    arrays ``from_edges`` builds from the kept edges.  One O(m) pass
+    checks the layout; a graph not in it (the raw constructor's) is
+    rebuilt from its edge list once.
+    """
+    n = graph.num_nodes
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    dst = graph.indices
+    # The entry's place in canonical row order, as one increasing key.
+    keys = src * (2 * n) + np.where(dst > src, dst, dst + n)
+    if np.all(keys[1:] > keys[:-1]) and np.all(dst != src):
+        return graph, src
+    rebuilt = Graph.from_edges(n, graph.edge_list())
+    return rebuilt, np.repeat(np.arange(n, dtype=np.int64),
+                              np.diff(rebuilt.indptr))
 
 
 @dataclass
@@ -90,26 +114,36 @@ class PartitionedGraph:
         :class:`repro.stream.ShardedState` calls this directly with the
         ownership it carries from tick to tick.
         """
-        edges = graph.edge_list()
-        src_part = node_owner[edges[:, 0]]
-        dst_part = node_owner[edges[:, 1]]
+        structure, src = _canonical_rows(graph)
+        n = graph.num_nodes
+        dst = structure.indices
+        if edge_owner is None:
+            ends = (node_owner[src], node_owner[dst])
+        else:
+            # Entry -> undirected-edge index.  ``u < v`` entries come
+            # in edge-list order; ``v -> u`` entries come in ``(v, u)``
+            # order, which a stable sort of the edges by ``v`` gives.
+            upper = src < dst
+            edge_of = np.empty(dst.size, dtype=np.int64)
+            edge_of[upper] = np.arange(np.count_nonzero(upper))
+            edge_of[~upper] = np.argsort(dst[upper], kind="stable")
+            ends = (edge_owner[edge_of],) * 2
+        combine = np.logical_or if mirror else np.logical_and
         parts: List[Graph] = []
         local_nodes: List[np.ndarray] = []
-        feature_mask = np.zeros((num_parts, graph.num_nodes), dtype=bool)
+        feature_mask = np.zeros((num_parts, n), dtype=bool)
         for i in range(num_parts):
-            if edge_owner is not None:
-                keep = edge_owner == i
-            elif mirror:
-                keep = (src_part == i) | (dst_part == i)
-            else:
-                keep = (src_part == i) & (dst_part == i)
-            local_edges = edges[keep]
+            keep = combine(ends[0] == i, ends[1] == i)
+            kept_before = np.concatenate([[0], np.cumsum(keep)])
+            indptr = kept_before[structure.indptr]
             # Structure only; features are answered via the mask below.
-            parts.append(Graph.from_edges(graph.num_nodes, local_edges))
-            stored = np.union1d(np.flatnonzero(node_owner == i),
-                                local_edges.ravel())
-            local_nodes.append(stored)
-            feature_mask[i, stored] = True
+            parts.append(Graph(indptr, dst[keep]))
+            # Masks are symmetric, so the rows keeping an entry are
+            # exactly the kept edges' endpoints.
+            stored = feature_mask[i]
+            np.greater(indptr[1:], indptr[:-1], out=stored)
+            stored |= node_owner == i
+            local_nodes.append(np.flatnonzero(stored))
         return cls(full=graph, assignment=node_owner, num_parts=num_parts,
                    mirror=mirror, parts=parts,
                    local_feature_nodes=local_nodes,

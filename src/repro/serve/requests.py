@@ -19,6 +19,7 @@ bit-identity witness compared across execution backends.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -29,6 +30,12 @@ from ..distributed.comm import CommRecord
 #: Outcome statuses: served, rejected at admission, or still queued
 #: (the last only transiently, never in a finished report).
 STATUSES = ("ok", "shed", "pending")
+
+#: One outcome's fixed digest fields in native byte order: index,
+#: shard, status code and rerouted flag as int64, then the three
+#: simulated timestamps as float64.
+_OUTCOME = struct.Struct("=4q3d")
+_SCORE = struct.Struct("=d")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,23 +149,22 @@ class ServeReport:
         identical results, which is the cross-backend determinism
         contract the test suite asserts.
         """
-        h = hashlib.sha256()
+        chunks = []
         for o in self.outcomes:
-            h.update(np.int64([o.index, o.shard,
-                               STATUSES.index(o.status),
-                               int(o.rerouted)]).tobytes())
-            h.update(np.float64([o.arrival_s, o.dispatch_s,
-                                 o.completion_s]).tobytes())
+            chunks.append(_OUTCOME.pack(
+                o.index, o.shard, STATUSES.index(o.status), int(o.rerouted),
+                o.arrival_s, o.dispatch_s, o.completion_s))
             if o.score is not None:
-                h.update(np.float64([o.score]).tobytes())
+                chunks.append(_SCORE.pack(o.score))
             if o.topk_nodes is not None:
-                h.update(np.asarray(o.topk_nodes, dtype=np.int64).tobytes())
-                h.update(np.asarray(o.topk_scores,
-                                    dtype=np.float64).tobytes())
-        h.update(np.int64([self.comm.feature_bytes,
-                           self.comm.structure_bytes,
-                           self.comm.sync_bytes]).tobytes())
-        return h.hexdigest()
+                chunks.append(
+                    np.asarray(o.topk_nodes, dtype=np.int64).tobytes())
+                chunks.append(
+                    np.asarray(o.topk_scores, dtype=np.float64).tobytes())
+        chunks.append(np.int64([self.comm.feature_bytes,
+                                self.comm.structure_bytes,
+                                self.comm.sync_bytes]).tobytes())
+        return hashlib.sha256(b"".join(chunks)).hexdigest()
 
     # -- presentation ----------------------------------------------------
 

@@ -3,8 +3,8 @@
 :class:`~repro.graph.graph.Graph` is immutable by contract (lint rule
 R111 enforces it repo-wide); :class:`MutableGraph` is the sanctioned
 exception — the *single* place edge insertions, deletions and feature
-drift touch storage.  It keeps its own edge set and its own feature
-matrix (copies, never views of a ``Graph``), applies
+drift touch storage.  It keeps its own sorted edge-key array and its
+own feature matrix (copies, never views of a ``Graph``), applies
 :class:`~repro.stream.plan.StreamEvent` batches, and emits immutable
 :class:`Graph` snapshots plus a :class:`GraphDelta` describing exactly
 what changed — the delta is what drives shard-layout updates,
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Collection, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -24,13 +24,17 @@ from .errors import StreamError
 from .plan import StreamEvent
 
 
-def _edge_array(edges: Collection[Tuple[int, int]],
-                num_nodes: int) -> np.ndarray:
-    """Canonical ``(m, 2)`` int64 array, rows sorted lexicographically
-    (by the key ``u * num_nodes + v``, whose order is the rows')."""
-    keys = np.fromiter((u * num_nodes + v for u, v in edges),
-                       dtype=np.int64, count=len(edges))
-    keys.sort()
+def _member(keys: np.ndarray, queries: Sequence[int]) -> List[bool]:
+    """Whether each of ``queries`` is one of the sorted ``keys``."""
+    if keys.size == 0:
+        return [False] * len(queries)
+    at = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    return (keys[at] == queries).tolist()
+
+
+def _edge_rows(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Canonical ``(m, 2)`` int64 rows of sorted ``u * num_nodes + v``
+    keys (``u < v``): the key order is the rows' lexicographic order."""
     return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
 
 
@@ -72,18 +76,16 @@ class MutableGraph:
     :meth:`apply`.  All state is private copies — mutating a
     ``MutableGraph`` can never alias-corrupt the immutable ``Graph``
     it was seeded from, and every :meth:`snapshot` is a fresh
-    immutable ``Graph``.  The canonical edge array that snapshots,
-    fingerprints and checkpoints read is built once per mutating
-    :meth:`apply` (and at construction, which is also how a resumed
-    graph gets it back).
+    immutable ``Graph``.  The only edge state is one sorted ``int64``
+    key ``u * num_nodes + v`` per edge ``u < v``; snapshots,
+    fingerprints and checkpoints read the canonical edge rows decoded
+    from it.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.num_nodes = graph.num_nodes
         edges = graph.edge_list()
-        self._edges: Set[Tuple[int, int]] = {
-            (int(u), int(v)) for u, v in edges}
-        self._edge_rows = _edge_array(self._edges, self.num_nodes)
+        self._keys = np.unique(edges[:, 0] * self.num_nodes + edges[:, 1])
         self._features: Optional[np.ndarray] = (
             None if graph.features is None
             else graph.features.astype(np.float32, copy=True))
@@ -93,7 +95,7 @@ class MutableGraph:
     @property
     def num_edges(self) -> int:
         """Current undirected edge count."""
-        return len(self._edges)
+        return int(self._keys.size)
 
     @property
     def feature_dim(self) -> int:
@@ -103,12 +105,17 @@ class MutableGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` currently exists."""
-        return (min(u, v), max(u, v)) in self._edges
+        lo, hi = min(u, v), max(u, v)
+        if lo < 0 or hi >= self.num_nodes or lo == hi:
+            return False
+        key = lo * self.num_nodes + hi
+        at = int(np.searchsorted(self._keys, key))
+        return at < self._keys.size and int(self._keys[at]) == key
 
     def edge_array(self) -> np.ndarray:
         """Canonical sorted ``(m, 2)`` array of the current edge set
-        (a copy: callers may not reach the cached rows)."""
-        return self._edge_rows.copy()
+        (a fresh array: callers may not reach the live keys)."""
+        return _edge_rows(self._keys, self.num_nodes)
 
     # -- mutation (the sanctioned apply path) ----------------------------
 
@@ -120,41 +127,52 @@ class MutableGraph:
         delete) are *skipped*, not errors: the arrival plan is
         generated without graph state, so collisions are expected and
         must resolve identically on every backend — counting them is
-        the deterministic resolution.
+        the deterministic resolution.  An insert or delete endpoint
+        outside ``[0, num_nodes)`` is an error: it raises
+        :class:`StreamError` before any event of the tick is applied.
+
+        Each edge event is resolved against the sorted key array plus
+        this tick's overlay of edges it already changed; the net
+        change is merged into the array once, at the end.
         """
-        inserted: List[Tuple[int, int]] = []
-        deleted: List[Tuple[int, int]] = []
+        events = list(events)
+        n = self.num_nodes
+        for event in events:
+            if event.kind != "drift" and max(event.u, event.v) >= n:
+                raise StreamError(
+                    f"{event.kind} event ({event.u}, {event.v}) at tick "
+                    f"{event.tick} names a node outside [0, {n})")
+        edge_keys = [e.edge[0] * n + e.edge[1]
+                     for e in events if e.kind != "drift"]
+        present = dict(zip(edge_keys, _member(self._keys, edge_keys)))
+        before = dict(present)
+        inserted: List[int] = []
+        deleted: List[int] = []
         drifted: Set[int] = set()
         skipped = 0
         for event in events:
-            if event.kind == "insert":
-                key = event.edge
-                if key in self._edges:
-                    skipped += 1
-                else:
-                    self._edges.add(key)
-                    inserted.append(key)
-            elif event.kind == "delete":
-                key = event.edge
-                if key in self._edges:
-                    self._edges.remove(key)
-                    deleted.append(key)
-                else:
-                    skipped += 1
-            elif event.kind == "drift":
-                if self._features is None or event.u >= self.num_nodes:
+            if event.kind == "drift":
+                if self._features is None or event.u >= n:
                     skipped += 1
                 else:
                     self._features[event.u] += np.float32(event.scale)
                     drifted.add(event.u)
-            else:  # pragma: no cover - StreamEvent validates kinds
-                raise StreamError(f"unknown event kind {event.kind!r}")
-        if inserted or deleted:
-            self._edge_rows = _edge_array(self._edges, self.num_nodes)
+                continue
+            key = event.edge[0] * n + event.edge[1]
+            insert = event.kind == "insert"
+            if present[key] == insert:
+                skipped += 1
+                continue
+            present[key] = insert
+            (inserted if insert else deleted).append(key)
+        gone = sorted(k for k, now in present.items() if before[k] and not now)
+        new = sorted(k for k, now in present.items() if now and not before[k])
+        kept = np.delete(self._keys, np.searchsorted(self._keys, gone))
+        self._keys = np.insert(kept, np.searchsorted(kept, new), new)
         return GraphDelta(
             tick=tick,
-            inserted=_edge_array(inserted, self.num_nodes),
-            deleted=_edge_array(deleted, self.num_nodes),
+            inserted=_edge_rows(np.sort(np.int64(inserted)), n),
+            deleted=_edge_rows(np.sort(np.int64(deleted)), n),
             drifted=np.array(sorted(drifted), dtype=np.int64),
             skipped=skipped)
 
@@ -164,7 +182,7 @@ class MutableGraph:
         """Freeze the current state into an immutable :class:`Graph`."""
         features = (None if self._features is None
                     else self._features.copy())
-        return Graph.from_edges(self.num_nodes, self._edge_rows,
+        return Graph.from_edges(self.num_nodes, self.edge_array(),
                                 features=features)
 
     def fingerprint(self) -> str:
@@ -176,7 +194,7 @@ class MutableGraph:
         """
         digest = hashlib.sha256()
         digest.update(np.int64([self.num_nodes]).tobytes())
-        digest.update(self._edge_rows.tobytes())
+        digest.update(self.edge_array().tobytes())
         if self._features is not None:
             digest.update(str(self._features.shape).encode("ascii"))
             digest.update(np.ascontiguousarray(self._features).tobytes())

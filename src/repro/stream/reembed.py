@@ -39,7 +39,7 @@ from ..eval.evaluator import eval_mode, materialize_embeddings
 from ..graph.graph import Graph
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
-from ..sampling.blocks import GraphNeighborSource
+from ..sampling.blocks import GraphNeighborSource, check_node_ids
 from ..serve.artifact import (
     ServableArtifact,
     artifact_from_table,
@@ -57,17 +57,23 @@ def affected_frontier(old_graph: Graph, new_graph: Graph,
     influence).  Conservative by construction: a superset of the nodes
     whose embeddings actually change.  Returns the sorted node ids.
     """
-    seen = np.unique(np.asarray(touched, dtype=np.int64))
-    current = seen
+    n = new_graph.num_nodes
+    touched = np.asarray(touched, dtype=np.int64)
+    check_node_ids(touched, n)
+    seen = np.zeros(n, dtype=bool)
+    seen[touched] = True
+    current = np.flatnonzero(seen)
     for _ in range(max(hops, 0)):
-        reached = np.unique(np.concatenate(
-            [GraphNeighborSource(graph).neighbors_batch(current)[0]
-             for graph in (old_graph, new_graph)]))
-        current = np.setdiff1d(reached, seen, assume_unique=True)
+        reached = np.zeros(n, dtype=bool)
+        for graph in (old_graph, new_graph):
+            reached[GraphNeighborSource(graph).neighbors_batch(
+                current)[0]] = True
+        reached &= ~seen
+        current = np.flatnonzero(reached)
         if current.size == 0:
             break
-        seen = np.union1d(seen, current)
-    return seen
+        seen |= reached
+    return np.flatnonzero(seen)
 
 
 class Reembedder:

@@ -1,8 +1,14 @@
 """Graph analysis utilities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.graph import (
     Graph,
     connected_components,
@@ -15,6 +21,19 @@ from repro.graph import (
     power_law_tail_ratio,
     synthetic_lp_graph,
 )
+
+
+class TestImportCost:
+    def test_import_repro_leaves_csgraph_unloaded(self):
+        """``scipy.sparse.csgraph`` (and the scipy.linalg it pulls in)
+        loads only when ``connected_components`` runs."""
+        code = ("import sys, repro; "
+                "print('scipy.sparse.csgraph' in sys.modules)")
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestComponents:

@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.distributed.comm import CommRecord
 from repro.eval import auc, hits_at_k
 from repro.graph import Graph, exact_effective_resistance, laplacian
 from repro.nn import Tensor, bce_with_logits, segment_softmax, segment_sum
@@ -15,6 +18,8 @@ from repro.partition import (
     random_tma_partition,
 )
 from repro.partition.registry import PartitionSpec
+from repro.serve import ScoreRequest, TopKRequest
+from repro.serve.requests import STATUSES, RequestOutcome, ServeReport
 from repro.sparsify import (
     approx_effective_resistance,
     sampling_probabilities,
@@ -149,6 +154,190 @@ class TestPartitionProperties:
             graph.num_edges - cut
         assert sum(p.num_edges for p in mirrored.parts) == \
             graph.num_edges + cut
+
+
+def _reference_assemble(graph, node_owner, k, mirror, edge_owner):
+    """The per-part ``from_edges`` placement ``assemble`` replaced: the
+    kept edges rebuilt into a CSR, stored nodes as a ``union1d``."""
+    edges = graph.edge_list()
+    parts, stored = [], []
+    for i in range(k):
+        if edge_owner is not None:
+            keep = edge_owner == i
+        elif mirror:
+            keep = (node_owner[edges[:, 0]] == i) | (
+                node_owner[edges[:, 1]] == i)
+        else:
+            keep = (node_owner[edges[:, 0]] == i) & (
+                node_owner[edges[:, 1]] == i)
+        parts.append(Graph.from_edges(graph.num_nodes, edges[keep]))
+        stored.append(np.union1d(np.flatnonzero(node_owner == i),
+                                 edges[keep].ravel()))
+    return parts, stored
+
+
+def _shuffled_rows(graph, rng):
+    """``graph`` through the raw constructor, each row's entries in a
+    random order (not the canonical layout ``from_edges`` writes)."""
+    indices = graph.indices.copy()
+    for x in range(graph.num_nodes):
+        lo, hi = graph.indptr[x], graph.indptr[x + 1]
+        indices[lo:hi] = rng.permutation(indices[lo:hi])
+    return Graph(graph.indptr, indices)
+
+
+class TestAssembleMasks:
+    """Masking the full CSR gives, array for array, the per-part
+    ``from_edges`` placement of every mask, on canonical and on
+    shuffled raw-constructor graphs."""
+
+    @common_settings
+    @given(random_graphs(min_nodes=3, max_nodes=30), st.integers(1, 4),
+           st.sampled_from(["plain", "mirror", "vertex_cut"]),
+           st.booleans(), st.integers(0, 2**31 - 1))
+    def test_equals_per_part_from_edges(self, g, k, mask, shuffle, seed):
+        n, edges = g
+        rng = np.random.default_rng(seed)
+        graph = Graph.from_edges(n, edges)
+        if shuffle:
+            graph = _shuffled_rows(graph, rng)
+        node_owner = rng.integers(0, k, n)
+        edge_owner = (rng.integers(0, k, graph.num_edges)
+                      if mask == "vertex_cut" else None)
+        mirror = mask != "plain"
+        layout = PartitionedGraph.assemble(graph, node_owner, k, mirror,
+                                           edge_owner)
+        parts, stored = _reference_assemble(graph, node_owner, k, mirror,
+                                            edge_owner)
+        for i in range(k):
+            assert np.array_equal(layout.parts[i].indptr, parts[i].indptr)
+            assert np.array_equal(layout.parts[i].indices,
+                                  parts[i].indices)
+            assert layout.parts[i].indices.dtype == np.int64
+            assert np.array_equal(layout.local_feature_nodes[i], stored[i])
+            assert np.array_equal(layout.replica_mask()[i],
+                                  np.isin(np.arange(n), stored[i]))
+        assert layout.full is graph
+
+
+class _SetMutableGraph:
+    """The tuple-set edge state ``MutableGraph`` replaced, kept as the
+    reference for edge events (drift is not modelled)."""
+
+    def __init__(self, graph):
+        self.edges = {tuple(e) for e in graph.edge_list().tolist()}
+
+    def apply(self, events):
+        inserted, deleted, skipped = [], [], 0
+        for event in events:
+            if event.kind == "drift":
+                continue
+            key = event.edge
+            if (event.kind == "insert") == (key in self.edges):
+                skipped += 1
+            elif event.kind == "insert":
+                self.edges.add(key)
+                inserted.append(key)
+            else:
+                self.edges.remove(key)
+                deleted.append(key)
+        return sorted(inserted), sorted(deleted), skipped
+
+    def edge_array(self):
+        return np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+
+
+class TestMutableGraphProperties:
+    """The sorted key array plus its per-tick overlay apply events
+    exactly as the tuple set did."""
+
+    @common_settings
+    @given(st.data(), random_graphs(min_nodes=3, max_nodes=12))
+    def test_matches_the_set_reference(self, data, g):
+        n, edges = g
+        graph = Graph.from_edges(n, edges)
+        mutable, reference = MutableGraph(graph), _SetMutableGraph(graph)
+        ticks = data.draw(event_ticks(n))
+        # One tick that inserts then deletes an absent edge and deletes
+        # then re-inserts a present one.
+        absent = next(((u, v) for u in range(n) for v in range(u + 1, n)
+                       if not graph.has_edge(u, v)), None)
+        u, v = graph.edge_list()[0].tolist()
+        pinned = [StreamEvent("delete", 0, v, u), StreamEvent("insert", 0, u, v)]
+        if absent is not None:
+            pinned += [StreamEvent("insert", 0, *absent),
+                       StreamEvent("delete", 0, *absent[::-1])]
+        for tick, events in enumerate([pinned] + ticks):
+            delta = mutable.apply(events, tick)
+            inserted, deleted, skipped = reference.apply(events)
+            assert delta.inserted.tolist() == [list(e) for e in inserted]
+            assert delta.deleted.tolist() == [list(e) for e in deleted]
+            assert delta.skipped == skipped + sum(
+                e.kind == "drift" for e in events)  # featureless graph
+            want = reference.edge_array()
+            assert np.array_equal(mutable.edge_array(), want)
+            assert mutable.edge_array().dtype == np.int64
+            assert mutable.num_edges == mutable.snapshot().num_edges
+            assert mutable.num_edges == want.shape[0]
+            for a in range(n):
+                for b in range(n):
+                    assert mutable.has_edge(a, b) == (
+                        (min(a, b), max(a, b)) in reference.edges)
+
+
+def _reference_serve_digest(report):
+    """The per-outcome numpy packing ``ServeReport.digest`` replaced."""
+    h = hashlib.sha256()
+    for o in report.outcomes:
+        h.update(np.int64([o.index, o.shard, STATUSES.index(o.status),
+                           int(o.rerouted)]).tobytes())
+        h.update(np.float64([o.arrival_s, o.dispatch_s,
+                             o.completion_s]).tobytes())
+        if o.score is not None:
+            h.update(np.float64([o.score]).tobytes())
+        if o.topk_nodes is not None:
+            h.update(np.asarray(o.topk_nodes, dtype=np.int64).tobytes())
+            h.update(np.asarray(o.topk_scores, dtype=np.float64).tobytes())
+    h.update(np.int64([report.comm.feature_bytes,
+                       report.comm.structure_bytes,
+                       report.comm.sync_bytes]).tobytes())
+    return h.hexdigest()
+
+
+_finite = st.floats(allow_nan=False, width=64)
+
+
+@st.composite
+def serve_outcomes(draw, index):
+    """A finished outcome: served pair or top-k, shed, or score-less."""
+    kind = draw(st.sampled_from(["score", "topk", "shed", "no_score"]))
+    outcome = RequestOutcome(
+        index=index,
+        request=(TopKRequest(draw(st.integers(0, 9)), 3) if kind == "topk"
+                 else ScoreRequest(0, 1)),
+        status="shed" if kind == "shed" else "ok",
+        shard=draw(st.integers(-1, 7)), rerouted=draw(st.booleans()),
+        arrival_s=draw(_finite), dispatch_s=draw(_finite),
+        completion_s=draw(_finite))
+    if kind == "score":
+        outcome.score = draw(st.one_of(_finite, _finite.map(np.float64)))
+    elif kind == "topk":
+        k = draw(st.integers(0, 4))
+        outcome.topk_nodes = np.array(
+            draw(st.lists(st.integers(0, 2**40), min_size=k, max_size=k)))
+        outcome.topk_scores = np.array(
+            draw(st.lists(_finite, min_size=k, max_size=k)))
+    return outcome
+
+
+class TestServeDigestProperties:
+    @common_settings
+    @given(st.data(), st.integers(0, 12),
+           st.tuples(*[st.integers(0, 2**40)] * 3))
+    def test_equals_per_outcome_numpy_packing(self, data, count, comm):
+        outcomes = [data.draw(serve_outcomes(i)) for i in range(count)]
+        report = ServeReport(outcomes, comm=CommRecord(*comm))
+        assert report.digest() == _reference_serve_digest(report)
 
 
 @st.composite

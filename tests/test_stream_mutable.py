@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph import Graph
 from repro.stream import ArrivalPlan, MutableGraph, StreamEvent
+from repro.stream.errors import StreamError
 
 
 def _featured(num_nodes=8, dim=3):
@@ -97,6 +98,27 @@ class TestApply:
                                           mutable.edge_array())
         mutable.edge_array()[:] = 0
         assert mutable.edge_array().tolist() == live
+
+
+    @pytest.mark.parametrize("kind", ["insert", "delete"])
+    def test_out_of_range_endpoint_raises_before_any_change(self, kind):
+        """An endpoint ``>= num_nodes`` once decoded onto another edge
+        (key ``0 * 5 + 5`` is the row ``[1, 0]``); now the whole tick
+        is refused, the events before the bad one included."""
+        mutable = MutableGraph(Graph.from_edges(5, [[0, 1], [1, 2]]))
+        edges, print_before = mutable.edge_array(), mutable.fingerprint()
+        with pytest.raises(StreamError, match=rf"{kind} event \(0, 5\)"):
+            mutable.apply([StreamEvent("insert", 0, u=2, v=3),
+                           StreamEvent(kind, 0, u=0, v=5)], tick=0)
+        assert np.array_equal(mutable.edge_array(), edges)
+        assert mutable.fingerprint() == print_before
+        assert mutable.num_edges == mutable.snapshot().num_edges == 2
+
+    def test_out_of_range_drift_is_skipped(self):
+        mutable = MutableGraph(_featured())
+        delta = mutable.apply([StreamEvent("drift", 0, u=8, scale=1.0)],
+                              tick=0)
+        assert delta.skipped == 1 and delta.drifted.size == 0
 
 
 class TestState:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.eval import materialize_embeddings
-from repro.graph import synthetic_lp_graph
+from repro.graph import Graph, synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.sampling.neighbor import NeighborSampler
 from repro.stream import (
@@ -69,6 +71,26 @@ class TestAffectedFrontier:
             want = _set_based_frontier(old, new, touched, hops)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
+
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(5, 40), st.integers(0, 2**31 - 1),
+           st.integers(0, 4), st.data())
+    def test_masks_equal_the_set_based_walk(self, n, seed, hops, data):
+        """Arbitrary graph pairs and touched sets, repeats included."""
+        rng = np.random.default_rng(seed)
+        old, new = (Graph.from_edges(n, rng.integers(0, n, (2 * n, 2)))
+                    for _ in range(2))
+        touched = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+        np.testing.assert_array_equal(
+            affected_frontier(old, new, touched, hops),
+            _set_based_frontier(old, new, touched, hops))
+
+    def test_out_of_range_touched_id_raises(self):
+        old, _ = _setup()
+        with pytest.raises(ValueError, match="outside"):
+            affected_frontier(old, old, [-1], hops=1)
 
 
 def _set_based_frontier(old_graph, new_graph, touched, hops):
