@@ -1,10 +1,13 @@
 """Evaluation: Hits@K / AUC metrics, the validation-test protocol and
-the inference engine (`score_pairs`, `materialize_embeddings`)."""
+the inference engine (`score_pairs`, `materialize_embeddings`, and the
+per-layer `materialize_layers` / `refresh_layers`)."""
 
 from .evaluator import (
     EvalResult,
     Evaluator,
     materialize_embeddings,
+    materialize_layers,
+    refresh_layers,
     score_pairs,
 )
 from .heuristics import (
@@ -29,6 +32,8 @@ __all__ = [
     "EvalResult",
     "Evaluator",
     "materialize_embeddings",
+    "materialize_layers",
+    "refresh_layers",
     "score_pairs",
     "HEURISTICS",
     "adamic_adar",

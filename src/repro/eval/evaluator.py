@@ -23,13 +23,18 @@ Both read from any neighbour source — a raw
 charge its meter — and run the model in whatever mode it is in: each
 entry point wraps its whole pass in :func:`eval_mode`, so no engine
 call switches dropout back on under a sibling shard's forward.
+
+The streaming re-embedder's per-layer tables come from the same
+engine: :func:`materialize_layers` keeps every layer's table of one
+full pass, and :func:`refresh_layers` — the layer step — recomputes
+chosen rows of each layer from the table below it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from ..rng import ensure_rng
 from ..graph.graph import Graph
 from ..graph.splits import EdgeSplit
 from ..nn.models import LinkPredictionModel
-from ..nn.tensor import no_grad
+from ..nn.tensor import Tensor, no_grad
 from ..sampling.neighbor import NeighborSampler
 from .metrics import auc, hits_at_k
 
@@ -102,6 +107,40 @@ def score_pairs(
     return scores
 
 
+def _full_neighbor_mfg(graph, nodes: np.ndarray, depth: int):
+    """``(seeds, comp_graph)``: the ``depth``-block full-neighbour
+    message-flow graph of the sorted ``nodes``.
+
+    A one-row ``(1, k) @ (k, m)`` product goes down BLAS GEMV, whose
+    bits differ from GEMM's, so a lone row is computed beside a
+    companion: ``seeds`` is then ``nodes`` plus that companion, and
+    :func:`_rows_of` picks the requested rows back out."""
+    seeds = nodes
+    if nodes.size == 1 and graph.num_nodes > 1:
+        seeds = np.unique([int(nodes[0]), 1 if nodes[0] == 0 else 0])
+    # Full-neighbor sampling draws no randomness; the rng argument only
+    # satisfies the seeded-RNG invariant (R001).
+    sampler = NeighborSampler([-1] * depth, rng=np.random.default_rng(0))
+    return seeds, sampler.sample(graph, seeds)
+
+
+def _rows_of(out: np.ndarray, seeds: np.ndarray,
+             nodes: np.ndarray) -> np.ndarray:
+    """The ``nodes`` rows of ``out``, computed over ``seeds``."""
+    return out if seeds is nodes else out[np.searchsorted(seeds, nodes)]
+
+
+def _checked_nodes(graph, rows) -> np.ndarray:
+    """``rows`` as sorted unique ids in ``[0, num_nodes)`` (every node
+    for ``None``)."""
+    if rows is None:
+        return np.arange(graph.num_nodes, dtype=np.int64)
+    nodes = np.unique(np.asarray(rows, dtype=np.int64))
+    if nodes.size and not 0 <= nodes[0] <= nodes[-1] < graph.num_nodes:
+        raise ValueError(f"rows must lie in [0, {graph.num_nodes})")
+    return nodes
+
+
 @no_grad()
 def materialize_embeddings(model: LinkPredictionModel, graph,
                            rows=None) -> np.ndarray:
@@ -117,28 +156,57 @@ def materialize_embeddings(model: LinkPredictionModel, graph,
     ``(len(unique rows), embed_dim)`` rows in ascending node order.
     Records no tape.
     """
-    if rows is None:
-        nodes = np.arange(graph.num_nodes, dtype=np.int64)
-    else:
-        nodes = np.unique(np.asarray(rows, dtype=np.int64))
-        if nodes.size and not 0 <= nodes[0] <= nodes[-1] < graph.num_nodes:
-            raise ValueError(
-                f"rows must lie in [0, {graph.num_nodes})")
+    nodes = _checked_nodes(graph, rows)
     if nodes.size == 0:
         return np.zeros((0, 0), dtype=np.float64)
-    seeds = nodes
-    if nodes.size == 1 and graph.num_nodes > 1:
-        # A one-row (1,k)@(k,m) product goes down BLAS GEMV, whose bits
-        # differ from GEMM's: compute a lone row beside a companion.
-        seeds = np.unique([int(nodes[0]), 1 if nodes[0] == 0 else 0])
-    # Full-neighbor sampling draws no randomness; the rng argument only
-    # satisfies the seeded-RNG invariant (R001).
-    sampler = NeighborSampler([-1] * model.encoder.num_layers,
-                              rng=np.random.default_rng(0))
-    comp_graph = sampler.sample(graph, seeds)
+    seeds, comp_graph = _full_neighbor_mfg(graph, nodes,
+                                           model.encoder.num_layers)
     out = model.embed(comp_graph,
                       _input_features(graph, comp_graph.input_nodes)).data
-    return out if seeds is nodes else out[np.searchsorted(seeds, nodes)]
+    return _rows_of(out, seeds, nodes)
+
+
+@no_grad()
+def materialize_layers(model: LinkPredictionModel,
+                       graph: Graph) -> List[np.ndarray]:
+    """Every layer's full-neighbour output table over every node, input
+    layer first: the ``K - 1`` post-activation hidden tables, then the
+    embedding table :func:`materialize_embeddings` returns (the same
+    bits: it is the same message-flow graph and forward).  Records no
+    tape."""
+    nodes = np.arange(graph.num_nodes, dtype=np.int64)
+    _, comp_graph = _full_neighbor_mfg(graph, nodes,
+                                       model.encoder.num_layers)
+    return [h.data for h in model.encoder.layer_outputs(
+        comp_graph, _input_features(graph, comp_graph.input_nodes))]
+
+
+@no_grad()
+def refresh_layers(model: LinkPredictionModel, graph: Graph,
+                   tables: Sequence[np.ndarray],
+                   rows: Sequence[np.ndarray]) -> None:
+    """Recompute ``rows[l]`` of every layer's table ``tables[l]`` in
+    place, input layer first (the tables :func:`materialize_layers`
+    returns).
+
+    The layer step: layer ``l``'s rows come out of one one-block
+    full-neighbour message-flow graph whose source rows are read from
+    ``tables[l - 1]`` (raw features under layer 0), so each table must
+    already be current wherever a recomputed row reads it.  A row's
+    output depends only on its own and its neighbours' input rows, so
+    it comes out with the bits a full pass gives it.  Records no tape.
+    """
+    encoder = model.encoder
+    for layer, (table, ids) in enumerate(zip(tables, rows)):
+        nodes = _checked_nodes(graph, ids)
+        if nodes.size == 0:
+            continue
+        seeds, comp_graph = _full_neighbor_mfg(graph, nodes, 1)
+        (block,) = comp_graph.blocks
+        h_src = (_input_features(graph, block.src_nodes) if layer == 0
+                 else tables[layer - 1][block.src_nodes])
+        out = encoder.layer(layer, block, Tensor(h_src)).data
+        table[nodes] = _rows_of(out, seeds, nodes)
 
 
 class Evaluator:

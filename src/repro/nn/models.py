@@ -9,12 +9,12 @@ GCN/GraphSAGE with hidden dimension 256 and a 3-layer MLP predictor.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from ..rng import ensure_rng
-from ..sampling.blocks import ComputationGraph
+from ..sampling.blocks import Block, ComputationGraph
 from .gnn import GATConv, GATv2Conv, GCNConv, GINConv, SAGEConv
 from .module import MLP, Dropout, Linear, Module
 from .tensor import Tensor, gather, relu
@@ -89,6 +89,15 @@ class GNNModel(Module):
     def forward(self, comp_graph: ComputationGraph,
                 features: np.ndarray | Tensor) -> Tensor:
         """Embeddings of the computation graph's destination nodes."""
+        for h in self.layer_outputs(comp_graph, features):
+            pass
+        return h
+
+    def layer_outputs(self, comp_graph: ComputationGraph,
+                      features: np.ndarray | Tensor) -> Iterator[Tensor]:
+        """Each layer's output over its block's destination rows, input
+        layer first: post-activation below the last layer, then the
+        embeddings :meth:`forward` returns."""
         if len(comp_graph.blocks) != self.num_layers:
             raise ValueError(
                 f"computational graph has {len(comp_graph.blocks)} blocks "
@@ -96,12 +105,18 @@ class GNNModel(Module):
         h = features if isinstance(features, Tensor) else Tensor(features)
         if h.shape[0] != comp_graph.input_nodes.size:
             raise ValueError("features must cover the input nodes")
-        for i, (conv, block) in enumerate(zip(self.convs, comp_graph.blocks)):
-            h = conv(block, h)
-            if i < self.num_layers - 1:
-                h = relu(h)
-                if self.dropout is not None:
-                    h = self.dropout(h)
+        for i, block in enumerate(comp_graph.blocks):
+            h = self.layer(i, block, h)
+            yield h
+
+    def layer(self, index: int, block: Block, h_src: Tensor) -> Tensor:
+        """Layer ``index`` over one block: the convolution, then ReLU
+        and dropout below the last layer."""
+        h = self.convs[index](block, h_src)
+        if index < self.num_layers - 1:
+            h = relu(h)
+            if self.dropout is not None:
+                h = self.dropout(h)
         return h
 
 

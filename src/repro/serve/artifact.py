@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import zipfile
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -72,6 +72,12 @@ class ServableArtifact:
     shard_embeddings: List[np.ndarray]
     predictor_state: Dict[str, np.ndarray]
     schema: str = ARTIFACT_SCHEMA
+    #: :meth:`embedding_table` / :meth:`build_predictor`, built once and
+    #: shared; not part of the payload, the checksum or equality.
+    _table: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
+    _predictor: Optional[Module] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -178,14 +184,26 @@ class ServableArtifact:
     def embedding_table(self) -> np.ndarray:
         """The full ``(num_nodes, embed_dim)`` table, assembled from
         the per-shard blocks (every node is owned by exactly one
-        shard, so the union covers the graph)."""
-        table = np.zeros((self.num_nodes, self.embed_dim),
-                         dtype=np.float64)
-        for nodes, emb in zip(self.shard_nodes, self.shard_embeddings):
-            table[nodes] = emb
-        return table
+        shard, so the union covers the graph) on the first call.
+        Read-only: every caller shares the one array."""
+        if self._table is None:
+            table = np.zeros((self.num_nodes, self.embed_dim),
+                             dtype=np.float64)
+            for nodes, emb in zip(self.shard_nodes,
+                                  self.shard_embeddings):
+                table[nodes] = emb
+            table.flags.writeable = False
+            self._table = table
+        return self._table
 
     def build_predictor(self) -> Module:
+        """The decoder module with the stored weights, in eval mode:
+        built on the first call, then shared."""
+        if self._predictor is None:
+            self._predictor = self._decoder()
+        return self._predictor
+
+    def _decoder(self) -> Module:
         """Reconstruct the decoder module from the stored weights."""
         if self.predictor_kind == "dot":
             return DotPredictor().eval()
@@ -235,13 +253,18 @@ def artifact_from_table(table: np.ndarray, model_version: str,
 
     The streaming path re-materializes tables incrementally and
     re-shards them after rebalances; this constructor is the shared
-    tail of both that path and :func:`export_servable`.
+    tail of both that path and :func:`export_servable`.  A float64
+    ``table`` becomes the artifact's :meth:`~ServableArtifact.
+    embedding_table` as it is, made read-only (any other dtype is
+    converted first); ``assignment`` must name an owner for each of
+    its rows.
     """
-    assignment = owner_vector(assignment, num_parts)
+    table = np.asarray(table, dtype=np.float64)
+    assignment = owner_vector(assignment, num_parts, size=table.shape[0])
     shard_nodes = [np.flatnonzero(assignment == p)
                    for p in range(num_parts)]
     shard_embeddings = [table[nodes] for nodes in shard_nodes]
-    return ServableArtifact(
+    artifact = ServableArtifact(
         model_version=model_version,
         embed_dim=int(table.shape[1]),
         num_shards=num_parts,
@@ -250,6 +273,9 @@ def artifact_from_table(table: np.ndarray, model_version: str,
         shard_nodes=shard_nodes,
         shard_embeddings=shard_embeddings,
         predictor_state=predictor_state)
+    table.flags.writeable = False
+    artifact._table = table
+    return artifact
 
 
 def export_servable(model: LinkPredictionModel,

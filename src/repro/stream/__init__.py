@@ -17,10 +17,10 @@ graph itself evolves:
    :class:`~repro.distributed.comm.CommMeter`; imbalance or
    replication triggers fire a re-partition through the existing
    partitioner registry (including vertex-cut).
-3. :class:`Reembedder` — affected-vertex frontier recompute or
-   scheduled full refresh, patching the embedding table at export-
-   batch granularity so incremental and full re-embedding agree to
-   the last bit.
+3. :class:`Reembedder` — per-layer frontier recompute (each layer's
+   table only where that layer's inputs changed, the final table in
+   patch blocks) or scheduled full refresh, so incremental and full
+   re-embedding agree to the last bit.
 4. :class:`RolloutGate` + :class:`~repro.serve.cluster.ServingCluster`
    hot swaps — each re-embedding is a versioned, checksummed rollout
    candidate, gated on digest equality and an AUC floor; accepted

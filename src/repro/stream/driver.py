@@ -61,8 +61,12 @@ from .reembed import Reembedder
 from .rollout import RolloutGate
 from .shards import ShardedState
 
-#: Checkpoint schema identifier; bump on any layout change.
-STREAM_STATE_SCHEMA = "repro_stream_state/v1"
+#: Checkpoint schema identifier; bump on any layout change.  v2 added
+#: the re-embedder's hidden-layer tables and queued changes.
+STREAM_STATE_SCHEMA = "repro_stream_state/v2"
+#: Schemas :meth:`StreamDriver.resume` reads: a v1 checkpoint's hidden
+#: tables are rebuilt by one full pass (see ``Reembedder.restore``).
+_READABLE_SCHEMAS = ("repro_stream_state/v1", STREAM_STATE_SCHEMA)
 
 #: Counter keys every report carries (stable digest layout).
 _COUNTER_KEYS = ("events", "inserted", "deleted", "drifted", "skipped",
@@ -360,6 +364,7 @@ class StreamDriver:
         cfg = self.config
         events = self.plan.events_at(tick)
         delta = self.mutable.apply(events, tick)
+        self.reembedder.record(delta)
         snapshot = self.mutable.snapshot()
         self.sharded.apply_delta(delta, snapshot, self.meter)
         self.counters["events"] += len(events)
@@ -399,8 +404,7 @@ class StreamDriver:
             if full_due:
                 reembed_rows = self.reembedder.full_refresh(snapshot)
             else:
-                reembed_rows = self.reembedder.frontier_refresh(
-                    snapshot, delta.touched_nodes())
+                reembed_rows = self.reembedder.frontier_refresh(snapshot)
             self.counters["reembed_rows"] += reembed_rows
             candidate = self.reembedder.make_artifact(
                 snapshot, self.sharded.layout.assignment, self.num_parts)
@@ -601,10 +605,10 @@ class StreamDriver:
         _, state, _ = CheckpointStore(checkpoint_dir).latest()
         with _reading_checkpoint():
             meta = json.loads(str(state["stream.meta.json"]))
-            if meta.get("schema") != STREAM_STATE_SCHEMA:
+            if meta.get("schema") not in _READABLE_SCHEMAS:
                 raise StreamError(
                     f"checkpoint schema {meta.get('schema')!r} is not "
-                    f"{STREAM_STATE_SCHEMA!r}")
+                    f"one of {_READABLE_SCHEMAS!r}")
             config = StreamConfig.from_dict(
                 {**meta["config"], "plan": meta["plan"]})
             spec = PartitionSpec.from_dict(meta["spec"])
@@ -618,7 +622,7 @@ class StreamDriver:
         with _reading_checkpoint():
             driver.sharded = ShardedState.from_state_arrays(
                 state, snapshot, spec, num_parts, config.seed)
-            driver.reembedder.restore(meta, state)
+            driver.reembedder.restore(meta, state, snapshot)
             driver.active_artifact = artifact_from_table(
                 np.asarray(state["stream.active.table"],
                            dtype=np.float64).copy(),

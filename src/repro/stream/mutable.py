@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..graph.graph import Graph
 from .errors import StreamError
@@ -179,11 +180,34 @@ class MutableGraph:
     # -- export ----------------------------------------------------------
 
     def snapshot(self) -> Graph:
-        """Freeze the current state into an immutable :class:`Graph`."""
+        """Freeze the current state into an immutable :class:`Graph`.
+
+        Writes the CSR :meth:`Graph.from_edges` would, without its
+        sort: row ``x`` holds its neighbours ``> x`` ascending, then
+        its neighbours ``< x`` ascending.  The sorted keys already list
+        the first half in row order; the second half is their
+        transpose, which scipy's counting ``tocsc`` writes with the
+        rows ascending inside each column.
+        """
+        n = self.num_nodes
+        m = self._keys.size
+        lo, hi = np.divmod(self._keys, n)
+        above = np.bincount(lo, minlength=n)
+        upper_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(above, out=upper_ptr[1:])
+        lower = sp.csr_matrix((np.ones(m, dtype=bool), hi, upper_ptr),
+                              shape=(n, n)).tocsc()
+        lower_ptr = lower.indptr.astype(np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(above + np.diff(lower_ptr), out=indptr[1:])
+        indices = np.empty(2 * m, dtype=np.int64)
+        ids = np.arange(m, dtype=np.int64)
+        indices[ids + np.repeat(indptr[:-1] - upper_ptr[:-1], above)] = hi
+        indices[ids + np.repeat(indptr[:-1] + above - lower_ptr[:-1],
+                                np.diff(lower_ptr))] = lower.indices
         features = (None if self._features is None
                     else self._features.copy())
-        return Graph.from_edges(self.num_nodes, self.edge_array(),
-                                features=features)
+        return Graph(indptr, indices, features=features)
 
     def fingerprint(self) -> str:
         """Content hash of the live state (hex sha256).

@@ -1,24 +1,28 @@
-"""Online re-embedding: frontier recompute vs. scheduled full refresh.
+"""Online re-embedding: per-layer frontier recompute vs. full refresh.
 
 A K-layer GNN embedding of node ``i`` is a pure function of ``i``'s
-K-hop neighborhood (structure + features).  When a tick's delta
-touches a set of nodes, only nodes within K hops of the touched set —
-computed over the *union* of the pre- and post-delta adjacency, so
-both sides of an inserted or deleted edge count — can change their
-embedding.  :func:`affected_frontier` computes that set;
-:class:`Reembedder` recomputes exactly the patch blocks containing it
-and patches the table in place of its own copy.
+K-hop neighborhood (structure + features), and its layer-``l`` row a
+pure function of the layer-``(l-1)`` rows of ``i`` and its
+neighbours.  :class:`Reembedder` keeps every layer's output table and,
+on a frontier refresh, recomputes each hidden layer only where that
+layer's inputs changed: with ``F_0`` the drifted nodes and ``E`` the
+endpoints of inserted or deleted edges since the last refresh, layer
+``l`` recomputes ``F_l = F_{l-1} ∪ N(F_{l-1}) ∪ E``, ``N`` taken over
+the *union* of the pre- and post-delta adjacency.  Every other row of
+that layer's table keeps its bits: its own input row, its neighbours'
+input rows and its neighbour list are all unchanged.
 
-The **patch unit** is a fixed node range ``[b * batch_size, (b+1) *
-batch_size)`` (``StreamConfig.embed_batch``): a refresh recomputes
-every row of each block the frontier touches, so the row count it
-reports depends only on the frontier.  It is not a compute batch —
-all patched rows come out of one full-neighbor message-flow graph
-(:func:`~repro.eval.evaluator.materialize_embeddings`), and since a
-row's embedding never depends on which rows it is computed with,
-recomputed rows are bit-identical to what a full refresh would
-produce — incremental and full re-embedding agree to the last bit
-(asserted by the test suite), which is what lets frontier mode
+The last layer recomputes by **patch unit**: a fixed node range ``[b *
+batch_size, (b+1) * batch_size)`` (``StreamConfig.embed_batch``), every
+block containing a node of :func:`affected_frontier` (the ``K``-hop
+expansion of ``F_0 ∪ E``, a superset of ``F_K``), so the row count a
+refresh reports depends only on the frontier.  Each layer's rows come
+out of one full-neighbour message-flow block
+(:func:`~repro.eval.evaluator.refresh_layers`), and since a row's
+output never depends on which rows it is computed with, recomputed
+rows are bit-identical to what a full refresh would produce —
+incremental and full re-embedding agree to the last bit in every
+layer (asserted by the test suite), which is what lets frontier mode
 participate in the stream digest.
 
 The resulting table becomes a new versioned
@@ -30,12 +34,12 @@ re-embedding is a distinct, checksummed rollout candidate.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..checkpoint.state import strip_prefix
-from ..eval.evaluator import eval_mode, materialize_embeddings
+from ..eval.evaluator import eval_mode, materialize_layers, refresh_layers
 from ..graph.graph import Graph
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
@@ -46,6 +50,31 @@ from ..serve.artifact import (
     predictor_kind_of,
 )
 from .errors import StreamStateError
+from .mutable import GraphDelta
+
+
+def _layer_frontiers(old_graph: Graph, new_graph: Graph,
+                     start: np.ndarray, joined: np.ndarray,
+                     hops: int) -> List[np.ndarray]:
+    """Boolean node masks ``F_1 .. F_hops`` of the recurrence
+    ``F_l = F_{l-1} ∪ N(F_{l-1}) ∪ joined`` from ``F_0 = start``, with
+    ``N`` taken over the union of the old and new adjacency.
+
+    Each hop expands only the nodes the previous hop added: the
+    neighbours of older ones are already in."""
+    seen = start.copy()
+    current = np.flatnonzero(seen)
+    masks = []
+    for _ in range(max(hops, 0)):
+        reached = joined.copy()
+        for graph in (old_graph, new_graph):
+            reached[GraphNeighborSource(graph).neighbors_batch(
+                current)[0]] = True
+        reached &= ~seen
+        current = np.flatnonzero(reached)
+        seen |= reached
+        masks.append(seen.copy())
+    return masks
 
 
 def affected_frontier(old_graph: Graph, new_graph: Graph,
@@ -60,32 +89,29 @@ def affected_frontier(old_graph: Graph, new_graph: Graph,
     n = new_graph.num_nodes
     touched = np.asarray(touched, dtype=np.int64)
     check_node_ids(touched, n)
-    seen = np.zeros(n, dtype=bool)
-    seen[touched] = True
-    current = np.flatnonzero(seen)
-    for _ in range(max(hops, 0)):
-        reached = np.zeros(n, dtype=bool)
-        for graph in (old_graph, new_graph):
-            reached[GraphNeighborSource(graph).neighbors_batch(
-                current)[0]] = True
-        reached &= ~seen
-        current = np.flatnonzero(reached)
-        if current.size == 0:
-            break
-        seen |= reached
-    return np.flatnonzero(seen)
+    start = np.zeros(n, dtype=bool)
+    start[touched] = True
+    masks = _layer_frontiers(old_graph, new_graph, start,
+                             np.zeros(n, dtype=bool), hops)
+    return np.flatnonzero(masks[-1] if masks else start)
 
 
 class Reembedder:
     """Maintains the node-embedding table of an evolving graph.
 
-    Owns a frozen trained ``model`` and the current ``(num_nodes,
-    embed_dim)`` table.  :meth:`full_refresh` recomputes everything;
-    :meth:`frontier_refresh` recomputes only the ``batch_size``-node
-    patch blocks containing the affected frontier, in one pass.  Both
-    leave the table in the exact state a from-scratch materialization
-    against the same graph would — the equivalence the streaming
-    digest depends on.
+    Owns a frozen trained ``model``, the current ``(num_nodes,
+    embed_dim)`` table and, below it, the post-activation output table
+    of every hidden layer (``hidden``, input layer first).
+    :meth:`full_refresh` recomputes everything; :meth:`frontier_refresh`
+    recomputes, layer by layer, only the rows whose inputs changed
+    since the last refresh.  Both leave every table in the exact state
+    a from-scratch materialization against the same graph would — the
+    equivalence the streaming digest depends on.
+
+    Changes reach a frontier refresh through :meth:`record`, one delta
+    per tick: the drifted nodes and the endpoints of inserted or
+    deleted edges wait, accumulated, until the next refresh, however
+    many ticks apart refreshes are.
     """
 
     def __init__(self, model: LinkPredictionModel,
@@ -95,8 +121,17 @@ class Reembedder:
         self.model = model
         self.batch_size = int(batch_size)
         self.table: Optional[np.ndarray] = None
+        #: Post-activation output tables of layers ``0 .. K-2``.
+        self.hidden: List[np.ndarray] = []
         self.rows_recomputed = 0
+        #: Rows each layer recomputed in the last refresh, input layer
+        #: first (the last entry is that refresh's return value).
+        self.layer_rows: List[int] = []
         self._embedded_graph: Optional[Graph] = None
+        #: Since the last refresh: nodes whose features drifted, and
+        #: endpoints of inserted or deleted edges.
+        self._drifted = np.zeros(0, dtype=bool)
+        self._endpoints = np.zeros(0, dtype=bool)
 
     @property
     def num_layers(self) -> int:
@@ -105,61 +140,123 @@ class Reembedder:
 
     # -- refresh ---------------------------------------------------------
 
+    def record(self, delta: GraphDelta) -> None:
+        """Queue one tick's delta for the next :meth:`frontier_refresh`.
+
+        A no-op before the first refresh, which is a full pass.
+        """
+        if self.table is None:
+            return
+        self._drifted[delta.drifted] = True
+        self._endpoints[delta.inserted.ravel()] = True
+        self._endpoints[delta.deleted.ravel()] = True
+
     def full_refresh(self, graph: Graph) -> int:
-        """Recompute every row against ``graph``; returns rows done."""
+        """Recompute every row of every layer against ``graph``;
+        returns rows done."""
         with eval_mode(self.model):
-            self.table = materialize_embeddings(self.model, graph)
-        self._embedded_graph = graph
+            *self.hidden, self.table = materialize_layers(self.model,
+                                                          graph)
+        self._embedded(graph)
+        self.layer_rows = [graph.num_nodes] * self.num_layers
         self.rows_recomputed += graph.num_nodes
         return graph.num_nodes
 
     def frontier_refresh(self, graph: Graph,
-                         touched: Sequence[int]) -> int:
-        """Patch only the blocks the touched set can reach; returns
-        the number of rows recomputed (0 when nothing was touched).
+                         touched: Sequence[int] = ()) -> int:
+        """Patch what the changes since the last refresh can reach;
+        returns the number of final-table rows recomputed (0 when
+        nothing changed).
 
-        Falls back to :meth:`full_refresh` on the first call (there is
-        no table to patch yet).
+        The changes are those :meth:`record` queued plus ``touched``
+        (nodes taken as both drifted and edge endpoints).  Hidden layer
+        ``l`` recomputes exactly the rows of ``F_l = F_{l-1} ∪
+        N(F_{l-1}) ∪ E`` (``F_0`` the drifted nodes, ``E`` the edge
+        endpoints, ``N`` over old ∪ new adjacency); the last layer
+        recomputes the ``batch_size``-node patch blocks containing
+        :func:`affected_frontier`, reading its inputs from the last
+        hidden table.  Falls back to :meth:`full_refresh` on the first
+        call (there is no table to patch yet).
         """
         if self.table is None or self._embedded_graph is None:
             return self.full_refresh(graph)
-        frontier = affected_frontier(self._embedded_graph, graph,
-                                     touched, self.num_layers)
-        self._embedded_graph = graph
+        touched = np.asarray(touched, dtype=np.int64)
+        check_node_ids(touched, graph.num_nodes)
+        drifted, endpoints = self._drifted, self._endpoints
+        drifted[touched] = True
+        endpoints[touched] = True
+        old = self._embedded_graph
+        frontier = affected_frontier(old, graph,
+                                     np.flatnonzero(drifted | endpoints),
+                                     self.num_layers)
+        rows = [np.flatnonzero(mask) for mask in _layer_frontiers(
+            old, graph, drifted, endpoints, self.num_layers - 1)]
+        self._embedded(graph)
         if frontier.size == 0:
+            self.layer_rows = [0] * self.num_layers
             return 0
         blocks = np.unique(frontier // self.batch_size)
-        rows = (blocks[:, None] * self.batch_size
-                + np.arange(self.batch_size)).ravel()
-        rows = rows[rows < graph.num_nodes]
+        patch = (blocks[:, None] * self.batch_size
+                 + np.arange(self.batch_size)).ravel()
+        rows.append(patch[patch < graph.num_nodes])
         with eval_mode(self.model):
-            self.table[rows] = materialize_embeddings(self.model, graph,
-                                                      rows=rows)
-        self.rows_recomputed += rows.size
-        return int(rows.size)
+            refresh_layers(self.model, graph, self.hidden + [self.table],
+                           rows)
+        self.layer_rows = [int(ids.size) for ids in rows]
+        self.rows_recomputed += self.layer_rows[-1]
+        return self.layer_rows[-1]
+
+    def _embedded(self, graph: Graph) -> None:
+        """Every table is now current against ``graph``: nothing is
+        queued."""
+        self._embedded_graph = graph
+        self._drifted = np.zeros(graph.num_nodes, dtype=bool)
+        self._endpoints = np.zeros(graph.num_nodes, dtype=bool)
 
     # -- checkpointing ---------------------------------------------------
 
     def capture(self) -> tuple:
         """``(meta entries, named arrays)`` of a stream checkpoint: the
-        row counter; the model weights, the table and the edges of the
-        graph it was computed against (the next frontier's old side)."""
+        row counter and the hidden-table count; the model weights,
+        every table, the queued changes and the edges of the graph the
+        tables were computed against (the next frontier's old side)."""
         arrays = {f"stream.model.{key}": np.asarray(value)
                   for key, value in self.model.state_dict().items()}
         arrays["stream.embed.table"] = self.table.copy()
+        for layer, table in enumerate(self.hidden):
+            arrays[f"stream.embed.hidden.{layer:04d}"] = table.copy()
+        arrays["stream.embed.drifted"] = np.flatnonzero(self._drifted)
+        arrays["stream.embed.endpoints"] = np.flatnonzero(self._endpoints)
         arrays["stream.embed.graph_edges"] = (
             self._embedded_graph.edge_list())
-        return {"reembed_rows_total": self.rows_recomputed}, arrays
+        return {"reembed_rows_total": self.rows_recomputed,
+                "reembed_hidden_tables": len(self.hidden)}, arrays
 
-    def restore(self, meta, arrays) -> None:
+    def restore(self, meta, arrays, graph: Graph) -> None:
         """Load :meth:`capture` output back into a reembedder of the
         same architecture (refreshed or not).  The embedded graph comes
-        back as adjacency only: all the next frontier walk reads."""
+        back as adjacency only: all the next frontier walk reads.
+
+        A checkpoint without hidden tables (schema v1) rebuilds them
+        by one full pass over ``graph``, the stream's current state,
+        with nothing queued: exact whenever the checkpointed tick
+        refreshed, as every tick does at ``refresh_every=1``.
+        """
         self.model.load_state_dict(strip_prefix(arrays, "stream.model."))
         self.table = np.asarray(arrays["stream.embed.table"],
                                 dtype=np.float64).copy()
-        self._embedded_graph = Graph.from_edges(
-            self.table.shape[0], arrays["stream.embed.graph_edges"])
+        self._embedded(Graph.from_edges(
+            self.table.shape[0], arrays["stream.embed.graph_edges"]))
+        if "reembed_hidden_tables" in meta:
+            self.hidden = [
+                np.asarray(arrays[f"stream.embed.hidden.{layer:04d}"],
+                           dtype=np.float64).copy()
+                for layer in range(int(meta["reembed_hidden_tables"]))]
+            self._drifted[arrays["stream.embed.drifted"]] = True
+            self._endpoints[arrays["stream.embed.endpoints"]] = True
+        else:
+            with eval_mode(self.model):
+                self.hidden = materialize_layers(self.model, graph)[:-1]
         self.rows_recomputed = int(meta["reembed_rows_total"])
 
     # -- artifact export -------------------------------------------------
@@ -186,7 +283,9 @@ class Reembedder:
     def make_artifact(self, graph: Graph,
                       assignment: np.ndarray,
                       num_parts: int) -> ServableArtifact:
-        """Shard the current table into a versioned servable."""
+        """Shard a copy of the current table into a versioned servable;
+        the copy is the artifact's :meth:`~repro.serve.artifact.
+        ServableArtifact.embedding_table`, never re-assembled."""
         if self.table is None:
             raise StreamStateError(
                 "no table yet: call full_refresh()/frontier_refresh() "

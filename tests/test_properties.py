@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.distributed.comm import CommRecord
 from repro.eval import auc, hits_at_k
@@ -26,6 +32,7 @@ from repro.sparsify import (
     spielman_srivastava_sparsify,
 )
 from repro.stream import MutableGraph, ShardedState, StreamEvent
+from repro.stream.errors import StreamError
 
 common_settings = settings(
     max_examples=30,
@@ -283,6 +290,95 @@ class TestMutableGraphProperties:
                 for b in range(n):
                     assert mutable.has_edge(a, b) == (
                         (min(a, b), max(a, b)) in reference.edges)
+
+
+class MutableGraphMachine(RuleBasedStateMachine):
+    """``MutableGraph`` against a Python edge set and feature array:
+    after every tick its snapshot is ``Graph.from_edges`` over the
+    reference, array for array, and its queries agree with it."""
+
+    @initialize(n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1),
+                dim=st.integers(0, 3))
+    def build(self, n, seed, dim):
+        rng = np.random.default_rng(seed)
+        features = (rng.standard_normal((n, dim)).astype(np.float32)
+                    if dim else None)
+        graph = Graph.from_edges(
+            n, rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2)),
+            features=features)
+        self.n, self.tick = n, 0
+        self.mutable = MutableGraph(graph)
+        self.edges = {tuple(e) for e in graph.edge_list().tolist()}
+        self.features = None if features is None else features.copy()
+
+    @rule(data=st.data())
+    def apply_tick(self, data):
+        node = st.integers(0, self.n - 1)
+        event = st.one_of(
+            st.tuples(st.sampled_from(["insert", "delete"]),
+                      st.tuples(node, node).filter(lambda e: e[0] != e[1])),
+            st.tuples(st.just("drift"), node))
+        drawn = data.draw(st.lists(event, max_size=8))
+        events = [StreamEvent(kind, self.tick, *target) if kind != "drift"
+                  else StreamEvent(kind, self.tick, target, scale=0.5)
+                  for kind, target in drawn]
+        self.mutable.apply(events, self.tick)
+        self.tick += 1
+        for e in events:
+            if e.kind == "drift":
+                if self.features is not None:
+                    self.features[e.u] += np.float32(e.scale)
+            elif e.kind == "insert":
+                self.edges.add(e.edge)
+            else:
+                self.edges.discard(e.edge)
+
+    @rule(data=st.data())
+    def delete_a_present_edge(self, data):
+        if self.edges:
+            u, v = data.draw(st.sampled_from(sorted(self.edges)))
+            self.mutable.apply([StreamEvent("delete", self.tick, v, u)],
+                               self.tick)
+            self.tick += 1
+            self.edges.discard((u, v))
+
+    @rule(bad=st.integers(0, 3))
+    def out_of_range_tick_changes_nothing(self, bad):
+        before = self.mutable.fingerprint()
+        with pytest.raises(StreamError):
+            self.mutable.apply([StreamEvent("insert", self.tick, 0, 1),
+                                StreamEvent("delete", self.tick, 1,
+                                            self.n + bad)], self.tick)
+        assert self.mutable.fingerprint() == before
+
+    @invariant()
+    def snapshot_is_from_edges_over_the_reference(self):
+        edges = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+        want = Graph.from_edges(self.n, edges, features=self.features)
+        got = self.mutable.snapshot()
+        assert got.indptr.dtype == got.indices.dtype == np.int64
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.weights is None
+        if self.features is None:
+            assert got.features is None
+        else:
+            assert got.features.tobytes() == want.features.tobytes()
+
+    @invariant()
+    def queries_agree_with_the_reference(self):
+        assert self.mutable.num_edges == len(self.edges)
+        for u in range(-1, self.n + 1):
+            for v in range(-1, self.n + 1):
+                assert self.mutable.has_edge(u, v) == (
+                    (min(u, v), max(u, v)) in self.edges)
+        assert self.mutable.fingerprint() == self.mutable.fingerprint()
+
+
+TestMutableGraphMachine = MutableGraphMachine.TestCase
+TestMutableGraphMachine.settings = settings(
+    max_examples=30, stateful_step_count=12, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
 
 
 def _reference_serve_digest(report):

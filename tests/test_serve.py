@@ -9,6 +9,7 @@ shedding, cache accounting and top-k semantics.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import warnings
 
@@ -175,6 +176,56 @@ class TestArtifact:
         fresh = Session(graph).partition(2)
         with pytest.raises(RuntimeError, match="train"):
             fresh.export()
+
+
+class TestArtifactMemo:
+    """An artifact builds its table and decoder once; every consumer
+    shares them, and neither is part of what the artifact is."""
+
+    @pytest.fixture
+    def loaded(self, served, tmp_path):
+        _, artifact, _, _ = served
+        artifact.save(tmp_path / "a.npz")
+        return artifact, ServableArtifact.load(tmp_path / "a.npz")
+
+    def test_built_once_and_shared(self, loaded, monkeypatch):
+        artifact, fresh = loaded
+        built = []
+        decoder = ServableArtifact._decoder
+        monkeypatch.setattr(ServableArtifact, "_decoder",
+                            lambda self: built.append(1) or decoder(self))
+        table = fresh.embedding_table()
+        assert fresh.embedding_table() is table
+        assert not table.flags.writeable
+        assert table.tobytes() == artifact.embedding_table().tobytes()
+        predictor = fresh.build_predictor()
+        assert fresh.build_predictor() is predictor
+        cluster = _cluster(fresh)
+        assert cluster.table is table and cluster.predictor is predictor
+        cluster.close()
+        assert built == [1]
+
+    def test_export_adopts_its_table(self, served):
+        _, artifact, _, _ = served
+        table = artifact.embedding_table()
+        assert not table.flags.writeable
+        for nodes, emb in zip(artifact.shard_nodes,
+                              artifact.shard_embeddings):
+            assert not np.shares_memory(emb, table)
+            assert table[nodes].tobytes() == emb.tobytes()
+
+    def test_memo_is_not_payload_checksum_or_equality(self, loaded,
+                                                      tmp_path):
+        artifact, fresh = loaded
+        checksum = fresh.checksum()
+        fresh.embedding_table()
+        fresh.build_predictor()
+        assert fresh.checksum() == checksum == artifact.checksum()
+        assert fresh.save(tmp_path / "b.npz") == checksum
+        compared = {f.name for f in dataclasses.fields(ServableArtifact)
+                    if f.compare}
+        assert not compared & {"_table", "_predictor"}
+        assert not any(key.startswith("_") for key in fresh._payload())
 
 
 class TestBackendDeterminism:

@@ -1,15 +1,19 @@
 """StreamDriver: cross-backend digests, faults, churn, resume."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.checkpoint.store import CheckpointStore
+from repro.eval import materialize_layers
 from repro.faults import FaultEvent, FaultPlan
 from repro.graph import synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.obs import RunObserver
 from repro.partition.registry import PartitionSpec
 from repro.serve import ServingCluster
-from repro.stream import StreamConfig, StreamDriver
+from repro.stream import STREAM_STATE_SCHEMA, StreamConfig, StreamDriver
 from repro.stream.errors import StreamStateError
 
 BACKENDS = ("serial", "thread", "process")
@@ -101,6 +105,20 @@ class TestTickLoop:
         assert report.counters["swaps"] >= 3
         assert len(held) == 10 and max(held) == 2, held
 
+    def test_each_version_builds_one_decoder(self, monkeypatch):
+        """The gate's probe scoring and the cluster's registration
+        share one decoder per candidate."""
+        from repro.serve import ServableArtifact
+
+        built = []
+        decoder = ServableArtifact._decoder
+        monkeypatch.setattr(ServableArtifact, "_decoder",
+                            lambda self: built.append(1) or decoder(self))
+        report = _run(_config(ticks=4))
+        gated = sum(1 for r in report.records if r.gate_reason)
+        assert report.counters["swaps"] >= 2
+        assert len(built) == 1 + gated
+
     def test_rollback_keeps_prior_version_serving(self):
         report = _run(_config(auc_floor=1.5, rebalance_threshold=0.0))
         versions = [r.model_version for r in report.records]
@@ -185,6 +203,42 @@ class TestCheckpointResume:
         with pytest.raises(StreamError, match="'stream.embed.table'"):
             StreamDriver.resume(tmp_path / "holed")
 
+    def test_v1_checkpoint_resumes_bit_identically(self, tmp_path):
+        """A checkpoint written before the hidden tables were saved
+        (schema v1) rebuilds them by one full pass on resume."""
+        uninterrupted = _run(_config(ticks=4)).digest()
+        self._interrupted_dir(tmp_path / "ckpt")
+        _, state, _ = CheckpointStore(tmp_path / "ckpt").latest()
+        v2 = StreamDriver.resume(tmp_path / "ckpt")
+        meta = json.loads(str(state["stream.meta.json"]))
+        assert meta["schema"] == STREAM_STATE_SCHEMA
+        meta["schema"] = "repro_stream_state/v1"
+        del meta["reembed_hidden_tables"]
+        state["stream.meta.json"] = np.array(json.dumps(meta))
+        stripped = [key for key in state if key.startswith(
+            ("stream.embed.hidden.", "stream.embed.drifted",
+             "stream.embed.endpoints"))]
+        assert len(stripped) == 3
+        for key in stripped:
+            del state[key]
+        CheckpointStore(tmp_path / "v1").write(state, epoch=1, rnd=0)
+        v1 = StreamDriver.resume(tmp_path / "v1")
+        assert [t.tobytes() for t in v1.reembedder.hidden] == [
+            t.tobytes() for t in v2.reembedder.hidden]
+        assert v1.run().digest() == uninterrupted
+
+    def test_unknown_schema_is_a_stream_error(self, tmp_path):
+        from repro.stream.errors import StreamError
+
+        self._interrupted_dir(tmp_path / "ckpt")
+        _, state, _ = CheckpointStore(tmp_path / "ckpt").latest()
+        meta = json.loads(str(state["stream.meta.json"]))
+        meta["schema"] = "repro_stream_state/v0"
+        state["stream.meta.json"] = np.array(json.dumps(meta))
+        CheckpointStore(tmp_path / "v0").write(state, epoch=1, rnd=0)
+        with pytest.raises(StreamError, match="v0"):
+            StreamDriver.resume(tmp_path / "v0")
+
     def test_checkpoint_requires_model_spec(self, tmp_path):
         model, graph, spec = _fixture()
         config = _config(checkpoint_dir=str(tmp_path))
@@ -213,6 +267,48 @@ class TestCheckpointResume:
             driver._next_tick = tick + 1
             driver._write_checkpoint(tick)
         resumed = StreamDriver.resume(tmp_path)
+        assert resumed.run().digest() == uninterrupted
+
+
+def _assert_current(driver):
+    """Every re-embedder table equals a from-scratch pass over the
+    stream's current graph."""
+    want = materialize_layers(driver.model, driver.mutable.snapshot())
+    got = driver.reembedder.hidden + [driver.reembedder.table]
+    assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
+
+class TestRefreshCadence:
+    """With ``refresh_every > 1`` a frontier refresh covers every tick's
+    changes since the previous refresh, also across a checkpoint taken
+    between refreshes."""
+
+    @pytest.mark.parametrize("every", [2, 3])
+    def test_refresh_ticks_equal_a_from_scratch_pass(self, tmp_path,
+                                                     every):
+        overrides = dict(ticks=6, refresh_every=every, embed_batch=1,
+                         inserts_per_tick=2.0, deletes_per_tick=1.0,
+                         drifts_per_tick=1.0)
+        uninterrupted = _run(_config(**overrides)).digest()
+        model, graph, spec = _fixture()
+        driver = StreamDriver(
+            model, graph, spec, 3,
+            _config(**overrides, checkpoint_dir=str(tmp_path)),
+            model_spec=MODEL_SPEC)
+        driver._setup()
+        stop = every  # one tick past the first refresh
+        for tick in range(stop + 1):
+            driver._run_tick(tick)
+            driver._next_tick = tick + 1
+            driver._write_checkpoint(tick)
+            if (tick + 1) % every == 0:
+                _assert_current(driver)
+        resumed = StreamDriver.resume(tmp_path)
+        for tick in range(stop + 1, 6):
+            resumed._run_tick(tick)
+            resumed._next_tick = tick + 1
+            if (tick + 1) % every == 0:
+                _assert_current(resumed)
         assert resumed.run().digest() == uninterrupted
 
 

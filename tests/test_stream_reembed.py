@@ -1,11 +1,12 @@
-"""Reembedder: frontier patching must equal a full refresh bit for bit."""
+"""Reembedder: frontier patching must equal a full refresh bit for bit,
+in the final table and in every hidden layer's table."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.eval import materialize_embeddings
+from repro.eval import materialize_embeddings, materialize_layers
 from repro.graph import Graph, synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.sampling.neighbor import NeighborSampler
@@ -225,7 +226,8 @@ class TestOneMFGOracle:
 
 
 class TestWorkCount:
-    """Every refresh builds one MFG: each layer-l row is computed once."""
+    """A full refresh builds one MFG over every node; a frontier refresh
+    one single-block MFG per layer, over that layer's frontier."""
 
     @pytest.fixture
     def sampled(self, monkeypatch):
@@ -246,21 +248,157 @@ class TestWorkCount:
         assert len(sampled) == 1
         assert sampled[0].blocks[0].num_dst == graph.num_nodes
 
-    def test_frontier_refresh_samples_once(self, sampled):
+    def test_frontier_refresh_samples_one_block_per_layer(self, sampled):
         graph, model = _setup(nodes=150, edges=200)
         reembedder = Reembedder(model, batch_size=8)
         reembedder.full_refresh(graph)
         mutable = MutableGraph(graph)
         delta = mutable.apply([StreamEvent("drift", 0, u=3, scale=0.5)],
                               0)
+        reembedder.record(delta)
         snap = mutable.snapshot()
-        rows = reembedder.frontier_refresh(snap, delta.touched_nodes())
+        rows = reembedder.frontier_refresh(snap)
         frontier = affected_frontier(graph, snap, [3], 2)
         blocks = np.arange(graph.num_nodes) // 8
         patched = np.flatnonzero(np.isin(blocks, frontier // 8))
         assert rows == patched.size < graph.num_nodes
-        assert len(sampled) == 2
-        np.testing.assert_array_equal(sampled[1].seeds, patched)
+        assert [len(cg.blocks) for cg in sampled] == [2, 1, 1]
+        np.testing.assert_array_equal(
+            sampled[1].seeds, np.union1d([3], graph.neighbors(3)))
+        np.testing.assert_array_equal(sampled[2].seeds, patched)
+        assert reembedder.layer_rows == [sampled[1].seeds.size, rows]
+
+
+def _set_based_layer_frontiers(old_graph, new_graph, drifted, endpoints,
+                              hops):
+    """``F_1 .. F_hops`` of ``F_l = F_{l-1} ∪ N(F_{l-1}) ∪ E`` from
+    ``F_0 = drifted`` with Python sets: the per-layer row oracle."""
+    current = set(drifted)
+    frontiers = []
+    for _ in range(hops):
+        nxt = current | set(endpoints)
+        for node in current:
+            for graph in (old_graph, new_graph):
+                nxt.update(graph.neighbors(node).tolist())
+        current = nxt
+        frontiers.append(sorted(current))
+    return frontiers
+
+
+def _assert_tables_equal_a_full_pass(reembedder, model, graph):
+    want = materialize_layers(model, graph)
+    got = reembedder.hidden + [reembedder.table]
+    assert len(got) == len(want) == model.encoder.num_layers
+    for layer, (table, full) in enumerate(zip(got, want)):
+        assert table.tobytes() == full.tobytes(), f"layer {layer}"
+
+
+def _random_tick(rng, mutable, tick):
+    """Inserts of random pairs, deletes of present edges, drifts."""
+    n = mutable.num_nodes
+    events = [StreamEvent("drift", tick, u=int(u), scale=0.3)
+              for u in rng.integers(0, n, rng.integers(0, 3))]
+    for u, v in rng.integers(0, n, (rng.integers(0, 4), 2)):
+        if u != v:
+            events.append(StreamEvent("insert", tick, u=int(u), v=int(v)))
+    edges = mutable.edge_array()
+    for i in rng.choice(edges.shape[0], min(rng.integers(0, 3),
+                                            edges.shape[0]),
+                        replace=False):
+        events.append(StreamEvent("delete", tick, *edges[i].tolist()))
+    rng.shuffle(events)
+    return events
+
+
+class TestLayerCache:
+    """Every refresh leaves each hidden table and the final table
+    byte-equal to a from-scratch pass; hidden layer ``l`` recomputes
+    exactly ``F_l``."""
+
+    @pytest.mark.parametrize("kind,layers",
+                             [(kind, 2) for kind in _KINDS]
+                             + [("sage", 3), ("gat", 3)])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**31 - 1), every=st.integers(1, 3),
+           full_every=st.integers(0, 4), ticks=st.integers(1, 6),
+           patch=st.sampled_from([1, 8, 64]))
+    def test_random_ticks_keep_every_layer_exact(self, kind, layers, seed,
+                                                 every, full_every,
+                                                 ticks, patch):
+        rng = np.random.default_rng(seed)
+        graph = synthetic_lp_graph(40, 90, feature_dim=6, rng=rng)
+        model = build_model(kind, 6, hidden_dim=8, num_layers=layers,
+                            seed=seed % 97)
+        mutable = MutableGraph(graph)
+        reembedder = Reembedder(model, batch_size=patch)
+        reembedder.full_refresh(graph)
+        old, drifted, endpoints = graph, set(), set()
+        for tick in range(ticks):
+            delta = mutable.apply(_random_tick(rng, mutable, tick), tick)
+            reembedder.record(delta)
+            drifted.update(delta.drifted.tolist())
+            endpoints.update(delta.inserted.ravel().tolist()
+                             + delta.deleted.ravel().tolist())
+            if (tick + 1) % every:
+                continue
+            snap = mutable.snapshot()
+            if full_every and (tick + 1) % full_every == 0:
+                reembedder.full_refresh(snap)
+                assert reembedder.layer_rows == [40] * layers
+            else:
+                reembedder.frontier_refresh(snap)
+                want = _set_based_layer_frontiers(
+                    old, snap, drifted, endpoints, layers - 1)
+                assert reembedder.layer_rows[:-1] == [len(f) for f in want]
+            _assert_tables_equal_a_full_pass(reembedder, model, snap)
+            old, drifted, endpoints = snap, set(), set()
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_lone_row_layer_matches_the_full_pass(self, kind):
+        """A drifted isolated node is the whole of ``F_1``: one row,
+        computed beside a companion so it stays off GEMV."""
+        base = synthetic_lp_graph(60, 150, feature_dim=6,
+                                  rng=np.random.default_rng(2))
+        lone = base.num_nodes
+        graph = Graph.from_edges(
+            lone + 1, base.edge_list(),
+            features=np.vstack([base.features,
+                                np.ones((1, 6), dtype=np.float32)]))
+        model = build_model(kind, 6, hidden_dim=16, num_layers=2, seed=4)
+        reembedder = Reembedder(model, batch_size=8)
+        reembedder.full_refresh(graph)
+        mutable = MutableGraph(graph)
+        reembedder.record(mutable.apply(
+            [StreamEvent("drift", 0, u=lone, scale=0.7)], 0))
+        snap = mutable.snapshot()
+        assert reembedder.frontier_refresh(snap) == 5  # block 7: 56..60
+        assert reembedder.layer_rows == [1, 5]
+        _assert_tables_equal_a_full_pass(reembedder, model, snap)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_full_pass_tables_are_the_engine_s(self, kind, layers):
+        """The last of :func:`materialize_layers`' tables is
+        :func:`materialize_embeddings`' table, and the per-batch
+        loop's."""
+        graph, model = TestOneMFGOracle._case(kind, layers)
+        tables = materialize_layers(model, graph)
+        assert [t.shape for t in tables] == [(150, 16)] * layers
+        assert tables[-1].tobytes() == materialize_embeddings(
+            model, graph).tobytes()
+        assert tables[-1].tobytes() == _per_batch_embeddings(
+            model, graph, 64).tobytes()
+
+    def test_touched_ids_count_as_drifted_and_endpoints(self):
+        graph, model = _setup(nodes=60, edges=90)
+        reembedder = Reembedder(model, batch_size=8)
+        reembedder.full_refresh(graph)
+        reembedder.frontier_refresh(graph, [5])
+        want = _set_based_layer_frontiers(graph, graph, [5], [5], 1)
+        assert reembedder.layer_rows[0] == len(want[0])
+        with pytest.raises(ValueError, match="outside"):
+            reembedder.frontier_refresh(graph, [60])
 
 
 class TestRefreshEquivalence:
@@ -322,6 +460,18 @@ class TestArtifacts:
         assert artifact.model_version == reembedder.version(graph)
         np.testing.assert_array_equal(artifact.embedding_table(),
                                       reembedder.table)
+
+    def test_make_artifact_seeds_a_private_read_only_table(self):
+        graph, model = _setup()
+        reembedder = Reembedder(model, batch_size=8)
+        reembedder.full_refresh(graph)
+        artifact = reembedder.make_artifact(
+            graph, np.arange(graph.num_nodes) % 2, 2)
+        table = artifact._table
+        assert table is not None and not table.flags.writeable
+        assert artifact.embedding_table() is table
+        assert not np.shares_memory(table, reembedder.table)
+        assert table.tobytes() == reembedder.table.tobytes()
 
     def test_methods_require_a_table(self):
         graph, model = _setup()
