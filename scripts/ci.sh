@@ -5,6 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+echo "== environment record + GEMM row canary (the top-k sweep's bit-exactness assumption) =="
+python scripts/envcheck.py
+
 echo "== tier-1 tests (slowest 15 printed: the per-file time budget) =="
 python -m pytest -x -q --durations=15
 

@@ -17,12 +17,9 @@ Quickstart
 >>> print(result.summary())                           # doctest: +SKIP
 
 See :mod:`repro.api` for the full front door (including the chainable
-:class:`~repro.api.Session`); the older ``build_trainer`` /
-``run_framework`` entry points still work but emit
-``DeprecationWarning`` — import them from :mod:`repro.core` instead.
+:class:`~repro.api.Session`); the low-level ``build_trainer`` /
+``run_framework`` live in :mod:`repro.core`.
 """
-
-import warnings as _warnings
 
 from . import api
 from .api import Session, SessionStateError, resolve_config, run
@@ -47,28 +44,6 @@ from .sparsify import sparsify_with_level, spielman_srivastava_sparsify
 
 __version__ = "1.1.0"
 
-#: Legacy top-level entry points, served through ``__getattr__`` so the
-#: import itself carries the deprecation signal.  The implementations
-#: in :mod:`repro.core.frameworks` are unchanged — internal code
-#: imports them from there and stays warning-free.
-_DEPRECATED_ENTRY_POINTS = {
-    "build_trainer": "repro.core.build_trainer (or repro.api.Session)",
-    "run_framework": "repro.core.run_framework (or repro.run)",
-}
-
-
-def __getattr__(name):
-    """Serve deprecated top-level entry points with a warning."""
-    if name in _DEPRECATED_ENTRY_POINTS:
-        _warnings.warn(
-            f"repro.{name} is deprecated; use "
-            f"{_DEPRECATED_ENTRY_POINTS[name]} instead",
-            DeprecationWarning, stacklevel=2)
-        from . import core as _core
-        return getattr(_core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "api",
     "run",
@@ -80,8 +55,6 @@ __all__ = [
     "PAPER_LABELS",
     "FrameworkSpec",
     "SpLPG",
-    "build_trainer",
-    "run_framework",
     "TrainConfig",
     "TrainResult",
     "train_centralized",

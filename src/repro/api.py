@@ -30,9 +30,8 @@ Chainable session — :class:`Session`::
 ``ExperimentScale.train_config`` and :func:`run` delegate to it, so a
 scale preset and explicit overrides can never disagree silently.
 
-The pre-existing entry points (``repro.build_trainer``,
-``repro.run_framework``) keep working as thin shims that emit
-``DeprecationWarning`` — see ``repro/__init__.py``.
+The low-level entry points ``build_trainer`` and ``run_framework``
+live in :mod:`repro.core`.
 """
 
 from __future__ import annotations

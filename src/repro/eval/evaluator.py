@@ -43,6 +43,7 @@ from ..graph.graph import Graph
 from ..graph.splits import EdgeSplit
 from ..nn.models import LinkPredictionModel
 from ..nn.tensor import Tensor, no_grad
+from ..sampling.blocks import sorted_unique
 from ..sampling.neighbor import NeighborSampler
 from .metrics import auc, hits_at_k
 
@@ -135,7 +136,7 @@ def _checked_nodes(graph, rows) -> np.ndarray:
     for ``None``)."""
     if rows is None:
         return np.arange(graph.num_nodes, dtype=np.int64)
-    nodes = np.unique(np.asarray(rows, dtype=np.int64))
+    nodes = sorted_unique(np.asarray(rows, dtype=np.int64))
     if nodes.size and not 0 <= nodes[0] <= nodes[-1] < graph.num_nodes:
         raise ValueError(f"rows must lie in [0, {graph.num_nodes})")
     return nodes

@@ -62,11 +62,12 @@ def state_fingerprint(state: Dict[str, np.ndarray]) -> str:
     """Content hash of a state dict (hex sha256).
 
     Keys are hashed in sorted order together with each array's shape,
-    dtype and raw bytes, so two models agree on a fingerprint exactly
-    when their parameters are bit-identical.  This is the *model
-    version* of the serving artifact and the stream's candidates: any
-    parameter update changes the fingerprint and invalidates
-    everything derived from the old weights.
+    dtype and raw bytes (read through the buffer protocol), so two
+    models agree on a fingerprint exactly when their parameters are
+    bit-identical.  This is the *model version* of the serving artifact
+    and the stream's candidates: any parameter update changes the
+    fingerprint and invalidates everything derived from the old
+    weights.
     """
     digest = hashlib.sha256()
     for key in sorted(state):
@@ -74,7 +75,7 @@ def state_fingerprint(state: Dict[str, np.ndarray]) -> str:
         digest.update(key.encode("utf-8"))
         digest.update(str(arr.shape).encode("ascii"))
         digest.update(str(arr.dtype).encode("ascii"))
-        digest.update(arr.tobytes())
+        digest.update(arr)  # the buffer itself: no bytes copy
     return digest.hexdigest()
 
 

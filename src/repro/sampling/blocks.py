@@ -123,6 +123,22 @@ class NeighborSource(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def sorted_unique(ids) -> np.ndarray:
+    """``np.unique(ids)`` for integer ids: ``ids`` itself (flattened)
+    when already strictly increasing, else one sort and a mask.
+
+    Same values and dtype; NumPy's ``np.unique`` takes a hash path
+    that is several times slower on already-sorted id arrays."""
+    ids = np.ravel(ids)
+    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+        return ids
+    ids = np.sort(ids)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def check_node_ids(ids: np.ndarray, num_nodes: int) -> int:
     """Raise ``ValueError`` unless every id lies in ``[0, num_nodes)``;
     returns one past the largest id (0 for no ids)."""

@@ -25,6 +25,7 @@ from .blocks import (
     GraphNeighborSource,
     NeighborSource,
     check_node_ids,
+    sorted_unique,
 )
 
 
@@ -149,7 +150,7 @@ class NeighborSampler:
             # they own outright; worker paths always pass their
             # WorkerGraphView here.
             source = GraphNeighborSource(source)  # lint: disable=R002
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        seeds = sorted_unique(np.asarray(seeds, dtype=np.int64))
         blocks = []
         frontier = seeds
         # Sample from the output layer backwards; fanouts are listed

@@ -5,18 +5,25 @@ final-layer embedding of every node is materialized with exact
 full-neighbor computation (``fanouts = [-1] * K`` — deterministic, no
 RNG draws) by :func:`~repro.eval.evaluator.materialize_embeddings`, in
 one message-flow graph so each node's layer-``l`` row is computed
-once, and split by shard ownership; online requests then reduce to
-embedding lookups plus a decoder forward, which is what makes
-micro-batched low-latency serving tractable.
+once; online requests then reduce to embedding lookups plus a decoder
+forward, which is what makes micro-batched low-latency serving
+tractable.  The artifact holds that table once, read-only, and the
+cluster serves that very array.
 
 The artifact is versioned and checksummed:
 
-* ``model_version`` — sha256 over the trained model's parameters (see
-  :func:`repro.nn.serialize.state_fingerprint`); ties every served
-  score back to the exact weights that produced the embeddings.
-* ``checksum`` — sha256 over the artifact payload itself; verified on
-  load, so a corrupted or hand-edited servable fails loudly instead of
-  serving wrong scores.
+* ``model_version`` — for an export, sha256 over the trained model's
+  parameters (see :func:`repro.nn.serialize.state_fingerprint`), tying
+  every served score back to the exact weights that produced the
+  embeddings.  A streaming candidate hashes the weights ⊕ its table ⊕
+  the graph it was embedded against instead (see
+  :meth:`repro.stream.reembed.Reembedder.version`): the same weights
+  re-embedded after a delta are a new version.
+* ``checksum`` — sha256 over the artifact payload, whose per-shard
+  blocks are cut from the served table when it runs: the bytes it
+  covers are the bytes requests read.  Verified on load, so a
+  corrupted or hand-edited servable fails loudly instead of serving
+  wrong scores, and by the stream's rollout gate.
 
 On disk the artifact is a single ``.npz`` written through
 :mod:`repro.nn.serialize` (same codec as model checkpoints), schema
@@ -58,24 +65,24 @@ ARTIFACT_SCHEMA = "serve_artifact/v1"
 class ServableArtifact:
     """A frozen, versioned, checksummed servable.
 
-    Per-shard materialized node embeddings plus the decoder weights —
+    One read-only ``(num_nodes, embed_dim)`` float64 embedding table,
+    the shard ownership ``assignment`` and the decoder weights —
     everything a :class:`~repro.serve.cluster.ServingCluster` needs to
     answer pairwise and top-k requests without the training stack.
+    The per-shard blocks of the payload are cut from the table when
+    :meth:`checksum` or :meth:`save` runs, so the checksum covers
+    exactly the bytes the cluster serves.  Build one with
+    :func:`artifact_from_table` (or :meth:`load`).
     """
 
     model_version: str
-    embed_dim: int
     num_shards: int
     predictor_kind: str
     assignment: np.ndarray
-    shard_nodes: List[np.ndarray]
-    shard_embeddings: List[np.ndarray]
+    table: np.ndarray
     predictor_state: Dict[str, np.ndarray]
-    schema: str = ARTIFACT_SCHEMA
-    #: :meth:`embedding_table` / :meth:`build_predictor`, built once and
-    #: shared; not part of the payload, the checksum or equality.
-    _table: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False)
+    #: :meth:`build_predictor`, built once and shared; not part of the
+    #: payload, the checksum or equality.
     _predictor: Optional[Module] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -84,30 +91,39 @@ class ServableArtifact:
         """Total nodes covered by the artifact."""
         return int(self.assignment.size)
 
+    @property
+    def embed_dim(self) -> int:
+        """Width of an embedding row."""
+        return int(self.table.shape[1])
+
+    @property
+    def shard_nodes(self) -> List[np.ndarray]:
+        """Each shard's owned node ids, ascending."""
+        return [np.flatnonzero(self.assignment == part)
+                for part in range(self.num_shards)]
+
     # -- payload / integrity --------------------------------------------
 
     def _payload(self) -> Dict[str, np.ndarray]:
         """Flat array dict (everything except the checksum itself)."""
         payload: Dict[str, np.ndarray] = {
-            "meta.schema": np.array(self.schema),
+            "meta.schema": np.array(ARTIFACT_SCHEMA),
             "meta.model_version": np.array(self.model_version),
             "meta.predictor_kind": np.array(self.predictor_kind),
             "meta.embed_dim": np.array(self.embed_dim, dtype=np.int64),
             "meta.num_shards": np.array(self.num_shards, dtype=np.int64),
-            "assignment": np.asarray(self.assignment, dtype=np.int64),
+            "assignment": self.assignment,
         }
-        for part, (nodes, emb) in enumerate(
-                zip(self.shard_nodes, self.shard_embeddings)):
-            payload[f"shard.{part:04d}.nodes"] = np.asarray(
-                nodes, dtype=np.int64)
-            payload[f"shard.{part:04d}.embed"] = np.asarray(
-                emb, dtype=np.float64)
+        for part, nodes in enumerate(self.shard_nodes):
+            payload[f"shard.{part:04d}.nodes"] = nodes
+            payload[f"shard.{part:04d}.embed"] = self.table[nodes]
         for key, value in self.predictor_state.items():
             payload[f"predictor.{key}"] = np.asarray(value)
         return payload
 
     def checksum(self) -> str:
-        """Content hash of the artifact payload (hex sha256)."""
+        """Content hash of the artifact payload (hex sha256), cut from
+        the served table as it is now."""
         return state_fingerprint(self._payload())
 
     # -- persistence ----------------------------------------------------
@@ -133,68 +149,30 @@ class ServableArtifact:
         try:
             state = load_state_dict(path)
             stored_checksum = str(state.pop("meta.checksum", np.array("")))
-            artifact = cls._from_payload(state)
+            intact = stored_checksum == state_fingerprint(state)
+            artifact = _from_payload(state) if intact else None
         except KeyError as exc:
             raise ValueError(
                 f"servable artifact {path} is missing payload key "
                 f"{exc.args[0]!r}") from exc
         # A damaged zip member fails in whichever layer decodes it:
         # the archive, zlib, or numpy's header parser.
-        except (ValueError, zipfile.BadZipFile, EOFError, zlib.error,
-                NotImplementedError, RuntimeError) as exc:
+        except (ValueError, IndexError, zipfile.BadZipFile, EOFError,
+                zlib.error, NotImplementedError, RuntimeError) as exc:
             raise ValueError(
                 f"servable artifact {path} is unreadable: {exc}") from exc
-        if stored_checksum != state_fingerprint(state):
+        if not intact:
             raise ValueError(
                 f"servable artifact {path} failed its checksum: the file "
                 "was corrupted or edited after export")
         return artifact
 
-    @classmethod
-    def _from_payload(cls, state: Dict[str, np.ndarray]
-                      ) -> "ServableArtifact":
-        """Rebuild the dataclass from a flat payload dict."""
-        schema = str(state["meta.schema"])
-        if schema != ARTIFACT_SCHEMA:
-            raise ValueError(
-                f"unsupported servable schema {schema!r} "
-                f"(expected {ARTIFACT_SCHEMA!r})")
-        num_shards = int(state["meta.num_shards"])
-        shard_nodes = [state[f"shard.{p:04d}.nodes"]
-                       for p in range(num_shards)]
-        shard_embeddings = [state[f"shard.{p:04d}.embed"]
-                            for p in range(num_shards)]
-        predictor_state = {
-            key[len("predictor."):]: value
-            for key, value in state.items() if key.startswith("predictor.")
-        }
-        return cls(
-            model_version=str(state["meta.model_version"]),
-            embed_dim=int(state["meta.embed_dim"]),
-            num_shards=num_shards,
-            predictor_kind=str(state["meta.predictor_kind"]),
-            assignment=state["assignment"],
-            shard_nodes=shard_nodes,
-            shard_embeddings=shard_embeddings,
-            predictor_state=predictor_state,
-            schema=schema)
-
     # -- serving helpers -------------------------------------------------
 
     def embedding_table(self) -> np.ndarray:
-        """The full ``(num_nodes, embed_dim)`` table, assembled from
-        the per-shard blocks (every node is owned by exactly one
-        shard, so the union covers the graph) on the first call.
-        Read-only: every caller shares the one array."""
-        if self._table is None:
-            table = np.zeros((self.num_nodes, self.embed_dim),
-                             dtype=np.float64)
-            for nodes, emb in zip(self.shard_nodes,
-                                  self.shard_embeddings):
-                table[nodes] = emb
-            table.flags.writeable = False
-            self._table = table
-        return self._table
+        """The full ``(num_nodes, embed_dim)`` table the cluster serves:
+        read-only, every caller shares the one array."""
+        return self.table
 
     def build_predictor(self) -> Module:
         """The decoder module with the stored weights, in eval mode:
@@ -226,10 +204,39 @@ class ServableArtifact:
 
     def describe(self) -> str:
         """One-paragraph human-readable artifact description."""
-        shard_sizes = ", ".join(str(n.size) for n in self.shard_nodes)
-        return (f"servable {self.schema} model={self.model_version[:12]} "
+        shard_sizes = ", ".join(str(size) for size in np.bincount(
+            self.assignment, minlength=self.num_shards))
+        return (f"servable {ARTIFACT_SCHEMA} model={self.model_version[:12]} "
                 f"dim={self.embed_dim} shards={self.num_shards} "
                 f"nodes=[{shard_sizes}] predictor={self.predictor_kind}")
+
+
+def _from_payload(state: Dict[str, np.ndarray]) -> ServableArtifact:
+    """Rebuild an artifact, its table put back from the shard blocks."""
+    schema = str(state["meta.schema"])
+    if schema != ARTIFACT_SCHEMA:
+        raise ValueError(
+            f"unsupported servable schema {schema!r} "
+            f"(expected {ARTIFACT_SCHEMA!r})")
+    num_shards = int(state["meta.num_shards"])
+    assignment = state["assignment"]
+    table = np.zeros((assignment.size, int(state["meta.embed_dim"])))
+    for part in range(num_shards):
+        nodes = state[f"shard.{part:04d}.nodes"]
+        # Blocks are re-cut in this order on save: any other order
+        # would load, then checksum differently from the file.
+        if not np.array_equal(nodes, np.flatnonzero(assignment == part)):
+            raise ValueError(f"shard.{part:04d}.nodes is not the "
+                             f"ascending list of shard {part}'s nodes")
+        table[nodes] = state[f"shard.{part:04d}.embed"]
+    predictor_state = {
+        key[len("predictor."):]: value
+        for key, value in state.items() if key.startswith("predictor.")
+    }
+    return artifact_from_table(
+        table, str(state["meta.model_version"]),
+        str(state["meta.predictor_kind"]), predictor_state, assignment,
+        num_shards)
 
 
 def predictor_kind_of(model: LinkPredictionModel) -> str:
@@ -249,33 +256,21 @@ def artifact_from_table(table: np.ndarray, model_version: str,
                         predictor_state: Dict[str, np.ndarray],
                         assignment: np.ndarray,
                         num_parts: int) -> ServableArtifact:
-    """Shard a ready embedding table into a :class:`ServableArtifact`.
+    """Build a :class:`ServableArtifact` around a ready embedding table.
 
-    The streaming path re-materializes tables incrementally and
-    re-shards them after rebalances; this constructor is the shared
-    tail of both that path and :func:`export_servable`.  A float64
-    ``table`` becomes the artifact's :meth:`~ServableArtifact.
-    embedding_table` as it is, made read-only (any other dtype is
-    converted first); ``assignment`` must name an owner for each of
-    its rows.
+    The one constructor: :func:`export_servable`, the streaming
+    re-embedder, a stream resume and :meth:`ServableArtifact.load` all
+    end here.  A float64 ``table`` becomes the artifact's table as it
+    is, made read-only (any other dtype is converted first);
+    ``assignment`` must name an owner for each of its rows.
     """
     table = np.asarray(table, dtype=np.float64)
     assignment = owner_vector(assignment, num_parts, size=table.shape[0])
-    shard_nodes = [np.flatnonzero(assignment == p)
-                   for p in range(num_parts)]
-    shard_embeddings = [table[nodes] for nodes in shard_nodes]
-    artifact = ServableArtifact(
-        model_version=model_version,
-        embed_dim=int(table.shape[1]),
-        num_shards=num_parts,
-        predictor_kind=predictor_kind,
-        assignment=assignment,
-        shard_nodes=shard_nodes,
-        shard_embeddings=shard_embeddings,
-        predictor_state=predictor_state)
     table.flags.writeable = False
-    artifact._table = table
-    return artifact
+    return ServableArtifact(
+        model_version=model_version, num_shards=num_parts,
+        predictor_kind=predictor_kind, assignment=assignment,
+        table=table, predictor_state=predictor_state)
 
 
 def export_servable(model: LinkPredictionModel,
@@ -284,14 +279,13 @@ def export_servable(model: LinkPredictionModel,
 
     Embeds every node with exact full-neighbor computation on the
     master's full graph — the RNG-free, deterministic setting, so the
-    same trained weights always export the same artifact — and splits
-    the table by shard ownership.
+    same trained weights always export the same artifact.
     """
     kind = predictor_kind_of(model)
     with eval_mode(model):
         table = materialize_embeddings(model, partitioned.full)
     # Master ownership (node_owner == assignment for node-partitioned
-    # layouts; the master replica under vertex cut) keys the shards.
+    # layouts; the master replica under vertex cut) routes the shards.
     return artifact_from_table(
         table, model_fingerprint(model), kind,
         model.predictor.state_dict(), partitioned.node_owner,

@@ -61,13 +61,38 @@ def top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return keep[np.lexsort((ids[keep], neg[keep]))[:k]]
 
 
+def layout_mismatch(artifact: ServableArtifact,
+                    live: ServableArtifact) -> Optional[str]:
+    """Why ``artifact`` cannot hot-swap in for ``live``, or ``None``.
+
+    A hot swap exchanges tables, never routing: shard count, node
+    universe, embedding width and ownership must match, and a
+    rebalanced layout needs a new cluster (a cold swap)."""
+    if artifact.num_shards != live.num_shards:
+        return (f"artifact has {artifact.num_shards} shard(s), cluster "
+                f"serves {live.num_shards}: rebuild the cluster instead "
+                "of hot-swapping")
+    if artifact.num_nodes != live.num_nodes:
+        return ("artifact covers a different node universe "
+                f"({artifact.num_nodes} vs {live.num_nodes})")
+    if artifact.embed_dim != live.embed_dim:
+        return (f"artifact embed_dim {artifact.embed_dim} != cluster's "
+                f"{live.embed_dim}")
+    if not np.array_equal(artifact.assignment, live.assignment):
+        return ("artifact ownership assignment differs from the "
+                "cluster's routing; a rebalance requires a cold swap "
+                "(new ServingCluster)")
+    return None
+
+
 class ServingCluster:
     """Owner-routed, micro-batched serving over a frozen artifact.
 
     Parameters
     ----------
     artifact:
-        The exported servable (embedding table shards + decoder).
+        The exported servable (embedding table + decoder); it stays
+        ``self.artifact`` until another version is :meth:`activate`-d.
     backend:
         ``"serial"``, ``"thread"`` or ``"process"`` — how phase-2
         numerics execute.  All three produce identical reports.
@@ -123,19 +148,17 @@ class ServingCluster:
         self.observer = observer
         self.timeout_s = float(timeout_s)
         self.num_shards = artifact.num_shards
-        self.table = artifact.embedding_table()
-        self.predictor = artifact.build_predictor()
-        self._owned = [set(nodes.tolist()) for nodes in artifact.shard_nodes]
+        shard_nodes = artifact.shard_nodes
+        self._owned = [set(nodes.tolist()) for nodes in shard_nodes]
         #: Sorted ids each shard does not own: a top-k candidate sweep.
         self._remote = [
             np.setdiff1d(np.arange(artifact.num_nodes), nodes)
-            for nodes in artifact.shard_nodes]
+            for nodes in shard_nodes]
         #: Registered servables by ``model_version``; requests execute
-        #: against exactly one of these tables, chosen by the version
+        #: against exactly one of their tables, chosen by the version
         #: pinned at admission time (see :meth:`serve`'s ``swaps``).
-        self._versions: Dict[str, Tuple[np.ndarray, object]] = {
-            artifact.model_version: (self.table, self.predictor)}
-        self.active_version = artifact.model_version
+        self._versions: Dict[str, ServableArtifact] = {}
+        self.register_version(artifact)
         self._pinned: Dict[int, str] = {}
         #: Neighbor lists fetched so far (simulation-side value store;
         #: the LRU caches model what a replica would retain/charge).
@@ -145,37 +168,22 @@ class ServingCluster:
     # -- versioned artifacts (hot swap) ----------------------------------
 
     def register_version(self, artifact: ServableArtifact) -> str:
-        """Add a servable the cluster may hot-swap to.
-
-        The artifact must be *layout-compatible* with the serving
-        topology — same shard count, node universe, embedding width
-        and ownership assignment — because a hot swap exchanges only
-        the numeric tables, never the routing.  A rebalanced layout
-        needs a new cluster (a cold swap).  Returns the registered
-        ``model_version``.
-        """
-        if artifact.num_shards != self.num_shards:
-            raise ValueError(
-                f"artifact has {artifact.num_shards} shard(s), cluster "
-                f"serves {self.num_shards}: rebuild the cluster instead "
-                "of hot-swapping")
-        if artifact.num_nodes != self.artifact.num_nodes:
-            raise ValueError(
-                "artifact covers a different node universe "
-                f"({artifact.num_nodes} vs {self.artifact.num_nodes})")
-        if artifact.embed_dim != self.artifact.embed_dim:
-            raise ValueError(
-                f"artifact embed_dim {artifact.embed_dim} != cluster's "
-                f"{self.artifact.embed_dim}")
-        if not np.array_equal(artifact.assignment,
-                              self.artifact.assignment):
-            raise ValueError(
-                "artifact ownership assignment differs from the "
-                "cluster's routing; a rebalance requires a cold swap "
-                "(new ServingCluster)")
-        self._versions[artifact.model_version] = (
-            artifact.embedding_table(), artifact.build_predictor())
+        """Add a servable the cluster may hot-swap to; returns its
+        ``model_version``.  ``ValueError`` unless it is
+        layout-compatible with the serving topology
+        (:func:`layout_mismatch`)."""
+        mismatch = layout_mismatch(artifact, self.artifact)
+        if mismatch is not None:
+            raise ValueError(mismatch)
+        # Built here, in the parent, so forked replicas share it.
+        artifact.build_predictor()
+        self._versions[artifact.model_version] = artifact
         return artifact.model_version
+
+    @property
+    def active_version(self) -> str:
+        """The ``model_version`` requests score against by default."""
+        return self.artifact.model_version
 
     def activate(self, version: str) -> None:
         """Make ``version`` the default for subsequently admitted
@@ -184,11 +192,10 @@ class ServingCluster:
             raise ValueError(
                 f"unknown model_version {version[:12]!r}…; "
                 "register_version() it first")
-        self.active_version = version
-        self.table, self.predictor = self._versions[version]
+        self.artifact = self._versions[version]
 
     def retire(self, version: str) -> None:
-        """Drop a registered version's table and decoder.
+        """Drop a registered version (its table and decoder).
 
         The active version cannot be retired, and an unknown one is an
         error; both raise ``ValueError``.  A retired version can no
@@ -332,7 +339,7 @@ class ServingCluster:
                 missed += len(cache.admit(run)) + cache.admit_unique(
                     remote[remote != node]).size
                 run = []
-                work_rows += self.table.shape[0] - 1
+                work_rows += self.artifact.num_nodes - 1
                 if self.store is not None:
                     if self._nbr_caches[shard].admit([node]):
                         nbrs, _, _ = self.store.neighbors_batch(
@@ -419,7 +426,8 @@ class ServingCluster:
                     pairs.setdefault(version, []).append(
                         (index, request.u, request.v))
                     continue
-                table, predictor = self._versions[version]
+                artifact = self._versions[version]
+                table = artifact.embedding_table()
                 num_nodes = table.shape[0]
                 excl = np.asarray(
                     exclusions.get(index, np.empty(0, dtype=np.int64)),
@@ -428,16 +436,18 @@ class ServingCluster:
                 mask[request.node] = False
                 mask[excl[excl < num_nodes]] = False
                 candidates = np.flatnonzero(mask).astype(np.int64)
-                scores = predictor.sweep(table[request.node], table,
-                                         candidates)
+                scores = artifact.build_predictor().sweep(
+                    table[request.node], table, candidates)
                 top = top_k(scores, candidates, request.k)
                 results.append((index, None, candidates[top],
                                 scores[top]))
         for version, rows in pairs.items():
-            table, predictor = self._versions[version]
+            artifact = self._versions[version]
+            table = artifact.embedding_table()
             index, u, v = np.array(rows, dtype=np.int64).T
-            scores = predictor(Tensor(table[u][:, None, :]),
-                               Tensor(table[v][:, None, :])).data
+            scores = artifact.build_predictor()(
+                Tensor(table[u][:, None, :]),
+                Tensor(table[v][:, None, :])).data
             results.extend((i, score, None, None) for i, score
                            in zip(index.tolist(), scores.tolist()))
         return results

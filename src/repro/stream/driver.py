@@ -409,7 +409,6 @@ class StreamDriver:
             candidate = self.reembedder.make_artifact(
                 snapshot, self.sharded.layout.assignment, self.num_parts)
 
-        swapped = False
         rolled_back = False
         gate_reason = ""
         gate_auc = float("nan")
@@ -425,7 +424,6 @@ class StreamDriver:
             gate_auc = decision.auc
             if decision.accepted:
                 swap_candidate = candidate
-                swapped = True
                 self.counters["swaps"] += 1
                 self.active_artifact = candidate
             else:
@@ -449,7 +447,7 @@ class StreamDriver:
             refreshed=refreshed,
             reembed_rows=reembed_rows,
             rebalanced=rebalanced,
-            swapped=swapped,
+            swapped=swap_candidate is not None,
             cold_swapped=cold_swapped,
             rolled_back=rolled_back,
             gate_reason=gate_reason,
@@ -624,9 +622,8 @@ class StreamDriver:
                 state, snapshot, spec, num_parts, config.seed)
             driver.reembedder.restore(meta, state, snapshot)
             driver.active_artifact = artifact_from_table(
-                np.asarray(state["stream.active.table"],
-                           dtype=np.float64).copy(),
-                meta["active_version"], predictor_kind_of(driver.model),
+                state["stream.active.table"], meta["active_version"],
+                predictor_kind_of(driver.model),
                 driver.model.predictor.state_dict(),
                 driver.sharded.layout.assignment, num_parts)
             driver.records = [TickRecord.from_dict(r)

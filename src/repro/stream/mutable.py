@@ -214,14 +214,15 @@ class MutableGraph:
 
         Covers the canonical edge list and the feature bytes — two
         mutable graphs agree exactly when every future snapshot would
-        be bit-identical.
+        be bit-identical.  Arrays are hashed through the buffer
+        protocol, not copied.
         """
         digest = hashlib.sha256()
-        digest.update(np.int64([self.num_nodes]).tobytes())
-        digest.update(self.edge_array().tobytes())
+        digest.update(np.int64([self.num_nodes]))
+        digest.update(self.edge_array())
         if self._features is not None:
             digest.update(str(self._features.shape).encode("ascii"))
-            digest.update(np.ascontiguousarray(self._features).tobytes())
+            digest.update(np.ascontiguousarray(self._features))
         return digest.hexdigest()
 
     def state_arrays(self) -> dict:

@@ -43,7 +43,8 @@ from ..eval.evaluator import eval_mode, materialize_layers, refresh_layers
 from ..graph.graph import Graph
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
-from ..sampling.blocks import GraphNeighborSource, check_node_ids
+from ..sampling.blocks import (GraphNeighborSource, check_node_ids,
+                               sorted_unique)
 from ..serve.artifact import (
     ServableArtifact,
     artifact_from_table,
@@ -132,6 +133,8 @@ class Reembedder:
         #: endpoints of inserted or deleted edges.
         self._drifted = np.zeros(0, dtype=bool)
         self._endpoints = np.zeros(0, dtype=bool)
+        #: The frozen weights' hash, :meth:`version`'s prefix (lazy).
+        self._weights: Optional[str] = None
 
     @property
     def num_layers(self) -> int:
@@ -195,7 +198,7 @@ class Reembedder:
         if frontier.size == 0:
             self.layer_rows = [0] * self.num_layers
             return 0
-        blocks = np.unique(frontier // self.batch_size)
+        blocks = sorted_unique(frontier // self.batch_size)
         patch = (blocks[:, None] * self.batch_size
                  + np.arange(self.batch_size)).ravel()
         rows.append(patch[patch < graph.num_nodes])
@@ -243,6 +246,7 @@ class Reembedder:
         refreshed, as every tick does at ``refresh_every=1``.
         """
         self.model.load_state_dict(strip_prefix(arrays, "stream.model."))
+        self._weights = None
         self.table = np.asarray(arrays["stream.embed.table"],
                                 dtype=np.float64).copy()
         self._embedded(Graph.from_edges(
@@ -267,25 +271,25 @@ class Reembedder:
         Unlike the static export path (weights only), a streaming
         version must distinguish re-embeddings of the *same* weights
         against different graph states — hence the table and structure
-        bytes in the hash.
+        bytes in the hash (read through the buffer protocol).
         """
         if self.table is None:
             raise StreamStateError(
                 "no table yet: call full_refresh()/frontier_refresh() "
                 "before version()")
-        digest = hashlib.sha256()
-        digest.update(model_fingerprint(self.model).encode("ascii"))
-        digest.update(np.ascontiguousarray(self.table).tobytes())
-        digest.update(graph.indptr.tobytes())
-        digest.update(graph.indices.tobytes())
+        if self._weights is None:
+            self._weights = model_fingerprint(self.model)
+        digest = hashlib.sha256(self._weights.encode("ascii"))
+        for array in (self.table, graph.indptr, graph.indices):
+            digest.update(np.ascontiguousarray(array))
         return digest.hexdigest()
 
     def make_artifact(self, graph: Graph,
                       assignment: np.ndarray,
                       num_parts: int) -> ServableArtifact:
-        """Shard a copy of the current table into a versioned servable;
-        the copy is the artifact's :meth:`~repro.serve.artifact.
-        ServableArtifact.embedding_table`, never re-assembled."""
+        """A versioned servable around a copy of the current table (the
+        artifact's one table, read-only; refreshes keep patching
+        :attr:`table` in place)."""
         if self.table is None:
             raise StreamStateError(
                 "no table yet: call full_refresh()/frontier_refresh() "

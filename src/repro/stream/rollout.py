@@ -6,13 +6,13 @@ one blindly would let a corrupted table or a quality regression reach
 traffic.  :class:`RolloutGate` checks, in order:
 
 1. **Digest equality** — the candidate's payload checksum recomputed
-   now equals the checksum captured when the candidate was built.  A
-   table corrupted (or mutated in place) between re-embedding and
+   now equals the checksum captured when the candidate was built.  The
+   checksum is cut from the very table the cluster would serve, so a
+   served row corrupted (or mutated in place) between re-embedding and
    rollout fails here, before any score is served from it.
-2. **Layout compatibility** — shard count, node universe, embedding
-   width and ownership assignment match the live artifact (a hot swap
-   exchanges tables, never routing; rebalanced layouts need a cold
-   swap).
+2. **Layout compatibility** — the serving cluster's hot-swap rule
+   against the live artifact, :func:`~repro.serve.cluster.
+   layout_mismatch` (rebalanced layouts need a cold swap).
 3. **AUC floor** — the candidate scores a seeded probe set (present
    edges vs. drawn non-edges of the *current* graph) and must reach
    ``auc_floor``.  The probe derives from ``(seed, tick)``, so the
@@ -34,6 +34,7 @@ from ..eval.metrics import auc
 from ..graph.graph import Graph
 from ..nn.tensor import Tensor, no_grad
 from ..serve.artifact import ServableArtifact
+from ..serve.cluster import layout_mismatch
 
 
 def probe_pairs(graph: Graph, seed: int, tick: int,
@@ -70,11 +71,9 @@ def score_pairs(artifact: ServableArtifact,
     if pairs.shape[0] == 0:
         return np.zeros(0, dtype=np.float64)
     table = artifact.embedding_table()
-    predictor = artifact.build_predictor()
-    u_rows = table[pairs[:, 0]]
-    v_rows = table[pairs[:, 1]]
-    return np.asarray(predictor(Tensor(u_rows), Tensor(v_rows)).data,
-                      dtype=np.float64)
+    scores = artifact.build_predictor()(Tensor(table[pairs[:, 0]]),
+                                        Tensor(table[pairs[:, 1]]))
+    return np.asarray(scores.data, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -109,15 +108,10 @@ class RolloutGate:
             return GateDecision(
                 False, f"digest mismatch: payload hashes {actual[:12]} "
                        f"but {expected_checksum[:12]} was promised")
-        if live is not None:
-            if (candidate.num_shards != live.num_shards
-                    or candidate.num_nodes != live.num_nodes
-                    or candidate.embed_dim != live.embed_dim
-                    or not np.array_equal(candidate.assignment,
-                                          live.assignment)):
-                return GateDecision(
-                    False, "layout incompatible with the live artifact "
-                           "(cold swap required)")
+        if live is not None and layout_mismatch(candidate, live):
+            return GateDecision(
+                False, "layout incompatible with the live artifact "
+                       "(cold swap required)")
         pos, neg = probe_pairs(graph, seed, tick, self.probe_pairs_n)
         if pos.shape[0] == 0 or neg.shape[0] == 0:
             probe_auc = 0.5  # degenerate probe: neither pass nor fail

@@ -43,6 +43,16 @@ def _edge_keys(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     return edges[:, 0] * num_nodes + edges[:, 1]
 
 
+def _part_edge_rows(part: Graph) -> np.ndarray:
+    """``part.edge_list()`` of a shard :meth:`PartitionedGraph.assemble`
+    wrote, without its sort check: shards are in the canonical row
+    layout, so their ``u < v`` entries already come sorted."""
+    src = np.repeat(np.arange(part.num_nodes, dtype=np.int64),
+                    np.diff(part.indptr))
+    upper = src < part.indices
+    return np.stack([src[upper], part.indices[upper]], axis=1)
+
+
 class ShardedState:
     """Evolving shard storage over a fixed node universe.
 
@@ -181,8 +191,9 @@ class ShardedState:
         self.rebalances += 1
         n = graph.num_nodes
         moved_edges = sum(
-            int((~np.isin(_edge_keys(new.parts[p].edge_list(), n),
-                          _edge_keys(old.parts[p].edge_list(), n))).sum())
+            int((~np.isin(_edge_keys(_part_edge_rows(new.parts[p]), n),
+                          _edge_keys(_part_edge_rows(old.parts[p]), n))
+                 ).sum())
             for p in range(old.num_parts))
         moved_rows = int((new.replica_mask() & ~old.replica_mask()).sum())
         if meter is not None:
@@ -197,18 +208,20 @@ class ShardedState:
         """Content hash of the layout (hex sha256): the assignment and
         every shard's sorted edge list (plus the per-edge owners under
         vertex cut).  Equal exactly when the layouts store equal bytes.
+        Arrays are hashed through the buffer protocol, not copied.
         """
         layout = self.layout
         digest = hashlib.sha256()
         digest.update(np.int64([layout.num_parts, self.rebalances,
                                 int(layout.edge_partitioned),
                                 int(layout.mirror)]).tobytes())
-        digest.update(layout.assignment.astype(np.int64).tobytes())
+        digest.update(np.ascontiguousarray(layout.assignment,
+                                           dtype=np.int64))
         for part in layout.parts:
-            digest.update(part.edge_list().tobytes())
+            digest.update(_part_edge_rows(part))
         if layout.edge_partitioned:
-            digest.update(layout.full.edge_list().tobytes())
-            digest.update(layout.edge_assignment.tobytes())
+            digest.update(layout.full.edge_list())
+            digest.update(np.ascontiguousarray(layout.edge_assignment))
         return digest.hexdigest()
 
     def state_arrays(self) -> dict:

@@ -174,3 +174,19 @@ def recorded_nodes():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Tensor, "_result", staticmethod(spy))
         yield count
+
+
+def assert_one_table(artifact):
+    """``artifact`` holds exactly one ``(num_nodes, dim)`` float64
+    array: the read-only table it serves, whose bytes its checksum
+    covers."""
+    table = artifact.embedding_table()
+    held = [value for value in vars(artifact).values()
+            if isinstance(value, np.ndarray) and value.ndim == 2]
+    assert len(held) == 1 and held[0] is table
+    assert table.dtype == np.float64 and not table.flags.writeable
+    assert table.shape == (artifact.num_nodes, artifact.embed_dim)
+    payload = artifact._payload()
+    for part, nodes in enumerate(artifact.shard_nodes):
+        assert (payload[f"shard.{part:04d}.embed"].tobytes()
+                == table[nodes].tobytes())

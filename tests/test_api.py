@@ -2,8 +2,8 @@
 
 Covers the one-liner :func:`repro.run`, the chainable
 :class:`repro.api.Session`, the :func:`repro.api.resolve_config`
-reconciliation point, the deprecation shims over the legacy top-level
-entry points, and the R105 facade lint rule.
+reconciliation point, the low-level ``repro.core`` entry points that
+replaced the top-level shims, and the R105 facade lint rule.
 """
 
 from __future__ import annotations
@@ -151,19 +151,8 @@ class TestResolveConfig:
 
 
 class TestDeprecationShims:
-    def test_run_framework_shim_warns_and_delegates(self):
-        from repro.core.frameworks import run_framework as real
-
-        with pytest.warns(DeprecationWarning, match="repro.run_framework"):
-            shim = repro.run_framework
-        assert shim is real
-
-    def test_build_trainer_shim_warns_and_delegates(self):
-        from repro.core.frameworks import build_trainer as real
-
-        with pytest.warns(DeprecationWarning, match="repro.build_trainer"):
-            shim = repro.build_trainer
-        assert shim is real
+    """The top-level ``repro.run_framework`` / ``repro.build_trainer``
+    shims are gone; the low-level entry points live in ``repro.core``."""
 
     def test_internal_imports_stay_warning_free(self):
         with warnings.catch_warnings():
@@ -171,28 +160,19 @@ class TestDeprecationShims:
             from repro.core import build_trainer, run_framework  # noqa: F401
 
     def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.does_not_exist
-
-    @pytest.mark.parametrize("name", ["run_framework", "build_trainer"])
-    def test_shim_emits_exactly_one_warning(self, name):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            getattr(repro, name)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert f"repro.{name} is deprecated" in str(deprecations[0].message)
+        for name in ("does_not_exist", "run_framework", "build_trainer"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
     def test_shim_result_parity(self, split):
-        """Training through the shim gives the same result as the
-        blessed paths — the shim is pure indirection."""
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.run_framework
+        """Training through ``repro.core.run_framework`` gives the same
+        result as ``repro.run``."""
+        from repro.core import run_framework
+
         config = resolve_config("smoke", backend="serial", num_workers=2,
                                 hidden_dim=12, epochs=1)
-        old = legacy("psgd_pa", split, 2, config,
-                     rng=np.random.default_rng(config.seed))
+        old = run_framework("psgd_pa", split, 2, config,
+                            rng=np.random.default_rng(config.seed))
         new = repro.run("psgd_pa", split=split, workers=2, scale="smoke",
                         hidden_dim=12, epochs=1)
         assert new.test.hits == old.test.hits

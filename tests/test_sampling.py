@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.trainer import TrainConfig
 from repro.graph import Graph
@@ -18,6 +20,7 @@ from repro.sampling import (
     classify_negatives,
     sample_block,
 )
+from repro.sampling.blocks import sorted_unique
 
 
 class TestBlock:
@@ -275,3 +278,37 @@ class TestEdgeBatchLoader:
     def test_bad_batch_size(self, rng):
         with pytest.raises(ValueError):
             EdgeBatchLoader(np.arange(4).reshape(2, 2), 0, rng=rng)
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` on integer ids, value for
+    value and dtype for dtype."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=40),
+           st.sampled_from(["raw", "sorted", "strict", "doubled",
+                            "narrow"]),
+           st.sampled_from([np.int64, np.int32]))
+    def test_equals_np_unique(self, values, shape, dtype):
+        ids = np.array(values, dtype=np.int64)
+        if shape == "sorted":
+            ids = np.sort(ids)
+        elif shape == "strict":
+            ids = np.unique(ids)
+        elif shape == "doubled":
+            ids = np.repeat(ids, 2)
+        elif shape == "narrow":
+            ids = ids % 5
+        ids = ids.astype(dtype)
+        got, want = sorted_unique(ids), np.unique(ids)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_and_two_dimensional(self):
+        for ids in (np.zeros(0, dtype=np.int64),
+                    np.array([[3, 1], [1, 2]], dtype=np.int64),
+                    np.array([[1, 2], [3, 4]], dtype=np.int64)):
+            want = np.unique(ids)
+            got = sorted_unique(ids)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repro.serve import (
 )
 from repro.serve.requests import RequestOutcome
 
-from conftest import recorded_nodes, taped_forward
+from conftest import assert_one_table, recorded_nodes, taped_forward
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,23 @@ class TestArtifact:
         with pytest.raises(ValueError, match="shard.0001.embed"):
             ServableArtifact.load(path)
 
+    def test_reordered_shard_block_is_a_value_error(self, tmp_path):
+        """Reverse one shard's nodes and rows together and re-stamp the
+        checksum: the table would be intact, but the blocks cut from it
+        on save could not reproduce the file's checksum."""
+        from repro.nn.serialize import (load_state_dict, save_state_dict,
+                                        state_fingerprint)
+
+        path = Path(__file__).parent / "data" / "serve_artifact_v1.npz"
+        state = load_state_dict(path)
+        del state["meta.checksum"]
+        for key in ("shard.0000.nodes", "shard.0000.embed"):
+            state[key] = state[key][::-1].copy()
+        state["meta.checksum"] = np.array(state_fingerprint(state))
+        save_state_dict(state, tmp_path / "reordered.npz")
+        with pytest.raises(ValueError, match="shard.0000.nodes"):
+            ServableArtifact.load(tmp_path / "reordered.npz")
+
     def test_truncated_file_is_a_value_error(self, served, tmp_path):
         _, artifact, _, _ = served
         path = tmp_path / "truncated.npz"
@@ -132,6 +150,26 @@ class TestArtifact:
                 assert str(path) in str(exc), (bit, exc)
             else:
                 assert loaded.checksum() == want, bit
+
+    def test_two_copy_era_file_loads_and_resaves_unchanged(self,
+                                                           tmp_path):
+        """``data/serve_artifact_v1.npz`` was saved by the artifact that
+        kept per-shard copies beside its table: 50 nodes, 2 shards
+        (``arange(50) % 2``), table ``default_rng(43).standard_normal((50,
+        8))``, a 2-layer MLP decoder.  The one-table artifact reads it
+        back to the same table and checksum, and writes that checksum
+        again."""
+        path = Path(__file__).parent / "data" / "serve_artifact_v1.npz"
+        want = ("065441c9008508e99d68303a95b89123"
+                "a3b8f68b68ae18909d95a35f417bde5c")
+        artifact = ServableArtifact.load(path)
+        assert artifact.checksum() == want
+        assert artifact.save(tmp_path / "again.npz") == want
+        assert ServableArtifact.load(tmp_path / "again.npz").checksum() \
+            == want
+        table = np.random.default_rng(43).standard_normal((50, 8))
+        assert artifact.embedding_table().tobytes() == table.tobytes()
+        assert_one_table(artifact)
 
     def test_export_is_deterministic(self, served):
         session, artifact, _, _ = served
@@ -179,8 +217,9 @@ class TestArtifact:
 
 
 class TestArtifactMemo:
-    """An artifact builds its table and decoder once; every consumer
-    shares them, and neither is part of what the artifact is."""
+    """An artifact holds its table once and builds its decoder once;
+    every consumer shares them, and the decoder is not part of what
+    the artifact is."""
 
     @pytest.fixture
     def loaded(self, served, tmp_path):
@@ -201,30 +240,28 @@ class TestArtifactMemo:
         predictor = fresh.build_predictor()
         assert fresh.build_predictor() is predictor
         cluster = _cluster(fresh)
-        assert cluster.table is table and cluster.predictor is predictor
+        assert cluster.artifact is fresh
         cluster.close()
         assert built == [1]
 
     def test_export_adopts_its_table(self, served):
         _, artifact, _, _ = served
-        table = artifact.embedding_table()
-        assert not table.flags.writeable
-        for nodes, emb in zip(artifact.shard_nodes,
-                              artifact.shard_embeddings):
-            assert not np.shares_memory(emb, table)
-            assert table[nodes].tobytes() == emb.tobytes()
+        assert_one_table(artifact)
+
+    def test_load_holds_one_table(self, loaded):
+        _, fresh = loaded
+        assert_one_table(fresh)
 
     def test_memo_is_not_payload_checksum_or_equality(self, loaded,
                                                       tmp_path):
         artifact, fresh = loaded
         checksum = fresh.checksum()
-        fresh.embedding_table()
         fresh.build_predictor()
         assert fresh.checksum() == checksum == artifact.checksum()
         assert fresh.save(tmp_path / "b.npz") == checksum
         compared = {f.name for f in dataclasses.fields(ServableArtifact)
                     if f.compare}
-        assert not compared & {"_table", "_predictor"}
+        assert "_predictor" not in compared
         assert not any(key.startswith("_") for key in fresh._payload())
 
 

@@ -193,7 +193,8 @@ class TestStackedDecoding:
         got = DotPredictor()(Tensor(h_u), Tensor(h_v)).data
         assert got.tobytes() == (h_u * h_v).sum(axis=1).tobytes()
 
-    def test_pairs_decode_in_one_call_per_shard_and_version(self):
+    def test_pairs_decode_in_one_call_per_shard_and_version(
+            self, monkeypatch):
         rng = np.random.default_rng(3)
         assignment = np.arange(90, dtype=np.int64) % 3
         predictor = MLPPredictor(8, num_layers=2, rng=rng)
@@ -201,14 +202,14 @@ class TestStackedDecoding:
             rng.standard_normal((90, 8)), "v0", "mlp",
             predictor.state_dict(), assignment, 3)
         cluster = ServingCluster(artifact, max_batch=4)
-        table, decoder = cluster._versions["v0"]
+        table, decoder = artifact.table, artifact.build_predictor()
         calls = []
 
         def counting(h_u, h_v):
             calls.append(h_u.shape)
             return decoder(h_u, h_v)
 
-        cluster._versions["v0"] = (table, counting)
+        monkeypatch.setattr(artifact, "build_predictor", lambda: counting)
         requests = synthetic_requests(60, 90, seed=4, topk_fraction=0.0)
         report = cluster.serve(ClosedLoopWorkload(requests, num_clients=6))
         assert report.counters["flushes"] > 3

@@ -13,8 +13,15 @@ from repro.nn.models import build_model
 from repro.obs import RunObserver
 from repro.partition.registry import PartitionSpec
 from repro.serve import ServingCluster
-from repro.stream import STREAM_STATE_SCHEMA, StreamConfig, StreamDriver
+from repro.stream import (
+    STREAM_STATE_SCHEMA,
+    RolloutGate,
+    StreamConfig,
+    StreamDriver,
+)
 from repro.stream.errors import StreamStateError
+
+from conftest import assert_one_table
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -86,6 +93,38 @@ class TestTickLoop:
         rolled = [r for r in report.records if r.rolled_back]
         assert rolled and all("below floor" in r.gate_reason
                               for r in rolled)
+
+    def test_candidate_changed_after_its_promise_rolls_back(
+            self, monkeypatch):
+        """One bit of tick 1's candidate table flips between the
+        driver's checksum promise and the gate: the gate's recompute
+        over the served table sees it, the candidate is rolled back and
+        the live version keeps serving, on every backend alike."""
+        clean = _run(_config(ticks=4))
+        assert clean.records[1].swapped
+        evaluate = RolloutGate.evaluate
+
+        def corrupting(gate, candidate, promised, live, graph, seed,
+                       tick):
+            if tick == 1:
+                table = candidate.embedding_table()
+                table.flags.writeable = True
+                table.view(np.uint64)[3, 0] ^= 1
+                table.flags.writeable = False
+            return evaluate(gate, candidate, promised, live, graph, seed,
+                            tick)
+
+        monkeypatch.setattr(RolloutGate, "evaluate", corrupting)
+        reports = {backend: _run(_config(ticks=4), backend)
+                   for backend in ("serial", "thread")}
+        report = reports["serial"]
+        assert (report.counters["rollbacks"]
+                == clean.counters["rollbacks"] + 1)
+        record = report.records[1]
+        assert record.rolled_back and not record.swapped
+        assert record.gate_reason.startswith("digest mismatch")
+        assert record.model_version == report.records[0].model_version
+        assert reports["thread"].digest() == report.digest()
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_hot_swaps_retire_the_pre_swap_version(self, backend,
@@ -178,6 +217,7 @@ class TestCheckpointResume:
         self._interrupted_dir(tmp_path / "ckpt")
         resumed = StreamDriver.resume(tmp_path / "ckpt",
                                       backend=backend)
+        assert_one_table(resumed.active_artifact)
         assert resumed.run().digest() == uninterrupted
 
     def test_resume_after_completion_reproduces_report(self, tmp_path):

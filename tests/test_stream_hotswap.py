@@ -11,9 +11,20 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, synthetic_lp_graph
-from repro.nn.models import build_model
-from repro.serve import ServingCluster, OpenLoopWorkload, synthetic_requests
-from repro.stream import MutableGraph, Reembedder, StreamEvent, probe_pairs
+from repro.nn.models import MLPPredictor, build_model
+from repro.serve import (
+    OpenLoopWorkload,
+    ServingCluster,
+    artifact_from_table,
+    synthetic_requests,
+)
+from repro.stream import (
+    MutableGraph,
+    Reembedder,
+    RolloutGate,
+    StreamEvent,
+    probe_pairs,
+)
 from repro.stream.rollout import score_pairs
 
 from conftest import recorded_nodes, taped_forward
@@ -183,10 +194,42 @@ class TestTornBatches:
         cluster.register_version(new)
         cluster.activate(new.model_version)
         assert cluster.active_version == new.model_version
-        np.testing.assert_array_equal(cluster.table,
-                                      new.embedding_table())
+        assert cluster.artifact is new
         with pytest.raises(ValueError):
             cluster.activate("not-registered")
+
+
+class TestGateDigest:
+    """The gate's digest check covers exactly the bytes the cluster
+    serves."""
+
+    def _promised(self):
+        graph = synthetic_lp_graph(50, 150, feature_dim=DIM,
+                                   rng=np.random.default_rng(6))
+        table = np.random.default_rng(7).standard_normal((50, 8))
+        state = MLPPredictor(8, num_layers=2,
+                             rng=np.random.default_rng(8)).state_dict()
+        artifact = artifact_from_table(table.copy(), "v1", "mlp", state,
+                                       np.arange(50) % 2, 2)
+        return artifact, artifact.checksum(), graph
+
+    def test_intact_candidate_is_accepted(self):
+        artifact, promised, graph = self._promised()
+        decision = RolloutGate().evaluate(artifact, promised, None, graph,
+                                          0, 0)
+        assert decision.accepted and decision.reason == "accepted"
+
+    @pytest.mark.parametrize("row", [0, 3, 49])
+    def test_one_flipped_served_bit_is_a_digest_mismatch(self, row):
+        artifact, promised, graph = self._promised()
+        table = artifact.embedding_table()
+        table.flags.writeable = True
+        table.view(np.uint64)[row, 5] ^= 1 << 17
+        assert artifact.checksum() != promised
+        decision = RolloutGate().evaluate(artifact, promised, None, graph,
+                                          0, 0)
+        assert not decision.accepted
+        assert decision.reason.startswith("digest mismatch")
 
 
 def _set_based_probe_pairs(graph, seed, tick, num_pairs=32):

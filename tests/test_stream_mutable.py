@@ -1,5 +1,7 @@
 """MutableGraph: delta application, snapshots, durable state."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,51 @@ class TestState:
             [StreamEvent("drift", 0, u=0, scale=1.0)], tick=0)
         assert delta.skipped == 1
         assert delta.drifted.size == 0
+
+
+def _copying_fingerprint(mutable):
+    """:meth:`MutableGraph.fingerprint` as it read before hashing
+    through the buffer protocol: every array copied by ``tobytes``."""
+    digest = hashlib.sha256()
+    digest.update(np.int64([mutable.num_nodes]).tobytes())
+    digest.update(mutable.edge_array().tobytes())
+    if mutable._features is not None:
+        digest.update(str(mutable._features.shape).encode("ascii"))
+        digest.update(np.ascontiguousarray(mutable._features).tobytes())
+    return digest.hexdigest()
+
+
+class TestFingerprintOracle:
+    def test_equals_the_copying_form(self):
+        mutable = MutableGraph(_featured())
+        assert mutable.fingerprint() == _copying_fingerprint(mutable)
+        mutable.apply([StreamEvent("insert", 0, u=5, v=7),
+                       StreamEvent("delete", 0, u=0, v=1),
+                       StreamEvent("drift", 0, u=2, scale=0.5)], tick=0)
+        assert mutable.fingerprint() == _copying_fingerprint(mutable)
+        bare = MutableGraph(Graph.from_edges(4, [[0, 1], [1, 2]]))
+        assert bare.fingerprint() == _copying_fingerprint(bare)
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    def test_non_contiguous_features(self, layout):
+        mutable = MutableGraph(_featured())
+        before = mutable.fingerprint()
+        features = mutable._features
+        mutable._features = (
+            np.asfortranarray(features) if layout == "fortran"
+            else np.repeat(features, 2, axis=1)[:, ::2])
+        assert not mutable._features.flags.c_contiguous
+        assert mutable.fingerprint() == _copying_fingerprint(mutable)
+        assert mutable.fingerprint() == before
+
+    def test_raw_constructor_graph(self):
+        """A CSR whose rows list neighbours in descending order (not
+        the canonical layout) fingerprints like its canonical twin."""
+        canonical = _featured()
+        rows = [canonical.indices[a:b][::-1] for a, b in
+                zip(canonical.indptr[:-1], canonical.indptr[1:])]
+        raw = Graph(canonical.indptr, np.concatenate(rows),
+                    features=canonical.features)
+        mutable = MutableGraph(raw)
+        assert mutable.fingerprint() == _copying_fingerprint(mutable)
+        assert mutable.fingerprint() == MutableGraph(canonical).fingerprint()

@@ -19,7 +19,7 @@ from repro.stream import (
 )
 from repro.stream.errors import StreamStateError
 
-from conftest import recorded_nodes, taped_forward
+from conftest import assert_one_table, recorded_nodes, taped_forward
 
 
 def _setup(seed=0, nodes=40, edges=120, dim=6):
@@ -467,9 +467,8 @@ class TestArtifacts:
         reembedder.full_refresh(graph)
         artifact = reembedder.make_artifact(
             graph, np.arange(graph.num_nodes) % 2, 2)
-        table = artifact._table
-        assert table is not None and not table.flags.writeable
-        assert artifact.embedding_table() is table
+        assert_one_table(artifact)
+        table = artifact.embedding_table()
         assert not np.shares_memory(table, reembedder.table)
         assert table.tobytes() == reembedder.table.tobytes()
 

@@ -1,10 +1,12 @@
 """ShardedState: the carried layout vs. from-scratch builds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.distributed.comm import CommMeter, feature_nbytes
-from repro.graph import synthetic_lp_graph
+from repro.graph import Graph, synthetic_lp_graph
 from repro.partition.partitioned import PartitionedGraph
 from repro.partition.registry import PartitionSpec
 from repro.stream import (ArrivalPlan, MutableGraph, ShardedState,
@@ -178,3 +180,44 @@ class TestConsistencyAndState:
         assert clone.fingerprint() == sharded.fingerprint()
         assert _part_edge_sets(clone.layout) == \
             _part_edge_sets(sharded.layout)
+
+
+def _copying_fingerprint(sharded):
+    """:meth:`ShardedState.fingerprint` as it read before hashing
+    through the buffer protocol: every part through the checked
+    ``edge_list()``, every array copied by ``tobytes``."""
+    layout = sharded.layout
+    digest = hashlib.sha256()
+    digest.update(np.int64([layout.num_parts, sharded.rebalances,
+                            int(layout.edge_partitioned),
+                            int(layout.mirror)]).tobytes())
+    digest.update(layout.assignment.astype(np.int64).tobytes())
+    for part in layout.parts:
+        digest.update(part.edge_list().tobytes())
+    if layout.edge_partitioned:
+        digest.update(layout.full.edge_list().tobytes())
+        digest.update(layout.edge_assignment.tobytes())
+    return digest.hexdigest()
+
+
+class TestFingerprintOracle:
+    @LAYOUTS
+    def test_equals_the_copying_form_under_churn(self, spec):
+        _, sharded = _churn(spec)
+        assert sharded.fingerprint() == _copying_fingerprint(sharded)
+        sharded.layout.assignment = np.repeat(
+            sharded.layout.assignment, 2)[::2]
+        assert not sharded.layout.assignment.flags.c_contiguous
+        assert sharded.fingerprint() == _copying_fingerprint(sharded)
+
+    @LAYOUTS
+    def test_raw_constructor_graph(self, spec):
+        """Shards of a CSR whose rows are not in the canonical layout
+        (neighbours in descending order)."""
+        graph = _graph()
+        rows = [graph.indices[a:b][::-1] for a, b in
+                zip(graph.indptr[:-1], graph.indptr[1:])]
+        raw = Graph(graph.indptr, np.concatenate(rows),
+                    features=graph.features)
+        sharded = ShardedState(raw, spec, 3, seed=3)
+        assert sharded.fingerprint() == _copying_fingerprint(sharded)
