@@ -20,8 +20,9 @@ fault-free serial + process cells that widen two axes past the matrix
 grid: the ``splpg`` staleness frontier (``local_sgd`` every 8 rounds,
 ``ps`` at ``max_staleness`` 1 / 4 / 16, ``async`` at ``pull_prob``
 0.1) and the partitioners no framework above trains on
-(``random_tma``, ``super_tma``, and ``psgd_pa`` over ``ldg``).  The
-digests are committed in
+(``random_tma``, ``super_tma``, and ``psgd_pa`` over ``ldg``); plus one
+fault-free serial ``centralized`` cell, the single-worker reference
+curve of every accuracy figure.  The digests are committed in
 ``tests/golden_train_digests.json``; a refactor proves "behaviour
 unchanged" with ``--check``, and an intended change shows up as a
 reviewed diff of that file (``--write --match`` re-writes only the
@@ -187,6 +188,9 @@ FRONTIER = (
     ("psgd_pa:partition=ldg", "grad"),
 )
 
+#: The single-worker reference every accuracy figure compares against.
+CENTRALIZED = Cell("centralized", "serial", "grad", "none", "drop")
+
 
 def all_cells() -> Iterator[Cell]:
     """Every cell of the matrix, in a stable order."""
@@ -201,14 +205,15 @@ def all_cells() -> Iterator[Cell]:
     for fw, sync in FRONTIER:
         for backend in ("serial", "process"):
             yield Cell(fw, backend, sync, "none", "drop")
+    yield CENTRALIZED
 
 
 def subset_cells() -> List[Cell]:
     """The tier-1 slice: every backend x sync mode fault-free, the
     mixed plan under each policy on the serial and process backends,
     the edge-partitioned framework under the mixed plan's lossless
-    policies (the replica-ledger invariants), and one frontier and one
-    partitioner cell."""
+    policies (the replica-ledger invariants), one frontier and one
+    partitioner cell, and the centralized cell."""
     cells = [Cell("splpg", backend, sync, "none", "drop")
              for backend in BACKENDS for sync in SYNCS]
     cells += [Cell("psgd_pa", backend, "model", "mixed", policy)
@@ -216,7 +221,8 @@ def subset_cells() -> List[Cell]:
     cells += [Cell("vertex_cut", "serial", "model", "mixed", policy)
               for policy in ("retry", "restore")]
     cells += [Cell("splpg", "process", "ps:max_staleness=4", "none", "drop"),
-              Cell("psgd_pa:partition=ldg", "serial", "grad", "none", "drop")]
+              Cell("psgd_pa:partition=ldg", "serial", "grad", "none", "drop"),
+              CENTRALIZED]
     return cells
 
 

@@ -7,6 +7,7 @@ from repro import SpLPG, TrainConfig
 from repro.core import run_framework
 from repro.core import FRAMEWORK_NAMES, FRAMEWORKS, PAPER_LABELS, FrameworkSpec
 from repro.core.llcg import GlobalCorrection
+from repro.graph import split_edges, synthetic_lp_graph
 from repro.nn import build_model
 
 
@@ -83,6 +84,45 @@ class TestRunFramework:
     def test_centralized_runs(self, small_split, smoke_config):
         result = run_framework("centralized", small_split, 1, smoke_config)
         assert result.framework == "centralized"
+
+
+def trajectory(result):
+    """What a run learned and moved, without its name: ``digest()``
+    hashes the framework, and ``vertex_cut`` adds a
+    ``replica_sync_bytes`` entry to ``sync_stats``."""
+    def metrics(ev):
+        return None if ev is None else (ev.hits.hex(), ev.auc.hex(), ev.k)
+
+    return ([(s.epoch, s.mean_loss.hex(), metrics(s.val), s.mfg_edges,
+              s.comm.to_dict()) for s in result.history],
+            result.best_epoch, metrics(result.test),
+            result.comm_total.to_dict())
+
+
+class TestOneWorker:
+    """When one worker owns the graph, neither of the paper's two root
+    causes of the accuracy drop is left: no neighbour is cut away and
+    every negative is global.  Only ``llcg``'s server correction step
+    still changes the run."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        rng = np.random.default_rng(1)
+        graph = synthetic_lp_graph(num_nodes=500, target_edges=2500,
+                                   feature_dim=16, num_communities=4,
+                                   rng=rng)
+        return split_edges(graph, rng=rng)
+
+    def test_one_worker_gives_one_trajectory(self, split):
+        config = TrainConfig(gnn_type="sage", hidden_dim=16, num_layers=2,
+                             fanouts=(5, 5), batch_size=64, epochs=2,
+                             hits_k=20, eval_every=1, seed=0)
+        runs = {name: trajectory(run_framework(
+                    name, split, 1, config, rng=np.random.default_rng(0)))
+                for name in FRAMEWORK_NAMES if name != "llcg"}
+        reference = runs["psgd_pa"]
+        assert {name for name, run in runs.items()
+                if run != reference} == set()
 
 
 class TestLLCG:

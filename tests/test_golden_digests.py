@@ -3,7 +3,8 @@
 Tier-1 recomputes a small slice of the training matrix — every backend
 x sync mode fault-free, the mixed fault plan under each recovery policy
 on the serial and process backends and under the lossless policies on
-``vertex_cut``, one staleness-frontier cell and one partitioner cell;
+``vertex_cut``, one staleness-frontier cell, one partitioner cell and
+the ``centralized`` cell;
 every faulted cell also passes the fault-tolerance invariants against
 its fault-free twin — plus the crash-and-resume and coordinator-kill
 cells (which have no digest of their own: each must equal its
