@@ -30,7 +30,7 @@ from .core import (
     FrameworkSpec,
     SpLPG,
 )
-from .distributed import TrainConfig, TrainResult, train_centralized
+from .distributed import TrainConfig, TrainResult
 from .eval import EvalResult, Evaluator, auc, hits_at_k
 from .graph import (
     DATASET_NAMES,
@@ -57,7 +57,6 @@ __all__ = [
     "SpLPG",
     "TrainConfig",
     "TrainResult",
-    "train_centralized",
     "EvalResult",
     "Evaluator",
     "auc",

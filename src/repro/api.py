@@ -210,7 +210,7 @@ def run(
     from .core.frameworks import run_framework as _run_framework
 
     if framework == "centralized":
-        # A single trainer, no partitions: workers/backend don't apply.
+        # One worker owns the whole graph: workers/backend don't apply.
         config = resolve_config(scale, **cfg)
         return _run_framework("centralized", split, workers, config)
     return _run_framework(framework, split, workers, config, alpha=alpha,

@@ -282,7 +282,7 @@ def rebuild_trainer(meta, state, split, *,
     as must ``split``'s fingerprint.  The returned trainer's
     ``train()`` continues the run.
     """
-    from ..core.frameworks import FRAMEWORKS, build_trainer
+    from ..core.frameworks import build_trainer, framework_spec
 
     if framework is not None and framework != meta["framework"]:
         raise CheckpointMismatchError(
@@ -307,7 +307,7 @@ def rebuild_trainer(meta, state, split, *,
     config = TrainConfig(**cfg)
     knobs = meta.get("build_knobs", {})
     trainer = build_trainer(
-        FRAMEWORKS[meta["framework"]], split, meta["num_workers"],
+        framework_spec(meta["framework"]), split, meta["num_workers"],
         config, alpha=float(knobs.get("alpha", 0.15)),
         rng=np.random.default_rng(config.seed),
         sparsifier_kind=str(knobs.get("sparsifier_kind", "approx_er")))

@@ -35,7 +35,14 @@ splpg              metis       yes     sparsified   global
 splpg_plus         metis       yes     full         global
 splpg_minus        metis       yes     none         local
 splpg_minus_minus  metis       no      none         local
+centralized        one part    no      none         local (one worker
+                                                    owns everything)
 =================  ==========  ======  ===========  ================
+
+``centralized`` is the accuracy reference of every figure: the same
+trainer at one worker, which owns every node, edge and feature, so
+neither partition-induced neighbour loss nor partition-local negatives
+is left.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..distributed.centralized import train_centralized
 from ..distributed.store import RemoteGraphStore, SparsifiedRemoteStore
 from ..distributed.trainer import DistributedTrainer, TrainConfig, TrainResult
 from ..graph.splits import EdgeSplit
@@ -101,6 +107,10 @@ FRAMEWORKS: Dict[str, FrameworkSpec] = {
 }
 
 FRAMEWORK_NAMES = tuple(FRAMEWORKS)
+
+#: The single-worker reference run; not in :data:`FRAMEWORKS`, which
+#: lists the distributed frameworks.
+CENTRALIZED = FrameworkSpec("centralized")
 
 #: Pretty labels used by experiment tables (paper nomenclature).
 PAPER_LABELS = {
@@ -192,6 +202,18 @@ def build_trainer(
     return trainer
 
 
+def framework_spec(name: str) -> FrameworkSpec:
+    """The spec called ``name``: one of :data:`FRAMEWORK_NAMES` or
+    ``"centralized"``."""
+    if name == CENTRALIZED.name:
+        return CENTRALIZED
+    if name not in FRAMEWORKS:
+        raise ValueError(
+            f"unknown framework {name!r}; choose from "
+            f"{(CENTRALIZED.name,) + FRAMEWORK_NAMES}")
+    return FRAMEWORKS[name]
+
+
 def run_framework(
     name: str,
     split: EdgeSplit,
@@ -204,15 +226,13 @@ def run_framework(
 ) -> TrainResult:
     """Train with the named framework and return its result.
 
-    ``name`` is one of :data:`FRAMEWORK_NAMES` or ``"centralized"``.
+    ``name`` is one of :data:`FRAMEWORK_NAMES` or ``"centralized"``,
+    which always trains on one worker, whatever ``num_parts`` says.
     """
-    if name == "centralized":
-        return train_centralized(split, config)
-    if name not in FRAMEWORKS:
-        raise ValueError(
-            f"unknown framework {name!r}; choose from "
-            f"{('centralized',) + FRAMEWORK_NAMES}")
-    trainer = build_trainer(FRAMEWORKS[name], split, num_parts, config,
+    spec = framework_spec(name)
+    if spec is CENTRALIZED:
+        num_parts = 1
+    trainer = build_trainer(spec, split, num_parts, config,
                             alpha=alpha, rng=rng, partitioned=partitioned,
                             sparsifier_kind=sparsifier_kind)
     return trainer.train()

@@ -17,7 +17,6 @@ from .backends import (
     ThreadBackend,
     make_backend,
 )
-from .centralized import train_centralized
 from .commodel import CommEstimate, estimate_epoch_comm
 from .inference import DistributedScorer, InferenceResult
 from .timeline import (
@@ -59,7 +58,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
-    "train_centralized",
     "CommEstimate",
     "estimate_epoch_comm",
     "DistributedScorer",

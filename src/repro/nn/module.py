@@ -104,7 +104,8 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: "
                     f"{p.data.shape} vs {state[name].shape}")
-            p.data = state[name].astype(np.float64).copy()
+            # astype copies, so the model never aliases ``state``.
+            p.data = state[name].astype(np.float64)
 
     def num_parameters(self) -> int:
         """Total scalar parameter count."""

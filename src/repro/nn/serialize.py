@@ -55,7 +55,8 @@ def load_state_dict(path: PathOrFile) -> Dict[str, np.ndarray]:
         if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version!r}")
-        return {k: archive[k].copy() for k in keys if k != _META_KEY}
+        # Each access decodes a fresh array: nothing to copy.
+        return {k: archive[k] for k in keys if k != _META_KEY}
 
 
 def state_fingerprint(state: Dict[str, np.ndarray]) -> str:

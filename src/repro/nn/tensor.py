@@ -652,20 +652,6 @@ def gather_cols(x: Tensor, cols: Array) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
-def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
-    """``matrix @ x`` where ``matrix`` is a constant scipy sparse matrix.
-
-    Used by full-graph GCN layers; gradient is ``matrix.T @ grad``.
-    """
-    matrix = matrix.tocsr()
-    data = matrix @ x.data
-
-    def backward(grad: Array) -> None:
-        x._accumulate(matrix.T @ grad)
-
-    return Tensor._result(data, (x,), backward)
-
-
 def dropout(x: Tensor, p: float, training: bool,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``."""

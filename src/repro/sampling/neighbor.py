@@ -145,8 +145,8 @@ class NeighborSampler:
         :class:`~repro.graph.Graph` (auto-wrapped).
         """
         if not hasattr(source, "neighbors_batch"):
-            # Master-side convenience: the evaluator and the
-            # centralized baseline sample from an explicit raw Graph
+            # Master-side convenience: the evaluator and LLCG's
+            # server correction sample from an explicit raw Graph
             # they own outright; worker paths always pass their
             # WorkerGraphView here.
             source = GraphNeighborSource(source)  # lint: disable=R002

@@ -102,8 +102,9 @@ def trajectory(result):
 class TestOneWorker:
     """When one worker owns the graph, neither of the paper's two root
     causes of the accuracy drop is left: no neighbour is cut away and
-    every negative is global.  Only ``llcg``'s server correction step
-    still changes the run."""
+    every negative is global.  So every framework but ``llcg``, whose
+    server correction step still changes the run, trains the
+    centralized run."""
 
     @pytest.fixture(scope="class")
     def split(self):
@@ -113,16 +114,46 @@ class TestOneWorker:
                                    rng=rng)
         return split_edges(graph, rng=rng)
 
+    @staticmethod
+    def config(**overrides):
+        return TrainConfig(**{
+            "gnn_type": "sage", "hidden_dim": 16, "num_layers": 2,
+            "fanouts": (5, 5), "batch_size": 64, "epochs": 2,
+            "hits_k": 20, "eval_every": 1, "seed": 0, **overrides})
+
     def test_one_worker_gives_one_trajectory(self, split):
-        config = TrainConfig(gnn_type="sage", hidden_dim=16, num_layers=2,
-                             fanouts=(5, 5), batch_size=64, epochs=2,
-                             hits_k=20, eval_every=1, seed=0)
+        config = self.config()
+        reference = trajectory(run_framework("centralized", split, 1,
+                                             config))
         runs = {name: trajectory(run_framework(
                     name, split, 1, config, rng=np.random.default_rng(0)))
                 for name in FRAMEWORK_NAMES if name != "llcg"}
-        reference = runs["psgd_pa"]
         assert {name for name, run in runs.items()
                 if run != reference} == set()
+
+    def test_centralized_draws_the_configured_negatives(self, split):
+        def run(sampler):
+            return trajectory(run_framework(
+                "centralized", split, 1,
+                self.config(epochs=1, negative_sampler=sampler)))
+
+        assert run("degree") != run("uniform")
+
+    def test_centralized_observed_returns_a_report(self, split):
+        result = run_framework("centralized", split, 1,
+                               self.config(epochs=1, observe=True))
+        assert result.report is not None
+        assert (result.report.framework, result.report.epochs) == (
+            "centralized", 1)
+
+    def test_centralized_resumes_from_its_checkpoint(self, split, tmp_path):
+        from repro.checkpoint import load_checkpoint, rebuild_trainer
+
+        config = self.config(epochs=1, checkpoint_dir=str(tmp_path))
+        result = run_framework("centralized", split, 1, config)
+        meta, state = load_checkpoint(str(tmp_path))
+        resumed = rebuild_trainer(meta, state, split).train()
+        assert resumed.digest() == result.digest()
 
 
 class TestLLCG:

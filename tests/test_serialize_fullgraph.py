@@ -1,22 +1,17 @@
-"""Checkpointing and the full-batch GCN path."""
+"""Checkpointing: the npz state-dict codec and model loading."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.nn import (
-    FullBatchLinkPredictor,
-    FullGraphGCN,
-    Tensor,
     build_model,
     load_model,
     load_state_dict,
-    normalized_adjacency,
     save_model,
     save_state_dict,
-    train_full_batch,
 )
-
-from conftest import recorded_nodes, taped_forward
 
 
 class TestSerialization:
@@ -57,77 +52,27 @@ class TestSerialization:
             load_model(wrong, path)
 
 
-class TestNormalizedAdjacency:
-    def test_row_sums_with_self_loops(self, triangle_graph):
-        prop = normalized_adjacency(triangle_graph)
-        # symmetric normalization of a regular graph: rows sum to 1
-        assert np.allclose(np.asarray(prop.sum(axis=1)).ravel(), 1.0)
+class TestLoadCopies:
+    def test_load_holds_each_array_once(self, tmp_path):
+        """``NpzFile`` decodes a fresh array on every access, so loading
+        keeps no second copy: the peak stays well under two arrays."""
+        table = np.random.default_rng(0).standard_normal((4000, 64))
+        path = str(tmp_path / "table.npz")
+        save_state_dict({"table": table}, path)
+        tracemalloc.start()
+        try:
+            loaded = load_state_dict(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded["table"], table)
+        assert loaded["table"].flags.writeable
+        assert peak < 1.75 * table.nbytes
 
-    def test_isolated_node_zero_row(self):
-        from repro.graph import Graph
-        g = Graph.from_edges(3, [[0, 1]])
-        prop = normalized_adjacency(g, add_self_loops=False)
-        assert prop[2].nnz == 0
-
-    def test_symmetric(self, featured_graph):
-        prop = normalized_adjacency(featured_graph)
-        diff = (prop - prop.T)
-        assert abs(diff).max() < 1e-12
-
-
-class TestFullGraphGCN:
-    def test_forward_shape(self, featured_graph, rng):
-        model = FullGraphGCN(16, 8, num_layers=2, rng=rng)
-        prop = normalized_adjacency(featured_graph)
-        out = model(prop, featured_graph.features)
-        assert out.shape == (featured_graph.num_nodes, 8)
-
-    def test_invalid_layers(self, rng):
-        with pytest.raises(ValueError):
-            FullGraphGCN(4, 4, num_layers=0, rng=rng)
-
-    def test_predictor_shape(self, featured_graph):
-        model = FullBatchLinkPredictor(16, 8, seed=0)
-        prop = normalized_adjacency(featured_graph)
-        pairs = featured_graph.edge_list()[:7]
-        assert model(prop, featured_graph.features, pairs).shape == (7,)
-
-
-class TestTrainFullBatch:
-    def test_learns(self, small_split):
-        result = train_full_batch(small_split, hidden_dim=16,
-                                  num_layers=2, epochs=40, hits_k=20,
-                                  seed=0)
-        losses = result["losses"]
-        assert losses[-1] < losses[0]
-        assert result["test_auc"] > 0.6
-        assert 0 <= result["test_hits"] <= 1
-
-    def test_test_scoring_records_no_tape(self, small_split):
-        """Only the training steps record nodes; the final scoring
-        gives the taped forward's metrics without its tape."""
-        def run():
-            return train_full_batch(small_split, hidden_dim=8,
-                                    num_layers=2, epochs=2, seed=1)
-
-        with recorded_nodes() as free_nodes:
-            free = run()
-        with taped_forward(), recorded_nodes() as taped_nodes:
-            taped = run()
-        assert free_nodes[0] < taped_nodes[0]
-        assert free["losses"] == taped["losses"]
-        assert (free["test_auc"], free["test_hits"]) == \
-            (taped["test_auc"], taped["test_hits"])
-
-    def test_requires_features(self, small_split):
-        from repro.graph.splits import EdgeSplit
-        bare = EdgeSplit(
-            train_graph=small_split.train_graph.with_features(None),
-            train_pos=small_split.train_pos,
-            val_pos=small_split.val_pos,
-            test_pos=small_split.test_pos,
-            val_neg=small_split.val_neg,
-            test_neg=small_split.test_neg,
-        )
-        with pytest.raises(ValueError):
-            train_full_batch(bare, epochs=1)
+    def test_loaded_model_does_not_alias_the_state(self):
+        model = build_model("sage", 8, 4, num_layers=2, seed=1)
+        state = build_model("sage", 8, 4, num_layers=2, seed=2).state_dict()
+        model.load_state_dict(state)
+        for name, param in model.named_parameters():
+            assert not np.shares_memory(param.data, state[name])
+            np.testing.assert_array_equal(param.data, state[name])

@@ -12,10 +12,9 @@ from repro.distributed import (
     average_gradients,
     average_models,
     broadcast_model,
-    train_centralized,
 )
 from repro.distributed.sync import PeriodicAverage
-from repro.core import build_trainer, FRAMEWORKS
+from repro.core import build_trainer, FRAMEWORKS, run_framework
 from repro.nn import build_model
 
 
@@ -264,25 +263,34 @@ class TestCentralized:
         cfg = TrainConfig(gnn_type="sage", hidden_dim=16, num_layers=2,
                           fanouts=(5, 3), batch_size=64, epochs=5,
                           hits_k=20, eval_every=5, seed=3)
-        result = train_centralized(small_split, cfg)
+        result = run_framework("centralized", small_split, 1, cfg)
         losses = [s.mean_loss for s in result.history]
         assert losses[-1] < losses[0]
         assert result.comm_total.graph_data_bytes == 0
         assert result.num_workers == 1
 
     def test_requires_features(self, small_split):
+        from repro.partition import partition_graph
         cfg = TrainConfig(hidden_dim=8, num_layers=2, fanouts=(3, 3),
                           epochs=1)
         bare = small_split.train_graph.with_features(None)
-        with pytest.raises(ValueError):
-            train_centralized(small_split, cfg, graph=bare)
+        with pytest.raises(ValueError, match="features"):
+            run_framework("centralized", small_split, 1, cfg,
+                          partitioned=partition_graph(bare, 1))
 
     def test_graph_override(self, small_split, rng):
+        """Figure 6 trains on the sparsified graph: its edges are the
+        positives, one batch a round, plus the round that finds the
+        loader spent."""
+        from repro.partition import partition_graph
         from repro.sparsify import sparsify_with_level
         cfg = TrainConfig(gnn_type="sage", hidden_dim=8, num_layers=2,
-                          fanouts=(3, 3), batch_size=64, epochs=1,
+                          fanouts=(3, 3), batch_size=16, epochs=1,
                           hits_k=10, seed=0)
         sparse = sparsify_with_level(small_split.train_graph, 0.3, rng=rng)
-        result = train_centralized(small_split, cfg, graph=sparse,
-                                   framework="sparsified")
-        assert result.framework == "sparsified"
+        full_edges = small_split.train_graph.edge_list().shape[0]
+        sparse_edges = sparse.edge_list().shape[0]
+        assert sparse_edges < full_edges
+        result = run_framework("centralized", small_split, 1, cfg,
+                               partitioned=partition_graph(sparse, 1))
+        assert result.history[0].rounds == -(-sparse_edges // 16) + 1

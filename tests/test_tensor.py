@@ -5,7 +5,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.nn import (
     Linear,
@@ -23,7 +22,6 @@ from repro.nn import (
     segment_softmax,
     segment_sum,
     sigmoid,
-    sparse_matmul,
     tanh,
 )
 
@@ -170,11 +168,6 @@ class TestForward:
         out = segment_softmax(scores, np.array([0, 0]), 1)
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data.sum(), 1.0)
-
-    def test_sparse_matmul(self):
-        mat = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        x = Tensor(np.array([[1.0], [1.0]]))
-        assert np.allclose(sparse_matmul(mat, x).data, [[3.0], [3.0]])
 
     def test_dropout_eval_identity(self, rng):
         x = Tensor(rng.standard_normal((4, 4)))
@@ -382,11 +375,6 @@ class TestGradcheck:
     def test_segment_softmax(self):
         seg = np.array([0, 0, 1, 1, 1])
         check_grad(lambda t: segment_softmax(t[0], seg, 2), [(5, 1)])
-
-    def test_sparse_matmul(self):
-        mat = sp.csr_matrix(np.array([[1.0, 0.0, 2.0],
-                                      [0.0, 3.0, 0.0]]))
-        check_grad(lambda t: sparse_matmul(mat, t[0]), [(3, 2)])
 
     def test_composite_expression(self):
         def build(t):

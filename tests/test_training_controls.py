@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import TrainConfig, train_centralized
-from repro.core import FRAMEWORKS, build_trainer
+from repro import TrainConfig
+from repro.core import FRAMEWORKS, build_trainer, run_framework
 from repro.distributed.sync import SyncPlan
 from repro.faults import FaultPlan
 from repro.partition import PartitionSpec
@@ -73,12 +73,12 @@ class TestEarlyStopping:
 
     def test_stops_early_centralized(self, small_split):
         cfg = config(patience=1, epochs=12)
-        result = train_centralized(small_split, cfg)
+        result = run_framework("centralized", small_split, 1, cfg)
         assert len(result.history) < 12
 
     def test_no_patience_runs_all_epochs(self, small_split):
         cfg = config(patience=0, epochs=4)
-        result = train_centralized(small_split, cfg)
+        result = run_framework("centralized", small_split, 1, cfg)
         assert len(result.history) == 4
 
     def test_best_state_still_selected(self, small_split):
