@@ -40,7 +40,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core.frameworks import FRAMEWORK_NAMES, FRAMEWORKS, build_trainer
+from .core.frameworks import CENTRALIZED, build_trainer, framework_spec
 from .distributed.inference import DistributedScorer, InferenceResult
 from .distributed.trainer import DistributedTrainer, TrainConfig, TrainResult
 from .graph.graph import Graph
@@ -311,11 +311,9 @@ class Session:
         return self
 
     def framework(self, name: str) -> "Session":
-        """Select the training framework (one of ``FRAMEWORK_NAMES``)."""
-        if name not in FRAMEWORKS:
-            raise ValueError(
-                f"unknown framework {name!r}; choose from "
-                f"{FRAMEWORK_NAMES}")
+        """Select the training framework (one of ``FRAMEWORK_NAMES``,
+        or ``"centralized"``: the same trainer at one worker)."""
+        framework_spec(name)   # ValueError on an unknown name
         self._framework = name
         return self
 
@@ -450,9 +448,12 @@ class Session:
     # -- execution ------------------------------------------------------
 
     def config(self) -> TrainConfig:
-        """The fully-reconciled :class:`TrainConfig` this session runs."""
+        """The fully-reconciled :class:`TrainConfig` this session runs
+        (``centralized`` runs on one worker)."""
+        workers = (1 if self._framework == CENTRALIZED.name
+                   else self._workers)
         return resolve_config(self._scale, backend=self._backend,
-                              num_workers=self._workers, **self._overrides)
+                              num_workers=workers, **self._overrides)
 
     def train(self) -> TrainResult:
         """Build the trainer for the current configuration and run it."""
@@ -460,8 +461,8 @@ class Session:
         self._split = _resolve_split(None, self._graph, self._split, None,
                                      config.seed)
         self._trainer = build_trainer(
-            FRAMEWORKS[self._framework], self._split, self._workers,
-            config, alpha=self._alpha,
+            framework_spec(self._framework), self._split,
+            config.num_workers, config, alpha=self._alpha,
             rng=np.random.default_rng(config.seed))
         self._result = self._trainer.train()
         from .checkpoint.state import split_fingerprint

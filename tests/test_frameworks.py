@@ -156,6 +156,23 @@ class TestOneWorker:
         assert resumed.digest() == result.digest()
 
 
+    def test_session_front_door_trains_centralized(self, split):
+        """``Session.framework("centralized")`` trains what
+        ``repro.run("centralized", ...)`` trains: one worker, whatever
+        the session's worker count."""
+        import repro
+
+        knobs = dict(gnn_type="sage", hidden_dim=16, num_layers=2,
+                     fanouts=(5, 5), batch_size=64, epochs=2, hits_k=20,
+                     eval_every=1, seed=0)
+        result = (repro.Session(split).partition(3).framework("centralized")
+                  .configure(**knobs).train())
+        reference = repro.run("centralized", split=split, **knobs)
+        assert ([s.mean_loss.hex() for s in result.history]
+                == [s.mean_loss.hex() for s in reference.history])
+        assert result.test.auc.hex() == reference.test.auc.hex()
+
+
 class TestLLCG:
     def test_correction_changes_weights(self, small_split, smoke_config):
         models = [build_model("sage", small_split.train_graph.feature_dim,
