@@ -17,18 +17,21 @@ from ..rng import ensure_rng
 from ..sampling.blocks import Block, ComputationGraph
 from .gnn import GATConv, GATv2Conv, GCNConv, GINConv, SAGEConv
 from .module import MLP, Dropout, Linear, Module
-from .tensor import Tensor, gather, relu
+from .tensor import Tensor, gather, no_grad, relu
 
 GNN_TYPES = ("gcn", "sage", "gat", "gatv2", "gin")
 
-#: Rows per chunk of :meth:`MLPPredictor.sweep`'s hidden layers: one
+#: Rows per chunk of the forward-only decode
+#: (:meth:`EdgePredictor.decode` / :meth:`~EdgePredictor.sweep`): one
 #: chunk's ``(rows, width)`` intermediates stay cache-resident.
 SWEEP_CHUNK = 512
-#: Hidden widths :meth:`MLPPredictor.sweep` chunks: multiples of the
-#: double-precision GEMM kernels' column panel.  On OpenBLAS a width
-#: 1-4 columns past a multiple of 8 takes an edge kernel whose rounding
-#: moves with the row count, so such a decoder runs as one chunk.
-SWEEP_PANEL = 8
+#: The decode's GEMM output panel: hidden widths are zero-padded up to
+#: a multiple of it.  At a multiple of 16 a GEMM row's bits depend
+#: neither on the row count nor on the row's offset (two or more rows)
+#: in float32 and float64; ``scripts/envcheck.py`` checks it.  On
+#: OpenBLAS widths 1-4 past a multiple round with the row count in both
+#: dtypes, and so does float32 at 24, which rules out a panel of 8.
+SWEEP_PANEL = 16
 
 
 def make_conv(gnn_type: str, in_dim: int, out_dim: int,
@@ -125,30 +128,164 @@ def _checked_rows(rows, num_rows: int) -> np.ndarray:
     ``np.take(mode="clip")`` gathers exactly ``table[rows]``)."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
-        raise IndexError(f"sweep rows must lie in [0, {num_rows})")
+        raise IndexError(f"decoded rows must lie in [0, {num_rows})")
     return rows
 
 
-class DotPredictor(Module):
-    """Dot-product edge scorer: ``s_uv = <h_u, h_v>``."""
+def _padded(width: int) -> int:
+    """``width`` rounded up to a multiple of :data:`SWEEP_PANEL`."""
+    return -(-width // SWEEP_PANEL) * SWEEP_PANEL
 
-    def forward(self, h_u: Tensor, h_v: Tensor) -> Tensor:
-        """Edge scores as dot products of endpoint embeddings (over the
-        last axis, so a stacked ``(n, 1, d)`` block gives ``n`` scores)."""
-        return (h_u * h_v).sum(axis=-1).reshape(-1)
+
+def _decode_weights(layers: List[Linear], dtype: np.dtype):
+    """The forward-only decode's weights in ``dtype``: ``(weight,
+    bias)`` per hidden layer, then the output layer's weight column and
+    bias.  Every hidden width is zero-padded up to a multiple of
+    :data:`SWEEP_PANEL`: a padded unit sums zero products, stays 0
+    through ReLU and meets zero weights above, so padding changes the
+    decoder's function nowhere, only which GEMM kernel rounds a row."""
+    hidden = []
+    fan_in = layers[0].in_features
+    for layer in layers[:-1]:
+        width = _padded(layer.out_features)
+        weight = np.zeros((fan_in, width), dtype)
+        weight[:layer.in_features, :layer.out_features] = layer.weight.data
+        bias = None
+        if layer.bias is not None:
+            bias = np.zeros(width, dtype)
+            bias[:layer.out_features] = layer.bias.data
+        hidden.append((weight, bias))
+        fan_in = width
+    last = layers[-1]
+    column = np.zeros(fan_in, dtype)
+    column[:last.in_features] = last.weight.data[:, 0]
+    bias = None if last.bias is None else last.bias.data.astype(dtype)
+    return hidden, column, bias
+
+
+class EdgePredictor(Module):
+    """An edge scorer: ``forward`` records the tape for training, and
+    :meth:`decode` / :meth:`sweep` are its forward-only serving path.
+
+    Both serving methods run one routine, in the table's dtype (float32
+    stays float32, anything else runs in float64): the Hadamard rows
+    ``table[u] * table[v]`` in chunks of :data:`SWEEP_CHUNK` rows
+    through preallocated buffers, each hidden layer one GEMM of two or
+    more rows (bias and ReLU in place), and the output layer a
+    row-wise product-sum.  A GEMM row's bits depend neither on the row
+    count nor on the row's offset at the panel-padded widths, and a
+    row-wise sum reads its own row alone, so every score is a pure
+    function of ``(table, weights, u, v)``: a top-k score equals the
+    pair score of the same ``(u, c)`` bit for bit, and a pair scores
+    the same whatever else is decoded with it.  ``forward`` (float64,
+    one GEMV over the batch for the output layer) agrees to rounding.
+    Active dropout falls back to ``forward``, without a tape.
+    """
+
+    def _decode_layers(self) -> List[Linear]:
+        """The affine layers the decode runs; none for a dot product."""
+        return []
+
+    def _dropout_active(self) -> bool:
+        return False
+
+    def decode(self, table: np.ndarray, u, v) -> np.ndarray:
+        """Scores of the pairs ``(table[u[i]], table[v[i]])``."""
+        table = _decode_table(table)
+        u = _checked_rows(u, table.shape[0])
+        v = _checked_rows(v, table.shape[0])
+        if u.shape != v.shape:
+            raise ValueError(f"u and v differ in shape: {u.shape} vs "
+                             f"{v.shape}")
+        if self._dropout_active():
+            return self._taped(table[u], table[v])
+        other = np.empty((min(u.size, SWEEP_CHUNK + 1), table.shape[1]),
+                         table.dtype)
+
+        def fill(x: np.ndarray, start: int, stop: int) -> None:
+            np.take(table, u[start:stop], axis=0, out=x, mode="clip")
+            x *= np.take(table, v[start:stop], axis=0, mode="clip",
+                         out=other[:stop - start])
+
+        return self._decode_rows(fill, u.size, table)
 
     def sweep(self, query: np.ndarray, table: np.ndarray,
               rows: np.ndarray) -> np.ndarray:
-        """Scores of ``query`` against every ``table[rows]``, without
-        the tape: byte-equal to ``forward`` on the same candidates."""
-        table = np.asarray(table, dtype=np.float64)
-        cand = np.take(table, _checked_rows(rows, table.shape[0]), axis=0,
-                       mode="clip")
-        cand *= query
-        return cand.sum(axis=-1)
+        """Scores of one ``query`` row against every ``table[rows]``:
+        with ``query = table[q]``, the :meth:`decode` scores of the
+        pairs ``(q, rows[i])``, bit for bit."""
+        table = _decode_table(table)
+        rows = _checked_rows(rows, table.shape[0])
+        query = np.asarray(query, dtype=table.dtype)
+        if self._dropout_active():
+            return self._taped(query[None, :], table[rows])
+
+        def fill(x: np.ndarray, start: int, stop: int) -> None:
+            np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
+            x *= query
+
+        return self._decode_rows(fill, rows.size, table)
+
+    def _taped(self, h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
+        with no_grad():
+            return self.forward(Tensor(h_u), Tensor(h_v)).data
+
+    def _decode_rows(self, fill, n: int, table: np.ndarray) -> np.ndarray:
+        """The routine :meth:`decode` and :meth:`sweep` share:
+        ``fill(x, start, stop)`` writes Hadamard rows ``start:stop``
+        into ``x``."""
+        dtype = table.dtype
+        layers = self._decode_layers()
+        hidden, column, bias = (_decode_weights(layers, dtype) if layers
+                                else ([], None, None))
+        scores = np.empty(n, dtype)
+        bounds = list(range(0, n, SWEEP_CHUNK)) + [n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            del bounds[-2]   # a lone tail row joins the chunk before it
+        cap = max(2, min(n, SWEEP_CHUNK + 1))
+        prod = np.empty((cap, table.shape[1]), dtype)
+        acts = [np.empty((cap, weight.shape[1]), dtype)
+                for weight, _ in hidden]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            size = stop - start
+            x = prod[:max(size, 2)]
+            fill(x[:size], start, stop)
+            if size == 1:
+                x[1] = x[0]   # a one-row GEMM is a GEMV: it rounds apart
+            for (weight, b), buf in zip(hidden, acts):
+                y = buf[:x.shape[0]]
+                np.matmul(x, weight, out=y)
+                if b is not None:
+                    y += b
+                np.maximum(y, 0.0, out=y)
+                y += 0.0   # -0.0 -> +0.0, the bits ``relu`` gives
+                x = y
+            if column is not None:
+                x *= column
+            np.sum(x[:size], axis=-1, out=scores[start:stop])
+        if bias is not None:
+            scores += bias
+        return scores
 
 
-class MLPPredictor(Module):
+def _decode_table(table) -> np.ndarray:
+    """``table`` as the decode reads it: float32 as it is, any other
+    dtype as float64."""
+    table = np.asarray(table)
+    if table.dtype != np.float32:
+        table = table.astype(np.float64, copy=False)
+    return table
+
+
+class DotPredictor(EdgePredictor):
+    """Dot-product edge scorer: ``s_uv = <h_u, h_v>``."""
+
+    def forward(self, h_u: Tensor, h_v: Tensor) -> Tensor:
+        """Edge scores as dot products of endpoint embeddings."""
+        return (h_u * h_v).sum(axis=-1).reshape(-1)
+
+
+class MLPPredictor(EdgePredictor):
     """MLP edge scorer on the Hadamard product of endpoint embeddings.
 
     The paper uses a 3-layer MLP edge predictor; with ``num_layers=3``
@@ -168,60 +305,11 @@ class MLPPredictor(Module):
         out = self.mlp(h_u * h_v)
         return out.reshape(-1)
 
-    def sweep(self, query: np.ndarray, table: np.ndarray,
-              rows: np.ndarray) -> np.ndarray:
-        """Scores of one ``query`` row against every ``table[rows]``.
+    def _decode_layers(self) -> List[Linear]:
+        return self.mlp.layers
 
-        Forward-only: no ``Tensor``, no tape, and byte-equal to
-        ``forward(query[None], table[rows])``.  The hidden layers run in
-        chunks of :data:`SWEEP_CHUNK` rows through preallocated buffers
-        (gather, Hadamard product, GEMM, bias and ReLU all in place).
-        That is exact because a GEMM row's bits depend neither on the
-        row count nor on the row's offset once there are two or more
-        rows (for hidden widths that are multiples of
-        :data:`SWEEP_PANEL`; other widths run as one chunk).  A lone
-        tail row would go down GEMV and round differently, so it joins
-        the chunk before it.  The output layer's ``(n, h) @ (h, 1)``
-        GEMV does round by row position (the last rows of a call take a
-        tail path), so it runs once over the whole hidden matrix,
-        exactly as ``forward`` runs it.  Active dropout falls back to
-        ``forward``.
-        """
-        mlp = self.mlp
-        if mlp.dropout is not None and mlp.dropout.training:
-            return self.forward(Tensor(query[None, :]),
-                                Tensor(table[rows])).data
-        table = np.asarray(table, dtype=np.float64)
-        rows = _checked_rows(rows, table.shape[0])
-        *hidden, last = mlp.layers
-        n = rows.size
-        out = np.empty((n, last.in_features))
-        step = (SWEEP_CHUNK if all(layer.out_features % SWEEP_PANEL == 0
-                                   for layer in hidden) else max(n, 1))
-        bounds = list(range(0, n, step)) + [n]
-        if len(bounds) > 2 and n - bounds[-2] == 1:
-            del bounds[-2]   # a lone tail row joins the chunk before it
-        cap = min(n, step + 1)
-        prod = np.empty((cap, table.shape[1])) if hidden else None
-        acts = [np.empty((cap, layer.out_features))
-                for layer in hidden[:-1]]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            x = prod[:stop - start] if hidden else out[start:stop]
-            np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
-            x *= query
-            for i, layer in enumerate(hidden):
-                y = (acts[i][:stop - start] if i < len(acts)
-                     else out[start:stop])
-                np.matmul(x, layer.weight.data, out=y)
-                if layer.bias is not None:
-                    y += layer.bias.data
-                np.maximum(y, 0.0, out=y)
-                y += 0.0   # -0.0 -> +0.0, the bits ``relu`` gives
-                x = y
-        scores = out @ last.weight.data
-        if last.bias is not None:
-            scores += last.bias.data
-        return scores.reshape(-1)
+    def _dropout_active(self) -> bool:
+        return self.mlp.dropout is not None and self.mlp.dropout.training
 
 
 class LinkPredictionModel(Module):

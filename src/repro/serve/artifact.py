@@ -7,8 +7,9 @@ RNG draws) by :func:`~repro.eval.evaluator.materialize_embeddings`, in
 one message-flow graph so each node's layer-``l`` row is computed
 once; online requests then reduce to embedding lookups plus a decoder
 forward, which is what makes micro-batched low-latency serving
-tractable.  The artifact holds that table once, read-only, and the
-cluster serves that very array.
+tractable.  The artifact holds that table once, read-only and in
+float32 (its decoder weights too), and the cluster serves that very
+array; training stays float64.
 
 The artifact is versioned and checksummed:
 
@@ -35,6 +36,7 @@ full graph; online serve handlers never touch raw graph state.
 
 from __future__ import annotations
 
+import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -65,8 +67,10 @@ ARTIFACT_SCHEMA = "serve_artifact/v1"
 class ServableArtifact:
     """A frozen, versioned, checksummed servable.
 
-    One read-only ``(num_nodes, embed_dim)`` float64 embedding table,
-    the shard ownership ``assignment`` and the decoder weights —
+    One read-only ``(num_nodes, embed_dim)`` embedding table (float32
+    for an export; a float64 file from before loads as float64), the
+    shard ownership ``assignment`` and the decoder weights in the
+    table's dtype —
     everything a :class:`~repro.serve.cluster.ServingCluster` needs to
     answer pairwise and top-k requests without the training stack.
     The per-shard blocks of the payload are cut from the table when
@@ -156,9 +160,11 @@ class ServableArtifact:
                 f"servable artifact {path} is missing payload key "
                 f"{exc.args[0]!r}") from exc
         # A damaged zip member fails in whichever layer decodes it:
-        # the archive, zlib, or numpy's header parser.
+        # the archive, zlib, or numpy's header parser (whose fallback
+        # tokenizer raises its own error on a mangled header).
         except (ValueError, IndexError, zipfile.BadZipFile, EOFError,
-                zlib.error, NotImplementedError, RuntimeError) as exc:
+                zlib.error, NotImplementedError, RuntimeError, SyntaxError,
+                tokenize.TokenError) as exc:
             raise ValueError(
                 f"servable artifact {path} is unreadable: {exc}") from exc
         if not intact:
@@ -220,15 +226,17 @@ def _from_payload(state: Dict[str, np.ndarray]) -> ServableArtifact:
             f"(expected {ARTIFACT_SCHEMA!r})")
     num_shards = int(state["meta.num_shards"])
     assignment = state["assignment"]
-    table = np.zeros((assignment.size, int(state["meta.embed_dim"])))
-    for part in range(num_shards):
+    blocks = [state[f"shard.{part:04d}.embed"] for part in range(num_shards)]
+    table = np.zeros((assignment.size, int(state["meta.embed_dim"])),
+                     dtype=np.result_type(*blocks))
+    for part, block in enumerate(blocks):
         nodes = state[f"shard.{part:04d}.nodes"]
         # Blocks are re-cut in this order on save: any other order
         # would load, then checksum differently from the file.
         if not np.array_equal(nodes, np.flatnonzero(assignment == part)):
             raise ValueError(f"shard.{part:04d}.nodes is not the "
                              f"ascending list of shard {part}'s nodes")
-        table[nodes] = state[f"shard.{part:04d}.embed"]
+        table[nodes] = block
     predictor_state = {
         key[len("predictor."):]: value
         for key, value in state.items() if key.startswith("predictor.")
@@ -260,17 +268,22 @@ def artifact_from_table(table: np.ndarray, model_version: str,
 
     The one constructor: :func:`export_servable`, the streaming
     re-embedder, a stream resume and :meth:`ServableArtifact.load` all
-    end here.  A float64 ``table`` becomes the artifact's table as it
-    is, made read-only (any other dtype is converted first);
-    ``assignment`` must name an owner for each of its rows.
+    end here.  A float32 or float64 ``table`` becomes the artifact's
+    table as it is, made read-only (any other dtype is converted to
+    float32 first), and ``predictor_state`` is stored in the table's
+    dtype; ``assignment`` must name an owner for each of its rows.
     """
-    table = np.asarray(table, dtype=np.float64)
+    table = np.asarray(table)
+    if table.dtype not in (np.float32, np.float64):
+        table = table.astype(np.float32)
     assignment = owner_vector(assignment, num_parts, size=table.shape[0])
     table.flags.writeable = False
     return ServableArtifact(
         model_version=model_version, num_shards=num_parts,
         predictor_kind=predictor_kind, assignment=assignment,
-        table=table, predictor_state=predictor_state)
+        table=table, predictor_state={
+            key: np.asarray(value, dtype=table.dtype)
+            for key, value in predictor_state.items()})
 
 
 def export_servable(model: LinkPredictionModel,
@@ -279,11 +292,13 @@ def export_servable(model: LinkPredictionModel,
 
     Embeds every node with exact full-neighbor computation on the
     master's full graph — the RNG-free, deterministic setting, so the
-    same trained weights always export the same artifact.
+    same trained weights always export the same artifact — and serves
+    the table and the decoder weights in float32.
     """
     kind = predictor_kind_of(model)
     with eval_mode(model):
         table = materialize_embeddings(model, partitioned.full)
+    table = table.astype(np.float32)
     # Master ownership (node_owner == assignment for node-partitioned
     # layouts; the master replica under vertex cut) routes the shards.
     return artifact_from_table(

@@ -36,7 +36,6 @@ from ..distributed.comm import FEATURE_ITEMSIZE, CommMeter
 from ..distributed.routing import ShardRouter, fan_out, resolve_backend
 from ..distributed.timeline import HardwareModel
 from ..faults.plan import FaultPlan
-from ..nn.tensor import Tensor, no_grad
 from .artifact import ServableArtifact
 from .cache import LRUCache
 from .requests import RequestOutcome, ScoreRequest, ServeReport
@@ -390,7 +389,6 @@ class ServingCluster:
                 outcome.topk_nodes = topk_nodes
                 outcome.topk_scores = topk_scores
 
-    @no_grad()
     def _execute_shard(self, flushes: List[Flush]) -> List[tuple]:
         """Run one shard's flush plan against the read-only tables.
 
@@ -400,20 +398,16 @@ class ServingCluster:
 
         Each request uses exactly the table+decoder of the version
         pinned at its admission, so a flush straddling a hot swap never
-        mixes embedding tables.  A top-k request is one forward-only
-        ``predictor.sweep`` over its candidates (byte-equal to the
-        decoder's ``forward`` on them, see ``MLPPredictor.sweep``) and
-        a :func:`top_k` selection.  All pair requests of one version are
-        decoded in a single predictor call on ``(n, 1, d)`` blocks:
-        NumPy evaluates a stacked ``(n, 1, d) @ (d, h)`` as ``n``
-        independent ``1 x d`` products, so every score stays a pure
-        function of ``(table, predictor, u, v)`` — bit-equal to scoring
-        the request alone, whatever else shares its flush or version
-        group (one gemm over an ``(n, d)`` block would not be: BLAS
-        results can differ in the last bit across batch shapes).  The
-        pair decode and the sweep's dropout fallback record no tape: the
-        scope is entered here, on whichever thread or child runs the
-        shard.
+        mixes embedding tables.  A top-k request is one
+        ``predictor.sweep`` over its candidates and a :func:`top_k`
+        selection; all pair requests of one version are one
+        ``predictor.decode``.  Both are the forward-only decode in the
+        table's dtype, whose every score is a pure function of
+        ``(table, decoder, u, v)`` (see
+        :class:`~repro.nn.models.EdgePredictor`): a pair scores the
+        same alone or with whatever shares its flush or version group,
+        and a top-k score equals the pair score of the same
+        ``(node, candidate)`` bit for bit.  Neither records a tape.
         """
         results: List[tuple] = []
         pairs: Dict[str, List[Tuple[int, int, int]]] = {}
@@ -443,11 +437,9 @@ class ServingCluster:
                                 scores[top]))
         for version, rows in pairs.items():
             artifact = self._versions[version]
-            table = artifact.embedding_table()
             index, u, v = np.array(rows, dtype=np.int64).T
-            scores = artifact.build_predictor()(
-                Tensor(table[u][:, None, :]),
-                Tensor(table[v][:, None, :])).data
+            scores = artifact.build_predictor().decode(
+                artifact.embedding_table(), u, v)
             results.extend((i, score, None, None) for i, score
                            in zip(index.tolist(), scores.tolist()))
         return results

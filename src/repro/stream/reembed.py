@@ -287,15 +287,15 @@ class Reembedder:
     def make_artifact(self, graph: Graph,
                       assignment: np.ndarray,
                       num_parts: int) -> ServableArtifact:
-        """A versioned servable around a copy of the current table (the
-        artifact's one table, read-only; refreshes keep patching
-        :attr:`table` in place)."""
+        """A versioned servable around a float32 copy of the current
+        table (the artifact's one table, read-only; refreshes keep
+        patching the float64 :attr:`table` in place)."""
         if self.table is None:
             raise StreamStateError(
                 "no table yet: call full_refresh()/frontier_refresh() "
                 "before make_artifact()")
         return artifact_from_table(
-            self.table.copy(), self.version(graph),
+            self.table.astype(np.float32), self.version(graph),
             predictor_kind_of(self.model),
             self.model.predictor.state_dict(),
             assignment, num_parts)

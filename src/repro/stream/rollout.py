@@ -32,7 +32,6 @@ import numpy as np
 
 from ..eval.metrics import auc
 from ..graph.graph import Graph
-from ..nn.tensor import Tensor, no_grad
 from ..serve.artifact import ServableArtifact
 from ..serve.cluster import layout_mismatch
 
@@ -64,16 +63,14 @@ def probe_pairs(graph: Graph, seed: int, tick: int,
     return pos, np.asarray(neg, dtype=np.int64).reshape(-1, 2)
 
 
-@no_grad()
 def score_pairs(artifact: ServableArtifact,
                 pairs: np.ndarray) -> np.ndarray:
-    """Decoder scores for ``pairs`` straight off the artifact table."""
-    if pairs.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
+    """Decoder scores for ``pairs`` straight off the artifact table:
+    the forward-only decode the serving cluster runs, in the table's
+    dtype."""
     table = artifact.embedding_table()
-    scores = artifact.build_predictor()(Tensor(table[pairs[:, 0]]),
-                                        Tensor(table[pairs[:, 1]]))
-    return np.asarray(scores.data, dtype=np.float64)
+    return artifact.build_predictor().decode(table, pairs[:, 0],
+                                             pairs[:, 1])
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from repro.nn import (
     segment_sum,
 )
 from repro.nn.gnn import _slice_rows
+from repro.nn.models import SWEEP_PANEL
 
 
 @pytest.fixture
@@ -177,16 +178,56 @@ def recorded_nodes():
 
 
 def assert_one_table(artifact):
-    """``artifact`` holds exactly one ``(num_nodes, dim)`` float64
-    array: the read-only table it serves, whose bytes its checksum
-    covers."""
+    """``artifact`` holds exactly one ``(num_nodes, dim)`` float array
+    (float32; float64 for a file from before float32 serving): the
+    read-only table it serves, whose bytes its checksum covers, with
+    the decoder weights in its dtype."""
     table = artifact.embedding_table()
     held = [value for value in vars(artifact).values()
             if isinstance(value, np.ndarray) and value.ndim == 2]
     assert len(held) == 1 and held[0] is table
-    assert table.dtype == np.float64 and not table.flags.writeable
+    assert table.dtype in (np.float32, np.float64)
+    assert not table.flags.writeable
+    assert all(value.dtype == table.dtype
+               for value in artifact.predictor_state.values())
     assert table.shape == (artifact.num_nodes, artifact.embed_dim)
     payload = artifact._payload()
     for part, nodes in enumerate(artifact.shard_nodes):
         assert (payload[f"shard.{part:04d}.embed"].tobytes()
                 == table[nodes].tobytes())
+
+
+def decode_error_bound(predictor, h_u, h_v, dtype):
+    """Per-pair bound on ``|decode - forward|``: the forward-only
+    decode of the pairs ``(h_u[i], h_v[i])`` of a float64 table served
+    in ``dtype``, against the float64 ``forward`` on the table itself.
+
+    First-order forward error analysis (O(u^2) terms dropped) with
+    ``gamma(k) = k u / (1 - k u)`` and ``u`` the unit roundoff of
+    ``dtype`` (2^-24 for float32) plus float64's 2^-53 for the
+    reference's own rounding.  The Hadamard product of two rounded
+    inputs is off by ``gamma(3) |x|``; a layer propagates its input's
+    error through ``|W|`` and adds ``gamma(k + 2) (|x| |W| + |b|)`` for
+    its ``k``-term sums (zero-padding included), the bias add and the
+    rounding of ``W`` and ``b``; ReLU is 1-Lipschitz.
+    """
+    u = (np.finfo(dtype).eps + np.finfo(np.float64).eps) / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    x = h_u * h_v
+    err = gamma(3) * np.abs(x)
+    layers = predictor.mlp.layers if hasattr(predictor, "mlp") else []
+    if not layers:   # a dot product: one row-wise sum
+        return err.sum(axis=-1) + gamma(x.shape[-1]) * np.abs(x).sum(-1)
+    for i, layer in enumerate(layers):
+        weight = layer.weight.data
+        bias = 0.0 if layer.bias is None else layer.bias.data
+        k = weight.shape[0] + SWEEP_PANEL
+        err = err @ np.abs(weight) + gamma(k + 2) * (
+            np.abs(x) @ np.abs(weight) + np.abs(bias))
+        x = x @ weight + bias
+        if i < len(layers) - 1:
+            x = np.maximum(x, 0.0)
+    return err[:, 0]

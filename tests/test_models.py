@@ -15,6 +15,8 @@ from repro.nn import (
 from repro.nn.models import SWEEP_CHUNK
 from repro.sampling import NeighborSampler
 
+from conftest import decode_error_bound
+
 
 @pytest.fixture
 def comp_graph(featured_graph, rng):
@@ -75,29 +77,46 @@ class TestPredictors:
 
 
 class TestSweepOracle:
-    """``sweep`` (forward-only, chunked, in place) is byte-equal to
-    ``forward`` on the same candidates: the old top-k decode is the
-    oracle."""
+    """The forward-only decode, on float32 and float64 tables: every
+    ``sweep`` score equals the ``decode`` score of the same pair bit
+    for bit (top-k purity), a pair scores the same alone, in a group of
+    2 and in a group of 600 rows (across a ``SWEEP_CHUNK`` boundary),
+    and every score lies within :func:`decode_error_bound` of the
+    float64 ``forward`` on the float64 table."""
 
     COUNTS = (0, 1, 2, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1,
               2 * SWEEP_CHUNK + 1, 4000)
 
     @staticmethod
     def _assert_oracle(predictor, table, rng):
-        query = table[7]
-        for n in TestSweepOracle.COUNTS:
-            rows = rng.permutation(table.shape[0])[:n]
-            want = predictor(Tensor(query[None, :]),
-                             Tensor(table[rows])).data
-            got = predictor.sweep(query, table, rows)
-            assert got.shape == want.shape == (n,)
-            assert got.tobytes() == want.tobytes(), n
+        for dtype in (np.float32, np.float64):
+            served = table.astype(dtype)
+            for n in TestSweepOracle.COUNTS:
+                rows = rng.permutation(table.shape[0])[:n]
+                query = np.full(n, 7)
+                got = predictor.sweep(served[7], served, rows)
+                assert got.dtype == dtype and got.shape == (n,)
+                pairs = predictor.decode(served, query, rows)
+                assert got.tobytes() == pairs.tobytes(), (dtype, n)
+                want = predictor(Tensor(table[query]),
+                                 Tensor(table[rows])).data
+                bound = decode_error_bound(predictor, table[query],
+                                           table[rows], dtype)
+                assert np.all(np.abs(got - want) <= bound), (dtype, n)
+            u, v = rng.integers(0, table.shape[0], size=(2, 600))
+            group = predictor.decode(served, u, v)
+            twos = np.concatenate([predictor.decode(served, u[i:i + 2],
+                                                    v[i:i + 2])
+                                   for i in range(0, 600, 2)])
+            alone = np.concatenate([predictor.decode(served, u[[i]], v[[i]])
+                                    for i in range(600)])
+            assert group.tobytes() == twos.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("width", [64, 16, 20])
     def test_mlp(self, depth, bias, width):
-        """Width 20 is not a multiple of ``SWEEP_PANEL``: one chunk."""
+        """Width 20 is off ``SWEEP_PANEL``: the decode zero-pads it."""
         rng = np.random.default_rng(depth)
         predictor = MLPPredictor(64, hidden_dim=width, num_layers=depth,
                                  rng=rng).eval()
@@ -122,6 +141,9 @@ class TestSweepOracle:
         predictor.mlp.dropout.rng = np.random.default_rng(1)
         want = predictor(Tensor(table[:1]), Tensor(table[rows])).data
         assert got.tobytes() == want.tobytes()
+        predictor.mlp.dropout.rng = np.random.default_rng(1)
+        pairs = predictor.decode(table, np.zeros_like(rows), rows)
+        assert pairs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_rows_out_of_range_raise(self, bad):
@@ -129,6 +151,8 @@ class TestSweepOracle:
         for predictor in (MLPPredictor(4, num_layers=2), DotPredictor()):
             with pytest.raises(IndexError):
                 predictor.sweep(table[0], table, np.array([0, bad]))
+            with pytest.raises(IndexError):
+                predictor.decode(table, np.array([0, bad]), np.array([1, 2]))
 
 
 class TestLinkPredictionModel:

@@ -37,7 +37,12 @@ from repro.serve import (
 )
 from repro.serve.requests import RequestOutcome
 
-from conftest import assert_one_table, recorded_nodes, taped_forward
+from conftest import (
+    assert_one_table,
+    decode_error_bound,
+    recorded_nodes,
+    taped_forward,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +176,23 @@ class TestArtifact:
         assert artifact.embedding_table().tobytes() == table.tobytes()
         assert_one_table(artifact)
 
+    def test_two_copy_era_file_serves(self):
+        """The float64 file serves in float64, through its decoder's
+        hidden width 8 zero-padded up to the panel: each top-k score is
+        its pair score, bit for bit."""
+        path = Path(__file__).parent / "data" / "serve_artifact_v1.npz"
+        artifact = ServableArtifact.load(path)
+        assert artifact.embedding_table().dtype == np.float64
+        with _cluster(artifact) as cluster:
+            top = cluster.serve(ClosedLoopWorkload(
+                [TopKRequest(node=3, k=10)], num_clients=1)).outcomes[0]
+            pairs = cluster.serve(ClosedLoopWorkload(
+                [ScoreRequest(u=3, v=int(c)) for c in top.topk_nodes],
+                num_clients=2))
+        assert top.topk_scores.dtype == np.float64
+        assert (top.topk_scores.tobytes()
+                == np.array([o.score for o in pairs.outcomes]).tobytes())
+
     def test_export_is_deterministic(self, served):
         session, artifact, _, _ = served
         again = session.export()
@@ -198,16 +220,44 @@ class TestArtifact:
         finally:
             model.train()
         np.testing.assert_array_equal(artifact.embedding_table()[nodes],
-                                      expected)
+                                      expected.astype(np.float32))
+
+    def test_export_serves_float32(self, served):
+        """The table is the float64 full-neighbour table rounded to
+        float32 and nothing else; the decoder weights are the trained
+        ones rounded to float32."""
+        from repro.eval.evaluator import eval_mode, materialize_embeddings
+
+        session, artifact, _, _ = served
+        model = session._trainer.workers[0].model
+        with eval_mode(model):
+            table = materialize_embeddings(
+                model, session._trainer.partitioned.full)
+        assert artifact.embedding_table().dtype == np.float32
+        assert (artifact.embedding_table().tobytes()
+                == table.astype(np.float32).tobytes())
+        trained = model.predictor.state_dict()
+        assert set(artifact.predictor_state) == set(trained)
+        for key, value in artifact.predictor_state.items():
+            assert value.dtype == np.float32
+            assert value.tobytes() == trained[key].astype(np.float32).tobytes()
 
     def test_rebuilt_predictor_matches_trained_decoder(self, served):
+        """The rebuilt decoder is the trained one with its weights
+        rounded to float32: on the same float64 inputs both ``forward``
+        calls agree to the bound of that rounding alone."""
         session, artifact, _, _ = served
         trained = session._trainer.workers[0].model.predictor
         rebuilt = artifact.build_predictor()
-        table = artifact.embedding_table()
-        h_u, h_v = Tensor(table[:20]), Tensor(table[20:40])
-        np.testing.assert_array_equal(rebuilt(h_u, h_v).data,
-                                      trained(h_u, h_v).data)
+        for key, value in rebuilt.state_dict().items():
+            assert (value.tobytes() == trained.state_dict()[key]
+                    .astype(np.float32).astype(np.float64).tobytes())
+        table = artifact.embedding_table().astype(np.float64)
+        h_u, h_v = table[:20], table[20:40]
+        gap = np.abs(rebuilt(Tensor(h_u), Tensor(h_v)).data
+                     - trained(Tensor(h_u), Tensor(h_v)).data)
+        assert np.all(gap <= decode_error_bound(trained, h_u, h_v,
+                                                np.float32))
 
     def test_export_requires_training(self, served):
         _, _, _, graph = served
@@ -323,9 +373,11 @@ def test_pair_decode_records_no_tape_and_keeps_the_bits(served, backend):
     with recorded_nodes() as nodes:
         free = digest()
     assert nodes == [0]
+    # The decode builds no ``Tensor`` at all: even a forced tape stays
+    # empty.
     with taped_forward(), recorded_nodes() as nodes:
         taped = digest()
-    assert nodes[0] > 0
+    assert nodes == [0]
     assert free == taped
 
 
@@ -359,9 +411,48 @@ class TestServingSemantics:
         predictor = artifact.build_predictor()
         for outcome in report.completed():
             req = outcome.request
-            expected = predictor(Tensor(table[[req.u]]),
-                                 Tensor(table[[req.v]])).data[0]
+            expected = predictor.decode(table, [req.u], [req.v])[0]
             assert outcome.score == expected  # bit-equal, batched or not
+
+    def test_topk_scores_equal_pair_scores(self, served):
+        """Top-k purity: each of a query's top-50 scores equals, bit for
+        bit, the score a pair request of the same ``(node, candidate)``
+        gets in another flush."""
+        _, artifact, store, _ = served
+        for node in (0, 42, 149):
+            with _cluster(artifact, store) as cluster:
+                top = cluster.serve(ClosedLoopWorkload(
+                    [TopKRequest(node=node, k=50)], num_clients=1)).outcomes[0]
+                pairs = cluster.serve(ClosedLoopWorkload(
+                    [ScoreRequest(u=node, v=int(c))
+                     for c in top.topk_nodes], num_clients=3))
+            assert len(top.topk_nodes) == 50
+            scores = [o.score for o in pairs.outcomes]
+            assert (np.asarray(top.topk_scores, np.float64).tobytes()
+                    == np.array(scores).tobytes())
+
+    def test_served_scores_lie_within_the_float32_bound(self, served):
+        """Served float32 scores against the float64 model's
+        ``score_pairs`` on the float64 full-neighbour table: within
+        :func:`decode_error_bound` (2^-24 unit roundoff)."""
+        from repro.eval.evaluator import eval_mode, materialize_embeddings
+
+        session, artifact, store, _ = served
+        model = session._trainer.workers[0].model
+        with eval_mode(model):
+            table = materialize_embeddings(
+                model, session._trainer.partitioned.full)
+        pairs = np.random.default_rng(5).integers(0, 150, size=(80, 2))
+        with _cluster(artifact, store) as cluster:
+            report = cluster.serve(ClosedLoopWorkload(
+                [ScoreRequest(u=int(u), v=int(v)) for u, v in pairs],
+                num_clients=4))
+        got = np.array([o.score for o in report.outcomes])
+        want = model.score_pairs(Tensor(table), pairs[:, 0],
+                                 pairs[:, 1]).data
+        bound = decode_error_bound(model.predictor, table[pairs[:, 0]],
+                                   table[pairs[:, 1]], np.float32)
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_topk_excludes_self_and_neighbors(self, served):
         _, artifact, store, _ = served

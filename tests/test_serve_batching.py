@@ -5,11 +5,11 @@
    misses, returned misses and final recency order — on any
    interleaving with ordinary ``admit`` runs.  The reference model
    below is the per-key ``OrderedDict`` loop, kept here on purpose.
-2. **Stacked matmul = per-row kernel.**  NumPy evaluates
-   ``(n, 1, d) @ (d, h)`` as ``n`` independent ``1 x d`` products, so
-   decoding all pairs of a shard in one call is bit-equal to decoding
-   each alone.  The canary fails loudly if a NumPy ever collapses the
-   stack into one gemm (which would shift digests across a hot swap).
+2. **One decode call = per-pair decodes.**  The forward-only decode
+   scores a block of pairs bit-equal to scoring each alone, so
+   decoding all pairs of a shard and version in one call cannot shift
+   a digest across a hot swap (``scripts/envcheck.py`` is the BLAS
+   canary it rests on).
 3. **Top-k selection and admission keep the old order.**  ``top_k``
    equals the full ``lexsort`` it replaced, and ``ClosedLoopWorkload``
    issues the request sequence of the list-popping loop it replaced.
@@ -160,32 +160,19 @@ class TestBatchAdmission:
 
 
 class TestStackedDecoding:
-    def test_numpy_runs_a_stacked_matmul_row_by_row(self):
-        """Canary: (n,1,d) @ (d,h) is n independent 1 x d kernels."""
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((257, 64))
-        w = rng.standard_normal((64, 64))
-        stacked = np.matmul(x[:, None, :], w)[:, 0, :]
-        rows = np.stack([(x[[i]] @ w)[0] for i in range(x.shape[0])])
-        assert stacked.tobytes() == rows.tobytes(), (
-            "this NumPy evaluates a stacked matmul differently from a "
-            "row-at-a-time loop; ServingCluster._execute_shard relies "
-            "on the two being bit-equal")
-
     @pytest.mark.parametrize("kind", ["mlp", "dot"])
     def test_predictors_score_a_stacked_block_like_single_rows(self, kind):
         rng = np.random.default_rng(1)
         predictor = (MLPPredictor(64, num_layers=3, rng=rng)
                      if kind == "mlp" else DotPredictor()).eval()
-        h_u = rng.standard_normal((130, 64))
-        h_v = rng.standard_normal((130, 64))
-        stacked = predictor(Tensor(h_u[:, None, :]),
-                            Tensor(h_v[:, None, :])).data
-        assert stacked.shape == (130,)
-        rows = np.array([
-            predictor(Tensor(h_u[[i]]), Tensor(h_v[[i]])).data[0]
-            for i in range(130)])
-        assert stacked.tobytes() == rows.tobytes()
+        for dtype in (np.float32, np.float64):
+            table = rng.standard_normal((260, 64)).astype(dtype)
+            u, v = np.arange(130), np.arange(130, 260)
+            block = predictor.decode(table, u, v)
+            assert block.shape == (130,) and block.dtype == dtype
+            rows = np.concatenate([predictor.decode(table, u[[i]], v[[i]])
+                                   for i in range(130)])
+            assert block.tobytes() == rows.tobytes()
 
     def test_dot_predictor_is_unchanged_on_2d_input(self):
         rng = np.random.default_rng(2)
@@ -205,21 +192,19 @@ class TestStackedDecoding:
         table, decoder = artifact.table, artifact.build_predictor()
         calls = []
 
-        def counting(h_u, h_v):
-            calls.append(h_u.shape)
-            return decoder(h_u, h_v)
+        class Counting:
+            def decode(self, table, u, v):
+                calls.append(len(u))
+                return decoder.decode(table, u, v)
 
-        monkeypatch.setattr(artifact, "build_predictor", lambda: counting)
+        monkeypatch.setattr(artifact, "build_predictor", Counting)
         requests = synthetic_requests(60, 90, seed=4, topk_fraction=0.0)
         report = cluster.serve(ClosedLoopWorkload(requests, num_clients=6))
         assert report.counters["flushes"] > 3
-        assert len(calls) == 3
-        assert sum(shape[0] for shape in calls) == 60
-        assert all(shape[1:] == (1, 8) for shape in calls)
+        assert len(calls) == 3 and sum(calls) == 60
         for outcome in report.completed():
             u, v = outcome.request.u, outcome.request.v
-            alone = decoder(Tensor(table[[u]]), Tensor(table[[v]])).data[0]
-            assert outcome.score == alone
+            assert outcome.score == decoder.decode(table, [u], [v])[0]
 
 
 _SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 2.0, np.inf,

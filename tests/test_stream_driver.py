@@ -218,6 +218,7 @@ class TestCheckpointResume:
         resumed = StreamDriver.resume(tmp_path / "ckpt",
                                       backend=backend)
         assert_one_table(resumed.active_artifact)
+        assert resumed.active_artifact.table.dtype == np.float32
         assert resumed.run().digest() == uninterrupted
 
     def test_resume_after_completion_reproduces_report(self, tmp_path):

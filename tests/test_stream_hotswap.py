@@ -232,6 +232,20 @@ class TestGateDigest:
         assert decision.reason.startswith("digest mismatch")
 
 
+    def test_one_flipped_bit_of_a_float32_table_is_a_digest_mismatch(self):
+        artifact, _, graph = self._promised()
+        artifact = artifact_from_table(
+            artifact.table.astype(np.float32), "v1", "mlp",
+            artifact.predictor_state, artifact.assignment, 2)
+        promised = artifact.checksum()
+        table = artifact.embedding_table()
+        table.flags.writeable = True
+        table.view(np.uint32)[3, 5] ^= 1
+        decision = RolloutGate().evaluate(artifact, promised, None, graph,
+                                          0, 0)
+        assert decision.reason.startswith("digest mismatch")
+
+
 def _set_based_probe_pairs(graph, seed, tick, num_pairs=32):
     """The gate probe before it queried ``graph.has_edge``: negatives
     rejected against a Python set of every edge.  Its oracle."""

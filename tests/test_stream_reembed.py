@@ -459,7 +459,7 @@ class TestArtifacts:
         artifact = reembedder.make_artifact(graph, assignment, 2)
         assert artifact.model_version == reembedder.version(graph)
         np.testing.assert_array_equal(artifact.embedding_table(),
-                                      reembedder.table)
+                                      reembedder.table.astype(np.float32))
 
     def test_make_artifact_seeds_a_private_read_only_table(self):
         graph, model = _setup()
@@ -469,8 +469,11 @@ class TestArtifacts:
             graph, np.arange(graph.num_nodes) % 2, 2)
         assert_one_table(artifact)
         table = artifact.embedding_table()
+        assert table.dtype == np.float32
+        assert all(value.dtype == np.float32
+                   for value in artifact.predictor_state.values())
         assert not np.shares_memory(table, reembedder.table)
-        assert table.tobytes() == reembedder.table.tobytes()
+        assert table.tobytes() == reembedder.table.astype(np.float32).tobytes()
 
     def test_methods_require_a_table(self):
         graph, model = _setup()
