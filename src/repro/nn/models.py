@@ -132,6 +132,15 @@ def _checked_rows(rows, num_rows: int) -> np.ndarray:
     return rows
 
 
+def _decode_table(table) -> np.ndarray:
+    """``table`` as the decode reads it: float32 as it is, any other
+    dtype as float64."""
+    table = np.asarray(table)
+    if table.dtype != np.float32:
+        table = table.astype(np.float64, copy=False)
+    return table
+
+
 def _padded(width: int) -> int:
     """``width`` rounded up to a multiple of :data:`SWEEP_PANEL`."""
     return -(-width // SWEEP_PANEL) * SWEEP_PANEL
@@ -199,7 +208,7 @@ class EdgePredictor(Module):
                              f"{v.shape}")
         if self._dropout_active():
             return self._taped(table[u], table[v])
-        other = np.empty((min(u.size, SWEEP_CHUNK + 1), table.shape[1]),
+        other = np.empty((min(u.size, SWEEP_CHUNK), table.shape[1]),
                          table.dtype)
 
         def fill(x: np.ndarray, start: int, stop: int) -> None:
@@ -240,9 +249,7 @@ class EdgePredictor(Module):
                                 else ([], None, None))
         scores = np.empty(n, dtype)
         bounds = list(range(0, n, SWEEP_CHUNK)) + [n]
-        if len(bounds) > 2 and n - bounds[-2] == 1:
-            del bounds[-2]   # a lone tail row joins the chunk before it
-        cap = max(2, min(n, SWEEP_CHUNK + 1))
+        cap = max(2, min(n, SWEEP_CHUNK))
         prod = np.empty((cap, table.shape[1]), dtype)
         acts = [np.empty((cap, weight.shape[1]), dtype)
                 for weight, _ in hidden]
@@ -250,8 +257,8 @@ class EdgePredictor(Module):
             size = stop - start
             x = prod[:max(size, 2)]
             fill(x[:size], start, stop)
-            if size == 1:
-                x[1] = x[0]   # a one-row GEMM is a GEMV: it rounds apart
+            if size == 1:   # a one-row GEMM is a GEMV: it rounds apart
+                x[1] = x[0]
             for (weight, b), buf in zip(hidden, acts):
                 y = buf[:x.shape[0]]
                 np.matmul(x, weight, out=y)
@@ -266,15 +273,6 @@ class EdgePredictor(Module):
         if bias is not None:
             scores += bias
         return scores
-
-
-def _decode_table(table) -> np.ndarray:
-    """``table`` as the decode reads it: float32 as it is, any other
-    dtype as float64."""
-    table = np.asarray(table)
-    if table.dtype != np.float32:
-        table = table.astype(np.float64, copy=False)
-    return table
 
 
 class DotPredictor(EdgePredictor):

@@ -96,7 +96,8 @@ class TestSweepOracle:
                 query = np.full(n, 7)
                 got = predictor.sweep(served[7], served, rows)
                 assert got.dtype == dtype and got.shape == (n,)
-                pairs = predictor.decode(served, query, rows)
+                # Reversed, every pair sits at another row and chunk.
+                pairs = predictor.decode(served, query, rows[::-1])[::-1]
                 assert got.tobytes() == pairs.tobytes(), (dtype, n)
                 want = predictor(Tensor(table[query]),
                                  Tensor(table[rows])).data
@@ -123,6 +124,17 @@ class TestSweepOracle:
         if not bias:
             for layer in predictor.mlp.layers:
                 layer.bias = None
+        self._assert_oracle(predictor, rng.standard_normal((4100, 64)), rng)
+
+    @pytest.mark.parametrize("width", [18, 36])
+    def test_off_panel_width(self, width):
+        """Widths on which this OpenBLAS rounds a row by the call's row
+        count even among chunk-sized calls (width 20 differs only from
+        larger calls): the decode's zero-padding is what keeps them
+        pure."""
+        rng = np.random.default_rng(width)
+        predictor = MLPPredictor(64, hidden_dim=width, num_layers=3,
+                                 rng=rng).eval()
         self._assert_oracle(predictor, rng.standard_normal((4100, 64)), rng)
 
     def test_dot(self):
