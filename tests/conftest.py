@@ -231,3 +231,93 @@ def decode_error_bound(predictor, h_u, h_v, dtype):
         if i < len(layers) - 1:
             x = np.maximum(x, 0.0)
     return err[:, 0]
+
+
+# -- reference oracles: per-parameter optimizer steps and dict means --
+#
+# The optimizers and the sync layer are pinned bit-for-bit to these
+# loops, one array per parameter, as the library computed them before
+# a replica's state became one vector
+# (``tests/test_parameter_vector.py``).
+
+
+class OracleSGD:
+    """SGD, one parameter array at a time; ``step(grads)`` takes one
+    gradient (or ``None``: no step for that array) per parameter."""
+
+    def __init__(self, datas, lr=0.01, momentum=0.0, weight_decay=0.0):
+        self.datas = datas
+        self.lr = lr
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.velocity = [np.zeros_like(d) for d in datas]
+
+    def step(self, grads):
+        for data, grad, vel in zip(self.datas, grads, self.velocity):
+            if grad is None:
+                continue
+            if self.weight_decay:
+                grad = grad + self.weight_decay * data
+            if self.momentum:
+                vel *= self.momentum
+                vel += grad
+                grad = vel
+            data -= self.lr * grad
+
+
+class OracleAdam:
+    """Adam with bias correction, one parameter array at a time; a
+    parameter without a gradient skips its moment decay and its step."""
+
+    def __init__(self, datas, lr=0.001, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0):
+        self.datas = datas
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(d) for d in datas]
+        self.v = [np.zeros_like(d) for d in datas]
+
+    def step(self, grads):
+        self.t += 1
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
+        for data, grad, m, v in zip(self.datas, grads, self.m, self.v):
+            if grad is None:
+                continue
+            if self.weight_decay:
+                grad = grad + self.weight_decay * data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad ** 2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def oracle_average_gradients(grads, participating=None):
+    """The gradient all-reduce over ``{name: gradient or None}`` dicts:
+    each name's present gradients summed from 0 and divided by the
+    number of participants; ``None`` where nobody has one."""
+    active = [g for i, g in enumerate(grads) if g is not None
+              and (participating is None or participating[i])]
+    if not active:
+        return None
+    averaged = {}
+    for name in active[0]:
+        present = [g[name] for g in active if g[name] is not None]
+        averaged[name] = sum(present) / len(active) if present else None
+    return averaged
+
+
+def oracle_average_models(states, participating=None):
+    """FedAvg over ``{name: weights}`` dicts: ``np.mean`` per name."""
+    included = [sd for i, sd in enumerate(states) if sd is not None
+                and (participating is None or participating[i])]
+    if not included:
+        return None
+    return {name: np.mean([sd[name] for sd in included], axis=0)
+            for name in included[0]}
