@@ -17,12 +17,19 @@ to ``4 * SWEEP_PANEL`` and at the widths 1–4 past each, and prints
 every width whose rows move — the evidence ``SWEEP_PANEL`` is derived
 from.  Single-row slices are reported too: a one-row GEMM goes down
 GEMV and rounds apart, which is why the decoder never runs one.
+
+A second canary guards the gradient all-reduce
+(``repro.distributed.sync.average_gradients``): it sums a float64
+``(workers, P)`` stack of gradient vectors down axis 0 from 0, and is
+only equal to the per-parameter mean it replaced if that reduction
+adds the rows in order, like Python's ``sum``, signed zeros included.
 Usage::
 
     PYTHONPATH=src python scripts/envcheck.py
 
-Exits 0 when every panel multiple holds in both dtypes, 1 when one
-fails (a top-k score would then no longer equal its pair score).
+Exits 0 when every panel multiple holds in both dtypes and the stack
+sum equals ``sum``; 1 when either fails (a top-k score would no longer
+equal its pair score, or a training digest would move).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import sys
 import numpy as np
 import scipy
 
+from repro.distributed.sync import average_gradients
 from repro.nn.models import SWEEP_CHUNK, SWEEP_PANEL
 
 #: The dtypes the decoder runs in.
@@ -77,6 +85,25 @@ def moving_widths(dtype, slices, rng: np.random.Generator) -> list:
     return sorted(moved)
 
 
+def stack_sum_moves(rng: np.random.Generator, draws: int = 200) -> int:
+    """How many seeded ``(workers, P)`` stacks, a fifth of their entries
+    ``-0.0`` and a tenth ``0.0``, have a gradient mean whose bits differ
+    from Python's ``sum`` over the rows divided by the row count."""
+    moved = 0
+    for _ in range(draws):
+        workers = int(rng.integers(1, 9))
+        size = int(rng.integers(1, 4096))
+        stack = rng.standard_normal((workers, size)) * 10.0 ** rng.integers(
+            -3, 4, (workers, 1))
+        stack[rng.random(stack.shape) < 0.2] = -0.0
+        stack[rng.random(stack.shape) < 0.1] = 0.0
+        present = np.ones(1, dtype=bool)
+        mean, _ = average_gradients([(row, present) for row in stack])
+        if mean.tobytes() != (sum(list(stack)) / workers).tobytes():
+            moved += 1
+    return moved
+
+
 def main() -> int:
     print(f"python       {platform.python_version()} "
           f"({platform.python_implementation()})")
@@ -105,10 +132,17 @@ def main() -> int:
             failed = True
             print(f"canary FAILED: {name} GEMM rows move with the row "
                   f"count at panel widths {on_panel}")
+    moved = stack_sum_moves(np.random.default_rng(1))
+    if moved:
+        failed = True
+        print(f"canary FAILED: the (workers, P) gradient mean differs "
+              f"from Python's sum on {moved} of 200 stacks")
     if failed:
         return 1
     print(f"canary ok    GEMM rows position-free at every multiple of "
           f"{SWEEP_PANEL} in {', '.join(np.dtype(d).name for d in DTYPES)}")
+    print("canary ok    (workers, P) gradient mean equals Python's sum "
+          "from 0, signed zeros included, on 200 stacks")
     return 0
 
 

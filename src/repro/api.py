@@ -586,7 +586,7 @@ class Session:
             # best-validation weights — the ones train() would leave on
             # worker 0 — from a scratch replica; the workers stay as loaded.
             model = trainer.build_replica()
-            model.load_state_dict(best_state)
+            model.vector.load(best_state)
         artifact = export_servable(model, trainer.partitioned)
         if path is not None:
             artifact.save(path)

@@ -25,9 +25,10 @@ only in how a command reaches its host:
   can do that a function call cannot: die, hang, and be respawned.
 
 Every cross-worker reduction (gradient mean, model mean) happens on
-the coordinator side of the transport, over the named-gradient / state
-dicts the replies carry, in worker order — so same-seed accuracy and
-the CommMeter byte ledger are bit-identical across backends.
+the coordinator side of the transport, over the flat gradient / weight
+vectors the replies carry (one of each per replica), in worker order —
+so same-seed accuracy and the CommMeter byte ledger are bit-identical
+across backends.
 
 Synchronization (gradient or model averaging) is the barrier: every
 backend finishes the round's batch work before the trainer invokes the
@@ -62,7 +63,8 @@ from ..faults.errors import (
 )
 from .comm import CommRecord
 from .routing import guarded_recv
-from .sync import average_gradients, average_models, sync_bytes_per_worker
+from .sync import (Gradient, average_gradients, average_models,
+                   broadcast_model, sync_bytes_per_worker)
 
 #: Names accepted by ``TrainConfig.backend`` / :func:`make_backend`.
 BACKEND_NAMES = ("serial", "thread", "process")
@@ -103,11 +105,11 @@ class WorkerHost:
     ``("ffwd", n)``                   skip n batches (warm respawn)
     ``("train", ok, want_grads)``     train/discard    → ``result``,
                                       (loss, edges, comm delta,
-                                      optional grad dict) or ``None``
-    ``("grads", avg)``                install the averaged gradients
+                                      optional ``Gradient``) or ``None``
+    ``("grads", avg)``                install the averaged ``Gradient``
     ``("step",)``                     local optimizer step
-    ``("get_model",)``                → ``model``, state dict
-    ``("set_model", state)``          load synchronized weights
+    ``("get_model",)``                → ``model``, weight vector
+    ``("set_model", weights)``        load synchronized weights
     ``("lr", factor)``                decay learning rate
     ``("snapshot", epoch, round)``    → ``snapshot``, serialized state
     ``("load_snapshot", payload)``    rehydrate from a snapshot
@@ -166,20 +168,17 @@ class WorkerHost:
                      meter.current.sync_bytes - before[2])
             grads = None
             if want_grads:
-                grads = {name: p.grad for name, p
-                         in worker.model.named_parameters()}
+                vector, present = worker.model.vector.gradient()
+                grads = (vector.copy(), present)
             return ("result", (loss, edges, delta, grads))
         elif cmd == "grads":
-            averaged = msg[1]
-            for name, p in worker.model.named_parameters():
-                g = averaged.get(name)
-                p.grad = None if g is None else g.copy()
+            worker.model.vector.set_gradient(*msg[1])
         elif cmd == "step":
             worker.optimizer.step()
         elif cmd == "get_model":
-            return ("model", worker.model.state_dict())
+            return ("model", worker.model.vector.values.copy())
         elif cmd == "set_model":
-            worker.model.load_state_dict(msg[1])
+            worker.model.vector.load(msg[1])
         elif cmd == "lr":
             worker.optimizer.lr *= msg[1]
         elif cmd == "snapshot":
@@ -331,7 +330,7 @@ class SerialBackend(ExecutionBackend):
         self._replies: List[deque] = []
         self._has_pending: List[bool] = []
         self._exhausted: List[bool] = []
-        self._round_grads: Dict[int, Dict[str, Optional[np.ndarray]]] = {}
+        self._round_grads: Dict[int, Gradient] = {}
         self._dead: set = set()
         self._logging = False
         self._epoch_index = -1
@@ -522,9 +521,9 @@ class SerialBackend(ExecutionBackend):
         replicas' weights, average the participants in worker order,
         load the mean into every live replica — a non-participant
         rejoins the consensus rather than drifting."""
-        states = dict(self._request(self._active(), ("get_model",)))
+        weights = dict(self._request(self._active(), ("get_model",)))
         averaged = average_models(
-            [states.get(i) for i in range(len(self._hosts))], participating)
+            [weights.get(i) for i in range(len(self._hosts))], participating)
         if averaged is None:
             return
         if obs is not None:
@@ -537,25 +536,24 @@ class SerialBackend(ExecutionBackend):
         self._charge_sync(topology)
 
     def collect_gradients(self, mask: Sequence[bool]
-                          ) -> List[Optional[Dict[str, np.ndarray]]]:
-        """This round's named-gradient dict per masked worker.
+                          ) -> List[Optional[Gradient]]:
+        """This round's ``Gradient`` per masked worker.
 
         ``mask[i]`` False (or a worker that trained nothing) yields
         ``None``.  Used by the parameter-server modes, which apply the
         pushes coordinator-side in
         :class:`~repro.distributed.sync.SyncPlan` order instead of
-        all-reducing them; the dicts are the ones ``train`` replies
+        all-reducing them; they are the ones ``train`` replies
         carried, held until the next :meth:`train_round`.
         """
         return [self._round_grads.get(i) if ok else None
                 for i, ok in enumerate(mask)]
 
-    def load_worker_model(self, worker: int,
-                          state: Dict[str, np.ndarray]) -> None:
-        """Load ``state`` into one worker's replica (a PS pull or any
+    def load_worker_model(self, worker: int, weights: np.ndarray) -> None:
+        """Load ``weights`` into one worker's replica (a PS pull or any
         other targeted weight delivery); removed workers are skipped."""
         if worker not in self._dead:
-            self._send(worker, ("set_model", state))
+            self._send(worker, ("set_model", weights))
 
     def _charge_sync(self, topology: str) -> None:
         """Charge one collective to every live worker's meter, sized to
@@ -573,8 +571,8 @@ class SerialBackend(ExecutionBackend):
     def _pull_replicas(self, workers: Sequence[int]) -> None:
         """Make ``trainer.workers[i].model`` — the coordinator's copy
         of the replica — current for each given live worker."""
-        for i, state in self._request(workers, ("get_model",)):
-            self.trainer.workers[i].model.load_state_dict(state)
+        for i, weights in self._request(workers, ("get_model",)):
+            self.trainer.workers[i].model.vector.load(weights)
 
     def refresh_eval_model(self) -> None:
         """Make ``trainer.workers[0].model`` — the replica the evaluator
@@ -588,8 +586,7 @@ class SerialBackend(ExecutionBackend):
             self._pull_replicas([source])
         workers = self.trainer.workers
         if source != 0:
-            workers[0].model.load_state_dict(
-                workers[source].model.state_dict())
+            broadcast_model(workers[source].model, [workers[0].model])
 
     def run_correction(self, hook) -> None:
         """Run a server-side correction hook over all model replicas,
@@ -604,11 +601,10 @@ class SerialBackend(ExecutionBackend):
         models = [w.model for w in self.trainer.workers]
         self._pull_replicas(self._active())
         first_live = models[self._active()[0]]
-        for i in self._dead:
-            models[i].load_state_dict(first_live.state_dict())
+        broadcast_model(first_live, [models[i] for i in self._dead])
         hook(models)
         for i in self._active():
-            self._send(i, ("set_model", models[i].state_dict()))
+            self._send(i, ("set_model", models[i].vector.values.copy()))
 
     def scale_lr(self, factor: float) -> None:
         """Multiply every live worker optimizer's learning rate."""
@@ -997,9 +993,9 @@ class ProcessBackend(SerialBackend):
         if live_others:
             src = live_others[0]
             self._raw_send(src, ("get_model",))
-            tag, state = self._recv_tagged(src, "model",
-                                           "get_model (warm respawn)")
-            self._raw_send(i, ("set_model", state))
+            tag, weights = self._recv_tagged(src, "model",
+                                             "get_model (warm respawn)")
+            self._raw_send(i, ("set_model", weights))
         if self._in_epoch and not self._exhausted[i]:
             self._raw_send(i, ("epoch",))
             consumed = self._draws[i]
@@ -1065,9 +1061,9 @@ class ProcessBackend(SerialBackend):
 def wipe_worker(worker) -> None:
     """What a crash takes from an in-process worker: parameters
     zeroed, optimizer moments blanked, RNG scrambled."""
-    for p in worker.model.parameters():
-        p.data = np.zeros_like(p.data)
-        p.grad = None
+    vector = worker.model.vector
+    vector.values.fill(0.0)
+    vector.zero_grad()
     blank = {name: np.zeros_like(value) for name, value
              in worker.optimizer.state_dict().items()}
     blank["lr"] = np.asarray(worker.optimizer.lr)

@@ -32,7 +32,8 @@ process execution backends.
 
 The two barrier reductions, :func:`average_gradients` and
 :func:`average_models`, are pure functions over the per-worker
-named-gradient / state dicts the backends' round protocol collects;
+gradient / weight vectors (:class:`~repro.nn.module.ParameterVector`)
+the backends' round protocol collects, stacked ``(workers, P)``;
 delivering the result and charging for it is the protocol's job
 (:mod:`repro.distributed.backends`).
 
@@ -58,6 +59,10 @@ from ..nn.models import LinkPredictionModel
 from ..nn.optim import Adam
 from .comm import FEATURE_ITEMSIZE, CommMeter
 
+#: A worker's gradient vector and per-parameter presence flags
+#: (:meth:`~repro.nn.module.ParameterVector.gradient`).
+Gradient = Tuple[np.ndarray, np.ndarray]
+
 #: First-class ``TrainConfig(sync=)`` modes.  ``"barrier"`` is the
 #: canonical name of the legacy ``"grad"`` per-round all-reduce; the
 #: legacy values ``"grad"`` and ``"model"`` stay accepted.
@@ -71,18 +76,19 @@ PLANNED_SYNC_MODES = ("ps", "async", "local_sgd")
 
 
 def average_gradients(
-    grads: Sequence[Optional[Dict[str, Optional[np.ndarray]]]],
+    grads: Sequence[Optional[Gradient]],
     participating: Optional[Sequence[bool]] = None,
-) -> Optional[Dict[str, Optional[np.ndarray]]]:
+) -> Optional[Gradient]:
     """The all-reduce's arithmetic (Algorithm 1 line 29): the mean of
-    the participants' named-gradient dicts.
+    the participants' gradient vectors.
 
-    ``grads[i]`` is worker *i*'s ``{parameter name: gradient}`` (a
-    ``None`` entry is a worker that trained nothing this round) and
-    ``participating`` additionally masks workers whose contribution
-    never arrived.  A parameter no participant has a gradient for
-    averages to ``None``; one that only some have is still divided by
-    the number of participants.  Returns ``None`` when nobody
+    ``grads[i]`` is worker *i*'s :data:`Gradient` (``None``: it trained
+    nothing this round) and ``participating`` additionally masks
+    workers whose contribution never arrived.  The participants'
+    ``(workers, P)`` stack is summed from 0 down the worker axis and
+    divided by their number, so a parameter only some have (the others
+    read 0) is still divided by every participant, and one nobody has
+    is absent from the mean.  Returns ``None`` when nobody
     participates.  Every replica then installs the same mean, so
     identical optimizer states take identical steps.
     """
@@ -90,39 +96,35 @@ def average_gradients(
               and (participating is None or participating[i])]
     if not active:
         return None
-    averaged: Dict[str, Optional[np.ndarray]] = {}
-    for name in active[0]:
-        present = [g[name] for g in active if g[name] is not None]
-        averaged[name] = sum(present) / len(active) if present else None
-    return averaged
+    vectors, present = zip(*active)
+    total = np.add.reduce(np.stack(vectors), axis=0, initial=0.0)
+    return total / len(active), np.logical_or.reduce(present)
 
 
 def average_models(
-    states: Sequence[Optional[Dict[str, np.ndarray]]],
+    weights: Sequence[Optional[np.ndarray]],
     participating: Optional[Sequence[bool]] = None,
-) -> Optional[Dict[str, np.ndarray]]:
+) -> Optional[np.ndarray]:
     """FedAvg-style model averaging [40]: the element-wise mean of the
-    participants' state dicts.
+    participants' weight vectors.
 
-    ``states[i]`` is worker *i*'s ``state_dict()`` (``None`` for a
+    ``weights[i]`` is worker *i*'s replica vector (``None`` for a
     worker that is gone) and ``participating`` restricts the mean to
     the workers whose sync messages arrived (partial averaging, PSGD-PA
     style).  Returns ``None`` when nobody participates.
     """
-    included = [sd for i, sd in enumerate(states) if sd is not None
+    included = [w for i, w in enumerate(weights) if w is not None
                 and (participating is None or participating[i])]
     if not included:
         return None
-    return {name: np.mean([sd[name] for sd in included], axis=0)
-            for name in included[0]}
+    return np.mean(np.stack(included), axis=0)
 
 
 def broadcast_model(source: LinkPredictionModel,
                     targets: Sequence[LinkPredictionModel]) -> None:
     """Copy ``source`` weights into every target (Algorithm 1 line 16)."""
-    state = source.state_dict()
     for t in targets:
-        t.load_state_dict(state)
+        t.vector.load(source.vector.values)
 
 
 def sync_bytes_per_worker(param_nbytes: int, num_workers: int,
@@ -536,7 +538,7 @@ class ParameterServer(SyncStrategy):
         """The server replica starts from the same broadcast weights as
         every worker and owns the only optimizer that moves."""
         model = trainer.build_replica()
-        model.load_state_dict(trainer.workers[0].model.state_dict())
+        broadcast_model(trainer.workers[0].model, [model])
         return cls(model, Adam(model.parameters(), lr=trainer.config.lr),
                    plan, meters=trainer.meters, obs=trainer.observer)
 
@@ -561,7 +563,7 @@ class ParameterServer(SyncStrategy):
             self.epoch_barrier(live, trainer.backend.load_worker_model)
         if trainer.correction_hook is not None:
             self._correct()
-            self.adopt(trainer.workers[0].model.state_dict(), live=live)
+            self.adopt(trainer.workers[0].model.vector.values, live=live)
 
     def scale_lr(self, factor: float) -> None:
         """Decay the server optimizer along with the workers'."""
@@ -611,13 +613,12 @@ class ParameterServer(SyncStrategy):
             self.obs.gauge("sync.server_version").set(float(self.version))
 
     def apply_round(self, epoch: int, rnd: int,
-                    grads: Sequence[Optional[Dict[str, np.ndarray]]],
+                    grads: Sequence[Optional[Gradient]],
                     push_mask: Sequence[bool],
-                    load_model: Callable[[int, Dict[str, np.ndarray]],
-                                         None]) -> None:
+                    load_model: Callable[[int, np.ndarray], None]) -> None:
         """Apply one round of pushes in the plan's seeded order.
 
-        ``grads[i]`` is worker *i*'s named-gradient dict (``None`` when
+        ``grads[i]`` is worker *i*'s :data:`Gradient` (``None`` when
         it trained nothing); ``push_mask`` additionally filters workers
         whose sync message was lost by the fault layer.  ``load_model``
         delivers pulled server weights to one worker on whatever
@@ -640,19 +641,17 @@ class ParameterServer(SyncStrategy):
                     epoch, rnd, i, self.version - self.worker_version[i]):
                 self.pull(i, load_model)
 
-    def _apply_push(self, grads: Dict[str, np.ndarray]) -> None:
+    def _apply_push(self, grads: Gradient) -> None:
         """Load one pushed gradient and take one server step."""
-        for name, p in self.model.named_parameters():
-            g = grads.get(name)
-            p.grad = None if g is None else g
+        self.model.vector.set_gradient(*grads)
         self.optimizer.step()
         self.version += 1
 
     def pull(self, worker: int,
-             load_model: Callable[[int, Dict[str, np.ndarray]],
-                                  None]) -> None:
-        """Deliver the current server weights to one worker."""
-        load_model(worker, self.model.state_dict())
+             load_model: Callable[[int, np.ndarray], None]) -> None:
+        """Deliver (a copy of) the current server weights to one
+        worker."""
+        load_model(worker, self.model.vector.values.copy())
         self.worker_version[worker] = self.version
         self.pulls += 1
         self._charge(worker)
@@ -660,7 +659,7 @@ class ParameterServer(SyncStrategy):
             self.obs.counter("sync.pulls").inc(1)
 
     def epoch_barrier(self, live: Optional[Sequence[bool]],
-                      load_model: Callable[[int, Dict[str, np.ndarray]],
+                      load_model: Callable[[int, np.ndarray],
                                            None]) -> None:
         """Pull the server model into every live worker.
 
@@ -679,7 +678,7 @@ class ParameterServer(SyncStrategy):
                 continue
             self.pull(i, load_model)
 
-    def adopt(self, state: Dict[str, np.ndarray],
+    def adopt(self, weights: np.ndarray,
               live: Optional[Sequence[bool]] = None) -> None:
         """Replace the server weights with an external consensus.
 
@@ -689,7 +688,7 @@ class ParameterServer(SyncStrategy):
         own delivery path already updated the replicas, so no pull
         payload is charged here.
         """
-        self.model.load_state_dict(state)
+        self.model.vector.load(weights)
         self.version += 1
         for i in range(self.plan.num_workers):
             if live is None or live[i]:

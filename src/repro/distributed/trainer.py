@@ -34,7 +34,6 @@ import numpy as np
 from ..checkpoint.state import (
     capture_trainer_state,
     load_worker_state,
-    strip_prefix,
 )
 from ..checkpoint.store import CheckpointStore
 from ..eval.evaluator import EvalResult, Evaluator
@@ -533,17 +532,19 @@ class LoopState:
 
     ``_train_loop`` keeps these as attributes, not locals, so a snapshot
     taken anywhere — the epoch-boundary write or a round hook — holds
-    the real history and best-validation weights.
+    the real history and best-validation weights (a copy of ``model``'s
+    weight vector, checkpointed per parameter name).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, model: LinkPredictionModel) -> None:
+        self.model = model
         #: The epoch being run or last finished (-1: none yet) and the
         #: rounds finished in it.
         self.epoch = -1
         self.round = 0
         self.history: List[EpochStats] = []
         self.best_val = -1.0
-        self.best_state: Optional[Dict[str, np.ndarray]] = None
+        self.best_state: Optional[np.ndarray] = None
         self.best_epoch = -1
         self.evals_since_best = 0
 
@@ -555,8 +556,10 @@ class LoopState:
                 "best": {"val": self.best_val, "epoch": self.best_epoch,
                          "evals_since_best": self.evals_since_best,
                          "has_state": self.best_state is not None}}
-        return meta, {f"best.{name}": value
-                      for name, value in (self.best_state or {}).items()}
+        if self.best_state is None:
+            return meta, {}
+        return meta, {f"best.{name}": value for name, value in zip(
+            self._names(), self.model.vector.split(self.best_state))}
 
     def restore(self, meta, arrays) -> None:
         """Load :meth:`capture` output back."""
@@ -566,8 +569,12 @@ class LoopState:
         self.best_val = best["val"]
         self.best_epoch = best["epoch"]
         self.evals_since_best = best["evals_since_best"]
-        self.best_state = (strip_prefix(arrays, "best.")
-                           if best["has_state"] else None)
+        self.best_state = (self.model.vector.join(
+            [arrays[f"best.{name}"] for name in self._names()])
+            if best["has_state"] else None)
+
+    def _names(self) -> List[str]:
+        return [name for name, _ in self.model.named_parameters()]
 
 
 class WorkerSet:
@@ -652,8 +659,6 @@ class DistributedTrainer:
         #: SpLPG.fit overwrite this with their actual arguments.
         self.build_knobs = {"alpha": 0.15,
                             "sparsifier_kind": "approx_er"}
-        #: The epoch loop's own state: ``train()`` continues from it.
-        self.loop = LoopState()
         self._started = False
         self.meters = [CommMeter(name=f"meter.{part:04d}", obs=observer)
                        for part in range(partitioned.num_parts)]
@@ -685,6 +690,8 @@ class DistributedTrainer:
                 part, view, model, config, positives, candidates, worker_rng,
                 obs=observer))
         broadcast_model(reference, [w.model for w in self.workers])
+        #: The epoch loop's own state: ``train()`` continues from it.
+        self.loop = LoopState(self.workers[0].model)
 
         #: The one object that knows which ``config.sync`` mode runs.
         self.sync_strategy = make_strategy(self)
@@ -858,7 +865,7 @@ class DistributedTrainer:
                         obs.gauge("train.val_hits").set(float(val.hits))
                     if val.hits > loop.best_val:
                         loop.best_val = val.hits
-                        loop.best_state = models[0].state_dict()
+                        loop.best_state = models[0].vector.values.copy()
                         loop.best_epoch = epoch
                         loop.evals_since_best = 0
                     else:
@@ -887,7 +894,7 @@ class DistributedTrainer:
                 self._write_checkpoint()
 
         if loop.best_state is not None:
-            models[0].load_state_dict(loop.best_state)
+            models[0].vector.load(loop.best_state)
         else:
             backend.refresh_eval_model()
         test_cm = obs.span("test") if obs is not None else nullcontext()

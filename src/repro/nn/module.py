@@ -1,14 +1,15 @@
 """Module/parameter abstractions (a miniature ``torch.nn``).
 
 Modules own named :class:`Parameter` tensors, support recursive
-traversal for optimizers, and expose ``state_dict``/``load_state_dict``
-used by the distributed trainers for model averaging and broadcasting
-the initial weights to every worker.
+traversal, and keep a replica's parameters in one
+:class:`ParameterVector` the distributed trainers broadcast, average
+and step; ``state_dict``/``load_state_dict`` are the name-keyed form
+checkpoints store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,10 +18,92 @@ from .tensor import Tensor, dropout, linear, relu
 
 
 class Parameter(Tensor):
-    """A tensor that is part of a model's trainable state."""
+    """A tensor that is part of a model's trainable state; once a
+    :class:`ParameterVector` binds it, ``data`` and ``grad`` are views
+    of that vector."""
+
+    __slots__ = ("vector", "_grad_view")
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
+        self.vector: Optional[ParameterVector] = None
+        self._grad_view: Optional[np.ndarray] = None
+
+    def _grad_buffer(self) -> np.ndarray:
+        if self._grad_view is None:
+            return super()._grad_buffer()
+        return self._grad_view
+
+
+class ParameterVector:
+    """A replica's parameters as one float64 ``values`` vector and one
+    ``grads`` vector, a slice of each per parameter, in the order given.
+
+    A parameter's ``data`` is a view of its ``values`` slice; its
+    ``grad`` is ``None`` (no gradient) or a view of its ``grads``
+    slice.  Weights change by writing into the vector (:meth:`load`,
+    the optimizers, ``Module.load_state_dict``): a rebound ``p.data``
+    would leave it.
+    """
+
+    def __init__(self, params: Sequence[Parameter]) -> None:
+        self.params = list(params)
+        if any(p.vector is not None for p in self.params):
+            raise ValueError("a parameter belongs to one vector only")
+        self.bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self.values = self.join([p.data for p in self.params])
+        self.grads = np.zeros_like(self.values)
+        for p, view, grad in zip(self.params, self.split(self.values),
+                                 self.split(self.grads)):
+            p.data, p.vector, p._grad_view = view, self, grad
+
+    @classmethod
+    def of(cls, params: Sequence[Parameter]) -> "ParameterVector":
+        """The vector binding exactly ``params`` (in order), else a new
+        one."""
+        params = list(params)
+        vector = params[0].vector if params else None
+        if vector is not None and [id(p) for p in vector.params] == [
+                id(p) for p in params]:
+            return vector
+        return cls(params)
+
+    def split(self, flat: np.ndarray) -> List[np.ndarray]:
+        """``flat`` cut into one view per parameter, in its shape."""
+        return [flat[lo:hi].reshape(p.data.shape) for p, lo, hi
+                in zip(self.params, self.bounds[:-1], self.bounds[1:])]
+
+    def join(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """The inverse of :meth:`split`: one float64 vector."""
+        return np.concatenate([np.zeros(0)] + [np.ravel(a) for a in arrays])
+
+    def load(self, values: np.ndarray) -> None:
+        """Write ``values`` into the vector (every view sees them)."""
+        self.values[...] = values
+
+    def zero_grad(self) -> None:
+        """Every parameter back to no gradient."""
+        for p in self.params:
+            p.grad = None
+
+    def gradient(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(grads, present)``: the gradient vector (0 on the slice of
+        a parameter without a gradient; one assigned to ``p.grad`` as a
+        fresh array is copied in) and one flag per parameter."""
+        present = np.array([p.grad is not None for p in self.params])
+        for p in self.params:
+            if p.grad is None:
+                p._grad_view.fill(0.0)
+            elif p.grad is not p._grad_view:
+                p._grad_view[...] = p.grad
+                p.grad = p._grad_view
+        return self.grads, present
+
+    def set_gradient(self, grads: np.ndarray, present: np.ndarray) -> None:
+        """Install a :meth:`gradient` pair (a mean, a push)."""
+        self.grads[...] = grads
+        for p, ok in zip(self.params, present):
+            p.grad = p._grad_view if ok else None
 
 
 class Module:
@@ -65,6 +148,14 @@ class Module:
                     if isinstance(item, Module):
                         yield from item.modules()
 
+    @property
+    def vector(self) -> ParameterVector:
+        """This tree's :class:`ParameterVector`, bound on first use."""
+        vector = vars(self).get("_vector")
+        if vector is None:
+            vector = self._vector = ParameterVector.of(self.parameters())
+        return vector
+
     # -- mode / gradients -------------------------------------------------
 
     def train(self) -> "Module":
@@ -91,7 +182,8 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Copy arrays from ``state`` into the matching parameters."""
+        """Copy arrays from ``state`` into the matching parameters, in
+        place: a parameter stays a view of its replica's vector."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -104,8 +196,9 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: "
                     f"{p.data.shape} vs {state[name].shape}")
-            # astype copies, so the model never aliases ``state``.
-            p.data = state[name].astype(np.float64)
+            # Between steps no tape holds the weights: the sanctioned
+            # in-place write.
+            p.data[...] = state[name]  # lint: disable=R003
 
     def num_parameters(self) -> int:
         """Total scalar parameter count."""

@@ -131,9 +131,14 @@ class Tensor:
         if self.grad is None:
             # One pass instead of zeros then add; ``grad + 0.0``
             # normalises ``-0.0`` exactly as ``0.0 + grad`` does.
-            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+            self.grad = np.add(grad, 0.0, out=self._grad_buffer())
         else:
             self.grad += grad
+
+    def _grad_buffer(self) -> Array:
+        """Where a first gradient is written (a bound ``Parameter``:
+        its view of the gradient vector)."""
+        return np.empty_like(self.data)
 
     # -- basic properties ----------------------------------------------
 

@@ -263,8 +263,9 @@ class TestWorkerHost:
         tag, payload = host.execute(("snapshot", 0, 0))
         assert tag == "snapshot"
 
-        grads = {name: np.full_like(p.data, 0.01)
-                 for name, p in worker.model.named_parameters()}
+        vector = worker.model.vector
+        grads = (np.full_like(vector.grads, 0.01),
+                 np.ones(len(vector.params), dtype=bool))
         commands = [("epoch",), ("draw",), ("train", True, True),
                     ("grads", grads), ("step",), ("lr", 0.5), ("draw",),
                     ("train", False, True), ("draw",),

@@ -197,8 +197,7 @@ class TestMidEpochRoundTrip:
             loop = trainer.loop
             ref["history"] = list(loop.history)
             ref["best_epoch"] = loop.best_epoch
-            ref["best"] = {k: v.copy()
-                           for k, v in loop.best_state.items()}
+            ref["best"] = loop.best_state.copy()
             if sync == "ps":
                 ref["server_version"] = trainer.sync_strategy.version
 
@@ -230,9 +229,7 @@ class TestMidEpochRoundTrip:
         assert len(ref["history"]) == 1
         assert loop.history == ref["history"]
         assert loop.best_epoch == ref["best_epoch"] == 0
-        assert sorted(loop.best_state) == sorted(ref["best"])
-        for name, value in ref["best"].items():
-            np.testing.assert_array_equal(loop.best_state[name], value)
+        assert loop.best_state.tobytes() == ref["best"].tobytes()
         if sync == "ps":
             assert rebuilt.sync_strategy.version == ref["server_version"]
 

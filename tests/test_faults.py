@@ -411,8 +411,8 @@ class TestOneRestoreMechanism:
         backend = SerialBackend()
         backend.bind(trainer)
         backend.begin_epoch()                    # the restore point
-        averaged = trainer.workers[0].model.state_dict()
-        corrected = {k: v + 1.0 for k, v in averaged.items()}
+        averaged = trainer.workers[0].model.vector.values.copy()
+        corrected = averaged + 1.0
         logged = ("set_model", averaged)
         backend._send(1, logged)
         assert [m[0] for m in backend._cmd_log[1]] == ["epoch", "set_model"]

@@ -1,13 +1,15 @@
-"""Optimizer steps, sync means and the checkpoint format, pinned.
+"""One flat parameter vector per replica, pinned.
 
 The optimizers and the two barrier means are held bit for bit to the
 per-parameter reference loops in ``conftest.py``; a checkpoint written
 by an earlier build (``data/checkpoint_resume_v1``) must resume to the
-digest of the run it was cut from.
+digest of the run it was cut from; and every parameter stays a view of
+its replica's vectors through each path that writes weights.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import shutil
 from pathlib import Path
 
@@ -22,9 +24,14 @@ from conftest import (
 )
 from repro.checkpoint import load_checkpoint, rebuild_trainer
 from repro.checkpoint.io import deserialize_state
-from repro.distributed import average_gradients, average_models
+from repro.core.frameworks import FRAMEWORKS, build_trainer
+from repro.distributed import TrainConfig, average_gradients, average_models
+from repro.distributed import trainer as trainer_mod
+from repro.distributed.backends import WorkerHost, wipe_worker
+from repro.faults import FaultEvent, FaultPlan
 from repro.graph import split_edges, synthetic_lp_graph
 from repro.nn import Adam, SGD, Parameter, build_model
+from repro.nn.module import ParameterVector
 
 STEPS = 50
 
@@ -122,14 +129,35 @@ def _named_draws(rng, names_shapes, lacking):
     return grads
 
 
+#: The replica layout the named draws below are flattened through.
+_MODEL = build_model("sage", 6, 5, num_layers=2, seed=4)
+_NAMES = [name for name, _ in _MODEL.named_parameters()]
+
+
 def _flat_gradient_mean(grads, participating=None):
-    """``average_gradients`` on named per-worker gradients."""
-    return average_gradients(grads, participating)
+    """``average_gradients`` on named per-worker gradients: each dict
+    flattened to a ``(vector, presence)`` pair, the mean named again."""
+    vector = _MODEL.vector
+    flat = [None if g is None else (
+        vector.join([np.zeros(p.data.shape) if g[name] is None else g[name]
+                     for name, p in zip(_NAMES, vector.params)]),
+        np.array([g[name] is not None for name in _NAMES]))
+        for g in grads]
+    mean = average_gradients(flat, participating)
+    if mean is None:
+        return None
+    values, present = mean
+    return {name: part if ok else None for name, part, ok
+            in zip(_NAMES, vector.split(values), present)}
 
 
 def _flat_model_mean(states, participating=None):
-    """``average_models`` on named per-worker weights."""
-    return average_models(states, participating)
+    """``average_models`` on named per-worker weights, flattened."""
+    vector = _MODEL.vector
+    mean = average_models(
+        [None if sd is None else vector.join([sd[n] for n in _NAMES])
+         for sd in states], participating)
+    return None if mean is None else dict(zip(_NAMES, vector.split(mean)))
 
 
 def _same(a, b):
@@ -239,3 +267,125 @@ class TestPinnedCheckpoint:
             for name, value in new.items():
                 assert value.dtype == old[name].dtype, name
                 assert value.shape == old[name].shape, name
+
+
+# -- parameters stay views of their replica's vectors -------------------
+
+
+def assert_views(model):
+    """Every parameter of ``model`` is bound to its replica's vector:
+    ``data`` (and ``grad``, when set) share its memory."""
+    vector = model.vector
+    assert [id(p) for p in model.parameters()] == \
+        [id(p) for p in vector.params]
+    for p in vector.params:
+        assert p.vector is vector
+        assert np.shares_memory(p.data, vector.values)
+        assert p.grad is None or np.shares_memory(p.grad, vector.grads)
+
+
+def _views_hold(model) -> bool:
+    try:
+        assert_views(model)
+    except AssertionError:
+        return False
+    return True
+
+
+def _tiny_split():
+    rng = np.random.default_rng(3)
+    graph = synthetic_lp_graph(num_nodes=80, target_edges=260,
+                               feature_dim=4, num_communities=2, rng=rng)
+    return split_edges(graph, rng=rng)
+
+
+def _tiny_trainer(split, **overrides):
+    config = dict(hidden_dim=4, num_layers=2, fanouts=(3, 3),
+                  batch_size=32, epochs=2, seed=3, observe=False)
+    config.update(overrides)
+    return build_trainer(FRAMEWORKS["splpg"], split, 2,
+                         TrainConfig(**config),
+                         rng=np.random.default_rng(3))
+
+
+class TestParametersStayViews:
+    def test_after_backward_and_load_state_dict(self):
+        model = build_model("sage", 6, 5, num_layers=2, seed=4)
+        optimizer = Adam(model.parameters())
+        assert optimizer.vector is model.vector
+        other = build_model("sage", 6, 5, num_layers=2, seed=5)
+        model.load_state_dict(other.state_dict())
+        assert_views(model)
+        assert model.vector.values.tobytes() == \
+            other.vector.values.tobytes()
+        for p in model.parameters():
+            p.grad = np.ones_like(p.data)
+        optimizer.step()
+        assert_views(model)
+        optimizer.zero_grad()
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_a_parameter_binds_once(self):
+        model = build_model("sage", 6, 5, num_layers=2, seed=4)
+        model.vector
+        with pytest.raises(ValueError, match="one vector"):
+            ParameterVector(model.parameters()[:2])
+
+    def test_after_ps_pulls(self):
+        trainer = _tiny_trainer(_tiny_split(), sync="ps", max_staleness=0)
+        trainer.train()
+        assert trainer.sync_strategy.pulls > 0
+        for model in [w.model for w in trainer.workers] + \
+                [trainer.sync_strategy.model]:
+            assert_views(model)
+
+    def test_after_wipe_and_restore_replay(self):
+        split = _tiny_split()
+        trainer = _tiny_trainer(split)
+        wipe_worker(trainer.workers[1])
+        assert_views(trainer.workers[1].model)
+        assert not trainer.workers[1].model.vector.values.any()
+        plan = FaultPlan(events=(
+            FaultEvent(kind="crash", epoch=1, round=1, worker=1),))
+        trainer = _tiny_trainer(split, fault_plan=plan, recovery="restore",
+                                checkpoint_every=1)
+        result = trainer.train()
+        assert result.faults["restores"] >= 1
+        for worker in trainer.workers:
+            assert_views(worker.model)
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="the process backend forks")
+    def test_in_a_respawned_child(self, monkeypatch):
+        """A SIGKILLed child respawns from the coordinator's replica;
+        probed over the pipe, its parameters are views too."""
+        execute = WorkerHost.execute
+
+        def probing(host, msg):
+            if msg[0] == "views":
+                return ("views", _views_hold(
+                    host.trainer.workers[host.part].model))
+            return execute(host, msg)
+
+        monkeypatch.setattr(WorkerHost, "execute", probing)
+        plan = FaultPlan(events=(
+            FaultEvent(kind="crash", epoch=0, round=1, worker=1),))
+        trainer = _tiny_trainer(_tiny_split(), backend="process",
+                                fault_plan=plan, recovery="drop",
+                                fault_timeout_s=15.0)
+        probes = []
+
+        def hook(trainer, epoch, rnd):
+            if (epoch, rnd) == (1, 1):
+                backend = trainer.backend
+                for i in range(len(trainer.workers)):
+                    backend._raw_send(i, ("views",))
+                    probes.append(backend._raw_recv(i, "views"))
+
+        previous = trainer_mod.set_round_hook(hook)
+        try:
+            result = trainer.train()
+        finally:
+            trainer_mod.set_round_hook(previous)
+        assert result.faults["respawns"] >= 1
+        assert probes == [("views", True), ("views", True)]

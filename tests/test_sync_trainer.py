@@ -45,39 +45,36 @@ class TestSync:
                 assert np.allclose(arr, ref[name])
 
     def test_average_models_math(self):
-        a, b = (m.state_dict() for m in make_models(2))
+        a, b = (m.vector.values.copy() for m in make_models(2))
         averaged = average_models([a, b])
-        assert set(averaged) == set(a)
-        for name, arr in averaged.items():
-            assert np.allclose(arr, (a[name] + b[name]) / 2)
+        assert averaged.shape == a.shape
+        assert np.allclose(averaged, (a + b) / 2)
         # Participation mask and departed (None) workers shrink the mean.
-        for name, arr in average_models([a, None, b],
-                                        [True, True, False]).items():
-            assert np.array_equal(arr, a[name])
+        masked = average_models([a, None, b], [True, True, False])
+        assert np.array_equal(masked, a)
         assert average_models([a, b], [False, False]) is None
 
     def test_average_gradients_math(self):
-        grads = [{name: np.full_like(p.data, float(i + 1))
-                  for name, p in m.named_parameters()}
+        grads = [(np.full_like(m.vector.grads, float(i + 1)),
+                  np.ones(len(m.vector.params), dtype=bool))
                  for i, m in enumerate(make_models(2))]
-        averaged = average_gradients(grads)
-        assert set(averaged) == set(grads[0])
-        for g in averaged.values():
-            assert np.allclose(g, 1.5)
+        mean, present = average_gradients(grads)
+        assert mean.shape == grads[0][0].shape
+        assert present.all()
+        assert np.allclose(mean, 1.5)
 
     def test_average_gradients_participation_mask(self):
         models = make_models(3)
-        grads = [{name: np.full_like(p.data, float(i))
-                  for name, p in m.named_parameters()}
+        everyone = np.ones(len(models[0].vector.params), dtype=bool)
+        grads = [(np.full_like(m.vector.grads, float(i)), everyone)
                  for i, m in enumerate(models)]
-        grads[2] = {name: np.full_like(g, 100.0)
-                    for name, g in grads[2].items()}
+        grads[2] = (np.full_like(grads[2][0], 100.0), everyone)
         # Average over the two participants = 0.5: a masked-out worker's
         # gradient never enters the mean, nor does one that is absent.
         masked = average_gradients(grads, [True, True, False])
         absent = average_gradients([grads[0], grads[1], None])
-        for g in list(masked.values()) + list(absent.values()):
-            assert np.allclose(g, 0.5)
+        for mean, _ in (masked, absent):
+            assert np.allclose(mean, 0.5)
         assert average_gradients(grads, [False, False, False]) is None
 
     def test_sync_charges_meters_allreduce(self):
@@ -117,14 +114,19 @@ class TestSync:
             sync_bytes_per_worker(1000, 4, "mesh")
 
     def test_average_gradients_none_grads_tolerated(self):
-        names = [name for name, _ in make_models(1)[0].named_parameters()]
-        grads = [{name: None for name in names} for _ in range(2)]
-        averaged = average_gradients(grads)  # no grads set: all None
-        assert averaged == {name: None for name in names}
+        vector = make_models(1)[0].vector
+        nobody = np.zeros(len(vector.params), dtype=bool)
+        grads = [(np.zeros_like(vector.grads), nobody) for _ in range(2)]
+        mean, present = average_gradients(grads)  # no grads set
+        assert not present.any()
         # A gradient only one participant has is still divided by the
         # number of participants.
-        grads[0][names[0]] = np.ones(3)
-        assert np.allclose(average_gradients(grads)[names[0]], 0.5)
+        first = vector.split(grads[0][0])[0]
+        first[...] = 1.0
+        grads[0] = (grads[0][0], np.eye(1, len(nobody), dtype=bool)[0])
+        mean, present = average_gradients(grads)
+        assert present.tolist() == [True] + [False] * (len(nobody) - 1)
+        assert np.allclose(vector.split(mean)[0], 0.5)
 
 
 class TestPeriodicAverage:
