@@ -42,7 +42,8 @@ class Graph:
     shapes) and is intended for internal fast paths.
     """
 
-    __slots__ = ("indptr", "indices", "weights", "features", "num_nodes")
+    __slots__ = ("indptr", "indices", "weights", "features", "num_nodes",
+                 "_edge_rows")
 
     def __init__(
         self,
@@ -50,6 +51,7 @@ class Graph:
         indices: np.ndarray,
         weights: Optional[np.ndarray] = None,
         features: Optional[np.ndarray] = None,
+        edge_rows: Optional[np.ndarray] = None,
     ) -> None:
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
@@ -77,6 +79,8 @@ class Graph:
                     f"{features.shape} for {self.num_nodes} nodes"
                 )
         self.features = features
+        # :meth:`edge_list`, when the caller already decoded it.
+        self._edge_rows = edge_rows
 
     # ------------------------------------------------------------------
     # construction
@@ -198,6 +202,8 @@ class Graph:
     def edge_list(self) -> np.ndarray:
         """``(m, 2)`` array of undirected edges with ``u < v`` per row,
         sorted lexicographically."""
+        if self._edge_rows is not None:
+            return self._edge_rows
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
                         np.diff(self.indptr))
         mask = src < self.indices

@@ -80,13 +80,14 @@ class MutableGraph:
     immutable ``Graph``.  The only edge state is one sorted ``int64``
     key ``u * num_nodes + v`` per edge ``u < v``; snapshots,
     fingerprints and checkpoints read the canonical edge rows decoded
-    from it.
+    from it once per change (a snapshot's ``edge_list()`` included).
     """
 
     def __init__(self, graph: Graph) -> None:
         self.num_nodes = graph.num_nodes
         edges = graph.edge_list()
         self._keys = np.unique(edges[:, 0] * self.num_nodes + edges[:, 1])
+        self._rows: Optional[np.ndarray] = None
         self._features: Optional[np.ndarray] = (
             None if graph.features is None
             else graph.features.astype(np.float32, copy=True))
@@ -116,7 +117,14 @@ class MutableGraph:
     def edge_array(self) -> np.ndarray:
         """Canonical sorted ``(m, 2)`` array of the current edge set
         (a fresh array: callers may not reach the live keys)."""
-        return _edge_rows(self._keys, self.num_nodes)
+        return self._decoded().copy()
+
+    def _decoded(self) -> np.ndarray:
+        """The current edge rows, decoded once per change, read-only."""
+        if self._rows is None:
+            self._rows = _edge_rows(self._keys, self.num_nodes)
+            self._rows.flags.writeable = False
+        return self._rows
 
     # -- mutation (the sanctioned apply path) ----------------------------
 
@@ -170,6 +178,7 @@ class MutableGraph:
         new = sorted(k for k, now in present.items() if now and not before[k])
         kept = np.delete(self._keys, np.searchsorted(self._keys, gone))
         self._keys = np.insert(kept, np.searchsorted(kept, new), new)
+        self._rows = None
         return GraphDelta(
             tick=tick,
             inserted=_edge_rows(np.sort(np.int64(inserted)), n),
@@ -207,7 +216,8 @@ class MutableGraph:
                                 np.diff(lower_ptr))] = lower.indices
         features = (None if self._features is None
                     else self._features.copy())
-        return Graph(indptr, indices, features=features)
+        return Graph(indptr, indices, features=features,
+                     edge_rows=self._decoded())
 
     def fingerprint(self) -> str:
         """Content hash of the live state (hex sha256).
@@ -219,7 +229,7 @@ class MutableGraph:
         """
         digest = hashlib.sha256()
         digest.update(np.int64([self.num_nodes]))
-        digest.update(self.edge_array())
+        digest.update(self._decoded())
         if self._features is not None:
             digest.update(str(self._features.shape).encode("ascii"))
             digest.update(np.ascontiguousarray(self._features))

@@ -221,3 +221,46 @@ class TestFingerprintOracle:
                     features=graph.features)
         sharded = ShardedState(raw, spec, 3, seed=3)
         assert sharded.fingerprint() == _copying_fingerprint(sharded)
+
+
+class TestOneDecodePerSnapshot:
+    @LAYOUTS
+    def test_a_tick_decodes_its_snapshot_once(self, spec, monkeypatch):
+        """Advancing the layout, fingerprinting it and drawing the
+        rollout probes read the edge rows the snapshot was built with:
+        one decode of the keys per tick, none of the CSR."""
+        from repro.stream import mutable as mutable_mod
+        from repro.stream.rollout import probe_pairs
+
+        graph = _graph()
+        mutable = MutableGraph(graph)
+        sharded = ShardedState(mutable.snapshot(), spec, 3, seed=3)
+        plan = ArrivalPlan.generate(graph.num_nodes, 4, 3,
+                                    inserts_per_tick=6.0,
+                                    deletes_per_tick=2.0)
+        decodes = {"keys": 0, "csr": 0}
+        rows, edge_list = mutable_mod._edge_rows, Graph.edge_list
+
+        def counted_rows(keys, n):
+            decodes["keys"] += 1
+            return rows(keys, n)
+
+        def counted_edge_list(g):
+            if g._edge_rows is None:
+                decodes["csr"] += 1
+            return edge_list(g)
+
+        monkeypatch.setattr(mutable_mod, "_edge_rows", counted_rows)
+        monkeypatch.setattr(Graph, "edge_list", counted_edge_list)
+        for tick in range(4):
+            delta = mutable.apply(plan.events_at(tick), tick)
+            snapshot = mutable.snapshot()
+            sharded.apply_delta(delta, snapshot)
+            sharded.fingerprint()
+            mutable.fingerprint()
+            probe_pairs(snapshot, seed=3, tick=tick)
+        # One decode of the keys per tick; the deltas' few rows are
+        # decoded from their own keys.
+        assert decodes["csr"] == 0
+        assert decodes["keys"] == 4 * 3
+        assert not snapshot.edge_list().flags.writeable
