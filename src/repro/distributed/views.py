@@ -51,7 +51,7 @@ class WorkerGraphView:
         self.obs = obs
         self._local_graph = partitioned.local_graph(part)
         # Worker-local partition structure — free to read by definition.
-        self._local = GraphNeighborSource(self._local_graph)  # lint: disable=R002
+        self._local = GraphNeighborSource(self._local_graph)
         # Which nodes this worker answers structure queries for locally
         # — owned nodes under node partitioning, every stored endpoint
         # under vertex cut (where local lists are complete by design).

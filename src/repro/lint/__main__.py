@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=("Invariant checker for the repro codebase: "
-                     "determinism (R001), data locality (R002), "
-                     "autograd safety (R003), hygiene (R1xx) and "
+                     "determinism (R001), autograd safety (R003), "
+                     "hygiene (R1xx) and "
                      "worker races (F202)."))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")

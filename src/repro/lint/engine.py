@@ -3,7 +3,7 @@
 The engine parses each module once and hands the parsed project to
 every rule: per-file rules see one module at a time, the whole-program
 rule (F202) sees them all.  Findings whose *logical statement* carries a
-``# lint: disable=R001[,R002...]`` (or a bare ``# lint: disable``)
+``# lint: disable=R001[,R003...]`` (or a bare ``# lint: disable``)
 trailing comment are dropped: a suppression anywhere on a multi-line
 call, and on any decorator of a decorated definition, covers the whole
 statement, not just the comment's physical line.  Suppression comments

@@ -52,7 +52,6 @@ def _load_builtin_rules() -> None:
         rules_determinism,
         rules_docs,
         rules_hygiene,
-        rules_locality,
         rules_partition,
         rules_persistence,
         rules_robustness,

@@ -3,8 +3,9 @@
 The numpy autodiff engine records backward closures that capture
 ``tensor.data`` arrays by reference.  Mutating such an array in place
 after it has entered the graph silently corrupts every gradient
-computed from it — no exception, just wrong numbers.  Rebinding
-(``t.data = new_array``) is fine; in-place writes are not.
+computed from it — no exception, just wrong numbers.  Rebinding is
+not flagged; for a parameter (a view of its replica's vector) the view
+tests in ``tests/test_parameter_vector.py`` catch it.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ class InplaceTensorMutationRule(Rule):
     Flags ``t.data[...] = v``, augmented assignment to ``t.data`` (or a
     slice of it), mutating numpy ops (``np.add.at(t.data, ...)``,
     ``np.copyto(t.data, ...)``) and mutating ndarray methods
-    (``t.data.fill(...)``).  Post-``backward`` parameter updates in the
-    optimizers are the one sanctioned site and carry explicit
-    suppressions.
+    (``t.data.fill(...)``).  ``Module.load_state_dict``'s write
+    between steps is the one sanctioned site (suppressed).
     """
 
     rule_id = "R003"
@@ -66,7 +66,7 @@ class InplaceTensorMutationRule(Rule):
                 line=node.lineno, col=node.col_offset,
                 message=(f"{what}: arrays captured by the autodiff graph "
                          "must not be mutated in place (corrupts "
-                         "gradients); rebind .data instead")))
+                         "gradients); compute a new tensor instead")))
 
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):

@@ -149,7 +149,7 @@ class NeighborSampler:
             # server correction sample from an explicit raw Graph
             # they own outright; worker paths always pass their
             # WorkerGraphView here.
-            source = GraphNeighborSource(source)  # lint: disable=R002
+            source = GraphNeighborSource(source)
         seeds = sorted_unique(np.asarray(seeds, dtype=np.int64))
         blocks = []
         frontier = seeds
