@@ -166,10 +166,9 @@ class WorkerHost:
             delta = (meter.current.feature_bytes - before[0],
                      meter.current.structure_bytes - before[1],
                      meter.current.sync_bytes - before[2])
-            grads = None
-            if want_grads:
-                vector, present = worker.model.vector.gradient()
-                grads = (vector.copy(), present)
+            # The live gradient vector: the round's collective reads it
+            # before this worker's next command can write it.
+            grads = worker.model.vector.gradient() if want_grads else None
             return ("result", (loss, edges, delta, grads))
         elif cmd == "grads":
             worker.model.vector.set_gradient(*msg[1])
