@@ -23,13 +23,21 @@ A second canary guards the gradient all-reduce
 ``(workers, P)`` stack of gradient vectors down axis 0 from 0, and is
 only equal to the per-parameter mean it replaced if that reduction
 adds the rows in order, like Python's ``sum``, signed zeros included.
+
+A third guards the serve planner's cache accounting
+(``repro.serve.cache.LRUCache.admit_unique``): a top-k candidate sweep
+is admitted in one vectorised pass built on ``argsort``,
+``searchsorted`` and ``tril``, whose hits, misses and final recency
+order must equal the per-key ``admit`` loop's, at cache capacities
+below, equal to and above the sweep length.
 Usage::
 
     PYTHONPATH=src python scripts/envcheck.py
 
-Exits 0 when every panel multiple holds in both dtypes and the stack
-sum equals ``sum``; 1 when either fails (a top-k score would no longer
-equal its pair score, or a training digest would move).
+Exits 0 when every panel multiple holds in both dtypes, the stack sum
+equals ``sum`` and every sweep admits like the loop; 1 when any fails
+(a top-k score would no longer equal its pair score, or a training or
+serve digest would move).
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import scipy
 
 from repro.distributed.sync import average_gradients
 from repro.nn.models import SWEEP_CHUNK, SWEEP_PANEL
+from repro.serve.cache import LRUCache
 
 #: The dtypes the decoder runs in.
 DTYPES = (np.float32, np.float64)
@@ -104,6 +113,34 @@ def stack_sum_moves(rng: np.random.Generator, draws: int = 200) -> int:
     return moved
 
 
+def sweep_admission_moves(rng: np.random.Generator, draws: int = 40) -> int:
+    """How many seeded draws see ``admit_unique`` part from the per-key
+    ``admit`` loop: per draw, three capacities (below, equal to and
+    above the sweep length), each four rounds of a short run with
+    duplicates then a duplicate-free sweep, sorted or shuffled."""
+    moved = 0
+    for _ in range(draws):
+        universe = int(rng.integers(8, 2000))
+        length = int(rng.integers(1, universe))
+        for capacity in (int(rng.integers(0, length)), length,
+                         length + int(rng.integers(1, 64))):
+            vector, loop = LRUCache(capacity), LRUCache(capacity)
+            same = True
+            for _ in range(4):
+                run = rng.integers(0, universe, int(rng.integers(0, 24)))
+                vector.admit(run.tolist())
+                loop.admit(run.tolist())
+                sweep = rng.permutation(universe)[:length]
+                if rng.random() < 0.5:
+                    sweep.sort()
+                got = vector.admit_unique(sweep).tolist()
+                same &= (got == loop.admit(sweep.tolist())
+                         and vector.counters() == loop.counters()
+                         and list(vector._entries) == list(loop._entries))
+            moved += not same
+    return moved
+
+
 def main() -> int:
     print(f"python       {platform.python_version()} "
           f"({platform.python_implementation()})")
@@ -137,12 +174,19 @@ def main() -> int:
         failed = True
         print(f"canary FAILED: the (workers, P) gradient mean differs "
               f"from Python's sum on {moved} of 200 stacks")
+    admission = sweep_admission_moves(np.random.default_rng(2))
+    if admission:
+        failed = True
+        print(f"canary FAILED: a sweep's batch admission differs from the "
+              f"per-key LRU loop on {admission} of 120 capacities")
     if failed:
         return 1
     print(f"canary ok    GEMM rows position-free at every multiple of "
           f"{SWEEP_PANEL} in {', '.join(np.dtype(d).name for d in DTYPES)}")
     print("canary ok    (workers, P) gradient mean equals Python's sum "
           "from 0, signed zeros included, on 200 stacks")
+    print("canary ok    sweep admission equals the per-key LRU loop at "
+          "120 capacities below, at and above the sweep length")
     return 0
 
 

@@ -81,6 +81,12 @@ _LIVE_SHARED_SEGMENTS: List[object] = []
 #: serving threads, so registration must be thread-safe.
 _SHARED_SEGMENTS_LOCK = threading.Lock()
 
+#: The tag of the reply each answering command gets (any other command
+#: is answered under its own name); a forked child's reply under
+#: another tag is a protocol violation, handled like a garbled frame.
+_REPLY_TAGS = {"draw": "drawn", "train": "result", "get_model": "model",
+               "snapshot": "snapshot", "replay": "replayed"}
+
 
 @dataclass
 class RoundResult:
@@ -368,8 +374,8 @@ class SerialBackend(ExecutionBackend):
         if reply is not None:
             self._replies[i].append(reply)
 
-    def _raw_recv(self, i: int, context: str):
-        """Worker ``i``'s oldest unread reply."""
+    def _raw_recv(self, i: int, cmd: str):
+        """Worker ``i``'s oldest unread reply, to the command ``cmd``."""
         return self._replies[i].popleft()
 
     def _fresh_host(self, i: int) -> None:
@@ -721,9 +727,9 @@ class ThreadBackend(SerialBackend):
         else:
             super()._raw_send(i, msg)
 
-    def _raw_recv(self, i: int, context: str):
+    def _raw_recv(self, i: int, cmd: str):
         """Join the pooled command, if that is what was in flight."""
-        reply = super()._raw_recv(i, context)
+        reply = super()._raw_recv(i, cmd)
         return reply.result() if isinstance(reply, Future) else reply
 
 
@@ -855,19 +861,30 @@ class ProcessBackend(SerialBackend):
         except (BrokenPipeError, OSError) as err:
             raise WorkerDiedError(i, f"send {msg[0]!r}") from err
 
-    def _raw_recv(self, i: int, context: str):
-        """Receive with liveness probing and a wall-clock deadline.
+    def _raw_recv(self, i: int, cmd: str):
+        """Receive the reply to ``cmd`` with liveness probing and a
+        wall-clock deadline.
 
         Never blocks indefinitely: polls the pipe with a short period,
         checks the child process between polls, and raises
         :class:`WorkerDiedError` on death / :class:`WorkerTimeoutError`
-        once ``fault_timeout_s`` elapses.  This (and ``_raw_send``) is
+        once ``fault_timeout_s`` elapses.  A reply that is not a
+        ``(tag, payload)`` pair under ``cmd``'s tag (:data:`_REPLY_TAGS`)
+        raises :class:`WorkerDiedError` too, as an undecodable one does:
+        the pipe is in an unknown state.  This (and ``_raw_send``) is
         the only sanctioned direct pipe access in the backend.
         """
         if self._inbox[i]:
-            return self._inbox[i].pop(0)
-        return guarded_recv(i, self._conns[i], self._procs[i],
-                            self._timeout_s, context)
+            reply = self._inbox[i].pop(0)
+        else:
+            reply = guarded_recv(i, self._conns[i], self._procs[i],
+                                 self._timeout_s, cmd)
+        want = _REPLY_TAGS.get(cmd, cmd)
+        tag = reply[0] if type(reply) is tuple and len(reply) == 2 else None
+        if type(tag) is not str or tag != want:
+            raise WorkerDiedError(
+                i, f"{cmd} (a reply tagged {tag!r}, not {want!r})")
+        return reply
 
     def _recv_tagged(self, i: int, want: str, context: str):
         """Receive the next reply tagged ``want``, buffering any
@@ -1005,8 +1022,7 @@ class ProcessBackend(SerialBackend):
             if requeue and self._has_pending[i]:
                 self._raw_send(i, ("ffwd", max(consumed - 1, 0)))
                 self._raw_send(i, ("draw",))
-                tag, has = self._raw_recv(i, "draw (requeue)")
-                assert tag == "drawn"
+                _, has = self._raw_recv(i, "draw")
                 self._has_pending[i] = bool(has)
                 if not has:
                     self._exhausted[i] = True

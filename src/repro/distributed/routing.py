@@ -135,7 +135,8 @@ class ShardRouter:
         """:meth:`route_pairs` for one ``(src, dst)`` pair, without
         building an array while every shard is up.  Returns ``(owner,
         rerouted)``."""
-        self._check_ids(min(src, dst), max(src, dst))
+        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
+            self._check_ids(min(src, dst), max(src, dst))
         if not self._down:
             return self._owners[src], False
         owners, rerouted = self.route_pairs(

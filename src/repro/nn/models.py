@@ -146,30 +146,44 @@ def _padded(width: int) -> int:
     return -(-width // SWEEP_PANEL) * SWEEP_PANEL
 
 
-def _decode_weights(layers: List[Linear], dtype: np.dtype):
-    """The forward-only decode's weights in ``dtype``: ``(weight,
-    bias)`` per hidden layer, then the output layer's weight column and
-    bias.  Every hidden width is zero-padded up to a multiple of
-    :data:`SWEEP_PANEL`: a padded unit sums zero products, stays 0
-    through ReLU and meets zero weights above, so padding changes the
-    decoder's function nowhere, only which GEMM kernel rounds a row."""
+def _tiled(row: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` copies of ``row``, stacked: a chunk-shaped elementwise
+    operand (numpy runs a pass against a broadcast row as one short
+    inner loop per row, against a chunk-shaped operand as one loop)."""
+    return np.repeat(row[None, :], rows, axis=0)
+
+
+def _decode_weights(layers: List[Linear], dtype: np.dtype, rows: int):
+    """The forward-only decode's operands in ``dtype`` for chunks of up
+    to ``rows`` rows: ``(weight, bias)`` per hidden layer, then the
+    output layer's weight column and bias.  Every hidden width is
+    zero-padded up to a multiple of :data:`SWEEP_PANEL`: a padded unit
+    sums zero products, stays 0 through ReLU and meets zero weights
+    above, so padding changes the decoder's function nowhere, only
+    which GEMM kernel rounds a row.
+
+    A hidden bias is stored as ``b + 0.0`` (+0.0 for a layer without
+    one): ``y + b`` is then never -0.0, so the ReLU's ``max(y + b, 0)``
+    already has the bits ``relu`` gives, with no ``-0.0 -> +0.0`` pass.
+    Hidden biases and the column come :func:`_tiled` to ``rows`` rows.
+    """
     hidden = []
     fan_in = layers[0].in_features
     for layer in layers[:-1]:
         width = _padded(layer.out_features)
         weight = np.zeros((fan_in, width), dtype)
         weight[:layer.in_features, :layer.out_features] = layer.weight.data
-        bias = None
+        bias = np.zeros(width, dtype)
         if layer.bias is not None:
-            bias = np.zeros(width, dtype)
             bias[:layer.out_features] = layer.bias.data
-        hidden.append((weight, bias))
+            bias += 0.0
+        hidden.append((weight, _tiled(bias, rows)))
         fan_in = width
     last = layers[-1]
     column = np.zeros(fan_in, dtype)
     column[:last.in_features] = last.weight.data[:, 0]
     bias = None if last.bias is None else last.bias.data.astype(dtype)
-    return hidden, column, bias
+    return hidden, _tiled(column, rows), bias
 
 
 class EdgePredictor(Module):
@@ -219,21 +233,30 @@ class EdgePredictor(Module):
         return self._decode_rows(fill, u.size, table)
 
     def sweep(self, query: np.ndarray, table: np.ndarray,
-              rows: np.ndarray) -> np.ndarray:
-        """Scores of one ``query`` row against every ``table[rows]``:
-        with ``query = table[q]``, the :meth:`decode` scores of the
-        pairs ``(q, rows[i])``, bit for bit."""
+              rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Scores of one ``query`` row against every ``table[rows]``
+        (every table row when ``rows`` is ``None``, read as contiguous
+        slices with no gather): with ``query = table[q]``, the
+        :meth:`decode` scores of the pairs ``(q, rows[i])``, bit for
+        bit."""
         table = _decode_table(table)
-        rows = _checked_rows(rows, table.shape[0])
+        if rows is not None:
+            rows = _checked_rows(rows, table.shape[0])
         query = np.asarray(query, dtype=table.dtype)
         if self._dropout_active():
-            return self._taped(query[None, :], table[rows])
+            return self._taped(query[None, :],
+                               table if rows is None else table[rows])
+        n = table.shape[0] if rows is None else rows.size
+        query = _tiled(query, min(n, SWEEP_CHUNK))
 
         def fill(x: np.ndarray, start: int, stop: int) -> None:
-            np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
-            x *= query
+            if rows is None:
+                np.multiply(table[start:stop], query[:stop - start], out=x)
+            else:
+                np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
+                x *= query[:stop - start]
 
-        return self._decode_rows(fill, rows.size, table)
+        return self._decode_rows(fill, n, table)
 
     def _taped(self, h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
         with no_grad():
@@ -244,31 +267,31 @@ class EdgePredictor(Module):
         ``fill(x, start, stop)`` writes Hadamard rows ``start:stop``
         into ``x``."""
         dtype = table.dtype
-        layers = self._decode_layers()
-        hidden, column, bias = (_decode_weights(layers, dtype) if layers
-                                else ([], None, None))
-        scores = np.empty(n, dtype)
-        bounds = list(range(0, n, SWEEP_CHUNK)) + [n]
         cap = max(2, min(n, SWEEP_CHUNK))
+        layers = self._decode_layers()
+        hidden, column, bias = (_decode_weights(layers, dtype, cap)
+                                if layers else ([], None, None))
+        # Per hidden layer: weight, tiled bias, output buffer, ReLU zero.
+        hidden = [(weight, b, np.empty_like(b), np.zeros(b.shape, dtype))
+                  for weight, b in hidden]
+        scores = np.empty(n, dtype)
         prod = np.empty((cap, table.shape[1]), dtype)
-        acts = [np.empty((cap, weight.shape[1]), dtype)
-                for weight, _ in hidden]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
+        for start in range(0, n, SWEEP_CHUNK):
+            stop = min(start + SWEEP_CHUNK, n)
             size = stop - start
             x = prod[:max(size, 2)]
             fill(x[:size], start, stop)
             if size == 1:   # a one-row GEMM is a GEMV: it rounds apart
                 x[1] = x[0]
-            for (weight, b), buf in zip(hidden, acts):
-                y = buf[:x.shape[0]]
+            rows = x.shape[0]
+            for weight, b, buf, zero in hidden:
+                y = buf[:rows]
                 np.matmul(x, weight, out=y)
-                if b is not None:
-                    y += b
-                np.maximum(y, 0.0, out=y)
-                y += 0.0   # -0.0 -> +0.0, the bits ``relu`` gives
+                y += b[:rows]
+                np.maximum(y, zero[:rows], out=y)
                 x = y
             if column is not None:
-                x *= column
+                x *= column[:rows]
             np.sum(x[:size], axis=-1, out=scores[start:stop])
         if bias is not None:
             scores += bias

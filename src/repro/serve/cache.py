@@ -25,15 +25,21 @@ import numpy as np
 
 #: Keys per block of :func:`_earlier_and_smaller`'s blocked count.
 _BLOCK = 256
+#: Matched keys :meth:`LRUCache.admit_unique` locates by list scans
+#: rather than by sorting the cache.
+_FEW = 16
 
 
 def _earlier_and_smaller(values: np.ndarray) -> np.ndarray:
     """``out[i] = #{j < i : values[j] < values[i]}`` in O(P) memory.
 
-    Blocks of :data:`_BLOCK` values compare among themselves directly
-    and count the smaller values of all earlier blocks with one
-    ``searchsorted`` into their merged, sorted union.
+    Up to :data:`_BLOCK` values compare among themselves directly.  More
+    go in blocks of that size, each counting the smaller values of all
+    earlier blocks with one ``searchsorted`` into their merged, sorted
+    union.
     """
+    if values.size <= _BLOCK:
+        return np.tril(values[:, None] > values, -1).sum(axis=1)
     out = np.empty(values.size, dtype=np.int64)
     seen = np.empty(0, dtype=values.dtype)   # earlier blocks, sorted
     for start in range(0, values.size, _BLOCK):
@@ -98,41 +104,49 @@ class LRUCache:
         return missing
 
     def admit_unique(self, keys: np.ndarray) -> np.ndarray:
-        """:meth:`admit` for a duplicate-free key array, in one pass.
+        """:meth:`admit` for a duplicate-free key array; the misses come
+        back as an array.
 
-        LRU inclusion property: the cache holds the ``capacity`` most
+        A batch at least ``capacity`` long is one vectorised pass.  LRU
+        inclusion property: the cache holds the ``capacity`` most
         recently looked-up distinct keys, so a lookup hits iff fewer
         than ``capacity`` distinct keys were looked up since that key's
         last lookup.  For the entry of recency rank ``r`` (0 = newest)
         at batch position ``p`` that count is ``r + p`` minus the
         entries that are both newer and earlier in the batch (counted
-        twice otherwise).  Hits, misses and the final recency order
-        equal the per-key loop's; the misses come back as an array.
+        twice otherwise), so only the first ``capacity`` positions can
+        hit, and afterwards the cache holds exactly the batch's last
+        ``capacity`` keys.  A shorter batch runs the per-key loop.
+        Hits, misses and the final recency order equal the loop's.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        cached = np.fromiter(self._entries, np.int64, len(self._entries))
-        stale = np.ones(cached.size, dtype=bool)   # entries not looked up
-        hit = np.zeros(keys.size, dtype=bool)
-        if cached.size:
-            # Position p >= capacity never hits (r - both >= 0) and the
-            # entries found there are evicted anyway: search the head.
-            head = keys[:self.capacity]
-            order = np.argsort(cached)
-            slot = order[np.minimum(
-                np.searchsorted(cached, head, sorter=order),
-                cached.size - 1)]
-            pos = np.flatnonzero(cached[slot] == head)
-            slot = slot[pos]
-            rank = cached.size - 1 - slot
-            both = _earlier_and_smaller(rank)
-            hit[pos[rank + pos - both < self.capacity]] = True
-            stale[slot] = False
-        missing = keys[~hit]
+        capacity = self.capacity
+        if keys.size < capacity:
+            return np.array(self.admit(keys.tolist()), dtype=np.int64)
+        head = keys[:capacity].tolist()
+        found = self._entries.keys() & head
+        missing = keys
+        if found:
+            order = list(self._entries)   # least recent first
+            if len(found) <= _FEW:
+                pos = np.array(sorted(head.index(key) for key in found))
+                slot = np.array([order.index(head[p]) for p in pos])
+            else:
+                cached = np.array(order, dtype=np.int64)
+                sorter = np.argsort(cached)
+                slot = sorter[np.minimum(
+                    np.searchsorted(cached, head, sorter=sorter),
+                    cached.size - 1)]
+                pos = np.flatnonzero(cached[slot] == head)
+                slot = slot[pos]
+            rank = len(order) - 1 - slot
+            hit = np.zeros(keys.size, dtype=bool)
+            hit[pos[rank + pos - _earlier_and_smaller(rank) < capacity]] = True
+            missing = keys[~hit]
         self.hits += keys.size - missing.size
         self.misses += missing.size
-        kept = np.concatenate([cached[stale], keys])
         self._entries = OrderedDict.fromkeys(
-            kept[max(0, kept.size - self.capacity):].tolist())
+            keys[keys.size - capacity:].tolist())
         return missing
 
     def counters(self) -> dict:

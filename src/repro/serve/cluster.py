@@ -320,16 +320,27 @@ class ServingCluster:
         run: List[int] = []
         missed = 0
         exclusions: Dict[int, np.ndarray] = {}
+        # What phase 2 computes, as plain ints (forked phase-2 workers
+        # need no outcome list): ``index, u, v`` per pair, flat (no
+        # container per request for the garbage collector to track),
+        # and ``(index, node, k)`` per top-k request.
+        pairs: List[int] = []
+        topk: List[Tuple[int, int, int]] = []
         work_rows = 0
         store_requests = 0
         for outcome in batch:
             request = outcome.request
             if isinstance(request, ScoreRequest):
-                run.extend(n for n in (request.u, request.v)
-                           if n not in owned)
+                u, v = request.u, request.v
+                if u not in owned:
+                    run.append(u)
+                if v not in owned:
+                    run.append(v)
+                pairs.extend((outcome.index, u, v))
                 work_rows += 1
             else:
                 node = request.node
+                topk.append((outcome.index, node, request.k))
                 if node not in owned:
                     run.append(node)
                 # Top-k scores the query node against every candidate;
@@ -356,10 +367,7 @@ class ServingCluster:
             + transfer_bytes / self.hardware.bytes_per_second
             + work_rows * embed_dim / self.hardware.edges_per_second)
         meta = {"exclusions": exclusions, "embed_missed": missed,
-                "work_rows": work_rows,
-                # Frozen request objects ride along so phase-2 workers
-                # (possibly forked processes) need no outcome list.
-                "requests": {o.index: o.request for o in batch}}
+                "work_rows": work_rows, "pairs": pairs, "topk": topk}
         return service_s, meta
 
     # -- phase 2: numeric execution --------------------------------------
@@ -371,10 +379,10 @@ class ServingCluster:
         for flush in flushes:
             by_shard.setdefault(flush.shard, []).append(flush)
 
-        def run(shard: int) -> List[tuple]:
+        def run(shard: int) -> tuple:
             return self._execute_shard(by_shard[shard])
 
-        def fallback(shard: int, exc: Exception) -> List[tuple]:
+        def fallback(shard: int, exc: Exception) -> tuple:
             # The plan is frozen, so the parent computes the same bytes.
             warnings.warn(
                 f"serve replica {shard} failed ({exc}); recomputing its "
@@ -383,66 +391,73 @@ class ServingCluster:
 
         for _, reply, _ in fan_out(self.backend, sorted(by_shard), run,
                                    fallback, self.timeout_s, "serve"):
-            for index, score, topk_nodes, topk_scores in reply:
-                outcome = outcomes[index]
-                outcome.score = score
-                outcome.topk_nodes = topk_nodes
-                outcome.topk_scores = topk_scores
+            indices, scores, topk = reply
+            for index, score in zip(indices, scores):
+                outcomes[index].score = score
+            for index, nodes, node_scores in topk:
+                outcomes[index].topk_nodes = nodes
+                outcomes[index].topk_scores = node_scores
 
-    def _execute_shard(self, flushes: List[Flush]) -> List[tuple]:
+    def _execute_shard(self, flushes: List[Flush]) -> tuple:
         """Run one shard's flush plan against the read-only tables.
 
-        Returns ``(index, score, topk_nodes, topk_scores)`` rows; pure
-        function of the registered artifacts and the plan, so any
-        backend (or a parent-side fallback) computes identical bytes.
+        Returns ``(indices, scores, topk)``: the pair requests' indices
+        and scores, and ``(index, nodes, scores)`` per top-k request;
+        a pure function of the registered artifacts and the plan, so
+        any backend (or a parent-side fallback) computes identical
+        bytes.
 
         Each request uses exactly the table+decoder of the version
         pinned at its admission, so a flush straddling a hot swap never
         mixes embedding tables.  A top-k request is one
-        ``predictor.sweep`` over its candidates and a :func:`top_k`
-        selection; all pair requests of one version are one
-        ``predictor.decode``.  Both are the forward-only decode in the
-        table's dtype, whose every score is a pure function of
-        ``(table, decoder, u, v)`` (see
+        ``predictor.sweep`` over every table row and a :func:`top_k`
+        selection among its candidates; all pair requests of one
+        version are one ``predictor.decode``.  Both are the
+        forward-only decode in the table's dtype, whose every score is
+        a pure function of ``(table, decoder, u, v)`` (see
         :class:`~repro.nn.models.EdgePredictor`): a pair scores the
         same alone or with whatever shares its flush or version group,
         and a top-k score equals the pair score of the same
         ``(node, candidate)`` bit for bit.  Neither records a tape.
         """
-        results: List[tuple] = []
-        pairs: Dict[str, List[Tuple[int, int, int]]] = {}
+        topk: List[tuple] = []
+        pairs: Dict[str, List[int]] = {}   # flat index, u, v per version
+        active, pinned = self.active_version, self._pinned
         for flush in flushes:
-            exclusions = flush.meta.get("exclusions", {})
-            for index in flush.seqs:
-                request = flush.meta["requests"][index]
-                version = self._pinned.get(index, self.active_version)
-                if isinstance(request, ScoreRequest):
-                    pairs.setdefault(version, []).append(
-                        (index, request.u, request.v))
-                    continue
-                artifact = self._versions[version]
+            meta, flat = flush.meta, flush.meta["pairs"]
+            if not pinned:   # no swap: every request is on ``active``
+                pairs.setdefault(active, []).extend(flat)
+            else:
+                for at in range(0, len(flat), 3):
+                    pairs.setdefault(pinned[flat[at]], []).extend(
+                        flat[at:at + 3])
+            for index, node, k in meta["topk"]:
+                artifact = self._versions[pinned.get(index, active)]
                 table = artifact.embedding_table()
                 num_nodes = table.shape[0]
-                excl = np.asarray(
-                    exclusions.get(index, np.empty(0, dtype=np.int64)),
-                    dtype=np.int64)
+                excl = np.asarray(meta["exclusions"].get(
+                    index, np.empty(0, dtype=np.int64)), dtype=np.int64)
                 mask = np.ones(num_nodes, dtype=bool)
-                mask[request.node] = False
+                mask[node] = False
                 mask[excl[excl < num_nodes]] = False
-                candidates = np.flatnonzero(mask).astype(np.int64)
-                scores = artifact.build_predictor().sweep(
-                    table[request.node], table, candidates)
-                top = top_k(scores, candidates, request.k)
-                results.append((index, None, candidates[top],
-                                scores[top]))
-        for version, rows in pairs.items():
+                candidates = np.flatnonzero(mask)
+                # The sweep scores every row from contiguous table
+                # slices; a row's score does not depend on its company.
+                swept = artifact.build_predictor().sweep(
+                    table[node], table)[candidates]
+                top = top_k(swept, candidates, k)
+                topk.append((index, candidates[top], swept[top]))
+        indices: List[int] = []
+        scores: List[float] = []
+        for version, flat in pairs.items():
+            if not flat:   # only top-k requests on this version
+                continue
             artifact = self._versions[version]
-            index, u, v = np.array(rows, dtype=np.int64).T
-            scores = artifact.build_predictor().decode(
-                artifact.embedding_table(), u, v)
-            results.extend((i, score, None, None) for i, score
-                           in zip(index.tolist(), scores.tolist()))
-        return results
+            index, u, v = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+            indices.extend(index.tolist())
+            scores.extend(artifact.build_predictor().decode(
+                artifact.embedding_table(), u, v).tolist())
+        return indices, scores, topk
 
     # -- phase 3: observability ------------------------------------------
 

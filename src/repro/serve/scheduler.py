@@ -119,6 +119,8 @@ class ServeFaultSchedule:
         """Total straggler delay triggered by a flush on ``shard``
         whose newest request is ``max_seq`` (each event fires once)."""
         pending = self.straggles[shard]
+        if not pending:
+            return 0.0
         due = [d for anchor, d in pending if anchor <= max_seq]
         if due:
             self.straggles[shard] = [
@@ -172,6 +174,8 @@ class MicroBatchScheduler:
         self._busy: List[bool] = [False] * n
         self._heap: List[tuple] = []
         self._pushes = 0
+        #: Due time of each shard's pending delay deadline (None: none).
+        self._armed: List[Optional[float]] = [None] * n
         self.counters: Dict[str, int] = {
             "requests": 0, "completed": 0, "shed": 0, "rerouted": 0,
             "flushes": 0, "max_queue_depth": 0,
@@ -194,12 +198,17 @@ class MicroBatchScheduler:
         """
         for time_s, request in workload.initial():
             self._push(max(0.0, float(time_s)), _ARRIVAL, request)
-        while self._heap:
-            time_s, _, kind, payload = heapq.heappop(self._heap)
+        heap, armed = self._heap, self._armed
+        while heap:
+            time_s, _, kind, payload = heapq.heappop(heap)
             if kind == _ARRIVAL:
                 self._admit(time_s, payload)
             elif kind == _DEADLINE:
-                self._maybe_dispatch(payload, time_s)
+                # A deadline re-armed since was set for a queue head that
+                # has left the queue: its re-check could not dispatch.
+                if armed[payload] == time_s:
+                    armed[payload] = None
+                    self._maybe_dispatch(payload, time_s)
             else:
                 self._complete(time_s, payload, workload)
 
@@ -258,10 +267,13 @@ class MicroBatchScheduler:
         due = self.outcomes[queue[0]].arrival_s + self.max_delay_s
         if len(queue) >= self.max_batch or now >= due:
             self._dispatch(shard, now)
-            return
-        # Arm the delay trigger for the oldest waiting request.  Stale
-        # deadline events re-run this check and re-arm harmlessly.
-        self._push(due, _DEADLINE, shard)
+        elif self._armed[shard] != due:
+            # Arm the delay trigger for the oldest waiting request.  A
+            # shard keeps one pending deadline: re-arming the same due
+            # time is a no-op, since every event that changes the shard
+            # re-runs this check at its own time anyway.
+            self._armed[shard] = due
+            self._push(due, _DEADLINE, shard)
 
     def _dispatch(self, shard: int, now: float) -> None:
         queue = self._queues[shard]

@@ -19,7 +19,7 @@ from repro.nn import (
     segment_sum,
 )
 from repro.nn.gnn import _slice_rows
-from repro.nn.models import SWEEP_PANEL
+from repro.nn.models import SWEEP_CHUNK, SWEEP_PANEL
 
 
 @pytest.fixture
@@ -231,6 +231,92 @@ def decode_error_bound(predictor, h_u, h_v, dtype):
         if i < len(layers) - 1:
             x = np.maximum(x, 0.0)
     return err[:, 0]
+
+
+# -- reference oracle: the take-based forward-only decode --
+#
+# ``EdgePredictor.decode`` / ``sweep`` are pinned byte for byte to this
+# routine (``tests/test_models.py::TestDecodeOracle``): the decode as it
+# was before a sweep read contiguous table slices, stored its hidden
+# biases as ``b + 0.0`` and dropped the ReLU's ``+= 0.0`` pass.
+
+
+def _oracle_decode_weights(layers, dtype):
+    hidden = []
+    fan_in = layers[0].in_features
+    for layer in layers[:-1]:
+        width = -(-layer.out_features // SWEEP_PANEL) * SWEEP_PANEL
+        weight = np.zeros((fan_in, width), dtype)
+        weight[:layer.in_features, :layer.out_features] = layer.weight.data
+        bias = None
+        if layer.bias is not None:
+            bias = np.zeros(width, dtype)
+            bias[:layer.out_features] = layer.bias.data
+        hidden.append((weight, bias))
+        fan_in = width
+    last = layers[-1]
+    column = np.zeros(fan_in, dtype)
+    column[:last.in_features] = last.weight.data[:, 0]
+    bias = None if last.bias is None else last.bias.data.astype(dtype)
+    return hidden, column, bias
+
+
+def _oracle_decode_rows(predictor, fill, n, table):
+    dtype = table.dtype
+    layers = predictor._decode_layers()
+    hidden, column, bias = (_oracle_decode_weights(layers, dtype) if layers
+                            else ([], None, None))
+    scores = np.empty(n, dtype)
+    bounds = list(range(0, n, SWEEP_CHUNK)) + [n]
+    cap = max(2, min(n, SWEEP_CHUNK))
+    prod = np.empty((cap, table.shape[1]), dtype)
+    acts = [np.empty((cap, weight.shape[1]), dtype) for weight, _ in hidden]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        size = stop - start
+        x = prod[:max(size, 2)]
+        fill(x[:size], start, stop)
+        if size == 1:
+            x[1] = x[0]
+        for (weight, b), buf in zip(hidden, acts):
+            y = buf[:x.shape[0]]
+            np.matmul(x, weight, out=y)
+            if b is not None:
+                y += b
+            np.maximum(y, 0.0, out=y)
+            y += 0.0   # -0.0 -> +0.0, the bits ``relu`` gives
+            x = y
+        if column is not None:
+            x *= column
+        np.sum(x[:size], axis=-1, out=scores[start:stop])
+    if bias is not None:
+        scores += bias
+    return scores
+
+
+def oracle_sweep(predictor, query, table, rows):
+    """The scores of ``query`` against ``table[rows]``, gathered."""
+    rows = np.asarray(rows, dtype=np.int64)
+    query = np.asarray(query, dtype=table.dtype)
+
+    def fill(x, start, stop):
+        np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
+        x *= query
+
+    return _oracle_decode_rows(predictor, fill, rows.size, table)
+
+
+def oracle_decode(predictor, table, u, v):
+    """The scores of the pairs ``(table[u[i]], table[v[i]])``."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    other = np.empty((min(u.size, SWEEP_CHUNK), table.shape[1]), table.dtype)
+
+    def fill(x, start, stop):
+        np.take(table, u[start:stop], axis=0, out=x, mode="clip")
+        x *= np.take(table, v[start:stop], axis=0, mode="clip",
+                     out=other[:stop - start])
+
+    return _oracle_decode_rows(predictor, fill, u.size, table)
 
 
 # -- reference oracles: per-parameter optimizer steps and dict means --

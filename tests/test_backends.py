@@ -24,6 +24,8 @@ from repro.distributed import (
     TrainConfig,
     make_backend,
 )
+from repro.distributed.backends import WorkerHost
+from repro.faults import WorkerDiedError
 from repro.graph import split_edges, synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.partition import partition_graph
@@ -337,3 +339,52 @@ class TestIdempotentClose:
         assert isinstance(backend, ProcessBackend)
         backend.close()
         backend.close()
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="the process backend forks")
+class TestWrongTagFrames:
+    """A forked child that answers a ``draw`` with a ``model`` frame is
+    handled as one whose frame does not decode: ``WorkerDiedError``,
+    which recovery respawns from, never an unpacking error."""
+
+    @staticmethod
+    def _answer_draws_with_models(monkeypatch, marker=None):
+        """Worker 1's child answers ``draw`` with its weights — every
+        time, or only until it has created ``marker``."""
+        execute = WorkerHost.execute
+
+        def lying(host, msg):
+            if (msg[0] == "draw" and host.part == 1
+                    and (marker is None or not marker.exists())):
+                if marker is not None:
+                    marker.touch()
+                return ("model", host.trainer.workers[1].model.vector
+                        .values.copy())
+            return execute(host, msg)
+
+        monkeypatch.setattr(WorkerHost, "execute", lying)
+
+    @staticmethod
+    def _config():
+        return TrainConfig(hidden_dim=16, num_layers=2, fanouts=(5, 5),
+                           epochs=1, batch_size=64, seed=4,
+                           backend="process", observe=False,
+                           recovery="drop", fault_timeout_s=15.0)
+
+    def test_a_persistent_liar_raises_worker_died(self, split, monkeypatch):
+        """The respawned child lies again; its wrong tag surfaces."""
+        self._answer_draws_with_models(monkeypatch)
+        with pytest.raises(WorkerDiedError,
+                           match="tagged 'model', not 'drawn'"):
+            run_framework("splpg", split, 2, self._config(),
+                          rng=np.random.default_rng(4))
+
+    def test_one_wrong_frame_is_recovered_as_a_death(self, split,
+                                                     monkeypatch, tmp_path):
+        self._answer_draws_with_models(monkeypatch, tmp_path / "lied")
+        result = run_framework("splpg", split, 2, self._config(),
+                               rng=np.random.default_rng(4))
+        assert (tmp_path / "lied").exists()
+        assert result.faults["child_deaths"] == 1
+        assert result.faults["respawns"] == 1
+        assert np.isfinite([s.mean_loss for s in result.history]).all()

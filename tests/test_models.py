@@ -12,10 +12,10 @@ from repro.nn import (
     build_model,
     make_conv,
 )
-from repro.nn.models import SWEEP_CHUNK
+from repro.nn.models import SWEEP_CHUNK, _decode_weights
 from repro.sampling import NeighborSampler
 
-from conftest import decode_error_bound
+from conftest import decode_error_bound, oracle_decode, oracle_sweep
 
 
 @pytest.fixture
@@ -165,6 +165,103 @@ class TestSweepOracle:
                 predictor.sweep(table[0], table, np.array([0, bad]))
             with pytest.raises(IndexError):
                 predictor.decode(table, np.array([0, bad]), np.array([1, 2]))
+
+
+class TestDecodeOracle:
+    """``decode`` and ``sweep`` (gathered rows and the gather-free whole
+    table) against the take-based routine they replaced
+    (``conftest.oracle_sweep`` / ``oracle_decode``), byte for byte:
+    biases holding -0.0, pre-activations cancelling exactly to 0, NaN
+    and inf rows, layers without a bias, every ``TestSweepOracle`` row
+    count, float32 and float64."""
+
+    @staticmethod
+    def _assert_oracle(predictor, table, query_row=7, counts=None):
+        rng = np.random.default_rng(table.shape[0])
+        for dtype in (np.float32, np.float64):
+            served = table.astype(dtype)
+            query = served[query_row]
+            for n in counts or TestSweepOracle.COUNTS:
+                rows = rng.permutation(table.shape[0])[:n]
+                want = oracle_sweep(predictor, query, served, rows)
+                got = predictor.sweep(query, served, rows)
+                assert got.tobytes() == want.tobytes(), (dtype, n)
+                whole = predictor.sweep(query, served[:n])
+                assert whole.tobytes() == oracle_sweep(
+                    predictor, query, served, np.arange(n)).tobytes()
+                u = rng.integers(0, table.shape[0], n)
+                assert (predictor.decode(served, u, rows).tobytes()
+                        == oracle_decode(predictor, served, u,
+                                         rows).tobytes()), (dtype, n)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("width", [64, 20])
+    def test_mlp(self, width, bias):
+        rng = np.random.default_rng(width)
+        predictor = MLPPredictor(64, hidden_dim=width, num_layers=3,
+                                 rng=rng).eval()
+        if not bias:
+            for layer in predictor.mlp.layers:
+                layer.bias = None
+        self._assert_oracle(predictor, rng.standard_normal((4100, 64)))
+
+    def test_dot(self):
+        rng = np.random.default_rng(3)
+        self._assert_oracle(DotPredictor(), rng.standard_normal((4100, 64)))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_signed_zeros_and_exact_cancellation(self, bias):
+        """Small integers everywhere, so every product and sum is exact:
+        many pre-activations are exactly 0, the table holds -0.0 rows
+        and entries, and every zero bias entry is -0.0."""
+        rng = np.random.default_rng(17)
+        predictor = MLPPredictor(8, hidden_dim=16, num_layers=3,
+                                 rng=rng).eval()
+        for layer in predictor.mlp.layers:
+            layer.weight.data[...] = rng.integers(-2, 3,
+                                                  layer.weight.shape)
+            if not bias:
+                layer.bias = None
+                continue
+            values = rng.integers(-3, 4, layer.bias.shape).astype(float)
+            values[values == 0] = -0.0
+            layer.bias.data[...] = values
+        table = rng.integers(-1, 3, (1200, 8)).astype(float)
+        table[table == 0] = -0.0
+        table[::5] = 0.0
+        table[1::5] = -0.0
+        first = predictor.mlp.layers[0]
+        pre = (table[7] * table) @ first.weight.data
+        if bias:
+            pre = pre + first.bias.data
+            assert np.signbit(first.bias.data[first.bias.data == 0]).all()
+            assert (first.bias.data == 0).any()
+        assert (pre == 0).sum() > 100
+        # The ReLU has no -0.0 pass: no stored hidden bias may be -0.0.
+        for dtype in (np.float32, np.float64):
+            hidden, _, _ = _decode_weights(predictor.mlp.layers, dtype, 2)
+            for _, tiled in hidden:
+                assert not np.signbit(tiled[tiled == 0]).any()
+        counts = (0, 1, 2, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1,
+                  2 * SWEEP_CHUNK + 1, 1200)
+        for query_row in (5, 6, 7):   # +0.0, -0.0 and mixed queries
+            self._assert_oracle(predictor, table, query_row, counts)
+
+    @pytest.mark.parametrize("kind", ["mlp", "dot"])
+    def test_nan_and_inf_rows(self, kind):
+        rng = np.random.default_rng(23)
+        predictor = (MLPPredictor(16, num_layers=3, rng=rng).eval()
+                     if kind == "mlp" else DotPredictor())
+        table = rng.standard_normal((1100, 16))
+        table[3::97] = np.nan
+        table[4::97, ::3] = np.inf
+        table[5::97, 1::2] = -np.inf
+        table[6::97, :4] = [np.nan, -np.nan, np.inf, -np.inf]
+        table[8] = -np.inf
+        counts = (0, 1, 2, SWEEP_CHUNK, SWEEP_CHUNK + 1, 1100)
+        with np.errstate(invalid="ignore"):
+            for query_row in (7, 8):   # a finite and an all -inf query
+                self._assert_oracle(predictor, table, query_row, counts)
 
 
 class TestLinkPredictionModel:

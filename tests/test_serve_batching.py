@@ -13,10 +13,15 @@
 3. **Top-k selection and admission keep the old order.**  ``top_k``
    equals the full ``lexsort`` it replaced, and ``ClosedLoopWorkload``
    issues the request sequence of the list-popping loop it replaced.
+4. **One pending deadline per shard plans what a deadline per re-check
+   planned.**  ``MicroBatchScheduler`` against the event loop it
+   replaced, kept below as an oracle subclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import tracemalloc
 from collections import OrderedDict
 
@@ -25,16 +30,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distributed.store import RemoteGraphStore
+from repro.faults.plan import FaultEvent, FaultPlan
+from repro.graph import synthetic_lp_graph
 from repro.nn.models import DotPredictor, MLPPredictor
 from repro.nn.tensor import Tensor
 from repro.serve import (
     ClosedLoopWorkload,
     LRUCache,
+    OpenLoopWorkload,
+    ScoreRequest,
     ServingCluster,
     artifact_from_table,
     synthetic_requests,
 )
+from repro.serve import cluster as cluster_module
 from repro.serve.cluster import top_k
+from repro.serve.scheduler import (
+    _ARRIVAL,
+    _DEADLINE,
+    MicroBatchScheduler,
+)
 
 
 class ReferenceLRU:
@@ -263,3 +279,157 @@ class TestClosedLoopOrder:
             got = new.on_complete(requests[step], 0.5 * step, "ok")
             assert got == old.on_complete(requests[step], 0.5 * step, "ok")
         assert new.on_complete(requests[0], 99.0, "shed") == []
+
+
+class _EveryRecheckScheduler(MicroBatchScheduler):
+    """The event loop the one-deadline-per-shard planner replaced (the
+    oracle): every failed dispatch check pushes a deadline event, and
+    every deadline event re-runs the check."""
+
+    def run(self, workload):
+        for time_s, request in workload.initial():
+            self._push(max(0.0, float(time_s)), _ARRIVAL, request)
+        while self._heap:
+            time_s, _, kind, payload = heapq.heappop(self._heap)
+            if kind == _ARRIVAL:
+                self._admit(time_s, payload)
+            elif kind == _DEADLINE:
+                self._maybe_dispatch(payload, time_s)
+            else:
+                self._complete(time_s, payload, workload)
+
+    def _maybe_dispatch(self, shard, now):
+        if self._busy[shard]:
+            return
+        queue = self._queues[shard]
+        if not queue:
+            return
+        due = self.outcomes[queue[0]].arrival_s + self.max_delay_s
+        if len(queue) >= self.max_batch or now >= due:
+            self._dispatch(shard, now)
+            return
+        self._push(due, _DEADLINE, shard)
+
+
+@pytest.fixture(scope="module")
+def planner_fixture():
+    """Two 60-node versions of one 3-shard layout and a graph store."""
+    rng = np.random.default_rng(11)
+    assignment = rng.integers(0, 3, 60)
+    predictor = MLPPredictor(8, num_layers=2, rng=rng)
+    old, new = (artifact_from_table(
+        rng.standard_normal((60, 8)).astype(np.float32), name, "mlp",
+        predictor.state_dict(), assignment, 3) for name in ("v0", "v1"))
+    graph = synthetic_lp_graph(60, 240, 4, 3, rng=rng)
+    return old, new, RemoteGraphStore(graph)
+
+
+_PLANS = {
+    "none": None,
+    "crash": FaultPlan(events=(
+        FaultEvent(kind="crash", epoch=0, round=5, worker=1),)),
+    "store_outage": FaultPlan(events=(
+        FaultEvent(kind="store_outage", epoch=0, round=3, worker=0,
+                   rounds=12),)),
+    "straggle": FaultPlan(events=(
+        FaultEvent(kind="straggle", epoch=0, round=2, worker=2,
+                   delay_s=4e-3),)),
+}
+
+
+def _plan_with(monkeypatch, scheduler_cls, cluster, workload, swaps):
+    """Serve with ``scheduler_cls`` planning; return the report and the
+    scheduler."""
+    made = []
+
+    class Recording(scheduler_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cluster_module, "MicroBatchScheduler", Recording)
+    report = cluster.serve(workload(), swaps=swaps)
+    return report, made[0]
+
+
+def _outcome_fields(outcome):
+    return tuple(value.tobytes() if isinstance(value, np.ndarray) else value
+                 for value in dataclasses.astuple(outcome))
+
+
+def _flush_fields(flush):
+    meta = flush.meta
+    return (flush.shard, flush.seqs, flush.dispatch_s, flush.completion_s,
+            flush.service_s, meta.get("shed"), meta.get("embed_missed"),
+            meta.get("work_rows"), meta.get("pairs"), meta.get("topk"),
+            sorted((i, e.tolist())
+                   for i, e in meta.get("exclusions", {}).items()))
+
+
+class TestOnePendingDeadline:
+    @given(closed=st.booleans(), count=st.integers(1, 60),
+           topk=st.sampled_from([0.0, 0.1, 0.5]),
+           clients=st.integers(1, 8),
+           think=st.sampled_from([0.0, 1e-4, 1e-3]),
+           rate=st.sampled_from([300.0, 5e3, 1e8]),
+           max_batch=st.integers(1, 5),
+           max_delay=st.sampled_from([0.0, 1e-4, 2e-3]),
+           max_queue=st.sampled_from([1, 2, 64]),
+           caches=st.sampled_from([(0, 0), (4, 2), (256, 256)]),
+           plan=st.sampled_from(sorted(_PLANS)),
+           swap=st.one_of(st.none(), st.integers(0, 60)),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_plans_what_the_every_recheck_loop_planned(
+            self, planner_fixture, closed, count, topk, clients, think,
+            rate, max_batch, max_delay, max_queue, caches, plan, swap,
+            seed):
+        old, new, store = planner_fixture
+        requests = synthetic_requests(count, 60, seed=seed,
+                                      topk_fraction=topk)
+
+        def workload():
+            if closed:
+                return ClosedLoopWorkload(requests, num_clients=clients,
+                                          think_time_s=think)
+            return OpenLoopWorkload(requests, rate_rps=rate, seed=seed)
+
+        cluster = ServingCluster(
+            old, store=store, max_batch=max_batch, max_delay_s=max_delay,
+            max_queue=max_queue, embed_cache=caches[0],
+            neighbor_cache=caches[1], plan=_PLANS[plan])
+        cluster.register_version(new)
+        swaps = None if swap is None else [(swap, new.model_version)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            want, oracle = _plan_with(monkeypatch, _EveryRecheckScheduler,
+                                      cluster, workload, swaps)
+            got, planner = _plan_with(monkeypatch, MicroBatchScheduler,
+                                      cluster, workload, swaps)
+        assert got.digest() == want.digest()
+        assert got.counters == want.counters
+        assert ([_outcome_fields(o) for o in planner.outcomes]
+                == [_outcome_fields(o) for o in oracle.outcomes])
+        assert ([_flush_fields(f) for f in planner.flushes]
+                == [_flush_fields(f) for f in oracle.flushes])
+        assert planner._pushes <= oracle._pushes
+
+    def test_a_shard_keeps_one_pending_deadline(self, planner_fixture):
+        """A slow trickle into one shard: every admission re-checks the
+        queue, but only a new queue head arms a new deadline."""
+        old, _, _ = planner_fixture
+        node = int(np.flatnonzero(old.assignment == 0)[0])
+        requests = [ScoreRequest(node, node)] * 6
+        cluster = ServingCluster(old, max_batch=8, max_delay_s=1e-3)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            want, oracle = _plan_with(
+                monkeypatch, _EveryRecheckScheduler, cluster,
+                lambda: OpenLoopWorkload(requests, rate_rps=2e4, seed=1),
+                None)
+            got, planner = _plan_with(
+                monkeypatch, MicroBatchScheduler, cluster,
+                lambda: OpenLoopWorkload(requests, rate_rps=2e4, seed=1),
+                None)
+        assert got.digest() == want.digest()
+        deadlines = planner._pushes - 6 - len(planner.flushes)
+        assert deadlines == len(planner.flushes)
+        assert oracle._pushes > planner._pushes
