@@ -148,8 +148,9 @@ def _padded(width: int) -> int:
 
 def _tiled(row: np.ndarray, rows: int) -> np.ndarray:
     """``rows`` copies of ``row``, stacked: a chunk-shaped elementwise
-    operand (numpy runs a pass against a broadcast row as one short
-    inner loop per row, against a chunk-shaped operand as one loop)."""
+    operand.  numpy runs a pass against a broadcast row, or a scalar,
+    as one short inner loop per row; against a chunk-shaped operand it
+    is one loop, about twice as fast on a 512 x 64 chunk."""
     return np.repeat(row[None, :], rows, axis=0)
 
 
@@ -235,10 +236,11 @@ class EdgePredictor(Module):
     def sweep(self, query: np.ndarray, table: np.ndarray,
               rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Scores of one ``query`` row against every ``table[rows]``
-        (every table row when ``rows`` is ``None``, read as contiguous
-        slices with no gather): with ``query = table[q]``, the
-        :meth:`decode` scores of the pairs ``(q, rows[i])``, bit for
-        bit."""
+        (every table row when ``rows`` is ``None``): with ``query =
+        table[q]``, the :meth:`decode` scores of the pairs ``(q,
+        rows[i])``, bit for bit.  The whole table is scored from
+        contiguous slices, with no gather, and ``rows`` picked from
+        it."""
         table = _decode_table(table)
         if rows is not None:
             rows = _checked_rows(rows, table.shape[0])
@@ -246,17 +248,14 @@ class EdgePredictor(Module):
         if self._dropout_active():
             return self._taped(query[None, :],
                                table if rows is None else table[rows])
-        n = table.shape[0] if rows is None else rows.size
+        n = table.shape[0]
         query = _tiled(query, min(n, SWEEP_CHUNK))
 
         def fill(x: np.ndarray, start: int, stop: int) -> None:
-            if rows is None:
-                np.multiply(table[start:stop], query[:stop - start], out=x)
-            else:
-                np.take(table, rows[start:stop], axis=0, out=x, mode="clip")
-                x *= query[:stop - start]
+            np.multiply(table[start:stop], query[:stop - start], out=x)
 
-        return self._decode_rows(fill, n, table)
+        scores = self._decode_rows(fill, n, table)
+        return scores if rows is None else scores[rows]
 
     def _taped(self, h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
         with no_grad():

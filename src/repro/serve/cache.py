@@ -25,9 +25,6 @@ import numpy as np
 
 #: Keys per block of :func:`_earlier_and_smaller`'s blocked count.
 _BLOCK = 256
-#: Matched keys :meth:`LRUCache.admit_unique` locates by list scans
-#: rather than by sorting the cache.
-_FEW = 16
 
 
 def _earlier_and_smaller(values: np.ndarray) -> np.ndarray:
@@ -123,23 +120,17 @@ class LRUCache:
         capacity = self.capacity
         if keys.size < capacity:
             return np.array(self.admit(keys.tolist()), dtype=np.int64)
-        head = keys[:capacity].tolist()
-        found = self._entries.keys() & head
+        head = keys[:capacity]
         missing = keys
-        if found:
-            order = list(self._entries)   # least recent first
-            if len(found) <= _FEW:
-                pos = np.array(sorted(head.index(key) for key in found))
-                slot = np.array([order.index(head[p]) for p in pos])
-            else:
-                cached = np.array(order, dtype=np.int64)
-                sorter = np.argsort(cached)
-                slot = sorter[np.minimum(
-                    np.searchsorted(cached, head, sorter=sorter),
-                    cached.size - 1)]
-                pos = np.flatnonzero(cached[slot] == head)
-                slot = slot[pos]
-            rank = len(order) - 1 - slot
+        if self._entries.keys() & head.tolist():
+            cached = np.fromiter(self._entries, np.int64, len(self._entries))
+            sorter = np.argsort(cached)
+            slot = sorter[np.minimum(
+                np.searchsorted(cached, head, sorter=sorter),
+                cached.size - 1)]
+            pos = np.flatnonzero(cached[slot] == head)
+            slot = slot[pos]
+            rank = cached.size - 1 - slot   # 0 = most recent
             hit = np.zeros(keys.size, dtype=bool)
             hit[pos[rank + pos - _earlier_and_smaller(rank) < capacity]] = True
             missing = keys[~hit]

@@ -168,8 +168,8 @@ class TestSweepOracle:
 
 
 class TestDecodeOracle:
-    """``decode`` and ``sweep`` (gathered rows and the gather-free whole
-    table) against the take-based routine they replaced
+    """``decode`` and ``sweep`` (picked rows and the whole table)
+    against the take-based routine they replaced
     (``conftest.oracle_sweep`` / ``oracle_decode``), byte for byte:
     biases holding -0.0, pre-activations cancelling exactly to 0, NaN
     and inf rows, layers without a bias, every ``TestSweepOracle`` row
