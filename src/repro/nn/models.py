@@ -274,9 +274,9 @@ class EdgePredictor(Module):
         hidden = [(weight, b, np.empty_like(b), np.zeros(b.shape, dtype))
                   for weight, b in hidden]
         scores = np.empty(n, dtype)
+        bounds = list(range(0, n, SWEEP_CHUNK)) + [n]
         prod = np.empty((cap, table.shape[1]), dtype)
-        for start in range(0, n, SWEEP_CHUNK):
-            stop = min(start + SWEEP_CHUNK, n)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
             size = stop - start
             x = prod[:max(size, 2)]
             fill(x[:size], start, stop)
