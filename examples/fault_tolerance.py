@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import TrainConfig, split_edges
 from repro.core import run_framework
+from repro.faults import FaultPlan
 from repro.graph import synthetic_lp_graph
 
 
@@ -34,7 +35,7 @@ def main() -> None:
         config = TrainConfig(
             gnn_type="sage", hidden_dim=48, num_layers=2, fanouts=(10, 5),
             batch_size=128, epochs=15, hits_k=50, eval_every=3, seed=2,
-            worker_failure_prob=q,
+            fault_plan=FaultPlan.from_probability(q),
         )
         result = run_framework("splpg", split, num_parts=4, config=config,
                                rng=np.random.default_rng(7))

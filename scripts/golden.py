@@ -13,7 +13,7 @@ of
 
     4 frameworks x 3 backends x 5 sync modes
       x {no faults, a 7-event mixed plan x 4 policies,
-         worker_failure_prob=0.2 x 4 policies}
+         FaultPlan.from_probability(0.2) x 4 policies}
 
 plus one observed serial run per framework x sync mode, and sixteen
 fault-free serial + process cells that widen two axes past the matrix
@@ -325,7 +325,9 @@ def train_cell(split, cell: Cell, **checkpointing):
     if cell.plan == "mixed":
         knobs["fault_plan"] = mixed_plan()
     elif cell.plan == "prob":
-        knobs["worker_failure_prob"] = 0.2
+        from repro.faults import FaultPlan
+
+        knobs["fault_plan"] = FaultPlan.from_probability(0.2)
     # Half the frameworks average models mid-epoch, half only at the
     # epoch end, so both cadences of sync="model" are in the matrix.
     every = 2 if framework in ("splpg", "vertex_cut") else 0

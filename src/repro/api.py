@@ -342,9 +342,8 @@ class Session:
                **knobs) -> "Session":
         """Attach a fault plan and recovery policy to the session.
 
-        ``plan`` may be a :class:`~repro.faults.FaultPlan`, its
-        ``to_dict`` form, or a bare float (compiled through
-        :meth:`FaultPlan.from_probability`, the legacy knob).
+        ``plan`` may be a :class:`~repro.faults.FaultPlan` or its
+        ``to_dict`` form.
         ``recovery`` is one of :data:`repro.faults.RECOVERY_POLICIES`;
         ``**knobs`` forwards the remaining fault-tolerance fields
         (``checkpoint_every``, ``fault_timeout_s``, ``max_retries``,
@@ -353,9 +352,6 @@ class Session:
             session.faults(FaultPlan.random(4, epochs=10, seed=7),
                            recovery="restore", checkpoint_every=2)
         """
-        if isinstance(plan, (int, float)) and not isinstance(plan, bool):
-            from .faults import FaultPlan
-            plan = FaultPlan.from_probability(float(plan))
         if plan is not None:
             self._overrides["fault_plan"] = plan
         self._overrides["recovery"] = recovery

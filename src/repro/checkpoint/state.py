@@ -304,6 +304,12 @@ def rebuild_trainer(meta, state, split, *,
 
     cfg = dict(meta["config"])
     cfg["checkpoint_dir"] = meta.get("dir", cfg.get("checkpoint_dir"))
+    # Stores written before fault plans carry the bare crash
+    # probability; it stands for the plan it always compiled to.
+    prob = cfg.pop("worker_failure_prob", 0.0)
+    if prob:
+        from ..faults import FaultPlan
+        cfg["fault_plan"] = FaultPlan.from_probability(prob)
     config = TrainConfig(**cfg)
     knobs = meta.get("build_knobs", {})
     trainer = build_trainer(

@@ -88,6 +88,14 @@ _REPLY_TAGS = {"draw": "drawn", "train": "result", "get_model": "model",
                "snapshot": "snapshot", "replay": "replayed"}
 
 
+def _reply_tag(reply):
+    """The tag of a ``(tag, payload)`` reply frame, or None when the
+    frame has another shape."""
+    if type(reply) is tuple and len(reply) == 2 and type(reply[0]) is str:
+        return reply[0]
+    return None
+
+
 @dataclass
 class RoundResult:
     """Outcome of one worker's mini-batch in one round."""
@@ -880,8 +888,8 @@ class ProcessBackend(SerialBackend):
             reply = guarded_recv(i, self._conns[i], self._procs[i],
                                  self._timeout_s, cmd)
         want = _REPLY_TAGS.get(cmd, cmd)
-        tag = reply[0] if type(reply) is tuple and len(reply) == 2 else None
-        if type(tag) is not str or tag != want:
+        tag = _reply_tag(reply)
+        if tag != want:
             raise WorkerDiedError(
                 i, f"{cmd} (a reply tagged {tag!r}, not {want!r})")
         return reply
@@ -889,16 +897,22 @@ class ProcessBackend(SerialBackend):
     def _recv_tagged(self, i: int, want: str, context: str):
         """Receive the next reply tagged ``want``, buffering any
         pipelined replies that belong to an earlier request (recovery
-        can interleave with in-flight round traffic)."""
+        can interleave with in-flight round traffic).  A reply that is
+        not a ``(tag, payload)`` pair raises :class:`WorkerDiedError`,
+        as in :meth:`_raw_recv`."""
         inbox = self._inbox[i]
         for k, reply in enumerate(inbox):
-            if reply[0] == want:
+            if _reply_tag(reply) == want:
                 return inbox.pop(k)
         while True:
             reply = guarded_recv(i, self._conns[i], self._procs[i],
                                  self._timeout_s, context)
-            if reply[0] == want:
+            tag = _reply_tag(reply)
+            if tag == want:
                 return reply
+            if tag is None:
+                raise WorkerDiedError(
+                    i, f"{context} (a reply tagged None, not {want!r})")
             inbox.append(reply)
 
     def _send(self, i: int, msg: tuple) -> None:

@@ -129,15 +129,10 @@ class TrainConfig:
     # canonicalized to a PartitionSpec here.  None keeps the
     # framework's default strategy.
     partition: Optional[object] = None
-    # Failure injection (legacy knob): probability that a worker's
-    # contribution to a synchronization round is lost.  Compiles to a
-    # FaultPlan via FaultPlan.from_probability — same RNG stream as the
-    # pre-plan trainer, so old configs stay bit-identical.  Mutually
-    # exclusive with fault_plan.
-    worker_failure_prob: float = 0.0
     # Declarative fault schedule (repro.faults.FaultPlan, or its
-    # to_dict() form).  None (and prob 0) means a fault-free run that
-    # is bit-identical to pre-faults training.
+    # to_dict() form; FaultPlan.from_probability(p) loses each worker's
+    # sync contribution with probability p).  None means a fault-free
+    # run that is bit-identical to pre-faults training.
     fault_plan: Optional[object] = None
     # How injected faults are survived: "drop" (contribution lost),
     # "retry" (bounded exponential backoff re-delivery), "restore"
@@ -244,8 +239,6 @@ class TrainConfig:
         if len(self.fanouts) != self.num_layers:
             raise ValueError("need one fanout per layer")
         check_fanouts(self.fanouts)
-        if not 0.0 <= self.worker_failure_prob < 1.0:
-            raise ValueError("worker_failure_prob must be in [0, 1)")
         from ..faults import RECOVERY_POLICIES, FaultPlan
         if self.recovery not in RECOVERY_POLICIES:
             raise ValueError(
@@ -259,11 +252,6 @@ class TrainConfig:
             raise ValueError(
                 "fault_plan must be a FaultPlan (or its to_dict form), "
                 f"got {type(self.fault_plan).__name__}")
-        if self.fault_plan is not None and self.worker_failure_prob:
-            raise ValueError(
-                "fault_plan and worker_failure_prob are mutually "
-                "exclusive; compile the probability into the plan with "
-                "FaultPlan.from_probability")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.checkpoint_dir is not None:

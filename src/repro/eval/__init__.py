@@ -10,16 +10,6 @@ from .evaluator import (
     refresh_layers,
     score_pairs,
 )
-from .heuristics import (
-    HEURISTICS,
-    adamic_adar,
-    common_neighbors,
-    heuristic_score,
-    jaccard,
-    katz_index,
-    preferential_attachment,
-    resource_allocation,
-)
 from .metrics import (
     accuracy_at_threshold,
     auc,
@@ -35,14 +25,6 @@ __all__ = [
     "materialize_layers",
     "refresh_layers",
     "score_pairs",
-    "HEURISTICS",
-    "adamic_adar",
-    "common_neighbors",
-    "heuristic_score",
-    "jaccard",
-    "katz_index",
-    "preferential_attachment",
-    "resource_allocation",
     "accuracy_at_threshold",
     "auc",
     "hits_at_k",

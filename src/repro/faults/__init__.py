@@ -5,8 +5,8 @@ The subsystem has two layers:
 * :mod:`repro.faults.plan` — **what goes wrong**: a
   :class:`FaultPlan` is a seeded, declarative schedule of fault events
   (worker crashes, stragglers, lost/corrupted sync messages, shared
-  store outages).  The legacy ``worker_failure_prob`` float compiles to
-  a plan and stays bit-identical.
+  store outages), plus an optional per-round crash probability
+  (:meth:`FaultPlan.from_probability`).
 * :mod:`repro.faults.controller` — **how the run survives**: the
   :class:`FaultController` injects each round's planned faults into the
   trainer loop and drives the configured recovery policy (``drop``,

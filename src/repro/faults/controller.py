@@ -5,8 +5,8 @@ One :class:`FaultController` belongs to a
 life, checkpoints included (:meth:`FaultController.capture`).  Each
 synchronization round the trainer hands it the per-worker has-batch
 flags; the controller consults the
-:class:`~repro.faults.plan.FaultPlan` (plus the legacy probabilistic
-shim) and returns a :class:`RoundDecision` with two masks:
+:class:`~repro.faults.plan.FaultPlan` (its events and its per-round
+crash probability) and returns a :class:`RoundDecision` with two masks:
 
 * ``train_mask`` — which workers actually train their pending batch,
 * ``sync_mask``  — which workers' contributions reach the
@@ -76,13 +76,7 @@ class FaultController:
         config = trainer.config
         self.trainer = trainer
         self.config = config
-        plan = config.fault_plan
-        if plan is None:
-            if config.worker_failure_prob:
-                plan = FaultPlan.from_probability(config.worker_failure_prob)
-            else:
-                plan = FaultPlan.empty()
-        self.plan = plan
+        self.plan = plan = config.fault_plan or FaultPlan.empty()
         self.policy = config.recovery
         num_workers = len(trainer.workers)
         if plan.max_worker() >= num_workers:
@@ -93,9 +87,9 @@ class FaultController:
         self.obs = trainer.observer
         self.counts: Dict[str, int] = {}
         self.dropped_contributions = 0
-        #: RNG for the legacy probabilistic shim; same seed salt (and
-        #: the same per-round draw order) as the pre-plan trainer, so
-        #: ``worker_failure_prob`` configs stay bit-identical.
+        #: RNG for the plan's per-round crash probability; same seed
+        #: salt (and the same per-round draw order) as the pre-plan
+        #: trainer, so probabilistic runs stay bit-identical.
         self._failure_rng = np.random.default_rng(
             config.seed + FAILURE_SEED_SALT)
         self._retry_attempts: List[int] = [0] * num_workers
@@ -138,7 +132,7 @@ class FaultController:
 
     def capture(self) -> tuple:
         """The ``faults`` meta entry of a session checkpoint: liveness,
-        counters, retry budgets, exclusions, the legacy failure RNG."""
+        counters, retry budgets, exclusions, the crash-probability RNG."""
         return {"faults": {
             "live": list(self.live),
             "counts": dict(self.counts),
@@ -179,9 +173,9 @@ class FaultController:
                    has_batch: List[bool]) -> RoundDecision:
         """Decide this round's faults.
 
-        Draw order of the probabilistic shim replays the legacy
-        trainer's exactly: one draw per live worker holding a batch, in
-        worker order, before declarative events apply.
+        Draw order of the plan's crash probability replays the
+        pre-plan trainer's exactly: one draw per live worker holding a
+        batch, in worker order, before declarative events apply.
         """
         train_mask = [bool(h) and self.live[i]
                       for i, h in enumerate(has_batch)]
@@ -233,12 +227,12 @@ class FaultController:
         """A worker loses its round (and, when planned under restore,
         its state).
 
-        Only *planned* crashes reach the backend; probabilistic
-        (legacy-shim) and straggle-timeout crashes never kill.  The
-        mask stays on where the backend makes the worker whole again:
-        retry after a real kill (the batch is requeued), and restore
-        always (a planned victim is rebuilt exactly; otherwise the
-        result is durable worker-side).
+        Only *planned* crashes reach the backend; probabilistic and
+        straggle-timeout crashes never kill.  The mask stays on where
+        the backend makes the worker whole again: retry after a real
+        kill (the batch is requeued), and restore always (a planned
+        victim is rebuilt exactly; otherwise the result is durable
+        worker-side).
         """
         self.count("crashes")
         self._span("crash", worker=worker, source=source,

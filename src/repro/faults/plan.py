@@ -1,8 +1,7 @@
 """Declarative fault plans: seeded schedules of injected failures.
 
-A :class:`FaultPlan` replaces the single ``worker_failure_prob`` float
-with a first-class description of *what goes wrong and when* during a
-distributed training run:
+A :class:`FaultPlan` is a first-class description of *what goes wrong
+and when* during a distributed training run:
 
 * ``crash``        — worker loses its volatile state at a round
 * ``straggle``     — worker is delayed by ``delay_s`` simulated seconds
@@ -14,10 +13,10 @@ distributed training run:
 
 Events are deterministic: the same plan against the same seed produces
 the same injected faults on every backend, which is what lets the
-golden matrix compare backends and recovery policies run-for-run.  The
-legacy ``worker_failure_prob`` knob compiles to a plan through
-:meth:`FaultPlan.from_probability`; its per-round draws replay the old
-trainer's RNG stream exactly, so legacy configs stay bit-identical.
+golden matrix compare backends and recovery policies run-for-run.  A
+per-round crash probability compiles to a plan through
+:meth:`FaultPlan.from_probability`; its draws replay the pre-plan
+trainer's RNG stream exactly.
 
 How a fault is *survived* is a separate axis — the recovery policy —
 handled by :mod:`repro.faults.controller`.
@@ -97,7 +96,7 @@ class FaultPlan:
     """A deterministic schedule of fault events for one training run.
 
     ``events`` is the declarative part; ``worker_failure_prob`` is the
-    stochastic legacy component (per-round, per-worker crash draws from
+    stochastic component (per-round, per-worker crash draws from
     a generator seeded ``config.seed + FAILURE_SEED_SALT`` in exactly
     the order the pre-plan trainer drew them).  A plan with no events
     and zero probability injects nothing and costs nothing — the
@@ -123,7 +122,8 @@ class FaultPlan:
 
     @classmethod
     def from_probability(cls, prob: float) -> "FaultPlan":
-        """Compile the legacy ``worker_failure_prob`` knob to a plan."""
+        """A plan that loses each worker's round with probability
+        ``prob`` and schedules no events."""
         return cls(worker_failure_prob=float(prob), name="legacy_prob")
 
     @classmethod
@@ -174,8 +174,8 @@ class FaultPlan:
         Used by consumers with their own outer clock — the streaming
         driver treats ``epoch`` as its *tick* and hands each tick's
         sub-plan to the epoch-free serving scheduler (which reads only
-        ``round``).  The probabilistic legacy knob does not slice and
-        is dropped deliberately.
+        ``round``).  The per-round crash probability does not slice
+        and is dropped deliberately.
         """
         return FaultPlan(
             events=tuple(e for e in self.events if e.epoch == epoch),

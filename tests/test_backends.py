@@ -25,7 +25,7 @@ from repro.distributed import (
     make_backend,
 )
 from repro.distributed.backends import WorkerHost
-from repro.faults import WorkerDiedError
+from repro.faults import FaultPlan, WorkerDiedError
 from repro.graph import split_edges, synthetic_lp_graph
 from repro.nn.models import build_model
 from repro.partition import partition_graph
@@ -43,11 +43,11 @@ def split():
 
 
 def _train(split, backend, workers, seed, sync="model", framework="splpg",
-           failure_prob=0.0):
+           fault_plan=None):
     config = TrainConfig(hidden_dim=16, num_layers=2, fanouts=(5, 5),
                          epochs=2, batch_size=64, seed=seed, sync=sync,
                          backend=backend, observe=False,
-                         worker_failure_prob=failure_prob)
+                         fault_plan=fault_plan)
     return run_framework(framework, split, workers, config,
                          rng=np.random.default_rng(seed))
 
@@ -99,8 +99,9 @@ class TestTrainingEquivalence:
 
     def test_failure_injection_equivalence(self, split):
         """Dropped contributions replay identically across backends."""
-        base = _train(split, "serial", 2, 3, failure_prob=0.3)
-        other = _train(split, "thread", 2, 3, failure_prob=0.3)
+        plan = FaultPlan.from_probability(0.3)
+        base = _train(split, "serial", 2, 3, fault_plan=plan)
+        other = _train(split, "thread", 2, 3, fault_plan=plan)
         assert base.dropped_contributions > 0
         assert _fingerprint(other) == _fingerprint(base)
 
@@ -388,3 +389,45 @@ class TestWrongTagFrames:
         assert result.faults["child_deaths"] == 1
         assert result.faults["respawns"] == 1
         assert np.isfinite([s.mean_loss for s in result.history]).all()
+
+
+class TestGarbledFrames:
+    """A reply frame that is not a ``(tag, payload)`` pair is read as a
+    dead child by both pipe readers, through a stub pipe (no fork)."""
+
+    GARBLED = [None, (), ("model",), "model", (1, 2), ("model", 1, 2),
+               ["model", 0]]
+
+    class _Pipe:
+        """Answers every read with the next queued frame."""
+
+        def __init__(self, *frames):
+            self.frames = list(frames)
+
+        def poll(self, _timeout):
+            return bool(self.frames)
+
+        def recv(self):
+            return self.frames.pop(0)
+
+    class _Alive:
+        def is_alive(self):
+            return True
+
+    def _backend(self, *frames):
+        backend = ProcessBackend(1)
+        backend._conns = [self._Pipe(*frames)]
+        backend._procs = [self._Alive()]
+        backend._inbox = [[]]
+        backend._timeout_s = 5.0
+        return backend
+
+    @pytest.mark.parametrize("frame", GARBLED, ids=repr)
+    def test_both_readers_raise_worker_died(self, frame):
+        backend = self._backend(("drawn", True), frame)
+        with pytest.raises(WorkerDiedError, match="tagged None"):
+            backend._recv_tagged(0, "model", "get_model")
+        # The earlier request's well-formed reply stays buffered.
+        assert backend._inbox[0] == [("drawn", True)]
+        with pytest.raises(WorkerDiedError, match="tagged None"):
+            self._backend(frame)._raw_recv(0, "get_model")

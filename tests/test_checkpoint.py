@@ -36,11 +36,12 @@ from repro.checkpoint import (
     load_checkpoint,
     rebuild_trainer,
 )
-from repro.checkpoint.state import capture_trainer_state
+from repro.checkpoint.state import capture_trainer_state, parse_meta
 from repro.checkpoint.store import CheckpointStore
 from repro.core.frameworks import FRAMEWORKS, build_trainer
 from repro.distributed import TrainConfig
 from repro.distributed import trainer as trainer_mod
+from repro.faults import FaultPlan
 from repro.graph import split_edges, synthetic_lp_graph
 from repro.lint import lint_source
 
@@ -170,6 +171,41 @@ class TestCrashResumeBitIdentity:
         assert resumed.digest() == baseline.digest(), (
             f"{framework}/{sync}: resumed from a crash at {crash_at} "
             "to a different digest")
+
+
+class TestLegacyFailureProbability:
+    def test_stored_probability_resumes_as_its_plan(self, split, tmp_path):
+        """A store whose config holds the bare ``worker_failure_prob``
+        float (the form written before fault plans) resumes to the
+        digest of the uninterrupted ``FaultPlan.from_probability``
+        run."""
+        plan = FaultPlan.from_probability(0.3)
+        baseline = _trainer(split, _config(fault_plan=plan)).train()
+        assert baseline.dropped_contributions > 0
+        ckpt_dir = str(tmp_path / "plan")
+        previous = _install_crash(1, 1)
+        try:
+            with pytest.raises(_PlannedCrash):
+                _trainer(split, _config(fault_plan=plan,
+                                        checkpoint_dir=ckpt_dir,
+                                        checkpoint_every=1)).train()
+        finally:
+            trainer_mod.set_round_hook(previous)
+        meta, state = load_checkpoint(ckpt_dir)
+        stored = parse_meta(state)
+        assert stored["config"].pop("fault_plan") == plan.to_dict()
+        stored["config"]["worker_failure_prob"] = 0.3
+        state["meta_json"] = np.array(json.dumps(stored))
+        legacy_dir = str(tmp_path / "legacy")
+        CheckpointStore(legacy_dir).write(state, meta["epoch"],
+                                          meta["round"])
+
+        meta, state = load_checkpoint(legacy_dir)
+        assert meta["config"]["worker_failure_prob"] == 0.3
+        assert "fault_plan" not in meta["config"]
+        resumed = rebuild_trainer(meta, state, split)
+        assert resumed.config.fault_plan == plan
+        assert resumed.train().digest() == baseline.digest()
 
 
 class TestMidEpochRoundTrip:

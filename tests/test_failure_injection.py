@@ -1,10 +1,10 @@
 """Failure injection: training under lost worker contributions."""
 
 import numpy as np
-import pytest
 
 from repro import TrainConfig
 from repro.core import FRAMEWORKS, build_trainer
+from repro.faults import FaultPlan
 
 
 def make_config(**overrides):
@@ -15,18 +15,9 @@ def make_config(**overrides):
     return TrainConfig(**base)
 
 
-class TestConfigValidation:
-    def test_probability_range(self):
-        with pytest.raises(ValueError):
-            TrainConfig(worker_failure_prob=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(worker_failure_prob=-0.1)
-        assert TrainConfig(worker_failure_prob=0.5).worker_failure_prob == 0.5
-
-
 class TestTrainingUnderFailures:
     def test_drops_recorded(self, small_split):
-        config = make_config(worker_failure_prob=0.4)
+        config = make_config(fault_plan=FaultPlan.from_probability(0.4))
         trainer = build_trainer(FRAMEWORKS["psgd_pa"], small_split, 3,
                                 config, rng=np.random.default_rng(0))
         result = trainer.train()
@@ -42,7 +33,8 @@ class TestTrainingUnderFailures:
     def test_replicas_stay_synchronized(self, small_split):
         """Failed rounds must not desynchronize replicas under
         gradient averaging: survivors' average is broadcast."""
-        config = make_config(worker_failure_prob=0.3, sync="grad")
+        config = make_config(fault_plan=FaultPlan.from_probability(0.3),
+                             sync="grad")
         trainer = build_trainer(FRAMEWORKS["psgd_pa_plus"], small_split, 2,
                                 config, rng=np.random.default_rng(0))
         trainer.train()
@@ -51,8 +43,8 @@ class TestTrainingUnderFailures:
             assert np.allclose(a[name], b[name], atol=1e-8)
 
     def test_still_learns_with_moderate_failures(self, small_split):
-        config = make_config(worker_failure_prob=0.25, epochs=5,
-                             eval_every=5)
+        config = make_config(fault_plan=FaultPlan.from_probability(0.25),
+                             epochs=5, eval_every=5)
         trainer = build_trainer(FRAMEWORKS["splpg"], small_split, 2,
                                 config, rng=np.random.default_rng(0))
         result = trainer.train()
@@ -61,7 +53,8 @@ class TestTrainingUnderFailures:
         assert losses[-1] < losses[0] * 1.1
 
     def test_model_averaging_with_failures(self, small_split):
-        config = make_config(worker_failure_prob=0.3, sync="model")
+        config = make_config(fault_plan=FaultPlan.from_probability(0.3),
+                             sync="model")
         trainer = build_trainer(FRAMEWORKS["psgd_pa"], small_split, 2,
                                 config, rng=np.random.default_rng(0))
         result = trainer.train()
@@ -71,7 +64,8 @@ class TestTrainingUnderFailures:
         assert result.dropped_contributions > 0
 
     def test_heavy_failures_do_not_crash(self, small_split):
-        config = make_config(worker_failure_prob=0.9, epochs=2)
+        config = make_config(fault_plan=FaultPlan.from_probability(0.9),
+                             epochs=2)
         trainer = build_trainer(FRAMEWORKS["psgd_pa"], small_split, 2,
                                 config, rng=np.random.default_rng(0))
         result = trainer.train()

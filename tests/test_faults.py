@@ -4,8 +4,8 @@ Covers the acceptance criteria of the ``repro.faults`` PR:
 
 * an empty :class:`FaultPlan` is bit-identical to no plan at all, on
   every backend;
-* the legacy ``worker_failure_prob`` knob compiles to a plan with
-  identical draws (same results, same ledgers);
+* a crash-probability plan (``FaultPlan.from_probability``) draws the
+  same on every backend and through its stored dict form;
 * every recovery policy (``drop`` / ``retry`` / ``restore`` /
   ``elastic``) completes under injected faults, and ``restore`` is
   bit-identical to the fault-free twin;
@@ -50,12 +50,12 @@ def split():
 
 
 def _train(split, backend="serial", sync="model", plan=None,
-           recovery="drop", prob=0.0, seed=7, workers=3, epochs=2,
+           recovery="drop", seed=7, workers=3, epochs=2,
            observe=False, **cfg):
     config = TrainConfig(hidden_dim=16, num_layers=2, fanouts=(5, 5),
                          epochs=epochs, batch_size=64, seed=seed,
                          sync=sync, backend=backend, observe=observe,
-                         worker_failure_prob=prob, fault_plan=plan,
+                         fault_plan=plan,
                          recovery=recovery, fault_timeout_s=15.0,
                          retry_backoff_s=0.05, **cfg)
     return run_framework("splpg", split, workers, config,
@@ -136,10 +136,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="recovery"):
             TrainConfig(recovery="pray")
 
-    def test_plan_and_prob_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive|both"):
-            TrainConfig(fault_plan=CRASH_PLAN, worker_failure_prob=0.2)
-
     def test_restore_on_process_needs_checkpointing(self):
         """One restore mechanism, one rule: restore points are taken
         every ``checkpoint_every`` epochs on every backend.  (A loop,
@@ -194,16 +190,20 @@ class TestEmptyPlanBitIdentity:
                                        plan=FaultPlan.empty())))
 
     def test_legacy_prob_equals_compiled_plan(self, split):
-        """``worker_failure_prob`` and its plan shim draw identically."""
-        assert (_fingerprint(_train(split, prob=0.3))
-                == _fingerprint(
-                    _train(split, plan=FaultPlan.from_probability(0.3))))
+        """A crash-probability plan draws the same through its
+        ``to_dict`` form, the form a checkpoint stores."""
+        plan = FaultPlan.from_probability(0.3)
+        result = _train(split, plan=plan)
+        assert result.dropped_contributions > 0
+        assert (_fingerprint(result)
+                == _fingerprint(_train(split, plan=plan.to_dict())))
 
     @needs_fork
     def test_legacy_prob_equals_compiled_plan_process(self, split):
-        assert (_fingerprint(_train(split, prob=0.3))
+        plan = FaultPlan.from_probability(0.3)
+        assert (_fingerprint(_train(split, plan=plan))
                 == _fingerprint(_train(split, backend="process",
-                                       plan=FaultPlan.from_probability(0.3))))
+                                       plan=plan)))
 
 
 # ---------------------------------------------------------------------------

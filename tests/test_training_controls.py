@@ -121,7 +121,8 @@ class TestSummary:
         assert "features:" in text and "sync:" in text
 
     def test_summary_reports_drops(self, small_split):
-        cfg = config(epochs=2, eval_every=2, worker_failure_prob=0.5)
+        cfg = config(epochs=2, eval_every=2,
+                     fault_plan=FaultPlan.from_probability(0.5))
         trainer = build_trainer(FRAMEWORKS["psgd_pa"], small_split, 2,
                                 cfg, rng=np.random.default_rng(0))
         result = trainer.train()
