@@ -152,12 +152,12 @@ class DistributedScorer:
         if pairs.shape[0] == 0:
             # Graceful empty query: nothing routed, nothing charged.
             return InferenceResult(
-                scores=np.empty(0, dtype=np.float64),
+                scores=np.empty(0, dtype=self.model.vector.dtype),
                 comm=self._total_comm(),
                 pairs_per_worker=[0] * self.partitioned.num_parts,
                 rerouted_pairs=0)
         owners, rerouted = self.router.route_pairs(pairs)
-        scores = np.empty(pairs.shape[0], dtype=np.float64)
+        scores = np.empty(pairs.shape[0], dtype=self.model.vector.dtype)
         counts: List[int] = []
         # Pre-draw every shard's sampler seed in worker order so the
         # scorer RNG advances identically on every backend.
@@ -222,7 +222,7 @@ class DistributedScorer:
         nodes, inverse = np.unique(pairs.ravel(), return_inverse=True)
         emb = Tensor(materialize_embeddings(self.model, view, rows=nodes))
         pair_idx = inverse.reshape(-1, 2)
-        out = np.empty(pair_idx.shape[0], dtype=np.float64)
+        out = np.empty(pair_idx.shape[0], dtype=emb.data.dtype)
         for start in range(0, out.size, self.batch_size):
             idx = pair_idx[start:start + self.batch_size]
             out[start:start + idx.shape[0]] = self.model.score_pairs(

@@ -96,7 +96,7 @@ def score_pairs(
     rng = ensure_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     sampler = NeighborSampler(fanouts, rng=rng)
-    scores = np.empty(pairs.shape[0], dtype=np.float64)
+    scores = np.empty(pairs.shape[0], dtype=model.vector.dtype)
     for start in range(0, pairs.shape[0], batch_size):
         batch = pairs[start:start + batch_size]
         seeds, inverse = np.unique(batch.ravel(), return_inverse=True)
@@ -159,7 +159,7 @@ def materialize_embeddings(model: LinkPredictionModel, graph,
     """
     nodes = _checked_nodes(graph, rows)
     if nodes.size == 0:
-        return np.zeros((0, 0), dtype=np.float64)
+        return np.zeros((0, 0), dtype=model.vector.dtype)
     seeds, comp_graph = _full_neighbor_mfg(graph, nodes,
                                            model.encoder.num_layers)
     out = model.embed(comp_graph,

@@ -55,7 +55,8 @@ class GCNConv(Module):
         h_self = _slice_rows(h_src, block.num_dst)
         total_weight = np.ones(block.num_dst)
         np.add.at(total_weight, block.edge_dst, block.edge_weight)
-        normalized = (agg + h_self) * Tensor(1.0 / total_weight[:, None])
+        normalized = (agg + h_self) * Tensor(
+            (1.0 / total_weight[:, None]).astype(h_src.data.dtype))
         return self.linear(normalized)
 
 
@@ -114,7 +115,7 @@ class GATConv(Module):
         e = (gather(score_src, block.edge_src)
              + gather(score_dst, block.edge_dst))
         e = leaky_relu(e, self.negative_slope)
-        e = e + Tensor(np.log(np.maximum(block.edge_weight, 1e-12))[:, None])
+        e = e + _log_weights(block, e)
         alpha = segment_softmax(e, block.edge_dst, block.num_dst)
         messages = gather(z, block.edge_src) * alpha
         return segment_sum(messages, block.edge_dst, block.num_dst)
@@ -157,7 +158,7 @@ class GATv2Conv(Module):
                     + gather(z_r, block.edge_dst))
         e = _row_dot(leaky_relu(combined, self.negative_slope),
                      self.attn[i])
-        e = e + Tensor(np.log(np.maximum(block.edge_weight, 1e-12))[:, None])
+        e = e + _log_weights(block, e)
         alpha = segment_softmax(e, block.edge_dst, block.num_dst)
         messages = gather(z_l, block.edge_src) * alpha
         return segment_sum(messages, block.edge_dst, block.num_dst)
@@ -181,7 +182,7 @@ class GINConv(Module):
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = ensure_rng(rng)
-        self.eps = Parameter(np.zeros(1))
+        self.eps = Parameter(np.zeros(1, dtype=np.float32))
         self.fc1 = Linear(in_dim, out_dim, rng=rng)
         self.fc2 = Linear(out_dim, out_dim, rng=rng)
 
@@ -191,6 +192,13 @@ class GINConv(Module):
         h_self = _slice_rows(h_src, block.num_dst)
         combined = h_self * (self.eps + 1.0) + agg
         return self.fc2(relu(self.fc1(combined)))
+
+
+def _log_weights(block: Block, like: Tensor) -> Tensor:
+    """The attention logits' log edge-weight prior, a column in
+    ``like``'s dtype."""
+    return Tensor(np.log(np.maximum(block.edge_weight, 1e-12))[:, None]
+                  .astype(like.data.dtype))
 
 
 def _row_dot(x: Tensor, a: Parameter) -> Tensor:

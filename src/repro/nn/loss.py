@@ -14,11 +14,11 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray | Tensor,
     Implements ``mean_i [ max(s,0) - s*y + log(1 + exp(-|s|)) ]`` as a
     fused primitive; the gradient is the classic ``sigmoid(s) - y``.
     This is the paper's training loss (Section II-B / Algorithm 1
-    line 27).
+    line 27).  The labels and the loss take the logits' dtype.
     """
-    y = labels.data if isinstance(labels, Tensor) else np.asarray(
-        labels, dtype=np.float64)
     s = logits.data
+    y = np.asarray(labels.data if isinstance(labels, Tensor) else labels,
+                   dtype=s.dtype)
     if s.shape != y.shape:
         raise ValueError(f"logits {s.shape} and labels {y.shape} must align")
     per_sample = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
@@ -46,5 +46,5 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray | Tensor,
         else:
             logits._accumulate(grad * scale * (sig - y))
 
-    return Tensor._result(np.asarray(value, dtype=np.float64),
+    return Tensor._result(np.asarray(value, dtype=s.dtype),
                           (logits,), backward)

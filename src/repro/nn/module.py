@@ -36,8 +36,10 @@ class Parameter(Tensor):
 
 
 class ParameterVector:
-    """A replica's parameters as one float64 ``values`` vector and one
-    ``grads`` vector, a slice of each per parameter, in the order given.
+    """A replica's parameters as one ``values`` vector and one
+    ``grads`` vector, a slice of each per parameter, in the order given,
+    in the parameters' dtype (float32 as built; float64 after
+    ``Module.astype(np.float64)``).
 
     A parameter's ``data`` is a view of its ``values`` slice; its
     ``grad`` is ``None`` (no gradient) or a view of its ``grads``
@@ -51,6 +53,8 @@ class ParameterVector:
         if any(p.vector is not None for p in self.params):
             raise ValueError("a parameter belongs to one vector only")
         self.bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self.dtype = np.result_type(np.float32,
+                                    *[p.data for p in self.params])
         self.values = self.join([p.data for p in self.params])
         self.grads = np.zeros_like(self.values)
         for p, view, grad in zip(self.params, self.split(self.values),
@@ -74,8 +78,10 @@ class ParameterVector:
                 in zip(self.params, self.bounds[:-1], self.bounds[1:])]
 
     def join(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """The inverse of :meth:`split`: one float64 vector."""
-        return np.concatenate([np.zeros(0)] + [np.ravel(a) for a in arrays])
+        """The inverse of :meth:`split`: one vector in :attr:`dtype`."""
+        return np.concatenate(
+            [np.zeros(0, self.dtype)] + [np.ravel(a) for a in arrays],
+            dtype=self.dtype)
 
     def load(self, values: np.ndarray) -> None:
         """Write ``values`` into the vector (every view sees them)."""
@@ -156,6 +162,20 @@ class Module:
             vector = self._vector = ParameterVector.of(self.parameters())
         return vector
 
+    def astype(self, dtype) -> "Module":
+        """Convert every parameter of this tree to ``dtype`` and bind
+        them to a new vector (torch's ``.double()`` / ``.float()``);
+        returns ``self``.  An optimizer built before keeps the old
+        vector, so build it after."""
+        params = self.parameters()
+        for p in params:
+            p.vector = p._grad_view = p.grad = None
+            p.data = p.data.astype(dtype)
+        for m in self.modules():
+            vars(m).pop("_vector", None)
+        ParameterVector.of(params)
+        return self
+
     # -- mode / gradients -------------------------------------------------
 
     def train(self) -> "Module":
@@ -222,10 +242,10 @@ class Module:
 def xavier_uniform(shape: Tuple[int, int],
                    rng: np.random.Generator,
                    gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
+    """Glorot/Xavier uniform initialization, in float32."""
     fan_in, fan_out = shape[0], shape[1]
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class Linear(Module):
@@ -239,7 +259,8 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(xavier_uniform((in_features, out_features), rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = (Parameter(np.zeros(out_features, dtype=np.float32))
+                     if bias else None)
 
     def forward(self, x: Tensor) -> Tensor:
         """Affine transform ``x @ W + b`` (one tape node)."""

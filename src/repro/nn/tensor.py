@@ -8,7 +8,9 @@ sparse-matrix products and dropout.
 
 Design notes
 ------------
-* A :class:`Tensor` wraps a ``float64`` numpy array.  Gradients are
+* A :class:`Tensor` wraps a float32 numpy array, as torch's default
+  dtype is; a float64 array keeps float64 (the finite-difference
+  gradient checks run a module ``astype(np.float64)``).  Gradients are
   accumulated into ``tensor.grad`` during :meth:`Tensor.backward`.
 * The graph is recorded eagerly: every op returns a new ``Tensor``
   holding its parents and a closure that propagates the output gradient
@@ -30,9 +32,10 @@ Design notes
   neighbour sum of paper Eq. (1) over a sampled block, as one sparse
   product with no per-edge intermediate).  Both give the bits of the
   compositions they replace.
-* Everything is float64 to make finite-difference gradient checks tight;
-  feature payload sizes in the communication model are accounted
-  separately (float32, as shipped on the wire).
+* An op computes in its operands' dtype: a constant it makes (a
+  Python scalar operand, the unit scatter matrix, an edge-weight or
+  degree scale, a loss label) is cast to that dtype first, so nothing
+  is silently upcast to float64.
 """
 
 from __future__ import annotations
@@ -79,8 +82,24 @@ def no_grad() -> Iterator[None]:
         _TAPE.recording = previous
 
 
+_FLOATS = (np.float32, np.float64)
+
+
 def _as_array(value) -> Array:
-    return np.asarray(value, dtype=np.float64)
+    """``value`` as a float array: a float32 or float64 array (or numpy
+    scalar) keeps its dtype, anything else becomes float32."""
+    if isinstance(value, (np.ndarray, np.generic)) and \
+            value.dtype.type in _FLOATS:
+        return np.asarray(value)
+    return np.asarray(value, dtype=np.float32)
+
+
+def _lift(value, like: "Tensor") -> "Tensor":
+    """``value`` as an operand of an op on ``like``: a tensor as it is,
+    anything else a constant in ``like``'s dtype."""
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _unbroadcast(grad: Array, shape: Tuple[int, ...]) -> Array:
@@ -175,7 +194,7 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _lift(other, self)
         data = self.data + other.data
 
         def backward(grad: Array) -> None:
@@ -195,14 +214,14 @@ class Tensor:
         return Tensor._result(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _lift(other, self)
         return self + (-other)
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
+        return _lift(other, self) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _lift(other, self)
         data = self.data * other.data
 
         def backward(grad: Array) -> None:
@@ -218,7 +237,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _lift(other, self)
         data = self.data / other.data
 
         def backward(grad: Array) -> None:
@@ -389,7 +408,8 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     data = np.where(mask, x.data, negative_slope * x.data)
 
     def backward(grad: Array) -> None:
-        x._accumulate(grad * np.where(mask, 1.0, negative_slope))
+        x._accumulate(grad * np.where(mask, 1.0, negative_slope).astype(
+            grad.dtype))
 
     return Tensor._result(data, (x,), backward)
 
@@ -470,12 +490,13 @@ def _scatter_add_rows(index: Array, values: Array, num_rows: int) -> Array:
     count = index.size
     _check_rows(index, num_rows, "scatter-add")
     if values.size == 0:
-        return np.zeros(shape, dtype=np.float64)
-    if values.ndim == 1:
-        # bincount adds weights in the same increasing-k order.
+        return np.zeros(shape, dtype=values.dtype)
+    if values.ndim == 1 and values.dtype == np.float64:
+        # bincount adds weights in the same increasing-k order (it
+        # sums in float64, so only a float64 vector takes it).
         return np.bincount(index, weights=values, minlength=num_rows)
     scatter = sp.csc_array(
-        (np.ones(count), index, np.arange(count + 1)),
+        (np.ones(count, dtype=values.dtype), index, np.arange(count + 1)),
         shape=(num_rows, count))
     return (scatter @ values.reshape(count, -1)).reshape(shape)
 
@@ -552,12 +573,15 @@ def aggregate(x: Tensor, block: "Block",
     and a sum started at ``+0.0`` drops the sign of a zero term, so the
     bits are the composition's.  ``edge_dst`` need not be sorted.
     """
-    src, dst, weights = block.edge_src, block.edge_dst, block.edge_weight
+    dtype = x.data.dtype
+    src, dst = block.edge_src, block.edge_dst
+    weights = block.edge_weight.astype(dtype, copy=False)
     num_src, num_dst = x.data.shape[0], block.num_dst
     _check_rows(src, num_src, "aggregate")
     _check_rows(dst, num_dst, "aggregate")
     data = _edge_matrix(dst, src, weights, num_dst, num_src) @ x.data
     if scale is not None:
+        scale = np.asarray(scale).astype(dtype, copy=False)
         data *= scale[:, None]
 
     def backward(grad: Array) -> None:
@@ -572,7 +596,8 @@ def aggregate(x: Tensor, block: "Block",
 def segment_mean(x: Tensor, segment_ids: Array, num_segments: int) -> Tensor:
     """Mean-reduce rows of ``x`` per segment (empty segments yield 0)."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(
+        x.data.dtype)
     safe = np.maximum(counts, 1.0)
     summed = segment_sum(x, segment_ids, num_segments)
     inv = Tensor((1.0 / safe)[:, None] if x.data.ndim > 1 else 1.0 / safe)
@@ -590,7 +615,8 @@ def segment_softmax(scores: Tensor, segment_ids: Array,
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     data = scores.data
     # Per-segment max for numerical stability (constant wrt gradient).
-    seg_max = np.full((num_segments,) + data.shape[1:], -np.inf)
+    seg_max = np.full((num_segments,) + data.shape[1:], -np.inf,
+                      dtype=data.dtype)
     np.maximum.at(seg_max, segment_ids, data)
     seg_max[~np.isfinite(seg_max)] = 0.0
     shifted = scores - Tensor(seg_max[segment_ids])
@@ -665,7 +691,8 @@ def dropout(x: Tensor, p: float, training: bool,
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
     rng = ensure_rng(rng)
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    mask = ((rng.random(x.data.shape) >= p) / (1.0 - p)).astype(
+        x.data.dtype)
     data = x.data * mask
 
     def backward(grad: Array) -> None:

@@ -8,8 +8,8 @@ one message-flow graph so each node's layer-``l`` row is computed
 once; online requests then reduce to embedding lookups plus a decoder
 forward, which is what makes micro-batched low-latency serving
 tractable.  The artifact holds that table once, read-only and in
-float32 (its decoder weights too), and the cluster serves that very
-array; training stays float64.
+float32 (its decoder weights too), the dtype training computes in,
+and the cluster serves that very array.
 
 The artifact is versioned and checksummed:
 
@@ -36,6 +36,7 @@ full graph; online serve handlers never touch raw graph state.
 
 from __future__ import annotations
 
+import lzma
 import tokenize
 import zipfile
 import zlib
@@ -160,11 +161,17 @@ class ServableArtifact:
                 f"servable artifact {path} is missing payload key "
                 f"{exc.args[0]!r}") from exc
         # A damaged zip member fails in whichever layer decodes it:
-        # the archive, zlib, or numpy's header parser (whose fallback
-        # tokenizer raises its own error on a mangled header).
+        # the archive, zlib (or the bz2 / lzma codec a flipped method
+        # field names: bz2 raises a bare OSError), or numpy's header
+        # parser (whose fallback tokenizer raises its own error on a
+        # mangled header).  A missing or unreadable file keeps its
+        # OSError subclass.
         except (ValueError, IndexError, zipfile.BadZipFile, EOFError,
-                zlib.error, NotImplementedError, RuntimeError, SyntaxError,
-                tokenize.TokenError) as exc:
+                zlib.error, lzma.LZMAError, NotImplementedError,
+                RuntimeError, SyntaxError, tokenize.TokenError,
+                OSError) as exc:
+            if isinstance(exc, OSError) and type(exc) is not OSError:
+                raise
             raise ValueError(
                 f"servable artifact {path} is unreadable: {exc}") from exc
         if not intact:
@@ -188,7 +195,8 @@ class ServableArtifact:
         return self._predictor
 
     def _decoder(self) -> Module:
-        """Reconstruct the decoder module from the stored weights."""
+        """Reconstruct the decoder module from the stored weights, in
+        the table's dtype."""
         if self.predictor_kind == "dot":
             return DotPredictor().eval()
         if self.predictor_kind != "mlp":
@@ -205,7 +213,8 @@ class ServableArtifact:
         predictor = MLPPredictor(self.embed_dim, hidden_dim=hidden,
                                  num_layers=num_layers,
                                  rng=np.random.default_rng(0))
-        predictor.load_state_dict(self.predictor_state)
+        predictor.astype(self.table.dtype).load_state_dict(
+            self.predictor_state)
         return predictor.eval()
 
     def describe(self) -> str:
@@ -298,7 +307,7 @@ def export_servable(model: LinkPredictionModel,
     kind = predictor_kind_of(model)
     with eval_mode(model):
         table = materialize_embeddings(model, partitioned.full)
-    table = table.astype(np.float32)
+    table = table.astype(np.float32, copy=False)
     # Master ownership (node_owner == assignment for node-partitioned
     # layouts; the master replica under vertex cut) routes the shards.
     return artifact_from_table(

@@ -247,14 +247,14 @@ class Reembedder:
         """
         self.model.load_state_dict(strip_prefix(arrays, "stream.model."))
         self._weights = None
-        self.table = np.asarray(arrays["stream.embed.table"],
-                                dtype=np.float64).copy()
+        dtype = self.model.vector.dtype
+        self.table = np.array(arrays["stream.embed.table"], dtype=dtype)
         self._embedded(Graph.from_edges(
             self.table.shape[0], arrays["stream.embed.graph_edges"]))
         if "reembed_hidden_tables" in meta:
             self.hidden = [
-                np.asarray(arrays[f"stream.embed.hidden.{layer:04d}"],
-                           dtype=np.float64).copy()
+                np.array(arrays[f"stream.embed.hidden.{layer:04d}"],
+                         dtype=dtype)
                 for layer in range(int(meta["reembed_hidden_tables"]))]
             self._drifted[arrays["stream.embed.drifted"]] = True
             self._endpoints[arrays["stream.embed.endpoints"]] = True
@@ -287,15 +287,15 @@ class Reembedder:
     def make_artifact(self, graph: Graph,
                       assignment: np.ndarray,
                       num_parts: int) -> ServableArtifact:
-        """A versioned servable around a float32 copy of the current
-        table (the artifact's one table, read-only; refreshes keep
-        patching the float64 :attr:`table` in place)."""
+        """A versioned servable around a copy of the current table (the
+        artifact's one table, read-only; refreshes keep patching
+        :attr:`table` in place)."""
         if self.table is None:
             raise StreamStateError(
                 "no table yet: call full_refresh()/frontier_refresh() "
                 "before make_artifact()")
         return artifact_from_table(
-            self.table.astype(np.float32), self.version(graph),
+            self.table.copy(), self.version(graph),
             predictor_kind_of(self.model),
             self.model.predictor.state_dict(),
             assignment, num_parts)

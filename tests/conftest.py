@@ -86,12 +86,18 @@ def numeric_gradient(f, x, eps=1e-6):
 
 
 # The compositions the fused ``aggregate`` and ``linear`` tape nodes
-# replaced, kept here as their bit-identity oracle.
+# replaced, kept here as their bit-identity oracle.  Their constants
+# (edge weights, degree scales) take the input's dtype, as the fused
+# layers' do.
+
+def _constant(values, h_src):
+    return Tensor(values.astype(h_src.data.dtype))
+
 
 def unfused_sum(h_src, block):
     """``gather`` -> ``* edge_weight`` -> ``segment_sum``: three nodes."""
-    messages = gather(h_src, block.edge_src) * Tensor(
-        block.edge_weight[:, None])
+    messages = gather(h_src, block.edge_src) * _constant(
+        block.edge_weight[:, None], h_src)
     return segment_sum(messages, block.edge_dst, block.num_dst)
 
 
@@ -107,7 +113,8 @@ def _unfused_gcn(self, block, h_src):
     h_self = _slice_rows(h_src, block.num_dst)
     total_weight = np.ones(block.num_dst)
     np.add.at(total_weight, block.edge_dst, block.edge_weight)
-    normalized = (agg + h_self) * Tensor(1.0 / total_weight[:, None])
+    normalized = (agg + h_self) * _constant(1.0 / total_weight[:, None],
+                                            h_src)
     return self.linear(normalized)
 
 
@@ -116,7 +123,7 @@ def _unfused_sage(self, block, h_src):
     denom = np.maximum(np.bincount(
         block.edge_dst, weights=block.edge_weight,
         minlength=block.num_dst), 1e-12)
-    h_neigh = summed * Tensor(1.0 / denom[:, None])
+    h_neigh = summed * _constant(1.0 / denom[:, None], h_src)
     h_self = _slice_rows(h_src, block.num_dst)
     return self.fc_self(h_self) + self.fc_neigh(h_neigh)
 
@@ -342,6 +349,8 @@ class OracleSGD:
         for data, grad, vel in zip(self.datas, grads, self.velocity):
             if grad is None:
                 continue
+            # A parameter holds its gradient in its own dtype.
+            grad = grad.astype(data.dtype)
             if self.weight_decay:
                 grad = grad + self.weight_decay * data
             if self.momentum:
@@ -373,6 +382,7 @@ class OracleAdam:
         for data, grad, m, v in zip(self.datas, grads, self.m, self.v):
             if grad is None:
                 continue
+            grad = grad.astype(data.dtype)
             if self.weight_decay:
                 grad = grad + self.weight_decay * data
             m *= self.beta1

@@ -68,7 +68,7 @@ class TestShapesAndGrads:
         assert h.grad is not None
 
     def test_gradcheck_input(self, conv_factory, rng):
-        conv = conv_factory(3, 2)
+        conv = conv_factory(3, 2).astype(np.float64)
         block = make_block()
         x0 = rng.standard_normal((5, 3))
         proj = rng.standard_normal((2, 2))

@@ -114,7 +114,8 @@ class TestEvaluator:
         b = score_pairs(model, small_split.train_graph, pairs,
                         fanouts=[-1, -1],
                         rng=np.random.default_rng(0), batch_size=100)
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        # float32 scores: a batch's GEMM row count moves the last bits.
+        np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_validate_and_test(self, model, small_split, rng):
         ev = Evaluator(small_split, fanouts=[5, 3], k=20, rng=rng)

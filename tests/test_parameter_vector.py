@@ -23,7 +23,8 @@ from conftest import (
     oracle_average_models,
 )
 from repro.checkpoint import load_checkpoint, rebuild_trainer
-from repro.checkpoint.io import deserialize_state
+from repro.checkpoint.io import deserialize_state, serialize_state
+from repro.checkpoint.store import CheckpointStore
 from repro.core.frameworks import FRAMEWORKS, build_trainer
 from repro.distributed import TrainConfig, average_gradients, average_models
 from repro.distributed import trainer as trainer_mod
@@ -123,7 +124,8 @@ def _named_draws(rng, names_shapes, lacking):
         if i in lacking:
             grads[name] = None
             continue
-        g = rng.standard_normal(shape)
+        # Gradients arrive in the replicas' float32.
+        g = rng.standard_normal(shape).astype(np.float32)
         g[rng.random(shape) < 0.3] = -0.0
         grads[name] = g
     return grads
@@ -207,7 +209,7 @@ class TestMeansMatchTheOracle:
         rng = np.random.default_rng(22)
         for draw in range(200):
             states = [None if rng.random() < 0.15 else
-                      {name: rng.standard_normal(shape)
+                      {name: rng.standard_normal(shape).astype(np.float32)
                        for name, shape in layout} for _ in range(4)]
             participating = list(rng.random(4) < 0.8)
             for mask in (None, participating):
@@ -239,7 +241,60 @@ def _pinned_split():
     return split_edges(graph, rng=rng)
 
 
+def _float64_store(source, target):
+    """Copy the newest snapshot of ``source`` to ``target`` with every
+    float32 array, inside the worker payloads too, widened to float64:
+    the store a float64 build would have written of the same run."""
+    def widen(arrays):
+        return {key: value.astype(np.float64)
+                if value.dtype == np.float32 else value
+                for key, value in arrays.items()}
+
+    info, state, _ = CheckpointStore(source).latest()
+    for key in [k for k in state if k.endswith(".payload")]:
+        if state[key].size:
+            payload = widen(deserialize_state(state[key].tobytes()))
+            state[key] = np.frombuffer(serialize_state(payload),
+                                       dtype=np.uint8)
+    widened = widen(state)
+    assert any(value.dtype == np.float64 for key, value in widened.items()
+               if key.startswith("best."))
+    CheckpointStore(target).write(widened, epoch=info.epoch, rnd=info.round)
+
+
 class TestPinnedCheckpoint:
+    def test_a_float64_store_resumes_to_the_float32_run(self, tmp_path):
+        """A store whose weights, moments and best snapshot are float64
+        loads into the float32 replicas and resumes to the digest of
+        the float32 run it was cut from (float32 values widen and
+        narrow back exactly)."""
+        def build(directory=None):
+            config = TrainConfig(
+                hidden_dim=4, num_layers=2, fanouts=(3, 3), batch_size=32,
+                epochs=3, seed=11, eval_every=1, observe=False,
+                checkpoint_dir=directory,
+                checkpoint_every=1 if directory else 0)
+            return build_trainer(FRAMEWORKS["splpg"], _pinned_split(), 2,
+                                 config, rng=np.random.default_rng(11))
+
+        uninterrupted = build().train().digest()
+
+        def hook(trainer, epoch, rnd):
+            if (epoch, rnd) == (2, 0):
+                raise RuntimeError("crash")
+
+        previous = trainer_mod.set_round_hook(hook)
+        try:
+            with pytest.raises(RuntimeError, match="crash"):
+                build(str(tmp_path / "store")).train()
+        finally:
+            trainer_mod.set_round_hook(previous)
+        _float64_store(tmp_path / "store", tmp_path / "wide")
+        meta, state = load_checkpoint(tmp_path / "wide")
+        trainer = rebuild_trainer(meta, state, _pinned_split())
+        assert trainer.workers[0].model.vector.values.dtype == np.float32
+        assert trainer.train().digest() == uninterrupted
+
     def test_resumes_to_the_uninterrupted_digest(self, tmp_path):
         store = tmp_path / "store"
         shutil.copytree(PINNED_DIR, store)
@@ -265,7 +320,11 @@ class TestPinnedCheckpoint:
             assert {"optim/m.0", "optim/v.11", "optim/step_count",
                     "optim/lr"} <= set(new)
             for name, value in new.items():
-                assert value.dtype == old[name].dtype, name
+                # The pinned float64 weights and moments resume as
+                # float32; the scalars keep their dtype.
+                weights = name.startswith(("model/", "optim/m.", "optim/v."))
+                assert value.dtype == (np.float32 if weights
+                                       else old[name].dtype), name
                 assert value.shape == old[name].shape, name
 
 

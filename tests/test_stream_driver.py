@@ -268,6 +268,29 @@ class TestCheckpointResume:
             t.tobytes() for t in v2.reembedder.hidden]
         assert v1.run().digest() == uninterrupted
 
+    def test_float64_checkpoint_resumes_to_the_float32_run(self, tmp_path):
+        """A v2 checkpoint with float64 weights and re-embedding tables
+        (and the float32 served table), as a float64 build wrote it,
+        loads into the float32 re-embedder and replays to the float32
+        run's digest (float32 values widen and narrow back exactly)."""
+        uninterrupted = _run(_config(ticks=4)).digest()
+        self._interrupted_dir(tmp_path / "ckpt")
+        info, state, _ = CheckpointStore(tmp_path / "ckpt").latest()
+        wide = {key: value.astype(np.float64)
+                if key.startswith(("stream.model.", "stream.embed."))
+                and value.dtype == np.float32 else value
+                for key, value in state.items()}
+        assert wide["stream.embed.table"].dtype == np.float64
+        assert wide["stream.embed.hidden.0000"].dtype == np.float64
+        CheckpointStore(tmp_path / "f64").write(wide, epoch=info.epoch,
+                                                rnd=info.round)
+        resumed = StreamDriver.resume(tmp_path / "f64")
+        reembedder = resumed.reembedder
+        assert [t.dtype for t in reembedder.hidden + [reembedder.table]] \
+            == [np.float32] * (len(reembedder.hidden) + 1)
+        assert resumed.model.vector.values.dtype == np.float32
+        assert resumed.run().digest() == uninterrupted
+
     def test_unknown_schema_is_a_stream_error(self, tmp_path):
         from repro.stream.errors import StreamError
 

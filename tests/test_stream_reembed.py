@@ -128,7 +128,8 @@ def _per_batch_embeddings(model, graph, batch_size, batch_ids=None):
             rows = model.embed(comp_graph,
                                graph.features[comp_graph.input_nodes]).data
             if table is None:
-                table = np.zeros((graph.num_nodes, rows.shape[1]))
+                table = np.zeros((graph.num_nodes, rows.shape[1]),
+                                 rows.dtype)
             table[nodes] = rows
     finally:
         model.train()
