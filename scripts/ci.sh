@@ -37,6 +37,11 @@ python -m repro.lint --select R001,R101,R102,R103 tests scripts benchmarks examp
 echo "== benchmark smoke (the BENCHMARK.json command: four workloads x untraced + traced pass, digest_stable) =="
 python3 perf/run.py --smoke > /dev/null
 
+echo "== benchmark workloads at full size, untraced, 3 cycles each (the min_auc floors and full-size paths the smoke pass skips) =="
+for workload in train_splpg_serial train_psgdpa_process serve_mixed stream_steady; do
+    python3 perf/run.py --workload "$workload" --seconds 1
+done
+
 echo "== docs links =="
 python scripts/check_links.py
 

@@ -19,10 +19,19 @@ from.  Single-row slices are reported too: a one-row GEMM goes down
 GEMV and rounds apart, which is why the decoder never runs one.
 
 A second canary guards the gradient all-reduce
-(``repro.distributed.sync.average_gradients``): it sums a float64
-``(workers, P)`` stack of gradient vectors down axis 0 from 0, and is
-only equal to the per-parameter mean it replaced if that reduction
-adds the rows in order, like Python's ``sum``, signed zeros included.
+(``repro.distributed.sync.average_gradients``): it sums a ``(workers,
+P)`` stack of gradient vectors down axis 0 from 0 — float32, as
+training runs, and float64 — and is only equal to the per-parameter
+mean it replaced if that reduction adds the rows in order, like
+Python's ``sum``, signed zeros included.
+
+Two more guard the kernel order of the autodiff engine in float32 and
+float64: ``repro.nn.tensor._scatter_add_rows`` (a unit sparse matrix
+times the values) must equal ``np.add.at``, and ``aggregate``'s one
+CSR product must equal the ``gather`` / ``* weight`` /
+``segment_sum`` composition it replaced, forward and backward.  Both
+rely on scipy's sparse kernels adding each output row's terms in
+stored order from zero.
 
 A third guards the serve planner's cache accounting
 (``repro.serve.cache.LRUCache.admit_unique``): a top-k candidate sweep
@@ -35,7 +44,8 @@ Usage::
     PYTHONPATH=src python scripts/envcheck.py
 
 Exits 0 when every panel multiple holds in both dtypes, the stack sum
-equals ``sum`` and every sweep admits like the loop; 1 when any fails
+equals ``sum``, both kernel orders hold and every sweep admits like
+the loop; 1 when any fails
 (a top-k score would no longer equal its pair score, or a training or
 serve digest would move).
 """
@@ -52,9 +62,12 @@ import scipy
 
 from repro.distributed.sync import average_gradients
 from repro.nn.models import SWEEP_CHUNK, SWEEP_PANEL
+from repro.nn.tensor import (Tensor, _scatter_add_rows, aggregate, gather,
+                             segment_sum)
+from repro.sampling.blocks import Block
 from repro.serve.cache import LRUCache
 
-#: The dtypes the decoder runs in.
+#: The dtypes the decoder runs in (training runs in float32).
 DTYPES = (np.float32, np.float64)
 #: GEMM output widths checked: each panel multiple and 1–4 past it.
 WIDTHS = tuple(SWEEP_PANEL * k + extra for k in (1, 2, 3, 4)
@@ -94,22 +107,84 @@ def moving_widths(dtype, slices, rng: np.random.Generator) -> list:
     return sorted(moved)
 
 
-def stack_sum_moves(rng: np.random.Generator, draws: int = 200) -> int:
-    """How many seeded ``(workers, P)`` stacks, a fifth of their entries
-    ``-0.0`` and a tenth ``0.0``, have a gradient mean whose bits differ
-    from Python's ``sum`` over the rows divided by the row count."""
+def stack_sum_moves(dtype, rng: np.random.Generator,
+                    draws: int = 200) -> int:
+    """How many seeded ``(workers, P)`` stacks in ``dtype``, a fifth of
+    their entries ``-0.0`` and a tenth ``0.0``, have a gradient mean
+    whose bits differ from Python's ``sum`` over the rows divided by
+    the row count."""
     moved = 0
     for _ in range(draws):
         workers = int(rng.integers(1, 9))
         size = int(rng.integers(1, 4096))
-        stack = rng.standard_normal((workers, size)) * 10.0 ** rng.integers(
-            -3, 4, (workers, 1))
+        stack = (rng.standard_normal((workers, size)) * 10.0 ** rng.integers(
+            -3, 4, (workers, 1))).astype(dtype)
         stack[rng.random(stack.shape) < 0.2] = -0.0
         stack[rng.random(stack.shape) < 0.1] = 0.0
         present = np.ones(1, dtype=bool)
         mean, _ = average_gradients([(row, present) for row in stack])
         if mean.tobytes() != (sum(list(stack)) / workers).tobytes():
             moved += 1
+    return moved
+
+
+def _signed_draw(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    """Normal draws in ``dtype`` over six decades, a fifth ``-0.0``."""
+    values = (rng.standard_normal(shape)
+              * 10.0 ** rng.integers(-3, 4, shape)).astype(dtype)
+    values[rng.random(shape) < 0.2] = -0.0
+    return values
+
+
+def scatter_moves(dtype, rng: np.random.Generator, draws: int = 100) -> int:
+    """How many seeded scatter-adds (1-D and 2-D values, repeated row
+    ids) ``_scatter_add_rows`` rounds apart from ``np.add.at``."""
+    moved = 0
+    for _ in range(draws):
+        rows = int(rng.integers(1, 300))
+        count = int(rng.integers(0, 2000))
+        index = rng.integers(0, rows, count)
+        shape = (count,) if rng.random() < 0.3 else (
+            count, int(rng.integers(1, 40)))
+        values = _signed_draw(rng, shape, dtype)
+        expected = np.zeros((rows,) + shape[1:], dtype)
+        np.add.at(expected, index, values)
+        got = _scatter_add_rows(index, values, rows)
+        moved += (got.dtype != expected.dtype
+                  or got.tobytes() != expected.tobytes())
+    return moved
+
+
+def aggregate_moves(dtype, rng: np.random.Generator, draws: int = 60) -> int:
+    """How many seeded blocks (unsorted edges, weighted, with and
+    without a row scale) give ``aggregate`` a forward or backward whose
+    bits differ from the ``gather`` / ``segment_sum`` composition."""
+    moved = 0
+    for _ in range(draws):
+        num_src = int(rng.integers(2, 400))
+        num_dst = int(rng.integers(1, num_src + 1))
+        edges = int(rng.integers(0, 3000))
+        block = Block(np.arange(num_src), num_dst,
+                      rng.integers(0, num_src, edges),
+                      rng.integers(0, num_dst, edges),
+                      rng.uniform(0.1, 3.0, edges))
+        scale = rng.uniform(0.1, 2.0, num_dst) if rng.random() < 0.5 \
+            else None
+        h = _signed_draw(rng, (num_src, int(rng.integers(1, 40))), dtype)
+        grad = _signed_draw(rng, (num_dst, h.shape[1]), dtype)
+        fused, composed = Tensor(h, requires_grad=True), \
+            Tensor(h, requires_grad=True)
+        out = aggregate(fused, block, scale)
+        out.backward(grad)
+        weight = Tensor(block.edge_weight[:, None].astype(dtype))
+        ref = segment_sum(gather(composed, block.edge_src) * weight,
+                          block.edge_dst, num_dst)
+        if scale is not None:
+            ref = ref * Tensor(scale[:, None].astype(dtype))
+        ref_data = ref.data
+        ref.backward(grad)
+        moved += (out.data.tobytes() != ref_data.tobytes()
+                  or fused.grad.tobytes() != composed.grad.tobytes())
     return moved
 
 
@@ -169,11 +244,19 @@ def main() -> int:
             failed = True
             print(f"canary FAILED: {name} GEMM rows move with the row "
                   f"count at panel widths {on_panel}")
-    moved = stack_sum_moves(np.random.default_rng(1))
-    if moved:
-        failed = True
-        print(f"canary FAILED: the (workers, P) gradient mean differs "
-              f"from Python's sum on {moved} of 200 stacks")
+    kernels = ((1, "(workers, P) gradient mean differs from Python's sum",
+                stack_sum_moves, 200),
+               (3, "_scatter_add_rows differs from np.add.at", scatter_moves,
+                100),
+               (5, "aggregate differs from the gather / segment_sum "
+                "composition", aggregate_moves, 60))
+    for seed, what, check, draws in kernels:
+        for dtype in DTYPES:
+            moved = check(dtype, np.random.default_rng(seed))
+            if moved:
+                failed = True
+                print(f"canary FAILED: {np.dtype(dtype).name} {what} on "
+                      f"{moved} of {draws} draws")
     admission = sweep_admission_moves(np.random.default_rng(2))
     if admission:
         failed = True
@@ -183,8 +266,11 @@ def main() -> int:
         return 1
     print(f"canary ok    GEMM rows position-free at every multiple of "
           f"{SWEEP_PANEL} in {', '.join(np.dtype(d).name for d in DTYPES)}")
-    print("canary ok    (workers, P) gradient mean equals Python's sum "
-          "from 0, signed zeros included, on 200 stacks")
+    names = ", ".join(np.dtype(d).name for d in DTYPES)
+    print(f"canary ok    (workers, P) gradient mean equals Python's sum "
+          f"from 0, signed zeros included, on 200 stacks in {names}")
+    print(f"canary ok    _scatter_add_rows equals np.add.at on 100 draws, "
+          f"aggregate equals its composition on 60 blocks, in {names}")
     print("canary ok    sweep admission equals the per-key LRU loop at "
           "120 capacities below, at and above the sweep length")
     return 0

@@ -88,7 +88,8 @@ def average_gradients(
     ``(workers, P)`` stack is summed from 0 down the worker axis and
     divided by their number, so a parameter only some have (the others
     read 0) is still divided by every participant, and one nobody has
-    is absent from the mean.  Returns ``None`` when nobody
+    is absent from the mean.  The sum runs in the vectors' dtype
+    (float32, as replicas train).  Returns ``None`` when nobody
     participates.  Every replica then installs the same mean, so
     identical optimizer states take identical steps.
     """

@@ -201,8 +201,9 @@ class EdgePredictor(Module):
     row-wise sum reads its own row alone, so every score is a pure
     function of ``(table, weights, u, v)``: a top-k score equals the
     pair score of the same ``(u, c)`` bit for bit, and a pair scores
-    the same whatever else is decoded with it.  ``forward`` (float64,
-    one GEMV over the batch for the output layer) agrees to rounding.
+    the same whatever else is decoded with it.  ``forward`` (the taped
+    training path, one GEMV over the batch for the output layer) agrees
+    to rounding.
     Active dropout falls back to ``forward``, without a tape.
     """
 

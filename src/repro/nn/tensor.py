@@ -581,7 +581,7 @@ def aggregate(x: Tensor, block: "Block",
     _check_rows(dst, num_dst, "aggregate")
     data = _edge_matrix(dst, src, weights, num_dst, num_src) @ x.data
     if scale is not None:
-        scale = np.asarray(scale).astype(dtype, copy=False)
+        scale = np.asarray(scale, dtype=dtype)
         data *= scale[:, None]
 
     def backward(grad: Array) -> None:

@@ -36,7 +36,6 @@ full graph; online serve handlers never touch raw graph state.
 
 from __future__ import annotations
 
-import lzma
 import tokenize
 import zipfile
 import zlib
@@ -161,15 +160,14 @@ class ServableArtifact:
                 f"servable artifact {path} is missing payload key "
                 f"{exc.args[0]!r}") from exc
         # A damaged zip member fails in whichever layer decodes it:
-        # the archive, zlib (or the bz2 / lzma codec a flipped method
-        # field names: bz2 raises a bare OSError), or numpy's header
+        # the archive, zlib (or bz2, when a flipped bit turns deflate's
+        # method 8 into 12; it raises a bare OSError), or numpy's header
         # parser (whose fallback tokenizer raises its own error on a
         # mangled header).  A missing or unreadable file keeps its
         # OSError subclass.
         except (ValueError, IndexError, zipfile.BadZipFile, EOFError,
-                zlib.error, lzma.LZMAError, NotImplementedError,
-                RuntimeError, SyntaxError, tokenize.TokenError,
-                OSError) as exc:
+                zlib.error, NotImplementedError, RuntimeError, SyntaxError,
+                tokenize.TokenError, OSError) as exc:
             if isinstance(exc, OSError) and type(exc) is not OSError:
                 raise
             raise ValueError(

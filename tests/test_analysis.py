@@ -163,3 +163,18 @@ class TestKHop:
         one = mean_k_hop_size(featured_graph, 1, rng=rng)
         two = mean_k_hop_size(featured_graph, 2, rng=rng)
         assert two > one > 0
+
+    def test_mean_k_hop_samples_with_the_seeded_rng(self):
+        """Above ``sample`` nodes (200) the estimate averages a seeded
+        ``rng.choice`` of nodes: pinned, and reproduced by the draw."""
+        from repro.graph import k_hop_sizes, mean_k_hop_size
+        graph = synthetic_lp_graph(num_nodes=500, target_edges=1500,
+                                   feature_dim=4, num_communities=4,
+                                   rng=np.random.default_rng(7))
+        assert graph.num_nodes > 200
+        estimate = mean_k_hop_size(graph, 2, rng=np.random.default_rng(0))
+        assert estimate == 56.395
+        nodes = np.random.default_rng(0).choice(500, size=200, replace=False)
+        assert estimate == float(k_hop_sizes(graph, nodes, 2).mean())
+        assert mean_k_hop_size(graph, 2, rng=np.random.default_rng(1)) \
+            == 58.15

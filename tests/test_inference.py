@@ -1,5 +1,6 @@
 """Distributed inference: routing, consistency and comm accounting."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -86,9 +87,15 @@ class TestConsistency:
                 expected[idx] = model.score_pairs(
                     table, pairs[idx, 0], pairs[idx, 1]).data
         assert distributed.tobytes() == expected.tobytes()
-        centralized = score_pairs(model, graph, pairs, fanouts=(-1, -1),
+        # The rounding check at float64's allowance: the same weights
+        # widened to float64, scored both ways.
+        wide = copy.deepcopy(model).astype(np.float64)
+        distributed = DistributedScorer(
+            wide, pg, remote=RemoteGraphStore(graph), fanouts=(-1, -1),
+            batch_size=8, backend=backend).score(pairs).scores
+        centralized = score_pairs(wide, graph, pairs, fanouts=(-1, -1),
                                   rng=np.random.default_rng(0))
-        np.testing.assert_allclose(distributed, centralized, atol=1e-6)
+        np.testing.assert_allclose(distributed, centralized, atol=1e-9)
 
     def test_sparsified_store_changes_remote_scores_only_slightly(
             self, setting):
