@@ -19,10 +19,10 @@ OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 \
     python -m pytest -q tests/test_golden_digests.py \
     -k "subset_matches or stream_cells_match or serve_cells_match"
 
-echo "== stream + serve golden cells under two hash seeds (no digest may depend on str/bytes hash order) =="
+echo "== training subset + stream + serve golden cells under two hash seeds (no digest may depend on str/bytes hash order) =="
 for hash_seed in 0 1; do
     PYTHONHASHSEED=$hash_seed python -m pytest -q tests/test_golden_digests.py \
-        -k "stream_cells_match or serve_cells_match"
+        -k "subset_matches or stream_cells_match or serve_cells_match"
 done
 
 echo "== paper figures (benchmarks/, smoke scale: catches a figure that stops running; strict() only prints rows here) =="

@@ -39,13 +39,21 @@ is admitted in one vectorised pass built on ``argsort``,
 ``searchsorted`` and ``tril``, whose hits, misses and final recency
 order must equal the per-key ``admit`` loop's, at cache capacities
 below, equal to and above the sweep length.
+
+A fourth guards the neighbour sampler's edge order
+(``repro.sampling.neighbor._by_destination_then_key``): it must equal
+``np.lexsort((keys, dst))`` on random edge lists, and on lists where
+two keys of one destination are forced one ulp apart so their float
+sums ``dst + key`` tie and only the lexsort fallback orders them.
+
 Usage::
 
     PYTHONPATH=src python scripts/envcheck.py
 
 Exits 0 when every panel multiple holds in both dtypes, the stack sum
 equals ``sum``, both kernel orders hold and every sweep admits like
-the loop; 1 when any fails
+the loop and the sampler's edge order equals ``lexsort``; 1 when any
+fails
 (a top-k score would no longer equal its pair score, or a training or
 serve digest would move).
 """
@@ -65,6 +73,7 @@ from repro.nn.models import SWEEP_CHUNK, SWEEP_PANEL
 from repro.nn.tensor import (Tensor, _scatter_add_rows, aggregate, gather,
                              segment_sum)
 from repro.sampling.blocks import Block
+from repro.sampling.neighbor import _by_destination_then_key
 from repro.serve.cache import LRUCache
 
 #: The dtypes the decoder runs in (training runs in float32).
@@ -216,6 +225,30 @@ def sweep_admission_moves(rng: np.random.Generator, draws: int = 40) -> int:
     return moved
 
 
+def sampler_order_moves(rng: np.random.Generator, draws: int = 100) -> tuple:
+    """``(moved, ties)``: how many seeded edge lists (non-decreasing
+    destinations, as ``sample_block`` builds them)
+    ``_by_destination_then_key`` orders apart from ``np.lexsort((keys,
+    dst))``, and how many of them had a forced float-sum tie.  Every
+    other draw puts a key one ulp above its successor's in the same
+    destination group; the successor's key is a multiple of 2**-20, so
+    ``dst + key`` is exact and the two sums tie (``dst >= 1``)."""
+    moved = ties = 0
+    for draw in range(draws):
+        counts = rng.integers(0, 12, int(rng.integers(2, 300)))
+        dst = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        keys = rng.random(dst.size)
+        pairs = np.flatnonzero((dst[1:] == dst[:-1]) & (dst[1:] > 0))
+        if draw % 2 and pairs.size:
+            i = int(rng.choice(pairs))
+            keys[i + 1] = np.floor(keys[i + 1] * 2**20) / 2**20
+            keys[i] = np.nextafter(keys[i + 1], 1.0)
+            ties += dst[i] + keys[i] == dst[i + 1] + keys[i + 1]
+        got = _by_destination_then_key(dst, keys)
+        moved += not np.array_equal(got, np.lexsort((keys, dst)))
+    return moved, ties
+
+
 def main() -> int:
     print(f"python       {platform.python_version()} "
           f"({platform.python_implementation()})")
@@ -262,6 +295,12 @@ def main() -> int:
         failed = True
         print(f"canary FAILED: a sweep's batch admission differs from the "
               f"per-key LRU loop on {admission} of 120 capacities")
+    order_moved, ties = sampler_order_moves(np.random.default_rng(4))
+    if order_moved or not ties:
+        failed = True
+        print(f"canary FAILED: the sampler's edge order differs from "
+              f"np.lexsort on {order_moved} of 100 edge lists "
+              f"({ties} with a forced float-sum tie)")
     if failed:
         return 1
     print(f"canary ok    GEMM rows position-free at every multiple of "
@@ -273,6 +312,8 @@ def main() -> int:
           f"aggregate equals its composition on 60 blocks, in {names}")
     print("canary ok    sweep admission equals the per-key LRU loop at "
           "120 capacities below, at and above the sweep length")
+    print(f"canary ok    the sampler's edge order equals np.lexsort on 100 "
+          f"edge lists, {ties} with a forced float-sum tie")
     return 0
 
 

@@ -65,8 +65,7 @@ def _stream_model_spec(config: TrainConfig, feature_dim: int) -> dict:
     return {"gnn_type": config.gnn_type, "in_dim": int(feature_dim),
             "hidden_dim": config.hidden_dim,
             "num_layers": config.num_layers,
-            "predictor": config.predictor, "dropout": config.dropout,
-            "num_heads": config.num_heads}
+            "predictor": config.predictor, "num_heads": config.num_heads}
 
 #: TrainConfig fields an ExperimentScale preset provides defaults for.
 _SCALE_FIELDS = ("hidden_dim", "num_layers", "fanouts", "batch_size",
@@ -364,8 +363,8 @@ class Session:
         ``mode`` is one of ``barrier`` | ``ps`` | ``async`` |
         ``local_sgd`` (legacy ``grad``/``model`` still accepted);
         ``**knobs`` forwards the mode's tuning fields —
-        ``max_staleness`` (ps), ``pull_prob`` (async), ``sync_every``
-        (local_sgd) — plus an optional pre-built ``sync_plan``.
+        ``max_staleness`` (ps), ``pull_prob`` (async) and ``sync_every``
+        (local_sgd).
 
             session.sync("ps", max_staleness=4)
             session.sync("local_sgd", sync_every=8)
@@ -376,8 +375,7 @@ class Session:
             raise ValueError(
                 f"unknown sync mode {mode!r}; choose from "
                 f"{SYNC_MODES + LEGACY_SYNC_MODES}")
-        allowed = {"max_staleness", "pull_prob", "sync_every",
-                   "sync_plan", "sync_topology"}
+        allowed = {"max_staleness", "pull_prob", "sync_every"}
         unknown = set(knobs) - allowed
         if unknown:
             raise ValueError(

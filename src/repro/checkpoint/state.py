@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
 from typing import Dict, Optional
 
 import numpy as np
@@ -270,6 +270,27 @@ def load_checkpoint(path) -> tuple:
     return meta, state
 
 
+#: TrainConfig keys older stores carry, each with the value at which it
+#: changed nothing (``lr_decay_every`` only counted under a decay).
+_INERT_KEYS = {"dropout": 0.0, "patience": 0, "lr_decay": 1.0,
+               "sync_topology": "allreduce"}
+
+
+def _pop_removed_keys(cfg: Dict[str, object]) -> Optional[dict]:
+    """Drop the removed keys from a stored config dict, raising
+    :class:`CheckpointMismatchError` on one that held a live value;
+    returns the stored ``sync_plan`` (``None`` when absent), which
+    :func:`rebuild_trainer` checks against the derived plan."""
+    for key, inert in _INERT_KEYS.items():
+        if key in cfg and cfg.pop(key) != inert:
+            raise CheckpointMismatchError(
+                f"checkpoint sets the removed TrainConfig key {key!r} "
+                f"to a value other than {inert!r}; this build cannot "
+                "resume it")
+    cfg.pop("lr_decay_every", None)
+    return cfg.pop("sync_plan", None)
+
+
 def rebuild_trainer(meta, state, split, *,
                     framework: Optional[str] = None,
                     workers: Optional[int] = None):
@@ -279,8 +300,11 @@ def rebuild_trainer(meta, state, split, *,
     all seeded from the stored config) against ``split``, then restores
     the snapshot into it.  ``framework``/``workers``, when given, must
     match the checkpoint (:class:`CheckpointMismatchError` otherwise) —
-    as must ``split``'s fingerprint.  The returned trainer's
-    ``train()`` continues the run.
+    as must ``split``'s fingerprint.  A config key this build removed
+    is dropped when it holds its inert value (:data:`_INERT_KEYS`, and
+    a ``sync_plan`` of ``None`` or the one the config derives) and
+    refused otherwise.  The returned trainer's ``train()`` continues
+    the run.
     """
     from ..core.frameworks import build_trainer, framework_spec
 
@@ -310,7 +334,18 @@ def rebuild_trainer(meta, state, split, *,
     if prob:
         from ..faults import FaultPlan
         cfg["fault_plan"] = FaultPlan.from_probability(prob)
+    plan = _pop_removed_keys(cfg)
     config = TrainConfig(**cfg)
+    if plan is not None:
+        from ..distributed.sync import PLANNED_SYNC_MODES, SyncPlan
+        derived = (asdict(SyncPlan.for_config(config, meta["num_workers"]))
+                   if config.sync in PLANNED_SYNC_MODES else None)
+        if derived is None or {key: plan.get(key)
+                               for key in derived} != derived:
+            raise CheckpointMismatchError(
+                "checkpoint sets the removed TrainConfig key 'sync_plan' "
+                "to a plan its config does not derive; this build "
+                "cannot resume it")
     knobs = meta.get("build_knobs", {})
     trainer = build_trainer(
         framework_spec(meta["framework"]), split, meta["num_workers"],

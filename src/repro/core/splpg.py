@@ -34,7 +34,7 @@ import numpy as np
 from ..distributed.store import SparsifiedRemoteStore
 from ..distributed.trainer import DistributedTrainer, TrainConfig, TrainResult
 from ..obs import RunObserver
-from ..eval.evaluator import eval_mode, score_pairs
+from ..eval.evaluator import score_pairs
 from ..graph.graph import Graph
 from ..graph.splits import EdgeSplit, split_edges
 from ..partition import partition_graph
@@ -157,10 +157,9 @@ class SpLPG:
         if self._trainer is None:
             raise RuntimeError("call fit() before score()")
         model = self._trainer.workers[0].model
-        with eval_mode(model):
-            return score_pairs(model, self._split.train_graph,
-                               pairs, self.config.fanouts,
-                               rng=np.random.default_rng(self.seed + 13))
+        return score_pairs(model, self._split.train_graph,
+                           pairs, self.config.fanouts,
+                           rng=np.random.default_rng(self.seed + 13))
 
     def predict(self, pairs: np.ndarray, threshold: float = 0.0) -> np.ndarray:
         """Binary link predictions (score > threshold)."""

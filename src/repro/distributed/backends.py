@@ -62,7 +62,7 @@ from ..faults.errors import (
     WorkerTimeoutError,
 )
 from .comm import CommRecord
-from .routing import guarded_recv
+from .routing import guarded_recv, resolve_backend
 from .sync import (Gradient, average_gradients, average_models,
                    broadcast_model, sync_bytes_per_worker)
 
@@ -124,7 +124,6 @@ class WorkerHost:
     ``("step",)``                     local optimizer step
     ``("get_model",)``                → ``model``, weight vector
     ``("set_model", weights)``        load synchronized weights
-    ``("lr", factor)``                decay learning rate
     ``("snapshot", epoch, round)``    → ``snapshot``, serialized state
     ``("load_snapshot", payload)``    rehydrate from a snapshot
     ``("replay", cmds)``              re-execute silently → ``replayed``
@@ -192,8 +191,6 @@ class WorkerHost:
             return ("model", worker.model.vector.values.copy())
         elif cmd == "set_model":
             worker.model.vector.load(msg[1])
-        elif cmd == "lr":
-            worker.optimizer.lr *= msg[1]
         elif cmd == "snapshot":
             return ("snapshot", worker_state_bytes(worker, int(msg[1]),
                                                    int(msg[2])))
@@ -277,31 +274,23 @@ class ExecutionBackend:
 def make_backend(name: str, num_workers: int):
     """Build the named backend, degrading when it cannot help.
 
-    ``process`` (and ``thread``) with a single worker would pay pool
-    startup for zero overlap, so they degrade to :class:`SerialBackend`
-    with a warning; ``process`` also degrades on platforms without the
-    ``fork`` start method (children must inherit the graph without
-    pickling it).
+    The name check and the fork rule are :func:`~repro.distributed.
+    routing.resolve_backend`'s (``process`` children must inherit the
+    graph without pickling it).  ``process`` and ``thread`` with a
+    single worker would pay pool startup for zero overlap, so they
+    degrade to :class:`SerialBackend` with a warning.
     """
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
-    if name == "serial":
-        return SerialBackend()
-    if num_workers <= 1:
+    name = resolve_backend(name, BACKEND_NAMES, "training")
+    if name != "serial" and num_workers <= 1:
         warnings.warn(
-            f"backend={name!r} with {num_workers} worker(s) has nothing "
-            "to parallelize; degrading to the serial backend",
-            RuntimeWarning, stacklevel=2)
+            f"backend={name!r} with {num_workers} worker(s): degrading "
+            "to the serial backend (reason: a one-worker pool has "
+            "nothing to parallelize)", RuntimeWarning, stacklevel=2)
+        name = "serial"
+    if name == "serial":
         return SerialBackend()
     if name == "thread":
         return ThreadBackend(num_workers)
-    if "fork" not in mp.get_all_start_methods():
-        warnings.warn(
-            "backend='process' needs the fork start method (workers "
-            "inherit the graph copy-on-write); degrading to the serial "
-            "backend", RuntimeWarning, stacklevel=2)
-        return SerialBackend()
     return ProcessBackend(num_workers)
 
 
@@ -335,7 +324,7 @@ class SerialBackend(ExecutionBackend):
     #: Commands recorded in the per-worker replay log (restore policy).
     _REPLAYABLE = frozenset((
         "epoch", "draw", "train", "grads", "step", "get_model",
-        "set_model", "lr", "ffwd"))
+        "set_model", "ffwd"))
 
     def __init__(self) -> None:
         self.trainer = None
@@ -499,7 +488,7 @@ class SerialBackend(ExecutionBackend):
     # -- synchronization ------------------------------------------------
 
     def apply_gradients(self, participating: Sequence[bool],
-                        topology: str, obs=None) -> None:
+                        obs=None) -> None:
         """Average participants' gradients; every live replica receives
         the mean (the gradient-sync barrier)."""
         if obs is not None:
@@ -513,7 +502,7 @@ class SerialBackend(ExecutionBackend):
             return
         for i in self._active():
             self._send(i, ("grads", averaged))
-        self._charge_sync(topology)
+        self._charge_sync()
 
     def step_all(self) -> None:
         """Optimizer step on every live worker (replicas share the
@@ -528,8 +517,7 @@ class SerialBackend(ExecutionBackend):
             if participating[i]:
                 self._send(i, ("step",))
 
-    def sync_models(self, topology: str, obs=None,
-                    participating=None) -> None:
+    def sync_models(self, obs=None, participating=None) -> None:
         """FedAvg model averaging (the model-sync barrier): pull live
         replicas' weights, average the participants in worker order,
         load the mean into every live replica — a non-participant
@@ -546,7 +534,7 @@ class SerialBackend(ExecutionBackend):
                 else sum(participating))
         for i in self._active():
             self._send(i, ("set_model", averaged))
-        self._charge_sync(topology)
+        self._charge_sync()
 
     def collect_gradients(self, mask: Sequence[bool]
                           ) -> List[Optional[Gradient]]:
@@ -568,14 +556,13 @@ class SerialBackend(ExecutionBackend):
         if worker not in self._dead:
             self._send(worker, ("set_model", weights))
 
-    def _charge_sync(self, topology: str) -> None:
-        """Charge one collective to every live worker's meter, sized to
-        the live cluster."""
+    def _charge_sync(self) -> None:
+        """Charge one ring all-reduce to every live worker's meter,
+        sized to the live cluster."""
         trainer = self.trainer
         active = self._active()
         per_worker = sync_bytes_per_worker(
-            trainer.workers[0].model.parameter_nbytes(),
-            len(active), topology)
+            trainer.workers[0].model.parameter_nbytes(), len(active))
         for i in active:
             trainer.meters[i].charge_sync(per_worker)
 
@@ -618,11 +605,6 @@ class SerialBackend(ExecutionBackend):
         hook(models)
         for i in self._active():
             self._send(i, ("set_model", models[i].vector.values.copy()))
-
-    def scale_lr(self, factor: float) -> None:
-        """Multiply every live worker optimizer's learning rate."""
-        for i in self._active():
-            self._send(i, ("lr", float(factor)))
 
     # -- fault-tolerance hooks (repro.faults) ---------------------------
 

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..eval.evaluator import eval_mode, materialize_embeddings, score_pairs
+from ..eval.evaluator import materialize_embeddings, score_pairs
 from ..rng import ensure_rng
 from ..nn.models import LinkPredictionModel
 from ..nn.tensor import Tensor, no_grad
@@ -190,14 +190,13 @@ class DistributedScorer:
             self.mark_down(part)
             return run(part, worker=self.live_shards[0])
 
-        with eval_mode(self.model):
-            for part, reply, piped in fan_out(
-                    self.backend, list(work), run, fallback,
-                    self.timeout_s, context="score"):
-                worker, shard_scores, charged = reply
-                scores[work[part][0]] = shard_scores
-                if piped:  # the child charged its own copy of the meter
-                    self.meters[worker].absorb(CommRecord(**charged))
+        for part, reply, piped in fan_out(
+                self.backend, list(work), run, fallback,
+                self.timeout_s, context="score"):
+            worker, shard_scores, charged = reply
+            scores[work[part][0]] = shard_scores
+            if piped:  # the child charged its own copy of the meter
+                self.meters[worker].absorb(CommRecord(**charged))
         return InferenceResult(scores=scores, comm=self._total_comm(),
                                pairs_per_worker=counts,
                                rerouted_pairs=rerouted)

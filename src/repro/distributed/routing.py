@@ -35,17 +35,20 @@ from ..partition.partitioned import owner_vector
 
 
 def resolve_backend(name: str, names: Sequence[str], what: str) -> str:
-    """Validate a :func:`fan_out` backend name, degrading ``process``
-    to ``serial`` on platforms without the fork start method (same rule
-    as :func:`repro.distributed.backends.make_backend`)."""
+    """Validate a backend name (training's
+    :func:`~repro.distributed.backends.make_backend` or a
+    :func:`fan_out` caller's), degrading ``process`` to ``serial`` on
+    platforms without the fork start method."""
     if name not in names:
         raise ValueError(
             f"unknown backend {name!r} for {what}; expected one of "
             f"{tuple(names)}")
     if name == "process" and "fork" not in mp.get_all_start_methods():
         warnings.warn(
-            f"backend 'process' for {what} needs the fork start method; "
-            "degrading to 'serial'", RuntimeWarning, stacklevel=3)
+            f"backend 'process' for {what}: degrading to 'serial' "
+            "(reason: its children inherit the graph through the fork "
+            "start method, which this platform lacks)", RuntimeWarning,
+            stacklevel=3)
         return "serial"
     return name
 

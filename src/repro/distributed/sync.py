@@ -38,9 +38,8 @@ delivering the result and charging for it is the protocol's job
 (:mod:`repro.distributed.backends`).
 
 Sync traffic is charged to each worker's meter in the ``sync`` bucket:
-barrier modes use a selectable topology cost model (ring all-reduce by
-default, parameter-server optional) — see
-:func:`sync_bytes_per_worker` — while ``ps``/``async`` charge one
+barrier modes charge a ring all-reduce (:func:`sync_bytes_per_worker`),
+while ``ps``/``async`` charge one
 :func:`ps_message_nbytes` payload per push and per pull.  Parameters
 travel as float32.
 """
@@ -128,25 +127,14 @@ def broadcast_model(source: LinkPredictionModel,
         t.vector.load(source.vector.values)
 
 
-def sync_bytes_per_worker(param_nbytes: int, num_workers: int,
-                          topology: str = "allreduce") -> int:
-    """Bytes one worker sends+receives in a synchronization round.
-
-    * ``allreduce`` — ring all-reduce: each worker moves
-      ``2 (p-1)/p`` times the parameter payload (reduce-scatter +
-      all-gather), the standard NCCL cost model.
-    * ``parameter_server`` — one upload plus one download of the full
-      payload per worker.
+def sync_bytes_per_worker(param_nbytes: int, num_workers: int) -> int:
+    """Bytes one worker sends+receives in a synchronization round: a
+    ring all-reduce moves ``2 (p-1)/p`` times the parameter payload per
+    worker (reduce-scatter + all-gather), the standard NCCL cost model.
     """
     if num_workers <= 1:
         return 0
-    if topology == "allreduce":
-        return int(2 * param_nbytes * (num_workers - 1) / num_workers)
-    if topology == "parameter_server":
-        return int(2 * param_nbytes)
-    raise ValueError(
-        f"unknown topology {topology!r}; choose 'allreduce' or "
-        f"'parameter_server'")
+    return int(2 * param_nbytes * (num_workers - 1) / num_workers)
 
 
 def ps_message_nbytes(param_nbytes: int) -> int:
@@ -177,8 +165,7 @@ class SyncPlan:
     ``max_staleness`` (forced pull once the version lag exceeds it),
     ``"async"`` uses ``pull_prob`` (seeded per-worker coin flip each
     round), ``"local_sgd"`` uses ``sync_every`` (model averaging every
-    that many rounds).  Unused knobs are carried but ignored, so one
-    plan dict round-trips through any mode.
+    that many rounds).  Unused knobs are carried but ignored.
     """
 
     mode: str
@@ -187,7 +174,6 @@ class SyncPlan:
     max_staleness: int = 2
     pull_prob: float = 0.5
     sync_every: int = 4
-    name: str = "sync-plan"
 
     def __post_init__(self) -> None:
         """Validate the mode and knob ranges."""
@@ -253,48 +239,16 @@ class SyncPlan:
         """
         return rounds_since_sync >= self.sync_every
 
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (inverse of :meth:`from_dict`), JSON-safe."""
-        return {
-            "mode": self.mode,
-            "num_workers": self.num_workers,
-            "seed": self.seed,
-            "max_staleness": self.max_staleness,
-            "pull_prob": self.pull_prob,
-            "sync_every": self.sync_every,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SyncPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        try:
-            return cls(mode=str(data["mode"]),
-                       num_workers=int(data["num_workers"]),
-                       seed=int(data.get("seed", 0)),
-                       max_staleness=int(data.get("max_staleness", 2)),
-                       pull_prob=float(data.get("pull_prob", 0.5)),
-                       sync_every=int(data.get("sync_every", 4)),
-                       name=str(data.get("name", "sync-plan")))
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed SyncPlan dict "
-                             f"({type(exc).__name__}: {exc})") from exc
-
     @classmethod
     def for_config(cls, config, num_workers: int) -> "SyncPlan":
-        """Derive the plan a :class:`TrainConfig` implies.
-
-        Used by :func:`make_strategy` when ``config.sync_plan`` is ``None``:
-        the plan seed is the run seed, so the schedule is pinned by the
-        same knob that pins everything else.
+        """Derive the plan a :class:`TrainConfig` implies on
+        ``num_workers`` workers: the plan seed is the run seed, so the
+        schedule is pinned by the same knob that pins everything else.
         """
         return cls(mode=config.sync, num_workers=num_workers,
                    seed=config.seed, max_staleness=config.max_staleness,
                    pull_prob=config.pull_prob,
-                   sync_every=config.sync_every,
-                   name=f"{config.sync}-from-config")
+                   sync_every=config.sync_every)
 
 
 class SyncStrategy:
@@ -302,11 +256,11 @@ class SyncStrategy:
 
     A strategy answers five questions, so nobody else names modes:
     :attr:`want_grads` (must ``train`` replies carry the gradients?),
-    :meth:`after_round`, :meth:`end_epoch`, :meth:`scale_lr` /
-    :meth:`stats`, and :meth:`capture` / :meth:`restore`.  It is built
-    on its own state (:meth:`for_trainer`), :meth:`bind`-ed to the
-    trainer whose cluster it synchronises (the backends' idiom), and
-    reaches the workers only through the backend's round protocol.
+    :meth:`after_round`, :meth:`end_epoch`, :meth:`stats`, and
+    :meth:`capture` / :meth:`restore`.  It is built on its own state
+    (:meth:`for_trainer`), :meth:`bind`-ed to the trainer whose cluster
+    it synchronises (the backends' idiom), and reaches the workers only
+    through the backend's round protocol.
     Shared here: the traced ``sync`` span with its vertex-cut replica
     charge, and LLCG's correction as the post-sync step.
     """
@@ -352,9 +306,6 @@ class SyncStrategy:
     def end_epoch(self, faults) -> None:
         """Leave every live replica at one consensus model."""
         raise NotImplementedError
-
-    def scale_lr(self, factor: float) -> None:
-        """Decay a coordinator-side optimizer, if there is one."""
 
     def stats(self) -> Dict[str, object]:
         """``TrainResult.sync_stats`` (replica bytes: vertex cut only)."""
@@ -419,8 +370,7 @@ class GradAllReduce(SyncStrategy):
         trainer = self.trainer
         self._sync_event(
             lambda: trainer.backend.apply_gradients(
-                decision.sync_mask, trainer.config.sync_topology,
-                obs=trainer.observer),
+                decision.sync_mask, obs=trainer.observer),
             faults)
         trainer.backend.step_all()
         faults.barrier()
@@ -479,8 +429,7 @@ class PeriodicAverage(SyncStrategy):
         participating = faults.model_sync_mask() if faults.enabled else None
         self._sync_event(
             lambda: trainer.backend.sync_models(
-                trainer.config.sync_topology, obs=trainer.observer,
-                participating=participating),
+                obs=trainer.observer, participating=participating),
             faults)
         self._correct()
         faults.barrier()
@@ -565,10 +514,6 @@ class ParameterServer(SyncStrategy):
         if trainer.correction_hook is not None:
             self._correct()
             self.adopt(trainer.workers[0].model.vector.values, live=live)
-
-    def scale_lr(self, factor: float) -> None:
-        """Decay the server optimizer along with the workers'."""
-        self.optimizer.lr *= factor
 
     def capture(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
         """Adds the server's model, optimizer, versions and totals."""
@@ -723,10 +668,10 @@ STRATEGIES = {
 def make_strategy(trainer) -> SyncStrategy:
     """The bound strategy ``trainer.config.sync`` names.
 
-    A planned mode runs on ``config.sync_plan`` or the plan the config
-    implies; on a one-partition cluster it degrades to the barrier
-    strategy with a warning and the run reports ``mode="grad"``.  The
-    caller's config is never written to.
+    A planned mode runs on the plan the config implies
+    (:meth:`SyncPlan.for_config`); on a one-partition cluster it
+    degrades to the barrier strategy with a warning and the run reports
+    ``mode="grad"``.  The caller's config is never written to.
     """
     config = trainer.config
     num_workers = trainer.partitioned.num_parts
@@ -738,9 +683,5 @@ def make_strategy(trainer) -> SyncStrategy:
             "no staleness to schedule)", RuntimeWarning, stacklevel=3)
         mode = "grad"
     elif mode in PLANNED_SYNC_MODES:
-        plan = config.sync_plan or SyncPlan.for_config(config, num_workers)
-        if plan.num_workers != num_workers:
-            raise ValueError(
-                f"sync_plan.num_workers={plan.num_workers} does not "
-                f"match the partitioning ({num_workers} parts)")
+        plan = SyncPlan.for_config(config, num_workers)
     return STRATEGIES[mode].for_trainer(trainer, mode, plan).bind(trainer)

@@ -11,7 +11,7 @@ without GPUs:
 * **network** — bytes fetched from the master over a link of
   ``bandwidth_gbps``, plus a per-request latency for every structure
   round-trip;
-* **synchronization** — the topology-dependent sync payload over the
+* **synchronization** — the ring all-reduce sync payload over the
   same link, paid once per round.
 
 Workers proceed in lock-step rounds (the synchronous barrier), so each

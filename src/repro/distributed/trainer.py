@@ -94,7 +94,6 @@ class TrainConfig:
     batch_size: int = 256
     lr: float = 1e-3
     epochs: int = 20
-    dropout: float = 0.0
     num_heads: int = 1
     # Training-time negative sampling strategy: "uniform" (paper's
     # per-source uniform), "degree" (PinSage-style, ∝ degree^0.75) or
@@ -107,7 +106,6 @@ class TrainConfig:
     # sync_every rounds), or the legacy values "grad"/"model".
     sync: str = "grad"
     sync_every_batches: int = 0   # 0 = once per epoch (model averaging)
-    sync_topology: str = "allreduce"  # or "parameter_server"
     # Bounded-staleness knob for sync="ps": a worker pulls fresh server
     # weights once its version lag exceeds this many applied pushes
     # (0 = pull after every push, the sequential-consistency corner).
@@ -118,10 +116,6 @@ class TrainConfig:
     # Pull probability for sync="async": the seeded per-round coin a
     # worker flips to decide whether to refresh its replica.
     pull_prob: float = 0.5
-    # Pre-computed update interleaving (repro.distributed.SyncPlan, or
-    # its to_dict() form).  None derives one from the knobs above with
-    # the run seed — see SyncPlan.for_config.
-    sync_plan: Optional[object] = None
     cache_remote_features: bool = False  # epoch-scoped remote feature cache
     # Partition layout for runs that build their own PartitionedGraph
     # (repro.api / build_trainer): a repro.partition.PartitionSpec, a
@@ -153,13 +147,6 @@ class TrainConfig:
     retry_backoff_s: float = 0.05
     hits_k: int = 100
     eval_every: int = 1
-    # Early stopping: stop after `patience` consecutive evaluations
-    # without validation improvement (0 disables).
-    patience: int = 0
-    # Multiplicative learning-rate decay applied every `lr_decay_every`
-    # epochs (1.0 disables).
-    lr_decay: float = 1.0
-    lr_decay_every: int = 1
     # Observability (repro.obs): record a span trace + metrics for the
     # run and attach the joined RunReport to TrainResult.report.  All
     # recorded durations are synthetic (timeline cost model), so
@@ -183,8 +170,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        from .sync import (LEGACY_SYNC_MODES, PLANNED_SYNC_MODES,
-                           SYNC_MODES, SyncPlan)
+        from .sync import LEGACY_SYNC_MODES, SYNC_MODES
         if self.sync not in SYNC_MODES + LEGACY_SYNC_MODES:
             raise ValueError(
                 f"sync must be one of {SYNC_MODES + LEGACY_SYNC_MODES}, "
@@ -201,26 +187,6 @@ class TrainConfig:
             raise ValueError("sync_every must be >= 1")
         if not 0.0 <= self.pull_prob <= 1.0:
             raise ValueError("pull_prob must be in [0, 1]")
-        if isinstance(self.sync_plan, dict):
-            # Accept the to_dict form so configs stay JSON-round-trippable.
-            self.sync_plan = SyncPlan.from_dict(self.sync_plan)
-        if (self.sync_plan is not None
-                and not isinstance(self.sync_plan, SyncPlan)):
-            raise ValueError(
-                "sync_plan must be a SyncPlan (or its to_dict form), "
-                f"got {type(self.sync_plan).__name__}")
-        if self.sync_plan is not None and self.sync_plan.mode != self.sync:
-            raise ValueError(
-                f"sync_plan.mode {self.sync_plan.mode!r} does not match "
-                f"sync={self.sync!r}")
-        if self.sync in PLANNED_SYNC_MODES and self.num_workers == 1:
-            import warnings
-            warnings.warn(
-                f"sync={self.sync!r} with num_workers=1 degrades to the "
-                "barrier mode (reason: a one-worker cluster has no "
-                "staleness to schedule)", RuntimeWarning, stacklevel=2)
-            self.sync = "grad"
-            self.sync_plan = None
         from .backends import BACKEND_NAMES
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
@@ -228,14 +194,6 @@ class TrainConfig:
                 f"got {self.backend!r}")
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0")
-        if self.num_workers == 1 and self.backend != "serial":
-            # A one-worker pool pays startup for zero overlap.
-            import warnings
-            warnings.warn(
-                f"backend={self.backend!r} with num_workers=1 degrades "
-                "to the serial backend (reason: a one-worker pool has "
-                "nothing to parallelize)", RuntimeWarning, stacklevel=2)
-            self.backend = "serial"
         if len(self.fanouts) != self.num_layers:
             raise ValueError("need one fanout per layer")
         check_fanouts(self.fanouts)
@@ -270,22 +228,13 @@ class TrainConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must be in (0, 1]")
-        if self.lr_decay_every < 1:
-            raise ValueError("lr_decay_every must be >= 1")
         if self.negative_sampler not in ("uniform", "degree", "in_batch"):
             raise ValueError(
                 "negative_sampler must be 'uniform', 'degree' or "
                 "'in_batch'")
-        if self.sync_topology not in ("allreduce", "parameter_server"):
-            raise ValueError(
-                "sync_topology must be 'allreduce' or 'parameter_server'")
         if self.partition is not None:
             # Accept PartitionSpec | strategy name | to_dict form, like
-            # the FaultPlan/SyncPlan knobs above.
+            # the FaultPlan knob above.
             from ..partition.registry import PartitionSpec
             self.partition = PartitionSpec.canonicalize(self.partition)
 
@@ -534,7 +483,6 @@ class LoopState:
         self.best_val = -1.0
         self.best_state: Optional[np.ndarray] = None
         self.best_epoch = -1
-        self.evals_since_best = 0
 
     def capture(self) -> tuple:
         """Position, history and best-validation bookkeeping as meta;
@@ -542,7 +490,6 @@ class LoopState:
         meta = {"epoch": self.epoch, "round": self.round,
                 "history": [asdict(s) for s in self.history],
                 "best": {"val": self.best_val, "epoch": self.best_epoch,
-                         "evals_since_best": self.evals_since_best,
                          "has_state": self.best_state is not None}}
         if self.best_state is None:
             return meta, {}
@@ -556,7 +503,6 @@ class LoopState:
         self.history = [EpochStats.from_dict(d) for d in meta["history"]]
         self.best_val = best["val"]
         self.best_epoch = best["epoch"]
-        self.evals_since_best = best["evals_since_best"]
         self.best_state = (self.model.vector.join(
             [arrays[f"best.{name}"] for name in self._names()])
             if best["has_state"] else None)
@@ -713,8 +659,8 @@ class DistributedTrainer:
         return build_model(
             config.gnn_type, self.split.train_graph.feature_dim,
             config.hidden_dim, num_layers=config.num_layers,
-            predictor=config.predictor, dropout=config.dropout,
-            num_heads=config.num_heads, seed=config.seed)
+            predictor=config.predictor, num_heads=config.num_heads,
+            seed=config.seed)
 
     # ------------------------------------------------------------------
 
@@ -855,9 +801,6 @@ class DistributedTrainer:
                         loop.best_val = val.hits
                         loop.best_state = models[0].vector.values.copy()
                         loop.best_epoch = epoch
-                        loop.evals_since_best = 0
-                    else:
-                        loop.evals_since_best += 1
                 loop.history.append(EpochStats(
                     epoch=epoch, mean_loss=mean_loss, comm=comm, val=val,
                     rounds=loop.round, mfg_edges=epoch_mfg_edges))
@@ -866,19 +809,9 @@ class DistributedTrainer:
                 obs.histogram("epoch.duration_s").observe(
                     obs.tracer.now_s - epoch_started)
 
-            if (config.patience and val is not None
-                    and loop.evals_since_best >= config.patience):
-                break
-            if (config.lr_decay < 1.0
-                    and (epoch + 1) % config.lr_decay_every == 0):
-                backend.scale_lr(config.lr_decay)
-                strategy.scale_lr(config.lr_decay)
             if config.checkpoint_dir is not None and (
                     (epoch + 1) % config.checkpoint_every == 0
                     or epoch == config.epochs - 1):
-                # After the lr decay so the snapshot holds the decayed
-                # rate; a patience break above skips the write, so
-                # resume re-evaluates (and re-takes) the break.
                 self._write_checkpoint()
 
         if loop.best_state is not None:

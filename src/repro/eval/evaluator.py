@@ -20,9 +20,7 @@ full-neighbour embeddings of any row set in one message-flow graph).
 Both read from any neighbour source — a raw
 :class:`~repro.graph.Graph`, or a
 :class:`~repro.distributed.views.WorkerGraphView` whose feature fetches
-charge its meter — and run the model in whatever mode it is in: each
-entry point wraps its whole pass in :func:`eval_mode`, so no engine
-call switches dropout back on under a sibling shard's forward.
+charge its meter.
 
 The streaming re-embedder's per-layer tables come from the same
 engine: :func:`materialize_layers` keeps every layer's table of one
@@ -32,9 +30,8 @@ chosen rows of each layer from the table below it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -58,17 +55,6 @@ class EvalResult:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Hits@{self.k}={self.hits:.4f}, AUC={self.auc:.4f}"
-
-
-@contextmanager
-def eval_mode(model: LinkPredictionModel) -> Iterator[None]:
-    """Hold ``model`` in eval mode for an inference pass; train mode
-    comes back however the pass ends."""
-    model.eval()
-    try:
-        yield
-    finally:
-        model.train()
 
 
 def _input_features(source, nodes: np.ndarray) -> np.ndarray:
@@ -236,13 +222,10 @@ class Evaluator:
     def _evaluate(self, model: LinkPredictionModel, pos: np.ndarray,
                   neg: np.ndarray) -> EvalResult:
         graph = self.split.train_graph
-        with eval_mode(model):
-            pos_scores = score_pairs(model, graph, pos, self.fanouts,
-                                     rng=self.rng,
-                                     batch_size=self.batch_size)
-            neg_scores = score_pairs(model, graph, neg, self.fanouts,
-                                     rng=self.rng,
-                                     batch_size=self.batch_size)
+        pos_scores = score_pairs(model, graph, pos, self.fanouts,
+                                 rng=self.rng, batch_size=self.batch_size)
+        neg_scores = score_pairs(model, graph, neg, self.fanouts,
+                                 rng=self.rng, batch_size=self.batch_size)
         return EvalResult(
             hits=hits_at_k(pos_scores, neg_scores, self.k),
             auc=auc(pos_scores, neg_scores),

@@ -16,8 +16,8 @@ import numpy as np
 from ..rng import ensure_rng
 from ..sampling.blocks import Block, ComputationGraph
 from .gnn import GATConv, GATv2Conv, GCNConv, GINConv, SAGEConv
-from .module import MLP, Dropout, Linear, Module
-from .tensor import Tensor, gather, no_grad, relu
+from .module import MLP, Linear, Module
+from .tensor import Tensor, gather, relu
 
 GNN_TYPES = ("gcn", "sage", "gat", "gatv2", "gin")
 
@@ -68,7 +68,6 @@ class GNNModel(Module):
         hidden_dim: int,
         num_layers: int = 3,
         out_dim: Optional[int] = None,
-        dropout: float = 0.0,
         num_heads: int = 1,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -82,7 +81,6 @@ class GNNModel(Module):
         self.convs = [make_conv(gnn_type, dims[i], dims[i + 1],
                                 num_heads=num_heads, rng=rng)
                       for i in range(num_layers)]
-        self.dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
 
     @property
     def num_layers(self) -> int:
@@ -114,12 +112,10 @@ class GNNModel(Module):
 
     def layer(self, index: int, block: Block, h_src: Tensor) -> Tensor:
         """Layer ``index`` over one block: the convolution, then ReLU
-        and dropout below the last layer."""
+        below the last layer."""
         h = self.convs[index](block, h_src)
         if index < self.num_layers - 1:
             h = relu(h)
-            if self.dropout is not None:
-                h = self.dropout(h)
         return h
 
 
@@ -204,15 +200,11 @@ class EdgePredictor(Module):
     the same whatever else is decoded with it.  ``forward`` (the taped
     training path, one GEMV over the batch for the output layer) agrees
     to rounding.
-    Active dropout falls back to ``forward``, without a tape.
     """
 
     def _decode_layers(self) -> List[Linear]:
         """The affine layers the decode runs; none for a dot product."""
         return []
-
-    def _dropout_active(self) -> bool:
-        return False
 
     def decode(self, table: np.ndarray, u, v) -> np.ndarray:
         """Scores of the pairs ``(table[u[i]], table[v[i]])``."""
@@ -222,8 +214,6 @@ class EdgePredictor(Module):
         if u.shape != v.shape:
             raise ValueError(f"u and v differ in shape: {u.shape} vs "
                              f"{v.shape}")
-        if self._dropout_active():
-            return self._taped(table[u], table[v])
         other = np.empty((min(u.size, SWEEP_CHUNK), table.shape[1]),
                          table.dtype)
 
@@ -246,9 +236,6 @@ class EdgePredictor(Module):
         if rows is not None:
             rows = _checked_rows(rows, table.shape[0])
         query = np.asarray(query, dtype=table.dtype)
-        if self._dropout_active():
-            return self._taped(query[None, :],
-                               table if rows is None else table[rows])
         n = table.shape[0]
         query = _tiled(query, min(n, SWEEP_CHUNK))
 
@@ -257,10 +244,6 @@ class EdgePredictor(Module):
 
         scores = self._decode_rows(fill, n, table)
         return scores if rows is None else scores[rows]
-
-    def _taped(self, h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self.forward(Tensor(h_u), Tensor(h_v)).data
 
     def _decode_rows(self, fill, n: int, table: np.ndarray) -> np.ndarray:
         """The routine :meth:`decode` and :meth:`sweep` share:
@@ -329,9 +312,6 @@ class MLPPredictor(EdgePredictor):
     def _decode_layers(self) -> List[Linear]:
         return self.mlp.layers
 
-    def _dropout_active(self) -> bool:
-        return self.mlp.dropout is not None and self.mlp.dropout.training
-
 
 class LinkPredictionModel(Module):
     """GNN encoder + edge predictor, trained end to end.
@@ -372,7 +352,6 @@ def build_model(
     num_layers: int = 3,
     predictor: str = "mlp",
     predictor_layers: int = 3,
-    dropout: float = 0.0,
     num_heads: int = 1,
     seed: Optional[int] = None,
 ) -> LinkPredictionModel:
@@ -384,7 +363,7 @@ def build_model(
     """
     rng = np.random.default_rng(seed)
     encoder = GNNModel(gnn_type, in_dim, hidden_dim, num_layers=num_layers,
-                       dropout=dropout, num_heads=num_heads, rng=rng)
+                       num_heads=num_heads, rng=rng)
     if predictor == "mlp":
         head: Module = MLPPredictor(hidden_dim, num_layers=predictor_layers,
                                     rng=rng)

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..rng import ensure_rng
-from .tensor import Tensor, dropout, linear, relu
+from .tensor import Tensor, linear, relu
 
 
 class Parameter(Tensor):
@@ -119,9 +119,6 @@ class Module:
     traversal discovers them by introspection, mirroring torch.nn.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
     # -- traversal -------------------------------------------------------
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
@@ -176,19 +173,7 @@ class Module:
         ParameterVector.of(params)
         return self
 
-    # -- mode / gradients -------------------------------------------------
-
-    def train(self) -> "Module":
-        """Switch the module tree to training mode."""
-        for m in self.modules():
-            m.training = True
-        return self
-
-    def eval(self) -> "Module":
-        """Switch the module tree to inference mode."""
-        for m in self.modules():
-            m.training = False
-        return self
+    # -- gradients ---------------------------------------------------------
 
     def zero_grad(self) -> None:
         """Clear every parameter's gradient."""
@@ -267,25 +252,10 @@ class Linear(Module):
         return linear(x, self.weight, self.bias)
 
 
-class Dropout(Module):
-    """Stateful dropout layer honoring the module's train/eval mode."""
-
-    def __init__(self, p: float = 0.5,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        self.p = p
-        self.rng = ensure_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Randomly zero entries of ``x`` in training mode."""
-        return dropout(x, self.p, self.training, self.rng)
-
-
 class MLP(Module):
     """Multi-layer perceptron with ReLU activations between layers."""
 
     def __init__(self, dims: List[int], bias: bool = True,
-                 dropout_p: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         if len(dims) < 2:
@@ -293,14 +263,11 @@ class MLP(Module):
         rng = ensure_rng(rng)
         self.layers = [Linear(d_in, d_out, bias=bias, rng=rng)
                        for d_in, d_out in zip(dims[:-1], dims[1:])]
-        self.dropout = Dropout(dropout_p, rng=rng) if dropout_p > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        """Apply the layers with ReLU (and dropout) between them."""
+        """Apply the layers with ReLU between them."""
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i < len(self.layers) - 1:
                 x = relu(x)
-                if self.dropout is not None:
-                    x = self.dropout(x)
         return x

@@ -4,7 +4,7 @@ This is the substrate that replaces PyTorch's autograd in the paper's
 implementation.  It supports exactly the operations GNN link-prediction
 training needs: dense linear algebra, elementwise nonlinearities,
 row gather/scatter, segment reductions (the message-passing primitive),
-sparse-matrix products and dropout.
+and sparse-matrix products.
 
 Design notes
 ------------
@@ -47,7 +47,6 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List,
 
 import numpy as np
 import scipy.sparse as sp
-from ..rng import ensure_rng
 
 if TYPE_CHECKING:
     from ..sampling.blocks import Block
@@ -679,24 +678,6 @@ def gather_cols(x: Tensor, cols: Array) -> Tensor:
         full = np.zeros_like(x.data)
         full[rows, cols] = grad
         x._accumulate(full)
-
-    return Tensor._result(data, (x,), backward)
-
-
-def dropout(x: Tensor, p: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout probability must be in [0, 1)")
-    rng = ensure_rng(rng)
-    mask = ((rng.random(x.data.shape) >= p) / (1.0 - p)).astype(
-        x.data.dtype)
-    data = x.data * mask
-
-    def backward(grad: Array) -> None:
-        x._accumulate(grad * mask)
 
     return Tensor._result(data, (x,), backward)
 

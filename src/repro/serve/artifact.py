@@ -51,7 +51,7 @@ from ..nn.models import (
 )
 from ..nn.module import Module
 from ..checkpoint.io import atomic_save_state_dict
-from ..eval.evaluator import eval_mode, materialize_embeddings
+from ..eval.evaluator import materialize_embeddings
 from ..nn.serialize import (
     load_state_dict,
     model_fingerprint,
@@ -186,8 +186,8 @@ class ServableArtifact:
         return self.table
 
     def build_predictor(self) -> Module:
-        """The decoder module with the stored weights, in eval mode:
-        built on the first call, then shared."""
+        """The decoder module with the stored weights: built on the
+        first call, then shared."""
         if self._predictor is None:
             self._predictor = self._decoder()
         return self._predictor
@@ -196,7 +196,7 @@ class ServableArtifact:
         """Reconstruct the decoder module from the stored weights, in
         the table's dtype."""
         if self.predictor_kind == "dot":
-            return DotPredictor().eval()
+            return DotPredictor()
         if self.predictor_kind != "mlp":
             raise ValueError(
                 f"unknown predictor kind {self.predictor_kind!r}")
@@ -213,7 +213,7 @@ class ServableArtifact:
                                  rng=np.random.default_rng(0))
         predictor.astype(self.table.dtype).load_state_dict(
             self.predictor_state)
-        return predictor.eval()
+        return predictor
 
     def describe(self) -> str:
         """One-paragraph human-readable artifact description."""
@@ -303,9 +303,8 @@ def export_servable(model: LinkPredictionModel,
     the table and the decoder weights in float32.
     """
     kind = predictor_kind_of(model)
-    with eval_mode(model):
-        table = materialize_embeddings(model, partitioned.full)
-    table = table.astype(np.float32, copy=False)
+    table = materialize_embeddings(model, partitioned.full).astype(
+        np.float32, copy=False)
     # Master ownership (node_owner == assignment for node-partitioned
     # layouts; the master replica under vertex cut) routes the shards.
     return artifact_from_table(

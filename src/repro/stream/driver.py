@@ -612,6 +612,13 @@ class StreamDriver:
             spec = PartitionSpec.from_dict(meta["spec"])
             num_parts = int(meta["num_parts"])
             model_spec = meta["model_spec"]
+            # Checkpoints written before dropout was removed carry its
+            # inert rate.
+            if model_spec.pop("dropout", 0.0) != 0.0:
+                raise StreamError(
+                    "stream checkpoint's model_spec sets the removed "
+                    "key 'dropout' to a nonzero rate; this build cannot "
+                    "resume it")
             backend = backend or meta["backend"]
             snapshot = MutableGraph.from_state_arrays(state).snapshot()
         driver = cls(build_model(**model_spec), snapshot, spec, num_parts,

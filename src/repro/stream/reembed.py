@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..checkpoint.state import strip_prefix
-from ..eval.evaluator import eval_mode, materialize_layers, refresh_layers
+from ..eval.evaluator import materialize_layers, refresh_layers
 from ..graph.graph import Graph
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
@@ -157,9 +157,7 @@ class Reembedder:
     def full_refresh(self, graph: Graph) -> int:
         """Recompute every row of every layer against ``graph``;
         returns rows done."""
-        with eval_mode(self.model):
-            *self.hidden, self.table = materialize_layers(self.model,
-                                                          graph)
+        *self.hidden, self.table = materialize_layers(self.model, graph)
         self._embedded(graph)
         self.layer_rows = [graph.num_nodes] * self.num_layers
         self.rows_recomputed += graph.num_nodes
@@ -202,9 +200,7 @@ class Reembedder:
         patch = (blocks[:, None] * self.batch_size
                  + np.arange(self.batch_size)).ravel()
         rows.append(patch[patch < graph.num_nodes])
-        with eval_mode(self.model):
-            refresh_layers(self.model, graph, self.hidden + [self.table],
-                           rows)
+        refresh_layers(self.model, graph, self.hidden + [self.table], rows)
         self.layer_rows = [int(ids.size) for ids in rows]
         self.rows_recomputed += self.layer_rows[-1]
         return self.layer_rows[-1]
@@ -259,8 +255,7 @@ class Reembedder:
             self._drifted[arrays["stream.embed.drifted"]] = True
             self._endpoints[arrays["stream.embed.endpoints"]] = True
         else:
-            with eval_mode(self.model):
-                self.hidden = materialize_layers(self.model, graph)[:-1]
+            self.hidden = materialize_layers(self.model, graph)[:-1]
         self.rows_recomputed = int(meta["reembed_rows_total"])
 
     # -- artifact export -------------------------------------------------

@@ -172,11 +172,20 @@ class TestBackendFactoryAndConfig:
         with pytest.raises(ValueError, match="backend must be one of"):
             TrainConfig(fanouts=(5, 5), num_layers=2, backend="mpi")
 
-    def test_config_single_worker_process_degrades(self):
-        with pytest.warns(RuntimeWarning, match="degrades"):
-            config = TrainConfig(fanouts=(5, 5), num_layers=2,
-                                 backend="process", num_workers=1)
-        assert config.backend == "serial"
+    def test_config_single_worker_process_degrades(self, split):
+        """The trainer's ``make_backend`` degrades a one-partition
+        process run; the config keeps naming ``process``."""
+        from repro.core.frameworks import FRAMEWORKS, build_trainer
+
+        config = TrainConfig(hidden_dim=8, num_layers=2, fanouts=(3, 3),
+                             epochs=1, backend="process", num_workers=1,
+                             observe=False)
+        assert config.backend == "process"
+        with pytest.warns(RuntimeWarning, match="degrading"):
+            trainer = build_trainer(FRAMEWORKS["psgd_pa"], split, 1, config,
+                                    rng=np.random.default_rng(0))
+        assert type(trainer.backend) is SerialBackend
+        assert config.backend == "process"
 
     def test_config_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="num_workers"):
@@ -269,8 +278,10 @@ class TestWorkerHost:
         vector = worker.model.vector
         grads = (np.full_like(vector.grads, 0.01),
                  np.ones(len(vector.params), dtype=bool))
+        halved = vector.values * 0.5
         commands = [("epoch",), ("draw",), ("train", True, True),
-                    ("grads", grads), ("step",), ("lr", 0.5), ("draw",),
+                    ("grads", grads), ("step",), ("set_model", halved),
+                    ("draw",),
                     ("train", False, True), ("draw",),
                     ("train", True, False), ("step",)]
         replies = [host.execute(msg) for msg in commands]

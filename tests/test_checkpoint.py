@@ -208,6 +208,65 @@ class TestLegacyFailureProbability:
         assert resumed.train().digest() == baseline.digest()
 
 
+class TestRemovedTrainingKnobs:
+    """Stores written while ``TrainConfig`` still had ``dropout``,
+    ``patience``, ``lr_decay``/``lr_decay_every``, ``sync_topology`` and
+    ``sync_plan``: inert values are dropped, live ones refused."""
+
+    INERT = {"dropout": 0.0, "patience": 0, "lr_decay": 1.0,
+             "lr_decay_every": 3, "sync_topology": "allreduce"}
+
+    @pytest.fixture(scope="class")
+    def ps_run(self, split, tmp_path_factory):
+        """A ``ps`` run crashed at (1, 1), and its uninterrupted digest."""
+        baseline = _trainer(split, _config("ps")).train().digest()
+        ckpt_dir = str(tmp_path_factory.mktemp("ps") / "ckpt")
+        previous = _install_crash(1, 1)
+        try:
+            with pytest.raises(_PlannedCrash):
+                _trainer(split, _config("ps", checkpoint_dir=ckpt_dir,
+                                        checkpoint_every=1)).train()
+        finally:
+            trainer_mod.set_round_hook(previous)
+        return ckpt_dir, baseline
+
+    @staticmethod
+    def _rewritten(source, target, **changes):
+        """``source``'s newest snapshot with ``changes`` in its config."""
+        meta, state = load_checkpoint(source)
+        stored = parse_meta(state)
+        stored["config"].update(changes)
+        state["meta_json"] = np.array(json.dumps(stored))
+        CheckpointStore(target).write(state, meta["epoch"], meta["round"])
+        return load_checkpoint(target)
+
+    def test_inert_values_resume_to_the_uninterrupted_digest(
+            self, split, ps_run, tmp_path):
+        ckpt_dir, baseline = ps_run
+        plan = {"mode": "ps", "num_workers": 2, "seed": SEED,
+                "max_staleness": 2, "pull_prob": 0.5, "sync_every": 4,
+                "name": "ps-from-config"}
+        meta, state = self._rewritten(ckpt_dir, str(tmp_path / "old"),
+                                      sync_plan=plan, **self.INERT)
+        resumed = rebuild_trainer(meta, state, split)
+        assert resumed.train().digest() == baseline
+
+    @pytest.mark.parametrize("key, value", [
+        ("patience", 3), ("dropout", 0.5), ("lr_decay", 0.5),
+        ("sync_topology", "parameter_server"),
+        ("sync_plan", {"mode": "ps", "num_workers": 2, "seed": SEED,
+                       "max_staleness": 7, "pull_prob": 0.5,
+                       "sync_every": 4}),
+    ], ids=["patience", "dropout", "lr_decay", "sync_topology",
+            "sync_plan"])
+    def test_a_live_value_is_refused_by_name(self, split, ps_run,
+                                             tmp_path, key, value):
+        meta, state = self._rewritten(ps_run[0], str(tmp_path / "old"),
+                                      **{**self.INERT, key: value})
+        with pytest.raises(CheckpointMismatchError, match=repr(key)):
+            rebuild_trainer(meta, state, split)
+
+
 class TestMidEpochRoundTrip:
     @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_mid_epoch_snapshot_round_trips(self, split, sync, tmp_path):

@@ -16,7 +16,6 @@ from repro.nn import (
     build_model,
     concat,
     cross_entropy,
-    dropout,
     elu,
     exp,
     gather,
@@ -87,8 +86,6 @@ OPS = {
     "log_softmax": lambda a, b: log_softmax(a),
     "cross_entropy": lambda a, b: cross_entropy(a, [0, 3, 1, 2, 2, 0]),
     "gather_cols": lambda a, b: gather_cols(a, [0, 3, 1, 2, 2, 0]),
-    "dropout": lambda a, b: dropout(a, 0.3, True,
-                                    np.random.default_rng(1)),
     "stack_rows": lambda a, b: stack_rows([a.sum(axis=0), b.sum(axis=0)]),
     "bce_float64_labels": lambda a, b: bce_with_logits(
         a.reshape(-1), np.tile([1.0, 0.0], 12)),

@@ -159,9 +159,11 @@ class TestConfigValidation:
             TrainConfig(checkpoint_every=-1)
 
     def test_degrade_warning_carries_reason(self):
+        from repro.distributed.backends import SerialBackend, make_backend
+
         with pytest.warns(RuntimeWarning, match="reason:"):
-            config = TrainConfig(backend="thread", num_workers=1)
-        assert config.backend == "serial"
+            backend = make_backend("thread", 1)
+        assert type(backend) is SerialBackend
 
     def test_plan_accepts_dict_form(self):
         config = TrainConfig(fault_plan=CRASH_PLAN.to_dict())

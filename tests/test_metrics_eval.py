@@ -127,34 +127,6 @@ class TestEvaluator:
         assert 0.0 <= test.auc <= 1.0
         assert val.k == 20
 
-    def test_model_left_in_train_mode(self, model, small_split, rng):
-        ev = Evaluator(small_split, fanouts=[5, 3], k=20, rng=rng)
-        model.train()
-        ev.validate(model)
-        assert model.training
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_score_pairs_leaves_the_mode_as_it_found_it(
-            self, model, small_split, training):
-        if not training:
-            model.eval()
-        score_pairs(model, small_split.train_graph,
-                    small_split.val_pos[:5], fanouts=[5, 3],
-                    rng=np.random.default_rng(0))
-        assert model.training is training
-
-    def test_validate_restores_train_mode_when_scoring_raises(
-            self, model, small_split, rng, monkeypatch):
-        def broken(*args):
-            assert not model.training
-            raise RuntimeError("decoder failed")
-
-        monkeypatch.setattr(model, "score_pairs", broken)
-        ev = Evaluator(small_split, fanouts=[5, 3], k=20, rng=rng)
-        with pytest.raises(RuntimeError, match="decoder failed"):
-            ev.validate(model)
-        assert model.training
-
     def test_score_pairs_records_no_tape_and_keeps_the_bits(
             self, model, small_split):
         pairs = small_split.val_pos[:20]

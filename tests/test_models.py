@@ -120,7 +120,7 @@ class TestSweepOracle:
         """Width 20 is off ``SWEEP_PANEL``: the decode zero-pads it."""
         rng = np.random.default_rng(depth)
         predictor = MLPPredictor(64, hidden_dim=width, num_layers=depth,
-                                 rng=rng).eval()
+                                 rng=rng)
         if not bias:
             for layer in predictor.mlp.layers:
                 layer.bias = None
@@ -134,28 +134,13 @@ class TestSweepOracle:
         pure."""
         rng = np.random.default_rng(width)
         predictor = MLPPredictor(64, hidden_dim=width, num_layers=3,
-                                 rng=rng).eval()
+                                 rng=rng)
         self._assert_oracle(predictor, rng.standard_normal((4100, 64)), rng)
 
     def test_dot(self):
         rng = np.random.default_rng(5)
         self._assert_oracle(DotPredictor(), rng.standard_normal((4100, 64)),
                             rng)
-
-    def test_active_dropout_falls_back_to_forward(self):
-        from repro.nn.module import Dropout
-        rng = np.random.default_rng(7)
-        predictor = MLPPredictor(16, num_layers=3, rng=rng)
-        predictor.mlp.dropout = Dropout(0.5, rng=np.random.default_rng(1))
-        table = rng.standard_normal((700, 16))
-        rows = np.arange(1, 700)
-        got = predictor.sweep(table[0], table, rows)
-        predictor.mlp.dropout.rng = np.random.default_rng(1)
-        want = predictor(Tensor(table[:1]), Tensor(table[rows])).data
-        assert got.tobytes() == want.tobytes()
-        predictor.mlp.dropout.rng = np.random.default_rng(1)
-        pairs = predictor.decode(table, np.zeros_like(rows), rows)
-        assert pairs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_rows_out_of_range_raise(self, bad):
@@ -199,7 +184,7 @@ class TestDecodeOracle:
     def test_mlp(self, width, bias):
         rng = np.random.default_rng(width)
         predictor = MLPPredictor(64, hidden_dim=width, num_layers=3,
-                                 rng=rng).eval()
+                                 rng=rng)
         if not bias:
             for layer in predictor.mlp.layers:
                 layer.bias = None
@@ -216,7 +201,7 @@ class TestDecodeOracle:
         and entries, and every zero bias entry is -0.0."""
         rng = np.random.default_rng(17)
         predictor = MLPPredictor(8, hidden_dim=16, num_layers=3,
-                                 rng=rng).eval()
+                                 rng=rng)
         for layer in predictor.mlp.layers:
             layer.weight.data[...] = rng.integers(-2, 3,
                                                   layer.weight.shape)
@@ -250,7 +235,7 @@ class TestDecodeOracle:
     @pytest.mark.parametrize("kind", ["mlp", "dot"])
     def test_nan_and_inf_rows(self, kind):
         rng = np.random.default_rng(23)
-        predictor = (MLPPredictor(16, num_layers=3, rng=rng).eval()
+        predictor = (MLPPredictor(16, num_layers=3, rng=rng)
                      if kind == "mlp" else DotPredictor())
         table = rng.standard_normal((1100, 16))
         table[3::97] = np.nan

@@ -1,9 +1,9 @@
-"""Module system tests: traversal, state dicts, Linear/MLP/Dropout."""
+"""Module system tests: traversal, state dicts, Linear/MLP."""
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Linear, Module, Parameter, Tensor, relu
+from repro.nn import MLP, Linear, Module, Parameter, Tensor, relu
 from repro.nn.module import xavier_uniform
 
 
@@ -47,13 +47,6 @@ class TestTraversal:
 
 
 class TestTrainEval:
-    def test_mode_propagates(self, rng):
-        net = TinyNet(rng)
-        net.eval()
-        assert not net.fc1.training
-        net.train()
-        assert net.stack[0].training
-
     def test_zero_grad(self, rng):
         net = TinyNet(rng)
         x = Tensor(rng.standard_normal((5, 4)))
@@ -136,12 +129,3 @@ class TestMLP:
         for p in mlp.parameters():
             assert p.grad is not None
 
-
-class TestDropoutLayer:
-    def test_respects_training_mode(self, rng):
-        layer = Dropout(0.9, rng=rng)
-        x = Tensor(np.ones((8, 8)))
-        layer.training = False
-        assert layer(x) is x
-        layer.training = True
-        assert np.any(layer(x).data == 0.0)

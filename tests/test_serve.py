@@ -213,12 +213,7 @@ class TestArtifact:
         sampler = NeighborSampler([-1] * model.encoder.num_layers,
                                   rng=np.random.default_rng(0))
         comp = sampler.sample(master, nodes)
-        model.eval()
-        try:
-            expected = model.embed(comp,
-                                   master.features[comp.input_nodes]).data
-        finally:
-            model.train()
+        expected = model.embed(comp, master.features[comp.input_nodes]).data
         np.testing.assert_array_equal(artifact.embedding_table()[nodes],
                                       expected.astype(np.float32))
 
@@ -226,13 +221,12 @@ class TestArtifact:
         """The table is the float64 full-neighbour table rounded to
         float32 and nothing else; the decoder weights are the trained
         ones rounded to float32."""
-        from repro.eval.evaluator import eval_mode, materialize_embeddings
+        from repro.eval.evaluator import materialize_embeddings
 
         session, artifact, _, _ = served
         model = session._trainer.workers[0].model
-        with eval_mode(model):
-            table = materialize_embeddings(
-                model, session._trainer.partitioned.full)
+        table = materialize_embeddings(model,
+                                       session._trainer.partitioned.full)
         assert artifact.embedding_table().dtype == np.float32
         assert (artifact.embedding_table().tobytes()
                 == table.astype(np.float32).tobytes())
@@ -433,13 +427,12 @@ class TestServingSemantics:
         """Served scores against the trained model's taped
         ``score_pairs`` on its full-neighbour table: within
         :func:`decode_error_bound` (2^-24 unit roundoff)."""
-        from repro.eval.evaluator import eval_mode, materialize_embeddings
+        from repro.eval.evaluator import materialize_embeddings
 
         session, artifact, store, _ = served
         model = session._trainer.workers[0].model
-        with eval_mode(model):
-            table = materialize_embeddings(
-                model, session._trainer.partitioned.full)
+        table = materialize_embeddings(model,
+                                       session._trainer.partitioned.full)
         pairs = np.random.default_rng(5).integers(0, 150, size=(80, 2))
         with _cluster(artifact, store) as cluster:
             report = cluster.serve(ClosedLoopWorkload(

@@ -180,7 +180,7 @@ class TestStackedDecoding:
     def test_predictors_score_a_stacked_block_like_single_rows(self, kind):
         rng = np.random.default_rng(1)
         predictor = (MLPPredictor(64, num_layers=3, rng=rng)
-                     if kind == "mlp" else DotPredictor()).eval()
+                     if kind == "mlp" else DotPredictor())
         for dtype in (np.float32, np.float64):
             table = rng.standard_normal((260, 64)).astype(dtype)
             u, v = np.arange(130), np.arange(130, 260)

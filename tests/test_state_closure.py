@@ -192,7 +192,7 @@ PARENT_ARRAY_KEYS = [
     "server.optim.v.9", "worker.0000.payload", "worker.0001.payload",
 ]
 PARENT_META_FIELDS = [
-    "best", "best.epoch", "best.evals_since_best", "best.has_state",
+    "best", "best.epoch", "best.has_state",
     "best.val", "build_knobs", "config", "epoch", "evaluator_rng", "faults",
     "faults.counts", "faults.dropped", "faults.failure_rng", "faults.live",
     "faults.model_sync_excluded", "faults.outage_rounds_left",

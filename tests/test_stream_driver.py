@@ -268,6 +268,27 @@ class TestCheckpointResume:
             t.tobytes() for t in v2.reembedder.hidden]
         assert v1.run().digest() == uninterrupted
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_a_stored_dropout_rate_resumes_only_when_inert(self, tmp_path,
+                                                          dropout):
+        """A ``model_spec`` written while models still had dropout: its
+        inert rate replays to the uninterrupted digest, a live one is a
+        ``StreamError`` naming the key."""
+        from repro.stream.errors import StreamError
+
+        self._interrupted_dir(tmp_path / "ckpt")
+        _, state, _ = CheckpointStore(tmp_path / "ckpt").latest()
+        meta = json.loads(str(state["stream.meta.json"]))
+        meta["model_spec"]["dropout"] = dropout
+        state["stream.meta.json"] = np.array(json.dumps(meta))
+        CheckpointStore(tmp_path / "old").write(state, epoch=1, rnd=0)
+        if dropout:
+            with pytest.raises(StreamError, match="'dropout'"):
+                StreamDriver.resume(tmp_path / "old")
+        else:
+            resumed = StreamDriver.resume(tmp_path / "old")
+            assert resumed.run().digest() == _run(_config(ticks=4)).digest()
+
     def test_float64_checkpoint_resumes_to_the_float32_run(self, tmp_path):
         """A v2 checkpoint with float64 weights and re-embedding tables
         (and the float32 served table), as a float64 build wrote it,

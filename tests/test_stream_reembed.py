@@ -119,20 +119,15 @@ def _per_batch_embeddings(model, graph, batch_size, batch_ids=None):
                               rng=np.random.default_rng(0))
     num_batches = -(-graph.num_nodes // batch_size)
     table = None
-    model.eval()
-    try:
-        for b in (range(num_batches) if batch_ids is None else batch_ids):
-            nodes = np.arange(b * batch_size,
-                              min((b + 1) * batch_size, graph.num_nodes))
-            comp_graph = sampler.sample(graph, nodes)
-            rows = model.embed(comp_graph,
-                               graph.features[comp_graph.input_nodes]).data
-            if table is None:
-                table = np.zeros((graph.num_nodes, rows.shape[1]),
-                                 rows.dtype)
-            table[nodes] = rows
-    finally:
-        model.train()
+    for b in (range(num_batches) if batch_ids is None else batch_ids):
+        nodes = np.arange(b * batch_size,
+                          min((b + 1) * batch_size, graph.num_nodes))
+        comp_graph = sampler.sample(graph, nodes)
+        rows = model.embed(comp_graph,
+                           graph.features[comp_graph.input_nodes]).data
+        if table is None:
+            table = np.zeros((graph.num_nodes, rows.shape[1]), rows.dtype)
+        table[nodes] = rows
     return table
 
 
@@ -211,14 +206,6 @@ class TestOneMFGOracle:
         with taped_forward():
             taped = materialize_embeddings(model, graph)
         assert table.tobytes() == taped.tobytes()
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_leaves_the_mode_as_it_found_it(self, training):
-        graph, model = self._case("sage", 2)
-        if not training:
-            model.eval()
-        materialize_embeddings(model, graph, rows=[3, 7])
-        assert model.training is training
 
     def test_rows_out_of_range(self):
         graph, model = self._case("sage", 1)

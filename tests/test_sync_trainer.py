@@ -80,7 +80,7 @@ class TestSync:
     def test_sync_charges_meters_allreduce(self):
         backend, trainer = bound_backend(make_models(2))
         before = [m.state_dict() for m in make_models(2)]
-        backend.sync_models("allreduce")
+        backend.sync_models()
         # ring all-reduce on p=2: 2 * (p-1)/p = 1x the payload
         expected = trainer.workers[0].model.parameter_nbytes()
         for meter in trainer.meters:
@@ -90,28 +90,17 @@ class TestSync:
             for name, arr in worker.model.state_dict().items():
                 assert np.allclose(arr,
                                    (before[0][name] + before[1][name]) / 2)
-
-    def test_sync_charges_meters_parameter_server(self):
-        backend, trainer = bound_backend(make_models(2))
-        backend.sync_models("parameter_server")
-        expected = 2 * trainer.workers[0].model.parameter_nbytes()
-        for meter in trainer.meters:
-            assert meter.current.sync_bytes == expected
         # A removed worker is neither charged nor counted in the ring.
         backend, trainer = bound_backend(make_models(3))
         backend.deactivate(1)
-        backend.sync_models("allreduce")
+        backend.sync_models()
         charged = [m.current.sync_bytes for m in trainer.meters]
-        assert charged == [expected // 2, 0, expected // 2]
+        assert charged == [expected, 0, expected]
 
     def test_sync_bytes_per_worker_model(self):
         from repro.distributed import sync_bytes_per_worker
         assert sync_bytes_per_worker(1000, 1) == 0
         assert sync_bytes_per_worker(1000, 4) == 1500  # 2*1000*3/4
-        assert sync_bytes_per_worker(1000, 4,
-                                     "parameter_server") == 2000
-        with pytest.raises(ValueError):
-            sync_bytes_per_worker(1000, 4, "mesh")
 
     def test_average_gradients_none_grads_tolerated(self):
         vector = make_models(1)[0].vector
@@ -141,7 +130,7 @@ class TestPeriodicAverage:
         log = []
         backend = SimpleNamespace(
             step_participants=lambda mask: log.append("step"),
-            sync_models=lambda topology, obs=None, participating=None:
+            sync_models=lambda obs=None, participating=None:
                 log.append("average"),
             run_correction=lambda hook: log.append("correct"))
         trainer = SimpleNamespace(

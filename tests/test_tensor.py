@@ -10,7 +10,6 @@ from repro.nn import (
     Linear,
     Tensor,
     concat,
-    dropout,
     elu,
     exp,
     gather,
@@ -168,22 +167,6 @@ class TestForward:
         out = segment_softmax(scores, np.array([0, 0]), 1)
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data.sum(), 1.0)
-
-    def test_dropout_eval_identity(self, rng):
-        x = Tensor(rng.standard_normal((4, 4)))
-        assert dropout(x, 0.5, training=False) is x
-        assert dropout(x, 0.0, training=True) is x
-
-    def test_dropout_scaling(self, rng):
-        x = Tensor(np.ones((2000,)))
-        out = dropout(x, 0.5, training=True, rng=rng)
-        # Inverted dropout keeps the expectation.
-        assert out.data.mean() == pytest.approx(1.0, abs=0.1)
-        assert set(np.unique(out.data)).issubset({0.0, 2.0})
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.5, training=True)
 
 
 class TestBackward:
